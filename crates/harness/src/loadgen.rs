@@ -706,19 +706,7 @@ fn fused_phase(
                         lanes.len() - 1
                     }
                 };
-                match r.kind.op_key().expect("valid kinds") {
-                    OpKey::Nn => lanes[li].nn = true,
-                    OpKey::Knn(k) => {
-                        if let Err(at) = lanes[li].knn_ks.binary_search(&k) {
-                            lanes[li].knn_ks.insert(at, k);
-                        }
-                    }
-                    OpKey::Pc(bits) => {
-                        if let Err(at) = lanes[li].pc_radii.binary_search(&bits) {
-                            lanes[li].pc_radii.insert(at, bits);
-                        }
-                    }
-                }
+                lanes[li].ask(r.kind.op_key().expect("valid kinds"));
                 lane_of.push(li);
             }
             let t0 = Instant::now();
@@ -756,28 +744,9 @@ fn fused_phase(
 
             // Scatter the fused answers back per query and compare.
             for (qi, r) in reqs.iter().enumerate() {
-                let lane = &lanes[lane_of[qi]];
-                let lr = &fused.lanes[lane_of[qi]];
-                let got = match r.kind.op_key().expect("valid kinds") {
-                    OpKey::Nn => lr.nn.clone().expect("lane asked NN"),
-                    OpKey::Knn(k) => {
-                        let slot = lane
-                            .knn_ks
-                            .iter()
-                            .position(|&x| x == k)
-                            .expect("lane asked this k");
-                        lr.knn[slot].clone()
-                    }
-                    OpKey::Pc(bits) => {
-                        let slot = lane
-                            .pc_radii
-                            .iter()
-                            .position(|&x| x == bits)
-                            .expect("lane asked this radius");
-                        lr.pc[slot].clone()
-                    }
-                };
-                if Some(&got) != unfused[qi].as_ref() {
+                let li = lane_of[qi];
+                let got = fused.lanes[li].answer(&lanes[li], r.kind.op_key().expect("valid kinds"));
+                if got != unfused[qi].as_ref() {
                     mismatches += 1;
                 }
             }
@@ -1274,7 +1243,7 @@ pub fn main_loadgen(args: &[String]) {
              [--skip-single] [--trace-file PATH] [--metrics-file PATH] [--obs-out PATH] \
              [--backend auto|lockstep|autoropes|stackless-kd|stackless-bvh|cpu] \
              [--stackless] [--stackless-out PATH] [--churn N] [--churn-out PATH] \
-             [--mixed] [--fusion auto|on|off] [--fused-out PATH]\n\
+             [--mixed] [--fusion auto|off] [--fused-out PATH]\n\
              \n\
              networked mode:\n\
              gts-harness loadgen --connect HOST:PORT [--connections N] [--frame-queries N] \

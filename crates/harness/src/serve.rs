@@ -129,7 +129,7 @@ pub fn main_serve(args: &[String]) {
              [--slow-log PATH] [--slow-log-percentile P] [--slow-log-capacity N] \
              [--listen ADDR] [--port-file PATH] [--admission-budget-us N] \
              [--backend auto|lockstep|autoropes|stackless-kd|stackless-bvh|cpu] \
-             [--stackless] [--fusion auto|on|off] [--mutable]"
+             [--stackless] [--fusion auto|off] [--mutable]"
         );
         std::process::exit(2)
     };

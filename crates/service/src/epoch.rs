@@ -11,7 +11,7 @@
 //!   immutable [`EpochState`] — the state pointer swaps atomically under
 //!   a short lock, so a mutation batch is visible to readers the moment
 //!   `mutate` returns.
-//! * **Readers** ([`TreeIndex::run_batch`]) pin the current epoch by
+//! * **Readers** ([`TreeIndex::run`]) pin the current epoch by
 //!   cloning the state's `Arc`. Queries in flight keep traversing the
 //!   shard set they pinned; no reader ever observes a torn shard set.
 //! * A **background merge thread** folds pending deltas into the shards:
@@ -39,13 +39,10 @@
 //! or gets reused, so a result id always names the same point — the
 //! invariant the differential oracle and the churn stress tests lean on.
 
-use crate::index::{
-    distinct_ops, BatchOutcome, FusedLane, FusedLaneResult, FusedOutcome, KdIndex, TreeIndex,
-};
+use crate::index::{to_point, FusedLane, FusedOutcome, KdIndex, TreeIndex};
 use crate::policy::ExecPolicy;
-use crate::query::{OpKey, QueryResult};
-use crate::shard::{Acc, FusedAcc, StatAgg, SubRun};
-use gts_apps::kbest::KBest;
+use crate::query::OpKey;
+use crate::shard::{sweep, Acc, ShardView, StatAgg};
 use gts_points::sort::morton_order;
 use gts_trees::{Aabb, PointN, SplitPolicy};
 use std::collections::{HashMap, HashSet};
@@ -712,12 +709,8 @@ impl<const D: usize> TreeIndex for MutableIndex<D> {
         self.pin().n_live
     }
 
-    fn run_batch(&self, op: OpKey, positions: &[Vec<f32>], policy: &ExecPolicy) -> BatchOutcome {
-        run_state_batch(&self.pin(), op, positions, policy)
-    }
-
-    fn run_fused(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> Option<FusedOutcome> {
-        Some(run_state_fused(&self.pin(), lanes, policy))
+    fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
+        run_state(&self.pin(), lanes, policy)
     }
 
     fn mutate(&self, muts: &[Mutation]) -> Result<MutationAck, MutateError> {
@@ -982,14 +975,14 @@ fn do_merge<const D: usize>(core: &Core<D>) -> bool {
 }
 
 /// Per-batch digest of the pending deltas: what to mask and what to
-/// brute-force.
-struct DeltaDigest<const D: usize> {
+/// brute-force ([`Acc::correct`] applies it, op by op).
+pub(crate) struct DeltaDigest<const D: usize> {
     /// Every pending delete's id (tree and pending-insert alike).
-    deleted: HashSet<u32>,
+    pub(crate) deleted: HashSet<u32>,
     /// Deleted *tree* points (id, coordinates) — PC subtracts these.
-    del_tree: Vec<(u32, PointN<D>)>,
+    pub(crate) del_tree: Vec<(u32, PointN<D>)>,
     /// Pending inserts still live (not cancelled by a pending delete).
-    live_inserts: Vec<(u32, PointN<D>)>,
+    pub(crate) live_inserts: Vec<(u32, PointN<D>)>,
 }
 
 impl<const D: usize> DeltaDigest<D> {
@@ -1024,388 +1017,100 @@ impl<const D: usize> DeltaDigest<D> {
     }
 }
 
-fn to_point<const D: usize>(pos: &[f32]) -> PointN<D> {
-    debug_assert_eq!(pos.len(), D);
-    PointN(std::array::from_fn(|i| pos[i]))
-}
-
-/// Execute one batch against a pinned epoch snapshot: tree sweep over
-/// every shard folded per query, then the delta-window corrections.
-fn run_state_batch<const D: usize>(
-    state: &EpochState<D>,
-    op: OpKey,
-    positions: &[Vec<f32>],
-    policy: &ExecPolicy,
-) -> BatchOutcome {
-    let started = Instant::now();
-    let n = positions.len();
-    let digest = DeltaDigest::new(state);
-    let n_del_tree = digest.del_tree.len();
-
-    // kNN widens by the pending tree-delete count so the top-k always
-    // survives the delete filter; NN and PC run unchanged.
-    let tree_op = match op {
-        OpKey::Knn(k) if n_del_tree > 0 => OpKey::Knn(k + n_del_tree),
-        other => other,
-    };
-    let mut agg = StatAgg::default();
-    let mut accs: Vec<Acc> = (0..n).map(|_| Acc::new(tree_op)).collect();
-    for (si, shard) in state.shards.iter().enumerate() {
-        let off = started.elapsed().as_micros() as u64;
-        let sub0 = Instant::now();
-        let out = shard
-            .index
-            .run_batch_profiled(tree_op, positions, policy, None);
-        let dur = sub0.elapsed().as_micros() as u64;
-        for (acc, r) in accs.iter_mut().zip(&out.results) {
-            acc.absorb(r, &shard.ids);
-        }
-        agg.add(&SubRun {
-            shard: si as u32,
-            round: 0,
-            queries: n as u32,
-            out,
-            offset_us: off,
-            dur_us: dur,
-        });
-    }
-
-    if digest.is_empty() {
-        let results = accs.into_iter().map(Acc::finish).collect();
-        return agg.finish(results, 0);
-    }
-
-    // Delta-window corrections, per query.
-    let r2 = match op {
-        OpKey::Pc(bits) => {
-            let r = f32::from_bits(bits);
-            r * r
-        }
-        _ => 0.0,
-    };
-    let mut results: Vec<QueryResult> = Vec::with_capacity(n);
-    let mut nn_retry: Vec<usize> = Vec::new();
-    for (qi, acc) in accs.into_iter().enumerate() {
-        let q = to_point::<D>(&positions[qi]);
-        match (op, acc.finish()) {
-            (OpKey::Nn, QueryResult::Nn { dist2, id }) => {
-                // The tree's nearest-distinct answer stands unless its
-                // point was deleted — then a widening probe (below) finds
-                // the runner-up exactly.
-                let (mut d2, mut best) = if id != u32::MAX && digest.deleted.contains(&id) {
-                    nn_retry.push(qi);
-                    (f32::INFINITY, u32::MAX)
-                } else {
-                    (dist2, id)
-                };
-                for &(iid, ip) in &digest.live_inserts {
-                    let d = ip.dist2(&q);
-                    if d > 0.0 && d < d2 {
-                        d2 = d;
-                        best = iid;
-                    }
-                }
-                results.push(QueryResult::Nn {
-                    dist2: d2,
-                    id: best,
-                });
-            }
-            (OpKey::Knn(k), QueryResult::Knn { dist2, ids }) => {
-                let mut kb = KBest::new(k);
-                for (&d2, &id) in dist2.iter().zip(&ids) {
-                    if !digest.deleted.contains(&id) {
-                        kb.offer(d2, id);
-                    }
-                }
-                for &(iid, ip) in &digest.live_inserts {
-                    kb.offer(ip.dist2(&q), iid);
-                }
-                results.push(QueryResult::Knn {
-                    dist2: kb.distances().to_vec(),
-                    ids: kb.ids().to_vec(),
-                });
-            }
-            (OpKey::Pc(_), QueryResult::Pc { count }) => {
-                let minus = digest
-                    .del_tree
-                    .iter()
-                    .filter(|(_, p)| p.dist2(&q) <= r2)
-                    .count() as u32;
-                let plus = digest
-                    .live_inserts
-                    .iter()
-                    .filter(|(_, p)| p.dist2(&q) <= r2)
-                    .count() as u32;
-                results.push(QueryResult::Pc {
-                    count: count - minus + plus,
-                });
-            }
-            _ => unreachable!("accumulator mismatches op"),
-        }
-    }
-
-    // NN retry: the tree answer was deleted. Probe with a widening kNN —
-    // the merged top-k' is a prefix of the tree's distance order, so the
-    // first surviving (positive-distance, non-deleted) entry is exact;
-    // no survivor in a full-tree prefix means no tree answer at all.
-    if !nn_retry.is_empty() {
-        let tree_total = state.tree_points();
-        let mut k_probe = n_del_tree + 2;
-        let mut open = nn_retry;
-        let mut round = 1u32;
-        while !open.is_empty() {
-            let subset: Vec<Vec<f32>> = open.iter().map(|&qi| positions[qi].clone()).collect();
-            let mut kbs: Vec<KBest> = (0..open.len()).map(|_| KBest::new(k_probe)).collect();
-            for (si, shard) in state.shards.iter().enumerate() {
-                let off = started.elapsed().as_micros() as u64;
-                let sub0 = Instant::now();
-                let out =
-                    shard
-                        .index
-                        .run_batch_profiled(OpKey::Knn(k_probe), &subset, policy, None);
-                let dur = sub0.elapsed().as_micros() as u64;
-                for (kb, r) in kbs.iter_mut().zip(&out.results) {
-                    let QueryResult::Knn { dist2, ids } = r else {
-                        unreachable!("knn probe answered with a different op")
-                    };
-                    for (&d2, &id) in dist2.iter().zip(ids) {
-                        kb.offer(d2, shard.ids[id as usize]);
-                    }
-                }
-                agg.add(&SubRun {
-                    shard: si as u32,
-                    round,
-                    queries: subset.len() as u32,
-                    out,
-                    offset_us: off,
-                    dur_us: dur,
-                });
-            }
-            let exhaustive = k_probe >= tree_total;
-            let mut still_open = Vec::new();
-            for (i, &qi) in open.iter().enumerate() {
-                let found = kbs[i]
-                    .distances()
-                    .iter()
-                    .zip(kbs[i].ids())
-                    .find(|&(&d2, &id)| d2 > 0.0 && !digest.deleted.contains(&id));
-                match found {
-                    Some((&d2, &id)) => {
-                        if let QueryResult::Nn { dist2, id: best } = &mut results[qi] {
-                            if d2 < *dist2 {
-                                *dist2 = d2;
-                                *best = id;
-                            }
-                        }
-                    }
-                    None if exhaustive => {} // truly no tree answer
-                    None => still_open.push(qi),
-                }
-            }
-            if exhaustive {
-                break;
-            }
-            open = still_open;
-            k_probe *= 2;
-            round += 1;
-        }
-    }
-    agg.finish(results, 0)
-}
-
-/// Execute one fused batch against a pinned epoch snapshot: a fused tree
-/// sweep over every shard (per-lane kNN heaps widened by the pending
-/// tree-delete count, exactly like the unfused path widens its `k`), then
-/// the delta-window corrections applied *per constituent op* — so every
-/// constituent's answer matches its unfused mutable run bit for bit.
-fn run_state_fused<const D: usize>(
+/// Execute one batch against a pinned epoch snapshot: sweep the merged
+/// shards (every requested `k` widened by the pending tree-delete count,
+/// so each top-k survives the delete filter), then apply the delta-window
+/// correction op by op ([`Acc::correct`]), then re-probe the trees for
+/// the NN answers the window deleted.
+fn run_state<const D: usize>(
     state: &EpochState<D>,
     lanes: &[FusedLane],
     policy: &ExecPolicy,
 ) -> FusedOutcome {
-    let started = Instant::now();
-    let n = lanes.len();
     let digest = DeltaDigest::new(state);
     let n_del_tree = digest.del_tree.len();
-
-    // Widen every requested k so each top-k survives the delete filter.
-    let tree_lanes: Vec<FusedLane> = if n_del_tree == 0 {
-        lanes.to_vec()
-    } else {
-        lanes
-            .iter()
-            .map(|l| FusedLane {
-                knn_ks: l.knn_ks.iter().map(|&k| k + n_del_tree).collect(),
-                ..l.clone()
-            })
-            .collect()
-    };
-
+    let views: Vec<ShardView<'_, D>> = (state.shards.iter())
+        .map(|s| ShardView {
+            index: &s.index,
+            ids: &s.ids,
+            bbox: &s.bbox,
+            profile: None,
+            #[cfg(test)]
+            failpoint: None,
+        })
+        .collect();
     let mut agg = StatAgg::default();
-    let mut saved = 0u64;
-    let mut accs: Vec<FusedAcc> = tree_lanes.iter().map(FusedAcc::new).collect();
-    for (si, shard) in state.shards.iter().enumerate() {
-        let off = started.elapsed().as_micros() as u64;
-        let sub0 = Instant::now();
-        let fused = shard.index.run_fused_profiled(&tree_lanes, policy, None);
-        let dur = sub0.elapsed().as_micros() as u64;
-        for (acc, r) in accs.iter_mut().zip(&fused.lanes) {
-            acc.absorb(r, &shard.ids);
-        }
-        saved += fused.outcome.fusion_saved_visits;
-        agg.add(&SubRun {
-            shard: si as u32,
-            round: 0,
-            queries: n as u32,
-            out: fused.outcome,
-            offset_us: off,
-            dur_us: dur,
-        });
+    let sweep_trees =
+        |lanes: &[FusedLane], agg: &mut StatAgg| sweep(&views, lanes, policy, true, 0, agg);
+
+    if digest.is_empty() {
+        let accs = sweep_trees(lanes, &mut agg);
+        return agg.finish(lanes, accs);
     }
-    let mut lane_results: Vec<FusedLaneResult> = accs.into_iter().map(FusedAcc::finish).collect();
-
-    if !digest.is_empty() {
-        let mut nn_retry: Vec<usize> = Vec::new();
-        for (qi, lane) in lanes.iter().enumerate() {
-            let q = to_point::<D>(&lane.pos);
-            let res = &mut lane_results[qi];
-            if let Some(QueryResult::Nn { dist2, id }) = res.nn.as_mut() {
-                if *id != u32::MAX && digest.deleted.contains(id) {
-                    nn_retry.push(qi);
-                    *dist2 = f32::INFINITY;
-                    *id = u32::MAX;
-                }
-                for &(iid, ip) in &digest.live_inserts {
-                    let d = ip.dist2(&q);
-                    if d > 0.0 && d < *dist2 {
-                        *dist2 = d;
-                        *id = iid;
-                    }
-                }
-            }
-            for (slot, &k) in lane.knn_ks.iter().enumerate() {
-                let QueryResult::Knn { dist2, ids } = &res.knn[slot] else {
-                    unreachable!("fused lane answered with a different op")
-                };
-                let mut kb = KBest::new(k);
-                for (&d2, &id) in dist2.iter().zip(ids) {
-                    if !digest.deleted.contains(&id) {
-                        kb.offer(d2, id);
-                    }
-                }
-                for &(iid, ip) in &digest.live_inserts {
-                    kb.offer(ip.dist2(&q), iid);
-                }
-                res.knn[slot] = QueryResult::Knn {
-                    dist2: kb.distances().to_vec(),
-                    ids: kb.ids().to_vec(),
-                };
-            }
-            for (slot, &bits) in lane.pc_radii.iter().enumerate() {
-                let r = f32::from_bits(bits);
-                let r2 = r * r;
-                let QueryResult::Pc { count } = res.pc[slot] else {
-                    unreachable!("fused lane answered with a different op")
-                };
-                let minus = digest
-                    .del_tree
-                    .iter()
-                    .filter(|(_, p)| p.dist2(&q) <= r2)
-                    .count() as u32;
-                let plus = digest
-                    .live_inserts
-                    .iter()
-                    .filter(|(_, p)| p.dist2(&q) <= r2)
-                    .count() as u32;
-                res.pc[slot] = QueryResult::Pc {
-                    count: count - minus + plus,
-                };
+    let widened: Vec<FusedLane> = (lanes.iter())
+        .map(|l| FusedLane {
+            knn_ks: l.knn_ks.iter().map(|&k| k + n_del_tree).collect(),
+            ..l.clone()
+        })
+        .collect();
+    let mut accs = sweep_trees(&widened, &mut agg);
+    // An NN answer is a lane's first accumulator; `open` lists the lanes
+    // whose tree answer the window deleted.
+    let mut open: Vec<usize> = Vec::new();
+    for (qi, (lane, acc)) in lanes.iter().zip(&mut accs).enumerate() {
+        let q = to_point::<D>(&lane.pos);
+        for a in &mut acc.0 {
+            if a.correct(&q, &digest) {
+                open.push(qi);
             }
         }
+    }
 
-        // NN retry: the tree answer was deleted — the same widening kNN
-        // probe as the unfused path (a correction, so unfused sub-batches
-        // are fine here).
-        if !nn_retry.is_empty() {
-            let tree_total = state.tree_points();
-            let mut k_probe = n_del_tree + 2;
-            let mut open = nn_retry;
-            let mut round = 1u32;
-            while !open.is_empty() {
-                let subset: Vec<Vec<f32>> = open.iter().map(|&qi| lanes[qi].pos.clone()).collect();
-                let mut kbs: Vec<KBest> = (0..open.len()).map(|_| KBest::new(k_probe)).collect();
-                for (si, shard) in state.shards.iter().enumerate() {
-                    let off = started.elapsed().as_micros() as u64;
-                    let sub0 = Instant::now();
-                    let out =
-                        shard
-                            .index
-                            .run_batch_profiled(OpKey::Knn(k_probe), &subset, policy, None);
-                    let dur = sub0.elapsed().as_micros() as u64;
-                    for (kb, r) in kbs.iter_mut().zip(&out.results) {
-                        let QueryResult::Knn { dist2, ids } = r else {
-                            unreachable!("knn probe answered with a different op")
-                        };
-                        for (&d2, &id) in dist2.iter().zip(ids) {
-                            kb.offer(d2, shard.ids[id as usize]);
+    // NN retry: probe with a widening kNN — the merged top-k' is a prefix
+    // of the trees' distance order, so the first surviving
+    // (positive-distance, non-deleted) entry is exact; no survivor in a
+    // prefix as long as the trees means no tree answer at all.
+    let tree_total = state.tree_points();
+    let mut k_probe = n_del_tree + 2;
+    while !open.is_empty() {
+        let probes: Vec<FusedLane> = (open.iter())
+            .map(|&qi| {
+                let mut probe = FusedLane::empty(lanes[qi].pos.clone());
+                probe.ask(OpKey::Knn(k_probe));
+                probe
+            })
+            .collect();
+        let found = sweep_trees(&probes, &mut agg);
+        let exhaustive = k_probe >= tree_total;
+        open = (open.into_iter().zip(found))
+            .filter_map(|(qi, probe)| {
+                let Some(Acc::Knn { best, .. }) = probe.0.first() else {
+                    unreachable!("a kNN probe accumulates a k-best set")
+                };
+                let survivor = (best.distances().iter().zip(best.ids()))
+                    .find(|&(&d2, id)| d2 > 0.0 && !digest.deleted.contains(id));
+                match (survivor, accs[qi].0.first_mut()) {
+                    (Some((&d2, &found)), Some(Acc::Nn { dist2, id, .. })) => {
+                        if d2 < *dist2 {
+                            (*dist2, *id) = (d2, found);
                         }
+                        None
                     }
-                    agg.add(&SubRun {
-                        shard: si as u32,
-                        round,
-                        queries: subset.len() as u32,
-                        out,
-                        offset_us: off,
-                        dur_us: dur,
-                    });
+                    (None, _) if !exhaustive => Some(qi),
+                    _ => None, // truly no tree answer
                 }
-                let exhaustive = k_probe >= tree_total;
-                let mut still_open = Vec::new();
-                for (i, &qi) in open.iter().enumerate() {
-                    let found = kbs[i]
-                        .distances()
-                        .iter()
-                        .zip(kbs[i].ids())
-                        .find(|&(&d2, &id)| d2 > 0.0 && !digest.deleted.contains(&id));
-                    match found {
-                        Some((&d2, &id)) => {
-                            if let Some(QueryResult::Nn { dist2, id: best }) =
-                                lane_results[qi].nn.as_mut()
-                            {
-                                if d2 < *dist2 {
-                                    *dist2 = d2;
-                                    *best = id;
-                                }
-                            }
-                        }
-                        None if exhaustive => {} // truly no tree answer
-                        None => still_open.push(qi),
-                    }
-                }
-                if exhaustive {
-                    break;
-                }
-                open = still_open;
-                k_probe *= 2;
-                round += 1;
-            }
-        }
+            })
+            .collect();
+        k_probe *= 2;
     }
-
-    let mut outcome = agg.finish(Vec::new(), 0);
-    outcome.fused_ops = distinct_ops(lanes);
-    outcome.fused_lanes = n as u64;
-    outcome.fusion_saved_visits = saved;
-    FusedOutcome {
-        lanes: lane_results,
-        outcome,
-    }
+    agg.finish(lanes, accs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::Backend;
+    use crate::query::QueryResult;
     use gts_apps::oracle;
     use gts_points::gen::uniform;
 
@@ -1505,13 +1210,16 @@ mod tests {
         };
         idx.mutate(&[Mutation::Delete { id: nn_id }]).unwrap();
         let live = live_points(&idx);
-        let QueryResult::Nn { dist2, id } = idx.run_batch(OpKey::Nn, &qpos, &cpu()).results[0]
-        else {
+        let out = idx.run_batch(OpKey::Nn, &qpos, &cpu());
+        let QueryResult::Nn { dist2, id } = out.results[0] else {
             panic!()
         };
         let want = oracle::nn_dist2_nonself(&live, &q);
         assert!((dist2 - want).abs() <= 1e-5 * want.max(1e-6));
         assert_ne!(id, nn_id);
+        // The probe is a second sweep: its rounds follow the first's.
+        let n_shards = idx.n_shards() as u32;
+        assert!(out.shard_visits.iter().any(|v| v.round >= n_shards));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::epoch::{EpochObserverFn, EpochStats, MutateError, Mutation, MutationA
 use crate::policy::{Backend, ExecPolicy};
 use crate::query::{OpKey, QueryResult};
 use gts_apps::fused::{fused_ops_kernel, fused_ops_point, fused_ops_wald_kernel, FusedOpsPoint};
+use gts_apps::kbest::KBest;
 use gts_apps::knn::{KnnKernel, KnnPoint};
 use gts_apps::nn::{NnAabbKernel, NnKernel, NnPoint};
 use gts_apps::pc::{PcKernel, PcPoint};
@@ -17,15 +18,17 @@ use gts_apps::wald::{WaldKnnKernel, WaldNnKernel, WaldPcKernel};
 use gts_points::profile::{
     profile_sortedness, profile_sortedness_cached, CacheOutcome, ProfileCache,
 };
-use gts_points::sort::{apply_perm, morton_order};
+use gts_points::sort::morton_order;
 use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig};
 use gts_runtime::{cpu, TraversalKernel, WaldKernel};
 use gts_trees::{KdTree, LbKdTree, NodeId, PointN, SplitPolicy};
+use std::collections::HashSet;
 
 /// Execution record of one dispatched batch.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
-    /// Per-query results, in the order the batch was handed in.
+    /// Per-query results, in the order the batch was handed in (empty
+    /// inside a [`FusedOutcome`], whose answers are per lane).
     pub results: Vec<QueryResult>,
     /// Executor that ran the batch.
     pub backend: Backend,
@@ -61,14 +64,15 @@ pub struct BatchOutcome {
     pub stack_bytes_peak: u64,
     /// Memory transactions on rope-stack regions (0 for stackless/CPU).
     pub stack_transactions: u64,
-    /// Distinct constituent op keys a fused batch served (0 = unfused).
+    /// Distinct op keys the batch's lanes carried, when two or more
+    /// (0 for a single-op batch).
     pub fused_ops: u32,
-    /// Deduplicated lanes a fused batch dispatched (0 = unfused).
+    /// Lanes a multi-op batch dispatched (0 for a single-op batch).
     pub fused_lanes: u64,
     /// Modeled node visits the fusion saved vs running each constituent
     /// op as its own batch: per-lane solo CPU replays minus the fused
     /// walk's visits (an estimate — it under-reports the extra savings
-    /// from lane dedup). 0 for unfused batches.
+    /// from lane dedup). 0 for single-op batches.
     pub fusion_saved_visits: u64,
 }
 
@@ -97,10 +101,11 @@ pub struct ShardVisit {
     pub dur_us: u64,
 }
 
-/// One deduplicated lane of a fused multi-op batch: a query position plus
-/// every operation requested at that position in the drain window. A lane
-/// walks the tree once under the union prune bound; each constituent's
-/// answer is bit-identical to an unfused run of that op.
+/// One lane of a batch: a query position plus every operation requested
+/// at that position. A lane walks the tree once under the union prune
+/// bound; each op's answer is bit-identical to a run of that op alone. A
+/// single-op batch is the degenerate case — every lane asks the same one
+/// op — and it is the only other shape there is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedLane {
     /// Query position (length = the index's dimension).
@@ -126,13 +131,39 @@ impl FusedLane {
         }
     }
 
+    /// Also serve `op` at this position. Keeps `knn_ks` and `pc_radii`
+    /// ascending and distinct (radii are normalized non-negative float
+    /// bit patterns, so bit order is value order).
+    pub fn ask(&mut self, op: OpKey) {
+        match op {
+            OpKey::Nn => self.nn = true,
+            OpKey::Knn(k) => {
+                if let Err(i) = self.knn_ks.binary_search(&k) {
+                    self.knn_ks.insert(i, k);
+                }
+            }
+            OpKey::Pc(r) => {
+                if let Err(i) = self.pc_radii.binary_search(&r) {
+                    self.pc_radii.insert(i, r);
+                }
+            }
+        }
+    }
+
     /// Number of per-lane operations this lane answers.
     pub fn ops(&self) -> usize {
         usize::from(self.nn) + self.knn_ks.len() + self.pc_radii.len()
     }
+
+    /// The lane's ops in answer-slot order: NN, each `k`, each radius.
+    pub fn op_keys(&self) -> impl Iterator<Item = OpKey> + '_ {
+        (self.nn.then_some(OpKey::Nn).into_iter())
+            .chain(self.knn_ks.iter().map(|&k| OpKey::Knn(k)))
+            .chain(self.pc_radii.iter().map(|&r| OpKey::Pc(r)))
+    }
 }
 
-/// Per-lane answers of a fused batch, aligned with the lane's request:
+/// Per-lane answers of a batch, aligned with the lane's request:
 /// `knn[i]` answers `knn_ks[i]`, `pc[i]` answers `pc_radii[i]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedLaneResult {
@@ -144,30 +175,66 @@ pub struct FusedLaneResult {
     pub pc: Vec<QueryResult>,
 }
 
-/// Execution record of one fused multi-op batch: per-lane results plus the
-/// usual [`BatchOutcome`] accounting (whose `results` vec is empty — the
+impl FusedLaneResult {
+    /// The answers in slot order, aligned with [`FusedLane::op_keys`].
+    pub fn answers(&self) -> impl Iterator<Item = &QueryResult> {
+        self.nn.iter().chain(&self.knn).chain(&self.pc)
+    }
+
+    /// The answer to `op`, one of the ops `lane` (the request these are
+    /// the answers of) asked.
+    pub fn answer(&self, lane: &FusedLane, op: OpKey) -> Option<&QueryResult> {
+        lane.op_keys()
+            .zip(self.answers())
+            .find_map(|(asked, r)| (asked == op).then_some(r))
+    }
+}
+
+/// Assemble a lane's answers from a stream in slot order (NN, then each
+/// `k`, then each radius) — the inverse of [`FusedLaneResult::answers`].
+impl FromIterator<QueryResult> for FusedLaneResult {
+    fn from_iter<I: IntoIterator<Item = QueryResult>>(answers: I) -> Self {
+        let mut out = FusedLaneResult {
+            nn: None,
+            knn: Vec::new(),
+            pc: Vec::new(),
+        };
+        for r in answers {
+            match r {
+                QueryResult::Nn { .. } => out.nn = Some(r),
+                QueryResult::Knn { .. } => out.knn.push(r),
+                QueryResult::Pc { .. } => out.pc.push(r),
+            }
+        }
+        out
+    }
+}
+
+/// Execution record of one lane batch: per-lane results plus the usual
+/// [`BatchOutcome`] accounting (whose `results` vec is empty — the
 /// per-op answers live in `lanes`).
 #[derive(Debug, Clone)]
 pub struct FusedOutcome {
     /// Per-lane answers, in the order the lanes were handed in.
     pub lanes: Vec<FusedLaneResult>,
-    /// Batch accounting; `fused_ops`/`fused_lanes`/`fusion_saved_visits`
-    /// are populated, `results` is empty.
+    /// Batch accounting; `results` is empty, and `fused_ops` /
+    /// `fused_lanes` / `fusion_saved_visits` are populated when the lanes
+    /// carried two or more distinct ops (0 for a single-op batch).
     pub outcome: BatchOutcome,
 }
 
 /// A profile-cache consultation context: where to memoize this batch's
 /// §4.4 decision, under which key, at which epoch. Owned by the caller
-/// (the sharded index keeps one cache per shard and a batch counter for
-/// the epoch); [`KdIndex::run_batch_profiled`] only consults it.
-pub struct ProfileCtx<'a> {
+/// (the shard sweep keeps one cache per shard and a batch counter for the
+/// epoch); [`KdIndex::run_lanes`] only consults it.
+pub(crate) struct ProfileCtx<'a> {
     /// The memo table (shared across worker threads).
-    pub cache: &'a ProfileCache,
+    pub(crate) cache: &'a ProfileCache,
     /// [`gts_points::profile::profile_key`] hash identifying sub-batches
     /// whose profiling decision is interchangeable.
-    pub key: u64,
+    pub(crate) key: u64,
     /// The owner's batch counter, advancing the cache's TTL clock.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
 }
 
 /// A queryable index the service can dispatch batches to.
@@ -181,16 +248,38 @@ pub trait TreeIndex: Send + Sync {
     fn dim(&self) -> usize;
     /// Number of dataset points in the index.
     fn n_points(&self) -> usize;
-    /// Execute one homogeneous batch. `positions` all have length
-    /// [`TreeIndex::dim`]; results come back in the same order.
-    fn run_batch(&self, op: OpKey, positions: &[Vec<f32>], policy: &ExecPolicy) -> BatchOutcome;
-    /// Execute one fused multi-op batch: every lane walks the tree once
-    /// under the union prune bound, answering all its constituent ops
-    /// bit-identically to unfused runs. Indices that cannot fuse return
-    /// `None` (the default) and the worker falls back to one unfused
-    /// batch per constituent op.
-    fn run_fused(&self, _lanes: &[FusedLane], _policy: &ExecPolicy) -> Option<FusedOutcome> {
-        None
+    /// Execute one batch of lanes — the only batch shape. Every lane's
+    /// `pos` has length [`TreeIndex::dim`]; answers come back per lane in
+    /// the same order, each bit-identical to running that op on its own.
+    fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome;
+    /// [`TreeIndex::run`] for one op at many positions: one single-op
+    /// lane per position, the answers flattened into
+    /// [`BatchOutcome::results`] in the same order.
+    fn run_batch(&self, op: OpKey, positions: &[Vec<f32>], policy: &ExecPolicy) -> BatchOutcome {
+        let lanes: Vec<FusedLane> = positions
+            .iter()
+            .map(|pos| {
+                let mut lane = FusedLane::empty(pos.clone());
+                lane.ask(op);
+                lane
+            })
+            .collect();
+        let FusedOutcome {
+            lanes: answers,
+            mut outcome,
+        } = self.run(&lanes, policy);
+        outcome.results = answers
+            .into_iter()
+            .map(|r| {
+                (r.nn.into_iter().chain(r.knn).chain(r.pc).next())
+                    .expect("a single-op lane has one answer")
+            })
+            .collect();
+        outcome
+    }
+    /// [`TreeIndex::run`] under the name multi-op callers know it by.
+    fn run_fused(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> Option<FusedOutcome> {
+        Some(self.run(lanes, policy))
     }
     /// Apply a mutation batch. Static indices (the default) refuse with
     /// [`MutateError::Immutable`]; [`crate::MutableIndex`] overrides.
@@ -252,12 +341,6 @@ impl<const D: usize> KdIndex<D> {
         &self.lb
     }
 
-    /// Convert an erased position (validated upstream) to a `PointN`.
-    fn to_point(&self, pos: &[f32]) -> PointN<D> {
-        debug_assert_eq!(pos.len(), D);
-        PointN(std::array::from_fn(|i| pos[i]))
-    }
-
     /// Map a tree-internal point index to the original dataset index.
     fn original_id(&self, idx: u32) -> u32 {
         if idx == u32::MAX {
@@ -267,22 +350,46 @@ impl<const D: usize> KdIndex<D> {
         }
     }
 
-    /// [`TreeIndex::run_batch`] with an optional [`ProfileCtx`]: when one
-    /// is supplied and the policy would profile, the §4.4 decision is
-    /// looked up in (and memoized into) the caller's cache instead of
-    /// sampled fresh every time. Results are identical either way — the
-    /// cache only skips the sampling, never changes what a fresh run
-    /// would have decided at insertion time.
-    pub fn run_batch_profiled(
+    /// The `take` nearest of a k-best set as a kNN answer.
+    fn knn_result(&self, best: &KBest, take: usize) -> QueryResult {
+        QueryResult::Knn {
+            dist2: best.distances()[..take].to_vec(),
+            ids: best.ids()[..take]
+                .iter()
+                .map(|&i| self.original_id(i))
+                .collect(),
+        }
+    }
+
+    /// Run `lanes` as one batch through the §4.4 pipeline (sort → profile
+    /// once → dispatch → un-sort).
+    ///
+    /// `pick` chooses the kernel, and whoever owns the whole batch makes
+    /// it from the batch's lanes ([`uniform_op`]): `Some(op)` when every
+    /// lane asks that one op — the op's own kernel triple runs, the
+    /// fastest walk for it and the reference the fused walk is tested
+    /// against — and `None` for anything else, which runs the fused
+    /// kernel (lanes opt out of an op by carrying inert state) and
+    /// replays the per-op walks to report what fusion saved. The shard
+    /// sweep passes its batch's pick to every sub-batch, so one batch
+    /// never mixes kernel families and its node visits do not depend on
+    /// how the schedule grouped the lanes.
+    ///
+    /// With a [`ProfileCtx`], when the policy would profile, the §4.4
+    /// decision is looked up in (and memoized into) the caller's cache
+    /// instead of sampled fresh; answers are identical either way.
+    pub(crate) fn run_lanes(
         &self,
-        op: OpKey,
-        positions: &[Vec<f32>],
+        lanes: &[&FusedLane],
+        pick: Option<OpKey>,
         policy: &ExecPolicy,
         profile: Option<&ProfileCtx<'_>>,
-    ) -> BatchOutcome {
-        let pts: Vec<PointN<D>> = positions.iter().map(|p| self.to_point(p)).collect();
-        let (results, outcome) = match op {
-            OpKey::Nn => {
+    ) -> FusedOutcome {
+        let pts: Vec<PointN<D>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
+        let skip = &self.tree.skip;
+        let solo = |r: QueryResult| -> FusedLaneResult { std::iter::once(r).collect() };
+        let (results, outcome) = match pick {
+            Some(OpKey::Nn) => {
                 // The plane-pruning NN kernel carries a traversal-variant
                 // argument the skip walk cannot replay, so the stackless
                 // BVH backend swaps in the box-pruning variant (§4.3
@@ -291,15 +398,17 @@ impl<const D: usize> KdIndex<D> {
                 let skip_kernel = NnAabbKernel::new(&self.tree);
                 let wald_kernel = WaldNnKernel::new(&self.lb);
                 let make = |_i: usize, p: PointN<D>| NnPoint::new(p);
-                let conv = |_i: usize, r: &NnPoint<D>| QueryResult::Nn {
-                    dist2: r.best_d2,
-                    id: self.original_id(r.best_idx),
+                let conv = |_i: usize, r: &NnPoint<D>| {
+                    solo(QueryResult::Nn {
+                        dist2: r.best_d2,
+                        id: self.original_id(r.best_idx),
+                    })
                 };
                 execute(
                     &kernel,
                     &skip_kernel,
                     &wald_kernel,
-                    &self.tree.skip,
+                    skip,
                     &pts,
                     policy,
                     profile,
@@ -307,23 +416,21 @@ impl<const D: usize> KdIndex<D> {
                     conv,
                 )
             }
-            OpKey::Knn(k) => {
+            Some(OpKey::Knn(k)) => {
                 // KBest panics on k == 0 (the batch key already excludes
                 // it); k > n is fine — the set just never fills.
                 let kernel = KnnKernel::new(&self.tree);
                 let wald_kernel = WaldKnnKernel::new(&self.lb);
                 let make = |_i: usize, p: PointN<D>| KnnPoint::new(p, k);
-                let conv = |_i: usize, r: &KnnPoint<D>| QueryResult::Knn {
-                    dist2: r.best.distances().to_vec(),
-                    ids: r.best.ids().iter().map(|&i| self.original_id(i)).collect(),
-                };
+                let conv =
+                    |_i: usize, r: &KnnPoint<D>| solo(self.knn_result(&r.best, r.best.len()));
                 // kNN has no variant arguments, so the same kernel rides
                 // the skip walk directly.
                 execute(
                     &kernel,
                     &kernel,
                     &wald_kernel,
-                    &self.tree.skip,
+                    skip,
                     &pts,
                     policy,
                     profile,
@@ -331,17 +438,17 @@ impl<const D: usize> KdIndex<D> {
                     conv,
                 )
             }
-            OpKey::Pc(radius_bits) => {
+            Some(OpKey::Pc(radius_bits)) => {
                 let radius = f32::from_bits(radius_bits);
                 let kernel = PcKernel::new(&self.tree, radius);
                 let wald_kernel = WaldPcKernel::new(&self.lb, radius);
                 let make = |_i: usize, p: PointN<D>| PcPoint::new(p);
-                let conv = |_i: usize, r: &PcPoint<D>| QueryResult::Pc { count: r.count };
+                let conv = |_i: usize, r: &PcPoint<D>| solo(QueryResult::Pc { count: r.count });
                 execute(
                     &kernel,
                     &kernel,
                     &wald_kernel,
-                    &self.tree.skip,
+                    skip,
                     &pts,
                     policy,
                     profile,
@@ -349,78 +456,58 @@ impl<const D: usize> KdIndex<D> {
                     conv,
                 )
             }
-        };
-        BatchOutcome { results, ..outcome }
-    }
-
-    /// [`TreeIndex::run_fused`] with an optional [`ProfileCtx`]: one tree
-    /// walk per lane answers every constituent op under the union prune
-    /// bound, with the §4.4 pipeline (sort → profile once → dispatch)
-    /// applied to the fused batch as a whole. Per-op answers are
-    /// bit-identical to unfused runs of the same ops.
-    pub fn run_fused_profiled(
-        &self,
-        lanes: &[FusedLane],
-        policy: &ExecPolicy,
-        profile: Option<&ProfileCtx<'_>>,
-    ) -> FusedOutcome {
-        let pts: Vec<PointN<D>> = lanes.iter().map(|l| self.to_point(&l.pos)).collect();
-        // Box pruning everywhere (`Args = ()`), so the same fused kernel
-        // rides the rope-stack executors and the skip walk.
-        let kernel = fused_ops_kernel(&self.tree);
-        let wald_kernel = fused_ops_wald_kernel(&self.lb);
-        let make = |i: usize, p: PointN<D>| {
-            let lane = &lanes[i];
-            let radii: Vec<f32> = lane.pc_radii.iter().map(|&b| f32::from_bits(b)).collect();
-            // One heap sized to the lane's largest k serves every smaller
-            // k as a prefix (`KBest`'s prefix property).
-            fused_ops_point(p, lane.nn, lane.knn_ks.last().copied(), &radii)
-        };
-        let conv = |i: usize, pt: &FusedOpsPoint<D>| {
-            let lane = &lanes[i];
-            let nn = lane.nn.then(|| QueryResult::Nn {
-                dist2: pt.a.best_d2,
-                id: self.original_id(pt.a.best_idx),
-            });
-            let kb = &pt.b.a.best;
-            let knn = lane
-                .knn_ks
-                .iter()
-                .map(|&k| {
-                    let take = k.min(kb.len());
-                    QueryResult::Knn {
-                        dist2: kb.distances()[..take].to_vec(),
-                        ids: kb.ids()[..take]
+            None => {
+                // Box pruning everywhere (`Args = ()`), so the same fused
+                // kernel rides the rope-stack executors and the skip walk.
+                let kernel = fused_ops_kernel(&self.tree);
+                let wald_kernel = fused_ops_wald_kernel(&self.lb);
+                let make = |i: usize, p: PointN<D>| {
+                    let lane = lanes[i];
+                    let radii: Vec<f32> =
+                        lane.pc_radii.iter().map(|&b| f32::from_bits(b)).collect();
+                    // One heap sized to the lane's largest k serves every
+                    // smaller k as a prefix (`KBest`'s prefix property).
+                    fused_ops_point(p, lane.nn, lane.knn_ks.last().copied(), &radii)
+                };
+                let conv = |i: usize, pt: &FusedOpsPoint<D>| {
+                    let lane = lanes[i];
+                    let nn = lane.nn.then(|| QueryResult::Nn {
+                        dist2: pt.a.best_d2,
+                        id: self.original_id(pt.a.best_idx),
+                    });
+                    let kb = &pt.b.a.best;
+                    let knn = lane
+                        .knn_ks
+                        .iter()
+                        .map(|&k| self.knn_result(kb, k.min(kb.len())))
+                        .collect();
+                    let pc =
+                        pt.b.b
+                            .slots
                             .iter()
-                            .map(|&i| self.original_id(i))
-                            .collect(),
-                    }
-                })
-                .collect();
-            let pc =
-                pt.b.b
-                    .slots
-                    .iter()
-                    .map(|s| QueryResult::Pc { count: s.count })
-                    .collect();
-            FusedLaneResult { nn, knn, pc }
+                            .map(|s| QueryResult::Pc { count: s.count })
+                            .collect();
+                    FusedLaneResult { nn, knn, pc }
+                };
+                let (results, mut outcome) = execute(
+                    &kernel,
+                    &kernel,
+                    &wald_kernel,
+                    skip,
+                    &pts,
+                    policy,
+                    profile,
+                    make,
+                    conv,
+                );
+                outcome.fused_lanes = lanes.len() as u64;
+                outcome.fused_ops = distinct_ops(lanes.iter().copied());
+                outcome.fusion_saved_visits = self
+                    .solo_replay_visits(lanes, &pts)
+                    .saturating_sub(outcome.node_visits);
+                (results, outcome)
+            }
         };
-        let (results, mut outcome) = execute(
-            &kernel,
-            &kernel,
-            &wald_kernel,
-            &self.tree.skip,
-            &pts,
-            policy,
-            profile,
-            make,
-            conv,
-        );
-        outcome.fused_lanes = lanes.len() as u64;
-        outcome.fused_ops = distinct_ops(lanes);
-        outcome.fusion_saved_visits = self
-            .solo_replay_visits(lanes, &pts)
-            .saturating_sub(outcome.node_visits);
         FusedOutcome {
             lanes: results,
             outcome,
@@ -428,12 +515,12 @@ impl<const D: usize> KdIndex<D> {
     }
 
     /// Modeled cost of running each lane's constituent ops as separate
-    /// unfused batches: one cheap CPU traversal per (lane, op) with that
-    /// op's canonical solo kernel. The same per-lane walk the executors
-    /// perform, so the delta vs the fused run's `node_visits` is exactly
-    /// the traversal work fusion saved (modulo lane dedup, which saves
-    /// more than this counts).
-    fn solo_replay_visits(&self, lanes: &[FusedLane], pts: &[PointN<D>]) -> u64 {
+    /// single-op batches: one cheap CPU traversal per (lane, op) with
+    /// that op's canonical solo kernel. The same per-lane walk the
+    /// executors perform, so the delta vs the fused run's `node_visits`
+    /// is exactly the traversal work fusion saved (modulo lane dedup,
+    /// which saves more than this counts).
+    fn solo_replay_visits(&self, lanes: &[&FusedLane], pts: &[PointN<D>]) -> u64 {
         let nn_kernel = NnKernel::new(&self.tree);
         let knn_kernel = KnnKernel::new(&self.tree);
         let mut visits = 0u64;
@@ -453,24 +540,30 @@ impl<const D: usize> KdIndex<D> {
     }
 }
 
-/// Distinct constituent op keys across a fused batch (NN counts once,
-/// each distinct `k` once, each distinct radius once).
-pub(crate) fn distinct_ops(lanes: &[FusedLane]) -> u32 {
-    let mut ops = u32::from(lanes.iter().any(|l| l.nn));
-    let mut ks: Vec<usize> = lanes
+/// Convert an erased position (validated upstream) to a `PointN`.
+pub(crate) fn to_point<const D: usize>(pos: &[f32]) -> PointN<D> {
+    debug_assert_eq!(pos.len(), D);
+    PointN(std::array::from_fn(|i| pos[i]))
+}
+
+/// The op every lane asks, when the batch is uniform: each lane asks
+/// exactly one op and it is the same for all. This is the kernel pick of
+/// [`KdIndex::run_lanes`], and — for batches whose lanes all ask
+/// something, which is every batch the service builds — `None` is exactly
+/// "the lanes carry two or more distinct op keys".
+pub(crate) fn uniform_op(lanes: &[FusedLane]) -> Option<OpKey> {
+    let op = lanes.first()?.op_keys().next()?;
+    lanes
         .iter()
-        .flat_map(|l| l.knn_ks.iter().copied())
-        .collect();
-    ks.sort_unstable();
-    ks.dedup();
-    ops += ks.len() as u32;
-    let mut radii: Vec<u32> = lanes
-        .iter()
-        .flat_map(|l| l.pc_radii.iter().copied())
-        .collect();
-    radii.sort_unstable();
-    radii.dedup();
-    ops + radii.len() as u32
+        .all(|l| l.ops() == 1 && l.op_keys().next() == Some(op))
+        .then_some(op)
+}
+
+/// Distinct op keys across a batch's lanes (NN counts once, each distinct
+/// `k` once, each distinct radius once).
+pub(crate) fn distinct_ops<'a>(lanes: impl IntoIterator<Item = &'a FusedLane>) -> u32 {
+    let ops: HashSet<OpKey> = lanes.into_iter().flat_map(|l| l.op_keys()).collect();
+    ops.len() as u32
 }
 
 impl<const D: usize> TreeIndex for KdIndex<D> {
@@ -486,12 +579,9 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
         self.tree.points.len()
     }
 
-    fn run_batch(&self, op: OpKey, positions: &[Vec<f32>], policy: &ExecPolicy) -> BatchOutcome {
-        self.run_batch_profiled(op, positions, policy, None)
-    }
-
-    fn run_fused(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> Option<FusedOutcome> {
-        Some(self.run_fused_profiled(lanes, policy, None))
+    fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
+        let refs: Vec<&FusedLane> = lanes.iter().collect();
+        self.run_lanes(&refs, uniform_op(lanes), policy, None)
     }
 }
 
@@ -536,14 +626,9 @@ where
     } else {
         None
     };
-    let mut work: Vec<K::Point> = match &perm {
-        Some(p) => apply_perm(pts, p)
-            .into_iter()
-            .enumerate()
-            .map(|(sorted_i, pt)| make(p[sorted_i] as usize, pt))
-            .collect(),
-        None => pts.iter().enumerate().map(|(i, &p)| make(i, p)).collect(),
-    };
+    // Submission-order index of the point in `work` slot `i`.
+    let orig = |i: usize| perm.as_ref().map_or(i, |p| p[i] as usize);
+    let mut work: Vec<K::Point> = (0..n).map(|i| make(orig(i), pts[orig(i)])).collect();
 
     // §4.4 step 2: sample neighboring traversals; lockstep only when they
     // overlap enough to amortize the per-warp rope stack. A `ProfileCtx`
@@ -653,18 +738,8 @@ where
 
     // Undo the sort: callers see submission order.
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    match &perm {
-        Some(p) => {
-            for (sorted_i, point) in work.iter().enumerate() {
-                let orig = p[sorted_i] as usize;
-                results[orig] = Some(conv(orig, point));
-            }
-        }
-        None => {
-            for (i, point) in work.iter().enumerate() {
-                results[i] = Some(conv(i, point));
-            }
-        }
+    for (i, point) in work.iter().enumerate() {
+        results[orig(i)] = Some(conv(orig(i), point));
     }
     let results: Vec<R> = results
         .into_iter()

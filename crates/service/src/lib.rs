@@ -67,8 +67,7 @@ pub use epoch::{
 };
 pub use hist::{Histogram, HistogramSnapshot};
 pub use index::{
-    BatchOutcome, FusedLane, FusedLaneResult, FusedOutcome, KdIndex, ProfileCtx, ShardVisit,
-    TreeIndex,
+    BatchOutcome, FusedLane, FusedLaneResult, FusedOutcome, KdIndex, ShardVisit, TreeIndex,
 };
 pub use metrics::{
     percentile, BackendBatches, BatchRecord, IndexMetricsSnapshot, KindDropped, LatencyExemplar,

@@ -66,12 +66,9 @@ impl Backend {
 pub enum FusionMode {
     /// Fuse only when it plausibly saves work: a drain window must hold
     /// at least two *distinct* ops against the same index. Single-op
-    /// windows keep today's per-op batches.
+    /// windows dispatch as they flushed, one batch per op.
     #[default]
     Auto,
-    /// Fuse every same-index group in a drain window, even single-op
-    /// ones (still exercises lane dedup; mostly for tests and A/B runs).
-    On,
     /// Never fuse — reproduces per-op batching exactly.
     Off,
 }
@@ -81,7 +78,6 @@ impl FusionMode {
     pub fn name(self) -> &'static str {
         match self {
             FusionMode::Auto => "auto",
-            FusionMode::On => "on",
             FusionMode::Off => "off",
         }
     }
@@ -90,7 +86,6 @@ impl FusionMode {
     pub fn from_name(name: &str) -> Option<FusionMode> {
         match name {
             "auto" => Some(FusionMode::Auto),
-            "on" => Some(FusionMode::On),
             "off" => Some(FusionMode::Off),
             _ => None,
         }

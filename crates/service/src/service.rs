@@ -19,7 +19,7 @@
 
 use crate::batcher::{BatchEntry, Batcher, ReadyBatch};
 use crate::epoch::{EpochEvent, EpochStats, MutateError, Mutation, MutationAck};
-use crate::index::{FusedLane, FusedLaneResult, FusedOutcome, TreeIndex};
+use crate::index::{FusedLane, FusedOutcome, TreeIndex};
 use crate::metrics::{BatchRecord, KindDropped, Metrics, MetricsSnapshot};
 use crate::policy::{ExecPolicy, FusionMode};
 use crate::query::{BatchKey, IndexId, OpKey, Query, QueryResult};
@@ -338,55 +338,78 @@ struct Submission {
     tag: Tag,
 }
 
-/// One constituent per-op batch riding a fused dispatch: the original
-/// ready batch's key and id, each entry annotated with the index of the
-/// fused lane serving it.
-struct FusedPart<T> {
+/// One per-op batch's queries inside a dispatch: the ready batch's key,
+/// and each entry's payload with the index of the lane serving it.
+struct Part<T> {
     key: BatchKey,
-    batch_id: u64,
-    entries: Vec<(BatchEntry<T>, u32)>,
+    entries: Vec<(T, u32)>,
 }
 
-/// A fused multi-op dispatch: deduplicated per-position lanes for one
-/// index, plus the per-op parts whose tickets the worker scatters the
-/// lane answers back to.
-struct FusedReady<T> {
+/// What travels the dispatch channel, and the only batch shape a worker
+/// knows: the lanes one index runs, plus the per-op parts whose tickets
+/// the worker scatters the lane answers back to.
+struct LaneBatch<T> {
     id: u64,
     index: IndexId,
     lanes: Vec<FusedLane>,
-    parts: Vec<FusedPart<T>>,
+    parts: Vec<Part<T>>,
 }
 
-/// What travels the dispatch channel: a plain per-op batch or a fused
-/// multi-op dispatch the coalescer built from several of them.
-enum Dispatch<T> {
-    Single(ReadyBatch<T>),
-    Fused(FusedReady<T>),
-}
+impl<T> LaneBatch<T> {
+    /// A per-op batch as it flushed: one part, one lane per entry.
+    fn solo(batch: ReadyBatch<T>) -> Self {
+        LaneBatch::new(batch.id, batch.key.index, vec![batch], false)
+    }
 
-/// Should a same-index group spanning `distinct_ops` distinct op keys
-/// fuse into one dispatch?
-fn should_fuse(fusion: FusionMode, distinct_ops: usize) -> bool {
-    match fusion {
-        FusionMode::Off => false,
-        FusionMode::On => true,
-        // The auto heuristic: fusion only pays when ≥ 2 ops share the
-        // index in the drain window — a lone op's "fused" walk is the
-        // solo walk with extra bookkeeping.
-        FusionMode::Auto => distinct_ops >= 2,
+    /// One dispatch from same-index per-op batches. With `dedup`, one
+    /// lane per distinct query position (keyed on exact f32 bit
+    /// patterns) accumulates every op requested there, so N ops at one
+    /// position traverse once.
+    fn new(id: u64, index: IndexId, batches: Vec<ReadyBatch<T>>, dedup: bool) -> Self {
+        let mut lane_of: HashMap<Vec<u32>, u32> = HashMap::new();
+        let mut lanes: Vec<FusedLane> = Vec::new();
+        let mut parts = Vec::with_capacity(batches.len());
+        for b in batches {
+            let mut entries = Vec::with_capacity(b.entries.len());
+            for e in b.entries {
+                let mut fresh = |pos: Vec<f32>| {
+                    lanes.push(FusedLane::empty(pos));
+                    (lanes.len() - 1) as u32
+                };
+                let lane = if dedup {
+                    let bits: Vec<u32> = e.pos.iter().map(|v| v.to_bits()).collect();
+                    *lane_of.entry(bits).or_insert_with(|| fresh(e.pos))
+                } else {
+                    fresh(e.pos)
+                };
+                lanes[lane as usize].ask(b.key.op);
+                entries.push((e.tag, lane));
+            }
+            parts.push(Part {
+                key: b.key,
+                entries,
+            });
+        }
+        LaneBatch {
+            id,
+            index,
+            lanes,
+            parts,
+        }
     }
 }
 
-/// Group a drain window's ready batches by index and fuse the groups the
-/// policy admits; everything else passes through unfused. Lanes dedup on
-/// exact position bit patterns, so N ops at one position traverse once.
+/// Group a drain window's ready batches by index and fuse every group
+/// that spans two or more distinct ops — a lone op's fused walk would be
+/// the solo walk with extra bookkeeping; everything else passes through
+/// as it flushed.
 fn coalesce<T>(
     burst: Vec<ReadyBatch<T>>,
     fusion: FusionMode,
     batcher: &mut Batcher<T>,
-) -> Vec<Dispatch<T>> {
+) -> Vec<LaneBatch<T>> {
     if fusion == FusionMode::Off {
-        return burst.into_iter().map(Dispatch::Single).collect();
+        return burst.into_iter().map(LaneBatch::solo).collect();
     }
     let mut groups: Vec<(IndexId, Vec<ReadyBatch<T>>)> = Vec::new();
     for b in burst {
@@ -398,87 +421,13 @@ fn coalesce<T>(
     let mut out = Vec::new();
     for (index, batches) in groups {
         let distinct: HashSet<OpKey> = batches.iter().map(|b| b.key.op).collect();
-        if should_fuse(fusion, distinct.len()) {
-            out.push(Dispatch::Fused(fuse_group(
-                index,
-                batches,
-                batcher.take_id(),
-            )));
+        if distinct.len() >= 2 {
+            out.push(LaneBatch::new(batcher.take_id(), index, batches, true));
         } else {
-            out.extend(batches.into_iter().map(Dispatch::Single));
+            out.extend(batches.into_iter().map(LaneBatch::solo));
         }
     }
     out
-}
-
-/// Build one fused dispatch from same-index per-op batches: one lane per
-/// distinct query position (keyed on exact f32 bit patterns), each lane
-/// accumulating every op requested at that position.
-fn fuse_group<T>(index: IndexId, batches: Vec<ReadyBatch<T>>, id: u64) -> FusedReady<T> {
-    let mut lane_of: HashMap<Vec<u32>, u32> = HashMap::new();
-    let mut lanes: Vec<FusedLane> = Vec::new();
-    let mut parts = Vec::with_capacity(batches.len());
-    for b in batches {
-        let mut entries = Vec::with_capacity(b.entries.len());
-        for e in b.entries {
-            let bits: Vec<u32> = e.pos.iter().map(|v| v.to_bits()).collect();
-            let lane = *lane_of.entry(bits).or_insert_with(|| {
-                lanes.push(FusedLane::empty(e.pos.clone()));
-                (lanes.len() - 1) as u32
-            });
-            let l = &mut lanes[lane as usize];
-            match b.key.op {
-                OpKey::Nn => l.nn = true,
-                OpKey::Knn(k) => {
-                    if let Err(i) = l.knn_ks.binary_search(&k) {
-                        l.knn_ks.insert(i, k);
-                    }
-                }
-                // Radii are normalized positive-float bit patterns, so
-                // bit order is value order.
-                OpKey::Pc(r) => {
-                    if let Err(i) = l.pc_radii.binary_search(&r) {
-                        l.pc_radii.insert(i, r);
-                    }
-                }
-            }
-            entries.push((e, lane));
-        }
-        parts.push(FusedPart {
-            key: b.key,
-            batch_id: b.id,
-            entries,
-        });
-    }
-    FusedReady {
-        id,
-        index,
-        lanes,
-        parts,
-    }
-}
-
-/// The per-op answer for `op` out of a fused lane's aligned results.
-fn extract_fused_result(lane: &FusedLane, r: &FusedLaneResult, op: OpKey) -> QueryResult {
-    match op {
-        OpKey::Nn => r.nn.clone().expect("fused lane served nn"),
-        OpKey::Knn(k) => {
-            let slot = lane
-                .knn_ks
-                .iter()
-                .position(|&x| x == k)
-                .expect("fused lane served this k");
-            r.knn[slot].clone()
-        }
-        OpKey::Pc(bits) => {
-            let slot = lane
-                .pc_radii
-                .iter()
-                .position(|&x| x == bits)
-                .expect("fused lane served this radius");
-            r.pc[slot].clone()
-        }
-    }
 }
 
 struct Shared {
@@ -534,6 +483,42 @@ fn reject_reason(err: &ServiceError) -> &'static str {
     }
 }
 
+/// The flight-recorder record of a query that was refused at submission
+/// (`batch` is `None`, nothing waited) or whose batch failed: nothing
+/// executed, so the wait is all there is to report.
+fn rejected_record(
+    pending: &PendingQuery,
+    index: String,
+    reason: &'static str,
+    batch: Option<u64>,
+    queue_wait_us: u64,
+    now_us: u64,
+    threshold_us: u64,
+) -> QueryRecord {
+    QueryRecord {
+        query: pending.query,
+        trace_id: pending.ctx.trace_id,
+        span_id: pending.ctx.span_id,
+        index,
+        op: pending.op,
+        outcome: "rejected",
+        reason: Some(reason),
+        backend: None,
+        batch,
+        submitted_us: pending.submitted_us,
+        queue_wait_us,
+        exec_us: 0,
+        latency_us: now_us.saturating_sub(pending.submitted_us),
+        threshold_us,
+        node_visits: 0,
+        stack_bytes_peak: 0,
+        shards_pruned: 0,
+        shard_visits: Vec::new(),
+        epoch: None,
+        pending_deltas: None,
+    }
+}
+
 /// The batched traversal query service. See the module docs for the
 /// pipeline shape.
 pub struct Service {
@@ -562,14 +547,14 @@ impl Service {
             policy: config.policy.clone(),
         });
         let (submit_tx, submit_rx) = bounded::<Submission>(config.queue_capacity.max(1));
-        let (dispatch_tx, dispatch_rx) = bounded::<Dispatch<Tag>>(config.dispatch_capacity.max(1));
+        let (dispatch_tx, dispatch_rx) = bounded::<LaneBatch<Tag>>(config.dispatch_capacity.max(1));
 
         let batch_queries = config.batch_queries;
         let max_wait = config.max_wait;
         let fusion = config.policy.fusion;
         let batcher = std::thread::Builder::new()
             .name("gts-service-batcher".into())
-            .spawn(move || run_batcher(submit_rx, dispatch_tx, batch_queries, max_wait, fusion))
+            .spawn(move || batcher_loop(submit_rx, dispatch_tx, batch_queries, max_wait, fusion))
             .expect("spawn batcher");
 
         let workers = (0..config.workers.max(1))
@@ -578,7 +563,7 @@ impl Service {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("gts-service-worker-{i}"))
-                    .spawn(move || run_worker(rx, shared))
+                    .spawn(move || worker_loop(rx, shared))
                     .expect("spawn worker")
             })
             .collect();
@@ -737,19 +722,27 @@ impl Service {
         }
         let submitted = Instant::now();
         let submitted_us = trace.us_of(submitted);
-        let op = query.kind.op_key().map(op_tag).unwrap_or("invalid");
+        let pending = PendingQuery {
+            query: qid,
+            ctx,
+            index: query.index,
+            op: query.kind.op_key().map(op_tag).unwrap_or("invalid"),
+            submitted_us,
+        };
+        let reject = |reason: &'static str| {
+            trace.instant_traced(
+                trace.now_us(),
+                qid,
+                NO_ID,
+                ctx.trace_id,
+                EventKind::Reject { reason },
+            );
+            self.slow_log_reject(&pending, reason);
+        };
         let key = match self.validate(&query) {
             Ok(key) => key,
             Err(err) => {
-                let reason = reject_reason(&err);
-                trace.instant_traced(
-                    trace.now_us(),
-                    qid,
-                    NO_ID,
-                    ctx.trace_id,
-                    EventKind::Reject { reason },
-                );
-                self.slow_log_reject(qid, ctx, query.index, op, reason, submitted_us);
+                reject(reject_reason(&err));
                 return Err(err);
             }
         };
@@ -773,16 +766,7 @@ impl Service {
             );
             if !accepted {
                 self.shared.metrics.on_admission_reject();
-                trace.instant_traced(
-                    trace.now_us(),
-                    qid,
-                    NO_ID,
-                    ctx.trace_id,
-                    EventKind::Reject {
-                        reason: "overloaded",
-                    },
-                );
-                self.slow_log_reject(qid, ctx, query.index, op, "overloaded", submitted_us);
+                reject("overloaded");
                 return Err(ServiceError::Overloaded {
                     predicted_wait: predicted,
                     budget,
@@ -791,13 +775,7 @@ impl Service {
         }
         let ticket = Ticket::new();
         trace.instant_traced(submitted_us, qid, NO_ID, ctx.trace_id, EventKind::Submit);
-        self.shared.slow_log.admit(PendingQuery {
-            query: qid,
-            ctx,
-            index: query.index,
-            op,
-            submitted_us,
-        });
+        self.shared.slow_log.admit(pending.clone());
         let submission = Submission {
             key,
             pos: query.pos,
@@ -809,25 +787,18 @@ impl Service {
                 _depth: DepthGuard::acquire(&self.depth),
             },
         };
+        // The close raced the submission: the query never ran.
+        let refuse_closed = || {
+            self.shared.metrics.on_reject();
+            self.shared.slow_log.finish(qid);
+            reject("shutting-down");
+            Err(ServiceError::ShuttingDown)
+        };
         let tx = {
             let guard = self.submit_tx.lock().unwrap_or_else(|e| e.into_inner());
             match guard.as_ref() {
                 Some(tx) => tx.clone(),
-                None => {
-                    self.shared.metrics.on_reject();
-                    trace.instant_traced(
-                        trace.now_us(),
-                        qid,
-                        NO_ID,
-                        ctx.trace_id,
-                        EventKind::Reject {
-                            reason: "shutting-down",
-                        },
-                    );
-                    self.shared.slow_log.finish(qid);
-                    self.slow_log_reject(qid, ctx, query.index, op, "shutting-down", submitted_us);
-                    return Err(ServiceError::ShuttingDown);
-                }
+                None => return refuse_closed(),
             }
         };
         // Record Enqueue *before* the send: once the submission is in the
@@ -842,36 +813,14 @@ impl Service {
                 self.shared.metrics.on_submit();
                 Ok(ticket)
             }
-            Err(_) => {
-                self.shared.metrics.on_reject();
-                trace.instant_traced(
-                    trace.now_us(),
-                    qid,
-                    NO_ID,
-                    ctx.trace_id,
-                    EventKind::Reject {
-                        reason: "shutting-down",
-                    },
-                );
-                self.shared.slow_log.finish(qid);
-                self.slow_log_reject(qid, ctx, query.index, op, "shutting-down", submitted_us);
-                Err(ServiceError::ShuttingDown)
-            }
+            Err(_) => refuse_closed(),
         }
     }
 
     /// Commit a rejected query to the flight recorder — rejects always
     /// commit (a rejection at the tail is exactly what the operator is
     /// hunting), with whatever detail exists before execution.
-    fn slow_log_reject(
-        &self,
-        qid: u64,
-        ctx: TraceContext,
-        index: IndexId,
-        op: &'static str,
-        reason: &'static str,
-        submitted_us: u64,
-    ) {
+    fn slow_log_reject(&self, pending: &PendingQuery, reason: &'static str) {
         let sl = &self.shared.slow_log;
         if sl.capacity() == 0 {
             return;
@@ -882,31 +831,17 @@ impl Service {
                 .indices
                 .read()
                 .unwrap_or_else(|e| e.into_inner());
-            indices.get(index).map(|i| i.name().to_string())
+            indices.get(pending.index).map(|i| i.name().to_string())
         };
-        let now = self.shared.trace.now_us();
-        sl.commit(QueryRecord {
-            query: qid,
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            index: name.unwrap_or_else(|| format!("index-{index}")),
-            op,
-            outcome: "rejected",
-            reason: Some(reason),
-            backend: None,
-            batch: None,
-            submitted_us,
-            queue_wait_us: 0,
-            exec_us: 0,
-            latency_us: now.saturating_sub(submitted_us),
-            threshold_us: sl.stats().threshold_us,
-            node_visits: 0,
-            stack_bytes_peak: 0,
-            shards_pruned: 0,
-            shard_visits: Vec::new(),
-            epoch: None,
-            pending_deltas: None,
-        });
+        sl.commit(rejected_record(
+            pending,
+            name.unwrap_or_else(|| format!("index-{}", pending.index)),
+            reason,
+            None,
+            0,
+            self.shared.trace.now_us(),
+            sl.stats().threshold_us,
+        ));
     }
 
     /// Submit and wait — convenience for sequential callers.
@@ -1063,9 +998,9 @@ impl Drop for Service {
     }
 }
 
-fn run_batcher(
+fn batcher_loop(
     rx: Receiver<Submission>,
-    tx: Sender<Dispatch<Tag>>,
+    tx: Sender<LaneBatch<Tag>>,
     batch_queries: usize,
     max_wait: Duration,
     fusion: FusionMode,
@@ -1073,23 +1008,11 @@ fn run_batcher(
     let mut batcher: Batcher<Tag> = Batcher::new(batch_queries, max_wait);
     // A failed dispatch (workers gone early — only happens on a worker
     // panic) must still resolve the batch's tickets or `wait` would hang.
-    let send = |d: Dispatch<Tag>| -> bool {
-        match tx.send(d) {
-            Ok(()) => true,
-            Err(err) => {
-                let tags: Vec<Tag> = match err.0 {
-                    Dispatch::Single(b) => b.entries.into_iter().map(|e| e.tag).collect(),
-                    Dispatch::Fused(f) => f
-                        .parts
-                        .into_iter()
-                        .flat_map(|p| p.entries.into_iter().map(|(e, _)| e.tag))
-                        .collect(),
-                };
-                for tag in tags {
-                    tag.ticket
-                        .resolve(Err(ServiceError::Internal("dispatch queue closed".into())));
-                }
-                false
+    let send = |d: LaneBatch<Tag>| {
+        if let Err(err) = tx.send(d) {
+            for (tag, _) in err.0.parts.into_iter().flat_map(|p| p.entries) {
+                tag.ticket
+                    .resolve(Err(ServiceError::Internal("dispatch queue closed".into())));
             }
         }
     };
@@ -1128,7 +1051,7 @@ fn run_batcher(
             // age out into separate walks. Never under `Off`; under
             // `Auto` only when the union spans ≥ 2 distinct ops (a
             // non-fusing drain must leave companion buckets untouched so
-            // unfused timing is exactly today's).
+            // single-op timing is exactly what `Off` gives).
             if fusion != FusionMode::Off {
                 let mut indices: Vec<IndexId> = Vec::new();
                 for b in &burst {
@@ -1143,7 +1066,7 @@ fn run_batcher(
                         .map(|b| b.key.op)
                         .collect();
                     ops.extend(batcher.pending_ops(ix));
-                    if should_fuse(fusion, ops.len()) {
+                    if ops.len() >= 2 {
                         burst.extend(batcher.flush_index(ix));
                     }
                 }
@@ -1158,289 +1081,96 @@ fn run_batcher(
     }
 }
 
-fn run_worker(rx: Receiver<Dispatch<Tag>>, shared: Arc<Shared>) {
-    while let Ok(d) = rx.recv() {
-        match d {
-            Dispatch::Single(batch) => handle_single(batch, &shared),
-            Dispatch::Fused(fused) => handle_fused(fused, &shared),
-        }
+fn worker_loop(rx: Receiver<LaneBatch<Tag>>, shared: Arc<Shared>) {
+    while let Ok(batch) = rx.recv() {
+        handle(batch, &shared);
     }
 }
 
-fn handle_single(batch: ReadyBatch<Tag>, shared: &Arc<Shared>) {
-    {
-        let dispatched = Instant::now();
-        let ReadyBatch { id, key, entries } = batch;
-        let trace = &shared.trace;
-        let dispatch_us = trace.us_of(dispatched);
-        let index = {
-            let indices = shared.indices.read().unwrap_or_else(|e| e.into_inner());
-            indices.get(key.index).cloned()
-        };
-        let positions: Vec<Vec<f32>> = entries.iter().map(|e| e.pos.clone()).collect();
-        let index_name = index.as_ref().map(|i| i.name().to_string());
-        let outcome = match &index {
-            Some(index) => std::panic::catch_unwind(AssertUnwindSafe(|| {
-                index.run_batch(key.op, &positions, &shared.policy)
-            }))
-            .map_err(|_| ServiceError::Internal("kernel panicked".into())),
-            // Registration is checked at submit; this covers torn-down
-            // state only.
-            None => Err(ServiceError::UnknownIndex(key.index)),
-        };
-        let index_name = index_name.as_deref().unwrap_or("unknown");
-        match outcome {
-            Ok(mut out) => {
-                let queue_wait = entries
-                    .iter()
-                    .map(|e| dispatched.duration_since(e.tag.submitted))
-                    .max()
-                    .unwrap_or(Duration::ZERO);
-                let done = Instant::now();
-                let exec = done.duration_since(dispatched);
-                shared.metrics.on_batch(&BatchRecord::from_outcome(
-                    &out, queue_wait, exec, index_name,
-                ));
-                let done_us = trace.us_of(done);
-                // One batch span per dispatched batch — the invariant the
-                // observability tests check against `batches` in the
-                // metrics snapshot.
-                trace.span(
-                    dispatch_us,
-                    done_us.saturating_sub(dispatch_us),
-                    NO_ID,
-                    id,
-                    EventKind::Batch {
-                        size: entries.len() as u32,
-                        backend: out.backend,
-                        node_visits: out.node_visits,
-                        model_ms: out.model_ms,
-                        work_expansion: out.work_expansion,
-                        mask_occupancy: out.mask_occupancy,
-                    },
-                );
-                trace.instant(
-                    done_us,
-                    NO_ID,
-                    id,
-                    EventKind::BackendChoice {
-                        backend: out.backend,
-                        similarity: out.mean_similarity,
-                    },
-                );
-                for v in &out.shard_visits {
-                    trace.span(
-                        dispatch_us + v.offset_us,
-                        v.dur_us,
-                        NO_ID,
-                        id,
-                        EventKind::ShardVisit {
-                            shard: v.shard,
-                            round: v.round,
-                            queries: v.queries,
-                            node_visits: v.node_visits,
-                        },
-                    );
-                }
-                // Tail-sampling context shared by every entry of the batch:
-                // the rolling threshold, the epoch window, and the shard
-                // visit path (with per-shard prune counts).
-                let threshold_us = shared
-                    .metrics
-                    .slow_threshold_us(shared.slow_log.percentile());
-                let epoch_stats = index.as_ref().and_then(|i| i.epoch_stats());
-                let shard_visits: Vec<ShardVisitRecord> = out
-                    .shard_visits
-                    .iter()
-                    .map(|v| ShardVisitRecord {
-                        shard: v.shard,
-                        round: v.round,
-                        queries: v.queries,
-                        node_visits: v.node_visits,
-                        pruned: v.pruned,
-                    })
-                    .collect();
-                let results = std::mem::take(&mut out.results);
-                for (e, r) in entries.into_iter().zip(results) {
-                    let latency = done.duration_since(e.tag.submitted);
-                    shared.metrics.on_complete(
-                        index_name,
-                        latency,
-                        e.tag.query,
-                        e.tag.ctx.trace_id,
-                    );
-                    if let Some(pending) = shared.slow_log.finish(e.tag.query) {
-                        let latency_us = latency.as_micros() as u64;
-                        let (commit, outcome, threshold) =
-                            shared.slow_log.decide(latency_us, threshold_us);
-                        if commit {
-                            shared.slow_log.commit(QueryRecord {
-                                query: pending.query,
-                                trace_id: pending.ctx.trace_id,
-                                span_id: pending.ctx.span_id,
-                                index: index_name.to_string(),
-                                op: pending.op,
-                                outcome,
-                                reason: None,
-                                backend: Some(out.backend.name()),
-                                batch: Some(id),
-                                submitted_us: pending.submitted_us,
-                                queue_wait_us: dispatched
-                                    .duration_since(e.tag.submitted)
-                                    .as_micros()
-                                    as u64,
-                                exec_us: exec.as_micros() as u64,
-                                latency_us,
-                                threshold_us: threshold,
-                                node_visits: out.node_visits,
-                                stack_bytes_peak: out.stack_bytes_peak,
-                                shards_pruned: out.shards_pruned,
-                                shard_visits: shard_visits.clone(),
-                                epoch: epoch_stats.as_ref().map(|s| s.epoch),
-                                pending_deltas: epoch_stats.as_ref().map(|s| s.pending),
-                            });
-                        }
-                    }
-                    let start_us = trace.us_of(e.tag.submitted);
-                    trace.span_traced(
-                        start_us,
-                        done_us.saturating_sub(start_us),
-                        e.tag.query,
-                        id,
-                        e.tag.ctx.trace_id,
-                        EventKind::Complete,
-                    );
-                    // Depth guard drops *before* the ticket resolves, so a
-                    // caller observing completion never sees a stale depth
-                    // (the admission model would reject spuriously).
-                    let Tag { ticket, _depth, .. } = e.tag;
-                    drop(_depth);
-                    ticket.resolve(Ok(r));
-                }
-            }
-            Err(err) => {
-                let reason = reject_reason(&err);
-                let now_us = trace.now_us();
-                for e in entries {
-                    trace.instant_traced(
-                        now_us,
-                        e.tag.query,
-                        id,
-                        e.tag.ctx.trace_id,
-                        EventKind::Reject { reason },
-                    );
-                    // Errored queries always commit to the flight recorder.
-                    if let Some(pending) = shared.slow_log.finish(e.tag.query) {
-                        shared.slow_log.commit(QueryRecord {
-                            query: pending.query,
-                            trace_id: pending.ctx.trace_id,
-                            span_id: pending.ctx.span_id,
-                            index: index_name.to_string(),
-                            op: pending.op,
-                            outcome: "rejected",
-                            reason: Some(reason),
-                            backend: None,
-                            batch: Some(id),
-                            submitted_us: pending.submitted_us,
-                            queue_wait_us: dispatched.duration_since(e.tag.submitted).as_micros()
-                                as u64,
-                            exec_us: 0,
-                            latency_us: now_us.saturating_sub(pending.submitted_us),
-                            threshold_us: shared.slow_log.stats().threshold_us,
-                            node_visits: 0,
-                            stack_bytes_peak: 0,
-                            shards_pruned: 0,
-                            shard_visits: Vec::new(),
-                            epoch: None,
-                            pending_deltas: None,
-                        });
-                    }
-                    let Tag { ticket, _depth, .. } = e.tag;
-                    drop(_depth);
-                    ticket.resolve(Err(err.clone()));
-                }
-            }
-        }
-    }
-}
-
-/// Execute one fused multi-op dispatch: run the index's fused path once,
-/// then scatter each lane's per-op answers back to the constituent
-/// batches' tickets. An index without a fused path (`run_fused` → `None`)
-/// falls back to running each part unfused — same answers, no fusion win.
-fn handle_fused(fused: FusedReady<Tag>, shared: &Arc<Shared>) {
+/// Execute one dispatch: run the index over the lanes once, then scatter
+/// each lane's per-op answers back to the parts' tickets.
+fn handle(batch: LaneBatch<Tag>, shared: &Shared) {
     let dispatched = Instant::now();
-    let FusedReady {
+    let LaneBatch {
         id,
         index: index_id,
         lanes,
         parts,
-    } = fused;
+    } = batch;
     let trace = &shared.trace;
     let dispatch_us = trace.us_of(dispatched);
     let index = {
         let indices = shared.indices.read().unwrap_or_else(|e| e.into_inner());
         indices.get(index_id).cloned()
     };
+    let index_name = index.as_ref().map_or("unknown", |i| i.name());
     let outcome = match &index {
         Some(index) => {
-            std::panic::catch_unwind(AssertUnwindSafe(|| index.run_fused(&lanes, &shared.policy)))
+            std::panic::catch_unwind(AssertUnwindSafe(|| index.run(&lanes, &shared.policy)))
                 .map_err(|_| ServiceError::Internal("kernel panicked".into()))
         }
+        // Registration is checked at submit; this covers torn-down state
+        // only.
         None => Err(ServiceError::UnknownIndex(index_id)),
     };
+    let queue_wait_of = |tag: &Tag| dispatched.duration_since(tag.submitted);
     match outcome {
-        Ok(Some(FusedOutcome {
+        Ok(FusedOutcome {
             lanes: lane_results,
             outcome: out,
-        })) => {
-            let index_name = index
-                .as_ref()
-                .map(|i| i.name().to_string())
-                .unwrap_or_else(|| "unknown".to_string());
+        }) => {
             let size: usize = parts.iter().map(|p| p.entries.len()).sum();
-            let queue_wait = parts
-                .iter()
-                .flat_map(|p| &p.entries)
-                .map(|(e, _)| dispatched.duration_since(e.tag.submitted))
+            let queue_wait = (parts.iter().flat_map(|p| &p.entries))
+                .map(|(tag, _)| queue_wait_of(tag))
                 .max()
                 .unwrap_or(Duration::ZERO);
             let done = Instant::now();
             let exec = done.duration_since(dispatched);
-            // The fused outcome's `results` is empty (answers live in
+            // The outcome's `results` is empty (answers live in
             // `lane_results`) — the record's size is the query count the
             // dispatch served.
-            let mut rec = BatchRecord::from_outcome(&out, queue_wait, exec, &index_name);
+            let mut rec = BatchRecord::from_outcome(&out, queue_wait, exec, index_name);
             rec.size = size;
             shared.metrics.on_batch(&rec);
             let done_us = trace.us_of(done);
-            let mut ops_mask = 0u32;
-            for l in &lanes {
-                if l.nn {
-                    ops_mask |= FUSED_OP_NN;
+            // One batch span per dispatch — the invariant the
+            // observability tests check against `batches` in the metrics
+            // snapshot. Lanes carrying two or more distinct ops (which is
+            // when the index reports fused lanes) make it a FusedBatch
+            // span naming the ops.
+            let span = if out.fused_lanes > 0 {
+                let mut ops = 0u32;
+                for op in lanes.iter().flat_map(|l| l.op_keys()) {
+                    ops |= match op {
+                        OpKey::Nn => FUSED_OP_NN,
+                        OpKey::Knn(_) => FUSED_OP_KNN,
+                        OpKey::Pc(_) => FUSED_OP_PC,
+                    };
                 }
-                if !l.knn_ks.is_empty() {
-                    ops_mask |= FUSED_OP_KNN;
+                EventKind::FusedBatch {
+                    lanes: lanes.len() as u32,
+                    parts: parts.len() as u32,
+                    ops,
+                    backend: out.backend,
+                    node_visits: out.node_visits,
+                    saved_visits: out.fusion_saved_visits,
                 }
-                if !l.pc_radii.is_empty() {
-                    ops_mask |= FUSED_OP_PC;
+            } else {
+                EventKind::Batch {
+                    size: size as u32,
+                    backend: out.backend,
+                    node_visits: out.node_visits,
+                    model_ms: out.model_ms,
+                    work_expansion: out.work_expansion,
+                    mask_occupancy: out.mask_occupancy,
                 }
-            }
-            // One FusedBatch span per fused dispatch, naming the
-            // constituent ops — the fused counterpart of the Batch span.
+            };
             trace.span(
                 dispatch_us,
                 done_us.saturating_sub(dispatch_us),
                 NO_ID,
                 id,
-                EventKind::FusedBatch {
-                    lanes: lanes.len() as u32,
-                    parts: parts.len() as u32,
-                    ops: ops_mask,
-                    backend: out.backend,
-                    node_visits: out.node_visits,
-                    saved_visits: out.fusion_saved_visits,
-                },
+                span,
             );
             trace.instant(
                 done_us,
@@ -1465,6 +1195,9 @@ fn handle_fused(fused: FusedReady<Tag>, shared: &Arc<Shared>) {
                     },
                 );
             }
+            // Tail-sampling context shared by every entry of the batch:
+            // the rolling threshold, the epoch window, and the shard
+            // visit path (with per-shard prune counts).
             let threshold_us = shared
                 .metrics
                 .slow_threshold_us(shared.slow_log.percentile());
@@ -1481,18 +1214,17 @@ fn handle_fused(fused: FusedReady<Tag>, shared: &Arc<Shared>) {
                 })
                 .collect();
             for part in parts {
-                for (e, lane) in part.entries {
-                    let lane_i = lane as usize;
-                    let r =
-                        extract_fused_result(&lanes[lane_i], &lane_results[lane_i], part.key.op);
-                    let latency = done.duration_since(e.tag.submitted);
-                    shared.metrics.on_complete(
-                        &index_name,
-                        latency,
-                        e.tag.query,
-                        e.tag.ctx.trace_id,
-                    );
-                    if let Some(pending) = shared.slow_log.finish(e.tag.query) {
+                for (tag, lane) in part.entries {
+                    let lane = lane as usize;
+                    let r = lane_results[lane]
+                        .answer(&lanes[lane], part.key.op)
+                        .expect("the entry's lane serves its op")
+                        .clone();
+                    let latency = done.duration_since(tag.submitted);
+                    shared
+                        .metrics
+                        .on_complete(index_name, latency, tag.query, tag.ctx.trace_id);
+                    if let Some(pending) = shared.slow_log.finish(tag.query) {
                         let latency_us = latency.as_micros() as u64;
                         let (commit, outcome, threshold) =
                             shared.slow_log.decide(latency_us, threshold_us);
@@ -1501,17 +1233,14 @@ fn handle_fused(fused: FusedReady<Tag>, shared: &Arc<Shared>) {
                                 query: pending.query,
                                 trace_id: pending.ctx.trace_id,
                                 span_id: pending.ctx.span_id,
-                                index: index_name.clone(),
+                                index: index_name.to_string(),
                                 op: pending.op,
                                 outcome,
                                 reason: None,
                                 backend: Some(out.backend.name()),
                                 batch: Some(id),
                                 submitted_us: pending.submitted_us,
-                                queue_wait_us: dispatched
-                                    .duration_since(e.tag.submitted)
-                                    .as_micros()
-                                    as u64,
+                                queue_wait_us: queue_wait_of(&tag).as_micros() as u64,
                                 exec_us: exec.as_micros() as u64,
                                 latency_us,
                                 threshold_us: threshold,
@@ -1524,81 +1253,50 @@ fn handle_fused(fused: FusedReady<Tag>, shared: &Arc<Shared>) {
                             });
                         }
                     }
-                    let start_us = trace.us_of(e.tag.submitted);
+                    let start_us = trace.us_of(tag.submitted);
                     trace.span_traced(
                         start_us,
                         done_us.saturating_sub(start_us),
-                        e.tag.query,
+                        tag.query,
                         id,
-                        e.tag.ctx.trace_id,
+                        tag.ctx.trace_id,
                         EventKind::Complete,
                     );
-                    let Tag { ticket, _depth, .. } = e.tag;
+                    // Depth guard drops *before* the ticket resolves, so a
+                    // caller observing completion never sees a stale depth
+                    // (the admission model would reject spuriously).
+                    let Tag { ticket, _depth, .. } = tag;
                     drop(_depth);
                     ticket.resolve(Ok(r));
                 }
             }
         }
-        Ok(None) => {
-            // The index has no fused path — run each constituent batch
-            // unfused. Per-op answers are identical; only the fusion win
-            // is forfeited.
-            for p in parts {
-                handle_single(
-                    ReadyBatch {
-                        id: p.batch_id,
-                        key: p.key,
-                        entries: p.entries.into_iter().map(|(e, _)| e).collect(),
-                    },
-                    shared,
-                );
-            }
-        }
         Err(err) => {
-            let index_name = index
-                .as_ref()
-                .map(|i| i.name().to_string())
-                .unwrap_or_else(|| "unknown".to_string());
             let reason = reject_reason(&err);
             let now_us = trace.now_us();
-            for part in parts {
-                for (e, _) in part.entries {
-                    trace.instant_traced(
+            for (tag, _) in parts.into_iter().flat_map(|p| p.entries) {
+                trace.instant_traced(
+                    now_us,
+                    tag.query,
+                    id,
+                    tag.ctx.trace_id,
+                    EventKind::Reject { reason },
+                );
+                // Errored queries always commit to the flight recorder.
+                if let Some(pending) = shared.slow_log.finish(tag.query) {
+                    shared.slow_log.commit(rejected_record(
+                        &pending,
+                        index_name.to_string(),
+                        reason,
+                        Some(id),
+                        queue_wait_of(&tag).as_micros() as u64,
                         now_us,
-                        e.tag.query,
-                        id,
-                        e.tag.ctx.trace_id,
-                        EventKind::Reject { reason },
-                    );
-                    if let Some(pending) = shared.slow_log.finish(e.tag.query) {
-                        shared.slow_log.commit(QueryRecord {
-                            query: pending.query,
-                            trace_id: pending.ctx.trace_id,
-                            span_id: pending.ctx.span_id,
-                            index: index_name.clone(),
-                            op: pending.op,
-                            outcome: "rejected",
-                            reason: Some(reason),
-                            backend: None,
-                            batch: Some(id),
-                            submitted_us: pending.submitted_us,
-                            queue_wait_us: dispatched.duration_since(e.tag.submitted).as_micros()
-                                as u64,
-                            exec_us: 0,
-                            latency_us: now_us.saturating_sub(pending.submitted_us),
-                            threshold_us: shared.slow_log.stats().threshold_us,
-                            node_visits: 0,
-                            stack_bytes_peak: 0,
-                            shards_pruned: 0,
-                            shard_visits: Vec::new(),
-                            epoch: None,
-                            pending_deltas: None,
-                        });
-                    }
-                    let Tag { ticket, _depth, .. } = e.tag;
-                    drop(_depth);
-                    ticket.resolve(Err(err.clone()));
+                        shared.slow_log.stats().threshold_us,
+                    ));
                 }
+                let Tag { ticket, _depth, .. } = tag;
+                drop(_depth);
+                ticket.resolve(Err(err.clone()));
             }
         }
     }
@@ -1713,6 +1411,61 @@ mod tests {
         t.resolve(Ok(nn_result(7.0)));
         assert!(rx1.try_recv().is_err(), "replaced waker never fires");
         assert!(rx2.recv_timeout(Duration::from_secs(5)).is_ok());
+    }
+
+    #[test]
+    fn panicking_sub_batch_fails_its_tickets_and_the_worker_serves_the_next_batch() {
+        use crate::{Backend, Query, QueryKind, ShardedIndex};
+        let pts = gts_points::gen::uniform::<3>(256, 77);
+        let index = Arc::new(ShardedIndex::build(
+            "boom",
+            &pts,
+            4,
+            8,
+            gts_trees::SplitPolicy::MedianCycle,
+        ));
+        // One worker, and batches that flush on size alone: the batch that
+        // trips the failpoint and the batch after it are exactly the two
+        // rounds of submissions below, on the same worker thread.
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            batch_queries: pts.len(),
+            max_wait: Duration::from_secs(3600),
+            policy: ExecPolicy {
+                shard_parallelism: 2,
+                ..ExecPolicy::forced(Backend::Cpu)
+            },
+            ..ServiceConfig::default()
+        });
+        let id = service.register_index(index.clone());
+        // Every point is a query, so every shard is some lane's home.
+        let round = || -> Vec<Result<QueryResult, ServiceError>> {
+            let tickets: Vec<Ticket> = (pts.iter())
+                .map(|p| {
+                    let query = Query {
+                        index: id,
+                        pos: p.0.to_vec(),
+                        kind: QueryKind::Nn,
+                    };
+                    service.submit(query).expect("accepted")
+                })
+                .collect();
+            (tickets.iter())
+                .map(|t| {
+                    t.wait_timeout(Duration::from_secs(60))
+                        .expect("ticket hung on a panicked sub-batch")
+                })
+                .collect()
+        };
+        index.arm_failpoint(2);
+        for r in round() {
+            assert!(matches!(r, Err(ServiceError::Internal(_))), "{r:?}");
+        }
+        for r in round() {
+            assert!(matches!(r, Ok(QueryResult::Nn { .. })), "{r:?}");
+        }
+        let snapshot = service.shutdown();
+        assert_eq!(snapshot.completed, pts.len() as u64);
     }
 
     #[test]

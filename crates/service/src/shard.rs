@@ -10,7 +10,13 @@
 //! the same motivation as stack-free/short-stack GPU traversals
 //! (arXiv:2210.12859, arXiv:2402.00665).
 //!
-//! A batch executes on one of three paths, selected by the resolved
+//! A batch is a slice of lanes — a position plus every op asked there
+//! ([`FusedLane`]); a single-op batch is the case where every lane asks
+//! the same one op. A lane (a "query" below) keeps one accumulator per op
+//! it asks and is dispatched to a shard iff *any* of them could still
+//! improve there ([`LaneAcc`]). One [`sweep`] runs every batch, for this
+//! index and for the epoch layer's pinned snapshots ([`crate::epoch`])
+//! alike, on one of three schedules selected by the resolved
 //! [`ExecPolicy::shard_parallelism`] thread count:
 //!
 //! * **Sequential rounds** (`shard_threads == 1`): every query visits its
@@ -40,7 +46,7 @@
 //!
 //! Partial results always fold in each query's visit order.
 //!
-//! Skips on either path are counted as `shards_pruned` in the
+//! Skips on any path are counted as `shards_pruned` in the
 //! [`BatchOutcome`] and aggregated by the service metrics. Pruning is
 //! *exact*: `Aabb::dist2_to` is a true lower bound in f32 (per-axis
 //! monotone rounding), `Aabb::max_dist2_to` a true upper bound, and every
@@ -66,9 +72,10 @@
 //! * **PC** — sum the per-shard counts (shards partition the points, so
 //!   counts are exact).
 
+use crate::epoch::DeltaDigest;
 use crate::index::{
-    distinct_ops, BatchOutcome, FusedLane, FusedLaneResult, FusedOutcome, KdIndex, ProfileCtx,
-    ShardVisit, TreeIndex,
+    distinct_ops, to_point, uniform_op, BatchOutcome, FusedLane, FusedLaneResult, FusedOutcome,
+    KdIndex, ProfileCtx, ShardVisit, TreeIndex,
 };
 use crate::policy::{Backend, ExecPolicy};
 use crate::query::{OpKey, QueryResult};
@@ -76,8 +83,11 @@ use gts_apps::kbest::KBest;
 use gts_points::profile::{profile_key, ProfileCache, ProfileCacheStats};
 use gts_points::sort::{morton_order, morton_prefix};
 use gts_trees::{Aabb, PointN, SplitPolicy};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+#[cfg(test)]
+use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Default lifetime, in batches, of a cached per-shard §4.4 decision.
@@ -105,6 +115,9 @@ struct Shard<const D: usize> {
     bbox: Aabb<D>,
     /// Memoized §4.4 decisions for this shard's sub-batches.
     profile: ProfileCache,
+    /// Armed by a test: the next sub-batch on this shard panics.
+    #[cfg(test)]
+    failpoint: AtomicBool,
 }
 
 /// Builder for a [`ShardedIndex`]; the defaults mirror
@@ -229,6 +242,8 @@ impl<const D: usize> ShardedIndex<D> {
                 bbox: Aabb::of_points(&pts),
                 ids,
                 profile: ProfileCache::new(profile_ttl.max(1), PROFILE_CACHE_CAPACITY),
+                #[cfg(test)]
+                failpoint: AtomicBool::new(false),
             });
         }
         ShardedIndex {
@@ -273,235 +288,59 @@ impl<const D: usize> ShardedIndex<D> {
         }
         total
     }
+}
 
-    fn to_point(pos: &[f32]) -> PointN<D> {
-        debug_assert_eq!(pos.len(), D);
-        PointN(std::array::from_fn(|i| pos[i]))
+#[cfg(test)]
+impl<const D: usize> ShardedIndex<D> {
+    /// Make the next sub-batch that reaches shard `s` panic (once).
+    pub(crate) fn arm_failpoint(&self, s: usize) {
+        self.shards[s].failpoint.store(true, Ordering::SeqCst);
     }
+}
 
-    /// PC radius², 0 for the other operations (which ignore it).
-    fn radius2(op: OpKey) -> f32 {
-        match op {
-            OpKey::Pc(bits) => {
-                let r = f32::from_bits(bits);
-                r * r
-            }
-            _ => 0.0,
-        }
-    }
-
-    /// Each query visits shards in ascending lower-bound order, ties
-    /// broken by shard id — deterministic, and the home shard (lb = 0)
-    /// comes first so bounds tighten before distant shards are tested.
-    fn visit_orders(&self, qpts: &[PointN<D>]) -> Vec<Vec<(f32, u32)>> {
-        qpts.iter()
-            .map(|p| {
-                let mut order: Vec<(f32, u32)> = self
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .map(|(s, sh)| (sh.bbox.dist2_to(p), s as u32))
-                    .collect();
-                order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                order
-            })
-            .collect()
-    }
-
-    /// Run the sub-batch of queries `qs` against shard `shard_i`,
-    /// consulting the shard's profile cache when the policy allows it.
-    /// The cache key fingerprints what makes decisions interchangeable:
-    /// the operation, the sub-batch's log2 size bucket, and which Morton
-    /// octants of the shard's box the queries land in.
-    #[allow(clippy::too_many_arguments)]
-    fn run_sub(
-        &self,
-        shard_i: usize,
-        round: u32,
-        qs: &[usize],
-        op: OpKey,
-        positions: &[Vec<f32>],
-        policy: &ExecPolicy,
-        epoch: u64,
-        started: &Instant,
-    ) -> SubRun {
-        let shard = &self.shards[shard_i];
-        let sub: Vec<Vec<f32>> = qs.iter().map(|&q| positions[q].clone()).collect();
-        let use_cache = self.profile_ttl > 0
-            && policy.profile_cache
-            && policy.force.is_none()
-            && sub.len() >= 2;
-        let offset_us = started.elapsed().as_micros() as u64;
-        let out = if use_cache {
-            let (tag, param) = match op {
-                OpKey::Nn => (0u64, 0u64),
-                OpKey::Knn(k) => (1, k as u64),
-                OpKey::Pc(bits) => (2, u64::from(bits)),
-            };
-            let mut octants = 0u64;
-            for pos in &sub {
-                octants |= 1 << (morton_prefix(&Self::to_point(pos), &shard.bbox, 1) & 63);
-            }
-            let bucket = u64::from(sub.len().ilog2());
-            let key = profile_key(policy.profile_seed, &[tag, param, bucket, octants]);
-            let ctx = ProfileCtx {
-                cache: &shard.profile,
-                key,
-                epoch,
-            };
-            shard.index.run_batch_profiled(op, &sub, policy, Some(&ctx))
-        } else {
-            shard.index.run_batch(op, &sub, policy)
-        };
-        let dur_us = (started.elapsed().as_micros() as u64).saturating_sub(offset_us);
-        SubRun {
-            shard: shard_i as u32,
-            round,
-            queries: qs.len() as u32,
-            out,
-            offset_us,
-            dur_us,
-        }
-    }
-
-    /// Spawn a persistent pool of `threads - 1` workers (the calling
-    /// thread is the remaining worker), hand `body` a dispatch callback
-    /// that executes one wave on the pool, and tear the pool down when
-    /// `body` returns. Spawning once per *batch* instead of once per
-    /// *wave* matters: the cursor-wave path runs up to `n_shards` waves
-    /// per batch, and at sub-millisecond wave granularity the per-wave
-    /// spawn/join cost rivals the traversal work itself.
-    ///
-    /// The dispatch callback takes wave ownership and returns it alongside
-    /// the runs — slot `i` of the returned wave and runs both belong to
-    /// input slot `i`, so everything downstream is deterministic no matter
-    /// which worker ran what.
-    fn with_wave_pool<R>(
-        &self,
-        threads: usize,
-        ctx: WaveCtx<'_>,
-        body: impl FnOnce(&mut dyn FnMut(u32, Wave) -> (Wave, Vec<SubRun>)) -> R,
-    ) -> R {
-        let shared = PoolShared {
-            state: Mutex::new(WaveState::default()),
-            work: Condvar::new(),
-            idle: Condvar::new(),
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..threads {
-                scope.spawn(|| self.pool_work(&shared, ctx, true));
-            }
-            let mut dispatch =
-                |round: u32, wave: Wave| self.pool_dispatch(&shared, round, wave, ctx);
-            let result = body(&mut dispatch);
-            shared.state.lock().unwrap().shutdown = true;
-            shared.work.notify_all();
-            result
-        })
-    }
-
-    /// Submit one wave to the pool and drain it, claiming sub-batches on
-    /// the calling thread alongside the workers.
-    fn pool_dispatch(
-        &self,
-        shared: &PoolShared,
-        round: u32,
-        wave: Wave,
-        ctx: WaveCtx<'_>,
-    ) -> (Wave, Vec<SubRun>) {
-        if wave.len() == 1 {
-            // A one-shard wave gains nothing from the pool; run it inline
-            // without even waking the workers.
-            let (s, qs) = &wave[0];
-            let run = self.run_sub(
-                *s,
-                round,
-                qs,
-                ctx.op,
-                ctx.positions,
-                ctx.policy,
-                ctx.epoch,
-                ctx.started,
-            );
-            return (wave, vec![run]);
-        }
-        {
-            let mut state = shared.state.lock().unwrap();
-            state.round = round;
-            state.next = 0;
-            state.done = 0;
-            state.runs = (0..wave.len()).map(|_| None).collect();
-            state.wave = wave;
-        }
-        shared.work.notify_all();
-        self.pool_work(shared, ctx, false);
-        let mut state = shared.state.lock().unwrap();
-        while state.done < state.runs.len() {
-            state = shared.idle.wait(state).unwrap();
-        }
-        let wave = std::mem::take(&mut state.wave);
-        let runs = state
-            .runs
-            .drain(..)
-            .map(|r| r.expect("wave slot filled"))
-            .collect();
-        (wave, runs)
-    }
-
-    /// Worker loop: claim the next unclaimed sub-batch of the current
-    /// wave, execute it, park the result back in its slot (and the query
-    /// list back in the wave, for the caller's merge). Persistent workers
-    /// (`wait == true`) block for the next wave until shutdown; the
-    /// dispatching thread runs the same loop with `wait == false` to
-    /// help drain the wave it just submitted.
-    fn pool_work(&self, shared: &PoolShared, ctx: WaveCtx<'_>, wait: bool) {
-        let mut state = shared.state.lock().unwrap();
-        loop {
-            if state.next < state.wave.len() {
-                let i = state.next;
-                state.next += 1;
-                let round = state.round;
-                let (s, qs) = (state.wave[i].0, std::mem::take(&mut state.wave[i].1));
-                drop(state);
-                let run = self.run_sub(
-                    s,
-                    round,
-                    &qs,
-                    ctx.op,
-                    ctx.positions,
-                    ctx.policy,
-                    ctx.epoch,
-                    ctx.started,
-                );
-                state = shared.state.lock().unwrap();
-                state.wave[i].1 = qs;
-                state.runs[i] = Some(run);
-                state.done += 1;
-                if state.done == state.runs.len() {
-                    shared.idle.notify_all();
-                }
-            } else if !wait || state.shutdown {
-                return;
-            } else {
-                state = shared.work.wait(state).unwrap();
-            }
+impl<const D: usize> Shard<D> {
+    /// The shard as the sweep sees it; `cached` says whether sub-batches
+    /// may consult the shard's profile cache at all.
+    fn view(&self, cached: bool) -> ShardView<'_, D> {
+        ShardView {
+            index: &self.index,
+            ids: &self.ids,
+            bbox: &self.bbox,
+            profile: cached.then_some(&self.profile),
+            #[cfg(test)]
+            failpoint: Some(&self.failpoint),
         }
     }
 }
 
-/// One wave of concurrent sub-batches: `(shard, queries)` per slot.
+/// One shard as [`sweep`] sees it — what [`ShardedIndex`] and the epoch
+/// layer's pinned snapshot both hand over.
+pub(crate) struct ShardView<'a, const D: usize> {
+    pub(crate) index: &'a KdIndex<D>,
+    /// `ids[i]` = the id callers know the shard's i-th build point by.
+    pub(crate) ids: &'a [u32],
+    pub(crate) bbox: &'a Aabb<D>,
+    /// Memoized §4.4 decisions for this shard's sub-batches, if kept.
+    pub(crate) profile: Option<&'a ProfileCache>,
+    /// Armed by a test: the next sub-batch on this shard panics.
+    #[cfg(test)]
+    pub(crate) failpoint: Option<&'a AtomicBool>,
+}
+
+/// One wave of concurrent sub-batches: `(shard, lanes)` per slot.
 type Wave = Vec<(usize, Vec<usize>)>;
 
-/// The per-batch inputs every sub-batch execution shares, bundled so the
-/// pool plumbing stays readable.
-#[derive(Clone, Copy)]
-struct WaveCtx<'a> {
-    op: OpKey,
-    positions: &'a [Vec<f32>],
-    policy: &'a ExecPolicy,
-    epoch: u64,
-    started: &'a Instant,
+/// One wave's slots from per-shard lane groups, empty groups dropped.
+fn wave_of(groups: Vec<Vec<usize>>) -> Wave {
+    groups
+        .into_iter()
+        .enumerate()
+        .filter(|(_, qs)| !qs.is_empty())
+        .collect()
 }
+
+/// Executes one wave and hands back its slots alongside their runs.
+type DispatchFn<'a> = dyn FnMut(u32, Wave) -> (Wave, Vec<SubRun>) + 'a;
 
 /// Shared state of a batch's wave pool.
 struct PoolShared {
@@ -512,6 +351,17 @@ struct PoolShared {
     idle: Condvar,
 }
 
+impl PoolShared {
+    /// The lock is never held across a sub-batch, and a sub-batch's panic
+    /// is caught before the lock is retaken, so it cannot be poisoned by
+    /// anything the pool runs.
+    fn lock(&self) -> MutexGuard<'_, WaveState> {
+        self.state
+            .lock()
+            .expect("wave pool lock is never held across a sub-batch")
+    }
+}
+
 #[derive(Default)]
 struct WaveState {
     round: u32,
@@ -520,16 +370,66 @@ struct WaveState {
     next: usize,
     /// Filled wave slots; the wave is drained when `done == runs.len()`.
     done: usize,
-    runs: Vec<Option<SubRun>>,
+    /// A slot holds its run, or the payload of the panic that ended it.
+    runs: Vec<Option<std::thread::Result<SubRun>>>,
     shutdown: bool,
 }
 
-/// Per-query merge accumulator. Shared with the epoch layer
-/// ([`crate::epoch`]), whose per-shard sweep folds results identically.
+/// Releases the pool's workers when the batch is done with them — also
+/// when it unwinds, or the scope joining them would wait forever.
+struct PoolShutdown<'a>(&'a PoolShared);
+
+impl Drop for PoolShutdown<'_> {
+    fn drop(&mut self) {
+        // Setting a flag is valid whatever state a panic left behind.
+        self.0
+            .state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .shutdown = true;
+        self.0.work.notify_all();
+    }
+}
+
+/// Per-op merge accumulator of one lane. Every rule an op needs lives in
+/// this one `impl`: exact admission ([`Acc::improvable`]), the merge
+/// ([`Acc::absorb`]), the two-wave dispatch bound ([`Acc::admits`] /
+/// [`Acc::cover`]) and the epoch layer's signed delta correction
+/// ([`Acc::correct`]).
+///
+/// The dispatch-bound fields (`cap`; `covered` and `worst`) describe the
+/// shards [`Acc::cover`] was told are dispatched but not yet absorbed.
+/// The sequential and cursor schedules prune with the *running*
+/// accumulator — shard `r+1` sees the results of shard `r`. The two-wave
+/// schedule dispatches a lane's remaining shards all at once, so instead
+/// of results it chains *precomputed AABB bounds*: each dispatched
+/// shard's farthest-corner distance ([`Aabb::max_dist2_to`]) caps what the
+/// best answer can possibly be, and later shards whose lower bound cannot
+/// beat that cap are skipped. The cap is conservative (never tighter than
+/// the real results the sequential path uses), and every merge rule
+/// admits only strictly-improving candidates, so executing these extra
+/// shards cannot change any result — the differential tests re-check
+/// this.
 pub(crate) enum Acc {
-    Nn { dist2: f32, id: u32 },
-    Knn(KBest),
-    Pc { count: u32 },
+    Nn {
+        dist2: f32,
+        id: u32,
+        /// Min farthest-corner distance over covered shards.
+        cap: f32,
+    },
+    Knn {
+        best: KBest,
+        /// Neighbors covered shards are guaranteed to offer, each with
+        /// distance ≤ `worst`.
+        covered: usize,
+        /// Max farthest-corner distance over covered shards.
+        worst: f32,
+    },
+    Pc {
+        count: u32,
+        /// Radius²: PC counts `d2 <= r2`.
+        r2: f32,
+    },
 }
 
 impl Acc {
@@ -538,30 +438,85 @@ impl Acc {
             OpKey::Nn => Acc::Nn {
                 dist2: f32::INFINITY,
                 id: u32::MAX,
+                cap: f32::INFINITY,
             },
-            OpKey::Knn(k) => Acc::Knn(KBest::new(k)),
-            OpKey::Pc(_) => Acc::Pc { count: 0 },
+            OpKey::Knn(k) => Acc::Knn {
+                best: KBest::new(k),
+                covered: 0,
+                worst: 0.0,
+            },
+            OpKey::Pc(bits) => {
+                let r = f32::from_bits(bits);
+                Acc::Pc {
+                    count: 0,
+                    r2: r * r,
+                }
+            }
         }
     }
 
     /// Can a shard whose AABB lower-bound squared distance is `lb` still
-    /// change this accumulator? `r2` is the PC radius², unused otherwise.
-    fn improvable(&self, lb: f32, r2: f32) -> bool {
+    /// change this accumulator?
+    fn improvable(&self, lb: f32) -> bool {
         match self {
             // NN admits strictly closer points only.
             Acc::Nn { dist2, .. } => lb < *dist2,
             // KBest admits anything until full, then strictly-better only.
-            Acc::Knn(kb) => !kb.full() || lb < kb.bound(),
+            Acc::Knn { best, .. } => !best.full() || lb < best.bound(),
             // PC counts d2 <= r2; a box entirely beyond r2 adds nothing.
-            Acc::Pc { .. } => lb <= r2,
+            Acc::Pc { r2, .. } => lb <= *r2,
         }
     }
 
-    /// Fold one shard's answer in, mapping shard-local ids to original
-    /// dataset ids through `ids`.
-    pub(crate) fn absorb(&mut self, r: &QueryResult, ids: &[u32]) {
+    /// Could a shard at lower bound `lb` still matter once every covered
+    /// shard has answered?
+    fn admits(&self, lb: f32) -> bool {
+        match self {
+            Acc::Nn { cap, .. } => lb < *cap,
+            Acc::Knn {
+                best,
+                covered,
+                worst,
+            } => {
+                let held = best.distances().last().copied().unwrap_or(0.0);
+                best.len() + covered < best.k() || lb < worst.max(held)
+            }
+            // PC's accumulator rule (`lb <= r2`) is already complete —
+            // counting is insensitive to what other shards contribute.
+            Acc::Pc { .. } => true,
+        }
+    }
+
+    /// Account for dispatching a shard of `len` points whose farthest
+    /// corner lies at squared distance `ub`: that bounds every answer it
+    /// can produce for this lane.
+    fn cover(&mut self, ub: f32, len: usize) {
+        match self {
+            Acc::Nn { cap, .. } => {
+                // NN excludes zero-distance self matches, so a shard whose
+                // box collapses onto the query (ub == 0) proves nothing.
+                if ub > 0.0 {
+                    *cap = cap.min(ub);
+                }
+            }
+            Acc::Knn {
+                best,
+                covered,
+                worst,
+            } => {
+                // The shard offers its min(k, points) best, all ≤ ub.
+                *covered += len.min(best.k());
+                *worst = worst.max(ub);
+            }
+            Acc::Pc { .. } => {}
+        }
+    }
+
+    /// Fold one shard's answer in, mapping shard-local ids to the ids
+    /// callers know through `ids`.
+    fn absorb(&mut self, r: &QueryResult, ids: &[u32]) {
         match (self, r) {
-            (Acc::Nn { dist2, id }, QueryResult::Nn { dist2: d, id: i }) => {
+            (Acc::Nn { dist2, id, .. }, QueryResult::Nn { dist2: d, id: i }) => {
                 if *d < *dist2 {
                     *dist2 = *d;
                     *id = if *i == u32::MAX {
@@ -571,88 +526,113 @@ impl Acc {
                     };
                 }
             }
-            (Acc::Knn(kb), QueryResult::Knn { dist2, ids: local }) => {
+            (Acc::Knn { best, .. }, QueryResult::Knn { dist2, ids: local }) => {
                 for (&d2, &i) in dist2.iter().zip(local) {
-                    kb.offer(d2, ids[i as usize]);
+                    best.offer(d2, ids[i as usize]);
                 }
             }
-            (Acc::Pc { count }, QueryResult::Pc { count: c }) => *count += c,
+            (Acc::Pc { count, .. }, QueryResult::Pc { count: c }) => *count += c,
             _ => unreachable!("shard answered with a different op's result"),
         }
     }
 
-    pub(crate) fn finish(self) -> QueryResult {
+    /// Signed delta correction, for an accumulator that swept the merged
+    /// trees of an epoch whose `digest` is pending on top: pending
+    /// deletes come out, live pending inserts go in, each by the op's own
+    /// rule (NN keeps its nearest-distinct-position rule: zero-distance
+    /// inserts are not NN answers; kNN and PC admit them). A kNN
+    /// accumulator must have swept at `k + |pending tree deletes|`, so
+    /// that its top `k` survives the filter. Returns whether an NN answer
+    /// was deleted — the runner-up is then somewhere in the trees and the
+    /// caller has to probe for it.
+    pub(crate) fn correct<const D: usize>(
+        &mut self,
+        q: &PointN<D>,
+        digest: &DeltaDigest<D>,
+    ) -> bool {
         match self {
-            Acc::Nn { dist2, id } => QueryResult::Nn { dist2, id },
-            Acc::Knn(kb) => QueryResult::Knn {
-                dist2: kb.distances().to_vec(),
-                ids: kb.ids().to_vec(),
+            Acc::Nn { dist2, id, .. } => {
+                let lost = *id != u32::MAX && digest.deleted.contains(id);
+                if lost {
+                    (*dist2, *id) = (f32::INFINITY, u32::MAX);
+                }
+                for &(iid, ip) in &digest.live_inserts {
+                    let d = ip.dist2(q);
+                    if d > 0.0 && d < *dist2 {
+                        (*dist2, *id) = (d, iid);
+                    }
+                }
+                lost
+            }
+            Acc::Knn { best, .. } => {
+                let mut kb = KBest::new(best.k() - digest.del_tree.len());
+                for (&d2, &id) in best.distances().iter().zip(best.ids()) {
+                    if !digest.deleted.contains(&id) {
+                        kb.offer(d2, id);
+                    }
+                }
+                for &(iid, ip) in &digest.live_inserts {
+                    kb.offer(ip.dist2(q), iid);
+                }
+                *best = kb;
+                false
+            }
+            Acc::Pc { count, r2 } => {
+                let within = |pts: &[(u32, PointN<D>)]| {
+                    pts.iter().filter(|(_, p)| p.dist2(q) <= *r2).count() as u32
+                };
+                *count = *count - within(&digest.del_tree) + within(&digest.live_inserts);
+                false
+            }
+        }
+    }
+
+    fn finish(self) -> QueryResult {
+        match self {
+            Acc::Nn { dist2, id, .. } => QueryResult::Nn { dist2, id },
+            Acc::Knn { best, .. } => QueryResult::Knn {
+                dist2: best.distances().to_vec(),
+                ids: best.ids().to_vec(),
             },
-            Acc::Pc { count } => QueryResult::Pc { count },
+            Acc::Pc { count, .. } => QueryResult::Pc { count },
         }
     }
 }
 
-/// Per-lane merge accumulator for a fused batch: one [`Acc`] per
-/// constituent op, so each op folds per-shard answers with exactly the
-/// strict-improvement rules of its unfused path. A shard is dispatched
-/// for the lane iff *any* constituent could still improve — the union
-/// admission rule. Union-extra shards (where some constituent was
-/// unimprovable) cannot corrupt that constituent: every candidate they
-/// produce fails its strict merge rule (NN: `d2 ≥ lb ≥ best`; kNN: set
-/// full and `d2 ≥ lb ≥ bound`; PC: `d2 ≥ lb > r²` counts nothing).
-pub(crate) struct FusedAcc {
-    nn: Option<Acc>,
-    knn: Vec<Acc>,
-    /// `(radius², accumulator)` per requested radius.
-    pc: Vec<(f32, Acc)>,
-}
+/// A lane's accumulators: one [`Acc`] per op the lane asks, in answer-slot
+/// order, each folding per-shard answers by exactly its own rules. A
+/// shard is dispatched for the lane iff *any* of them could still improve
+/// — the union admission rule. Union-extra shards (where some op was
+/// unimprovable) cannot corrupt that op: every candidate they produce
+/// fails its strict merge rule (NN: `d2 ≥ lb ≥ best`; kNN: set full and
+/// `d2 ≥ lb ≥ bound`; PC: `d2 ≥ lb > r²` counts nothing).
+pub(crate) struct LaneAcc(pub(crate) Vec<Acc>);
 
-impl FusedAcc {
-    pub(crate) fn new(lane: &FusedLane) -> FusedAcc {
-        FusedAcc {
-            nn: lane.nn.then(|| Acc::new(OpKey::Nn)),
-            knn: lane
-                .knn_ks
-                .iter()
-                .map(|&k| Acc::new(OpKey::Knn(k)))
-                .collect(),
-            pc: lane
-                .pc_radii
-                .iter()
-                .map(|&bits| {
-                    let r = f32::from_bits(bits);
-                    (r * r, Acc::new(OpKey::Pc(bits)))
-                })
-                .collect(),
-        }
+impl LaneAcc {
+    fn new(lane: &FusedLane) -> LaneAcc {
+        LaneAcc(lane.op_keys().map(Acc::new).collect())
     }
 
-    /// Union admission: can a shard at lower bound `lb` still change any
-    /// constituent's answer?
     fn improvable(&self, lb: f32) -> bool {
-        self.nn.as_ref().is_some_and(|a| a.improvable(lb, 0.0))
-            || self.knn.iter().any(|a| a.improvable(lb, 0.0))
-            || self.pc.iter().any(|(r2, a)| a.improvable(lb, *r2))
+        self.0.iter().any(|a| a.improvable(lb))
     }
 
-    pub(crate) fn absorb(&mut self, r: &FusedLaneResult, ids: &[u32]) {
-        if let (Some(acc), Some(res)) = (self.nn.as_mut(), r.nn.as_ref()) {
-            acc.absorb(res, ids);
-        }
-        for (acc, res) in self.knn.iter_mut().zip(&r.knn) {
-            acc.absorb(res, ids);
-        }
-        for ((_, acc), res) in self.pc.iter_mut().zip(&r.pc) {
-            acc.absorb(res, ids);
+    /// [`Self::improvable`], for the two-wave schedule: also by the
+    /// bounds of the shards already covered.
+    fn admits(&self, lb: f32) -> bool {
+        self.0.iter().any(|a| a.improvable(lb) && a.admits(lb))
+    }
+
+    /// The shard answers every op of the lane, so it covers them all.
+    fn cover(&mut self, ub: f32, len: usize) {
+        for a in &mut self.0 {
+            a.cover(ub, len);
         }
     }
 
-    pub(crate) fn finish(self) -> FusedLaneResult {
-        FusedLaneResult {
-            nn: self.nn.map(Acc::finish),
-            knn: self.knn.into_iter().map(Acc::finish).collect(),
-            pc: self.pc.into_iter().map(|(_, a)| a.finish()).collect(),
+    fn absorb(&mut self, r: &FusedLaneResult, ids: &[u32]) {
+        for (a, r) in self.0.iter_mut().zip(r.answers()) {
+            a.absorb(r, ids);
         }
     }
 }
@@ -672,97 +652,31 @@ pub fn merge_kbest(k: usize, lists: &[(Vec<f32>, Vec<u32>)]) -> (Vec<f32>, Vec<u
 }
 
 /// One executed sub-batch: which shard, which fan-out round, plus the
-/// shard's [`BatchOutcome`] and wall-clock span.
-pub(crate) struct SubRun {
-    pub(crate) shard: u32,
-    pub(crate) round: u32,
-    pub(crate) queries: u32,
-    pub(crate) out: BatchOutcome,
-    pub(crate) offset_us: u64,
-    pub(crate) dur_us: u64,
-}
-
-/// Dispatch-time pruning bound for the parallel path.
-///
-/// The sequential rounds prune with the *running* accumulator — shard
-/// `r+1` sees the results of shard `r`. The parallel path dispatches a
-/// query's remaining shards all at once, so instead of results it chains
-/// *precomputed AABB bounds*: each dispatched shard's farthest-corner
-/// distance ([`Aabb::max_dist2_to`]) caps what the best answer can
-/// possibly be, and later shards whose lower bound cannot beat that cap
-/// are skipped. The cap is conservative (never tighter than the real
-/// results the sequential path uses), and every merge rule admits only
-/// strictly-improving candidates, so executing these extra shards cannot
-/// change any result — the differential tests re-check this.
-enum DispatchBound {
-    Nn {
-        /// Min farthest-corner distance over dispatched shards.
-        cap: f32,
-    },
-    Knn {
-        k: usize,
-        /// Neighbors guaranteed to be offered with distance ≤ `worst`.
-        covered: usize,
-        /// Max farthest-corner distance over counted sources.
-        worst: f32,
-    },
-    /// PC's accumulator rule (`lb <= r2`) is already complete — counting
-    /// is insensitive to what other shards contribute.
-    Pc,
-}
-
-impl DispatchBound {
-    fn new(op: OpKey, acc: &Acc) -> DispatchBound {
-        match (op, acc) {
-            (OpKey::Nn, _) => DispatchBound::Nn { cap: f32::INFINITY },
-            (OpKey::Knn(k), Acc::Knn(kb)) => DispatchBound::Knn {
-                k,
-                covered: kb.len(),
-                worst: kb.distances().last().copied().unwrap_or(0.0),
-            },
-            (OpKey::Pc(_), _) => DispatchBound::Pc,
-            _ => unreachable!("accumulator mismatches op"),
-        }
-    }
-
-    /// Could a shard whose AABB lower bound is `lb` still matter?
-    fn admits(&self, lb: f32) -> bool {
-        match self {
-            DispatchBound::Nn { cap } => lb < *cap,
-            DispatchBound::Knn { k, covered, worst } => *covered < *k || lb < *worst,
-            DispatchBound::Pc => true,
-        }
-    }
-
-    /// Account for dispatching `shard`: its farthest corner bounds every
-    /// answer it can produce for the query at `p`.
-    fn cover<const D: usize>(&mut self, shard: &Shard<D>, p: &PointN<D>) {
-        let ub = shard.bbox.max_dist2_to(p);
-        match self {
-            DispatchBound::Nn { cap } => {
-                // NN excludes zero-distance self matches, so a shard whose
-                // box collapses onto the query (ub == 0) proves nothing.
-                if ub > 0.0 {
-                    *cap = cap.min(ub);
-                }
-            }
-            DispatchBound::Knn { k, covered, worst } => {
-                // The shard offers its min(k, points) best, all ≤ ub.
-                *covered += shard.ids.len().min(*k);
-                *worst = worst.max(ub);
-            }
-            DispatchBound::Pc => {}
-        }
-    }
+/// shard's answers and accounting and its wall-clock span.
+struct SubRun {
+    shard: u32,
+    round: u32,
+    out: FusedOutcome,
+    offset_us: u64,
+    dur_us: u64,
 }
 
 /// Deterministic accumulation of per-sub-batch stats into one
-/// [`BatchOutcome`] — shared by the sequential and parallel paths, which
-/// only differ in how they *produce* the [`SubRun`]s. Aggregates are
-/// weighted by sub-batch size; callers feed runs in a fixed order so the
-/// f64 sums are reproducible.
+/// [`BatchOutcome`] — shared by every schedule, which only differ in how
+/// they *produce* the [`SubRun`]s — and across the sweeps of one batch
+/// (the epoch layer's NN re-probes sweep again into the same aggregate).
+/// Aggregates are weighted by sub-batch size; callers feed runs in a
+/// fixed order so the f64 sums are reproducible.
 #[derive(Default)]
 pub(crate) struct StatAgg {
+    /// Batch-run start, set by the batch's first sweep: sub-batch spans
+    /// are timed against it (wall times, outside the determinism contract
+    /// like every other wall measurement).
+    started: Option<Instant>,
+    /// Rounds earlier sweeps of this batch used; a sweep's rounds are
+    /// numbered from here.
+    round_base: u32,
+    shards_pruned: u64,
     node_visits: u64,
     model_ms: f64,
     warps: usize,
@@ -777,14 +691,18 @@ pub(crate) struct StatAgg {
     cache_evictions: u64,
     stack_bytes_peak: u64,
     stack_transactions: u64,
+    saved_visits: u64,
     shard_visits: Vec<ShardVisit>,
     pruned_pairs: Vec<(u32, u32, u32)>, // (shard, round, count)
 }
 
 impl StatAgg {
-    /// Attribute one pruned `(query, shard)` pair to `(shard, round)` so
-    /// [`Self::finish`] can fold it into the matching [`ShardVisit`].
-    pub(crate) fn note_pruned(&mut self, shard: u32, round: u32) {
+    /// Count one pruned `(lane, shard)` pair, attributed to
+    /// `(shard, round)` so [`Self::finish`] can fold it into the matching
+    /// [`ShardVisit`].
+    fn note_pruned(&mut self, shard: u32, round: u32) {
+        self.shards_pruned += 1;
+        let round = self.round_base + round;
         match self
             .pruned_pairs
             .iter_mut()
@@ -795,38 +713,42 @@ impl StatAgg {
         }
     }
 
-    pub(crate) fn add(&mut self, run: &SubRun) {
-        let qs = run.queries as usize;
+    fn add(&mut self, run: &SubRun) {
+        let out = &run.out.outcome;
+        let qs = run.out.lanes.len();
         self.shard_visits.push(ShardVisit {
             shard: run.shard,
-            round: run.round,
-            queries: run.queries,
-            node_visits: run.out.node_visits,
+            round: self.round_base + run.round,
+            queries: qs as u32,
+            node_visits: out.node_visits,
             pruned: 0,
-            model_ms: run.out.model_ms,
+            model_ms: out.model_ms,
             offset_us: run.offset_us,
             dur_us: run.dur_us,
         });
-        self.node_visits += run.out.node_visits;
-        self.model_ms += run.out.model_ms;
-        self.warps += run.out.warps;
-        self.exp_sum += run.out.work_expansion * qs as f64;
-        self.occ_sum += run.out.mask_occupancy * qs as f64;
-        if let Some(sim) = run.out.mean_similarity {
+        self.node_visits += out.node_visits;
+        self.model_ms += out.model_ms;
+        self.warps += out.warps;
+        self.exp_sum += out.work_expansion * qs as f64;
+        self.occ_sum += out.mask_occupancy * qs as f64;
+        if let Some(sim) = out.mean_similarity {
             self.sim_sum += sim * qs as f64;
             self.sim_weight += qs;
         }
         self.executed += qs;
-        self.backend_queries[run.out.backend.index()] += qs;
-        self.cache_hits += run.out.profile_cache_hits;
-        self.cache_misses += run.out.profile_cache_misses;
-        self.cache_evictions += run.out.profile_cache_evictions;
+        self.backend_queries[out.backend.index()] += qs;
+        self.cache_hits += out.profile_cache_hits;
+        self.cache_misses += out.profile_cache_misses;
+        self.cache_evictions += out.profile_cache_evictions;
         // Footprint merges by max (it's a peak), traffic by sum.
-        self.stack_bytes_peak = self.stack_bytes_peak.max(run.out.stack_bytes_peak);
-        self.stack_transactions += run.out.stack_transactions;
+        self.stack_bytes_peak = self.stack_bytes_peak.max(out.stack_bytes_peak);
+        self.stack_transactions += out.stack_transactions;
+        self.saved_visits += out.fusion_saved_visits;
     }
 
-    pub(crate) fn finish(mut self, results: Vec<QueryResult>, shards_pruned: u64) -> BatchOutcome {
+    /// Close the batch: `lanes` as the caller was handed them, `accs`
+    /// their accumulators after every sweep and correction.
+    pub(crate) fn finish(mut self, lanes: &[FusedLane], accs: Vec<LaneAcc>) -> FusedOutcome {
         for visit in &mut self.shard_visits {
             if let Some(e) = self
                 .pruned_pairs
@@ -845,8 +767,11 @@ impl StatAgg {
             .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
             .map(|(i, _)| Backend::ALL[i])
             .unwrap_or(Backend::Autoropes);
-        BatchOutcome {
-            results,
+        // Sub-batches ran the fused kernel iff the batch is not uniform
+        // (`Sweep::pick`); a single-op batch reports no fusion at all.
+        let fused = uniform_op(lanes).is_none();
+        let outcome = BatchOutcome {
+            results: Vec::new(),
             backend: majority,
             mean_similarity: (self.sim_weight > 0).then(|| self.sim_sum / self.sim_weight as f64),
             node_visits: self.node_visits,
@@ -857,7 +782,7 @@ impl StatAgg {
             } else {
                 1.0
             },
-            shards_pruned,
+            shards_pruned: self.shards_pruned,
             mask_occupancy: if self.executed > 0 {
                 self.occ_sum / self.executed as f64
             } else {
@@ -869,9 +794,395 @@ impl StatAgg {
             profile_cache_evictions: self.cache_evictions,
             stack_bytes_peak: self.stack_bytes_peak,
             stack_transactions: self.stack_transactions,
-            fused_ops: 0,
-            fused_lanes: 0,
-            fusion_saved_visits: 0,
+            fused_ops: if fused { distinct_ops(lanes) } else { 0 },
+            fused_lanes: if fused { lanes.len() as u64 } else { 0 },
+            fusion_saved_visits: self.saved_visits,
+        };
+        FusedOutcome {
+            lanes: (accs.into_iter())
+                .map(|acc| acc.0.into_iter().map(Acc::finish).collect())
+                .collect(),
+            outcome,
+        }
+    }
+}
+
+/// Fan one batch of lanes out over `views` and fold the per-shard answers
+/// back, one [`LaneAcc`] per lane — the only shard sweep there is, under
+/// [`ShardedIndex`] and the epoch layer's pinned snapshot alike. The
+/// schedule follows the resolved [`ExecPolicy::shard_parallelism`] thread
+/// count (module docs); `prune` turns the AABB rule off for measuring
+/// what it saves; `epoch` is the owner's batch counter, the TTL clock of
+/// the views' profile caches. Accounting lands in `agg`, which a caller
+/// sweeping more than once per batch passes to each sweep in turn.
+pub(crate) fn sweep<const D: usize>(
+    views: &[ShardView<'_, D>],
+    lanes: &[FusedLane],
+    policy: &ExecPolicy,
+    prune: bool,
+    epoch: u64,
+    agg: &mut StatAgg,
+) -> Vec<LaneAcc> {
+    let qpts: Vec<PointN<D>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
+    // Each lane visits shards in ascending lower-bound order, ties broken
+    // by shard id — deterministic, and the home shard (lb = 0) comes first
+    // so bounds tighten before distant shards are tested.
+    let visit = qpts
+        .iter()
+        .map(|p| {
+            let mut order: Vec<(f32, u32)> = views
+                .iter()
+                .enumerate()
+                .map(|(s, v)| (v.bbox.dist2_to(p), s as u32))
+                .collect();
+            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            order
+        })
+        .collect();
+    let sweep = Sweep {
+        views,
+        lanes,
+        pick: uniform_op(lanes),
+        qpts,
+        visit,
+        policy,
+        prune,
+        epoch,
+        started: *agg.started.get_or_insert_with(Instant::now),
+    };
+    let mut accs: Vec<LaneAcc> = lanes.iter().map(LaneAcc::new).collect();
+    let threads = policy.shard_threads(views.len());
+    sweep.with_wave_pool(threads, |dispatch| {
+        if threads <= 1 {
+            sweep.rounds(&mut accs, agg, dispatch)
+        } else if threads >= views.len() {
+            // Every shard gets its own worker: overexecuting a shard the
+            // conservative bound chain admits costs idle cores nothing,
+            // so the latency-optimal two-wave schedule wins.
+            sweep.two_waves(&mut accs, agg, dispatch)
+        } else {
+            // Fewer workers than shards: extra work competes with needed
+            // work for cores, so the work-conserving schedule — executed
+            // set identical to the sequential path — wins.
+            sweep.cursor_waves(&mut accs, agg, dispatch)
+        }
+    });
+    agg.round_base += views.len() as u32;
+    accs
+}
+
+/// The per-batch inputs every sub-batch and every schedule shares.
+struct Sweep<'a, const D: usize> {
+    views: &'a [ShardView<'a, D>],
+    lanes: &'a [FusedLane],
+    /// The whole batch's kernel pick ([`KdIndex::run_lanes`]), handed to
+    /// every sub-batch.
+    pick: Option<OpKey>,
+    qpts: Vec<PointN<D>>,
+    /// Per lane, `(lower bound, shard)` in visit order.
+    visit: Vec<Vec<(f32, u32)>>,
+    policy: &'a ExecPolicy,
+    prune: bool,
+    epoch: u64,
+    started: Instant,
+}
+
+impl<const D: usize> Sweep<'_, D> {
+    /// Run the sub-batch of lanes `qs` against shard `shard_i`,
+    /// consulting the shard's profile cache when the policy allows it.
+    /// The cache key fingerprints what makes decisions interchangeable:
+    /// the operation (or, for a multi-op batch, how many distinct ops the
+    /// sub-batch mixes, under a tag no single op uses), the sub-batch's
+    /// log2 size bucket, and which Morton octants of the shard's box the
+    /// lanes land in.
+    fn run_sub(&self, shard_i: usize, round: u32, qs: &[usize]) -> SubRun {
+        let view = &self.views[shard_i];
+        #[cfg(test)]
+        if view
+            .failpoint
+            .is_some_and(|armed| armed.swap(false, Ordering::SeqCst))
+        {
+            panic!("failpoint: shard {shard_i}");
+        }
+        let sub: Vec<&FusedLane> = qs.iter().map(|&q| &self.lanes[q]).collect();
+        let cache = view
+            .profile
+            .filter(|_| self.policy.profile_cache && self.policy.force.is_none() && sub.len() >= 2);
+        let offset_us = self.started.elapsed().as_micros() as u64;
+        let ctx = cache.map(|cache| {
+            let (tag, param) = match self.pick {
+                Some(OpKey::Nn) => (0u64, 0u64),
+                Some(OpKey::Knn(k)) => (1, k as u64),
+                Some(OpKey::Pc(bits)) => (2, u64::from(bits)),
+                None => (3, u64::from(distinct_ops(sub.iter().copied()))),
+            };
+            let mut octants = 0u64;
+            for &q in qs {
+                octants |= 1 << (morton_prefix(&self.qpts[q], view.bbox, 1) & 63);
+            }
+            let bucket = u64::from(sub.len().ilog2());
+            ProfileCtx {
+                cache,
+                key: profile_key(self.policy.profile_seed, &[tag, param, bucket, octants]),
+                epoch: self.epoch,
+            }
+        });
+        let out = view
+            .index
+            .run_lanes(&sub, self.pick, self.policy, ctx.as_ref());
+        let dur_us = (self.started.elapsed().as_micros() as u64).saturating_sub(offset_us);
+        SubRun {
+            shard: shard_i as u32,
+            round,
+            out,
+            offset_us,
+            dur_us,
+        }
+    }
+
+    /// Spawn a persistent pool of `threads - 1` workers (the calling
+    /// thread is the remaining worker), hand `body` a dispatch callback
+    /// that executes one wave on the pool, and tear the pool down when
+    /// `body` returns. Spawning once per *batch* instead of once per
+    /// *wave* matters: the cursor-wave path runs up to `n_shards` waves
+    /// per batch, and at sub-millisecond wave granularity the per-wave
+    /// spawn/join cost rivals the traversal work itself.
+    ///
+    /// The dispatch callback takes wave ownership and returns it alongside
+    /// the runs — slot `i` of the returned wave and runs both belong to
+    /// input slot `i`, so everything downstream is deterministic no matter
+    /// which worker ran what. A sub-batch that panics does not take its
+    /// worker (or the wave's bookkeeping) down with it: the panic resumes
+    /// on the dispatching thread once the wave has drained.
+    fn with_wave_pool<R>(&self, threads: usize, body: impl FnOnce(&mut DispatchFn<'_>) -> R) -> R {
+        let shared = PoolShared {
+            state: Mutex::new(WaveState::default()),
+            work: Condvar::new(),
+            idle: Condvar::new(),
+        };
+        std::thread::scope(|scope| {
+            let _shutdown = PoolShutdown(&shared);
+            for _ in 1..threads {
+                scope.spawn(|| self.pool_work(&shared, true));
+            }
+            body(&mut |round, wave| self.pool_dispatch(&shared, round, wave))
+        })
+    }
+
+    /// Submit one wave to the pool and drain it, claiming sub-batches on
+    /// the calling thread alongside the workers.
+    fn pool_dispatch(&self, shared: &PoolShared, round: u32, wave: Wave) -> (Wave, Vec<SubRun>) {
+        match &wave[..] {
+            [] => return (wave, Vec::new()),
+            // A one-shard wave gains nothing from the pool; run it inline
+            // without even waking the workers.
+            [(s, qs)] => {
+                let run = self.run_sub(*s, round, qs);
+                return (wave, vec![run]);
+            }
+            _ => {}
+        }
+        {
+            let mut state = shared.lock();
+            state.round = round;
+            state.next = 0;
+            state.done = 0;
+            state.runs = (0..wave.len()).map(|_| None).collect();
+            state.wave = wave;
+        }
+        shared.work.notify_all();
+        self.pool_work(shared, false);
+        let mut state = shared.lock();
+        while state.done < state.runs.len() {
+            state = (shared.idle.wait(state)).expect("wave pool lock is never poisoned");
+        }
+        let wave = std::mem::take(&mut state.wave);
+        let runs = std::mem::take(&mut state.runs);
+        drop(state);
+        let runs = (runs.into_iter())
+            .map(|r| {
+                r.expect("wave slot filled")
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect();
+        (wave, runs)
+    }
+
+    /// Worker loop: claim the next unclaimed sub-batch of the current
+    /// wave, execute it, park the result — or the panic that ended it —
+    /// back in its slot (and the lane list back in the wave, for the
+    /// caller's merge). Persistent workers (`wait == true`) block for the
+    /// next wave until shutdown; the dispatching thread runs the same
+    /// loop with `wait == false` to help drain the wave it just
+    /// submitted.
+    fn pool_work(&self, shared: &PoolShared, wait: bool) {
+        let mut state = shared.lock();
+        loop {
+            if state.next < state.wave.len() {
+                let i = state.next;
+                state.next += 1;
+                let round = state.round;
+                let (s, qs) = (state.wave[i].0, std::mem::take(&mut state.wave[i].1));
+                drop(state);
+                let run = catch_unwind(AssertUnwindSafe(|| self.run_sub(s, round, &qs)));
+                state = shared.lock();
+                state.wave[i].1 = qs;
+                state.runs[i] = Some(run);
+                state.done += 1;
+                if state.done == state.runs.len() {
+                    shared.idle.notify_all();
+                }
+            } else if !wait || state.shutdown {
+                return;
+            } else {
+                state = (shared.work.wait(state)).expect("wave pool lock is never poisoned");
+            }
+        }
+    }
+
+    /// Dispatch a `(lane, shard)` pair the lane's accumulator `admitted`
+    /// (or any pair, with pruning off)? A refusal is counted as a pruned
+    /// pair of shard `s` in `round`.
+    fn keep(&self, admitted: bool, agg: &mut StatAgg, s: u32, round: u32) -> bool {
+        let keep = !self.prune || admitted;
+        if !keep {
+            agg.note_pruned(s, round);
+        }
+        keep
+    }
+
+    /// Fold a drained wave into the accumulators, slot by slot.
+    fn absorb_wave(&self, accs: &mut [LaneAcc], agg: &mut StatAgg, wave: &Wave, runs: &[SubRun]) {
+        for ((s, qs), run) in wave.iter().zip(runs) {
+            for (&q, r) in qs.iter().zip(&run.out.lanes) {
+                accs[q].absorb(r, self.views[*s].ids);
+            }
+            agg.add(run);
+        }
+    }
+
+    /// Sequential schedule (`shard_threads == 1`): round-by-round
+    /// fan-out, pruning each round against the *running* accumulator.
+    /// Per-shard sub-runs start with fresh lane state and fold back
+    /// through each op's strict-improvement merge, so every answer is
+    /// bit-identical to a flat run of that op.
+    fn rounds(&self, accs: &mut [LaneAcc], agg: &mut StatAgg, dispatch: &mut DispatchFn<'_>) {
+        let n_shards = self.views.len();
+        for round in 0..n_shards as u32 {
+            // Group this round's surviving lanes by target shard.
+            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+            for (q, order) in self.visit.iter().enumerate() {
+                let (lb, s) = order[round as usize];
+                if self.keep(accs[q].improvable(lb), agg, s, round) {
+                    groups[s as usize].push(q);
+                }
+            }
+            let (wave, runs) = dispatch(round, wave_of(groups));
+            self.absorb_wave(accs, agg, &wave, &runs);
+        }
+    }
+
+    /// Latency-optimal parallel schedule (`shard_threads == n_shards`):
+    /// two waves of concurrent sub-batches instead of up-to-N sequential
+    /// rounds.
+    ///
+    /// Wave 0 sends every lane to its home shard (closest box). Wave 1
+    /// walks each lane's remaining shards in visit order and dispatches
+    /// the ones that neither the post-home accumulator nor the chain of
+    /// already-dispatched boxes ([`Acc::admits`]) can rule out — all of
+    /// wave 1 is grouped into one sub-batch per shard and executed
+    /// concurrently. The chain is conservative (farthest-corner bounds
+    /// instead of actual best distances), so this path may execute shards
+    /// the sequential path would have pruned — acceptable only because
+    /// every shard has a dedicated worker. Partial results are folded in
+    /// each lane's visit order, and merges admit only strict
+    /// improvements, so the outputs are bit-identical to the sequential
+    /// path's.
+    fn two_waves(&self, accs: &mut [LaneAcc], agg: &mut StatAgg, dispatch: &mut DispatchFn<'_>) {
+        let n_shards = self.views.len();
+        // Wave 0: home shards. Only the fresh-accumulator rule applies
+        // (PC can rule a shard out by radius alone; NN/kNN cannot yet).
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+        for (q, order) in self.visit.iter().enumerate() {
+            let (lb, s) = order[0];
+            if self.keep(accs[q].improvable(lb), agg, s, 0) {
+                groups[s as usize].push(q);
+            }
+        }
+        let (wave0, runs0) = dispatch(0, wave_of(groups));
+        self.absorb_wave(accs, agg, &wave0, &runs0);
+
+        // Wave 1: everything the home results and the AABB-bound chain
+        // cannot rule out, one sub-batch per shard. `fold` remembers each
+        // lane's dispatched (shard, slot) pairs in visit order so the
+        // merge below replays the sequential absorb order exactly.
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+        let mut fold: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.lanes.len()];
+        for (q, order) in self.visit.iter().enumerate() {
+            for &(lb, s) in &order[1..] {
+                if self.keep(accs[q].admits(lb), agg, s, 1) {
+                    let view = &self.views[s as usize];
+                    fold[q].push((s as usize, groups[s as usize].len()));
+                    groups[s as usize].push(q);
+                    accs[q].cover(view.bbox.max_dist2_to(&self.qpts[q]), view.ids.len());
+                }
+            }
+        }
+        let wave1 = wave_of(groups);
+        let mut wave_of_shard = vec![usize::MAX; n_shards];
+        for (slot, (s, _)) in wave1.iter().enumerate() {
+            wave_of_shard[*s] = slot;
+        }
+        let (_, runs1) = dispatch(1, wave1);
+        for (q, dispatched) in fold.iter().enumerate() {
+            for &(s, slot) in dispatched {
+                let run = &runs1[wave_of_shard[s]];
+                accs[q].absorb(&run.out.lanes[slot], self.views[s].ids);
+            }
+        }
+        for run in &runs1 {
+            agg.add(run);
+        }
+    }
+
+    /// Work-conserving parallel schedule (`1 < shard_threads <
+    /// n_shards`): each wave dispatches every lane's *next* shard in
+    /// visit order that the running accumulator cannot rule out, groups
+    /// the wave into one sub-batch per shard, and executes those
+    /// concurrently.
+    ///
+    /// Per lane, every shard is checked exactly once, with exactly the
+    /// accumulator state the sequential path would have at that check
+    /// (the results of the lane's earlier dispatched shards) — so the
+    /// executed (lane, shard) set, the prune count, and the merged
+    /// results are all identical to [`Self::rounds`]. What differs is
+    /// grouping: lanes at different visit depths land in the same wave's
+    /// sub-batch for a shard, so waves are fewer and fuller than
+    /// sequential rounds — better warp packing and fewer profiler
+    /// consultations for the same traversal work.
+    fn cursor_waves(&self, accs: &mut [LaneAcc], agg: &mut StatAgg, dispatch: &mut DispatchFn<'_>) {
+        let n_shards = self.views.len();
+        // cursor[q] = how far down q's visit order we have decided.
+        let mut cursor = vec![0usize; self.lanes.len()];
+        for wave_no in 0..n_shards as u32 {
+            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+            for (q, order) in self.visit.iter().enumerate() {
+                while cursor[q] < n_shards {
+                    let (lb, s) = order[cursor[q]];
+                    cursor[q] += 1;
+                    if self.keep(accs[q].improvable(lb), agg, s, wave_no) {
+                        groups[s as usize].push(q);
+                        break;
+                    }
+                }
+            }
+            let wave = wave_of(groups);
+            if wave.is_empty() {
+                // Nothing admissible anywhere — every cursor is spent.
+                break;
+            }
+            let (wave, runs) = dispatch(wave_no, wave);
+            self.absorb_wave(accs, agg, &wave, &runs);
         }
     }
 }
@@ -889,382 +1200,15 @@ impl<const D: usize> TreeIndex for ShardedIndex<D> {
         self.n_points
     }
 
-    fn run_fused(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> Option<FusedOutcome> {
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
-        Some(self.run_fused_rounds(lanes, policy, epoch))
-    }
-
-    fn run_batch(&self, op: OpKey, positions: &[Vec<f32>], policy: &ExecPolicy) -> BatchOutcome {
+    fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
         // One epoch per batch: the TTL clock every shard cache shares.
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
-        let threads = policy.shard_threads(self.shards.len());
-        if threads <= 1 {
-            self.run_rounds(op, positions, policy, epoch)
-        } else if threads >= self.shards.len() {
-            // Every shard gets its own worker: overexecuting a shard the
-            // conservative bound chain admits costs idle cores nothing,
-            // so the latency-optimal two-wave schedule wins.
-            self.run_two_waves(op, positions, policy, epoch, threads)
-        } else {
-            // Fewer workers than shards: extra work competes with needed
-            // work for cores, so the work-conserving schedule — executed
-            // set identical to the sequential path — wins.
-            self.run_cursor_waves(op, positions, policy, epoch, threads)
-        }
-    }
-}
-
-impl<const D: usize> ShardedIndex<D> {
-    /// Sequential path (`shard_threads == 1`): round-by-round fan-out,
-    /// pruning each round against the *running* accumulator.
-    fn run_rounds(
-        &self,
-        op: OpKey,
-        positions: &[Vec<f32>],
-        policy: &ExecPolicy,
-        epoch: u64,
-    ) -> BatchOutcome {
-        let n = positions.len();
-        let n_shards = self.shards.len();
-        let r2 = Self::radius2(op);
-        let qpts: Vec<PointN<D>> = positions.iter().map(|p| Self::to_point(p)).collect();
-        let visit = self.visit_orders(&qpts);
-
-        let mut acc: Vec<Acc> = (0..n).map(|_| Acc::new(op)).collect();
-        let mut shards_pruned = 0u64;
+        let views: Vec<ShardView<'_, D>> = (self.shards.iter())
+            .map(|s| s.view(self.profile_ttl > 0))
+            .collect();
         let mut agg = StatAgg::default();
-        // Sub-batch spans are timed against the batch-run start (wall
-        // times, outside the determinism contract like every other wall
-        // measurement).
-        let started = Instant::now();
-
-        for round in 0..n_shards {
-            // Group this round's surviving queries by target shard.
-            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-            for (q, order) in visit.iter().enumerate() {
-                let (lb, s) = order[round];
-                if self.prune && !acc[q].improvable(lb, r2) {
-                    shards_pruned += 1;
-                    agg.note_pruned(s, round as u32);
-                } else {
-                    groups[s as usize].push(q);
-                }
-            }
-            for (s, qs) in groups.iter().enumerate() {
-                if qs.is_empty() {
-                    continue;
-                }
-                let run = self.run_sub(s, round as u32, qs, op, positions, policy, epoch, &started);
-                for (&q, r) in qs.iter().zip(&run.out.results) {
-                    acc[q].absorb(r, &self.shards[s].ids);
-                }
-                agg.add(&run);
-            }
-        }
-        agg.finish(acc.into_iter().map(Acc::finish).collect(), shards_pruned)
-    }
-
-    /// Fused path: sequential round-by-round fan-out under the *union*
-    /// admission rule — a round dispatches a lane's next shard iff any
-    /// constituent op could still improve there. Per-shard sub-runs start
-    /// with fresh lane state (exactly like the unfused per-shard runs)
-    /// and fold back through [`FusedAcc`]'s per-op strict-improvement
-    /// merges, so every constituent's answer is bit-identical to its
-    /// unfused sharded run. Always sequential regardless of
-    /// `shard_parallelism`: correctness of the union prune depends on the
-    /// running accumulator, and the fused batch is already the coalesced
-    /// form of several per-op batches.
-    fn run_fused_rounds(
-        &self,
-        lanes: &[FusedLane],
-        policy: &ExecPolicy,
-        epoch: u64,
-    ) -> FusedOutcome {
-        let n = lanes.len();
-        let n_shards = self.shards.len();
-        let qpts: Vec<PointN<D>> = lanes.iter().map(|l| Self::to_point(&l.pos)).collect();
-        let visit = self.visit_orders(&qpts);
-
-        let mut acc: Vec<FusedAcc> = lanes.iter().map(FusedAcc::new).collect();
-        let mut shards_pruned = 0u64;
-        let mut saved_visits = 0u64;
-        let mut agg = StatAgg::default();
-        let started = Instant::now();
-
-        for round in 0..n_shards {
-            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-            for (q, order) in visit.iter().enumerate() {
-                let (lb, s) = order[round];
-                if self.prune && !acc[q].improvable(lb) {
-                    shards_pruned += 1;
-                    agg.note_pruned(s, round as u32);
-                } else {
-                    groups[s as usize].push(q);
-                }
-            }
-            for (s, qs) in groups.iter().enumerate() {
-                if qs.is_empty() {
-                    continue;
-                }
-                let (run, lane_results) =
-                    self.run_fused_sub(s, round as u32, qs, lanes, policy, epoch, &started);
-                for (&q, r) in qs.iter().zip(&lane_results) {
-                    acc[q].absorb(r, &self.shards[s].ids);
-                }
-                saved_visits += run.out.fusion_saved_visits;
-                agg.add(&run);
-            }
-        }
-        let mut outcome = agg.finish(Vec::new(), shards_pruned);
-        outcome.fused_ops = distinct_ops(lanes);
-        outcome.fused_lanes = n as u64;
-        outcome.fusion_saved_visits = saved_visits;
-        FusedOutcome {
-            lanes: acc.into_iter().map(FusedAcc::finish).collect(),
-            outcome,
-        }
-    }
-
-    /// Run the fused sub-batch of lanes `qs` against shard `shard_i`,
-    /// consulting the shard's profile cache under a fused-specific key
-    /// tag (fused batches mix ops, so their §4.4 decisions must not
-    /// alias any single op's).
-    #[allow(clippy::too_many_arguments)]
-    fn run_fused_sub(
-        &self,
-        shard_i: usize,
-        round: u32,
-        qs: &[usize],
-        lanes: &[FusedLane],
-        policy: &ExecPolicy,
-        epoch: u64,
-        started: &Instant,
-    ) -> (SubRun, Vec<FusedLaneResult>) {
-        let shard = &self.shards[shard_i];
-        let sub: Vec<FusedLane> = qs.iter().map(|&q| lanes[q].clone()).collect();
-        let use_cache = self.profile_ttl > 0
-            && policy.profile_cache
-            && policy.force.is_none()
-            && sub.len() >= 2;
-        let offset_us = started.elapsed().as_micros() as u64;
-        let fused = if use_cache {
-            let mut octants = 0u64;
-            for lane in &sub {
-                octants |= 1 << (morton_prefix(&Self::to_point(&lane.pos), &shard.bbox, 1) & 63);
-            }
-            let bucket = u64::from(sub.len().ilog2());
-            let key = profile_key(
-                policy.profile_seed,
-                &[3, u64::from(distinct_ops(&sub)), bucket, octants],
-            );
-            let ctx = ProfileCtx {
-                cache: &shard.profile,
-                key,
-                epoch,
-            };
-            shard.index.run_fused_profiled(&sub, policy, Some(&ctx))
-        } else {
-            shard.index.run_fused_profiled(&sub, policy, None)
-        };
-        let dur_us = (started.elapsed().as_micros() as u64).saturating_sub(offset_us);
-        let run = SubRun {
-            shard: shard_i as u32,
-            round,
-            queries: qs.len() as u32,
-            out: fused.outcome,
-            offset_us,
-            dur_us,
-        };
-        (run, fused.lanes)
-    }
-
-    /// Latency-optimal parallel path (`shard_threads == n_shards`): two
-    /// waves of concurrent sub-batches instead of up-to-N sequential
-    /// rounds.
-    ///
-    /// Wave 0 sends every query to its home shard (closest box). Wave 1
-    /// walks each query's remaining shards in visit order and dispatches
-    /// the ones that neither the post-home accumulator nor the
-    /// [`DispatchBound`] chain of already-dispatched boxes can rule out —
-    /// all of wave 1 is grouped into one sub-batch per shard and executed
-    /// concurrently. The chain is conservative (farthest-corner bounds
-    /// instead of actual best distances), so this path may execute shards
-    /// the sequential path would have pruned — acceptable only because
-    /// every shard has a dedicated worker. Partial results are folded in
-    /// each query's visit order, and merges admit only strict
-    /// improvements, so the outputs are bit-identical to the sequential
-    /// path's.
-    fn run_two_waves(
-        &self,
-        op: OpKey,
-        positions: &[Vec<f32>],
-        policy: &ExecPolicy,
-        epoch: u64,
-        threads: usize,
-    ) -> BatchOutcome {
-        let n = positions.len();
-        let n_shards = self.shards.len();
-        let r2 = Self::radius2(op);
-        let qpts: Vec<PointN<D>> = positions.iter().map(|p| Self::to_point(p)).collect();
-        let visit = self.visit_orders(&qpts);
-
-        let mut acc: Vec<Acc> = (0..n).map(|_| Acc::new(op)).collect();
-        let mut shards_pruned = 0u64;
-        let mut agg = StatAgg::default();
-        let started = Instant::now();
-        let ctx = WaveCtx {
-            op,
-            positions,
-            policy,
-            epoch,
-            started: &started,
-        };
-
-        self.with_wave_pool(threads, ctx, |dispatch| {
-            // Wave 0: home shards. Only the fresh-accumulator rule applies
-            // (PC can rule a shard out by radius alone; NN/kNN cannot yet).
-            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-            for (q, order) in visit.iter().enumerate() {
-                let (lb, s) = order[0];
-                if self.prune && !acc[q].improvable(lb, r2) {
-                    shards_pruned += 1;
-                    agg.note_pruned(s, 0);
-                } else {
-                    groups[s as usize].push(q);
-                }
-            }
-            let wave0: Wave = groups
-                .into_iter()
-                .enumerate()
-                .filter(|(_, qs)| !qs.is_empty())
-                .collect();
-            let (wave0, runs0) = dispatch(0, wave0);
-            for ((s, qs), run) in wave0.iter().zip(&runs0) {
-                for (&q, r) in qs.iter().zip(&run.out.results) {
-                    acc[q].absorb(r, &self.shards[*s].ids);
-                }
-            }
-
-            // Wave 1: everything the home results and the AABB-bound chain
-            // cannot rule out, one sub-batch per shard. `fold` remembers each
-            // query's dispatched (shard, slot) pairs in visit order so the
-            // merge below replays the sequential absorb order exactly.
-            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-            let mut fold: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-            for (q, order) in visit.iter().enumerate() {
-                let mut chain = DispatchBound::new(op, &acc[q]);
-                for &(lb, s) in &order[1..] {
-                    let s = s as usize;
-                    if !self.prune || (acc[q].improvable(lb, r2) && chain.admits(lb)) {
-                        fold[q].push((s, groups[s].len()));
-                        groups[s].push(q);
-                        chain.cover(&self.shards[s], &qpts[q]);
-                    } else {
-                        shards_pruned += 1;
-                        agg.note_pruned(s as u32, 1);
-                    }
-                }
-            }
-            let mut wave1: Wave = Vec::new();
-            let mut wave_of_shard = vec![usize::MAX; n_shards];
-            for (s, qs) in groups.into_iter().enumerate() {
-                if !qs.is_empty() {
-                    wave_of_shard[s] = wave1.len();
-                    wave1.push((s, qs));
-                }
-            }
-            let (_, runs1) = dispatch(1, wave1);
-            for (q, dispatched) in fold.iter().enumerate() {
-                for &(s, slot) in dispatched {
-                    let run = &runs1[wave_of_shard[s]];
-                    acc[q].absorb(&run.out.results[slot], &self.shards[s].ids);
-                }
-            }
-
-            for run in runs0.iter().chain(&runs1) {
-                agg.add(run);
-            }
-        });
-        agg.finish(acc.into_iter().map(Acc::finish).collect(), shards_pruned)
-    }
-
-    /// Work-conserving parallel path (`1 < shard_threads < n_shards`):
-    /// each wave dispatches every query's *next* shard in visit order
-    /// that the running accumulator cannot rule out, groups the wave
-    /// into one sub-batch per shard, and executes those concurrently.
-    ///
-    /// Per query, every shard is checked exactly once, with exactly the
-    /// accumulator state the sequential path would have at that check
-    /// (the results of the query's earlier dispatched shards) — so the
-    /// executed (query, shard) set, the prune count, and the merged
-    /// results are all identical to [`run_rounds`]. What differs is
-    /// grouping: queries at different visit depths land in the same
-    /// wave's sub-batch for a shard, so waves are fewer and fuller than
-    /// sequential rounds — better warp packing and fewer profiler
-    /// consultations for the same traversal work.
-    fn run_cursor_waves(
-        &self,
-        op: OpKey,
-        positions: &[Vec<f32>],
-        policy: &ExecPolicy,
-        epoch: u64,
-        threads: usize,
-    ) -> BatchOutcome {
-        let n = positions.len();
-        let n_shards = self.shards.len();
-        let r2 = Self::radius2(op);
-        let qpts: Vec<PointN<D>> = positions.iter().map(|p| Self::to_point(p)).collect();
-        let visit = self.visit_orders(&qpts);
-
-        let mut acc: Vec<Acc> = (0..n).map(|_| Acc::new(op)).collect();
-        let mut shards_pruned = 0u64;
-        let mut agg = StatAgg::default();
-        let started = Instant::now();
-        let ctx = WaveCtx {
-            op,
-            positions,
-            policy,
-            epoch,
-            started: &started,
-        };
-
-        self.with_wave_pool(threads, ctx, |dispatch| {
-            // cursor[q] = how far down q's visit order we have decided.
-            let mut cursor = vec![0usize; n];
-            for wave_no in 0..n_shards as u32 {
-                let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-                for (q, order) in visit.iter().enumerate() {
-                    while cursor[q] < n_shards {
-                        let (lb, s) = order[cursor[q]];
-                        cursor[q] += 1;
-                        if self.prune && !acc[q].improvable(lb, r2) {
-                            shards_pruned += 1;
-                            agg.note_pruned(s, wave_no);
-                        } else {
-                            groups[s as usize].push(q);
-                            break;
-                        }
-                    }
-                }
-                let wave: Wave = groups
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, qs)| !qs.is_empty())
-                    .collect();
-                if wave.is_empty() {
-                    // Nothing admissible anywhere — every cursor is spent.
-                    break;
-                }
-                let (wave, runs) = dispatch(wave_no, wave);
-                for ((s, qs), run) in wave.iter().zip(&runs) {
-                    for (&q, r) in qs.iter().zip(&run.out.results) {
-                        acc[q].absorb(r, &self.shards[*s].ids);
-                    }
-                    agg.add(run);
-                }
-            }
-        });
-        agg.finish(acc.into_iter().map(Acc::finish).collect(), shards_pruned)
+        let accs = sweep(&views, lanes, policy, self.prune, epoch, &mut agg);
+        agg.finish(lanes, accs)
     }
 }
 
@@ -1372,6 +1316,48 @@ mod tests {
             assert!(w.shard_visits.iter().all(|v| v.round <= 1));
             assert!(w.node_visits >= s.node_visits);
             assert!(w.shards_pruned <= s.shards_pruned);
+        }
+    }
+
+    #[test]
+    fn panicking_sub_batch_unwinds_the_dispatcher_and_spares_the_pool() {
+        let pts = uniform::<3>(1024, 41);
+        let idx = std::sync::Arc::new(ShardedIndex::build(
+            "boom",
+            &pts,
+            8,
+            8,
+            SplitPolicy::MedianCycle,
+        ));
+        // Every point is a query, so every shard is some lane's home.
+        let queries: Vec<Vec<f32>> = pts.iter().map(|p| p.0.to_vec()).collect();
+        // Sequential rounds, cursor waves, two waves.
+        for threads in [1usize, 4, 8] {
+            let policy = ExecPolicy {
+                shard_parallelism: threads,
+                ..cpu()
+            };
+            let want = idx.run_batch(OpKey::Knn(4), &queries, &policy).results;
+            idx.arm_failpoint(5);
+            // Run on a thread of its own, so that a dispatcher left
+            // waiting for the dead sub-batch fails the test instead of
+            // hanging it.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let runner = {
+                let (idx, queries, policy) = (idx.clone(), queries.clone(), policy.clone());
+                std::thread::spawn(move || {
+                    let run = || idx.run_batch(OpKey::Knn(4), &queries, &policy);
+                    let _ = tx.send(catch_unwind(AssertUnwindSafe(run)).map(|out| out.results));
+                })
+            };
+            let got = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{threads} threads: run hung on a panicked sub-batch"));
+            assert!(got.is_err(), "{threads} threads: the panic must surface");
+            runner.join().unwrap();
+            // The failpoint fired once; the index serves the next batch.
+            let again = idx.run_batch(OpKey::Knn(4), &queries, &policy).results;
+            assert_eq!(again, want, "{threads} threads");
         }
     }
 

@@ -54,22 +54,36 @@ fn query_positions(pts: &[PointN<3>], seed: u64) -> Vec<Vec<f32>> {
 }
 
 /// The mutable index's answers vs a from-scratch flat build over the
-/// same live multiset, for every op × backend. Distances must agree
-/// within f32 epsilon (ids may differ only on exact ties); kNN ids must
-/// be unique (a torn or double-counted shard would duplicate); PC counts
-/// must be exactly equal.
+/// same live multiset, for every op × backend × sweep schedule
+/// (`shard_parallelism` 1, 2 and one thread per shard: sequential rounds,
+/// cursor waves, two waves). Distances must agree within f32 epsilon (ids
+/// may differ only on exact ties); kNN ids must be unique (a torn or
+/// double-counted shard would duplicate); PC counts must be exactly
+/// equal.
 fn check_vs_flat_rebuild(idx: &MutableIndex<3>, queries: &[Vec<f32>], ctx: &str) {
     let live: Vec<PointN<3>> = idx.live().into_iter().map(|(_, p)| p).collect();
     assert!(!live.is_empty(), "{ctx}: script emptied the index");
     let flat = KdIndex::build("flat-oracle", &live, 8, SplitPolicy::MedianCycle);
     let cpu = ExecPolicy::forced(Backend::Cpu);
+    let mut schedules = vec![1, 2, idx.n_shards().max(1)];
+    schedules.dedup();
     for op in [OpKey::Nn, OpKey::Knn(8), OpKey::Pc(PC_RADIUS.to_bits())] {
         let want = flat.run_batch(op, queries, &cpu);
-        for backend in BACKENDS {
-            let got = idx.run_batch(op, queries, &ExecPolicy::forced(backend));
+        for (backend, &threads) in BACKENDS
+            .iter()
+            .flat_map(|b| schedules.iter().map(move |t| (*b, t)))
+        {
+            let policy = ExecPolicy {
+                shard_parallelism: threads,
+                ..ExecPolicy::forced(backend)
+            };
+            let got = idx.run_batch(op, queries, &policy);
             assert_eq!(got.results.len(), want.results.len());
             for (q, (w, g)) in want.results.iter().zip(&got.results).enumerate() {
-                let ctx = format!("{ctx}, {op:?}, {}, query {q}", backend.name());
+                let ctx = format!(
+                    "{ctx}, {op:?}, {}, {threads} threads, query {q}",
+                    backend.name()
+                );
                 match (w, g) {
                     (QueryResult::Nn { dist2: wd, .. }, QueryResult::Nn { dist2: gd, .. }) => {
                         assert!(close(*wd, *gd), "{ctx}: nn {wd} vs {gd}");
@@ -134,18 +148,45 @@ fn scripted_batch(
 fn mutable_index_matches_flat_rebuild_at_every_epoch() {
     let pts = uniform::<3>(N_POINTS, 0x11fe);
     let queries = query_positions(&pts, 0xfee1);
-    for shards in SHARD_COUNTS {
+    // The last configuration is built over no points at all and grows
+    // from inserts: zero shards first, every answer from the deltas.
+    for (shards, grown) in (SHARD_COUNTS.iter().map(|&s| (s, false))).chain([(4, true)]) {
         // auto_merge(false): each window and each epoch advance happens
         // exactly when the script says, so every state is pinned.
         let idx = MutableIndexBuilder::new("live", shards)
             .auto_merge(false)
-            .build(&pts);
+            .build(if grown { &[] } else { &pts });
         let mut rng = ChaCha8Rng::seed_from_u64(0xab5eed ^ shards as u64);
         let mut live_ids: Vec<u32> = (0..N_POINTS as u32).collect();
+        if grown {
+            assert_eq!(idx.n_shards(), 0);
+            let seed: Vec<Mutation> = (pts.iter())
+                .map(|p| Mutation::Insert { pos: p.0.to_vec() })
+                .collect();
+            let ack = idx.mutate(&seed).unwrap();
+            assert_eq!(ack.assigned, live_ids, "fresh ids count up from zero");
+            check_vs_flat_rebuild(&idx, &queries, "grown, all points pending");
+            assert!(idx.merge_now());
+            assert!(idx.n_shards() > 0);
+        }
         check_vs_flat_rebuild(&idx, &queries, &format!("{shards} shards, epoch 0"));
         let mut window_ids: Vec<u32> = Vec::new();
         for step in 0..3 {
-            let muts = scripted_batch(&pts, &mut rng, &mut live_ids, &window_ids, step);
+            let mut muts = scripted_batch(&pts, &mut rng, &mut live_ids, &window_ids, step);
+            if step == 1 {
+                // Delete what the first queries currently answer NN with,
+                // so the window must re-probe the trees for runners-up.
+                let nn = idx.run_batch(OpKey::Nn, &queries[..16], &ExecPolicy::default());
+                for r in &nn.results {
+                    let QueryResult::Nn { id, .. } = r else {
+                        panic!("nn answered with {r:?}")
+                    };
+                    if let Some(at) = live_ids.iter().position(|x| x == id) {
+                        live_ids.swap_remove(at);
+                        muts.push(Mutation::Delete { id: *id });
+                    }
+                }
+            }
             let ack = idx.mutate(&muts).unwrap();
             assert_eq!(ack.rejected, 0, "script only deletes live ids");
             live_ids.extend(&ack.assigned);

@@ -12,6 +12,7 @@ use gts_apps::kbest::KBest;
 use gts_apps::knn::{KnnKernel, KnnPoint};
 use gts_apps::nn::{NnAabbKernel, NnPoint};
 use gts_apps::pc::{PcKernel, PcPoint};
+use gts_integration::mixed_lanes;
 use gts_points::gen::uniform;
 use gts_runtime::cpu::trace_one;
 use gts_service::{
@@ -23,41 +24,6 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, HashSet};
-
-const KS: [usize; 2] = [3, 8];
-const RADII: [f32; 2] = [0.08, 0.2];
-
-/// Seeded mixed lanes: positions near dataset anchors, each lane asking
-/// a random non-empty subset of {NN, kNN(3), kNN(8), PC(r1), PC(r2)}.
-fn mixed_lanes(data: &[PointN<3>], n: usize, seed: u64) -> Vec<FusedLane> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let anchor = data[rng.gen_range(0..data.len())];
-            let pos: Vec<f32> = anchor
-                .0
-                .iter()
-                .map(|&c| c + rng.gen_range(-0.05f32..0.05))
-                .collect();
-            let mut lane = FusedLane::empty(pos);
-            lane.nn = rng.gen_bool(0.5);
-            for k in KS {
-                if rng.gen_bool(0.5) {
-                    lane.knn_ks.push(k);
-                }
-            }
-            for r in RADII {
-                if rng.gen_bool(0.5) {
-                    lane.pc_radii.push(r.to_bits());
-                }
-            }
-            if lane.ops() == 0 {
-                lane.nn = true;
-            }
-            lane
-        })
-        .collect()
-}
 
 /// Today's per-op dispatch over the same lanes: gather each op's
 /// positions, run one batch per op, scatter results back into the
@@ -202,39 +168,57 @@ fn fused_matches_unfused_and_flat_cpu_across_shards_and_backends() {
 #[test]
 fn fused_stays_exact_mid_epoch_window() {
     let pts = uniform::<3>(512, 977);
-    // auto_merge(false) freezes the epoch mid-window: the deltas stay
-    // pending, so every fused answer must flow through the widened-k
-    // sweep plus per-constituent corrections.
-    let idx = MutableIndexBuilder::new("fuse-epoch", 2)
-        .auto_merge(false)
-        .build(&pts);
-    let mut rng = ChaCha8Rng::seed_from_u64(31);
-    let mut muts = Vec::new();
-    for _ in 0..40 {
-        let anchor = pts[rng.gen_range(0..pts.len())];
-        muts.push(Mutation::Insert {
-            pos: anchor
-                .0
-                .iter()
-                .map(|&c| c + rng.gen_range(-0.03f32..0.03))
-                .collect(),
-        });
-    }
-    for id in (0..512u32).step_by(17) {
-        muts.push(Mutation::Delete { id });
-    }
-    idx.mutate(&muts).expect("mutations are valid");
-    assert!(idx.stats().pending > 0, "deltas must still be in flight");
-
     let lanes = mixed_lanes(&pts, 40, 5150);
-    for backend in [Backend::Autoropes, Backend::Cpu] {
-        let policy = ExecPolicy::forced(backend);
-        let ctx = format!("mid-epoch, {}", backend.name());
-        let fused = idx
-            .run_fused(&lanes, &policy)
-            .unwrap_or_else(|| panic!("{ctx}: mutable index supports fused dispatch"));
-        let want = unfused_answers(&idx, &lanes, &policy);
-        assert_identical(&fused.lanes, &want, &ctx);
+    for shards in [2usize, 4] {
+        // auto_merge(false) freezes the epoch mid-window: the deltas stay
+        // pending, so every fused answer must flow through the widened-k
+        // sweep plus per-constituent corrections.
+        let idx = MutableIndexBuilder::new("fuse-epoch", shards)
+            .auto_merge(false)
+            .build(&pts);
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let mut muts = Vec::new();
+        for _ in 0..40 {
+            let anchor = pts[rng.gen_range(0..pts.len())];
+            muts.push(Mutation::Insert {
+                pos: anchor
+                    .0
+                    .iter()
+                    .map(|&c| c + rng.gen_range(-0.03f32..0.03))
+                    .collect(),
+            });
+        }
+        for id in (0..512u32).step_by(17) {
+            muts.push(Mutation::Delete { id });
+        }
+        idx.mutate(&muts).expect("mutations are valid");
+        assert!(idx.stats().pending > 0, "deltas must still be in flight");
+
+        // A flat index built from scratch over the live points is the
+        // reference the whole window must agree with.
+        let live: Vec<PointN<3>> = idx.live().into_iter().map(|(_, p)| p).collect();
+        let rebuilt = KdIndex::build("fuse-rebuilt", &live, 8, SplitPolicy::MedianCycle);
+        let oracle = unfused_answers(&rebuilt, &lanes, &ExecPolicy::forced(Backend::Cpu));
+
+        // Sequential rounds, cursor waves (on 4 shards) and two waves.
+        for threads in [1, 2, shards] {
+            for backend in [Backend::Autoropes, Backend::Cpu] {
+                let policy = ExecPolicy {
+                    shard_parallelism: threads,
+                    ..ExecPolicy::forced(backend)
+                };
+                let ctx = format!(
+                    "mid-epoch, {shards} shards, {threads} threads, {}",
+                    backend.name()
+                );
+                let fused = idx
+                    .run_fused(&lanes, &policy)
+                    .unwrap_or_else(|| panic!("{ctx}: mutable index supports fused dispatch"));
+                let want = unfused_answers(&idx, &lanes, &policy);
+                assert_identical(&fused.lanes, &want, &ctx);
+                assert_values_match(&fused.lanes, &oracle, &format!("{ctx} vs flat rebuild"));
+            }
+        }
     }
 }
 

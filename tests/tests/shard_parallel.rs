@@ -8,6 +8,7 @@
 //! exactly what a fresh profiler run returns, and a hit replays the
 //! memoized decision verbatim under a fixed seed.
 
+use gts_integration::mixed_lanes;
 use gts_points::gen::uniform;
 use gts_points::profile::{
     profile_key, profile_sortedness, profile_sortedness_cached, ProfileCache,
@@ -108,6 +109,47 @@ fn parallel_matches_sequential_and_flat_for_every_op_and_shard_count() {
             assert_eq!(seq.results.len(), want.results.len());
             for (q, (w, g)) in want.results.iter().zip(&seq.results).enumerate() {
                 check_vs_flat(w, g, shards, q);
+            }
+        }
+    }
+
+    // The same oracle over mixed lane batches (each lane a random subset
+    // of NN / two kNN ks / two PC radii): a lane is dispatched to a shard
+    // while *any* of its ops could still improve there, on every
+    // schedule.
+    let lanes = mixed_lanes(&pts, 600, 0x1a9e5);
+    let want = flat.run(&lanes, &sequential());
+    for shards in SHARD_COUNTS {
+        let idx = ShardedIndex::build("sharded", &pts, shards, 8, SplitPolicy::MedianCycle);
+        let seq = idx.run(&lanes, &sequential());
+        assert_eq!(seq.outcome.fused_lanes, lanes.len() as u64);
+        for (q, (w, g)) in want.lanes.iter().zip(&seq.lanes).enumerate() {
+            assert_eq!(w.answers().count(), g.answers().count());
+            for (w, g) in w.answers().zip(g.answers()) {
+                check_vs_flat(w, g, shards, q);
+            }
+        }
+        // 4 threads: cursor waves on 8 shards; `shards` threads: two waves.
+        for threads in [4, shards] {
+            let par = idx.run(&lanes, &parallel(threads));
+            assert_eq!(
+                seq.lanes, par.lanes,
+                "{shards} shards, {threads} threads: mixed lanes diverged from sequential"
+            );
+            if 1 < threads && threads < idx.n_shards() {
+                // Cursor waves decide every (lane, shard) pair with the
+                // accumulator state the sequential rounds have at that
+                // check, so the executed set — pure traversal counts on
+                // the CPU backend, whatever the grouping — is the same.
+                assert_eq!(par.outcome.node_visits, seq.outcome.node_visits);
+                assert_eq!(par.outcome.shards_pruned, seq.outcome.shards_pruned);
+            } else if threads > 1 {
+                // Two waves: at most two rounds, and the conservative
+                // bound chain may execute extra shards — but never prunes
+                // one the exact rule would have kept.
+                assert!(par.outcome.shard_visits.iter().all(|v| v.round <= 1));
+                assert!(par.outcome.node_visits >= seq.outcome.node_visits);
+                assert!(par.outcome.shards_pruned <= seq.outcome.shards_pruned);
             }
         }
     }
