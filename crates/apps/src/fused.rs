@@ -125,6 +125,9 @@ impl<const D: usize> TraversalKernel for MultiPcKernel<'_, D> {
             )
         })
     }
+    fn n_leaf_elems(&self) -> u64 {
+        self.tree.n_points() as u64
+    }
     fn node_bytes(&self) -> NodeBytes {
         NodeBytes::kd(D)
     }
@@ -301,6 +304,73 @@ mod tests {
         let tree = KdTree::build(&pts, 8, SplitPolicy::MedianCycle);
         let lb = LbKdTree::build(&tree.points);
         (pts, tree, lb)
+    }
+
+    /// Delegates everything but `n_leaf_elems`, so that method is the
+    /// trait's default leaf scan over the wrapped kernel's buckets.
+    struct DefaultScan<'k, K>(&'k K);
+
+    impl<K: TraversalKernel> TraversalKernel for DefaultScan<'_, K> {
+        type Point = K::Point;
+        type Args = K::Args;
+        const MAX_KIDS: usize = K::MAX_KIDS;
+        const CALL_SETS: usize = K::CALL_SETS;
+        fn n_nodes(&self) -> usize {
+            self.0.n_nodes()
+        }
+        fn is_leaf(&self, node: NodeId) -> bool {
+            self.0.is_leaf(node)
+        }
+        fn leaf_range(&self, node: NodeId) -> Option<(u32, u32)> {
+            self.0.leaf_range(node)
+        }
+        fn node_bytes(&self) -> NodeBytes {
+            self.0.node_bytes()
+        }
+        fn max_depth(&self) -> usize {
+            self.0.max_depth()
+        }
+        fn root_args(&self) -> K::Args {
+            self.0.root_args()
+        }
+        fn visit(
+            &self,
+            p: &mut K::Point,
+            node: NodeId,
+            args: K::Args,
+            forced: Option<usize>,
+            kids: &mut ChildBuf<K::Args>,
+        ) -> VisitOutcome {
+            self.0.visit(p, node, args, forced, kids)
+        }
+    }
+
+    #[test]
+    fn kd_kernels_leaf_elem_count_equals_the_default_scan() {
+        let mut dup_heavy = vec![PointN([0.5f32, -0.25, 0.125]); 300];
+        dup_heavy.extend(uniform::<3>(200, 5));
+        for pts in [uniform::<3>(1, 1), uniform::<3>(777, 2), dup_heavy] {
+            for policy in [SplitPolicy::MedianCycle, SplitPolicy::MidpointWidest] {
+                for leaf_size in [1, 8, 32] {
+                    let tree = KdTree::build(&pts, leaf_size, policy);
+                    let n = pts.len() as u64;
+                    let label = format!("{n} points, {policy:?}, leaf_size {leaf_size}");
+                    macro_rules! check {
+                        ($kernel:expr) => {
+                            let k = $kernel;
+                            assert_eq!(k.n_leaf_elems(), n, "{label}");
+                            assert_eq!(DefaultScan(&k).n_leaf_elems(), n, "{label}");
+                        };
+                    }
+                    check!(NnKernel::new(&tree));
+                    check!(NnAabbKernel::new(&tree));
+                    check!(KnnKernel::new(&tree));
+                    check!(PcKernel::new(&tree, 0.2));
+                    check!(MultiPcKernel::new(&tree));
+                    check!(fused_ops_kernel(&tree));
+                }
+            }
+        }
     }
 
     #[test]

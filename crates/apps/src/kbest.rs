@@ -77,13 +77,16 @@ impl KBest {
         if self.full() && d2 >= self.bound() {
             return false;
         }
-        let pos = self.d2.partition_point(|&x| x <= d2);
-        self.d2.insert(pos, d2);
-        self.ids.insert(pos, id);
-        if self.d2.len() > self.k {
+        // A full set evicts its worst (the bound `d2` just beat) before
+        // the insert, so the vectors never outgrow the capacity `k` they
+        // were created with.
+        if self.full() {
             self.d2.pop();
             self.ids.pop();
         }
+        let pos = self.d2.partition_point(|&x| x <= d2);
+        self.d2.insert(pos, d2);
+        self.ids.insert(pos, id);
         true
     }
 

@@ -86,6 +86,9 @@ impl<const D: usize> TraversalKernel for NnKernel<'_, D> {
             )
         })
     }
+    fn n_leaf_elems(&self) -> u64 {
+        self.tree.n_points() as u64
+    }
     fn node_bytes(&self) -> NodeBytes {
         NodeBytes::kd(D)
     }
@@ -207,6 +210,9 @@ impl<const D: usize> TraversalKernel for NnAabbKernel<'_, D> {
                 self.tree.count[node as usize],
             )
         })
+    }
+    fn n_leaf_elems(&self) -> u64 {
+        self.tree.n_points() as u64
     }
     fn node_bytes(&self) -> NodeBytes {
         NodeBytes::kd(D)

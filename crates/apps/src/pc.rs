@@ -75,6 +75,9 @@ impl<const D: usize> TraversalKernel for PcKernel<'_, D> {
             )
         })
     }
+    fn n_leaf_elems(&self) -> u64 {
+        self.tree.n_points() as u64
+    }
     fn node_bytes(&self) -> NodeBytes {
         NodeBytes::kd(D)
     }

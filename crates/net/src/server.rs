@@ -22,7 +22,7 @@
 use crate::frame::{read_frame, write_frame, Frame, WireError, PROTOCOL_VERSION};
 use gts_service::trace::NO_ID;
 use gts_service::{EventKind, Query, QueryResult, Service, TraceContext};
-use std::io::{BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter};
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -240,10 +240,20 @@ impl Drop for NetServer {
     }
 }
 
+/// Accept one connection, with Nagle's algorithm off as on the client
+/// side: replies are whole frames written in one flush, and a delayed-ACK
+/// peer would otherwise hold pipelined frames back ~40 ms.
+fn accept(listener: &TcpListener) -> io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    stream.set_nodelay(true).ok();
+    Ok(stream)
+}
+
 fn accept_loop(listener: TcpListener, service: Arc<Service>, stop: Arc<AtomicBool>) {
     let mut conn_id: u64 = 0;
     let mut handles: Vec<JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
+    loop {
+        let stream = accept(&listener);
         if stop.load(Ordering::SeqCst) {
             break;
         }
@@ -545,5 +555,18 @@ fn submit_batch(
             }
             Err(err) => agg.fill(i, Err(WireError::from_service(&err))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let server_side = accept(&listener).unwrap();
+        assert!(server_side.nodelay().unwrap());
     }
 }

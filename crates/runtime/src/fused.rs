@@ -124,6 +124,9 @@ where
     fn leaf_range(&self, node: NodeId) -> Option<(u32, u32)> {
         self.a.leaf_range(node)
     }
+    fn n_leaf_elems(&self) -> u64 {
+        self.a.n_leaf_elems()
+    }
     fn node_bytes(&self) -> NodeBytes {
         self.a.node_bytes()
     }

@@ -37,7 +37,14 @@ fn warp_body<K: TraversalKernel>(
         node: 0 as NodeId,
         args: kernel.root_args(),
     };
-    let mut stacks: Vec<Vec<Child<K::Args>>> = (0..n_lanes).map(|_| vec![root]).collect();
+    // A binary DFS holds at most depth + 1 entries; wider trees grow.
+    let mut stacks: Vec<Vec<Child<K::Args>>> = (0..n_lanes)
+        .map(|_| {
+            let mut stack = Vec::with_capacity(kernel.max_depth() + 2);
+            stack.push(root);
+            stack
+        })
+        .collect();
     let mut counts = vec![0u32; n_lanes];
     let mut warp_iters = 0u64;
     let mut max_depth = 1usize;
@@ -66,8 +73,10 @@ fn warp_body<K: TraversalKernel>(
         sim.step(kernel.visit_insts());
         sim.visit_node(active.count() as u64);
 
-        // Execute the real visit per lane; classify outcomes.
-        let mut outcome_kinds = [0u8; WARP_SIZE]; // 0 idle, 1 trunc, 2 leaf, 3+set descend
+        // Execute the real visit per lane; classify outcomes. Bit `k` of
+        // `outcome_kinds` is set when some lane's outcome was of kind `k`:
+        // 1 truncated, 2 leaf, 3 + call set descended.
+        let mut outcome_kinds = 0u64;
         let mut leaf_of: [Option<(u32, u32)>; WARP_SIZE] = [None; WARP_SIZE];
         let mut pushed = [0u8; WARP_SIZE];
         let mut descend_mask = WarpMask::NONE;
@@ -76,13 +85,13 @@ fn warp_body<K: TraversalKernel>(
             counts[l] += 1;
             kids.clear();
             match kernel.visit(&mut lanes[l], node, args, None, &mut kids) {
-                VisitOutcome::Truncated => outcome_kinds[l] = 1,
+                VisitOutcome::Truncated => outcome_kinds |= 1 << 1,
                 VisitOutcome::Leaf => {
-                    outcome_kinds[l] = 2;
+                    outcome_kinds |= 1 << 2;
                     leaf_of[l] = kernel.leaf_range(node);
                 }
                 VisitOutcome::Descended { call_set } => {
-                    outcome_kinds[l] = 3 + call_set as u8;
+                    outcome_kinds |= 1 << (3 + call_set);
                     descend_mask = descend_mask.set(l);
                     pushed[l] = kids.len() as u8;
                     // Push in reverse so the first child pops first
@@ -96,10 +105,7 @@ fn warp_body<K: TraversalKernel>(
         }
 
         // Branch divergence: distinct outcome classes among active lanes.
-        let mut classes: Vec<u8> = active.iter_active().map(|l| outcome_kinds[l]).collect();
-        classes.sort_unstable();
-        classes.dedup();
-        sim.diverge(classes.len() as u64);
+        sim.diverge(u64::from(outcome_kinds.count_ones()));
 
         // Leaf lanes scan their buckets together (ragged, masked).
         if active.iter_active().any(|l| leaf_of[l].is_some()) {
@@ -131,7 +137,7 @@ fn warp_body<K: TraversalKernel>(
     }
     // Per-lane stacks: the warp's peak footprint is its deepest observed
     // stack times one entry per lane.
-    sim.counters.stack_bytes_peak = max_depth as u64 * scene.stack.entry_bytes() * n_lanes as u64;
+    sim.stack_peak(max_depth as u64 * scene.stack.entry_bytes() * n_lanes as u64);
     (counts, warp_iters, max_depth)
 }
 

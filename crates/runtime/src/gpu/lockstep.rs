@@ -80,6 +80,10 @@ fn warp_body<K: TraversalKernel>(
     let mut warp_nodes = 0u64;
     let mut max_depth = 1usize;
     let mut kids: ChildBuf<K::Args> = Vec::with_capacity(K::MAX_KIDS);
+    // The children the warp descends into at the current node: their ids
+    // and, per child, one argument slot per lane. Reused across pops.
+    let mut slot_nodes: Vec<NodeId> = Vec::with_capacity(K::MAX_KIDS);
+    let mut slot_args: Vec<[K::Args; WARP_SIZE]> = Vec::with_capacity(K::MAX_KIDS);
 
     while let Some(Entry { node, mask, args }) = stack.pop() {
         // Loop header + pop of the shared entry.
@@ -114,8 +118,8 @@ fn warp_body<K: TraversalKernel>(
         // lanes agree once the call set is forced); each lane contributes
         // its own argument for every child slot.
         let mut new_mask = mask;
-        let mut slot_nodes: Vec<NodeId> = Vec::new();
-        let mut slot_args: Vec<[K::Args; WARP_SIZE]> = Vec::new();
+        slot_nodes.clear();
+        slot_args.clear();
         for l in mask.iter_active() {
             kids.clear();
             match kernel.visit(&mut lanes[l], node, args[l], forced, &mut kids) {
@@ -129,9 +133,8 @@ fn warp_body<K: TraversalKernel>(
                         // argument (never read — their mask bit is clear).
                         slot_args.resize(kids.len(), args);
                     } else {
-                        debug_assert_eq!(
-                            slot_nodes,
-                            kids.iter().map(|c| c.node).collect::<Vec<_>>(),
+                        debug_assert!(
+                            slot_nodes.iter().copied().eq(kids.iter().map(|c| c.node)),
                             "lockstep lanes disagreed on child order despite the forced call set"
                         );
                     }
@@ -176,7 +179,7 @@ fn warp_body<K: TraversalKernel>(
     }
     // One shared stack per warp: the footprint does not scale with lanes
     // (each entry already carries the per-lane argument slots).
-    sim.counters.stack_bytes_peak = max_depth as u64 * scene.stack.entry_bytes();
+    sim.stack_peak(max_depth as u64 * scene.stack.entry_bytes());
     (counts, warp_nodes, max_depth)
 }
 

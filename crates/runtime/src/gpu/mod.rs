@@ -42,21 +42,34 @@ pub struct GpuConfig {
 }
 
 impl Default for GpuConfig {
+    /// [`GpuConfig::new`] on every core the host offers. The probe reads
+    /// the scheduler affinity and cgroup files — microseconds, so callers
+    /// on a per-batch path that already know their thread count should
+    /// call `new` directly.
     fn default() -> Self {
+        GpuConfig::new(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        )
+    }
+}
+
+impl GpuConfig {
+    /// The paper's configuration (Tesla C2070, Fermi prices, hot/cold node
+    /// split, interleaved global rope stacks, no L2 model), simulated on
+    /// `host_threads` host threads.
+    pub fn new(host_threads: usize) -> Self {
         GpuConfig {
             device: DeviceConfig::tesla_c2070(),
             cost: CostModel::fermi(),
             node_layout: NodeLayout::HotColdSplit,
             stack_layout: StackLayout::InterleavedGlobal,
-            host_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            host_threads: host_threads.max(1),
             l2: None,
         }
     }
-}
 
-impl GpuConfig {
     /// The configuration the paper uses for lockstep Barnes-Hut: per-warp
     /// rope stack in shared memory.
     pub fn with_shared_stack(mut self) -> Self {
@@ -119,20 +132,14 @@ impl Scene {
         let mut map = AddressMap::new();
         let n_nodes = kernel.n_nodes() as u64;
         // Leaf elements array is as long as the point set the tree was
-        // built over; `leaf_range` indexes into it. Conservatively size it
-        // by scanning leaves.
-        let n_leaf_elems = (0..kernel.n_nodes() as u32)
-            .filter_map(|n| kernel.leaf_range(n))
-            .map(|(f, c)| (f + c) as u64)
-            .max()
-            .unwrap_or(1);
+        // built over; `leaf_range` indexes into it.
         let tree = TreeRegions::alloc(
             &mut map,
             "tree",
             kernel.node_bytes(),
             cfg.node_layout,
             n_nodes,
-            n_leaf_elems,
+            kernel.n_leaf_elems(),
         );
         let points = map.alloc(
             "points",
@@ -222,7 +229,7 @@ where
         sim.step(2);
         sim.load(scene.points, mask, |l| (warp_idx * WARP_SIZE + l) as u64);
         WarpOut {
-            counters: sim.counters,
+            counters: sim.finish(),
             per_point_nodes,
             warp_nodes,
             max_depth,

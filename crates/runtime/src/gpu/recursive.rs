@@ -82,8 +82,7 @@ pub fn run<K: TraversalKernel>(
         );
         // Per-lane call frames in local memory: peak = deepest recursion ×
         // one frame per lane.
-        sim.counters.stack_bytes_peak =
-            ctx.max_depth as u64 * scene.stack.entry_bytes() * n_lanes as u64;
+        sim.stack_peak(ctx.max_depth as u64 * scene.stack.entry_bytes() * n_lanes as u64);
         (ctx.counts, ctx.warp_nodes, ctx.max_depth)
     })
 }

@@ -114,7 +114,8 @@ fn skip_warp_body<K: TraversalKernel>(
         sim.step(kernel.visit_insts());
         sim.visit_node(active.count() as u64);
 
-        let mut outcome_kinds = [0u8; WARP_SIZE]; // 0 idle, 1 trunc, 2 leaf, 3 descend
+        // Bit `k` set: some lane's outcome was 1 truncated, 2 leaf, 3 descend.
+        let mut outcome_kinds = 0u32;
         let mut leaf_of: [Option<(u32, u32)>; WARP_SIZE] = [None; WARP_SIZE];
         let mut descend_mask = WarpMask::NONE;
         for l in active.iter_active() {
@@ -123,18 +124,18 @@ fn skip_warp_body<K: TraversalKernel>(
             kids.clear();
             match kernel.visit(&mut lanes[l], node, kernel.root_args(), None, &mut kids) {
                 VisitOutcome::Truncated => {
-                    outcome_kinds[l] = 1;
+                    outcome_kinds |= 1 << 1;
                     curr[l] = skip[node as usize];
                 }
                 VisitOutcome::Leaf => {
-                    outcome_kinds[l] = 2;
+                    outcome_kinds |= 1 << 2;
                     leaf_of[l] = kernel.leaf_range(node);
                     curr[l] = skip[node as usize];
                 }
                 VisitOutcome::Descended { .. } => {
                     // The left-biased preorder invariant puts the first
                     // child at n + 1; the guided order (if any) is ignored.
-                    outcome_kinds[l] = 3;
+                    outcome_kinds |= 1 << 3;
                     descend_mask = descend_mask.set(l);
                     curr[l] = node + 1;
                 }
@@ -142,10 +143,7 @@ fn skip_warp_body<K: TraversalKernel>(
         }
 
         // Branch divergence: distinct outcome classes among active lanes.
-        let mut classes: Vec<u8> = active.iter_active().map(|l| outcome_kinds[l]).collect();
-        classes.sort_unstable();
-        classes.dedup();
-        sim.diverge(classes.len() as u64);
+        sim.diverge(u64::from(outcome_kinds.count_ones()));
 
         if active.iter_active().any(|l| leaf_of[l].is_some()) {
             scan_leaves_per_lane(kernel, scene, sim, &leaf_of);
@@ -283,8 +281,9 @@ fn wald_warp_body<W: WaldKernel>(
         sim.step(kernel.visit_insts());
 
         let mut arrivals = 0u64;
-        // 0 idle, 1 enter-near, 2 enter-far, 3..=4 backtrack variants.
-        let mut outcome_kinds = [0u8; WARP_SIZE];
+        // Bit `k` set: some lane took step kind 1 enter-near, 2 enter-far,
+        // 3..=4 backtrack variants.
+        let mut outcome_kinds = 0u32;
         for l in active.iter_active() {
             let n = curr[l];
             let parent = if n == 0 { NO_NODE } else { (n - 1) / 2 };
@@ -313,17 +312,14 @@ fn wald_warp_body<W: WaldKernel>(
             } else {
                 (parent, 4)
             };
-            outcome_kinds[l] = kind;
+            outcome_kinds |= 1 << kind;
             prev[l] = n;
             curr[l] = next;
         }
         if arrivals > 0 {
             sim.visit_node(arrivals);
         }
-        let mut classes: Vec<u8> = active.iter_active().map(|l| outcome_kinds[l]).collect();
-        classes.sort_unstable();
-        classes.dedup();
-        sim.diverge(classes.len() as u64);
+        sim.diverge(u64::from(outcome_kinds.count_ones()));
     }
     // Stackless: depth 0, and `stack_bytes_peak` stays at its zero default.
     (counts, warp_iters, 0)

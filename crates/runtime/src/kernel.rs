@@ -104,6 +104,19 @@ pub trait TraversalKernel: Sync {
     /// accounting.
     fn leaf_range(&self, node: NodeId) -> Option<(u32, u32)>;
 
+    /// Length of the leaf-element array [`TraversalKernel::leaf_range`]
+    /// indexes into; sizes its simulated region. The default scans every
+    /// leaf for the furthest bucket end — kernels over a tree that knows
+    /// its own point count should answer directly, since this is asked
+    /// once per launch.
+    fn n_leaf_elems(&self) -> u64 {
+        (0..self.n_nodes() as NodeId)
+            .filter_map(|n| self.leaf_range(n))
+            .map(|(first, count)| u64::from(first) + u64::from(count))
+            .max()
+            .unwrap_or(1)
+    }
+
     /// GPU byte sizes of this tree's node fragments.
     fn node_bytes(&self) -> gts_trees::layout::NodeBytes;
 

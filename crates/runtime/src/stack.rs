@@ -152,7 +152,7 @@ mod tests {
         let mut sim = WarpSim::new(&map, &cost, 128);
         // All 32 lanes at depth 3: 32 × 8 B contiguous = 2 segments.
         stk.access_per_lane(&mut sim, WarpMask::ALL, |_| 3);
-        assert_eq!(sim.counters.global_transactions, 2);
+        assert_eq!(sim.finish().global_transactions, 2);
     }
 
     #[test]
@@ -162,7 +162,7 @@ mod tests {
         let mut sim = WarpSim::new(&map, &cost, 128);
         // Each lane's stack is 64 × 8 B = 512 B apart: 32 segments.
         stk.access_per_lane(&mut sim, WarpMask::ALL, |_| 3);
-        assert_eq!(sim.counters.global_transactions, 32);
+        assert_eq!(sim.finish().global_transactions, 32);
     }
 
     #[test]
@@ -184,8 +184,8 @@ mod tests {
             let cost = CostModel::unit();
             let mut sim = WarpSim::new(&map, &cost, 128);
             stk.access_warp(&mut sim, WarpMask::ALL, 5);
-            let total = sim.counters.global_transactions + sim.counters.shared_accesses;
-            assert_eq!(total, 1, "{layout:?}");
+            let c = sim.finish();
+            assert_eq!(c.global_transactions + c.shared_accesses, 1, "{layout:?}");
         }
     }
 
@@ -196,7 +196,8 @@ mod tests {
         let mut sim = WarpSim::new(&map, &cost, 128);
         stk.access_warp(&mut sim, WarpMask::NONE, 0);
         stk.access_per_lane(&mut sim, WarpMask::NONE, |_| 0);
-        assert_eq!(sim.counters.shared_accesses, 0);
-        assert_eq!(sim.counters.global_transactions, 0);
+        let c = sim.finish();
+        assert_eq!(c.shared_accesses, 0);
+        assert_eq!(c.global_transactions, 0);
     }
 }

@@ -22,7 +22,7 @@ use gts_points::sort::morton_order;
 use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig};
 use gts_runtime::{cpu, TraversalKernel, WaldKernel};
 use gts_trees::{KdTree, LbKdTree, NodeId, PointN, SplitPolicy};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 /// Execution record of one dispatched batch.
 #[derive(Debug, Clone)]
@@ -523,6 +523,13 @@ impl<const D: usize> KdIndex<D> {
     fn solo_replay_visits(&self, lanes: &[&FusedLane], pts: &[PointN<D>]) -> u64 {
         let nn_kernel = NnKernel::new(&self.tree);
         let knn_kernel = KnnKernel::new(&self.tree);
+        // One PC kernel per distinct radius of the batch, not per lane.
+        let mut pc_kernels: BTreeMap<u32, PcKernel<'_, D>> = BTreeMap::new();
+        for &bits in lanes.iter().flat_map(|l| &l.pc_radii) {
+            pc_kernels
+                .entry(bits)
+                .or_insert_with(|| PcKernel::new(&self.tree, f32::from_bits(bits)));
+        }
         let mut visits = 0u64;
         for (lane, &p) in lanes.iter().zip(pts) {
             if lane.nn {
@@ -532,8 +539,8 @@ impl<const D: usize> KdIndex<D> {
                 visits += u64::from(cpu::traverse_one(&knn_kernel, &mut KnnPoint::new(p, k)));
             }
             for &bits in &lane.pc_radii {
-                let kernel = PcKernel::new(&self.tree, f32::from_bits(bits));
-                visits += u64::from(cpu::traverse_one(&kernel, &mut PcPoint::new(p)));
+                let kernel = &pc_kernels[&bits];
+                visits += u64::from(cpu::traverse_one(kernel, &mut PcPoint::new(p)));
             }
         }
         visits
@@ -679,7 +686,7 @@ where
     };
 
     // §4.4 step 3: run the whole batch on the chosen executor.
-    let cfg = GpuConfig::default().with_host_threads(policy.sim_threads());
+    let cfg = GpuConfig::new(policy.sim_threads());
     let (node_visits, model_ms, warps, work_expansion, mask_occupancy, stack_peak, stack_tx) =
         match backend {
             Backend::Lockstep

@@ -10,23 +10,29 @@
 use crate::cost::CostModel;
 use crate::counters::SimCounters;
 use crate::l2::{L2Cache, L2Config};
-use crate::memory::{coalesce, touched_segments, AddressMap, MemSpace, RegionId, WarpAccess};
+use crate::memory::{self, AddressMap, MemSpace, RegionId, Run};
 use crate::sched::{LaunchReport, Schedule};
-use crate::{DeviceConfig, WarpMask};
+use crate::{DeviceConfig, WarpMask, WARP_SIZE};
 
 /// Records the events of a single warp's execution.
 ///
 /// A `WarpSim` borrows the launch's [`AddressMap`] so region lookups stay
 /// cheap; it owns its own counters so independent warps can be simulated on
 /// host threads concurrently and folded back in warp order (keeping totals
-/// deterministic).
+/// deterministic). [`WarpSim::finish`] hands the counters over.
+///
+/// The recording path allocates nothing: a request's segments are gathered
+/// on the stack, and per-region transactions are tallied by [`RegionId`]
+/// and only keyed by region *name* once, in `finish`.
 pub struct WarpSim<'a> {
     cost: &'a CostModel,
     map: &'a AddressMap,
     segment_bytes: u64,
     l2: Option<(L2Cache, L2Config)>,
-    /// Event tallies for this warp so far.
-    pub counters: SimCounters,
+    /// Event tallies for this warp so far (bar the per-region breakdown).
+    counters: SimCounters,
+    /// Transactions per region so far, indexed by [`RegionId`].
+    region_transactions: Vec<u64>,
 }
 
 impl<'a> WarpSim<'a> {
@@ -38,6 +44,7 @@ impl<'a> WarpSim<'a> {
             segment_bytes,
             l2: None,
             counters: SimCounters::new(),
+            region_transactions: vec![0; map.regions().len()],
         }
     }
 
@@ -54,6 +61,21 @@ impl<'a> WarpSim<'a> {
         sim
     }
 
+    /// The warp is done: its event tallies, with the per-region
+    /// transaction breakdown keyed by region name.
+    pub fn finish(self) -> SimCounters {
+        let mut counters = self.counters;
+        for (region, &n) in self.map.regions().iter().zip(&self.region_transactions) {
+            if n > 0 {
+                *counters
+                    .per_region_transactions
+                    .entry(region.name.clone())
+                    .or_insert(0) += n;
+            }
+        }
+        counters
+    }
+
     /// Issue one warp instruction bundle of `compute_insts` ALU ops.
     /// Every traversal-loop iteration calls this once; masked-out lanes
     /// still pay (SIMT issue is warp-wide).
@@ -63,65 +85,76 @@ impl<'a> WarpSim<'a> {
         self.counters.issue_cycles += self.cost.issue_cycles(compute_insts);
     }
 
-    /// Record a memory request, coalescing it into transactions.
-    pub fn access(&mut self, region: RegionId, access: &WarpAccess) {
-        let out = coalesce(access, self.segment_bytes);
-        if out.transactions == 0 {
+    /// Per-lane load of `region[index(lane)]` for lanes in `mask`
+    /// (non-lockstep pattern: each lane at its own tree node), coalesced
+    /// into one transaction per distinct segment touched. A request with
+    /// no participating lane costs nothing.
+    pub fn load(&mut self, region: RegionId, mask: WarpMask, index: impl Fn(usize) -> u64) {
+        if mask.none_active() {
             return;
         }
-        let name = &self.map.region(region).name;
-        *self
-            .counters
-            .per_region_transactions
-            .entry(name.clone())
-            .or_insert(0) += out.transactions;
-        match access.space {
-            MemSpace::Global => match &mut self.l2 {
-                Some((cache, l2_cfg)) => {
-                    // Classify each touched segment as an L2 hit or a DRAM
-                    // transaction; hits skip the bus entirely.
-                    let mut misses = 0u64;
-                    let mut hits = 0u64;
-                    for seg in touched_segments(access, self.segment_bytes) {
-                        if cache.access(seg) {
-                            hits += 1;
-                        } else {
-                            misses += 1;
-                        }
-                    }
-                    self.counters.l2_hits += hits;
-                    self.counters.global_transactions += misses;
-                    self.counters.global_bus_bytes += misses * self.segment_bytes;
-                    self.counters.global_useful_bytes += out.useful_bytes;
-                    self.counters.stall_cycles +=
-                        self.cost.global_stall(misses) + l2_cfg.hit_stall(hits);
-                }
-                None => {
-                    self.counters.global_transactions += out.transactions;
-                    self.counters.global_bus_bytes += out.bus_bytes;
-                    self.counters.global_useful_bytes += out.useful_bytes;
-                    self.counters.stall_cycles += self.cost.global_stall(out.transactions);
-                }
-            },
-            MemSpace::Shared => {
-                self.counters.shared_accesses += out.transactions;
-                self.counters.stall_cycles += self.cost.shared_stall(out.transactions);
+        let r = self.map.region(region);
+        match r.space {
+            MemSpace::Shared => self.shared_request(region),
+            MemSpace::Global => {
+                let addrs = mask.iter_active().map(|lane| r.addr(index(lane)));
+                let mut buf = [(0, 0); WARP_SIZE];
+                let runs = memory::gather(&mut buf, addrs, r.stride, self.segment_bytes);
+                self.global_request(region, mask, runs);
             }
         }
     }
 
-    /// Convenience: per-lane load of `region[index(lane)]` for lanes in
-    /// `mask` (non-lockstep pattern: each lane at its own tree node).
-    pub fn load(&mut self, region: RegionId, mask: WarpMask, index: impl Fn(usize) -> u64) {
-        let acc = WarpAccess::per_lane(self.map, region, mask, index);
-        self.access(region, &acc);
+    /// Broadcast load of `region[index]` to all lanes in `mask` (lockstep
+    /// pattern: “all threads in the warp will be loading from the same
+    /// memory location”, paper §4.2 — one transaction per segment the
+    /// element spans).
+    pub fn load_broadcast(&mut self, region: RegionId, mask: WarpMask, index: u64) {
+        if mask.none_active() {
+            return;
+        }
+        let r = self.map.region(region);
+        match r.space {
+            MemSpace::Shared => self.shared_request(region),
+            MemSpace::Global => {
+                let run = memory::run_of(r.addr(index), r.stride, self.segment_bytes);
+                self.global_request(region, mask, &[run]);
+            }
+        }
     }
 
-    /// Convenience: broadcast load of `region[index]` to all lanes in
-    /// `mask` (lockstep pattern: one transaction).
-    pub fn load_broadcast(&mut self, region: RegionId, mask: WarpMask, index: u64) {
-        let acc = WarpAccess::broadcast(self.map, region, mask, index);
-        self.access(region, &acc);
+    /// Price one shared-memory request. Banks are modeled conflict-free:
+    /// it is one access, wherever its lanes point.
+    fn shared_request(&mut self, region: RegionId) {
+        self.counters.shared_accesses += 1;
+        self.counters.stall_cycles += self.cost.shared_stall(1);
+        self.region_transactions[region.0 as usize] += 1;
+    }
+
+    /// Price one global-memory request by the lanes in `mask` for one
+    /// element of `region` each, touching the segments in `runs`.
+    fn global_request(&mut self, region: RegionId, mask: WarpMask, runs: &[Run]) {
+        let transactions = memory::count(runs);
+        let c = &mut self.counters;
+        c.global_useful_bytes += mask.count() as u64 * self.map.region(region).stride;
+        match &mut self.l2 {
+            Some((cache, l2_cfg)) => {
+                // Classify each touched segment, in ascending order, as an
+                // L2 hit or a DRAM transaction; hits skip the bus entirely.
+                let hits = memory::ids(runs).filter(|&seg| cache.access(seg)).count() as u64;
+                let misses = transactions - hits;
+                c.l2_hits += hits;
+                c.global_transactions += misses;
+                c.global_bus_bytes += misses * self.segment_bytes;
+                c.stall_cycles += self.cost.global_stall(misses) + l2_cfg.hit_stall(hits);
+            }
+            None => {
+                c.global_transactions += transactions;
+                c.global_bus_bytes += transactions * self.segment_bytes;
+                c.stall_cycles += self.cost.global_stall(transactions);
+            }
+        }
+        self.region_transactions[region.0 as usize] += transactions;
     }
 
     /// Record a divergent branch: the warp's lanes split over `sides`
@@ -147,6 +180,13 @@ impl<'a> WarpSim<'a> {
     pub fn visit_node(&mut self, active_lanes: u64) {
         self.counters.node_visits += active_lanes;
         self.counters.warp_node_visits += 1;
+    }
+
+    /// Record the peak rope-stack (or call-frame) bytes this warp used —
+    /// [`SimCounters::stack_bytes_peak`]. Stackless executors never call
+    /// it and report 0.
+    pub fn stack_peak(&mut self, bytes: u64) {
+        self.counters.stack_bytes_peak = bytes;
     }
 }
 
@@ -230,12 +270,60 @@ mod tests {
         let mut w = WarpSim::new(&map, &cost, 128);
         w.load_broadcast(region, WarpMask::ALL, 5);
         assert_eq!(w.counters.global_transactions, 1);
+        assert_eq!(w.counters.global_useful_bytes, 32 * 16);
         let before = w.counters.stall_cycles;
         // Scatter: every lane 8 elements (128 B) apart → 32 segments.
         w.load(region, WarpMask::ALL, |l| (l as u64) * 8);
         assert_eq!(w.counters.global_transactions, 33);
         assert!(w.counters.stall_cycles > before);
-        assert_eq!(w.counters.per_region_transactions["nodes"], 33);
+        assert_eq!(w.finish().per_region_transactions["nodes"], 33);
+    }
+
+    #[test]
+    fn inactive_warp_costs_nothing() {
+        let (map, cost) = setup();
+        let mut w = WarpSim::new(&map, &cost, 128);
+        w.load(RegionId(0), WarpMask::NONE, |l| l as u64);
+        w.load_broadcast(RegionId(0), WarpMask::NONE, 3);
+        assert_eq!(w.finish(), SimCounters::new());
+    }
+
+    #[test]
+    fn partial_mask_counts_only_active_lanes() {
+        let mut map = AddressMap::new();
+        let r = map.alloc("p", MemSpace::Global, 64, 4);
+        let cost = CostModel::unit();
+        let mut w = WarpSim::new(&map, &cost, 128);
+        w.load(r, WarpMask::first(5), |l| l as u64);
+        let c = w.finish();
+        assert_eq!(c.global_useful_bytes, 20);
+        assert_eq!(c.global_bus_bytes, 128);
+    }
+
+    #[test]
+    fn shared_access_is_single_transaction() {
+        let mut map = AddressMap::new();
+        let r = map.alloc("stk", MemSpace::Shared, 1024, 8);
+        let cost = CostModel::unit();
+        let mut w = WarpSim::new(&map, &cost, 128);
+        w.load(r, WarpMask::ALL, |l| (l as u64) * 17);
+        let c = w.finish();
+        assert_eq!(c.shared_accesses, 1);
+        assert_eq!(c.global_transactions, 0);
+        assert_eq!(c.per_region_transactions["stk"], 1);
+    }
+
+    #[test]
+    fn untouched_regions_stay_out_of_the_breakdown() {
+        let mut map = AddressMap::new();
+        let nodes = map.alloc("nodes", MemSpace::Global, 100, 16);
+        map.alloc("rope_stack", MemSpace::Global, 100, 8);
+        let cost = CostModel::unit();
+        let mut w = WarpSim::new(&map, &cost, 128);
+        w.load_broadcast(nodes, WarpMask::ALL, 0);
+        let c = w.finish();
+        assert_eq!(c.per_region_transactions.len(), 1);
+        assert!(!c.per_region_transactions.contains_key("rope_stack"));
     }
 
     #[test]
@@ -281,7 +369,7 @@ mod tests {
         for i in 0..3 {
             let mut w = WarpSim::new(&map, &cost, 128);
             w.step(i);
-            launch.absorb(w.counters);
+            launch.absorb(w.finish());
         }
         assert_eq!(launch.warps(), 3);
         assert_eq!(launch.totals.warp_steps, 3);

@@ -43,11 +43,12 @@
 //!
 //! // Lockstep pattern: all 32 lanes read the same node — 1 transaction.
 //! warp.load_broadcast(nodes, WarpMask::ALL, 42);
-//! assert_eq!(warp.counters.global_transactions, 1);
-//!
 //! // Divergent pattern: every lane at its own node, 128 B apart — 32.
 //! warp.load(nodes, WarpMask::ALL, |lane| (lane as u64) * 8);
-//! assert_eq!(warp.counters.global_transactions, 33);
+//!
+//! let counters = warp.finish();
+//! assert_eq!(counters.global_transactions, 1 + 32);
+//! assert_eq!(counters.per_region_transactions["tree.nodes0"], 33);
 //! ```
 
 #![warn(missing_docs)]

@@ -108,8 +108,14 @@ impl WarpMask {
 
     /// Iterate over the indices of active lanes, ascending.
     pub fn iter_active(self) -> impl Iterator<Item = usize> {
-        let bits = self.0;
-        (0..WARP_SIZE).filter(move |&l| bits & (1 << l) != 0)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let lane = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                lane
+            })
+        })
     }
 }
 

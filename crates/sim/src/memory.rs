@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{WarpMask, WARP_SIZE};
+use crate::WARP_SIZE;
 
 /// Which memory a transaction targets. Shared memory (paper §2.2's
 /// software-controlled cache) has its own, much cheaper cost and is not
@@ -136,132 +136,101 @@ impl AddressMap {
     }
 }
 
-/// One warp-step memory request: for each lane, the address it reads or
-/// writes (or `None` if the lane is inactive / not participating), plus the
-/// access width in bytes.
-#[derive(Debug, Clone)]
-pub struct WarpAccess {
-    /// Per-lane byte addresses.
-    pub addrs: [Option<u64>; WARP_SIZE],
-    /// Bytes moved per lane (a node-fragment load, a stack slot, ...).
-    pub bytes_per_lane: u64,
-    /// Target space.
-    pub space: MemSpace,
+/// An inclusive run `first..=last` of segment ids.
+pub(crate) type Run = (u64, u64);
+
+/// The segments one `width`-byte access at `addr` touches.
+pub(crate) fn run_of(addr: u64, width: u64, segment_bytes: u64) -> Run {
+    (addr / segment_bytes, (addr + width - 1) / segment_bytes)
 }
 
-impl WarpAccess {
-    /// Build a request where every lane active in `mask` accesses
-    /// `region[index(lane)]`.
-    pub fn per_lane(
-        map: &AddressMap,
-        region: RegionId,
-        mask: WarpMask,
-        index: impl Fn(usize) -> u64,
-    ) -> WarpAccess {
-        let r = map.region(region);
-        let mut addrs = [None; WARP_SIZE];
-        for lane in mask.iter_active() {
-            addrs[lane] = Some(r.addr(index(lane)));
-        }
-        WarpAccess {
-            addrs,
-            bytes_per_lane: r.stride,
-            space: r.space,
-        }
-    }
-
-    /// Build a broadcast request: all lanes active in `mask` access the
-    /// same element. This is the pattern lockstep traversal produces for
-    /// node loads — “all threads in the warp will be loading from the same
-    /// memory location” (paper §4.2) — and it coalesces to one transaction.
-    pub fn broadcast(map: &AddressMap, region: RegionId, mask: WarpMask, index: u64) -> WarpAccess {
-        let r = map.region(region);
-        let mut addrs = [None; WARP_SIZE];
-        let a = r.addr(index);
-        for lane in mask.iter_active() {
-            addrs[lane] = Some(a);
-        }
-        WarpAccess {
-            addrs,
-            bytes_per_lane: r.stride,
-            space: r.space,
-        }
-    }
-
-    /// Number of active lanes in the request.
-    pub fn active_lanes(&self) -> usize {
-        self.addrs.iter().filter(|a| a.is_some()).count()
-    }
-}
-
-/// Result of coalescing one [`WarpAccess`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoalesceOutcome {
-    /// Number of memory transactions issued (distinct 128 B segments for
-    /// global memory; 1 for any shared-memory access under our bank model).
-    pub transactions: u64,
-    /// Bytes actually moved across the memory interface
-    /// (`transactions × segment_bytes` for global, useful bytes for shared).
-    pub bus_bytes: u64,
-    /// Useful bytes requested by lanes.
-    pub useful_bytes: u64,
-}
-
-/// The deduplicated list of 128-byte segments a warp access touches.
-/// (An access spanning a segment boundary touches both segments.)
-pub fn touched_segments(access: &WarpAccess, segment_bytes: u64) -> Vec<u64> {
-    let mut segs: Vec<u64> = Vec::with_capacity(WARP_SIZE);
-    for addr in access.addrs.iter().flatten() {
-        let first = addr / segment_bytes;
-        let last = (addr + access.bytes_per_lane.max(1) - 1) / segment_bytes;
-        for s in first..=last {
-            segs.push(s);
-        }
-    }
-    segs.sort_unstable();
-    segs.dedup();
-    segs
-}
-
-/// Coalesce a warp access into transactions, given the device segment size.
+/// Gather the distinct segments one warp request touches, as ascending
+/// disjoint runs in `buf`.
 ///
-/// All touched segments across all lanes are deduplicated — the hardware
+/// Every lane of a request moves the same `width` bytes from its own
+/// address in `addrs`, touching one contiguous run of segments; the
+/// request's transactions are the union of those runs — the hardware
 /// groups accesses “into as few transactions as possible” (paper §2.2).
-pub fn coalesce(access: &WarpAccess, segment_bytes: u64) -> CoalesceOutcome {
-    let active = access.active_lanes() as u64;
-    let useful = active * access.bytes_per_lane;
-    if active == 0 {
-        return CoalesceOutcome {
-            transactions: 0,
-            bus_bytes: 0,
-            useful_bytes: 0,
-        };
+/// One run per lane at most, so the buffer is a fixed 32 entries however
+/// wide the element is (a lockstep stack entry with per-lane argument
+/// slots is wider than a segment).
+pub(crate) fn gather(
+    buf: &mut [Run; WARP_SIZE],
+    addrs: impl Iterator<Item = u64>,
+    width: u64,
+    segment_bytes: u64,
+) -> &[Run] {
+    // Insertion into a sorted list without repeats: neighboring lanes
+    // mostly sit in the same or the next segment, so the scan from the
+    // back is short and the list stays shorter than the warp.
+    let mut len = 0;
+    for addr in addrs {
+        let run = run_of(addr, width, segment_bytes);
+        let mut at = len;
+        while at > 0 && buf[at - 1] > run {
+            at -= 1;
+        }
+        if at > 0 && buf[at - 1] == run {
+            continue;
+        }
+        buf.copy_within(at..len, at + 1);
+        buf[at] = run;
+        len += 1;
     }
-    match access.space {
-        MemSpace::Shared => CoalesceOutcome {
-            transactions: 1,
-            bus_bytes: useful,
-            useful_bytes: useful,
-        },
-        MemSpace::Global => {
-            let transactions = touched_segments(access, segment_bytes).len() as u64;
-            CoalesceOutcome {
-                transactions,
-                bus_bytes: transactions * segment_bytes,
-                useful_bytes: useful,
-            }
+    // Merge overlapping runs in place (an access that straddles a
+    // boundary overlaps its neighbor's segment).
+    let mut merged = 0;
+    for i in 1..len {
+        let (first, last) = buf[i];
+        if first <= buf[merged].1 {
+            buf[merged].1 = buf[merged].1.max(last);
+        } else {
+            merged += 1;
+            buf[merged] = (first, last);
         }
     }
+    &buf[..len.min(merged + 1)]
+}
+
+/// Number of segments in `runs`: the request's transaction count.
+pub(crate) fn count(runs: &[Run]) -> u64 {
+    runs.iter().map(|&(first, last)| last - first + 1).sum()
+}
+
+/// The segment ids of `runs`, ascending.
+pub(crate) fn ids(runs: &[Run]) -> impl Iterator<Item = u64> + '_ {
+    runs.iter().flat_map(|&(first, last)| first..=last)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WarpMask;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeSet;
 
     fn map_with(name: &str, len: u64, stride: u64) -> (AddressMap, RegionId) {
         let mut m = AddressMap::new();
         let r = m.alloc(name, MemSpace::Global, len, stride);
         (m, r)
+    }
+
+    /// Segments touched when the lanes in `mask` each read `region[index(lane)]`.
+    fn touched(
+        m: &AddressMap,
+        r: RegionId,
+        mask: WarpMask,
+        index: impl Fn(usize) -> u64,
+    ) -> Vec<u64> {
+        let region = m.region(r);
+        let addrs = mask.iter_active().map(|l| region.addr(index(l)));
+        let mut buf = [(0, 0); WARP_SIZE];
+        let runs = gather(&mut buf, addrs, region.stride, 128);
+        let touched: Vec<u64> = ids(runs).collect();
+        assert_eq!(touched.len() as u64, count(runs));
+        touched
     }
 
     #[test]
@@ -287,12 +256,9 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_coalesces_to_one_transaction() {
+    fn same_element_is_one_segment() {
         let (m, r) = map_with("nodes", 100, 16);
-        let acc = WarpAccess::broadcast(&m, r, WarpMask::ALL, 7);
-        let out = coalesce(&acc, 128);
-        assert_eq!(out.transactions, 1);
-        assert_eq!(out.useful_bytes, 32 * 16);
+        assert_eq!(touched(&m, r, WarpMask::ALL, |_| 7).len(), 1);
     }
 
     #[test]
@@ -300,57 +266,50 @@ mod tests {
         // 32 lanes × 4-byte elements = 128 bytes = exactly one segment
         // when the region is segment-aligned.
         let (m, r) = map_with("vals", 64, 4);
-        let acc = WarpAccess::per_lane(&m, r, WarpMask::ALL, |l| l as u64);
-        assert_eq!(coalesce(&acc, 128).transactions, 1);
+        assert_eq!(touched(&m, r, WarpMask::ALL, |l| l as u64).len(), 1);
     }
 
     #[test]
     fn scattered_lanes_serialize() {
         // Each lane hits its own segment: 32 transactions.
         let (m, r) = map_with("tree", 10_000, 16);
-        let acc = WarpAccess::per_lane(&m, r, WarpMask::ALL, |l| (l as u64) * 64);
-        assert_eq!(coalesce(&acc, 128).transactions, 32);
+        assert_eq!(touched(&m, r, WarpMask::ALL, |l| (l as u64) * 64).len(), 32);
     }
 
     #[test]
     fn straddling_access_touches_two_segments() {
         // One lane reading 64 bytes starting 96 bytes into a segment.
-        let (m, r) = map_with("wide", 100, 64);
-        let lane0 = WarpMask::lane(0);
-        // element 0 at base (aligned) → 1 segment; craft a straddle by
-        // using stride 64 and element index such that addr % 128 = 96:
-        // index-based addressing cannot produce that with stride 64 from an
-        // aligned base (offsets 0 or 64), so test the raw path instead.
-        let mut acc = WarpAccess::per_lane(&m, r, lane0, |_| 0);
-        acc.addrs[0] = Some(m.region(r).base + 96);
-        assert_eq!(coalesce(&acc, 128).transactions, 2);
+        assert_eq!(run_of(1024 + 96, 64, 128), (8, 9));
     }
 
     #[test]
-    fn inactive_warp_costs_nothing() {
+    fn element_wider_than_a_segment_touches_every_segment_it_spans() {
+        // A 136-byte lockstep stack entry (rope + mask + 32 f32 slots)
+        // always spans two segments of its aligned region ...
+        let (m, r) = map_with("warp_rope_stack", 64, 136);
+        assert_eq!(touched(&m, r, WarpMask::lane(0), |_| 0), vec![0, 1]);
+        assert_eq!(touched(&m, r, WarpMask::lane(0), |_| 15), vec![15, 16]);
+        // ... and a wider or later-starting element three or more.
+        assert_eq!(run_of(121, 136, 128), (0, 2));
+        let (m, r) = map_with("wide", 8, 300);
+        assert_eq!(
+            touched(&m, r, WarpMask::first(2), |l| l as u64),
+            vec![0, 1, 2, 3, 4]
+        );
+    }
+
+    #[test]
+    fn unsorted_lanes_come_out_ascending_and_distinct() {
+        let (m, r) = map_with("tree", 10_000, 16);
+        // Lanes walk the region backwards, two lanes per segment.
+        let ids = touched(&m, r, WarpMask::first(8), |l| (7 - l as u64) * 4);
+        assert_eq!(ids, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn no_lanes_no_segments() {
         let (m, r) = map_with("x", 8, 8);
-        let acc = WarpAccess::per_lane(&m, r, WarpMask::NONE, |l| l as u64);
-        let out = coalesce(&acc, 128);
-        assert_eq!(out.transactions, 0);
-        assert_eq!(out.bus_bytes, 0);
-    }
-
-    #[test]
-    fn shared_access_is_single_transaction() {
-        let mut m = AddressMap::new();
-        let r = m.alloc("stk", MemSpace::Shared, 1024, 8);
-        let acc = WarpAccess::per_lane(&m, r, WarpMask::ALL, |l| (l as u64) * 17);
-        let out = coalesce(&acc, 128);
-        assert_eq!(out.transactions, 1);
-        assert_eq!(out.bus_bytes, 32 * 8);
-    }
-
-    #[test]
-    fn partial_mask_counts_only_active_lanes() {
-        let (m, r) = map_with("p", 64, 4);
-        let acc = WarpAccess::per_lane(&m, r, WarpMask::first(5), |l| l as u64);
-        assert_eq!(acc.active_lanes(), 5);
-        assert_eq!(coalesce(&acc, 128).useful_bytes, 20);
+        assert!(touched(&m, r, WarpMask::NONE, |l| l as u64).is_empty());
     }
 
     #[test]
@@ -359,5 +318,31 @@ mod tests {
     fn region_bounds_checked_in_debug() {
         let (m, r) = map_with("small", 4, 8);
         let _ = m.region(r).addr(4);
+    }
+
+    proptest! {
+        /// The gatherer against the definition: the set of every segment
+        /// any active lane's `width` bytes fall in.
+        #[test]
+        fn prop_gather_equals_naive_segment_set(
+            mask in 0u32..=u32::MAX,
+            stride in 1u64..=200,
+            len in 1u64..5_000,
+            seed in 0u64..1_000_000,
+        ) {
+            let (m, r) = map_with("r", len, stride);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let index: Vec<u64> = (0..WARP_SIZE).map(|_| rng.gen_range(0..len)).collect();
+            let region = m.region(r);
+            let mut naive = BTreeSet::new();
+            for (lane, &i) in index.iter().enumerate() {
+                if mask & (1 << lane) != 0 {
+                    let addr = region.addr(i);
+                    naive.extend(addr / 128..=(addr + stride - 1) / 128);
+                }
+            }
+            let got = touched(&m, r, WarpMask(mask), |l| index[l]);
+            prop_assert_eq!(got, naive.into_iter().collect::<Vec<_>>());
+        }
     }
 }

@@ -62,6 +62,8 @@ pub struct KdTree<const D: usize> {
     pub policy: SplitPolicy,
     /// Maximum bucket size.
     pub leaf_size: usize,
+    /// Deepest leaf (root = 0), recorded while [`KdTree::build`] recurses.
+    depth: usize,
 }
 
 impl<const D: usize> KdTree<D> {
@@ -91,6 +93,7 @@ impl<const D: usize> KdTree<D> {
             perm: (0..n as u32).collect(),
             policy,
             leaf_size,
+            depth: 0,
         };
         let mut idx: Vec<u32> = (0..n as u32).collect();
         let bbox = Aabb::of_points(pts);
@@ -125,6 +128,7 @@ impl<const D: usize> KdTree<D> {
 
         if idx.len() <= self.leaf_size {
             self.count[id as usize] = idx.len() as u32;
+            self.depth = self.depth.max(depth);
             return id;
         }
 
@@ -227,16 +231,10 @@ impl<const D: usize> KdTree<D> {
         &self.points[f..f + c]
     }
 
-    /// Maximum depth (root = 0), by traversal.
+    /// Maximum depth (root = 0). Recorded at build time: kernels read it
+    /// on every batch to size their rope stacks.
     pub fn depth(&self) -> usize {
-        fn rec<const D: usize>(t: &KdTree<D>, n: NodeId, d: usize) -> usize {
-            if t.is_leaf(n) {
-                d
-            } else {
-                rec(t, t.left(n), d + 1).max(rec(t, t.right[n as usize], d + 1))
-            }
-        }
-        rec(self, 0, 0)
+        self.depth
     }
 
     /// Leaf that `p` would descend to following split planes (used for
@@ -452,6 +450,40 @@ mod tests {
         let t = KdTree::build(&pts, 1, SplitPolicy::MedianCycle);
         // Perfectly balanced would be 10; allow slack for bucket rounding.
         assert!(t.depth() <= 12, "depth {} too large", t.depth());
+    }
+
+    /// The walk `depth()` used to be: deepest leaf, root = 0.
+    fn walked_depth<const D: usize>(t: &KdTree<D>, n: NodeId, d: usize) -> usize {
+        if t.is_leaf(n) {
+            d
+        } else {
+            walked_depth(t, t.left(n), d + 1).max(walked_depth(t, t.right[n as usize], d + 1))
+        }
+    }
+
+    #[test]
+    fn recorded_depth_equals_the_walked_depth() {
+        let mut dup_heavy = vec![PointN([0.25f32, 0.75, 0.5]); 300];
+        dup_heavy.extend(random_points::<3>(200, 9));
+        let inputs = [
+            random_points::<3>(1, 1),
+            random_points::<3>(7, 2),
+            random_points::<3>(1000, 3),
+            dup_heavy,
+        ];
+        for pts in &inputs {
+            for policy in [SplitPolicy::MedianCycle, SplitPolicy::MidpointWidest] {
+                for leaf_size in [1, 8, 32] {
+                    let t = KdTree::build(pts, leaf_size, policy);
+                    assert_eq!(
+                        t.depth(),
+                        walked_depth(&t, 0, 0),
+                        "{} points, {policy:?}, leaf_size {leaf_size}",
+                        pts.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,71 @@
+//! Allocation budget of the simulated executors.
+//!
+//! The simulator prices every modeled memory request of every warp step,
+//! so anything it allocates per request is paid hundreds of thousands of
+//! times per batch. This binary installs a counting global allocator and
+//! pins the budget: a launch may allocate per *warp* (stacks, per-lane
+//! counters, the per-warp counter fold), never per node visit. One test
+//! only — the counter is process-wide, so nothing else may run beside it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use gts_apps::knn::{KnnKernel, KnnPoint};
+use gts_points::gen::uniform;
+use gts_points::sort::{apply_perm, morton_order};
+use gts_runtime::gpu::{autoropes, lockstep, GpuConfig};
+use gts_runtime::GpuReport;
+use gts_trees::{KdTree, SplitPolicy};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: defers every request to `System` unchanged; the only addition
+// is a relaxed counter bump.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (and reallocations) per lane node visit of one launch.
+fn allocs_per_visit(run: impl FnOnce() -> GpuReport) -> f64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let rep = run();
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(rep.launch.warps, 8);
+    allocs as f64 / rep.launch.counters.node_visits as f64
+}
+
+#[test]
+fn executors_allocate_per_warp_not_per_node_visit() {
+    let data = uniform::<3>(4096, 0xa110c);
+    let queries = uniform::<3>(256, 0xbeef);
+    let queries = apply_perm(&queries, &morton_order(&queries));
+    let tree = KdTree::build(&data, 8, SplitPolicy::MedianCycle);
+    let kernel = KnnKernel::new(&tree);
+    // Fresh per-query state for each launch (a clone would drop the
+    // k-best sets' reserved capacity and make the queries grow them).
+    let points = || -> Vec<KnnPoint<3>> { queries.iter().map(|&p| KnnPoint::new(p, 8)).collect() };
+    let cfg = GpuConfig::new(1);
+
+    let mut work = points();
+    let ar = allocs_per_visit(|| autoropes::run(&kernel, &mut work, &cfg));
+    let mut work = points();
+    let ls = allocs_per_visit(|| lockstep::run(&kernel, &mut work, &cfg));
+    println!("allocations per node visit: autoropes {ar:.3}, lockstep {ls:.3}");
+    assert!(ar < 0.25, "autoropes: {ar:.3} allocations per node visit");
+    assert!(ls < 0.25, "lockstep: {ls:.3} allocations per node visit");
+}
