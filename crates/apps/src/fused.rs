@@ -2,8 +2,9 @@
 //! and point-correlation for the same query position (Sakka et al.'s
 //! traversal fusion, applied to the paper's three point kernels).
 //!
-//! The composition is built from [`gts_runtime::FusedKernel`]'s generic
-//! union-admission combinator:
+//! A pair of [`PointRule`]s is a rule (`gts_runtime::fused`), so the
+//! fusion is just the rule `(NN, (kNN, multi-PC))` walked by the same
+//! [`KdBox`] — or the same Wald walk — as any solo op:
 //!
 //! * **NN** keeps its own `(best_d2, best_idx)` register pair with the
 //!   distinct-position rule (`d2 > 0`). A k-best heap cannot subsume it in
@@ -16,34 +17,29 @@
 //!   `KBest(j)` run (pinned in `kbest`'s tests).
 //! * **PC** generalizes to [`MultiPcPoint`]: per-lane radius slots (the
 //!   lane may serve several PC radii at once), counted in one pass per
-//!   leaf point, admitted under the largest slot radius.
+//!   offered point, admitted under the largest slot radius.
 //!
 //! A lane opts out of a constituent with *inert* state — `best_d2 = -inf`
-//! for NN, [`KBest::inactive`] for kNN, zero slots for PC — which
-//! truncates that constituent everywhere and never widens the union prune
-//! bound. Each constituent's answer is bit-identical to its unfused
-//! kernel: extra union-visited nodes satisfy `lb > bound_op` and the box
-//! lower bound only grows along a descent while the op bound only shrinks,
-//! so a truncated constituent stays truncated below (the
-//! `NnAabbKernel`-vs-`NnKernel` argument, per constituent).
+//! for NN, [`KBest::inactive`] for kNN, zero slots for PC — which rejects
+//! every offer and never widens the union prune bound. Each constituent's
+//! answer is bit-identical to its unfused kernel: the union walk reaches a
+//! point a solo walk would have pruned only when its distance exceeds that
+//! constituent's bound, and every rule's `offer` rejects exactly those
+//! (the [`PointRule`] contract, property-tested below).
 
-use gts_runtime::{
-    Child, ChildBuf, FusedKernel, FusedPoint, FusedWaldKernel, TraversalKernel, VisitOutcome,
-    WaldKernel,
-};
-use gts_trees::layout::NodeBytes;
-use gts_trees::{Aabb, KdTree, LbKdTree, NodeId, PointN};
+use gts_runtime::{FusedPoint, PointRule};
+use gts_trees::{KdTree, PointN};
 
 use crate::kbest::KBest;
-use crate::knn::{KnnKernel, KnnPoint};
-use crate::nn::{NnAabbKernel, NnPoint};
-use crate::wald::{WaldKnnKernel, WaldNnKernel};
+use crate::kd::KdBox;
+use crate::knn::{KnnPoint, KnnRule};
+use crate::nn::{NnPoint, NnRule};
 
 /// One point-correlation radius served by a fused lane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PcSlot {
     /// Squared radius (computed as `radius * radius`, matching
-    /// [`crate::pc::PcKernel`] bit-for-bit).
+    /// [`crate::pc::PcRule`] bit-for-bit).
     pub radius2: f32,
     /// Points found within this radius so far.
     pub count: u32,
@@ -51,7 +47,7 @@ pub struct PcSlot {
 
 /// Traversal state of the multi-radius PC constituent: like
 /// [`crate::pc::PcPoint`] but with the radii per lane instead of per
-/// kernel, so one fused batch can mix different radii (and lanes that
+/// rule, so one fused batch can mix different radii (and lanes that
 /// asked for no PC at all).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiPcPoint<const D: usize> {
@@ -88,172 +84,45 @@ impl<const D: usize> MultiPcPoint<D> {
     }
 }
 
-/// Multi-radius point correlation over the pointer kd-tree (the rope-stack
-/// and skip-walk shape of the PC constituent).
-pub struct MultiPcKernel<'t, const D: usize> {
-    tree: &'t KdTree<D>,
-    depth: usize,
-}
+/// Multi-radius point correlation: `can_correlate` under the union of the
+/// lane's radii, each slot counting under its own.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MultiPcRule;
 
-impl<'t, const D: usize> MultiPcKernel<'t, D> {
-    /// Kernel over `tree`; the radii live in each lane's slots.
-    pub fn new(tree: &'t KdTree<D>) -> Self {
-        MultiPcKernel {
-            tree,
-            depth: tree.depth(),
-        }
-    }
-}
+impl<const D: usize> PointRule<D> for MultiPcRule {
+    type State = MultiPcPoint<D>;
+    const GUIDED: bool = false;
 
-impl<const D: usize> TraversalKernel for MultiPcKernel<'_, D> {
-    type Point = MultiPcPoint<D>;
-    type Args = ();
-    const MAX_KIDS: usize = 2;
-    const CALL_SETS: usize = 1;
-
-    fn n_nodes(&self) -> usize {
-        self.tree.n_nodes()
+    fn pos(p: &MultiPcPoint<D>) -> &PointN<D> {
+        &p.pos
     }
-    fn is_leaf(&self, node: NodeId) -> bool {
-        self.tree.is_leaf(node)
+    fn bound(&self, p: &MultiPcPoint<D>) -> f32 {
+        p.max_r2
     }
-    fn leaf_range(&self, node: NodeId) -> Option<(u32, u32)> {
-        self.tree.is_leaf(node).then(|| {
-            (
-                self.tree.first[node as usize],
-                self.tree.count[node as usize],
-            )
-        })
-    }
-    fn n_leaf_elems(&self) -> u64 {
-        self.tree.n_points() as u64
-    }
-    fn node_bytes(&self) -> NodeBytes {
-        NodeBytes::kd(D)
-    }
-    fn max_depth(&self) -> usize {
-        self.depth
-    }
-    fn root_args(&self) {}
-
-    fn visit(
-        &self,
-        p: &mut MultiPcPoint<D>,
-        node: NodeId,
-        _args: (),
-        _forced: Option<usize>,
-        kids: &mut ChildBuf<()>,
-    ) -> VisitOutcome {
-        let b = Aabb {
-            lo: self.tree.bbox_lo[node as usize],
-            hi: self.tree.bbox_hi[node as usize],
-        };
-        // `can_correlate` under the union of the lane's radii. An inert
-        // lane carries `max_r2 = -inf`, so this truncates everywhere;
-        // neither side is ever NaN.
-        if b.dist2_to(&p.pos) > p.max_r2 {
-            return VisitOutcome::Truncated;
-        }
-        if self.tree.is_leaf(node) {
-            for q in self.tree.leaf_points(node) {
-                let d2 = q.dist2(&p.pos);
-                for slot in &mut p.slots {
-                    if d2 <= slot.radius2 {
-                        slot.count += 1;
-                    }
-                }
-            }
-            return VisitOutcome::Leaf;
-        }
-        kids.push(Child {
-            node: self.tree.left(node),
-            args: (),
-        });
-        kids.push(Child {
-            node: self.tree.right[node as usize],
-            args: (),
-        });
-        VisitOutcome::Descended { call_set: 0 }
-    }
-}
-
-/// Multi-radius point correlation over the left-balanced implicit tree.
-pub struct WaldMultiPcKernel<'t, const D: usize> {
-    tree: &'t LbKdTree<D>,
-}
-
-impl<'t, const D: usize> WaldMultiPcKernel<'t, D> {
-    /// Kernel over `tree`; the radii live in each lane's slots.
-    pub fn new(tree: &'t LbKdTree<D>) -> Self {
-        WaldMultiPcKernel { tree }
-    }
-}
-
-impl<const D: usize> WaldKernel for WaldMultiPcKernel<'_, D> {
-    type Point = MultiPcPoint<D>;
-
-    fn n_nodes(&self) -> usize {
-        self.tree.n_nodes()
-    }
-    fn axis(&self, node: NodeId) -> usize {
-        self.tree.split_dim[node as usize] as usize
-    }
-    fn split(&self, node: NodeId) -> f32 {
-        self.tree.points[node as usize][self.axis(node)]
-    }
-    fn coord(&self, p: &MultiPcPoint<D>, axis: usize) -> f32 {
-        p.pos[axis]
-    }
-    fn process(&self, p: &mut MultiPcPoint<D>, node: NodeId) {
-        let d2 = self.tree.points[node as usize].dist2(&p.pos);
+    fn offer(&self, p: &mut MultiPcPoint<D>, d2: f32, _idx: u32) {
         for slot in &mut p.slots {
             if d2 <= slot.radius2 {
                 slot.count += 1;
             }
         }
     }
-    fn cull_d2(&self, p: &MultiPcPoint<D>) -> f32 {
-        p.max_r2
-    }
-    fn node_bytes(&self) -> NodeBytes {
-        NodeBytes {
-            hot: (D as u64) * 4,
-            cold: 0,
-            leaf_elem: (D as u64) * 4,
-        }
-    }
 }
+
+/// The NN + kNN + PC fusion, as a rule.
+pub type FusedOpsRule = (NnRule, (KnnRule, MultiPcRule));
 
 /// Per-lane state of the full NN + kNN + PC fusion.
 pub type FusedOpsPoint<const D: usize> =
     FusedPoint<NnPoint<D>, FusedPoint<KnnPoint<D>, MultiPcPoint<D>>>;
 
-/// The NN + kNN + PC fusion over the pointer kd-tree. Box pruning
-/// everywhere (`Args = ()`), so one kernel rides the rope-stack executors
-/// *and* the stackless skip walk.
-pub type FusedOpsKernel<'t, const D: usize> =
-    FusedKernel<NnAabbKernel<'t, D>, FusedKernel<KnnKernel<'t, D>, MultiPcKernel<'t, D>>>;
-
-/// The NN + kNN + PC fusion over the left-balanced implicit tree.
-pub type FusedOpsWaldKernel<'t, const D: usize> = FusedWaldKernel<
-    WaldNnKernel<'t, D>,
-    FusedWaldKernel<WaldKnnKernel<'t, D>, WaldMultiPcKernel<'t, D>>,
->;
+/// The NN + kNN + PC fusion over the pointer kd-tree; its
+/// [`rule`](KdBox::rule) is what the Wald walk over the left-balanced
+/// mirror consumes.
+pub type FusedOpsKernel<'t, const D: usize> = KdBox<'t, D, FusedOpsRule>;
 
 /// Build the fused NN + kNN + PC kernel over `tree`.
 pub fn fused_ops_kernel<const D: usize>(tree: &KdTree<D>) -> FusedOpsKernel<'_, D> {
-    FusedKernel::new(
-        NnAabbKernel::new(tree),
-        FusedKernel::new(KnnKernel::new(tree), MultiPcKernel::new(tree)),
-    )
-}
-
-/// Build the fused NN + kNN + PC kernel over the left-balanced mirror.
-pub fn fused_ops_wald_kernel<const D: usize>(lb: &LbKdTree<D>) -> FusedOpsWaldKernel<'_, D> {
-    FusedWaldKernel::new(
-        WaldNnKernel::new(lb),
-        FusedWaldKernel::new(WaldKnnKernel::new(lb), WaldMultiPcKernel::new(lb)),
-    )
+    FusedOpsKernel::new(tree)
 }
 
 /// Build one fused lane at `pos`: NN state iff `nn`, a kNN heap of
@@ -292,12 +161,18 @@ pub fn fused_ops_point<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knn::KnnPoint;
-    use crate::nn::NnKernel;
-    use crate::pc::{PcKernel, PcPoint};
+    use crate::knn::KnnKernel;
+    use crate::nn::{NnAabbKernel, NnKernel};
+    use crate::pc::{PcKernel, PcPoint, PcRule};
     use gts_points::gen::uniform;
     use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig};
-    use gts_trees::SplitPolicy;
+    use gts_runtime::{ChildBuf, TraversalKernel, VisitOutcome};
+    use gts_trees::layout::NodeBytes;
+    use gts_trees::{LbKdTree, NodeId, SplitPolicy};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    type MultiPcBox<'t> = KdBox<'t, 3, MultiPcRule>;
 
     fn setup(n: usize, seed: u64) -> (Vec<PointN<3>>, KdTree<3>, LbKdTree<3>) {
         let pts = uniform::<3>(n, seed);
@@ -366,7 +241,7 @@ mod tests {
                     check!(NnAabbKernel::new(&tree));
                     check!(KnnKernel::new(&tree));
                     check!(PcKernel::new(&tree, 0.2));
-                    check!(MultiPcKernel::new(&tree));
+                    check!(MultiPcBox::new(&tree));
                     check!(fused_ops_kernel(&tree));
                 }
             }
@@ -377,7 +252,7 @@ mod tests {
     fn multi_pc_slots_match_single_radius_kernels_bitwise() {
         let (pts, tree, _) = setup(200, 71);
         let radii = [0.1f32, 0.3, 0.6];
-        let multi = MultiPcKernel::new(&tree);
+        let multi = MultiPcBox::new(&tree);
         let cfg = GpuConfig::default();
         let mut lanes: Vec<MultiPcPoint<3>> =
             pts.iter().map(|&p| MultiPcPoint::new(p, &radii)).collect();
@@ -409,7 +284,6 @@ mod tests {
         autoropes::run(&PcKernel::new(&tree, radius), &mut pc_solo, &cfg);
 
         let kernel = fused_ops_kernel(&tree);
-        let wald = fused_ops_wald_kernel(&lb);
         let make = || -> Vec<FusedOpsPoint<3>> {
             pts.iter()
                 .map(|&p| fused_ops_point(p, true, Some(k), &[radius]))
@@ -444,7 +318,7 @@ mod tests {
         check(&s, "skip");
         let mut w = make();
         let wald_lanes = {
-            stackless::run_wald(&wald, &mut w, &cfg);
+            stackless::run_wald(&lb, kernel.rule(), &mut w, &cfg);
             &w
         };
         // Wald kernels record dataset-space ids through the lb-tree perm;
@@ -531,5 +405,73 @@ mod tests {
         let mut lanes: Vec<FusedOpsPoint<3>> = vec![fused_ops_point(pts[0], false, None, &[])];
         let rep = autoropes::run(&kernel, &mut lanes, &GpuConfig::default());
         assert_eq!(rep.stats.per_point_nodes[0], 1, "root visit only");
+    }
+
+    /// The [`PointRule`] contract on one offer sequence: `bound` never
+    /// grows, and an offer beyond the bound it met changes nothing.
+    fn assert_rule_contract<R: PointRule<3>>(
+        label: &str,
+        rule: &R,
+        mut state: R::State,
+        offers: &[(f32, u32)],
+    ) where
+        R::State: PartialEq + std::fmt::Debug,
+    {
+        for (step, &(d2, idx)) in offers.iter().enumerate() {
+            let before = state.clone();
+            let bound = rule.bound(&before);
+            rule.offer(&mut state, d2, idx);
+            assert!(
+                rule.bound(&state) <= bound,
+                "{label} step {step}: bound grew {bound} -> {}",
+                rule.bound(&state)
+            );
+            if d2 > bound {
+                assert_eq!(state, before, "{label} step {step}: offer {d2} > {bound}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Fusion legality, tested: the union walk offers a constituent
+        /// points its solo walk would have pruned, which is exact only
+        /// because every rule — live, inert, or a pair — honors this.
+        #[test]
+        fn prop_fused_and_solo_rules_keep_the_offer_contract(
+            seed in 0u64..10_000,
+            len in 0usize..80,
+            k in 1usize..6,
+        ) {
+            // A coarse grid of distances, so duplicates and zeros are
+            // common and offers land on both sides of every bound.
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut offer = || (rng.gen_range(0u32..12) as f32 * 0.25, rng.gen_range(0u32..40));
+            let offers: Vec<(f32, u32)> = (0..len).map(|_| offer()).collect();
+            let pos = PointN([0.5f32; 3]);
+            let radii = [0.5f32, 1.25, 0.0];
+            let inert = fused_ops_point(pos, false, None, &[]);
+            let multi = MultiPcPoint::new(pos, &radii);
+
+            assert_rule_contract("nn", &NnRule, NnPoint::new(pos), &offers);
+            assert_rule_contract("nn inert", &NnRule, inert.a, &offers);
+            assert_rule_contract("knn", &KnnRule, KnnPoint::new(pos, k), &offers);
+            assert_rule_contract("knn inert", &KnnRule, inert.b.a, &offers);
+            assert_rule_contract("pc", &PcRule::new(1.0), PcPoint::new(pos), &offers);
+            assert_rule_contract("multi-pc", &MultiPcRule, multi, &offers);
+            assert_rule_contract("multi-pc inert", &MultiPcRule, inert.b.b, &offers);
+            let fused = FusedOpsRule::default();
+            for (nn, knn_k, pc) in [
+                (true, Some(k), &radii[..]),
+                (true, None, &[][..]),
+                (false, Some(k), &[][..]),
+                (false, None, &radii[..1]),
+                (false, None, &[][..]),
+            ] {
+                let label = format!("fused nn={nn} k={knn_k:?} radii={pc:?}");
+                let lane = fused_ops_point(pos, nn, knn_k, pc);
+                assert_rule_contract(&label, &fused, lane, &offers);
+            }
+        }
     }
 }

@@ -1,19 +1,17 @@
 //! k-Nearest Neighbor search over a median-split kd-tree (paper §6.1.2).
 //!
 //! The traversal prunes any subtree whose bounding box lies farther than
-//! the current k-th-best distance. Which child is searched *first* depends
-//! on the query's side of the split plane — two static call sets, making
-//! kNN a **guided** traversal (the paper's Figure 5 shape). The call sets
-//! are semantically equivalent (§4.3): descending the “wrong” child first
-//! only delays the bound from tightening; the final k-best set is
-//! unchanged. The kernel therefore carries `CALL_SETS_EQUIVALENT`,
-//! enabling the lockstep variant via the per-warp majority vote.
+//! the current k-th-best distance, and searches the query's side of each
+//! split plane first — kNN is a **guided** traversal (the paper's Figure 5
+//! shape) whose call sets are semantically equivalent (§4.3): the final
+//! k-best set does not depend on the order. [`KnnRule`] states the op;
+//! [`crate::kd::KdBox`] is the walk.
 
-use gts_runtime::{Child, ChildBuf, TraversalKernel, VisitOutcome};
-use gts_trees::layout::NodeBytes;
-use gts_trees::{Aabb, KdTree, NodeId, PointN};
+use gts_runtime::PointRule;
+use gts_trees::PointN;
 
 use crate::kbest::KBest;
+use crate::kd::KdBox;
 
 /// Traversal state of one kNN query.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,114 +32,39 @@ impl<const D: usize> KnnPoint<D> {
     }
 }
 
-/// The kNN kernel over a median-split kd-tree.
-pub struct KnnKernel<'t, const D: usize> {
-    tree: &'t KdTree<D>,
-    depth: usize,
-}
+/// kNN's `truncate?`/`update`: keep the k closest points; prune beyond
+/// the k-th best once k are held.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KnnRule;
 
-impl<'t, const D: usize> KnnKernel<'t, D> {
-    /// Kernel over `tree`. The neighbor count `k` lives in each point.
-    pub fn new(tree: &'t KdTree<D>) -> Self {
-        KnnKernel {
-            tree,
-            depth: tree.depth(),
-        }
+impl<const D: usize> PointRule<D> for KnnRule {
+    type State = KnnPoint<D>;
+    const GUIDED: bool = true;
+
+    fn pos(p: &KnnPoint<D>) -> &PointN<D> {
+        &p.pos
     }
-
-    fn prune(&self, node: NodeId, p: &KnnPoint<D>) -> bool {
-        let b = Aabb {
-            lo: self.tree.bbox_lo[node as usize],
-            hi: self.tree.bbox_hi[node as usize],
-        };
-        b.dist2_to(&p.pos) > p.best.bound()
+    fn bound(&self, p: &KnnPoint<D>) -> f32 {
+        p.best.bound()
+    }
+    fn offer(&self, p: &mut KnnPoint<D>, d2: f32, idx: u32) {
+        p.best.offer(d2, idx);
     }
 }
 
-impl<const D: usize> TraversalKernel for KnnKernel<'_, D> {
-    type Point = KnnPoint<D>;
-    type Args = ();
-    const MAX_KIDS: usize = 2;
-    const CALL_SETS: usize = 2;
-    const CALL_SETS_EQUIVALENT: bool = true;
-
-    fn n_nodes(&self) -> usize {
-        self.tree.n_nodes()
-    }
-    fn is_leaf(&self, node: NodeId) -> bool {
-        self.tree.is_leaf(node)
-    }
-    fn leaf_range(&self, node: NodeId) -> Option<(u32, u32)> {
-        self.tree.is_leaf(node).then(|| {
-            (
-                self.tree.first[node as usize],
-                self.tree.count[node as usize],
-            )
-        })
-    }
-    fn n_leaf_elems(&self) -> u64 {
-        self.tree.n_points() as u64
-    }
-    fn node_bytes(&self) -> NodeBytes {
-        NodeBytes::kd(D)
-    }
-    fn max_depth(&self) -> usize {
-        self.depth
-    }
-    fn root_args(&self) {}
-
-    fn choose(&self, p: &KnnPoint<D>, node: NodeId, _args: ()) -> usize {
-        // `closer_to_left` from the paper's Figure 5.
-        let axis = self.tree.split_dim[node as usize] as usize;
-        usize::from(p.pos[axis] >= self.tree.split_val[node as usize])
-    }
-
-    fn visit(
-        &self,
-        p: &mut KnnPoint<D>,
-        node: NodeId,
-        _args: (),
-        forced: Option<usize>,
-        kids: &mut ChildBuf<()>,
-    ) -> VisitOutcome {
-        if self.prune(node, p) {
-            return VisitOutcome::Truncated;
-        }
-        if self.tree.is_leaf(node) {
-            let first = self.tree.first[node as usize];
-            for (k, q) in self.tree.leaf_points(node).iter().enumerate() {
-                p.best.offer(q.dist2(&p.pos), first + k as u32);
-            }
-            return VisitOutcome::Leaf;
-        }
-        let set = forced.unwrap_or_else(|| self.choose(p, node, ()));
-        let l = Child {
-            node: self.tree.left(node),
-            args: (),
-        };
-        let r = Child {
-            node: self.tree.right[node as usize],
-            args: (),
-        };
-        if set == 0 {
-            kids.push(l);
-            kids.push(r);
-        } else {
-            kids.push(r);
-            kids.push(l);
-        }
-        VisitOutcome::Descended { call_set: set }
-    }
-}
+/// The kNN kernel over a median-split kd-tree. The neighbor count `k`
+/// lives in each point.
+pub type KnnKernel<'t, const D: usize> = KdBox<'t, D, KnnRule>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle;
     use gts_points::gen::uniform;
-    use gts_runtime::cpu;
     use gts_runtime::gpu::{autoropes, lockstep, recursive, GpuConfig};
-    use gts_trees::SplitPolicy;
+    use gts_runtime::{cpu, ChildBuf, TraversalKernel, VisitOutcome};
+    use gts_trees::layout::NodeBytes;
+    use gts_trees::{KdTree, NodeId, SplitPolicy};
     use proptest::prelude::*;
 
     const K: usize = 4;

@@ -15,9 +15,11 @@
 //! collapse every traversal immediately, which does not match the NN
 //! traversal lengths the paper reports).
 
-use gts_runtime::{Child, ChildBuf, TraversalKernel, VisitOutcome};
+use gts_runtime::{Child, ChildBuf, PointRule, TraversalKernel, VisitOutcome};
 use gts_trees::layout::NodeBytes;
 use gts_trees::{KdTree, NodeId, PointN};
+
+use crate::kd::KdBox;
 
 /// Traversal state of one NN query.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,7 +45,31 @@ impl<const D: usize> NnPoint<D> {
     }
 }
 
-/// The NN kernel over a midpoint-split kd-tree.
+/// NN's `truncate?`/`update`: keep the strictly closest point at a
+/// strictly nonzero distance; prune beyond the best so far.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NnRule;
+
+impl<const D: usize> PointRule<D> for NnRule {
+    type State = NnPoint<D>;
+    const GUIDED: bool = true;
+
+    fn pos(p: &NnPoint<D>) -> &PointN<D> {
+        &p.pos
+    }
+    fn bound(&self, p: &NnPoint<D>) -> f32 {
+        p.best_d2
+    }
+    fn offer(&self, p: &mut NnPoint<D>, d2: f32, idx: u32) {
+        if d2 > 0.0 && d2 < p.best_d2 {
+            p.best_d2 = d2;
+            p.best_idx = idx;
+        }
+    }
+}
+
+/// The NN kernel over a midpoint-split kd-tree: [`NnRule`] under
+/// split-plane pruning.
 pub struct NnKernel<'t, const D: usize> {
     tree: &'t KdTree<D>,
     depth: usize,
@@ -121,10 +147,7 @@ impl<const D: usize> TraversalKernel for NnKernel<'_, D> {
             let first = self.tree.first[node as usize];
             for (k, q) in self.tree.leaf_points(node).iter().enumerate() {
                 let d2 = q.dist2(&p.pos);
-                if d2 > 0.0 && d2 < p.best_d2 {
-                    p.best_d2 = d2;
-                    p.best_idx = first + k as u32;
-                }
+                NnRule.offer(p, d2, first + k as u32);
             }
             return VisitOutcome::Leaf;
         }
@@ -175,103 +198,7 @@ impl<const D: usize> TraversalKernel for NnKernel<'_, D> {
 /// walk ([`gts_runtime::gpu::stackless::run_skip`]) requires: it has no
 /// stack to carry an argument on. Results are identical — a pruned box
 /// only hides points the update rule would reject anyway.
-pub struct NnAabbKernel<'t, const D: usize> {
-    tree: &'t KdTree<D>,
-    depth: usize,
-}
-
-impl<'t, const D: usize> NnAabbKernel<'t, D> {
-    /// Kernel over `tree`.
-    pub fn new(tree: &'t KdTree<D>) -> Self {
-        NnAabbKernel {
-            tree,
-            depth: tree.depth(),
-        }
-    }
-}
-
-impl<const D: usize> TraversalKernel for NnAabbKernel<'_, D> {
-    type Point = NnPoint<D>;
-    type Args = ();
-    const MAX_KIDS: usize = 2;
-    const CALL_SETS: usize = 2;
-    const CALL_SETS_EQUIVALENT: bool = true;
-
-    fn n_nodes(&self) -> usize {
-        self.tree.n_nodes()
-    }
-    fn is_leaf(&self, node: NodeId) -> bool {
-        self.tree.is_leaf(node)
-    }
-    fn leaf_range(&self, node: NodeId) -> Option<(u32, u32)> {
-        self.tree.is_leaf(node).then(|| {
-            (
-                self.tree.first[node as usize],
-                self.tree.count[node as usize],
-            )
-        })
-    }
-    fn n_leaf_elems(&self) -> u64 {
-        self.tree.n_points() as u64
-    }
-    fn node_bytes(&self) -> NodeBytes {
-        NodeBytes::kd(D)
-    }
-    fn max_depth(&self) -> usize {
-        self.depth
-    }
-    fn root_args(&self) {}
-
-    fn choose(&self, p: &NnPoint<D>, node: NodeId, _args: ()) -> usize {
-        let axis = self.tree.split_dim[node as usize] as usize;
-        usize::from(p.pos[axis] >= self.tree.split_val[node as usize])
-    }
-
-    fn visit(
-        &self,
-        p: &mut NnPoint<D>,
-        node: NodeId,
-        _args: (),
-        forced: Option<usize>,
-        kids: &mut ChildBuf<()>,
-    ) -> VisitOutcome {
-        let b = gts_trees::Aabb {
-            lo: self.tree.bbox_lo[node as usize],
-            hi: self.tree.bbox_hi[node as usize],
-        };
-        if b.dist2_to(&p.pos) > p.best_d2 {
-            return VisitOutcome::Truncated;
-        }
-        if self.tree.is_leaf(node) {
-            let first = self.tree.first[node as usize];
-            for (k, q) in self.tree.leaf_points(node).iter().enumerate() {
-                let d2 = q.dist2(&p.pos);
-                if d2 > 0.0 && d2 < p.best_d2 {
-                    p.best_d2 = d2;
-                    p.best_idx = first + k as u32;
-                }
-            }
-            return VisitOutcome::Leaf;
-        }
-        let set = forced.unwrap_or_else(|| self.choose(p, node, ()));
-        let l = Child {
-            node: self.tree.left(node),
-            args: (),
-        };
-        let r = Child {
-            node: self.tree.right[node as usize],
-            args: (),
-        };
-        if set == 0 {
-            kids.push(l);
-            kids.push(r);
-        } else {
-            kids.push(r);
-            kids.push(l);
-        }
-        VisitOutcome::Descended { call_set: set }
-    }
-}
+pub type NnAabbKernel<'t, const D: usize> = KdBox<'t, D, NnRule>;
 
 #[cfg(test)]
 mod tests {

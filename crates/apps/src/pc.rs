@@ -6,9 +6,10 @@
 //! unguided example (Figures 4 and 6): one call set, left child then
 //! right child, always.
 
-use gts_runtime::{Child, ChildBuf, TraversalKernel, VisitOutcome};
-use gts_trees::layout::NodeBytes;
-use gts_trees::{Aabb, KdTree, NodeId, PointN};
+use gts_runtime::PointRule;
+use gts_trees::{KdTree, PointN};
+
+use crate::kd::KdBox;
 
 /// Traversal state of one PC query.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,94 +27,50 @@ impl<const D: usize> PcPoint<D> {
     }
 }
 
-/// The Point Correlation kernel over a median-split kd-tree.
-pub struct PcKernel<'t, const D: usize> {
-    tree: &'t KdTree<D>,
+/// PC's `truncate?`/`update`: count the points within a fixed radius;
+/// prune beyond it (`can_correlate` from the paper's Figure 4).
+#[derive(Debug, Clone, Copy)]
+pub struct PcRule {
     radius2: f32,
-    depth: usize,
 }
+
+impl PcRule {
+    /// Rule counting neighbors within `radius`.
+    ///
+    /// # Panics
+    /// Panics on a radius that is not a finite non-negative number.
+    pub fn new(radius: f32) -> Self {
+        assert!(radius >= 0.0 && radius.is_finite(), "bad radius {radius}");
+        PcRule {
+            radius2: radius * radius,
+        }
+    }
+}
+
+impl<const D: usize> PointRule<D> for PcRule {
+    type State = PcPoint<D>;
+    const GUIDED: bool = false;
+
+    fn pos(p: &PcPoint<D>) -> &PointN<D> {
+        &p.pos
+    }
+    fn bound(&self, _p: &PcPoint<D>) -> f32 {
+        self.radius2
+    }
+    fn offer(&self, p: &mut PcPoint<D>, d2: f32, _idx: u32) {
+        if d2 <= self.radius2 {
+            p.count += 1;
+        }
+    }
+}
+
+/// The Point Correlation kernel over a median-split kd-tree.
+pub type PcKernel<'t, const D: usize> = KdBox<'t, D, PcRule>;
 
 impl<'t, const D: usize> PcKernel<'t, D> {
     /// Kernel counting neighbors within `radius` of each query.
     pub fn new(tree: &'t KdTree<D>, radius: f32) -> Self {
-        assert!(radius >= 0.0 && radius.is_finite(), "bad radius {radius}");
-        PcKernel {
-            tree,
-            radius2: radius * radius,
-            depth: tree.depth(),
-        }
-    }
-
-    /// `can_correlate` from the paper's Figure 4: can this subtree contain
-    /// any point within the radius?
-    fn can_correlate(&self, node: NodeId, pos: &PointN<D>) -> bool {
-        let b = Aabb {
-            lo: self.tree.bbox_lo[node as usize],
-            hi: self.tree.bbox_hi[node as usize],
-        };
-        b.dist2_to(pos) <= self.radius2
-    }
-}
-
-impl<const D: usize> TraversalKernel for PcKernel<'_, D> {
-    type Point = PcPoint<D>;
-    type Args = ();
-    const MAX_KIDS: usize = 2;
-    const CALL_SETS: usize = 1;
-
-    fn n_nodes(&self) -> usize {
-        self.tree.n_nodes()
-    }
-    fn is_leaf(&self, node: NodeId) -> bool {
-        self.tree.is_leaf(node)
-    }
-    fn leaf_range(&self, node: NodeId) -> Option<(u32, u32)> {
-        self.tree.is_leaf(node).then(|| {
-            (
-                self.tree.first[node as usize],
-                self.tree.count[node as usize],
-            )
-        })
-    }
-    fn n_leaf_elems(&self) -> u64 {
-        self.tree.n_points() as u64
-    }
-    fn node_bytes(&self) -> NodeBytes {
-        NodeBytes::kd(D)
-    }
-    fn max_depth(&self) -> usize {
-        self.depth
-    }
-    fn root_args(&self) {}
-
-    fn visit(
-        &self,
-        p: &mut PcPoint<D>,
-        node: NodeId,
-        _args: (),
-        _forced: Option<usize>,
-        kids: &mut ChildBuf<()>,
-    ) -> VisitOutcome {
-        if !self.can_correlate(node, &p.pos) {
-            return VisitOutcome::Truncated;
-        }
-        if self.tree.is_leaf(node) {
-            for q in self.tree.leaf_points(node) {
-                if q.dist2(&p.pos) <= self.radius2 {
-                    p.count += 1;
-                }
-            }
-            return VisitOutcome::Leaf;
-        }
-        kids.push(Child {
-            node: self.tree.left(node),
-            args: (),
-        });
-        kids.push(Child {
-            node: self.tree.right[node as usize],
-            args: (),
-        });
-        VisitOutcome::Descended { call_set: 0 }
+        KdBox::with_rule(tree, PcRule::new(radius))
     }
 }
 

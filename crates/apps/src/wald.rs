@@ -2,178 +2,22 @@
 //! ([`gts_trees::LbKdTree`]), traversed by the stack-free Wald walk
 //! ([`gts_runtime::gpu::stackless::run_wald`]).
 //!
-//! One point per node, split plane = the node's own coordinate, children
-//! implicit at `2n + 1` / `2n + 2` — so there are no leaf buckets and no
-//! child pushes; each kernel only states how a node's point updates the
-//! query and what the query's current culling radius is. The point types
-//! are shared with the rope-stack kernels ([`crate::nn::NnPoint`],
-//! [`crate::knn::KnnPoint`], [`crate::pc::PcPoint`]) so the service can
-//! swap executors without converting results.
-//!
-//! **Index space**: hits are recorded through the tree's `perm`, i.e. as
-//! indices into the point array the [`LbKdTree`] was built over. When that
-//! array is itself a pointer-tree's reordered `points` (how `gts-service`
-//! builds it), the recorded ids land in the same space as the rope-stack
-//! kernels' — one `perm` mapping works for both.
-
-use gts_runtime::gpu::stackless::WaldKernel;
-use gts_trees::layout::NodeBytes;
-use gts_trees::{LbKdTree, NodeId};
-
-use crate::knn::KnnPoint;
-use crate::nn::NnPoint;
-use crate::pc::PcPoint;
-
-/// Node-record bytes of the implicit layout: the point's coordinates
-/// only — the axis is `depth % D`, the children are arithmetic, and there
-/// is no cold fragment.
-fn lb_node_bytes<const D: usize>() -> NodeBytes {
-    NodeBytes {
-        hot: (D as u64) * 4,
-        cold: 0,
-        leaf_elem: (D as u64) * 4,
-    }
-}
-
-/// Nearest-neighbor (self-excluding) over the left-balanced tree.
-pub struct WaldNnKernel<'t, const D: usize> {
-    tree: &'t LbKdTree<D>,
-}
-
-impl<'t, const D: usize> WaldNnKernel<'t, D> {
-    /// Kernel over `tree`.
-    pub fn new(tree: &'t LbKdTree<D>) -> Self {
-        WaldNnKernel { tree }
-    }
-}
-
-impl<const D: usize> WaldKernel for WaldNnKernel<'_, D> {
-    type Point = NnPoint<D>;
-
-    fn n_nodes(&self) -> usize {
-        self.tree.n_nodes()
-    }
-    fn axis(&self, node: NodeId) -> usize {
-        self.tree.split_dim[node as usize] as usize
-    }
-    fn split(&self, node: NodeId) -> f32 {
-        self.tree.points[node as usize][self.axis(node)]
-    }
-    fn coord(&self, p: &NnPoint<D>, axis: usize) -> f32 {
-        p.pos[axis]
-    }
-    fn process(&self, p: &mut NnPoint<D>, node: NodeId) {
-        // Same update rule as the rope-stack NN kernels: strictly closer
-        // and strictly nonzero (self-matches excluded).
-        let d2 = self.tree.points[node as usize].dist2(&p.pos);
-        if d2 > 0.0 && d2 < p.best_d2 {
-            p.best_d2 = d2;
-            p.best_idx = self.tree.perm[node as usize];
-        }
-    }
-    fn cull_d2(&self, p: &NnPoint<D>) -> f32 {
-        p.best_d2
-    }
-    fn node_bytes(&self) -> NodeBytes {
-        lb_node_bytes::<D>()
-    }
-}
-
-/// k-nearest-neighbor over the left-balanced tree.
-pub struct WaldKnnKernel<'t, const D: usize> {
-    tree: &'t LbKdTree<D>,
-}
-
-impl<'t, const D: usize> WaldKnnKernel<'t, D> {
-    /// Kernel over `tree`; `k` lives in each point's [`KnnPoint::best`].
-    pub fn new(tree: &'t LbKdTree<D>) -> Self {
-        WaldKnnKernel { tree }
-    }
-}
-
-impl<const D: usize> WaldKernel for WaldKnnKernel<'_, D> {
-    type Point = KnnPoint<D>;
-
-    fn n_nodes(&self) -> usize {
-        self.tree.n_nodes()
-    }
-    fn axis(&self, node: NodeId) -> usize {
-        self.tree.split_dim[node as usize] as usize
-    }
-    fn split(&self, node: NodeId) -> f32 {
-        self.tree.points[node as usize][self.axis(node)]
-    }
-    fn coord(&self, p: &KnnPoint<D>, axis: usize) -> f32 {
-        p.pos[axis]
-    }
-    fn process(&self, p: &mut KnnPoint<D>, node: NodeId) {
-        let d2 = self.tree.points[node as usize].dist2(&p.pos);
-        p.best.offer(d2, self.tree.perm[node as usize]);
-    }
-    fn cull_d2(&self, p: &KnnPoint<D>) -> f32 {
-        p.best.bound()
-    }
-    fn node_bytes(&self) -> NodeBytes {
-        lb_node_bytes::<D>()
-    }
-}
-
-/// Point correlation (fixed-radius count) over the left-balanced tree.
-pub struct WaldPcKernel<'t, const D: usize> {
-    tree: &'t LbKdTree<D>,
-    radius2: f32,
-}
-
-impl<'t, const D: usize> WaldPcKernel<'t, D> {
-    /// Kernel counting neighbors within `radius` of each query.
-    pub fn new(tree: &'t LbKdTree<D>, radius: f32) -> Self {
-        assert!(radius >= 0.0 && radius.is_finite(), "bad radius {radius}");
-        WaldPcKernel {
-            tree,
-            radius2: radius * radius,
-        }
-    }
-}
-
-impl<const D: usize> WaldKernel for WaldPcKernel<'_, D> {
-    type Point = PcPoint<D>;
-
-    fn n_nodes(&self) -> usize {
-        self.tree.n_nodes()
-    }
-    fn axis(&self, node: NodeId) -> usize {
-        self.tree.split_dim[node as usize] as usize
-    }
-    fn split(&self, node: NodeId) -> f32 {
-        self.tree.points[node as usize][self.axis(node)]
-    }
-    fn coord(&self, p: &PcPoint<D>, axis: usize) -> f32 {
-        p.pos[axis]
-    }
-    fn process(&self, p: &mut PcPoint<D>, node: NodeId) {
-        if self.tree.points[node as usize].dist2(&p.pos) <= self.radius2 {
-            p.count += 1;
-        }
-    }
-    fn cull_d2(&self, p: &PcPoint<D>) -> f32 {
-        // Fixed radius: the walk enters the far side iff the plane is
-        // within range (the bound never shrinks).
-        let _ = p;
-        self.radius2
-    }
-    fn node_bytes(&self) -> NodeBytes {
-        lb_node_bytes::<D>()
-    }
-}
+//! There is no kernel to write: one point per node and implicit children
+//! leave the walk needing only the op's [`gts_runtime::PointRule`], so it
+//! takes [`crate::nn::NnRule`], [`crate::knn::KnnRule`],
+//! [`crate::pc::PcRule`] and their fusion as they are, with the point
+//! types the rope-stack kernels use. This module holds the tests pinning
+//! those rules on that walk to the oracles and to the rope-stack answers.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::nn::NnKernel;
+    use crate::knn::{KnnPoint, KnnRule};
+    use crate::nn::{NnKernel, NnPoint, NnRule};
     use crate::oracle;
+    use crate::pc::{PcPoint, PcRule};
     use gts_points::gen::uniform;
     use gts_runtime::gpu::{autoropes, stackless, GpuConfig};
-    use gts_trees::{KdTree, PointN, SplitPolicy};
+    use gts_trees::{KdTree, LbKdTree, SplitPolicy};
     use proptest::prelude::*;
 
     #[test]
@@ -184,7 +28,7 @@ mod tests {
         let cfg = GpuConfig::default();
 
         let mut wald_qs: Vec<NnPoint<3>> = pts.iter().map(|&p| NnPoint::new(p)).collect();
-        stackless::run_wald(&WaldNnKernel::new(&lb), &mut wald_qs, &cfg);
+        stackless::run_wald(&lb, &NnRule, &mut wald_qs, &cfg);
 
         let mut rope_qs: Vec<NnPoint<3>> = pts.iter().map(|&p| NnPoint::new(p)).collect();
         autoropes::run(&NnKernel::new(&kd), &mut rope_qs, &cfg);
@@ -203,9 +47,8 @@ mod tests {
     fn wald_knn_matches_oracle_exactly() {
         let pts = uniform::<3>(300, 62);
         let lb = LbKdTree::build(&pts);
-        let kernel = WaldKnnKernel::new(&lb);
         let mut qs: Vec<KnnPoint<3>> = pts.iter().map(|&p| KnnPoint::new(p, 4)).collect();
-        stackless::run_wald(&kernel, &mut qs, &GpuConfig::default());
+        stackless::run_wald(&lb, &KnnRule, &mut qs, &GpuConfig::default());
         for (i, q) in qs.iter().enumerate() {
             let want = oracle::knn_dists(&pts, &pts[i], 4);
             assert_eq!(q.best.distances(), &want[..], "point {i}");
@@ -216,9 +59,8 @@ mod tests {
     fn wald_pc_matches_oracle() {
         let pts = uniform::<3>(300, 63);
         let lb = LbKdTree::build(&pts);
-        let kernel = WaldPcKernel::new(&lb, 0.4);
         let mut qs: Vec<PcPoint<3>> = pts.iter().map(|&p| PcPoint::new(p)).collect();
-        let r = stackless::run_wald(&kernel, &mut qs, &GpuConfig::default());
+        let r = stackless::run_wald(&lb, &PcRule::new(0.4), &mut qs, &GpuConfig::default());
         for q in &qs {
             assert_eq!(q.count, oracle::pc_count(&pts, &q.pos, 0.4));
         }
@@ -229,9 +71,8 @@ mod tests {
     fn wald_walk_pays_no_stack_traffic() {
         let pts = uniform::<3>(500, 64);
         let lb = LbKdTree::build(&pts);
-        let kernel = WaldNnKernel::new(&lb);
         let mut qs: Vec<NnPoint<3>> = pts.iter().map(|&p| NnPoint::new(p)).collect();
-        let r = stackless::run_wald(&kernel, &mut qs, &GpuConfig::default());
+        let r = stackless::run_wald(&lb, &NnRule, &mut qs, &GpuConfig::default());
         let stack_tx: u64 = r
             .launch
             .counters
@@ -251,9 +92,8 @@ mod tests {
         fn prop_wald_nn_exact(n in 2usize..150, seed in 0u64..50) {
             let pts = uniform::<3>(n, seed);
             let lb = LbKdTree::build(&pts);
-            let kernel = WaldNnKernel::new(&lb);
             let mut qs: Vec<NnPoint<3>> = pts.iter().map(|&p| NnPoint::new(p)).collect();
-            stackless::run_wald(&kernel, &mut qs, &GpuConfig::default());
+            stackless::run_wald(&lb, &NnRule, &mut qs, &GpuConfig::default());
             for (i, q) in qs.iter().enumerate() {
                 let want = oracle::nn_dist2_nonself(&pts, &pts[i]);
                 if want.is_finite() {
@@ -268,9 +108,8 @@ mod tests {
         fn prop_wald_pc_exact(n in 1usize..150, seed in 0u64..50, r in 0.05f32..1.0) {
             let pts = uniform::<3>(n, seed);
             let lb = LbKdTree::build(&pts);
-            let kernel = WaldPcKernel::new(&lb, r);
             let mut qs: Vec<PcPoint<3>> = pts.iter().map(|&p| PcPoint::new(p)).collect();
-            stackless::run_wald(&kernel, &mut qs, &GpuConfig::default());
+            stackless::run_wald(&lb, &PcRule::new(r), &mut qs, &GpuConfig::default());
             for (i, q) in qs.iter().enumerate() {
                 prop_assert_eq!(q.count, oracle::pc_count(&pts, &pts[i], r));
             }
@@ -284,13 +123,11 @@ mod tests {
         let pts = uniform::<2>(50, 65);
         let kd = KdTree::build(&pts, 4, SplitPolicy::MedianCycle);
         let lb = LbKdTree::build(&kd.points);
-        let kernel = WaldNnKernel::new(&lb);
         let mut qs: Vec<NnPoint<2>> = pts.iter().map(|&p| NnPoint::new(p)).collect();
-        stackless::run_wald(&kernel, &mut qs, &GpuConfig::default());
+        stackless::run_wald(&lb, &NnRule, &mut qs, &GpuConfig::default());
         for q in &qs {
             let neighbor = kd.points[q.best_idx as usize];
             assert_eq!(neighbor.dist2(&q.pos), q.best_d2);
         }
-        let _ = PointN([0.0f32; 2]);
     }
 }

@@ -24,9 +24,8 @@
 //!   nodes (extra node loads instead of stack traffic); the far child is
 //!   culled against the query's *current* shrunken radius at decision
 //!   time, which recovers most of what a stack's deferred entries would
-//!   have pruned. Speaks its own tiny [`WaldKernel`] interface because
-//!   there are no child pushes for [`TraversalKernel`]'s visit contract to
-//!   describe.
+//!   have pruned. Consumes a [`PointRule`] directly: there are no child
+//!   pushes for [`TraversalKernel`]'s visit contract to describe.
 //!
 //! Neither executor's node schedule depends on how sorted the batch is —
 //! there is no per-warp stack to thrash — which is why the §4.4 policy
@@ -34,9 +33,9 @@
 
 use gts_sim::{AddressMap, MemSpace, WarpMask, WarpSim, WARP_SIZE};
 use gts_trees::layout::{NodeBytes, NodeLayout, TreeRegions};
-use gts_trees::{NodeId, NO_NODE};
+use gts_trees::{LbKdTree, NodeId, NO_NODE};
 
-use crate::kernel::{ChildBuf, TraversalKernel, VisitOutcome};
+use crate::kernel::{ChildBuf, PointRule, TraversalKernel, VisitOutcome};
 use crate::report::GpuReport;
 use crate::stack::{StackLayout, StackRegion};
 
@@ -159,87 +158,64 @@ fn skip_warp_body<K: TraversalKernel>(
     (counts, warp_iters, 0)
 }
 
-/// The per-node interface of the Wald stack-free kd walk. One point per
-/// node (the node's own coordinate is the split plane), children implicit
-/// at `2n + 1` / `2n + 2` — so unlike [`TraversalKernel`] there are no
-/// child pushes to describe, only the node's processing and the query's
-/// current culling radius.
-pub trait WaldKernel: Sync {
-    /// Per-query state carried through the traversal.
-    type Point: Send + Clone;
-
-    /// Number of tree nodes (= number of indexed points).
-    fn n_nodes(&self) -> usize;
-
-    /// Split axis of `node` (depth % D in the left-balanced layout).
-    fn axis(&self, node: NodeId) -> usize;
-
-    /// Split coordinate of `node` — its own point's coordinate on
-    /// [`axis`](Self::axis).
-    fn split(&self, node: NodeId) -> f32;
-
-    /// The query's coordinate on `axis`.
-    fn coord(&self, p: &Self::Point, axis: usize) -> f32;
-
-    /// Process `node`'s point against the query (update best/count/…).
-    /// Called exactly once per arrival from the parent.
-    fn process(&self, p: &mut Self::Point, node: NodeId);
-
-    /// Current squared culling radius: the far child is entered iff the
-    /// squared distance to the split plane is within this bound. Shrinks
-    /// as the query tightens (NN/kNN) or stays fixed (PC).
-    fn cull_d2(&self, p: &Self::Point) -> f32;
-
-    /// Bytes of one node record (hot fragment; the walk uses a monolithic
-    /// layout — there is no cold fragment to defer).
-    fn node_bytes(&self) -> NodeBytes;
-
-    /// Bytes of one per-query record.
-    fn point_bytes(&self) -> u64 {
-        32
-    }
-
-    /// Instructions charged per node step.
-    fn visit_insts(&self) -> u64 {
-        12
-    }
-}
-
-/// Run the Wald stack-free walk of `points` over `kernel` (a
-/// [`WaldKernel`] over a left-balanced implicit kd-tree).
+/// Run the Wald stack-free walk of `points` over the left-balanced
+/// implicit kd-tree `tree`, answering `rule`.
 ///
-/// Traversal state per lane is `(current, previous)`; the parent is
-/// recomputed as `(n − 1) / 2`. Every step classifies itself from where it
-/// came: arriving from the parent processes the node and descends toward
-/// the near child; returning from the near child tries the far child under
-/// the *current* culling radius; returning from the far child (or a culled
-/// far) backtracks.
-pub fn run_wald<W: WaldKernel>(kernel: &W, points: &mut [W::Point], cfg: &GpuConfig) -> GpuReport {
-    assert!(kernel.n_nodes() > 0, "Wald walk over an empty tree");
-    let scene = wald_scene(kernel, points.len());
+/// One point per node (the node's own coordinate is the split plane),
+/// children implicit at `2n + 1` / `2n + 2` — no leaf buckets and no child
+/// pushes, so all the walk needs from the application is the
+/// [`PointRule`]: each arrival from the parent offers the node's point,
+/// and the far child is entered iff the split plane lies within the
+/// rule's *current* bound. Traversal state per lane is
+/// `(current, previous)`; the parent is recomputed as `(n − 1) / 2`. Every
+/// step classifies itself from where it came: arriving from the parent
+/// processes the node and descends toward the near child; returning from
+/// the near child tries the far child; returning from the far child (or a
+/// culled far) backtracks.
+///
+/// **Index space**: offers name points through the tree's `perm`, i.e. as
+/// indices into the array the [`LbKdTree`] was built over. When that array
+/// is a pointer tree's reordered `points` (how `gts-service` builds it),
+/// the ids land in the same space a [`TraversalKernel`] over that tree
+/// reports.
+pub fn run_wald<const D: usize, R: PointRule<D>>(
+    tree: &LbKdTree<D>,
+    rule: &R,
+    points: &mut [R::State],
+    cfg: &GpuConfig,
+) -> GpuReport {
+    assert!(tree.n_nodes() > 0, "Wald walk over an empty tree");
+    let scene = wald_scene::<D, R>(tree.n_nodes(), points.len());
     drive_points(points, cfg, &scene, |_warp, lanes, sim| {
-        wald_warp_body(kernel, &scene, lanes, sim)
+        wald_warp_body(tree, rule, &scene, lanes, sim)
     })
 }
 
-/// Address space of a Wald launch: monolithic node records (the whole
-/// record is hot — one point plus implicit links), no leaf buckets, and a
+/// Address space of a Wald launch: monolithic node records (the point's
+/// coordinates only — the axis is `depth % D`, the links are arithmetic,
+/// and there is no cold fragment to defer), no leaf buckets, and a
 /// placeholder stack region that never sees a transaction.
-fn wald_scene<W: WaldKernel>(kernel: &W, n_points: usize) -> Scene {
+fn wald_scene<const D: usize, R: PointRule<D>>(n_nodes: usize, n_points: usize) -> Scene {
     let mut map = AddressMap::new();
+    let coords = D as u64 * 4;
+    let node_bytes = NodeBytes {
+        hot: coords,
+        cold: 0,
+        leaf_elem: coords,
+    };
     let tree = TreeRegions::alloc(
         &mut map,
         "tree",
-        kernel.node_bytes(),
+        node_bytes,
         NodeLayout::Monolithic,
-        kernel.n_nodes() as u64,
+        n_nodes as u64,
         1,
     );
     let points = map.alloc(
         "points",
         MemSpace::Global,
         n_points.max(1) as u64,
-        kernel.point_bytes(),
+        R::POINT_BYTES,
     );
     let stack = StackRegion::alloc(&mut map, "rope_stack", StackLayout::InterleavedGlobal, 1, 4);
     Scene {
@@ -251,14 +227,15 @@ fn wald_scene<W: WaldKernel>(kernel: &W, n_points: usize) -> Scene {
     }
 }
 
-fn wald_warp_body<W: WaldKernel>(
-    kernel: &W,
+fn wald_warp_body<const D: usize, R: PointRule<D>>(
+    tree: &LbKdTree<D>,
+    rule: &R,
     scene: &Scene,
-    lanes: &mut [W::Point],
+    lanes: &mut [R::State],
     sim: &mut WarpSim<'_>,
 ) -> (Vec<u32>, u64, usize) {
     let n_lanes = lanes.len();
-    let n_nodes = kernel.n_nodes() as u64;
+    let n_nodes = tree.n_nodes() as u64;
     let mut curr = [NO_NODE; WARP_SIZE];
     let mut prev = [NO_NODE; WARP_SIZE];
     for c in curr.iter_mut().take(n_lanes) {
@@ -278,7 +255,7 @@ fn wald_warp_body<W: WaldKernel>(
         // The node is (re)loaded on every step, including backtracking —
         // the walk pays node reloads where a stack would pay entry traffic.
         sim.load(scene.tree.nodes0, active, |l| curr[l] as u64);
-        sim.step(kernel.visit_insts());
+        sim.step(R::VISIT_INSTS);
 
         let mut arrivals = 0u64;
         // Bit `k` set: some lane took step kind 1 enter-near, 2 enter-far,
@@ -286,17 +263,20 @@ fn wald_warp_body<W: WaldKernel>(
         let mut outcome_kinds = 0u32;
         for l in active.iter_active() {
             let n = curr[l];
+            let point = &tree.points[n as usize];
             let parent = if n == 0 { NO_NODE } else { (n - 1) / 2 };
             let from_parent = prev[l] == parent;
             if from_parent {
                 counts[l] += 1;
                 arrivals += 1;
-                kernel.process(&mut lanes[l], n);
+                let d2 = point.dist2(R::pos(&lanes[l]));
+                rule.offer(&mut lanes[l], d2, tree.perm[n as usize]);
             }
-            let sd = kernel.coord(&lanes[l], kernel.axis(n)) - kernel.split(n);
+            let axis = tree.split_dim[n as usize] as usize;
+            let sd = R::pos(&lanes[l])[axis] - point[axis];
             let lo = 2 * n as u64 + 1;
             let (near, far) = if sd < 0.0 { (lo, lo + 1) } else { (lo + 1, lo) };
-            let far_in_range = far < n_nodes && sd * sd <= kernel.cull_d2(&lanes[l]);
+            let far_in_range = far < n_nodes && sd * sd <= rule.bound(&lanes[l]);
             let (next, kind) = if from_parent {
                 if near < n_nodes {
                     (near as NodeId, 1)
@@ -562,39 +542,22 @@ mod tests {
         best: u32,
     }
 
-    struct WaldNn<'t> {
-        t: &'t LbKdTree<2>,
-    }
+    /// Plain nearest neighbor (self-matches included).
+    struct Nearest;
 
-    impl WaldKernel for WaldNn<'_> {
-        type Point = NnState;
-        fn n_nodes(&self) -> usize {
-            self.t.n_nodes()
+    impl PointRule<2> for Nearest {
+        type State = NnState;
+        const GUIDED: bool = true;
+        fn pos(p: &NnState) -> &PointN<2> {
+            &p.pos
         }
-        fn axis(&self, n: NodeId) -> usize {
-            self.t.split_dim[n as usize] as usize
-        }
-        fn split(&self, n: NodeId) -> f32 {
-            self.t.points[n as usize][self.axis(n)]
-        }
-        fn coord(&self, p: &NnState, axis: usize) -> f32 {
-            p.pos[axis]
-        }
-        fn process(&self, p: &mut NnState, n: NodeId) {
-            let d2 = p.pos.dist2(&self.t.points[n as usize]);
-            if d2 < p.best_d2 {
-                p.best_d2 = d2;
-                p.best = self.t.perm[n as usize];
-            }
-        }
-        fn cull_d2(&self, p: &NnState) -> f32 {
+        fn bound(&self, p: &NnState) -> f32 {
             p.best_d2
         }
-        fn node_bytes(&self) -> NodeBytes {
-            NodeBytes {
-                hot: 12,
-                cold: 0,
-                leaf_elem: 8,
+        fn offer(&self, p: &mut NnState, d2: f32, idx: u32) {
+            if d2 < p.best_d2 {
+                p.best_d2 = d2;
+                p.best = idx;
             }
         }
     }
@@ -610,7 +573,6 @@ mod tests {
     fn wald_nn_matches_brute_force() {
         let data = random_pts(300, 11);
         let tree = LbKdTree::build(&data);
-        let kernel = WaldNn { t: &tree };
         let queries = random_pts(64, 12);
         let mut states: Vec<NnState> = queries
             .iter()
@@ -620,7 +582,7 @@ mod tests {
                 best: u32::MAX,
             })
             .collect();
-        let r = run_wald(&kernel, &mut states, &GpuConfig::default());
+        let r = run_wald(&tree, &Nearest, &mut states, &GpuConfig::default());
         for (q, s) in queries.iter().zip(&states) {
             let (bi, bd) = data
                 .iter()
@@ -644,7 +606,6 @@ mod tests {
     fn wald_has_zero_stack_traffic() {
         let data = random_pts(500, 21);
         let tree = LbKdTree::build(&data);
-        let kernel = WaldNn { t: &tree };
         let mut states: Vec<NnState> = random_pts(100, 22)
             .into_iter()
             .map(|pos| NnState {
@@ -653,7 +614,7 @@ mod tests {
                 best: u32::MAX,
             })
             .collect();
-        let r = run_wald(&kernel, &mut states, &GpuConfig::default());
+        let r = run_wald(&tree, &Nearest, &mut states, &GpuConfig::default());
         let stack_tx: u64 = r
             .launch
             .counters
@@ -672,13 +633,12 @@ mod tests {
     fn wald_single_node_tree() {
         let data = random_pts(1, 31);
         let tree = LbKdTree::build(&data);
-        let kernel = WaldNn { t: &tree };
         let mut states = vec![NnState {
             pos: PointN([1.0, 2.0]),
             best_d2: f32::INFINITY,
             best: u32::MAX,
         }];
-        run_wald(&kernel, &mut states, &GpuConfig::default());
+        run_wald(&tree, &Nearest, &mut states, &GpuConfig::default());
         assert_eq!(states[0].best, 0);
     }
 
@@ -686,7 +646,6 @@ mod tests {
     fn wald_host_thread_count_does_not_change_results() {
         let data = random_pts(400, 41);
         let tree = LbKdTree::build(&data);
-        let kernel = WaldNn { t: &tree };
         let mk = || -> Vec<NnState> {
             random_pts(300, 42)
                 .into_iter()
@@ -699,8 +658,18 @@ mod tests {
         };
         let mut a = mk();
         let mut b = mk();
-        let ra = run_wald(&kernel, &mut a, &GpuConfig::default().with_host_threads(1));
-        let rb = run_wald(&kernel, &mut b, &GpuConfig::default().with_host_threads(8));
+        let ra = run_wald(
+            &tree,
+            &Nearest,
+            &mut a,
+            &GpuConfig::default().with_host_threads(1),
+        );
+        let rb = run_wald(
+            &tree,
+            &Nearest,
+            &mut b,
+            &GpuConfig::default().with_host_threads(8),
+        );
         assert_eq!(ra.stats.per_point_nodes, rb.stats.per_point_nodes);
         assert_eq!(ra.launch.cycles, rb.launch.cycles);
         for (x, y) in a.iter().zip(&b) {

@@ -15,8 +15,12 @@
 //! — the property §3.2 requires for the autoropes transformation. The IR
 //! crate (`gts-ir`) carries the general checker for kernels written as
 //! arbitrary control-flow graphs.
+//!
+//! A [`PointRule`] is the application-specific part on its own, for ops
+//! that score dataset points by distance: kernels for such an op are
+//! derived from its rule instead of written per tree and per executor.
 
-use gts_trees::NodeId;
+use gts_trees::{NodeId, PointN};
 
 /// A child to descend into, with the argument passed to its visit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -167,6 +171,51 @@ pub trait TraversalKernel: Sync {
     fn point_bytes(&self) -> u64 {
         32
     }
+}
+
+/// The *semantic* half of a point-distance traversal: the paper's
+/// `truncate?` and `update` (Figure 1) with the tree taken out. An op is
+/// written once as a rule; the structure that walks it — the box-pruned
+/// kd kernel in `gts-apps`, the Wald walk
+/// ([`crate::gpu::stackless::run_wald`]) — is derived, and a pair of
+/// rules is itself a rule (`crate::fused`), which is all of fusion.
+///
+/// # Contract
+///
+/// Every walk prunes a subtree when a lower bound on its distances exceeds
+/// [`bound`](Self::bound), and may offer a rule points a solo walk would
+/// have pruned. Both are exact iff, over any offer sequence, `bound` never
+/// grows and an [`offer`](Self::offer) with `d2 > bound` leaves the state
+/// unchanged. An *inert* state (a lane that did not ask for this op)
+/// reports `-inf` and so rejects everything.
+pub trait PointRule<const D: usize>: Sync {
+    /// Per-query state: the position plus the running answer.
+    type State: Send + Clone;
+
+    /// Does the answer tighten [`bound`](Self::bound), so that searching
+    /// the near side first pays? Guided rules get the two (equivalent,
+    /// §4.3) call sets; unguided ones the canonical left-first order.
+    const GUIDED: bool;
+
+    /// Modeled ALU instructions of one node visit.
+    const VISIT_INSTS: u64 = 12;
+
+    /// Modeled ALU instructions per leaf-bucket element offered.
+    const LEAF_ELEM_INSTS: u64 = 8;
+
+    /// Modeled bytes of one per-query record in GPU memory.
+    const POINT_BYTES: u64 = 32;
+
+    /// The query position.
+    fn pos(state: &Self::State) -> &PointN<D>;
+
+    /// Current squared prune bound: subtrees farther than this cannot
+    /// change the answer.
+    fn bound(&self, state: &Self::State) -> f32;
+
+    /// The update: a dataset point at squared distance `d2`, named `idx`
+    /// in whatever id space the walking structure reports.
+    fn offer(&self, state: &mut Self::State, d2: f32, idx: u32);
 }
 
 #[cfg(test)]

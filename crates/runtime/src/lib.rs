@@ -13,7 +13,15 @@
 //! | [`gpu::autoropes`] | §3 | iterative rope-stack traversal, per-lane stacks, non-lockstep |
 //! | [`gpu::lockstep`] | §4 | per-warp rope stack with mask bit-vectors, warp votes, optional shared-memory stack |
 //! | [`gpu::stackless::run_skip`] | beyond the paper | ropes-free skip-link walk (Apetrei escape links), zero stack traffic |
-//! | [`gpu::stackless::run_wald`] | beyond the paper | Wald stack-free walk of the left-balanced implicit kd-tree, `(current, previous)` state only |
+//! | [`gpu::stackless::run_wald`] | beyond the paper | Wald stack-free walk of the left-balanced implicit kd-tree, `(current, previous)` state only; consumes a [`PointRule`] directly |
+//!
+//! There is one kernel contract, in two halves. [`TraversalKernel`] is the
+//! *structure*: a node body that names the children to descend into, which
+//! every executor above but the last drives. [`PointRule`] is the
+//! *semantics* of a point-distance op — its prune bound and its update —
+//! from which such structures are derived (`gts_apps::kd::KdBox`, the Wald
+//! walk), and a pair of rules is a rule ([`fused`]), which is all of
+//! traversal fusion.
 //!
 //! The GPU executors perform the *real* computation (points end up with
 //! exactly the values the CPU baseline computes — tests depend on it) while
@@ -33,9 +41,8 @@ pub mod kernel;
 pub mod report;
 pub mod stack;
 
-pub use fused::{FusedKernel, FusedPoint, FusedWaldKernel};
-pub use gpu::stackless::WaldKernel;
-pub use kernel::{Child, ChildBuf, TraversalKernel, VisitOutcome};
+pub use fused::FusedPoint;
+pub use kernel::{Child, ChildBuf, PointRule, TraversalKernel, VisitOutcome};
 pub use report::{CpuReport, GpuReport, TraversalStats};
 pub use stack::StackLayout;
 

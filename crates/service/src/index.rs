@@ -9,19 +9,19 @@
 use crate::epoch::{EpochObserverFn, EpochStats, MutateError, Mutation, MutationAck};
 use crate::policy::{Backend, ExecPolicy};
 use crate::query::{OpKey, QueryResult};
-use gts_apps::fused::{fused_ops_kernel, fused_ops_point, fused_ops_wald_kernel, FusedOpsPoint};
+use gts_apps::fused::{fused_ops_kernel, fused_ops_point, FusedOpsPoint};
 use gts_apps::kbest::KBest;
+use gts_apps::kd::KdBox;
 use gts_apps::knn::{KnnKernel, KnnPoint};
 use gts_apps::nn::{NnAabbKernel, NnKernel, NnPoint};
 use gts_apps::pc::{PcKernel, PcPoint};
-use gts_apps::wald::{WaldKnnKernel, WaldNnKernel, WaldPcKernel};
 use gts_points::profile::{
     profile_sortedness, profile_sortedness_cached, CacheOutcome, ProfileCache,
 };
 use gts_points::sort::morton_order;
 use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig};
-use gts_runtime::{cpu, TraversalKernel, WaldKernel};
-use gts_trees::{KdTree, LbKdTree, NodeId, PointN, SplitPolicy};
+use gts_runtime::{cpu, PointRule, TraversalKernel};
+use gts_trees::{KdTree, LbKdTree, PointN, SplitPolicy};
 use std::collections::{BTreeMap, HashSet};
 
 /// Execution record of one dispatched batch.
@@ -366,14 +366,14 @@ impl<const D: usize> KdIndex<D> {
     ///
     /// `pick` chooses the kernel, and whoever owns the whole batch makes
     /// it from the batch's lanes ([`uniform_op`]): `Some(op)` when every
-    /// lane asks that one op — the op's own kernel triple runs, the
-    /// fastest walk for it and the reference the fused walk is tested
-    /// against — and `None` for anything else, which runs the fused
-    /// kernel (lanes opt out of an op by carrying inert state) and
-    /// replays the per-op walks to report what fusion saved. The shard
-    /// sweep passes its batch's pick to every sub-batch, so one batch
-    /// never mixes kernel families and its node visits do not depend on
-    /// how the schedule grouped the lanes.
+    /// lane asks that one op — the op's own rule runs, the fastest walk
+    /// for it and the reference the fused walk is tested against — and
+    /// `None` for anything else, which runs the fused rule (lanes opt out
+    /// of an op by carrying inert state) and replays the per-op walks to
+    /// report what fusion saved. The shard sweep passes its batch's pick
+    /// to every sub-batch, so one batch never mixes kernel families and
+    /// its node visits do not depend on how the schedule grouped the
+    /// lanes.
     ///
     /// With a [`ProfileCtx`], when the policy would profile, the §4.4
     /// decision is looked up in (and memoized into) the caller's cache
@@ -386,17 +386,14 @@ impl<const D: usize> KdIndex<D> {
         profile: Option<&ProfileCtx<'_>>,
     ) -> FusedOutcome {
         let pts: Vec<PointN<D>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
-        let skip = &self.tree.skip;
         let solo = |r: QueryResult| -> FusedLaneResult { std::iter::once(r).collect() };
         let (results, outcome) = match pick {
             Some(OpKey::Nn) => {
-                // The plane-pruning NN kernel carries a traversal-variant
-                // argument the skip walk cannot replay, so the stackless
-                // BVH backend swaps in the box-pruning variant (§4.3
-                // equivalent call sets, identical update rule).
+                // The plane-pruning NN kernel is the fastest solo NN, but
+                // its traversal-variant argument cannot ride the skip
+                // walk; the box-pruned kernel of the same rule can.
                 let kernel = NnKernel::new(&self.tree);
-                let skip_kernel = NnAabbKernel::new(&self.tree);
-                let wald_kernel = WaldNnKernel::new(&self.lb);
+                let boxed = NnAabbKernel::new(&self.tree);
                 let make = |_i: usize, p: PointN<D>| NnPoint::new(p);
                 let conv = |_i: usize, r: &NnPoint<D>| {
                     solo(QueryResult::Nn {
@@ -404,70 +401,34 @@ impl<const D: usize> KdIndex<D> {
                         id: self.original_id(r.best_idx),
                     })
                 };
-                execute(
-                    &kernel,
-                    &skip_kernel,
-                    &wald_kernel,
-                    skip,
-                    &pts,
-                    policy,
-                    profile,
-                    make,
-                    conv,
-                )
+                execute(self, &kernel, &boxed, &pts, policy, profile, make, conv)
             }
             Some(OpKey::Knn(k)) => {
                 // KBest panics on k == 0 (the batch key already excludes
                 // it); k > n is fine — the set just never fills.
                 let kernel = KnnKernel::new(&self.tree);
-                let wald_kernel = WaldKnnKernel::new(&self.lb);
                 let make = |_i: usize, p: PointN<D>| KnnPoint::new(p, k);
                 let conv =
                     |_i: usize, r: &KnnPoint<D>| solo(self.knn_result(&r.best, r.best.len()));
-                // kNN has no variant arguments, so the same kernel rides
-                // the skip walk directly.
-                execute(
-                    &kernel,
-                    &kernel,
-                    &wald_kernel,
-                    skip,
-                    &pts,
-                    policy,
-                    profile,
-                    make,
-                    conv,
-                )
+                execute(self, &kernel, &kernel, &pts, policy, profile, make, conv)
             }
             Some(OpKey::Pc(radius_bits)) => {
-                let radius = f32::from_bits(radius_bits);
-                let kernel = PcKernel::new(&self.tree, radius);
-                let wald_kernel = WaldPcKernel::new(&self.lb, radius);
+                let kernel = PcKernel::new(&self.tree, f32::from_bits(radius_bits));
                 let make = |_i: usize, p: PointN<D>| PcPoint::new(p);
                 let conv = |_i: usize, r: &PcPoint<D>| solo(QueryResult::Pc { count: r.count });
-                execute(
-                    &kernel,
-                    &kernel,
-                    &wald_kernel,
-                    skip,
-                    &pts,
-                    policy,
-                    profile,
-                    make,
-                    conv,
-                )
+                execute(self, &kernel, &kernel, &pts, policy, profile, make, conv)
             }
             None => {
-                // Box pruning everywhere (`Args = ()`), so the same fused
-                // kernel rides the rope-stack executors and the skip walk.
                 let kernel = fused_ops_kernel(&self.tree);
-                let wald_kernel = fused_ops_wald_kernel(&self.lb);
                 let make = |i: usize, p: PointN<D>| {
                     let lane = lanes[i];
                     let radii: Vec<f32> =
                         lane.pc_radii.iter().map(|&b| f32::from_bits(b)).collect();
                     // One heap sized to the lane's largest k serves every
                     // smaller k as a prefix (`KBest`'s prefix property).
-                    fused_ops_point(p, lane.nn, lane.knn_ks.last().copied(), &radii)
+                    // The maximum, not the last: the fields are public and
+                    // nothing makes a caller keep them ascending.
+                    fused_ops_point(p, lane.nn, lane.knn_ks.iter().copied().max(), &radii)
                 };
                 let conv = |i: usize, pt: &FusedOpsPoint<D>| {
                     let lane = lanes[i];
@@ -489,17 +450,8 @@ impl<const D: usize> KdIndex<D> {
                             .collect();
                     FusedLaneResult { nn, knn, pc }
                 };
-                let (results, mut outcome) = execute(
-                    &kernel,
-                    &kernel,
-                    &wald_kernel,
-                    skip,
-                    &pts,
-                    policy,
-                    profile,
-                    make,
-                    conv,
-                );
+                let (results, mut outcome) =
+                    execute(self, &kernel, &kernel, &pts, policy, profile, make, conv);
                 outcome.fused_lanes = lanes.len() as u64;
                 outcome.fused_ops = distinct_ops(lanes.iter().copied());
                 outcome.fusion_saved_visits = self
@@ -595,11 +547,11 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
 /// Shared execution path: sort → profile (optionally through the caller's
 /// cache) → run → un-sort.
 ///
-/// Three kernels describe the same query on three machine shapes:
-/// `kernel` (rope-stack executors), `skip_kernel` (a no-variant-args
-/// sibling for the skip-link walk — often the same object), and
-/// `wald_kernel` (the left-balanced implicit tree). All share one point
-/// type, so sort/un-sort and result conversion are backend-agnostic.
+/// Two kernels describe the same rule: `kernel` rides the rope-stack
+/// executors, the CPU baseline and the profiler; `boxed` — the same object
+/// for everything but solo NN — rides the skip-link walk, and its rule
+/// rides the Wald walk over `index`'s left-balanced mirror. Both share one
+/// point type, so sort/un-sort and result conversion are backend-agnostic.
 ///
 /// `make`/`conv` receive the query's *submission-order* index alongside
 /// the point, so heterogeneous batches (fused lanes with per-lane op
@@ -607,24 +559,21 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
 /// it. The returned [`BatchOutcome`] carries the accounting with an empty
 /// `results` vec — the typed results ride the first tuple slot.
 #[allow(clippy::too_many_arguments)]
-fn execute<const D: usize, K, S, W, M, C, R>(
+fn execute<const D: usize, K, R, M, C, T>(
+    index: &KdIndex<D>,
     kernel: &K,
-    skip_kernel: &S,
-    wald_kernel: &W,
-    skip: &[NodeId],
+    boxed: &KdBox<'_, D, R>,
     pts: &[PointN<D>],
     policy: &ExecPolicy,
     profile: Option<&ProfileCtx<'_>>,
     make: M,
     conv: C,
-) -> (Vec<R>, BatchOutcome)
+) -> (Vec<T>, BatchOutcome)
 where
-    K: TraversalKernel,
-    K::Point: Clone,
-    S: TraversalKernel<Point = K::Point>,
-    W: WaldKernel<Point = K::Point>,
+    K: TraversalKernel<Point = R::State>,
+    R: PointRule<D>,
     M: Fn(usize, PointN<D>) -> K::Point,
-    C: Fn(usize, &K::Point) -> R,
+    C: Fn(usize, &K::Point) -> T,
 {
     let n = pts.len();
     // §4.4 step 1: spatial sort, so nearby queries share warps.
@@ -705,9 +654,11 @@ where
                 let rep = match backend {
                     Backend::Lockstep => lockstep::run(kernel, &mut work, &cfg),
                     Backend::Autoropes => autoropes::run(kernel, &mut work, &cfg),
-                    Backend::StacklessKd => stackless::run_wald(wald_kernel, &mut work, &cfg),
+                    Backend::StacklessKd => {
+                        stackless::run_wald(&index.lb, boxed.rule(), &mut work, &cfg)
+                    }
                     Backend::StacklessBvh => {
-                        stackless::run_skip(skip_kernel, &mut work, skip, &cfg)
+                        stackless::run_skip(boxed, &mut work, &index.tree.skip, &cfg)
                     }
                     Backend::Cpu => unreachable!("handled by the CPU arm"),
                 };
@@ -744,11 +695,11 @@ where
         };
 
     // Undo the sort: callers see submission order.
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     for (i, point) in work.iter().enumerate() {
         results[orig(i)] = Some(conv(orig(i), point));
     }
-    let results: Vec<R> = results
+    let results: Vec<T> = results
         .into_iter()
         .map(|r| r.expect("permutation covers all"))
         .collect();
@@ -940,6 +891,41 @@ mod tests {
         let out = idx.run_batch(OpKey::Pc(0.15f32.to_bits()), &queries, &policy);
         assert_eq!(out.backend, Backend::Lockstep);
         assert!(out.stack_bytes_peak > 0);
+    }
+
+    #[test]
+    fn unsorted_and_duplicated_knn_ks_get_full_answers() {
+        // `FusedLane`'s fields are public, so a caller filling `knn_ks`
+        // with a bare push owes no order: every `k` still gets `k`
+        // neighbours, the same ones a batch of that op alone returns.
+        let pts = uniform::<3>(64, 37);
+        let flat = KdIndex::build("t", &pts, 8, SplitPolicy::MedianCycle);
+        let sharded = crate::ShardedIndex::build("s", &pts, 2, 8, SplitPolicy::MedianCycle);
+        let queries: Vec<Vec<f32>> = pts.iter().take(16).map(|p| p.0.to_vec()).collect();
+        let policy = ExecPolicy::default();
+        for ks in [vec![8, 4], vec![4, 8, 4], vec![8, 8, 2]] {
+            let lanes: Vec<FusedLane> = queries
+                .iter()
+                .map(|pos| FusedLane {
+                    pos: pos.clone(),
+                    nn: true,
+                    knn_ks: ks.clone(),
+                    pc_radii: Vec::new(),
+                })
+                .collect();
+            for idx in [&flat as &dyn TreeIndex, &sharded] {
+                let out = idx.run(&lanes, &policy);
+                let nn = idx.run_batch(OpKey::Nn, &queries, &policy).results;
+                for (slot, &k) in ks.iter().enumerate() {
+                    let want = idx.run_batch(OpKey::Knn(k), &queries, &policy).results;
+                    for (q, lane) in out.lanes.iter().enumerate() {
+                        let label = format!("{} ks {ks:?} slot {slot} query {q}", idx.name());
+                        assert_eq!(lane.knn[slot], want[q], "{label}");
+                        assert_eq!(lane.nn.as_ref(), Some(&nn[q]), "{label}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,15 +15,15 @@
 
 use std::fmt::Write as _;
 
-use gts_apps::fused::{fused_ops_kernel, fused_ops_point, fused_ops_wald_kernel};
+use gts_apps::fused::{fused_ops_kernel, fused_ops_point};
+use gts_apps::kd::KdBox;
 use gts_apps::knn::{KnnKernel, KnnPoint};
 use gts_apps::nn::{NnAabbKernel, NnKernel, NnPoint};
 use gts_apps::pc::{PcKernel, PcPoint};
-use gts_apps::wald::{WaldKnnKernel, WaldNnKernel, WaldPcKernel};
 use gts_points::gen::uniform;
 use gts_points::sort::{apply_perm, morton_order};
 use gts_runtime::gpu::{autoropes, lockstep, recursive, stackless, GpuConfig};
-use gts_runtime::{GpuReport, StackLayout, TraversalKernel, WaldKernel};
+use gts_runtime::{GpuReport, PointRule, StackLayout, TraversalKernel};
 use gts_trees::{KdTree, LbKdTree, NodeId, SplitPolicy};
 
 const GOLDEN: &str = include_str!("sim_frozen.golden");
@@ -73,21 +73,20 @@ fn render(label: &str, rep: &GpuReport) -> String {
 }
 
 /// Every executor × L2 × stack layout for one query kind: `kernel` rides
-/// the rope-stack executors, `skip_kernel` the skip-link walk,
-/// `wald_kernel` the left-balanced walk — the same triple the service
+/// the rope-stack executors, `boxed` the skip-link walk, and `boxed`'s
+/// rule the left-balanced walk over `lb` — the same pair the service
 /// dispatches.
-fn rows<K, S, W>(
+fn rows<K, R>(
     out: &mut String,
     kind: &str,
     kernel: &K,
-    skip_kernel: &S,
-    wald_kernel: &W,
+    boxed: &KdBox<'_, 3, R>,
+    lb: &LbKdTree<3>,
     skip: &[NodeId],
     points: &[K::Point],
 ) where
-    K: TraversalKernel,
-    S: TraversalKernel<Point = K::Point>,
-    W: WaldKernel<Point = K::Point>,
+    K: TraversalKernel<Point = R::State>,
+    R: PointRule<3>,
 {
     type Exec<'a, P> = (
         &'static str,
@@ -109,11 +108,11 @@ fn rows<K, S, W>(
         ("lockstep", Box::new(|p, cfg| lockstep::run(kernel, p, cfg))),
         (
             "skip",
-            Box::new(|p, cfg| stackless::run_skip(skip_kernel, p, skip, cfg)),
+            Box::new(|p, cfg| stackless::run_skip(boxed, p, skip, cfg)),
         ),
         (
             "wald",
-            Box::new(|p, cfg| stackless::run_wald(wald_kernel, p, cfg)),
+            Box::new(|p, cfg| stackless::run_wald(lb, boxed.rule(), p, cfg)),
         ),
     ];
     for (exec, run) in &execs {
@@ -164,7 +163,7 @@ fn actual() -> String {
         "nn",
         &NnKernel::new(&nn_tree),
         &NnAabbKernel::new(&nn_tree),
-        &WaldNnKernel::new(&nn_lb),
+        &nn_lb,
         &nn_tree.skip,
         &nn,
     );
@@ -175,21 +174,13 @@ fn actual() -> String {
         "knn",
         &knn_kernel,
         &knn_kernel,
-        &WaldKnnKernel::new(&lb),
+        &lb,
         &tree.skip,
         &knn,
     );
     let pc: Vec<PcPoint<3>> = queries.iter().map(|&p| PcPoint::new(p)).collect();
     let pc_kernel = PcKernel::new(&tree, RADIUS);
-    rows(
-        &mut out,
-        "pc",
-        &pc_kernel,
-        &pc_kernel,
-        &WaldPcKernel::new(&lb, RADIUS),
-        &tree.skip,
-        &pc,
-    );
+    rows(&mut out, "pc", &pc_kernel, &pc_kernel, &lb, &tree.skip, &pc);
     let fused: Vec<_> = queries
         .iter()
         .map(|&p| fused_ops_point(p, true, Some(K), &[RADIUS]))
@@ -200,7 +191,7 @@ fn actual() -> String {
         "fused",
         &fused_kernel,
         &fused_kernel,
-        &fused_ops_wald_kernel(&lb),
+        &lb,
         &tree.skip,
         &fused,
     );
