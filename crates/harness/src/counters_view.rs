@@ -4,8 +4,7 @@
 //! GPU variant of one benchmark × input — the numbers behind the modeled
 //! times, in the role `nvprof` plays for the paper's real measurements.
 //! [`render_service`] gives the service-level counterpart: one readable
-//! block over a [`MetricsSnapshot`], used by `serve` at shutdown and by
-//! the loadgen report.
+//! block over a [`MetricsSnapshot`], printed by `serve` at shutdown.
 
 use gts_apps::pc::{PcKernel, PcPoint};
 use gts_points::gen::{self, Dataset};

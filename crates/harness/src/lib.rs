@@ -16,12 +16,12 @@
 //! cargo run --release -p gts-harness -- all --json results.json
 //! ```
 //!
-//! Beyond the paper's exhibits, [`loadgen`] drives the `gts-service`
-//! batched query engine with a seeded synthetic client mix
-//! (`gts-harness loadgen`), [`netgen`] drives it over TCP
-//! (`gts-harness loadgen --connect`), and [`serve`] exposes it as a
-//! line-oriented interactive server or — with `--listen` — a binary-frame
-//! socket server (`gts-harness serve`).
+//! Beyond the paper's exhibits, [`serve`] exposes the `gts-service`
+//! batched query engine as a line-oriented interactive server or — with
+//! `--listen` — a binary-frame socket server (`gts-harness serve`), and
+//! [`netgen`] drives such a server over TCP with a seeded synthetic client
+//! mix (`gts-harness loadgen --connect`). The service's wall-clock
+//! benchmark is not here: it is the ledger (`ledger/README.md`).
 //!
 //! Caveats and calibration notes live in EXPERIMENTS.md: GPU times are
 //! model-derived (DESIGN.md §5.2); orderings, ratios and crossovers are
@@ -33,7 +33,6 @@
 pub mod config;
 pub mod counters_view;
 pub mod figures;
-pub mod loadgen;
 pub mod netgen;
 pub mod profiler_table;
 pub mod row;

@@ -11,13 +11,10 @@
 //!   --json PATH      also dump every cell as JSON
 //!   --csv DIR        write Figure 10/11 panels as CSV files into DIR
 //!
-//! gts-harness loadgen [--queries N] [--points N] [--seed N] [--workers N]
-//!                     [--batch N] [--shards N] [--shard-threads N] [--out PATH]
-//!                     [--skip-single] [--trace-file PATH] [--metrics-file PATH]
-//!                     [--obs-out PATH]
 //! gts-harness loadgen --connect HOST:PORT [--connections N] [--frame-queries N]
 //!                     [--queries N] [--points N] [--seed N] [--out PATH]
 //!                     [--single-sample N] [--differential N] [--expect-overload]
+//!                     [--trace-out PATH]
 //! gts-harness serve   [--points N] [--seed N] [--shards N] [--shard-threads N]
 //!                     [--metrics-file PATH] [--trace-file PATH] [--listen ADDR]
 //!                     [--port-file PATH] [--admission-budget-us N]
@@ -42,7 +39,7 @@ fn main() {
     let Some(command) = args.first() else { usage() };
     let command = command.as_str();
     if command == "loadgen" {
-        gts_harness::loadgen::main_loadgen(&args[1..]);
+        gts_harness::netgen::main_loadgen(&args[1..]);
         return;
     }
     if command == "serve" {

@@ -1,9 +1,12 @@
 //! `gts-harness loadgen --connect`: drive a running `serve --listen`
-//! instance over TCP and report the full-path numbers to `BENCH_net.json`.
+//! instance over TCP and report the full-path numbers to `BENCH_net.json`
+//! (`--out`; written locally, not tracked). This socket client is all of
+//! `loadgen` — the in-process service benchmark is the ledger
+//! (`ledger/README.md`).
 //!
-//! Three phases against the same seeded client mix the in-process loadgen
-//! uses (so a serve started with the same `--points`/`--seed` answers from
-//! identical indices):
+//! Three phases against one seeded client mix over the two datasets
+//! `serve` registers (so a serve started with the same `--points`/`--seed`
+//! answers from identical indices):
 //!
 //! 1. **batch** — the mix is cut into `BatchSubmit` frames of
 //!    `--frame-queries` queries, spread over `--connections` sockets, each
@@ -29,13 +32,15 @@
 //! slow-query flight recorder is fetched over the wire at the end so
 //! `BENCH_net.json` carries its commit counters.
 
-use crate::loadgen::{bbox_diag, synth_mix, Request};
 use gts_net::{Client, ErrorCode, WireError};
 use gts_points::gen::{geocity_like, uniform};
 use gts_service::{
-    merge_snapshots, KdIndex, Query, QueryResult, Service, ServiceConfig, TraceSnapshot, TreeIndex,
+    merge_snapshots, KdIndex, Query, QueryKind, QueryResult, Service, ServiceConfig, TraceSnapshot,
+    TreeIndex,
 };
 use gts_trees::{PointN, SplitPolicy};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -135,6 +140,61 @@ pub struct NetBenchReport {
     pub slow_log_threshold_us: u64,
     /// Slow-log records retained at fetch time.
     pub slow_log_entries: u64,
+}
+
+/// One pre-generated client request.
+struct Request {
+    index: usize,
+    pos: Vec<f32>,
+    kind: QueryKind,
+}
+
+/// Clustered client mix: each query lands near a dataset point of its
+/// target index (the workload batching is supposed to win on).
+fn synth_mix(
+    datasets: &[Vec<Vec<f32>>],
+    radii: &[f32],
+    n: usize,
+    k: usize,
+    seed: u64,
+) -> Vec<Request> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x10adc11e);
+    (0..n)
+        .map(|_| {
+            let index = rng.gen_range(0..datasets.len());
+            let data = &datasets[index];
+            let anchor = &data[rng.gen_range(0..data.len())];
+            let jitter = radii[index] * 0.5;
+            let pos: Vec<f32> = anchor
+                .iter()
+                .map(|&c| c + rng.gen_range(-jitter..jitter))
+                .collect();
+            let kind = match rng.gen_range(0..10u32) {
+                0..=4 => QueryKind::Nn,
+                5..=7 => QueryKind::Knn { k },
+                _ => QueryKind::Pc {
+                    radius: radii[index],
+                },
+            };
+            Request { index, pos, kind }
+        })
+        .collect()
+}
+
+fn bbox_diag(points: &[Vec<f32>]) -> f32 {
+    let dim = points[0].len();
+    let mut lo = vec![f32::INFINITY; dim];
+    let mut hi = vec![f32::NEG_INFINITY; dim];
+    for p in points {
+        for d in 0..dim {
+            lo[d] = lo[d].min(p[d]);
+            hi[d] = hi[d].max(p[d]);
+        }
+    }
+    (0..dim)
+        .map(|d| (hi[d] - lo[d]).powi(2))
+        .sum::<f32>()
+        .sqrt()
 }
 
 /// Outcome slots of one connection's share of the batch phase.
@@ -265,9 +325,8 @@ fn parse_slow_log_counters(json: &str) -> Option<(u64, u64, u64)> {
 
 /// Run the networked loadgen and return (human text, machine report).
 pub fn run(cfg: &NetLoadgenConfig) -> (String, NetBenchReport) {
-    // The same mix generation as the in-process loadgen so a serve
-    // instance started with matching --points/--seed has the matching
-    // indices.
+    // The datasets `serve` builds from the same --points/--seed, so the
+    // mix lands on matching indices.
     let pts3: Vec<PointN<3>> = uniform::<3>(cfg.points, cfg.seed);
     let pts2: Vec<PointN<2>> = geocity_like(cfg.points, cfg.seed + 1);
     let data3: Vec<Vec<f32>> = pts3.iter().map(|p| p.0.to_vec()).collect();
@@ -531,9 +590,81 @@ pub fn run(cfg: &NetLoadgenConfig) -> (String, NetBenchReport) {
     (text, report)
 }
 
-/// CLI entry for `loadgen --connect` (invoked from
-/// [`crate::loadgen::main_loadgen`] once `--connect` is seen).
-pub fn main_netgen(cfg: NetLoadgenConfig) {
+/// CLI entry for `gts-harness loadgen`: parse `args` (everything after
+/// the subcommand), run against the `--connect` address and write the
+/// report.
+pub fn main_loadgen(args: &[String]) {
+    let mut cfg = NetLoadgenConfig::default();
+    let usage = || -> ! {
+        eprintln!(
+            "usage: gts-harness loadgen --connect HOST:PORT [--connections N] \
+             [--frame-queries N] [--queries N] [--points N] [--seed N] [--out PATH] \
+             [--single-sample N] [--differential N] [--expect-overload] [--trace-out PATH]\n\
+             \n\
+             loadgen is the socket client of a running `gts-harness serve --listen`.\n\
+             The in-process service benchmark is the ledger:\n\
+             cargo run --release --manifest-path ledger/Cargo.toml -- all"
+        );
+        std::process::exit(2)
+    };
+    let mut i = 0;
+    while i < args.len() {
+        let need = |i: usize| -> &str {
+            args.get(i + 1)
+                .map(String::as_str)
+                .unwrap_or_else(|| usage())
+        };
+        match args[i].as_str() {
+            "--connect" => {
+                cfg.addr = need(i).to_string();
+                i += 2;
+            }
+            "--connections" => {
+                cfg.connections = need(i).parse().unwrap_or_else(|_| usage());
+                i += 2;
+            }
+            "--frame-queries" => {
+                cfg.frame_queries = need(i).parse().unwrap_or_else(|_| usage());
+                i += 2;
+            }
+            "--queries" => {
+                cfg.queries = need(i).parse().unwrap_or_else(|_| usage());
+                i += 2;
+            }
+            "--points" => {
+                cfg.points = need(i).parse().unwrap_or_else(|_| usage());
+                i += 2;
+            }
+            "--seed" => {
+                cfg.seed = need(i).parse().unwrap_or_else(|_| usage());
+                i += 2;
+            }
+            "--out" => {
+                cfg.out = need(i).to_string();
+                i += 2;
+            }
+            "--single-sample" => {
+                cfg.single_sample = need(i).parse().unwrap_or_else(|_| usage());
+                i += 2;
+            }
+            "--differential" => {
+                cfg.differential = need(i).parse().unwrap_or_else(|_| usage());
+                i += 2;
+            }
+            "--expect-overload" => {
+                cfg.expect_overload = true;
+                i += 1;
+            }
+            "--trace-out" => {
+                cfg.trace_out = Some(need(i).to_string());
+                i += 2;
+            }
+            _ => usage(),
+        }
+    }
+    if cfg.addr.is_empty() {
+        usage();
+    }
     let (text, report) = run(&cfg);
     print!("{text}");
     let json = serde_json::to_string_pretty(&report).expect("serialize net report");

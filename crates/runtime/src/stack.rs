@@ -105,13 +105,9 @@ impl StackRegion {
                     lane as u64 * self.max_depth + d
                 });
             }
-            StackLayout::SharedPerWarp => {
-                // Per-warp stack: a per-lane access pattern would be a bug
-                // (lockstep pushes once per warp); treat it as one access.
-                if mask.any_active() {
-                    sim.load(self.region, mask, |_| depth(0).min(self.max_depth - 1));
-                }
-            }
+            // A shared-memory request is priced as one access wherever its
+            // lanes point, so the per-lane depths form no address.
+            StackLayout::SharedPerWarp => sim.load_broadcast(self.region, mask, 0),
         }
     }
 

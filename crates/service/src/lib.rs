@@ -70,8 +70,8 @@ pub use index::{
     BatchOutcome, FusedLane, FusedLaneResult, FusedOutcome, KdIndex, ShardVisit, TreeIndex,
 };
 pub use metrics::{
-    percentile, BackendBatches, BatchRecord, IndexMetricsSnapshot, KindDropped, LatencyExemplar,
-    Metrics, MetricsSnapshot,
+    BackendBatches, BatchRecord, IndexMetricsSnapshot, KindDropped, LatencyExemplar, Metrics,
+    MetricsSnapshot,
 };
 pub use policy::{Backend, ExecPolicy, FusionMode};
 pub use query::{BatchKey, IndexId, OpKey, Query, QueryKind, QueryResult};

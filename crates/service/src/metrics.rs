@@ -371,9 +371,6 @@ impl Metrics {
                 0.0
             },
             max_batch_size: m.batch_size_max,
-            lockstep_batches: m.backend_batches[Backend::Lockstep.index()],
-            autoropes_batches: m.backend_batches[Backend::Autoropes.index()],
-            cpu_batches: m.backend_batches[Backend::Cpu.index()],
             backend_batches: Backend::ALL
                 .iter()
                 .map(|b| BackendBatches {
@@ -487,12 +484,6 @@ pub struct MetricsSnapshot {
     pub mean_batch_size: f64,
     /// Largest batch dispatched.
     pub max_batch_size: u64,
-    /// Batches the profiler (or policy) sent to lockstep.
-    pub lockstep_batches: u64,
-    /// Batches sent to autoropes.
-    pub autoropes_batches: u64,
-    /// Batches run on the CPU backend.
-    pub cpu_batches: u64,
     /// Batch counts per backend, one entry per [`Backend::ALL`] member in
     /// that order — the dynamic view behind `gts_backend_chosen_total`.
     pub backend_batches: Vec<BackendBatches>,
@@ -669,14 +660,11 @@ impl MetricsSnapshot {
     /// for every histogram.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, u64); 29] = [
+        let counters: [(&str, u64); 26] = [
             ("gts_queries_submitted_total", self.submitted),
             ("gts_queries_completed_total", self.completed),
             ("gts_queries_rejected_total", self.rejected),
             ("gts_batches_total", self.batches),
-            ("gts_batches_lockstep_total", self.lockstep_batches),
-            ("gts_batches_autoropes_total", self.autoropes_batches),
-            ("gts_batches_cpu_total", self.cpu_batches),
             ("gts_node_visits_total", self.node_visits),
             ("gts_stack_transactions_total", self.stack_transactions),
             ("gts_shards_pruned_total", self.shards_pruned),
@@ -833,7 +821,8 @@ impl MetricsSnapshot {
 /// empty. O(n log n) clone-and-sort — kept **only** as the oracle the
 /// histogram property tests compare against; production percentiles come
 /// from [`Histogram::percentile`].
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn percentile(samples: &[f64], p: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
@@ -905,8 +894,8 @@ mod tests {
         assert_eq!(s.submitted, 3);
         assert_eq!(s.completed, 1);
         assert_eq!(s.batches, 2);
-        assert_eq!(s.lockstep_batches, 1);
-        assert_eq!(s.autoropes_batches, 1);
+        assert_eq!(s.backend_batches[Backend::Lockstep.index()].batches, 1);
+        assert_eq!(s.backend_batches[Backend::Autoropes.index()].batches, 1);
         assert_eq!(s.node_visits, 140);
         assert_eq!(s.shards_pruned, 4);
         assert!((s.mean_batch_size - 1.5).abs() < 1e-12);
@@ -1000,7 +989,7 @@ mod tests {
         let text = m.snapshot().to_prometheus();
         for series in [
             "gts_queries_submitted_total 1",
-            "gts_batches_lockstep_total 1",
+            r#"gts_backend_chosen_total{backend="lockstep"} 1"#,
             "gts_node_visits_total 50",
             "gts_latency_ms_count 1",
             "gts_queue_wait_ms_count 1",
@@ -1012,10 +1001,10 @@ mod tests {
         ] {
             assert!(text.contains(series), "missing `{series}` in:\n{text}");
         }
-        // One `# TYPE` header per exported metric family: 29 counters,
+        // One `# TYPE` header per exported metric family: 26 counters,
         // 11 gauges, 8 aggregate histograms, the per-backend choice and
         // per-kind trace-drop families, and 4 per-index families.
-        assert_eq!(text.matches("# TYPE").count(), 29 + 11 + 8 + 2 + 4);
+        assert_eq!(text.matches("# TYPE").count(), 26 + 11 + 8 + 2 + 4);
     }
 
     #[test]

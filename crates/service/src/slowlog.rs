@@ -121,7 +121,7 @@ pub struct PendingQuery {
     pub submitted_us: u64,
 }
 
-/// Counters over the slow log, exported into metrics and `BENCH_obs.json`.
+/// Counters over the slow log, stitched into every [`crate::MetricsSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SlowLogStats {
     /// Records committed over the lifetime of the log.

@@ -6,7 +6,7 @@
 //! ```
 
 use gpu_tree_traversals::service::{
-    KdIndex, Query, QueryKind, QueryResult, Service, ServiceConfig, TreeIndex,
+    Backend, KdIndex, Query, QueryKind, QueryResult, Service, ServiceConfig, TreeIndex,
 };
 use gpu_tree_traversals::trees::SplitPolicy;
 use gts_points::gen::{geocity_like, uniform};
@@ -84,8 +84,8 @@ fn main() {
         "\n{} queries in {} batches ({} lockstep / {} autoropes), p99 {:.2} ms",
         snapshot.completed,
         snapshot.batches,
-        snapshot.lockstep_batches,
-        snapshot.autoropes_batches,
+        snapshot.backend_batches[Backend::Lockstep.index()].batches,
+        snapshot.backend_batches[Backend::Autoropes.index()].batches,
         snapshot.latency_p99_ms
     );
     println!("\nmetrics JSON:\n{}", snapshot.to_json());

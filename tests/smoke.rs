@@ -1,13 +1,13 @@
 //! Tier-1 smoke test of the serving path: the root `cargo test -q` starts
 //! a service, registers one index of each kind, streams mixed NN / kNN /
 //! PC queries at them with one mutation batch mid-stream, and checks
-//! every answer against the brute-force oracle.
+//! every answer against the brute-force oracle — once per fusion mode.
 
 use gpu_tree_traversals::apps::oracle;
 use gpu_tree_traversals::points::gen::uniform;
 use gpu_tree_traversals::service::{
-    KdIndex, MutableIndex, Mutation, Query, QueryKind, QueryResult, Service, ServiceConfig,
-    ShardedIndex, Ticket,
+    ExecPolicy, FusionMode, KdIndex, MetricsSnapshot, MutableIndex, Mutation, Query, QueryKind,
+    QueryResult, Service, ServiceConfig, ShardedIndex, Ticket,
 };
 use gpu_tree_traversals::trees::{PointN, SplitPolicy};
 use std::sync::Arc;
@@ -21,8 +21,13 @@ fn close(a: f32, b: f32) -> bool {
 }
 
 /// NN + kNN + PC at each of `positions` against `index`; the answers must
-/// be the oracle's over `live`. Returns the number of queries submitted.
-fn stream(service: &Service, index: usize, positions: &[PointN<3>], live: &[PointN<3>]) -> u64 {
+/// be the oracle's over `live`. Returns them in submission order.
+fn stream(
+    service: &Service,
+    index: usize,
+    positions: &[PointN<3>],
+    live: &[PointN<3>],
+) -> Vec<QueryResult> {
     let kinds = [
         QueryKind::Nn,
         QueryKind::Knn { k: K },
@@ -39,15 +44,16 @@ fn stream(service: &Service, index: usize, positions: &[PointN<3>], live: &[Poin
             (q, service.submit(query).expect("accepted"))
         })
         .collect();
+    let mut answers = Vec::with_capacity(tickets.len());
     for (q, ticket) in &tickets {
         let answer = ticket
             .wait_timeout(Duration::from_secs(60))
             .expect("ticket resolved")
             .expect("query answered");
-        match answer {
+        match &answer {
             QueryResult::Nn { dist2, .. } => {
                 let want = oracle::nn_dist2_nonself(live, q);
-                assert!(close(dist2, want), "index {index}: nn {dist2} vs {want}");
+                assert!(close(*dist2, want), "index {index}: nn {dist2} vs {want}");
             }
             QueryResult::Knn { dist2, .. } => {
                 let want = oracle::knn_dists(live, q, K);
@@ -58,23 +64,29 @@ fn stream(service: &Service, index: usize, positions: &[PointN<3>], live: &[Poin
             }
             QueryResult::Pc { count } => {
                 assert_eq!(
-                    count,
+                    *count,
                     oracle::pc_count(live, q, RADIUS),
                     "index {index}: pc"
                 );
             }
         }
+        answers.push(answer);
     }
-    tickets.len() as u64
+    answers
 }
 
-#[test]
-fn service_answers_a_mixed_stream_on_every_index_kind() {
+/// The whole stream under one fusion mode: every answer, and the final
+/// metrics.
+fn serve_mixed_stream(fusion: FusionMode) -> (Vec<QueryResult>, MetricsSnapshot) {
     let pts = uniform::<3>(512, 0x5301);
     let split = SplitPolicy::MedianCycle;
     let service = Service::start(ServiceConfig {
         batch_queries: 64,
         workers: 2,
+        policy: ExecPolicy {
+            fusion,
+            ..ExecPolicy::default()
+        },
         ..ServiceConfig::default()
     });
     let flat = service.register_index(Arc::new(KdIndex::build("flat", &pts, 8, split)));
@@ -85,9 +97,9 @@ fn service_answers_a_mixed_stream_on_every_index_kind() {
 
     let positions = uniform::<3>(96, 0x5302);
     let (before, after) = positions.split_at(48);
-    let mut submitted = 0;
+    let mut answers = Vec::new();
     for index in [flat, sharded, mutable] {
-        submitted += stream(&service, index, before, &pts);
+        answers.extend(stream(&service, index, before, &pts));
     }
 
     // One mutation batch mid-stream: sixteen points move.
@@ -101,11 +113,32 @@ fn service_answers_a_mixed_stream_on_every_index_kind() {
     let live: Vec<PointN<3>> = pts[16..].iter().chain(&moved).copied().collect();
 
     for (index, live) in [(flat, &pts), (sharded, &pts), (mutable, &live)] {
-        submitted += stream(&service, index, after, live);
+        answers.extend(stream(&service, index, after, live));
     }
 
     let snapshot = service.shutdown();
-    assert_eq!(snapshot.submitted, submitted);
-    assert_eq!(snapshot.completed, submitted);
-    assert!(snapshot.fused_batches > 0, "mixed windows must fuse");
+    assert_eq!(snapshot.submitted, answers.len() as u64);
+    assert_eq!(snapshot.completed, answers.len() as u64);
+    (answers, snapshot)
+}
+
+#[test]
+fn service_answers_a_mixed_stream_on_every_index_kind() {
+    let (fused_answers, fused) = serve_mixed_stream(FusionMode::Auto);
+    assert!(
+        fused.fused_batches > 0 && fused.fused_lanes > 0 && fused.fusion_saved_visits > 0,
+        "mixed windows must fuse, and the one walk must save visits"
+    );
+
+    // `Off` keeps every op in its own batch and changes no answer.
+    let (answers, unfused) = serve_mixed_stream(FusionMode::Off);
+    assert_eq!(
+        (
+            unfused.fused_batches,
+            unfused.fused_lanes,
+            unfused.fusion_saved_visits
+        ),
+        (0, 0, 0)
+    );
+    assert_eq!(answers, fused_answers);
 }

@@ -222,6 +222,50 @@ fn fused_stays_exact_mid_epoch_window() {
     }
 }
 
+/// What the one walk buys, through the index path: on lanes that each
+/// ask NN + kNN + PC it visits at most three quarters of the nodes the
+/// three per-op batches visit, flat and sharded.
+#[test]
+fn fused_walk_saves_a_quarter_of_the_per_op_node_visits() {
+    let pts = uniform::<3>(512, 20130901);
+    let radius = 0.04 * 3f32.sqrt();
+    let ops = [OpKey::Nn, OpKey::Knn(8), OpKey::Pc(radius.to_bits())];
+    let mut rng = ChaCha8Rng::seed_from_u64(0xf05ed);
+    let positions: Vec<Vec<f32>> = (0..64)
+        .map(|_| {
+            let anchor = pts[rng.gen_range(0..pts.len())];
+            (anchor.0.iter())
+                .map(|&c| c + rng.gen_range(-0.5 * radius..0.5 * radius))
+                .collect()
+        })
+        .collect();
+    let lanes: Vec<FusedLane> = (positions.iter())
+        .map(|pos| {
+            let mut lane = FusedLane::empty(pos.clone());
+            ops.iter().for_each(|&op| lane.ask(op));
+            lane
+        })
+        .collect();
+    let policy = ExecPolicy::forced(Backend::Autoropes);
+    let flat = KdIndex::build("save-flat", &pts, 8, SplitPolicy::MedianCycle);
+    let sharded = ShardedIndex::build("save-sharded", &pts, 2, 8, SplitPolicy::MedianCycle);
+    for index in [&flat as &dyn TreeIndex, &sharded] {
+        let fused = index
+            .run_fused(&lanes, &policy)
+            .expect("index supports fused dispatch")
+            .outcome
+            .node_visits;
+        let solo: u64 = (ops.iter())
+            .map(|&op| index.run_batch(op, &positions, &policy).node_visits)
+            .sum();
+        assert!(
+            4 * fused <= 3 * solo,
+            "{}: fused {fused} vs per-op {solo} node visits",
+            index.name()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -5,7 +5,8 @@
 
 use gts_points::gen::uniform;
 use gts_service::{
-    EventKind, KdIndex, Metrics, Query, QueryKind, Service, ServiceConfig, TreeIndex,
+    EventKind, KdIndex, Metrics, Query, QueryKind, Service, ServiceConfig, ShardedIndex, TreeIndex,
+    SLOW_LOG_WARMUP,
 };
 use gts_trees::SplitPolicy;
 use std::sync::Arc;
@@ -86,11 +87,39 @@ fn trace_spans_match_metrics_and_chrome_json_round_trips() {
     // Capacity covers the whole run: every dispatched batch must appear
     // as exactly one batch span, every query as one completion span.
     let (service, id) = small_service(16_384);
+    let sharded = service.register_index(Arc::new(ShardedIndex::build(
+        "s",
+        &uniform::<3>(256, 12),
+        4,
+        8,
+        SplitPolicy::MedianCycle,
+    )));
     drive(&service, id, 300);
+    drive(&service, sharded, 100);
+
+    // The slow log's counters are stitched into the live snapshot: past
+    // warmup the threshold is armed, the running-max rule has committed,
+    // and the ring holds what it kept.
+    let live = service.metrics();
+    assert!(live.completed >= SLOW_LOG_WARMUP);
+    assert!(live.slow_log_committed >= 1, "running-max rule commits");
+    assert!(
+        live.slow_log_threshold_us > 0,
+        "threshold armed past warmup"
+    );
+    let capacity = ServiceConfig::default().slow_log_capacity as u64;
+    assert!((1..=capacity).contains(&live.slow_log_entries));
+    assert!(live.mean_mask_occupancy > 0.0 && live.mean_mask_occupancy <= 1.0);
+    assert!(live.latency_max_ms >= live.latency_p999_ms);
+
     let (snapshot, trace) = service.shutdown_with_trace();
     assert_eq!(trace.dropped, 0);
     assert_eq!(trace.batch_spans() as u64, snapshot.batches);
     assert_eq!(trace.complete_spans() as u64, snapshot.completed);
+    assert!(
+        trace.shard_visit_spans() > 0,
+        "sharded batches leave per-shard spans"
+    );
     let submits = trace
         .events
         .iter()

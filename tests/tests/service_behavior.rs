@@ -4,10 +4,12 @@
 use gts_apps::oracle;
 use gts_points::gen::uniform;
 use gts_service::{
-    Backend, ExecPolicy, KdIndex, Metrics, Query, QueryKind, QueryResult, Service, ServiceConfig,
-    ServiceError, Ticket, TreeIndex,
+    Backend, ExecPolicy, KdIndex, Metrics, MetricsSnapshot, Query, QueryKind, QueryResult, Service,
+    ServiceConfig, ServiceError, ShardedIndex, Ticket, TreeIndex,
 };
 use gts_trees::SplitPolicy;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -245,11 +247,100 @@ fn forced_cpu_backend_serves_queries_too() {
     };
     assert_eq!(count, oracle::pc_count(&pts, &pts[3], 0.3));
     let snapshot = service.shutdown();
-    assert_eq!(snapshot.cpu_batches, snapshot.batches);
+    assert_eq!(
+        snapshot.backend_batches[Backend::Cpu.index()].batches,
+        snapshot.batches
+    );
     assert_eq!(
         snapshot.model_ms, 0.0,
         "CPU backend has no modeled GPU time"
     );
+}
+
+/// DESIGN.md §8 **Determinism**: with one submitter and size-only flushes
+/// the batch composition is a function of the seed, so every modeled total
+/// is too — even with workers racing. The same stream shows what batching
+/// buys: one launch per query costs several times the modeled time.
+#[test]
+fn modeled_totals_are_a_function_of_the_seed_and_batching_beats_single_launches() {
+    let pts = uniform::<3>(512, 77);
+    let mut rng = ChaCha8Rng::seed_from_u64(78);
+    let stream: Vec<Query> = (0..384)
+        .map(|_| {
+            let anchor = pts[rng.gen_range(0..pts.len())];
+            Query {
+                index: 0,
+                pos: (anchor.0.iter())
+                    .map(|&c| c + rng.gen_range(-0.03f32..0.03))
+                    .collect(),
+                kind: match rng.gen_range(0..10u32) {
+                    0..=4 => QueryKind::Nn,
+                    5..=7 => QueryKind::Knn { k: 8 },
+                    _ => QueryKind::Pc { radius: 0.07 },
+                },
+            }
+        })
+        .collect();
+    // A fresh index per run: a sharded index carries its profile caches.
+    let build = |shards: usize| -> Arc<dyn TreeIndex> {
+        if shards == 1 {
+            Arc::new(KdIndex::build("t", &pts, 8, SplitPolicy::MedianCycle))
+        } else {
+            Arc::new(ShardedIndex::build(
+                "t",
+                &pts,
+                shards,
+                8,
+                SplitPolicy::MedianCycle,
+            ))
+        }
+    };
+    let serve = |workers: usize, shards: usize| -> MetricsSnapshot {
+        let service = Service::start(ServiceConfig {
+            batch_queries: 64,
+            max_wait: Duration::from_secs(3600),
+            workers,
+            ..ServiceConfig::default()
+        });
+        service.register_index(build(shards));
+        let tickets: Vec<Ticket> = (stream.iter())
+            .map(|q| service.submit(q.clone()).unwrap())
+            .collect();
+        let snapshot = service.shutdown();
+        assert!(tickets.iter().all(|t| matches!(t.try_get(), Some(Ok(_)))));
+        snapshot
+    };
+    // One worker on the sharded index: two would race on its profile
+    // caches, and the backend choice — so the modeled totals — would
+    // depend on who won.
+    for (workers, shards) in [(2, 1), (1, 4)] {
+        let (a, b) = (serve(workers, shards), serve(workers, shards));
+        let ctx = format!("{workers} worker(s), {shards} shard(s)");
+        assert!(a.model_ms > 0.0, "{ctx}: nothing ran on a modeled backend");
+        assert_eq!(
+            a.model_ms.to_bits(),
+            b.model_ms.to_bits(),
+            "{ctx}: model_ms"
+        );
+        assert_eq!(a.node_visits, b.node_visits, "{ctx}: node_visits");
+        assert_eq!(a.shards_pruned, b.shards_pruned, "{ctx}: shards_pruned");
+        assert_eq!(a.backend_batches, b.backend_batches, "{ctx}: backends");
+
+        let index = build(shards);
+        let policy = ExecPolicy::forced(Backend::Autoropes);
+        let single_ms: f64 = (stream.iter())
+            .map(|q| {
+                let op = q.kind.op_key().expect("valid kinds");
+                let one = std::slice::from_ref(&q.pos);
+                index.run_batch(op, one, &policy).model_ms
+            })
+            .sum();
+        assert!(
+            single_ms > 2.0 * a.model_ms,
+            "{ctx}: one launch per query {single_ms:.2} modeled ms vs {:.2} batched",
+            a.model_ms
+        );
+    }
 }
 
 #[test]
