@@ -235,29 +235,27 @@ mod tests {
 
     #[test]
     fn service_view_renders_tails_and_occupancy() {
-        use gts_service::{Backend, BatchRecord, Metrics};
+        use gts_service::{Backend, BatchOutcome, BatchRecord, Metrics};
         use std::time::Duration;
         let m = Metrics::default();
         m.on_submit();
-        m.on_batch(&BatchRecord {
-            index: "demo".to_string(),
-            size: 1,
+        let outcome = BatchOutcome {
             backend: Backend::Lockstep,
             node_visits: 42,
             model_ms: 0.5,
             work_expansion: 1.25,
             mask_occupancy: 0.75,
             shards_pruned: 2,
-            stack_bytes_peak: 0,
-            stack_transactions: 0,
-            queue_wait: Duration::from_millis(1),
-            exec: Duration::from_millis(2),
             profile_cache_hits: 3,
             profile_cache_misses: 1,
-            profile_cache_evictions: 0,
-            fused_ops: 0,
-            fused_lanes: 0,
-            fusion_saved_visits: 0,
+            ..BatchOutcome::default()
+        };
+        m.on_batch(&BatchRecord {
+            index: "demo",
+            size: 1,
+            queue_wait: Duration::from_millis(1),
+            exec: Duration::from_millis(2),
+            outcome: &outcome,
         });
         m.on_complete("demo", Duration::from_millis(3), 1, 0);
         let text = render_service(&m.snapshot());

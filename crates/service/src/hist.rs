@@ -48,8 +48,10 @@ pub struct Histogram {
     /// Order-independent exact extrema of the recorded samples.
     min: f64,
     max: f64,
-    /// Σ samples in fixed-point [`SUM_UNIT`] units (deterministic).
-    sum_fp: u64,
+    /// Σ samples in fixed-point [`SUM_UNIT`] units (deterministic). 128
+    /// bits, because a node-visit series adds ~3×10¹⁰ units a batch and
+    /// would wrap 64 within weeks of serving.
+    sum_fp: u128,
 }
 
 impl Default for Histogram {
@@ -107,7 +109,7 @@ impl Histogram {
         self.count += 1;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.sum_fp += (v / SUM_UNIT).round() as u64;
+        self.sum_fp = self.sum_fp.saturating_add((v / SUM_UNIT).round() as u128);
     }
 
     /// Samples recorded.
@@ -143,7 +145,8 @@ impl Histogram {
     /// exact observed `[min, max]`. 0 when empty. Within one bucket width
     /// of the exact-sort oracle by construction.
     pub fn percentile(&self, p: f64) -> f64 {
-        percentile_from(&*self.buckets, self.count, self.min, self.max, p)
+        let buckets = self.buckets.iter().copied().enumerate();
+        percentile_of(buckets, self.count, self.min, self.max, p)
     }
 
     /// Freeze into a serializable snapshot (sparse buckets).
@@ -169,7 +172,15 @@ impl Histogram {
 /// return the exact observed max instead of a bucket upper edge.
 const P999_EXACT_FLOOR: u64 = 1000;
 
-fn percentile_from(counts: &[u64], total: u64, min: f64, max: f64, p: f64) -> f64 {
+/// The nearest-rank walk behind every percentile: `buckets` are
+/// `(index, count)` pairs ascending by index, dense or sparse.
+fn percentile_of(
+    buckets: impl Iterator<Item = (usize, u64)>,
+    total: u64,
+    min: f64,
+    max: f64,
+    p: f64,
+) -> f64 {
     if total == 0 {
         return 0.0;
     }
@@ -178,7 +189,7 @@ fn percentile_from(counts: &[u64], total: u64, min: f64, max: f64, p: f64) -> f6
     }
     let rank = (((p / 100.0) * total as f64).ceil() as u64).clamp(1, total);
     let mut seen = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
+    for (i, c) in buckets {
         seen += c;
         if seen >= rank {
             return bucket_hi(i).clamp(min, max);
@@ -190,7 +201,7 @@ fn percentile_from(counts: &[u64], total: u64, min: f64, max: f64, p: f64) -> f6
 /// Point-in-time export of one histogram: sparse `(bucket, count)` pairs
 /// plus exact extrema and the deterministic sum. JSON-serializable; the
 /// Prometheus exporter renders cumulative `_bucket` lines from it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Samples recorded.
     pub count: u64,
@@ -207,52 +218,40 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Same nearest-rank percentile as [`Histogram::percentile`].
     pub fn percentile(&self, p: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if p >= 99.9 && self.count < P999_EXACT_FLOOR {
-            return self.max;
-        }
-        let rank = (((p / 100.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for &(i, c) in &self.buckets {
-            seen += c;
-            if seen >= rank {
-                return bucket_hi(i as usize).clamp(self.min, self.max);
-            }
-        }
-        self.max
+        let buckets = self.buckets.iter().map(|&(i, c)| (i as usize, c));
+        percentile_of(buckets, self.count, self.min, self.max, p)
     }
 
     /// Render one Prometheus histogram series: cumulative `_bucket{le=}`
     /// lines over the non-empty buckets, then `+Inf`, `_sum`, `_count`.
-    pub fn to_prometheus(&self, name: &str, out: &mut String) {
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        self.to_prometheus_labeled(name, "", out);
-    }
-
-    /// Like [`HistogramSnapshot::to_prometheus`] but without the `# TYPE`
-    /// header and with `labels` (e.g. `index="cities"`) merged into every
-    /// series — the caller writes one header per family, then one labeled
-    /// series per label set.
-    pub fn to_prometheus_labeled(&self, name: &str, labels: &str, out: &mut String) {
-        let sep = if labels.is_empty() {
-            String::new()
+    /// `labels` (e.g. `index="cities"`, or empty) are merged into every
+    /// line, and what `exemplar` returns for a bucket index is appended
+    /// to that bucket's line in OpenMetrics syntax (`# {labels} value`).
+    /// The caller writes the family's `# TYPE` header: one per family,
+    /// then one series per label set.
+    pub fn to_prometheus(
+        &self,
+        name: &str,
+        labels: &str,
+        exemplar: impl Fn(u32) -> Option<String>,
+        out: &mut String,
+    ) {
+        let (sep, braced) = if labels.is_empty() {
+            (String::new(), String::new())
         } else {
-            format!("{labels},")
-        };
-        let braced = if labels.is_empty() {
-            String::new()
-        } else {
-            format!("{{{labels}}}")
+            (format!("{labels},"), format!("{{{labels}}}"))
         };
         let mut cum = 0u64;
         for &(i, c) in &self.buckets {
             cum += c;
             out.push_str(&format!(
-                "{name}_bucket{{{sep}le=\"{}\"}} {cum}\n",
+                "{name}_bucket{{{sep}le=\"{}\"}} {cum}",
                 bucket_hi(i as usize)
             ));
+            if let Some(exemplar) = exemplar(i) {
+                out.push_str(&format!(" # {exemplar}"));
+            }
+            out.push('\n');
         }
         out.push_str(&format!(
             "{name}_bucket{{{sep}le=\"+Inf\"}} {}\n",
@@ -266,10 +265,32 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::percentile as exact_percentile;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// Exact nearest-rank percentile (`p` in 0..=100) of `samples`; 0 when
+    /// empty. The O(n log n) clone-and-sort the seed ran on every snapshot,
+    /// kept as the oracle the histogram percentiles are held to.
+    fn exact_percentile(samples: &[f64], p: f64) -> f64 {
+        if samples.is_empty() {
+            return 0.0;
+        }
+        let mut sorted: Vec<f64> = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+    }
+
+    #[test]
+    fn exact_percentile_is_nearest_rank() {
+        let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        assert_eq!(exact_percentile(&xs, 50.0), 50.0);
+        assert_eq!(exact_percentile(&xs, 99.0), 99.0);
+        assert_eq!(exact_percentile(&xs, 100.0), 100.0);
+        assert_eq!(exact_percentile(&[], 50.0), 0.0);
+        assert_eq!(exact_percentile(&[7.0], 99.0), 7.0);
+    }
 
     #[test]
     fn bucket_edges_tile_the_range() {
@@ -384,14 +405,29 @@ mod tests {
     }
 
     #[test]
+    fn sum_survives_samples_that_overflow_64_bits() {
+        // Each sample is 1.5e19 fixed-point units: two of them exceed
+        // u64::MAX, which panicked a debug build and wrapped a release one.
+        let mut h = Histogram::default();
+        h.record(1.5e13);
+        h.record(1.5e13);
+        assert_eq!(h.sum(), 3e13);
+        // Absurd samples saturate instead of panicking the recording thread.
+        h.record(f64::MAX);
+        h.record(f64::MAX);
+        assert!(h.sum() >= 3e13);
+    }
+
+    #[test]
     fn prometheus_rendering_is_cumulative() {
         let mut h = Histogram::default();
         for v in [0.5, 0.5, 40.0] {
             h.record(v);
         }
         let mut out = String::new();
-        h.snapshot().to_prometheus("gts_test_ms", &mut out);
-        assert!(out.contains("# TYPE gts_test_ms histogram"));
+        h.snapshot()
+            .to_prometheus("gts_test_ms", "", |_| None, &mut out);
+        assert!(!out.contains("# TYPE"), "the header is the caller's");
         assert!(out.contains("gts_test_ms_bucket{le=\"+Inf\"} 3"));
         assert!(out.contains("gts_test_ms_count 3"));
         // The 40.0 bucket's cumulative count includes the two 0.5s.
@@ -400,14 +436,21 @@ mod tests {
             .rfind(|l| l.contains("le=") && !l.contains("+Inf"))
             .unwrap();
         assert!(last_bucket.ends_with(" 3"), "{last_bucket}");
-        // Labeled rendering: same numbers, labels merged before `le`, no
-        // extra TYPE header.
+        // Labeled rendering: same numbers, labels merged before `le`; an
+        // exemplar rides the bucket line it was returned for.
         let mut labeled = String::new();
+        let exemplar =
+            |i: u32| (i == bucket_index(40.0) as u32).then(|| "{q=\"7\"} 40".to_string());
         h.snapshot()
-            .to_prometheus_labeled("gts_test_ms", r#"index="a""#, &mut labeled);
-        assert!(!labeled.contains("# TYPE"));
+            .to_prometheus("gts_test_ms", r#"index="a""#, exemplar, &mut labeled);
         assert!(labeled.contains(r#"gts_test_ms_bucket{index="a",le="+Inf"} 3"#));
         assert!(labeled.contains(r#"gts_test_ms_count{index="a"} 3"#));
+        let with_exemplar: Vec<&str> = labeled.lines().filter(|l| l.contains(" # ")).collect();
+        assert_eq!(with_exemplar.len(), 1, "{labeled}");
+        assert!(
+            with_exemplar[0].ends_with(r#" 3 # {q="7"} 40"#),
+            "{labeled}"
+        );
     }
 
     proptest! {

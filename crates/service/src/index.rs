@@ -24,8 +24,12 @@ use gts_runtime::{cpu, PointRule, TraversalKernel};
 use gts_trees::{KdTree, LbKdTree, PointN, SplitPolicy};
 use std::collections::{BTreeMap, HashSet};
 
-/// Execution record of one dispatched batch.
-#[derive(Debug, Clone)]
+/// Execution record of one dispatched batch, from the executor to the
+/// exposition: a sharded batch merges its sub-batches' records into its
+/// own ([`BatchOutcome::absorb`]) and the metrics registry every batch's
+/// into its totals ([`BatchOutcome::absorb_counts`]). The default, every
+/// count zero, is what both merges start from.
+#[derive(Debug, Clone, Default)]
 pub struct BatchOutcome {
     /// Per-query results, in the order the batch was handed in (empty
     /// inside a [`FusedOutcome`], whose answers are per lane).
@@ -74,6 +78,40 @@ pub struct BatchOutcome {
     /// walk's visits (an estimate — it under-reports the extra savings
     /// from lane dedup). 0 for single-op batches.
     pub fusion_saved_visits: u64,
+}
+
+impl BatchOutcome {
+    /// Merge `sub`'s integer counters into this record's — the one
+    /// statement of which of them sum and which take a maximum.
+    /// `fused_ops` and `fused_lanes` describe one batch's shape and are
+    /// set by whoever owns the whole batch, not merged.
+    pub fn absorb_counts(&mut self, sub: &BatchOutcome) {
+        self.node_visits += sub.node_visits;
+        self.warps += sub.warps;
+        self.shards_pruned += sub.shards_pruned;
+        self.profile_cache_hits += sub.profile_cache_hits;
+        self.profile_cache_misses += sub.profile_cache_misses;
+        self.profile_cache_evictions += sub.profile_cache_evictions;
+        self.stack_transactions += sub.stack_transactions;
+        self.fusion_saved_visits += sub.fusion_saved_visits;
+        // A footprint is a peak, not traffic.
+        self.stack_bytes_peak = self.stack_bytes_peak.max(sub.stack_bytes_peak);
+    }
+
+    /// Merge sub-batch `sub`, which ran `lanes` lanes, into this batch's
+    /// record: counters by [`Self::absorb_counts`], modeled time by sum,
+    /// the three means as lane-weighted *sums* — whoever closes the record
+    /// divides each once by the lanes that weighed in (for
+    /// `mean_similarity`, those of the sub-batches that profiled).
+    pub fn absorb(&mut self, sub: &BatchOutcome, lanes: usize) {
+        self.absorb_counts(sub);
+        self.model_ms += sub.model_ms;
+        self.work_expansion += sub.work_expansion * lanes as f64;
+        self.mask_occupancy += sub.mask_occupancy * lanes as f64;
+        if let Some(sim) = sub.mean_similarity {
+            *self.mean_similarity.get_or_insert(0.0) += sim * lanes as f64;
+        }
+    }
 }
 
 /// One shard's sub-batch inside a sharded batch execution — the unit the
@@ -636,63 +674,57 @@ where
 
     // §4.4 step 3: run the whole batch on the chosen executor.
     let cfg = GpuConfig::new(policy.sim_threads());
-    let (node_visits, model_ms, warps, work_expansion, mask_occupancy, stack_peak, stack_tx) =
-        match backend {
-            Backend::Lockstep
-            | Backend::Autoropes
-            | Backend::StacklessKd
-            | Backend::StacklessBvh => {
-                // Table 2's work expansion compares each warp's lockstep pops
-                // against its longest *independent* traversal — lockstep's own
-                // per-lane stats count every warp pop, so measure solo lengths
-                // first (one cheap CPU pass, dwarfed by the warp simulation).
-                let solo: Option<Vec<u32>> = (backend == Backend::Lockstep).then(|| {
-                    work.iter()
-                        .map(|p| cpu::traverse_one(kernel, &mut p.clone()))
-                        .collect()
-                });
-                let rep = match backend {
-                    Backend::Lockstep => lockstep::run(kernel, &mut work, &cfg),
-                    Backend::Autoropes => autoropes::run(kernel, &mut work, &cfg),
-                    Backend::StacklessKd => {
-                        stackless::run_wald(&index.lb, boxed.rule(), &mut work, &cfg)
-                    }
-                    Backend::StacklessBvh => {
-                        stackless::run_skip(boxed, &mut work, &index.tree.skip, &cfg)
-                    }
-                    Backend::Cpu => unreachable!("handled by the CPU arm"),
-                };
-                let visits: u64 = rep.stats.per_point_nodes.iter().map(|&v| v as u64).sum();
-                let expansion = match &solo {
-                    Some(solo) if !rep.per_warp_nodes.is_empty() => {
-                        gts_runtime::report::work_expansion(&rep.per_warp_nodes, solo).0
-                    }
-                    _ => 1.0,
-                };
-                let stack_tx: u64 = rep
-                    .launch
-                    .counters
-                    .per_region_transactions
-                    .iter()
-                    .filter(|(region, _)| region.contains("stack"))
-                    .map(|(_, v)| *v)
-                    .sum();
-                (
-                    visits,
-                    rep.ms(),
-                    rep.launch.warps,
-                    expansion,
-                    rep.mask_occupancy(),
-                    rep.launch.counters.stack_bytes_peak,
-                    stack_tx,
-                )
+    let mut outcome = BatchOutcome {
+        backend,
+        mean_similarity,
+        // What a run without warps reports; a GPU run overwrites both.
+        work_expansion: 1.0,
+        mask_occupancy: 1.0,
+        profile_cache_hits: cache_outcome.map_or(0, |o| u64::from(o.hit)),
+        profile_cache_misses: cache_outcome.map_or(0, |o| u64::from(!o.hit)),
+        profile_cache_evictions: cache_outcome.map_or(0, |o| o.evictions),
+        ..BatchOutcome::default()
+    };
+    let stats = match backend {
+        Backend::Lockstep | Backend::Autoropes | Backend::StacklessKd | Backend::StacklessBvh => {
+            // Table 2's work expansion compares each warp's lockstep pops
+            // against its longest *independent* traversal — lockstep's own
+            // per-lane stats count every warp pop, so measure solo lengths
+            // first (one cheap CPU pass, dwarfed by the warp simulation).
+            let solo: Option<Vec<u32>> = (backend == Backend::Lockstep).then(|| {
+                work.iter()
+                    .map(|p| cpu::traverse_one(kernel, &mut p.clone()))
+                    .collect()
+            });
+            let rep = match backend {
+                Backend::Lockstep => lockstep::run(kernel, &mut work, &cfg),
+                Backend::Autoropes => autoropes::run(kernel, &mut work, &cfg),
+                Backend::StacklessKd => {
+                    stackless::run_wald(&index.lb, boxed.rule(), &mut work, &cfg)
+                }
+                Backend::StacklessBvh => {
+                    stackless::run_skip(boxed, &mut work, &index.tree.skip, &cfg)
+                }
+                Backend::Cpu => unreachable!("handled by the CPU arm"),
+            };
+            if let Some(solo) = solo.filter(|_| !rep.per_warp_nodes.is_empty()) {
+                outcome.work_expansion =
+                    gts_runtime::report::work_expansion(&rep.per_warp_nodes, &solo).0;
             }
-            Backend::Cpu => {
-                let rep = cpu::run_parallel(kernel, &mut work, cfg.host_threads);
-                let visits: u64 = rep.stats.per_point_nodes.iter().map(|&v| v as u64).sum();
-                (visits, 0.0, 0, 1.0, 1.0, 0, 0)
-            }
-        };
+            outcome.model_ms = rep.ms();
+            outcome.warps = rep.launch.warps;
+            outcome.mask_occupancy = rep.mask_occupancy();
+            let counters = &rep.launch.counters;
+            outcome.stack_bytes_peak = counters.stack_bytes_peak;
+            outcome.stack_transactions = (counters.per_region_transactions.iter())
+                .filter(|(region, _)| region.contains("stack"))
+                .map(|(_, v)| *v)
+                .sum();
+            rep.stats
+        }
+        Backend::Cpu => cpu::run_parallel(kernel, &mut work, cfg.host_threads).stats,
+    };
+    outcome.node_visits = stats.per_point_nodes.iter().map(|&v| v as u64).sum();
 
     // Undo the sort: callers see submission order.
     let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -703,26 +735,6 @@ where
         .into_iter()
         .map(|r| r.expect("permutation covers all"))
         .collect();
-    let outcome = BatchOutcome {
-        results: Vec::new(),
-        backend,
-        mean_similarity,
-        node_visits,
-        model_ms,
-        warps,
-        work_expansion,
-        shards_pruned: 0,
-        mask_occupancy,
-        shard_visits: Vec::new(),
-        profile_cache_hits: cache_outcome.map_or(0, |o| u64::from(o.hit)),
-        profile_cache_misses: cache_outcome.map_or(0, |o| u64::from(!o.hit)),
-        profile_cache_evictions: cache_outcome.map_or(0, |o| o.evictions),
-        stack_bytes_peak: stack_peak,
-        stack_transactions: stack_tx,
-        fused_ops: 0,
-        fused_lanes: 0,
-        fusion_saved_visits: 0,
-    };
     (results, outcome)
 }
 

@@ -1,6 +1,10 @@
 //! Service metrics: counters plus bounded log-scale histograms, exportable
 //! as JSON or Prometheus text.
 //!
+//! A series is defined once, as a row of the table at the bottom of this
+//! file: [`MetricsSnapshot`], the registry's storage for it, the copy
+//! between the two and its Prometheus line all come from the row.
+//!
 //! One mutex over the whole registry — recording happens once per *batch*
 //! (plus once per completed query for latency), far off any hot path the
 //! simulated executors dominate.
@@ -11,9 +15,11 @@
 //! byte ([`Metrics::approx_bytes`] is the testable bound). Determinism is
 //! preserved: histogram counts are integers, sums are fixed-point, and
 //! `min`/`max` commute, so a deterministic workload still yields
-//! bit-identical snapshots regardless of worker interleaving.
+//! bit-identical snapshots regardless of worker interleaving — which is
+//! why the f64 series of a batch go through histograms and only its
+//! integer counters through the merge.
 
-use crate::hist::{bucket_hi, bucket_index, Histogram, HistogramSnapshot, N_BUCKETS};
+use crate::hist::{bucket_index, Histogram, HistogramSnapshot, N_BUCKETS};
 use crate::index::BatchOutcome;
 use crate::policy::Backend;
 use crate::slowlog::SLOW_LOG_WARMUP;
@@ -22,80 +28,39 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Everything the registry records about one executed batch. Built from a
-/// [`BatchOutcome`] via [`BatchRecord::from_outcome`]; replaces the old
-/// seven-argument `on_batch` signature.
-#[derive(Debug, Clone)]
-pub struct BatchRecord {
+/// What the registry records about one executed batch: the batch's own
+/// accounting record plus what only the worker that ran it knows.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchRecord<'a> {
     /// Name of the index the batch ran against.
-    pub index: String,
-    /// Queries in the batch.
+    pub index: &'a str,
+    /// Queries the batch answered.
     pub size: usize,
-    /// Executor that ran it.
-    pub backend: Backend,
-    /// Tree-node visits across the batch.
-    pub node_visits: u64,
-    /// Modeled GPU milliseconds (0 for the CPU backend).
-    pub model_ms: f64,
-    /// Lockstep work expansion (1.0 when not applicable).
-    pub work_expansion: f64,
-    /// Mean live-lane fraction per warp node visit (1.0 for CPU runs).
-    pub mask_occupancy: f64,
-    /// `(query, shard)` pairs pruned by a sharded index's AABB bounds.
-    pub shards_pruned: u64,
     /// Longest submit-to-dispatch wait among the batch's queries.
     pub queue_wait: Duration,
     /// Wall-clock execution time of the batch on its worker (dispatch →
     /// tickets resolved) — the sample feeding the admission model's EWMA
     /// batch service time.
     pub exec: Duration,
-    /// Sub-batches served from a shard's profile cache.
-    pub profile_cache_hits: u64,
-    /// Cache consultations that re-ran the profiler.
-    pub profile_cache_misses: u64,
-    /// Cache entries dropped during the batch.
-    pub profile_cache_evictions: u64,
-    /// Peak rope-stack bytes any warp used (0 for stackless/CPU runs).
-    pub stack_bytes_peak: u64,
-    /// Rope-stack memory transactions the batch paid.
-    pub stack_transactions: u64,
-    /// Distinct constituent ops if this was a fused multi-op batch
-    /// (0 for an unfused batch).
-    pub fused_ops: u32,
-    /// Deduplicated lanes the fused walk carried (0 for unfused).
-    pub fused_lanes: u64,
-    /// Node visits fusion saved vs. modeled per-op solo walks.
-    pub fusion_saved_visits: u64,
+    /// The batch's accounting record.
+    pub outcome: &'a BatchOutcome,
 }
 
-impl BatchRecord {
+impl<'a> BatchRecord<'a> {
     /// Record for `outcome` against index `index`, with the batch's
     /// measured `queue_wait` and wall-clock `exec` time.
     pub fn from_outcome(
-        outcome: &BatchOutcome,
+        outcome: &'a BatchOutcome,
         queue_wait: Duration,
         exec: Duration,
-        index: &str,
+        index: &'a str,
     ) -> Self {
         BatchRecord {
-            index: index.to_string(),
+            index,
             size: outcome.results.len(),
-            backend: outcome.backend,
-            node_visits: outcome.node_visits,
-            model_ms: outcome.model_ms,
-            work_expansion: outcome.work_expansion,
-            mask_occupancy: outcome.mask_occupancy,
-            shards_pruned: outcome.shards_pruned,
             queue_wait,
             exec,
-            profile_cache_hits: outcome.profile_cache_hits,
-            profile_cache_misses: outcome.profile_cache_misses,
-            profile_cache_evictions: outcome.profile_cache_evictions,
-            stack_bytes_peak: outcome.stack_bytes_peak,
-            stack_transactions: outcome.stack_transactions,
-            fused_ops: outcome.fused_ops,
-            fused_lanes: outcome.fused_lanes,
-            fusion_saved_visits: outcome.fusion_saved_visits,
+            outcome,
         }
     }
 }
@@ -105,76 +70,110 @@ impl BatchRecord {
 /// few batches) without single-batch noise whipsawing verdicts.
 pub const EWMA_ALPHA: f64 = 0.25;
 
+/// An `own` series that counts: samples add up.
+#[derive(Debug, Default)]
+struct Sum(u64);
+/// An `own` gauge holding the largest sample seen.
+#[derive(Debug, Default)]
+struct Max(u64);
+/// An `own` gauge holding the latest sample.
+#[derive(Debug, Default)]
+struct Last(u64);
+
+impl Sum {
+    fn fold(&mut self, v: u64) {
+        self.0 += v;
+    }
+}
+
+impl Max {
+    fn fold(&mut self, v: u64) {
+        self.0 = self.0.max(v);
+    }
+}
+
+impl Last {
+    fn fold(&mut self, v: u64) {
+        self.0 = v;
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    submitted: u64,
-    completed: u64,
-    rejected: u64,
-    batches: u64,
+    own: Own,
+    // Bounded histograms, one per sample series. Their fixed-point sums
+    // replace the seed's sort-before-summing determinism trick.
+    hists: Hists,
+    // Every executed batch's integer counters, merged the way a sharded
+    // batch merges its sub-batches'.
+    batch: BatchOutcome,
     batch_size_sum: u64,
-    batch_size_max: u64,
     // One slot per Backend::ALL entry, indexed by Backend::index() — new
     // backends get a metrics series by being added to ALL, nowhere else.
     backend_batches: [u64; Backend::ALL.len()],
-    node_visits: u64,
-    stack_bytes_peak: u64,
-    stack_transactions: u64,
-    shards_pruned: u64,
-    profile_cache_hits: u64,
-    profile_cache_misses: u64,
-    profile_cache_evictions: u64,
-    fused_batches: u64,
-    fused_lanes: u64,
-    fusion_saved_visits: u64,
-    admission_rejected: u64,
-    // Network front-end counters, recorded by the socket server through
-    // `Service::metrics_registry` so one snapshot covers the full path.
-    net_connections: u64,
-    net_frames_rx: u64,
-    net_frames_tx: u64,
-    net_bytes_rx: u64,
-    net_bytes_tx: u64,
-    net_protocol_errors: u64,
-    // Epoch/mutation counters, fed by the observer `register_index`
-    // attaches to every mutable index.
-    mutations: u64,
-    epoch_merges: u64,
-    epoch_deltas_flushed: u64,
-    epoch: u64,
-    epoch_delta_depth: u64,
-    // Queries that arrived carrying a propagated (non-local) trace
-    // context from a network client.
-    trace_propagated: u64,
-    // Last (query id, trace id, value ms) to land in each latency bucket
-    // — the OpenMetrics exemplars. Keyed by bucket index, so the map is
-    // bounded by N_BUCKETS no matter how many queries complete.
-    latency_exemplars: BTreeMap<u32, (u64, u64, f64)>,
+    // Last query to land in each latency bucket — the OpenMetrics
+    // exemplars. Keyed by bucket index, so the map is bounded by N_BUCKETS
+    // no matter how many queries complete.
+    latency_exemplars: BTreeMap<u32, LatencyExemplar>,
     // Admission model state: exponentially weighted batch service time
     // (wall ms) and batch size, updated once per executed batch.
     ewma_batch_service_ms: f64,
     ewma_batch_size: f64,
-    // Bounded histograms, one per sample series. Their fixed-point sums
-    // replace the seed's sort-before-summing determinism trick.
-    model_ms: Histogram,
-    work_expansion: Histogram,
-    mask_occupancy: Histogram,
-    batch_node_visits: Histogram,
-    queue_wait_ms: Histogram,
-    latency_ms: Histogram,
-    batch_exec_ms: Histogram,
-    epoch_merge_ms: Histogram,
     // Per-index series, keyed by index name. Bounded by the number of
     // *registered indices* (a handful, fixed at service start), not by
     // load — the memory bound stays O(indices × buckets).
     per_index: BTreeMap<String, IndexSeries>,
 }
 
+/// One index's series: a modeled-ms sample per batch, a latency sample
+/// per completed query.
 #[derive(Debug, Default)]
 struct IndexSeries {
-    batches: u64,
-    completed: u64,
     model_ms: Histogram,
     latency_ms: Histogram,
+}
+
+impl Inner {
+    /// The series of index `index`, created on its first record.
+    fn index_series(&mut self, index: &str) -> &mut IndexSeries {
+        if !self.per_index.contains_key(index) {
+            self.per_index
+                .insert(index.to_string(), IndexSeries::default());
+        }
+        self.per_index.get_mut(index).expect("just inserted")
+    }
+
+    /// `sum` per batch recorded so far; 0 before the first.
+    fn per_batch(&self, sum: f64) -> f64 {
+        match self.own.batches.0 {
+            0 => 0.0,
+            batches => sum / batches as f64,
+        }
+    }
+
+    fn backend_batches(&self) -> Vec<BackendBatches> {
+        (Backend::ALL.iter())
+            .map(|b| BackendBatches {
+                backend: b.name().to_string(),
+                batches: self.backend_batches[b.index()],
+            })
+            .collect()
+    }
+
+    fn per_index(&self) -> Vec<IndexMetricsSnapshot> {
+        (self.per_index.iter())
+            .map(|(name, s)| IndexMetricsSnapshot {
+                index: name.clone(),
+                batches: s.model_ms.count(),
+                completed: s.latency_ms.count(),
+                latency_p50_ms: s.latency_ms.percentile(50.0),
+                latency_p99_ms: s.latency_ms.percentile(99.0),
+                model_ms: s.model_ms.sum(),
+                latency_hist: s.latency_ms.snapshot(),
+                model_ms_hist: s.model_ms.snapshot(),
+            })
+            .collect()
+    }
 }
 
 /// Shared metrics registry.
@@ -186,61 +185,61 @@ pub struct Metrics {
 impl Metrics {
     /// One query accepted into the submission queue.
     pub fn on_submit(&self) {
-        self.lock().submitted += 1;
+        self.lock().own.submitted.fold(1);
     }
 
     /// One query rejected at submission (validation or shutdown).
     pub fn on_reject(&self) {
-        self.lock().rejected += 1;
+        self.lock().own.rejected.fold(1);
+    }
+
+    /// `queries` accepted queries resolved with a typed error instead of
+    /// an answer: their batch failed under them.
+    pub fn on_fail(&self, queries: u64) {
+        self.lock().own.failed.fold(queries);
     }
 
     /// One batch dispatched and executed.
-    pub fn on_batch(&self, rec: &BatchRecord) {
+    pub fn on_batch(&self, rec: &BatchRecord<'_>) {
+        let out = rec.outcome;
+        let size = rec.size as u64;
         let mut m = self.lock();
-        m.batches += 1;
-        m.batch_size_sum += rec.size as u64;
-        m.batch_size_max = m.batch_size_max.max(rec.size as u64);
-        m.backend_batches[rec.backend.index()] += 1;
-        m.node_visits += rec.node_visits;
-        m.stack_bytes_peak = m.stack_bytes_peak.max(rec.stack_bytes_peak);
-        m.stack_transactions += rec.stack_transactions;
-        m.shards_pruned += rec.shards_pruned;
-        m.profile_cache_hits += rec.profile_cache_hits;
-        m.profile_cache_misses += rec.profile_cache_misses;
-        m.profile_cache_evictions += rec.profile_cache_evictions;
-        if rec.fused_lanes > 0 {
-            m.fused_batches += 1;
-        }
-        m.fused_lanes += rec.fused_lanes;
-        m.fusion_saved_visits += rec.fusion_saved_visits;
-        m.model_ms.record(rec.model_ms);
-        m.work_expansion.record(rec.work_expansion);
-        m.mask_occupancy.record(rec.mask_occupancy);
-        m.batch_node_visits.record(rec.node_visits as f64);
-        m.queue_wait_ms.record(rec.queue_wait.as_secs_f64() * 1e3);
+        m.own.batches.fold(1);
+        m.batch_size_sum += size;
+        m.own.max_batch_size.fold(size);
+        m.backend_batches[out.backend.index()] += 1;
+        m.batch.absorb_counts(out);
+        m.own.fused_batches.fold(u64::from(out.fused_lanes > 0));
+        m.own.fused_lanes.fold(out.fused_lanes);
+        m.hists.model_ms_hist.record(out.model_ms);
+        m.hists.work_expansion_hist.record(out.work_expansion);
+        m.hists.mask_occupancy_hist.record(out.mask_occupancy);
+        m.hists.node_visits_hist.record(out.node_visits as f64);
+        m.hists
+            .queue_wait_hist
+            .record(rec.queue_wait.as_secs_f64() * 1e3);
         let exec_ms = rec.exec.as_secs_f64() * 1e3;
-        m.batch_exec_ms.record(exec_ms);
-        if m.batches == 1 {
-            // First sample seeds the EWMAs directly — no warm-up bias.
-            m.ewma_batch_service_ms = exec_ms;
-            m.ewma_batch_size = rec.size as f64;
-        } else {
-            m.ewma_batch_service_ms =
-                EWMA_ALPHA * exec_ms + (1.0 - EWMA_ALPHA) * m.ewma_batch_service_ms;
-            m.ewma_batch_size =
-                EWMA_ALPHA * rec.size as f64 + (1.0 - EWMA_ALPHA) * m.ewma_batch_size;
-        }
-        let series = m.per_index.entry(rec.index.clone()).or_default();
-        series.batches += 1;
-        series.model_ms.record(rec.model_ms);
+        m.hists.exec_ms_hist.record(exec_ms);
+        // First sample seeds the EWMAs directly — no warm-up bias.
+        let first = m.own.batches.0 == 1;
+        let ewma = |old: f64, new: f64| {
+            if first {
+                new
+            } else {
+                EWMA_ALPHA * new + (1.0 - EWMA_ALPHA) * old
+            }
+        };
+        m.ewma_batch_service_ms = ewma(m.ewma_batch_service_ms, exec_ms);
+        m.ewma_batch_size = ewma(m.ewma_batch_size, rec.size as f64);
+        m.index_series(rec.index).model_ms.record(out.model_ms);
     }
 
     /// One query rejected by latency-budget admission control (also counts
     /// as a rejection).
     pub fn on_admission_reject(&self) {
         let mut m = self.lock();
-        m.rejected += 1;
-        m.admission_rejected += 1;
+        m.own.rejected.fold(1);
+        m.own.admission_rejected.fold(1);
     }
 
     /// Modeled queue wait for a submission arriving behind `depth`
@@ -258,34 +257,34 @@ impl Metrics {
 
     /// One TCP connection accepted by the network front-end.
     pub fn on_net_accept(&self) {
-        self.lock().net_connections += 1;
+        self.lock().own.net_connections.fold(1);
     }
 
     /// One frame decoded off a connection (`bytes` = body length).
     pub fn on_net_frame_rx(&self, bytes: u64) {
         let mut m = self.lock();
-        m.net_frames_rx += 1;
-        m.net_bytes_rx += bytes;
+        m.own.net_frames_rx.fold(1);
+        m.own.net_bytes_rx.fold(bytes);
     }
 
     /// One frame written to a connection (`bytes` = body length).
     pub fn on_net_frame_tx(&self, bytes: u64) {
         let mut m = self.lock();
-        m.net_frames_tx += 1;
-        m.net_bytes_tx += bytes;
+        m.own.net_frames_tx.fold(1);
+        m.own.net_bytes_tx.fold(bytes);
     }
 
     /// One malformed or oversized frame rejected by the decoder.
     pub fn on_net_protocol_error(&self) {
-        self.lock().net_protocol_errors += 1;
+        self.lock().own.net_protocol_errors.fold(1);
     }
 
     /// One mutation batch applied to a mutable index: `accepted`
     /// mutations landed, `pending` deltas now await the merge thread.
     pub fn on_mutation(&self, accepted: u64, pending: u64) {
         let mut m = self.lock();
-        m.mutations += accepted;
-        m.epoch_delta_depth = pending;
+        m.own.mutations.fold(accepted);
+        m.own.epoch_delta_depth.fold(pending);
     }
 
     /// One epoch merge landed: the index advanced to `epoch` in `dur`,
@@ -299,11 +298,11 @@ impl Metrics {
         pending_after: u64,
     ) {
         let mut m = self.lock();
-        m.epoch_merges += 1;
-        m.epoch_deltas_flushed += deltas_flushed;
-        m.epoch = m.epoch.max(epoch);
-        m.epoch_delta_depth = pending_after;
-        m.epoch_merge_ms.record(dur.as_secs_f64() * 1e3);
+        m.own.epoch_merges.fold(1);
+        m.own.epoch_deltas_flushed.fold(deltas_flushed);
+        m.own.epoch.fold(epoch);
+        m.own.epoch_delta_depth.fold(pending_after);
+        m.hists.epoch_merge_ms_hist.record(dur.as_secs_f64() * 1e3);
     }
 
     /// One query's result delivered by index `index`, `latency` after
@@ -312,24 +311,24 @@ impl Metrics {
     /// OpenMetrics exemplar for the latency bucket the sample lands in.
     pub fn on_complete(&self, index: &str, latency: Duration, query: u64, trace: u64) {
         let mut m = self.lock();
-        m.completed += 1;
+        m.own.completed.fold(1);
         let ms = latency.as_secs_f64() * 1e3;
-        m.latency_ms.record(ms);
-        m.latency_exemplars
-            .insert(bucket_index(ms) as u32, (query, trace, ms));
-        if !m.per_index.contains_key(index) {
-            m.per_index
-                .insert(index.to_string(), IndexSeries::default());
-        }
-        let series = m.per_index.get_mut(index).expect("just inserted");
-        series.completed += 1;
-        series.latency_ms.record(ms);
+        m.hists.latency_hist.record(ms);
+        let bucket = bucket_index(ms) as u32;
+        let exemplar = LatencyExemplar {
+            bucket,
+            query,
+            trace,
+            value_ms: ms,
+        };
+        m.latency_exemplars.insert(bucket, exemplar);
+        m.index_series(index).latency_ms.record(ms);
     }
 
     /// One submission arrived carrying a propagated (non-local) trace
     /// context.
     pub fn on_propagated(&self) {
-        self.lock().trace_propagated += 1;
+        self.lock().own.trace_propagated.fold(1);
     }
 
     /// The slow-log commit threshold: the given percentile of the live
@@ -337,10 +336,10 @@ impl Metrics {
     /// [`SLOW_LOG_WARMUP`] samples — a p99 of three queries is noise.
     pub fn slow_threshold_us(&self, percentile: f64) -> u64 {
         let m = self.lock();
-        if m.latency_ms.count() < SLOW_LOG_WARMUP {
+        if m.hists.latency_hist.count() < SLOW_LOG_WARMUP {
             return 0;
         }
-        (m.latency_ms.percentile(percentile) * 1e3) as u64
+        (m.hists.latency_hist.percentile(percentile) * 1e3) as u64
     }
 
     /// Upper bound on the registry's resident size, in bytes. Constant
@@ -348,253 +347,22 @@ impl Metrics {
     /// queries or batches were recorded — which the sustained-load test
     /// asserts.
     pub fn approx_bytes(&self) -> usize {
-        let per_index = {
-            let m = self.lock();
-            m.per_index.len()
-                * (std::mem::size_of::<IndexSeries>() + 2 * N_BUCKETS * std::mem::size_of::<u64>())
-        };
-        std::mem::size_of::<Self>() + 8 * N_BUCKETS * std::mem::size_of::<u64>() + per_index
+        let hist_bytes = N_BUCKETS * std::mem::size_of::<u64>();
+        let per_index = std::mem::size_of::<IndexSeries>() + INDEX_HISTOGRAMS.len() * hist_bytes;
+        std::mem::size_of::<Self>()
+            + N_HISTOGRAMS * hist_bytes
+            + self.lock().per_index.len() * per_index
     }
 
     /// Snapshot every counter, percentile, and histogram. O(buckets),
     /// never O(samples).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let m = self.lock();
-        MetricsSnapshot {
-            submitted: m.submitted,
-            completed: m.completed,
-            rejected: m.rejected,
-            batches: m.batches,
-            mean_batch_size: if m.batches > 0 {
-                m.batch_size_sum as f64 / m.batches as f64
-            } else {
-                0.0
-            },
-            max_batch_size: m.batch_size_max,
-            backend_batches: Backend::ALL
-                .iter()
-                .map(|b| BackendBatches {
-                    backend: b.name().to_string(),
-                    batches: m.backend_batches[b.index()],
-                })
-                .collect(),
-            node_visits: m.node_visits,
-            stack_bytes_peak: m.stack_bytes_peak,
-            stack_transactions: m.stack_transactions,
-            shards_pruned: m.shards_pruned,
-            profile_cache_hits: m.profile_cache_hits,
-            profile_cache_misses: m.profile_cache_misses,
-            profile_cache_evictions: m.profile_cache_evictions,
-            fused_batches: m.fused_batches,
-            fused_lanes: m.fused_lanes,
-            fusion_saved_visits: m.fusion_saved_visits,
-            admission_rejected: m.admission_rejected,
-            net_connections: m.net_connections,
-            net_frames_rx: m.net_frames_rx,
-            net_frames_tx: m.net_frames_tx,
-            net_bytes_rx: m.net_bytes_rx,
-            net_bytes_tx: m.net_bytes_tx,
-            net_protocol_errors: m.net_protocol_errors,
-            mutations: m.mutations,
-            epoch_merges: m.epoch_merges,
-            epoch_deltas_flushed: m.epoch_deltas_flushed,
-            epoch: m.epoch,
-            epoch_delta_depth: m.epoch_delta_depth,
-            ewma_batch_service_ms: m.ewma_batch_service_ms,
-            trace_propagated: m.trace_propagated,
-            // The trace recorder and slow log live outside the registry;
-            // `Service` stitches their counters in after this snapshot.
-            trace_dropped: 0,
-            trace_dropped_by_kind: Vec::new(),
-            slow_log_committed: 0,
-            slow_log_evicted: 0,
-            slow_log_pending: 0,
-            slow_log_entries: 0,
-            slow_log_threshold_us: 0,
-            latency_exemplars: m
-                .latency_exemplars
-                .iter()
-                .map(|(&bucket, &(query, trace, value_ms))| LatencyExemplar {
-                    bucket,
-                    query,
-                    trace,
-                    value_ms,
-                })
-                .collect(),
-            model_ms: m.model_ms.sum(),
-            mean_work_expansion: if m.batches > 0 {
-                m.work_expansion.sum() / m.batches as f64
-            } else {
-                0.0
-            },
-            mean_mask_occupancy: if m.batches > 0 {
-                m.mask_occupancy.sum() / m.batches as f64
-            } else {
-                0.0
-            },
-            queue_wait_p50_ms: m.queue_wait_ms.percentile(50.0),
-            queue_wait_p99_ms: m.queue_wait_ms.percentile(99.0),
-            queue_wait_max_ms: m.queue_wait_ms.max(),
-            latency_p50_ms: m.latency_ms.percentile(50.0),
-            latency_p99_ms: m.latency_ms.percentile(99.0),
-            latency_p999_ms: m.latency_ms.percentile(99.9),
-            latency_max_ms: m.latency_ms.max(),
-            model_ms_hist: m.model_ms.snapshot(),
-            work_expansion_hist: m.work_expansion.snapshot(),
-            mask_occupancy_hist: m.mask_occupancy.snapshot(),
-            node_visits_hist: m.batch_node_visits.snapshot(),
-            queue_wait_hist: m.queue_wait_ms.snapshot(),
-            latency_hist: m.latency_ms.snapshot(),
-            exec_ms_hist: m.batch_exec_ms.snapshot(),
-            epoch_merge_ms_hist: m.epoch_merge_ms.snapshot(),
-            per_index: m
-                .per_index
-                .iter()
-                .map(|(name, s)| IndexMetricsSnapshot {
-                    index: name.clone(),
-                    batches: s.batches,
-                    completed: s.completed,
-                    latency_p50_ms: s.latency_ms.percentile(50.0),
-                    latency_p99_ms: s.latency_ms.percentile(99.0),
-                    model_ms: s.model_ms.sum(),
-                    latency_hist: s.latency_ms.snapshot(),
-                    model_ms_hist: s.model_ms.snapshot(),
-                })
-                .collect(),
-        }
+        MetricsSnapshot::of(&self.lock())
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
-}
-
-/// Point-in-time export of the registry. JSON-serializable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Queries accepted into the queue.
-    pub submitted: u64,
-    /// Queries whose results were delivered.
-    pub completed: u64,
-    /// Queries rejected at submission.
-    pub rejected: u64,
-    /// Batches dispatched.
-    pub batches: u64,
-    /// Mean queries per batch.
-    pub mean_batch_size: f64,
-    /// Largest batch dispatched.
-    pub max_batch_size: u64,
-    /// Batch counts per backend, one entry per [`Backend::ALL`] member in
-    /// that order — the dynamic view behind `gts_backend_chosen_total`.
-    pub backend_batches: Vec<BackendBatches>,
-    /// Total tree-node visits.
-    pub node_visits: u64,
-    /// Peak rope-stack bytes any warp used across all batches (0 when
-    /// every batch ran stackless or on the CPU).
-    pub stack_bytes_peak: u64,
-    /// Total rope-stack memory transactions.
-    pub stack_transactions: u64,
-    /// `(query, shard)` pairs sharded indices skipped via AABB bounds.
-    pub shards_pruned: u64,
-    /// Sub-batches whose §4.4 decision came from a shard profile cache.
-    pub profile_cache_hits: u64,
-    /// Profile-cache consultations that re-ran the profiler.
-    pub profile_cache_misses: u64,
-    /// Profile-cache entries dropped (TTL or capacity).
-    pub profile_cache_evictions: u64,
-    /// Fused multi-op batches dispatched (same-index queries of different
-    /// ops answered by one tree walk under the union prune bound).
-    pub fused_batches: u64,
-    /// Deduplicated lanes carried by fused batches.
-    pub fused_lanes: u64,
-    /// Node visits fusion saved vs. modeled per-op solo walks.
-    pub fusion_saved_visits: u64,
-    /// Queries rejected by latency-budget admission control (a subset of
-    /// `rejected`).
-    pub admission_rejected: u64,
-    /// TCP connections accepted by the network front-end.
-    pub net_connections: u64,
-    /// Frames decoded off network connections.
-    pub net_frames_rx: u64,
-    /// Frames written to network connections.
-    pub net_frames_tx: u64,
-    /// Frame body bytes received.
-    pub net_bytes_rx: u64,
-    /// Frame body bytes sent.
-    pub net_bytes_tx: u64,
-    /// Malformed or oversized frames rejected by the decoder.
-    pub net_protocol_errors: u64,
-    /// Mutations (inserts + deletes) accepted by mutable indices.
-    pub mutations: u64,
-    /// Epoch merges performed across all mutable indices.
-    pub epoch_merges: u64,
-    /// Delta entries folded into merges.
-    pub epoch_deltas_flushed: u64,
-    /// Highest epoch any mutable index reached.
-    pub epoch: u64,
-    /// Pending delta entries after the last mutation or merge.
-    pub epoch_delta_depth: u64,
-    /// EWMA batch service time (wall ms) — the admission model's per-batch
-    /// cost estimate.
-    pub ewma_batch_service_ms: f64,
-    /// Submissions that carried a propagated (non-local) trace context.
-    pub trace_propagated: u64,
-    /// Trace-ring events lost to wraparound (stitched in by `Service`).
-    pub trace_dropped: u64,
-    /// Wraparound drops broken out per event kind, nonzero kinds only.
-    pub trace_dropped_by_kind: Vec<KindDropped>,
-    /// Slow-log records committed over the service lifetime.
-    pub slow_log_committed: u64,
-    /// Committed slow-log records evicted by ring wraparound.
-    pub slow_log_evicted: u64,
-    /// Queries currently in the slow log's pending table.
-    pub slow_log_pending: u64,
-    /// Slow-log records currently retained.
-    pub slow_log_entries: u64,
-    /// Rolling slow-log commit threshold, µs (0 until warmed up).
-    pub slow_log_threshold_us: u64,
-    /// Last (query, trace) to land in each latency bucket — rendered as
-    /// OpenMetrics exemplars on `gts_latency_ms`.
-    pub latency_exemplars: Vec<LatencyExemplar>,
-    /// Total modeled GPU milliseconds.
-    pub model_ms: f64,
-    /// Mean per-batch lockstep work expansion.
-    pub mean_work_expansion: f64,
-    /// Mean per-batch warp mask occupancy (live-lane fraction).
-    pub mean_mask_occupancy: f64,
-    /// Median wait between submission and batch dispatch.
-    pub queue_wait_p50_ms: f64,
-    /// 99th-percentile queue wait.
-    pub queue_wait_p99_ms: f64,
-    /// Longest observed queue wait (exact).
-    pub queue_wait_max_ms: f64,
-    /// Median submit-to-result latency.
-    pub latency_p50_ms: f64,
-    /// 99th-percentile submit-to-result latency.
-    pub latency_p99_ms: f64,
-    /// 99.9th-percentile submit-to-result latency.
-    pub latency_p999_ms: f64,
-    /// Slowest observed query latency (exact).
-    pub latency_max_ms: f64,
-    /// Full modeled-ms distribution.
-    pub model_ms_hist: HistogramSnapshot,
-    /// Full per-batch work-expansion distribution.
-    pub work_expansion_hist: HistogramSnapshot,
-    /// Full per-batch mask-occupancy distribution.
-    pub mask_occupancy_hist: HistogramSnapshot,
-    /// Full per-batch node-visit distribution.
-    pub node_visits_hist: HistogramSnapshot,
-    /// Full queue-wait distribution (ms).
-    pub queue_wait_hist: HistogramSnapshot,
-    /// Full latency distribution (ms).
-    pub latency_hist: HistogramSnapshot,
-    /// Full per-batch wall-clock execution-time distribution (ms).
-    pub exec_ms_hist: HistogramSnapshot,
-    /// Full epoch-merge duration distribution (ms).
-    pub epoch_merge_ms_hist: HistogramSnapshot,
-    /// Per-index series, sorted by index name (BTreeMap order), so
-    /// mixed-index workloads stay separable.
-    pub per_index: Vec<IndexMetricsSnapshot>,
 }
 
 /// Wraparound-dropped trace events for one event kind.
@@ -649,6 +417,22 @@ pub struct IndexMetricsSnapshot {
     pub model_ms_hist: HistogramSnapshot,
 }
 
+type IndexCounter = fn(&IndexMetricsSnapshot) -> u64;
+type IndexHistogram = fn(&IndexMetricsSnapshot) -> &HistogramSnapshot;
+
+/// The per-index counter families: exposition name and the value of one
+/// index's series.
+const INDEX_COUNTERS: [(&str, IndexCounter); 2] = [
+    ("gts_index_batches_total", |i| i.batches),
+    ("gts_index_completed_total", |i| i.completed),
+];
+
+/// The per-index histogram families, one histogram per index each.
+const INDEX_HISTOGRAMS: [(&str, IndexHistogram); 2] = [
+    ("gts_index_latency_ms", |i| &i.latency_hist),
+    ("gts_index_model_ms", |i| &i.model_ms_hist),
+];
+
 impl MetricsSnapshot {
     /// Serialize as pretty JSON.
     pub fn to_json(&self) -> String {
@@ -660,182 +444,291 @@ impl MetricsSnapshot {
     /// for every histogram.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, u64); 26] = [
-            ("gts_queries_submitted_total", self.submitted),
-            ("gts_queries_completed_total", self.completed),
-            ("gts_queries_rejected_total", self.rejected),
-            ("gts_batches_total", self.batches),
-            ("gts_node_visits_total", self.node_visits),
-            ("gts_stack_transactions_total", self.stack_transactions),
-            ("gts_shards_pruned_total", self.shards_pruned),
-            ("gts_profile_cache_hits_total", self.profile_cache_hits),
-            ("gts_profile_cache_misses_total", self.profile_cache_misses),
-            (
-                "gts_profile_cache_evictions_total",
-                self.profile_cache_evictions,
-            ),
-            ("gts_fused_batches_total", self.fused_batches),
-            ("gts_fused_lanes_total", self.fused_lanes),
-            (
-                "gts_fusion_node_visits_saved_total",
-                self.fusion_saved_visits,
-            ),
-            ("gts_admission_rejected_total", self.admission_rejected),
-            ("gts_net_connections_total", self.net_connections),
-            ("gts_net_frames_rx_total", self.net_frames_rx),
-            ("gts_net_frames_tx_total", self.net_frames_tx),
-            ("gts_net_bytes_rx_total", self.net_bytes_rx),
-            ("gts_net_bytes_tx_total", self.net_bytes_tx),
-            ("gts_net_protocol_errors_total", self.net_protocol_errors),
-            ("gts_mutations_total", self.mutations),
-            ("gts_epoch_merges_total", self.epoch_merges),
-            ("gts_epoch_deltas_flushed_total", self.epoch_deltas_flushed),
-            ("gts_trace_propagated_total", self.trace_propagated),
-            ("gts_slow_log_committed_total", self.slow_log_committed),
-            ("gts_slow_log_evicted_total", self.slow_log_evicted),
-        ];
-        for (name, v) in counters {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-        }
-        let gauges: [(&str, f64); 11] = [
-            ("gts_batch_size_mean", self.mean_batch_size),
-            ("gts_batch_size_max", self.max_batch_size as f64),
-            ("gts_stack_bytes_peak", self.stack_bytes_peak as f64),
-            ("gts_model_ms_total", self.model_ms),
-            ("gts_work_expansion_mean", self.mean_work_expansion),
-            ("gts_mask_occupancy_mean", self.mean_mask_occupancy),
-            ("gts_ewma_batch_service_ms", self.ewma_batch_service_ms),
-            ("gts_epoch", self.epoch as f64),
-            ("gts_epoch_delta_depth", self.epoch_delta_depth as f64),
-            (
-                "gts_slow_log_threshold_us",
-                self.slow_log_threshold_us as f64,
-            ),
-            ("gts_slow_log_pending", self.slow_log_pending as f64),
-        ];
-        for (name, v) in gauges {
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-        }
+        let family = |out: &mut String, name: &str, kind: &str| {
+            out.push_str(&format!("# TYPE {name} {kind}\n"));
+        };
+        let labeled = |out: &mut String, name: &str, label: &str, is: &str, value: u64| {
+            out.push_str(&format!("{name}{{{label}=\"{is}\"}} {value}\n"));
+        };
+        self.scalars_to_prometheus(&mut out);
         // One labeled series per backend, enumerated from the snapshot
         // (which mirrors `Backend::ALL`) — adding a backend to ALL adds
         // its series here with no further changes.
-        out.push_str("# TYPE gts_backend_chosen_total counter\n");
+        let name = "gts_backend_chosen_total";
+        family(&mut out, name, "counter");
         for b in &self.backend_batches {
-            out.push_str(&format!(
-                "gts_backend_chosen_total{{backend=\"{}\"}} {}\n",
-                b.backend, b.batches
-            ));
+            labeled(&mut out, name, "backend", &b.backend, b.batches);
         }
         // Per-kind wraparound drops: the header is always present so
         // scrapers see the family; series appear only for kinds that
         // actually lost events.
-        out.push_str("# TYPE gts_trace_dropped_total counter\n");
+        let name = "gts_trace_dropped_total";
+        family(&mut out, name, "counter");
         for k in &self.trace_dropped_by_kind {
-            out.push_str(&format!(
-                "gts_trace_dropped_total{{kind=\"{}\"}} {}\n",
-                k.kind, k.dropped
-            ));
+            labeled(&mut out, name, "kind", &k.kind, k.dropped);
         }
-        self.model_ms_hist
-            .to_prometheus("gts_batch_model_ms", &mut out);
-        self.work_expansion_hist
-            .to_prometheus("gts_batch_work_expansion", &mut out);
-        self.mask_occupancy_hist
-            .to_prometheus("gts_batch_mask_occupancy", &mut out);
-        self.node_visits_hist
-            .to_prometheus("gts_batch_node_visits", &mut out);
-        self.queue_wait_hist
-            .to_prometheus("gts_queue_wait_ms", &mut out);
-        // The latency histogram is rendered by hand so each bucket can
-        // carry its OpenMetrics exemplar — `# {labels} value` after the
-        // bucket count links a tail bucket straight to the query (and its
-        // flight-recorder entry) that last landed there.
-        out.push_str("# TYPE gts_latency_ms histogram\n");
-        let mut cum = 0u64;
-        for &(i, c) in &self.latency_hist.buckets {
-            cum += c;
-            out.push_str(&format!(
-                "gts_latency_ms_bucket{{le=\"{}\"}} {cum}",
-                bucket_hi(i as usize)
-            ));
-            if let Some(ex) = self.latency_exemplars.iter().find(|e| e.bucket == i) {
-                out.push_str(&format!(
-                    " # {{trace_id=\"{:016x}\",query_id=\"{}\"}} {}",
+        for (name, hist) in self.histograms() {
+            family(&mut out, name, "histogram");
+            // A latency bucket carries its OpenMetrics exemplar, linking a
+            // tail bucket straight to the query (and its flight-recorder
+            // entry) that last landed there.
+            let exemplars: &[LatencyExemplar] = if std::ptr::eq(hist, &self.latency_hist) {
+                &self.latency_exemplars
+            } else {
+                &[]
+            };
+            let exemplar = |bucket| {
+                let ex = exemplars.iter().find(|e| e.bucket == bucket)?;
+                Some(format!(
+                    "{{trace_id=\"{:016x}\",query_id=\"{}\"}} {}",
                     ex.trace, ex.query, ex.value_ms
-                ));
-            }
-            out.push('\n');
+                ))
+            };
+            hist.to_prometheus(name, "", exemplar, &mut out);
         }
-        out.push_str(&format!(
-            "gts_latency_ms_bucket{{le=\"+Inf\"}} {}\n",
-            self.latency_hist.count
-        ));
-        out.push_str(&format!("gts_latency_ms_sum {}\n", self.latency_hist.sum));
-        out.push_str(&format!(
-            "gts_latency_ms_count {}\n",
-            self.latency_hist.count
-        ));
-        self.exec_ms_hist
-            .to_prometheus("gts_batch_exec_ms", &mut out);
-        self.epoch_merge_ms_hist
-            .to_prometheus("gts_epoch_merge_ms", &mut out);
         // Per-index families: one TYPE header each, one labeled series
         // per registered index. Index names are service-controlled
         // identifiers, rendered without escaping (same convention as the
         // trace exporter).
-        out.push_str("# TYPE gts_index_batches_total counter\n");
-        for idx in &self.per_index {
-            out.push_str(&format!(
-                "gts_index_batches_total{{index=\"{}\"}} {}\n",
-                idx.index, idx.batches
-            ));
+        for (name, value) in INDEX_COUNTERS {
+            family(&mut out, name, "counter");
+            for idx in &self.per_index {
+                labeled(&mut out, name, "index", &idx.index, value(idx));
+            }
         }
-        out.push_str("# TYPE gts_index_completed_total counter\n");
-        for idx in &self.per_index {
-            out.push_str(&format!(
-                "gts_index_completed_total{{index=\"{}\"}} {}\n",
-                idx.index, idx.completed
-            ));
-        }
-        out.push_str("# TYPE gts_index_latency_ms histogram\n");
-        for idx in &self.per_index {
-            idx.latency_hist.to_prometheus_labeled(
-                "gts_index_latency_ms",
-                &format!("index=\"{}\"", idx.index),
-                &mut out,
-            );
-        }
-        out.push_str("# TYPE gts_index_model_ms histogram\n");
-        for idx in &self.per_index {
-            idx.model_ms_hist.to_prometheus_labeled(
-                "gts_index_model_ms",
-                &format!("index=\"{}\"", idx.index),
-                &mut out,
-            );
+        for (name, hist) in INDEX_HISTOGRAMS {
+            family(&mut out, name, "histogram");
+            for idx in &self.per_index {
+                let labels = format!("index=\"{}\"", idx.index);
+                hist(idx).to_prometheus(name, &labels, |_| None, &mut out);
+            }
         }
         out
     }
 }
 
-/// Exact nearest-rank percentile (`p` in 0..=100) of `samples`; 0 when
-/// empty. O(n log n) clone-and-sort — kept **only** as the oracle the
-/// histogram property tests compare against; production percentiles come
-/// from [`Histogram::percentile`].
-#[cfg(test)]
-pub(crate) fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
+/// Emit the registry's storage, [`MetricsSnapshot`], the copy from one to
+/// the other and the scalar exposition from the two tables below. A scalar
+/// row is the snapshot field with its doc and type, `=` where its value is
+/// kept, and — if it is a series of its own — its Prometheus type and
+/// name; row order is exposition order. The value is one of:
+/// `own Sum|Max|Last`, a slot of the registry that hooks `.fold(v)` samples
+/// into by that rule; `in batch`, the same-named counter of the running
+/// [`BatchOutcome`] totals (merge rule: [`BatchOutcome::absorb_counts`]);
+/// `(expr)`, computed from the registry `m`; `stitched`, zero here and
+/// filled in by `Service` from its trace ring and slow log.
+macro_rules! series {
+    (
+        scalars |$m:ident| {$(
+            $(#[$doc:meta])*
+            $field:ident: $ty:ty = $(own $rule:ident)? $(in $place:ident)? $(($from:expr))? $(stitched)?
+            $(, $kind:ident $name:literal)?;
+        )*}
+        histograms {$(
+            $(#[$hdoc:meta])*
+            $hist:ident, $hname:literal;
+        )*}
+    ) => {
+        /// One slot per `own` row; its type is the row's fold rule.
+        #[derive(Debug, Default)]
+        struct Own {$($(
+            $field: $rule,
+        )?)*}
+
+        /// One histogram per row of the second table.
+        #[derive(Debug, Default)]
+        struct Hists {$(
+            $hist: Histogram,
+        )*}
+
+        /// Histograms in [`Hists`] (the per-index ones are counted apart).
+        const N_HISTOGRAMS: usize = [$($hname),*].len();
+
+        /// Point-in-time export of the registry. JSON-serializable.
+        #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+        pub struct MetricsSnapshot {
+            $( $(#[$doc])* pub $field: $ty, )*
+            $( $(#[$hdoc])* pub $hist: HistogramSnapshot, )*
+        }
+
+        impl MetricsSnapshot {
+            /// Every row as the registry holds it now; `stitched` rows
+            /// keep their zero.
+            fn of($m: &Inner) -> Self {
+                MetricsSnapshot {
+                    $(
+                        $( $field: { let slot: &$rule = &$m.own.$field; slot.0 }, )?
+                        $( $field: $m.$place.$field, )?
+                        $( $field: $from, )?
+                    )*
+                    $( $hist: $m.hists.$hist.snapshot(), )*
+                    ..MetricsSnapshot::default()
+                }
+            }
+
+            /// Every histogram with its exposition name, in row order.
+            fn histograms(&self) -> [(&'static str, &HistogramSnapshot); N_HISTOGRAMS] {
+                [$( ($hname, &self.$hist), )*]
+            }
+
+            /// A `# TYPE` header and a value line per scalar row that
+            /// names a series, in row order.
+            fn scalars_to_prometheus(&self, out: &mut String) {
+                $($(
+                    out.push_str(&format!(
+                        concat!("# TYPE ", $name, " ", stringify!($kind), "\n", $name, " {}\n"),
+                        self.$field
+                    ));
+                )?)*
+            }
+        }
+    };
+}
+
+series! {
+    scalars |m| {
+        /// Queries accepted into the queue.
+        submitted: u64 = own Sum, counter "gts_queries_submitted_total";
+        /// Queries whose results were delivered.
+        completed: u64 = own Sum, counter "gts_queries_completed_total";
+        /// Queries rejected at submission.
+        rejected: u64 = own Sum, counter "gts_queries_rejected_total";
+        /// Accepted queries resolved with a typed error because their batch
+        /// failed; once drained, `submitted == completed + failed`.
+        failed: u64 = own Sum, counter "gts_queries_failed_total";
+        /// Batches dispatched.
+        batches: u64 = own Sum, counter "gts_batches_total";
+        /// Total tree-node visits.
+        node_visits: u64 = in batch, counter "gts_node_visits_total";
+        /// Total rope-stack memory transactions.
+        stack_transactions: u64 = in batch, counter "gts_stack_transactions_total";
+        /// `(query, shard)` pairs sharded indices skipped via AABB bounds.
+        shards_pruned: u64 = in batch, counter "gts_shards_pruned_total";
+        /// Sub-batches whose §4.4 decision came from a shard profile cache.
+        profile_cache_hits: u64 = in batch, counter "gts_profile_cache_hits_total";
+        /// Profile-cache consultations that re-ran the profiler.
+        profile_cache_misses: u64 = in batch, counter "gts_profile_cache_misses_total";
+        /// Profile-cache entries dropped (TTL or capacity).
+        profile_cache_evictions: u64 = in batch, counter "gts_profile_cache_evictions_total";
+        /// Fused multi-op batches dispatched (same-index queries of different
+        /// ops answered by one tree walk under the union prune bound).
+        fused_batches: u64 = own Sum, counter "gts_fused_batches_total";
+        /// Deduplicated lanes carried by fused batches.
+        fused_lanes: u64 = own Sum, counter "gts_fused_lanes_total";
+        /// Node visits fusion saved vs. modeled per-op solo walks.
+        fusion_saved_visits: u64 = in batch, counter "gts_fusion_node_visits_saved_total";
+        /// Queries rejected by latency-budget admission control (a subset of
+        /// `rejected`).
+        admission_rejected: u64 = own Sum, counter "gts_admission_rejected_total";
+        /// TCP connections accepted by the network front-end.
+        net_connections: u64 = own Sum, counter "gts_net_connections_total";
+        /// Frames decoded off network connections.
+        net_frames_rx: u64 = own Sum, counter "gts_net_frames_rx_total";
+        /// Frames written to network connections.
+        net_frames_tx: u64 = own Sum, counter "gts_net_frames_tx_total";
+        /// Frame body bytes received.
+        net_bytes_rx: u64 = own Sum, counter "gts_net_bytes_rx_total";
+        /// Frame body bytes sent.
+        net_bytes_tx: u64 = own Sum, counter "gts_net_bytes_tx_total";
+        /// Malformed or oversized frames rejected by the decoder.
+        net_protocol_errors: u64 = own Sum, counter "gts_net_protocol_errors_total";
+        /// Mutations (inserts + deletes) accepted by mutable indices.
+        mutations: u64 = own Sum, counter "gts_mutations_total";
+        /// Epoch merges performed across all mutable indices.
+        epoch_merges: u64 = own Sum, counter "gts_epoch_merges_total";
+        /// Delta entries folded into merges.
+        epoch_deltas_flushed: u64 = own Sum, counter "gts_epoch_deltas_flushed_total";
+        /// Submissions that carried a propagated (non-local) trace context.
+        trace_propagated: u64 = own Sum, counter "gts_trace_propagated_total";
+        /// Slow-log records committed over the service lifetime.
+        slow_log_committed: u64 = stitched, counter "gts_slow_log_committed_total";
+        /// Committed slow-log records evicted by ring wraparound.
+        slow_log_evicted: u64 = stitched, counter "gts_slow_log_evicted_total";
+        /// Mean queries per batch.
+        mean_batch_size: f64 = (m.per_batch(m.batch_size_sum as f64)), gauge "gts_batch_size_mean";
+        /// Largest batch dispatched.
+        max_batch_size: u64 = own Max, gauge "gts_batch_size_max";
+        /// Peak rope-stack bytes any warp used across all batches (0 when
+        /// every batch ran stackless or on the CPU).
+        stack_bytes_peak: u64 = in batch, gauge "gts_stack_bytes_peak";
+        /// Total modeled GPU milliseconds.
+        model_ms: f64 = (m.hists.model_ms_hist.sum()), gauge "gts_model_ms_total";
+        /// Mean per-batch lockstep work expansion.
+        mean_work_expansion: f64 = (m.per_batch(m.hists.work_expansion_hist.sum())),
+            gauge "gts_work_expansion_mean";
+        /// Mean per-batch warp mask occupancy (live-lane fraction).
+        mean_mask_occupancy: f64 = (m.per_batch(m.hists.mask_occupancy_hist.sum())),
+            gauge "gts_mask_occupancy_mean";
+        /// EWMA batch service time (wall ms) — the admission model's per-batch
+        /// cost estimate.
+        ewma_batch_service_ms: f64 = (m.ewma_batch_service_ms), gauge "gts_ewma_batch_service_ms";
+        /// Highest epoch any mutable index reached.
+        epoch: u64 = own Max, gauge "gts_epoch";
+        /// Pending delta entries after the last mutation or merge.
+        epoch_delta_depth: u64 = own Last, gauge "gts_epoch_delta_depth";
+        /// Rolling slow-log commit threshold, µs (0 until warmed up).
+        slow_log_threshold_us: u64 = stitched, gauge "gts_slow_log_threshold_us";
+        /// Accepted queries not yet resolved, any of which the slow log may
+        /// still commit (0 when the log is disabled).
+        slow_log_pending: u64 = stitched, gauge "gts_slow_log_pending";
+        /// Slow-log records currently retained.
+        slow_log_entries: u64 = stitched;
+        /// Trace-ring events lost to wraparound.
+        trace_dropped: u64 = stitched;
+        /// Wraparound drops broken out per event kind, nonzero kinds only —
+        /// the `gts_trace_dropped_total{kind=…}` family.
+        trace_dropped_by_kind: Vec<KindDropped> = stitched;
+        /// Batch counts per backend, one entry per [`Backend::ALL`] member in
+        /// that order — the `gts_backend_chosen_total{backend=…}` family.
+        backend_batches: Vec<BackendBatches> = (m.backend_batches());
+        /// Last (query, trace) to land in each latency bucket — rendered as
+        /// OpenMetrics exemplars on `gts_latency_ms`.
+        latency_exemplars: Vec<LatencyExemplar> = (m.latency_exemplars.values().cloned().collect());
+        /// Median wait between submission and batch dispatch.
+        queue_wait_p50_ms: f64 = (m.hists.queue_wait_hist.percentile(50.0));
+        /// 99th-percentile queue wait.
+        queue_wait_p99_ms: f64 = (m.hists.queue_wait_hist.percentile(99.0));
+        /// Longest observed queue wait (exact).
+        queue_wait_max_ms: f64 = (m.hists.queue_wait_hist.max());
+        /// Median submit-to-result latency.
+        latency_p50_ms: f64 = (m.hists.latency_hist.percentile(50.0));
+        /// 99th-percentile submit-to-result latency.
+        latency_p99_ms: f64 = (m.hists.latency_hist.percentile(99.0));
+        /// 99.9th-percentile submit-to-result latency.
+        latency_p999_ms: f64 = (m.hists.latency_hist.percentile(99.9));
+        /// Slowest observed query latency (exact).
+        latency_max_ms: f64 = (m.hists.latency_hist.max());
+        /// Per-index series, sorted by index name (BTreeMap order), so
+        /// mixed-index workloads stay separable.
+        per_index: Vec<IndexMetricsSnapshot> = (m.per_index());
     }
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+    histograms {
+        /// Full modeled-ms distribution.
+        model_ms_hist, "gts_batch_model_ms";
+        /// Full per-batch work-expansion distribution.
+        work_expansion_hist, "gts_batch_work_expansion";
+        /// Full per-batch mask-occupancy distribution.
+        mask_occupancy_hist, "gts_batch_mask_occupancy";
+        /// Full per-batch node-visit distribution.
+        node_visits_hist, "gts_batch_node_visits";
+        /// Full queue-wait distribution (ms).
+        queue_wait_hist, "gts_queue_wait_ms";
+        /// Full latency distribution (ms).
+        latency_hist, "gts_latency_ms";
+        /// Full per-batch wall-clock execution-time distribution (ms).
+        exec_ms_hist, "gts_batch_exec_ms";
+        /// Full epoch-merge duration distribution (ms).
+        epoch_merge_ms_hist, "gts_epoch_merge_ms";
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::QueryResult;
 
+    /// The outcome of a `size`-query batch with the counters the tests
+    /// vary, and nothing diluted or fused.
     fn batch(
         size: usize,
         backend: Backend,
@@ -843,42 +736,29 @@ mod tests {
         model_ms: f64,
         work_expansion: f64,
         shards_pruned: u64,
-        wait_ms: u64,
-    ) -> BatchRecord {
-        BatchRecord {
-            index: "idx".to_string(),
-            size,
+    ) -> BatchOutcome {
+        BatchOutcome {
+            results: vec![QueryResult::Pc { count: 0 }; size],
             backend,
             node_visits,
             model_ms,
             work_expansion,
             mask_occupancy: 1.0,
             shards_pruned,
-            queue_wait: Duration::from_millis(wait_ms),
-            exec: Duration::from_millis(2),
-            profile_cache_hits: 0,
-            profile_cache_misses: 0,
-            profile_cache_evictions: 0,
-            stack_bytes_peak: 0,
-            stack_transactions: 0,
-            fused_ops: 0,
-            fused_lanes: 0,
-            fusion_saved_visits: 0,
+            ..BatchOutcome::default()
         }
     }
 
-    fn per_index_bytes(indices: usize) -> usize {
-        indices * (std::mem::size_of::<IndexSeries>() + 2 * N_BUCKETS * std::mem::size_of::<u64>())
+    /// `outcome` as index `idx` ran it: `wait_ms` in the queue, 2 ms on
+    /// the worker.
+    fn record(outcome: &BatchOutcome, wait_ms: u64) -> BatchRecord<'_> {
+        let ms = Duration::from_millis;
+        BatchRecord::from_outcome(outcome, ms(wait_ms), ms(2), "idx")
     }
 
-    #[test]
-    fn percentile_nearest_rank() {
-        let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&xs, 50.0), 50.0);
-        assert_eq!(percentile(&xs, 99.0), 99.0);
-        assert_eq!(percentile(&xs, 100.0), 100.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
+    fn per_index_bytes(indices: usize) -> usize {
+        let hists = INDEX_HISTOGRAMS.len() * N_BUCKETS * std::mem::size_of::<u64>();
+        indices * (std::mem::size_of::<IndexSeries>() + hists)
     }
 
     #[test]
@@ -887,8 +767,8 @@ mod tests {
         for _ in 0..3 {
             m.on_submit();
         }
-        m.on_batch(&batch(2, Backend::Lockstep, 100, 1.5, 1.2, 3, 2));
-        m.on_batch(&batch(1, Backend::Autoropes, 40, 0.5, 1.0, 1, 4));
+        m.on_batch(&record(&batch(2, Backend::Lockstep, 100, 1.5, 1.2, 3), 2));
+        m.on_batch(&record(&batch(1, Backend::Autoropes, 40, 0.5, 1.0, 1), 4));
         m.on_complete("idx", Duration::from_millis(10), 1, 0);
         let s = m.snapshot();
         assert_eq!(s.submitted, 3);
@@ -921,12 +801,20 @@ mod tests {
     #[test]
     fn per_index_series_separate_mixed_workloads() {
         let m = Metrics::default();
-        let mut a = batch(4, Backend::Lockstep, 10, 1.0, 1.0, 0, 1);
-        a.index = "alpha".to_string();
-        a.profile_cache_hits = 3;
-        a.profile_cache_misses = 1;
-        let mut b = batch(2, Backend::Cpu, 5, 0.0, 1.0, 0, 1);
-        b.index = "beta".to_string();
+        let a = BatchOutcome {
+            profile_cache_hits: 3,
+            profile_cache_misses: 1,
+            ..batch(4, Backend::Lockstep, 10, 1.0, 1.0, 0)
+        };
+        let a = BatchRecord {
+            index: "alpha",
+            ..record(&a, 1)
+        };
+        let b = batch(2, Backend::Cpu, 5, 0.0, 1.0, 0);
+        let b = BatchRecord {
+            index: "beta",
+            ..record(&b, 1)
+        };
         m.on_batch(&a);
         m.on_batch(&a);
         m.on_batch(&b);
@@ -952,7 +840,7 @@ mod tests {
     fn snapshot_json_round_trips() {
         let m = Metrics::default();
         m.on_submit();
-        m.on_batch(&batch(1, Backend::Cpu, 10, 0.0, 1.0, 0, 0));
+        m.on_batch(&record(&batch(1, Backend::Cpu, 10, 0.0, 1.0, 0), 0));
         let s = m.snapshot();
         let back: MetricsSnapshot = serde_json::from_str(&s.to_json()).unwrap();
         assert_eq!(back, s);
@@ -964,7 +852,8 @@ mod tests {
         let before = m.approx_bytes();
         for i in 0..10_000u64 {
             m.on_submit();
-            m.on_batch(&batch(1, Backend::Cpu, i, i as f64 * 0.01, 1.0, 0, i % 7));
+            let out = batch(1, Backend::Cpu, i, i as f64 * 0.01, 1.0, 0);
+            m.on_batch(&record(&out, i % 7));
             m.on_complete("idx", Duration::from_micros(10 * i), i, 0);
         }
         // One index registered on first record; the bound then stays flat
@@ -972,7 +861,7 @@ mod tests {
         assert_eq!(m.approx_bytes(), before + per_index_bytes(1));
         let flat = m.approx_bytes();
         for i in 0..10_000u64 {
-            m.on_batch(&batch(1, Backend::Cpu, i, 0.0, 1.0, 0, 0));
+            m.on_batch(&record(&batch(1, Backend::Cpu, i, 0.0, 1.0, 0), 0));
         }
         assert_eq!(m.approx_bytes(), flat, "registry grew with load");
         let s = m.snapshot();
@@ -980,31 +869,145 @@ mod tests {
         assert!(s.latency_hist.buckets.len() <= crate::hist::N_BUCKETS);
     }
 
-    #[test]
-    fn prometheus_export_has_all_series() {
-        let m = Metrics::default();
-        m.on_submit();
-        m.on_batch(&batch(1, Backend::Lockstep, 50, 0.25, 1.1, 0, 1));
-        m.on_complete("idx", Duration::from_millis(3), 1, 0);
-        let text = m.snapshot().to_prometheus();
-        for series in [
-            "gts_queries_submitted_total 1",
-            r#"gts_backend_chosen_total{backend="lockstep"} 1"#,
-            "gts_node_visits_total 50",
-            "gts_latency_ms_count 1",
-            "gts_queue_wait_ms_count 1",
-            "gts_batch_model_ms_sum 0.25",
-            "gts_batch_mask_occupancy_count 1",
-            "gts_profile_cache_hits_total 0",
-            r#"gts_index_batches_total{index="idx"} 1"#,
-            r#"gts_index_model_ms_sum{index="idx"} 0.25"#,
-        ] {
-            assert!(text.contains(series), "missing `{series}` in:\n{text}");
+    /// A hand-built outcome with a distinct prime in every integer counter.
+    fn scripted_outcome(
+        backend: Backend,
+        p: [u64; 10],
+        floats: [f64; 3],
+        fused: bool,
+    ) -> BatchOutcome {
+        BatchOutcome {
+            results: vec![QueryResult::Pc { count: 0 }; p[0] as usize],
+            backend,
+            mean_similarity: None,
+            node_visits: p[1],
+            model_ms: floats[0],
+            warps: 1,
+            work_expansion: floats[1],
+            shards_pruned: p[2],
+            mask_occupancy: floats[2],
+            shard_visits: Vec::new(),
+            profile_cache_hits: p[3],
+            profile_cache_misses: p[4],
+            profile_cache_evictions: p[5],
+            stack_bytes_peak: p[6],
+            stack_transactions: p[7],
+            fused_ops: if fused { 3 } else { 0 },
+            fused_lanes: if fused { p[8] } else { 0 },
+            fusion_saved_visits: if fused { p[9] } else { 0 },
         }
-        // One `# TYPE` header per exported metric family: 26 counters,
-        // 11 gauges, 8 aggregate histograms, the per-backend choice and
-        // per-kind trace-drop families, and 4 per-index families.
-        assert_eq!(text.matches("# TYPE").count(), 26 + 11 + 8 + 2 + 4);
+    }
+
+    /// Every key path of a JSON value, arrays flattened to `[]`.
+    fn key_paths(v: &serde::Value, at: &str, out: &mut std::collections::BTreeSet<String>) {
+        match v {
+            serde::Value::Object(fields) => {
+                for (k, v) in fields {
+                    let path = if at.is_empty() {
+                        k.clone()
+                    } else {
+                        format!("{at}.{k}")
+                    };
+                    key_paths(v, &path, out);
+                    out.insert(path);
+                }
+            }
+            serde::Value::Array(items) => {
+                for v in items {
+                    key_paths(v, &format!("{at}[]"), out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The whole surface of the registry, pinned: the Prometheus text and
+    /// the snapshot's JSON key set after a fixed script that feeds every
+    /// hook, against a golden captured before the series table existed
+    /// (plus the `failed` row, the table's first addition).
+    #[test]
+    fn exposition_of_a_fixed_script_matches_the_golden() {
+        let m = Metrics::default();
+        for _ in 0..7 {
+            m.on_submit();
+        }
+        m.on_reject();
+        m.on_reject();
+        m.on_admission_reject();
+        m.on_fail(59);
+        let ms = Duration::from_millis;
+        let batches = [
+            (
+                scripted_outcome(
+                    Backend::Lockstep,
+                    [5, 101, 103, 107, 109, 113, 127, 131, 0, 0],
+                    [0.25, 1.25, 0.75],
+                    false,
+                ),
+                "alpha",
+                ms(1),
+                ms(2),
+            ),
+            (
+                scripted_outcome(
+                    Backend::Autoropes,
+                    [3, 137, 139, 149, 151, 157, 163, 167, 173, 179],
+                    [1.5, 1.0, 1.0],
+                    true,
+                ),
+                "beta",
+                ms(3),
+                ms(5),
+            ),
+            (
+                scripted_outcome(
+                    Backend::StacklessKd,
+                    [2, 181, 191, 193, 197, 199, 0, 211, 0, 0],
+                    [0.125, 2.5, 0.5],
+                    false,
+                ),
+                "alpha",
+                ms(7),
+                ms(11),
+            ),
+        ];
+        for (outcome, index, wait, exec) in &batches {
+            m.on_batch(&BatchRecord::from_outcome(outcome, *wait, *exec, index));
+        }
+        m.on_propagated();
+        m.on_complete("alpha", ms(3), 11, 0);
+        m.on_complete("alpha", ms(3), 13, 0xfeed);
+        m.on_complete("beta", ms(250), 17, 0);
+        m.on_mutation(19, 23);
+        m.on_epoch_merge(29, ms(31), 37, 41);
+        m.on_net_accept();
+        m.on_net_frame_rx(43);
+        m.on_net_frame_rx(47);
+        m.on_net_frame_tx(53);
+        m.on_net_protocol_error();
+        let mut s = m.snapshot();
+        // What `Service` stitches in from its trace ring and slow log.
+        s.slow_log_committed = 223;
+        s.slow_log_evicted = 227;
+        s.slow_log_pending = 229;
+        s.slow_log_entries = 233;
+        s.slow_log_threshold_us = 239;
+        s.trace_dropped = 241;
+        s.trace_dropped_by_kind = vec![KindDropped {
+            kind: "submit".to_string(),
+            dropped: 241,
+        }];
+        let value: serde::Value = serde_json::from_str(&s.to_json()).expect("snapshot parses");
+        let mut keys = std::collections::BTreeSet::new();
+        key_paths(&value, "", &mut keys);
+        let keys: Vec<String> = keys.into_iter().collect();
+        let got = format!(
+            "{}# snapshot JSON keys\n{}\n",
+            s.to_prometheus(),
+            keys.join("\n")
+        );
+        let want = include_str!("metrics_exposition.golden");
+        assert!(got == want, "exposition moved; it is now:\n{got}");
     }
 
     #[test]
@@ -1054,13 +1057,15 @@ mod tests {
     #[test]
     fn backend_choice_series_enumerate_every_backend() {
         let m = Metrics::default();
-        m.on_batch(&batch(1, Backend::Lockstep, 10, 0.1, 1.0, 0, 0));
-        m.on_batch(&batch(1, Backend::StacklessKd, 10, 0.1, 1.0, 0, 0));
-        m.on_batch(&batch(1, Backend::StacklessKd, 10, 0.1, 1.0, 0, 0));
-        let mut rec = batch(1, Backend::Autoropes, 10, 0.1, 1.0, 0, 0);
-        rec.stack_bytes_peak = 4096;
-        rec.stack_transactions = 17;
-        m.on_batch(&rec);
+        m.on_batch(&record(&batch(1, Backend::Lockstep, 10, 0.1, 1.0, 0), 0));
+        m.on_batch(&record(&batch(1, Backend::StacklessKd, 10, 0.1, 1.0, 0), 0));
+        m.on_batch(&record(&batch(1, Backend::StacklessKd, 10, 0.1, 1.0, 0), 0));
+        let stacked = BatchOutcome {
+            stack_bytes_peak: 4096,
+            stack_transactions: 17,
+            ..batch(1, Backend::Autoropes, 10, 0.1, 1.0, 0)
+        };
+        m.on_batch(&record(&stacked, 0));
         let s = m.snapshot();
         assert_eq!(s.backend_batches.len(), Backend::ALL.len());
         for (slot, b) in s.backend_batches.iter().zip(Backend::ALL) {
@@ -1083,7 +1088,8 @@ mod tests {
     fn ewma_tracks_batch_service_time() {
         let m = Metrics::default();
         assert_eq!(m.predicted_wait(1000), Duration::ZERO, "no model yet");
-        let mut rec = batch(64, Backend::Lockstep, 100, 1.0, 1.0, 0, 0);
+        let out = batch(64, Backend::Lockstep, 100, 1.0, 1.0, 0);
+        let mut rec = record(&out, 0);
         rec.exec = Duration::from_millis(10);
         m.on_batch(&rec);
         // First batch seeds the EWMA exactly.
@@ -1133,14 +1139,15 @@ mod tests {
     fn fused_counters_accumulate_and_export() {
         let m = Metrics::default();
         // An unfused batch leaves the fusion counters untouched.
-        m.on_batch(&batch(4, Backend::Lockstep, 100, 0.1, 1.0, 0, 0));
-        let mut fused = batch(0, Backend::Autoropes, 60, 0.2, 1.0, 0, 0);
-        fused.size = 96;
-        fused.fused_ops = 3;
-        fused.fused_lanes = 40;
-        fused.fusion_saved_visits = 120;
-        m.on_batch(&fused);
-        m.on_batch(&fused);
+        m.on_batch(&record(&batch(4, Backend::Lockstep, 100, 0.1, 1.0, 0), 0));
+        let fused = BatchOutcome {
+            fused_ops: 3,
+            fused_lanes: 40,
+            fusion_saved_visits: 120,
+            ..batch(96, Backend::Autoropes, 60, 0.2, 1.0, 0)
+        };
+        m.on_batch(&record(&fused, 0));
+        m.on_batch(&record(&fused, 0));
         let s = m.snapshot();
         assert_eq!(s.batches, 3);
         assert_eq!(s.fused_batches, 2, "only fused batches count");

@@ -5,11 +5,13 @@
 use gts_points::profile::DEFAULT_THRESHOLD;
 
 /// The traversal executor a batch ran on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Backend {
     /// Warp-lockstep rope-stack executor (`gts_runtime::gpu::lockstep`).
     Lockstep,
-    /// Independent-lane rope-stack executor (`gts_runtime::gpu::autoropes`).
+    /// Independent-lane rope-stack executor (`gts_runtime::gpu::autoropes`)
+    /// — where a batch too small to profile lands, hence the default.
+    #[default]
     Autoropes,
     /// Stack-free Wald walk of the left-balanced implicit kd-tree
     /// (`gts_runtime::gpu::stackless::run_wald`): zero rope-stack traffic,

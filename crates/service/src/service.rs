@@ -23,7 +23,7 @@ use crate::index::{FusedLane, FusedOutcome, TreeIndex};
 use crate::metrics::{BatchRecord, KindDropped, Metrics, MetricsSnapshot};
 use crate::policy::{ExecPolicy, FusionMode};
 use crate::query::{BatchKey, IndexId, OpKey, Query, QueryResult};
-use crate::slowlog::{PendingQuery, QueryRecord, ShardVisitRecord, SlowLog};
+use crate::slowlog::{QueryRecord, ShardVisitRecord, SlowLog};
 use crate::trace::{
     EventKind, TraceContext, TraceRecorder, TraceSnapshot, FUSED_OP_KNN, FUSED_OP_NN, FUSED_OP_PC,
     NO_ID,
@@ -436,6 +436,15 @@ struct Shared {
     trace: TraceRecorder,
     slow_log: SlowLog,
     policy: ExecPolicy,
+    /// Queries accepted but not yet resolved (the admission model's queue
+    /// depth).
+    depth: Arc<AtomicI64>,
+}
+
+impl Shared {
+    fn depth(&self) -> u64 {
+        self.depth.load(Ordering::Relaxed).max(0) as u64
+    }
 }
 
 /// Stable operation tag for slow-log records.
@@ -465,7 +474,11 @@ fn stitched_snapshot(shared: &Shared) -> MetricsSnapshot {
     let sl = shared.slow_log.stats();
     s.slow_log_committed = sl.committed;
     s.slow_log_evicted = sl.evicted;
-    s.slow_log_pending = sl.pending;
+    // Every in-flight query is one the log may still commit.
+    s.slow_log_pending = match shared.slow_log.capacity() {
+        0 => 0,
+        _ => shared.depth(),
+    };
     s.slow_log_entries = sl.entries;
     s.slow_log_threshold_us = sl.threshold_us;
     s
@@ -483,39 +496,32 @@ fn reject_reason(err: &ServiceError) -> &'static str {
     }
 }
 
-/// The flight-recorder record of a query that was refused at submission
-/// (`batch` is `None`, nothing waited) or whose batch failed: nothing
-/// executed, so the wait is all there is to report.
+/// The flight-recorder record, as of now, of a query that never executed:
+/// refused at submission, or — the worker adds `batch` and
+/// `queue_wait_us` — caught in a batch that failed. The wait is all there
+/// is to report.
 fn rejected_record(
-    pending: &PendingQuery,
+    shared: &Shared,
+    query: u64,
+    ctx: TraceContext,
+    op: &'static str,
+    submitted: Instant,
     index: String,
     reason: &'static str,
-    batch: Option<u64>,
-    queue_wait_us: u64,
-    now_us: u64,
-    threshold_us: u64,
 ) -> QueryRecord {
+    let submitted_us = shared.trace.us_of(submitted);
     QueryRecord {
-        query: pending.query,
-        trace_id: pending.ctx.trace_id,
-        span_id: pending.ctx.span_id,
+        query,
+        trace_id: ctx.trace_id,
+        span_id: ctx.span_id,
         index,
-        op: pending.op,
+        op,
         outcome: "rejected",
         reason: Some(reason),
-        backend: None,
-        batch,
-        submitted_us: pending.submitted_us,
-        queue_wait_us,
-        exec_us: 0,
-        latency_us: now_us.saturating_sub(pending.submitted_us),
-        threshold_us,
-        node_visits: 0,
-        stack_bytes_peak: 0,
-        shards_pruned: 0,
-        shard_visits: Vec::new(),
-        epoch: None,
-        pending_deltas: None,
+        submitted_us,
+        latency_us: shared.trace.now_us().saturating_sub(submitted_us),
+        threshold_us: shared.slow_log.stats().threshold_us,
+        ..QueryRecord::default()
     }
 }
 
@@ -530,9 +536,6 @@ pub struct Service {
     submit_tx: Mutex<Option<Sender<Submission>>>,
     batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    /// Queries accepted but not yet resolved (the admission model's queue
-    /// depth).
-    depth: Arc<AtomicI64>,
     admission_budget: Option<Duration>,
 }
 
@@ -545,6 +548,7 @@ impl Service {
             trace: TraceRecorder::new(config.trace_capacity),
             slow_log: SlowLog::new(config.slow_log_capacity, config.slow_log_percentile),
             policy: config.policy.clone(),
+            depth: Arc::new(AtomicI64::new(0)),
         });
         let (submit_tx, submit_rx) = bounded::<Submission>(config.queue_capacity.max(1));
         let (dispatch_tx, dispatch_rx) = bounded::<LaneBatch<Tag>>(config.dispatch_capacity.max(1));
@@ -574,7 +578,6 @@ impl Service {
             submit_tx: Mutex::new(Some(submit_tx)),
             batcher: Some(batcher),
             workers,
-            depth: Arc::new(AtomicI64::new(0)),
             admission_budget: config.admission_budget,
         }
     }
@@ -715,20 +718,15 @@ impl Service {
     /// here; in-process callers use [`Service::submit`]
     /// (= [`TraceContext::LOCAL`]).
     pub fn submit_traced(&self, query: Query, ctx: TraceContext) -> Result<Ticket, ServiceError> {
-        let trace = &self.shared.trace;
+        let shared = &*self.shared;
+        let trace = &shared.trace;
         let qid = trace.next_query_id();
         if !ctx.is_local() {
-            self.shared.metrics.on_propagated();
+            shared.metrics.on_propagated();
         }
         let submitted = Instant::now();
-        let submitted_us = trace.us_of(submitted);
-        let pending = PendingQuery {
-            query: qid,
-            ctx,
-            index: query.index,
-            op: query.kind.op_key().map(op_tag).unwrap_or("invalid"),
-            submitted_us,
-        };
+        let index_id = query.index;
+        let op = query.kind.op_key().map(op_tag).unwrap_or("invalid");
         let reject = |reason: &'static str| {
             trace.instant_traced(
                 trace.now_us(),
@@ -737,11 +735,23 @@ impl Service {
                 ctx.trace_id,
                 EventKind::Reject { reason },
             );
-            self.slow_log_reject(&pending, reason);
+            // Rejects always commit to the flight recorder (a rejection at
+            // the tail is exactly what the operator is hunting), with
+            // whatever detail exists before execution.
+            if shared.slow_log.capacity() > 0 {
+                let name = {
+                    let indices = shared.indices.read().unwrap_or_else(|e| e.into_inner());
+                    indices.get(index_id).map(|i| i.name().to_string())
+                };
+                let name = name.unwrap_or_else(|| format!("index-{index_id}"));
+                let record = rejected_record(shared, qid, ctx, op, submitted, name, reason);
+                shared.slow_log.commit(record);
+            }
         };
         let key = match self.validate(&query) {
             Ok(key) => key,
             Err(err) => {
+                shared.metrics.on_reject();
                 reject(reject_reason(&err));
                 return Err(err);
             }
@@ -750,8 +760,7 @@ impl Service {
         // already exceeds the budget, rather than parking the caller on a
         // full queue it will regret.
         if let Some(budget) = self.admission_budget {
-            let depth = self.depth.load(Ordering::Relaxed).max(0) as u64;
-            let predicted = self.shared.metrics.predicted_wait(depth);
+            let predicted = shared.metrics.predicted_wait(shared.depth());
             let accepted = predicted <= budget;
             trace.instant_traced(
                 trace.now_us(),
@@ -765,7 +774,7 @@ impl Service {
                 },
             );
             if !accepted {
-                self.shared.metrics.on_admission_reject();
+                shared.metrics.on_admission_reject();
                 reject("overloaded");
                 return Err(ServiceError::Overloaded {
                     predicted_wait: predicted,
@@ -774,8 +783,8 @@ impl Service {
             }
         }
         let ticket = Ticket::new();
+        let submitted_us = trace.us_of(submitted);
         trace.instant_traced(submitted_us, qid, NO_ID, ctx.trace_id, EventKind::Submit);
-        self.shared.slow_log.admit(pending.clone());
         let submission = Submission {
             key,
             pos: query.pos,
@@ -784,13 +793,12 @@ impl Service {
                 submitted,
                 query: qid,
                 ctx,
-                _depth: DepthGuard::acquire(&self.depth),
+                _depth: DepthGuard::acquire(&shared.depth),
             },
         };
         // The close raced the submission: the query never ran.
         let refuse_closed = || {
-            self.shared.metrics.on_reject();
-            self.shared.slow_log.finish(qid);
+            shared.metrics.on_reject();
             reject("shutting-down");
             Err(ServiceError::ShuttingDown)
         };
@@ -810,38 +818,11 @@ impl Service {
         trace.instant_traced(trace.now_us(), qid, NO_ID, ctx.trace_id, EventKind::Enqueue);
         match tx.send(submission) {
             Ok(()) => {
-                self.shared.metrics.on_submit();
+                shared.metrics.on_submit();
                 Ok(ticket)
             }
             Err(_) => refuse_closed(),
         }
-    }
-
-    /// Commit a rejected query to the flight recorder — rejects always
-    /// commit (a rejection at the tail is exactly what the operator is
-    /// hunting), with whatever detail exists before execution.
-    fn slow_log_reject(&self, pending: &PendingQuery, reason: &'static str) {
-        let sl = &self.shared.slow_log;
-        if sl.capacity() == 0 {
-            return;
-        }
-        let name = {
-            let indices = self
-                .shared
-                .indices
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
-            indices.get(pending.index).map(|i| i.name().to_string())
-        };
-        sl.commit(rejected_record(
-            pending,
-            name.unwrap_or_else(|| format!("index-{}", pending.index)),
-            reason,
-            None,
-            0,
-            self.shared.trace.now_us(),
-            sl.stats().threshold_us,
-        ));
     }
 
     /// Submit and wait — convenience for sequential callers.
@@ -883,7 +864,7 @@ impl Service {
     /// Queries accepted but not yet resolved — the queue depth the
     /// admission model multiplies by the EWMA batch service time.
     pub fn queue_depth(&self) -> u64 {
-        self.depth.load(Ordering::Relaxed).max(0) as u64
+        self.shared.depth()
     }
 
     /// Current trace ring contents (see [`TraceSnapshot::to_chrome_json`]
@@ -961,12 +942,10 @@ impl Service {
     }
 
     fn validate(&self, query: &Query) -> Result<BatchKey, ServiceError> {
-        let op = query.kind.op_key().ok_or_else(|| {
-            self.shared.metrics.on_reject();
-            ServiceError::BadQuery("k must be ≥ 1 and radius a finite non-negative number")
-        })?;
+        let op = query.kind.op_key().ok_or(ServiceError::BadQuery(
+            "k must be ≥ 1 and radius a finite non-negative number",
+        ))?;
         if !query.pos.iter().all(|v| v.is_finite()) {
-            self.shared.metrics.on_reject();
             return Err(ServiceError::BadQuery("non-finite query position"));
         }
         let indices = self
@@ -974,12 +953,10 @@ impl Service {
             .indices
             .read()
             .unwrap_or_else(|e| e.into_inner());
-        let index = indices.get(query.index).ok_or_else(|| {
-            self.shared.metrics.on_reject();
-            ServiceError::UnknownIndex(query.index)
-        })?;
+        let index = indices
+            .get(query.index)
+            .ok_or(ServiceError::UnknownIndex(query.index))?;
         if index.dim() != query.pos.len() {
-            self.shared.metrics.on_reject();
             return Err(ServiceError::DimMismatch {
                 expected: index.dim(),
                 got: query.pos.len(),
@@ -1114,12 +1091,12 @@ fn handle(batch: LaneBatch<Tag>, shared: &Shared) {
         None => Err(ServiceError::UnknownIndex(index_id)),
     };
     let queue_wait_of = |tag: &Tag| dispatched.duration_since(tag.submitted);
+    let size: usize = parts.iter().map(|p| p.entries.len()).sum();
     match outcome {
         Ok(FusedOutcome {
             lanes: lane_results,
             outcome: out,
         }) => {
-            let size: usize = parts.iter().map(|p| p.entries.len()).sum();
             let queue_wait = (parts.iter().flat_map(|p| &p.entries))
                 .map(|(tag, _)| queue_wait_of(tag))
                 .max()
@@ -1214,6 +1191,7 @@ fn handle(batch: LaneBatch<Tag>, shared: &Shared) {
                 })
                 .collect();
             for part in parts {
+                let op = op_tag(part.key.op);
                 for (tag, lane) in part.entries {
                     let lane = lane as usize;
                     let r = lane_results[lane]
@@ -1224,36 +1202,34 @@ fn handle(batch: LaneBatch<Tag>, shared: &Shared) {
                     shared
                         .metrics
                         .on_complete(index_name, latency, tag.query, tag.ctx.trace_id);
-                    if let Some(pending) = shared.slow_log.finish(tag.query) {
-                        let latency_us = latency.as_micros() as u64;
-                        let (commit, outcome, threshold) =
-                            shared.slow_log.decide(latency_us, threshold_us);
-                        if commit {
-                            shared.slow_log.commit(QueryRecord {
-                                query: pending.query,
-                                trace_id: pending.ctx.trace_id,
-                                span_id: pending.ctx.span_id,
-                                index: index_name.to_string(),
-                                op: pending.op,
-                                outcome,
-                                reason: None,
-                                backend: Some(out.backend.name()),
-                                batch: Some(id),
-                                submitted_us: pending.submitted_us,
-                                queue_wait_us: queue_wait_of(&tag).as_micros() as u64,
-                                exec_us: exec.as_micros() as u64,
-                                latency_us,
-                                threshold_us: threshold,
-                                node_visits: out.node_visits,
-                                stack_bytes_peak: out.stack_bytes_peak,
-                                shards_pruned: out.shards_pruned,
-                                shard_visits: shard_visits.clone(),
-                                epoch: epoch_stats.as_ref().map(|s| s.epoch),
-                                pending_deltas: epoch_stats.as_ref().map(|s| s.pending),
-                            });
-                        }
-                    }
                     let start_us = trace.us_of(tag.submitted);
+                    let latency_us = latency.as_micros() as u64;
+                    let (commit, outcome, threshold) =
+                        shared.slow_log.decide(latency_us, threshold_us);
+                    if commit {
+                        shared.slow_log.commit(QueryRecord {
+                            query: tag.query,
+                            trace_id: tag.ctx.trace_id,
+                            span_id: tag.ctx.span_id,
+                            index: index_name.to_string(),
+                            op,
+                            outcome,
+                            reason: None,
+                            backend: Some(out.backend.name()),
+                            batch: Some(id),
+                            submitted_us: start_us,
+                            queue_wait_us: queue_wait_of(&tag).as_micros() as u64,
+                            exec_us: exec.as_micros() as u64,
+                            latency_us,
+                            threshold_us: threshold,
+                            node_visits: out.node_visits,
+                            stack_bytes_peak: out.stack_bytes_peak,
+                            shards_pruned: out.shards_pruned,
+                            shard_visits: shard_visits.clone(),
+                            epoch: epoch_stats.as_ref().map(|s| s.epoch),
+                            pending_deltas: epoch_stats.as_ref().map(|s| s.pending),
+                        });
+                    }
                     trace.span_traced(
                         start_us,
                         done_us.saturating_sub(start_us),
@@ -1274,29 +1250,39 @@ fn handle(batch: LaneBatch<Tag>, shared: &Shared) {
         Err(err) => {
             let reason = reject_reason(&err);
             let now_us = trace.now_us();
-            for (tag, _) in parts.into_iter().flat_map(|p| p.entries) {
-                trace.instant_traced(
-                    now_us,
-                    tag.query,
-                    id,
-                    tag.ctx.trace_id,
-                    EventKind::Reject { reason },
-                );
-                // Errored queries always commit to the flight recorder.
-                if let Some(pending) = shared.slow_log.finish(tag.query) {
-                    shared.slow_log.commit(rejected_record(
-                        &pending,
-                        index_name.to_string(),
-                        reason,
-                        Some(id),
-                        queue_wait_of(&tag).as_micros() as u64,
+            // Accepted, never answered: counted, so the registry balances.
+            shared.metrics.on_fail(size as u64);
+            for part in parts {
+                let op = op_tag(part.key.op);
+                for (tag, _) in part.entries {
+                    trace.instant_traced(
                         now_us,
-                        shared.slow_log.stats().threshold_us,
-                    ));
+                        tag.query,
+                        id,
+                        tag.ctx.trace_id,
+                        EventKind::Reject { reason },
+                    );
+                    // Errored queries always commit to the flight recorder.
+                    if shared.slow_log.capacity() > 0 {
+                        let index = index_name.to_string();
+                        shared.slow_log.commit(QueryRecord {
+                            batch: Some(id),
+                            queue_wait_us: queue_wait_of(&tag).as_micros() as u64,
+                            ..rejected_record(
+                                shared,
+                                tag.query,
+                                tag.ctx,
+                                op,
+                                tag.submitted,
+                                index,
+                                reason,
+                            )
+                        });
+                    }
+                    let Tag { ticket, _depth, .. } = tag;
+                    drop(_depth);
+                    ticket.resolve(Err(err.clone()));
                 }
-                let Tag { ticket, _depth, .. } = tag;
-                drop(_depth);
-                ticket.resolve(Err(err.clone()));
             }
         }
     }
@@ -1466,6 +1452,14 @@ mod tests {
         }
         let snapshot = service.shutdown();
         assert_eq!(snapshot.completed, pts.len() as u64);
+        // The failed batch's queries were accepted and resolved with a
+        // typed error: they are counted, so the registry balances.
+        assert_eq!(snapshot.failed, pts.len() as u64);
+        assert_eq!(snapshot.submitted, snapshot.completed + snapshot.failed);
+        assert_eq!(snapshot.rejected, 0);
+        let text = snapshot.to_prometheus();
+        let line = format!("gts_queries_failed_total {}\n", pts.len());
+        assert!(text.contains(&line), "{text}");
     }
 
     #[test]

@@ -46,8 +46,9 @@
 //!
 //! Partial results always fold in each query's visit order.
 //!
-//! Skips on any path are counted as `shards_pruned` in the
-//! [`BatchOutcome`] and aggregated by the service metrics. Pruning is
+//! Every sub-batch returns a [`BatchOutcome`] of its own and the batch's
+//! is their merge ([`BatchOutcome::absorb`]), with skips on any path
+//! counted as its `shards_pruned`. Pruning is
 //! *exact*: `Aabb::dist2_to` is a true lower bound in f32 (per-axis
 //! monotone rounding), `Aabb::max_dist2_to` a true upper bound, and every
 //! merge rule admits only strictly-improving candidates, so pruned,
@@ -83,6 +84,7 @@ use gts_apps::kbest::KBest;
 use gts_points::profile::{profile_key, ProfileCache, ProfileCacheStats};
 use gts_points::sort::{morton_order, morton_prefix};
 use gts_trees::{Aabb, PointN, SplitPolicy};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 #[cfg(test)]
 use std::sync::atomic::AtomicBool;
@@ -90,7 +92,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Default lifetime, in batches, of a cached per-shard §4.4 decision.
+/// Lifetime, in batches, of a cached per-shard §4.4 decision.
 pub const DEFAULT_PROFILE_TTL: u64 = 64;
 
 /// Entries each shard's profile cache holds before evicting oldest-first.
@@ -102,8 +104,6 @@ pub struct ShardedIndex<const D: usize> {
     shards: Vec<Shard<D>>,
     n_points: usize,
     prune: bool,
-    /// Batches a cached profile decision stays valid; 0 disables caching.
-    profile_ttl: u64,
     /// Batch counter driving the caches' TTL clock.
     epoch: AtomicU64,
 }
@@ -128,7 +128,6 @@ pub struct ShardedIndexBuilder {
     leaf_size: usize,
     policy: SplitPolicy,
     prune: bool,
-    profile_ttl: u64,
 }
 
 impl ShardedIndexBuilder {
@@ -140,7 +139,6 @@ impl ShardedIndexBuilder {
             leaf_size: 8,
             policy: SplitPolicy::MedianCycle,
             prune: true,
-            profile_ttl: DEFAULT_PROFILE_TTL,
         }
     }
 
@@ -164,35 +162,51 @@ impl ShardedIndexBuilder {
         self
     }
 
-    /// Lifetime, in batches, of a cached per-shard profile decision
-    /// (default [`DEFAULT_PROFILE_TTL`]). `0` disables the caches, so
-    /// every sub-batch re-profiles like a flat index.
-    pub fn profile_cache_ttl(mut self, ttl: u64) -> Self {
-        self.profile_ttl = ttl;
-        self
-    }
-
     /// Build the index over `points`.
+    ///
+    /// # Panics
+    /// Panics if `points` is empty or the shard count is 0 (delegated
+    /// invariants — each shard is a [`KdIndex`]).
     pub fn build<const D: usize>(self, points: &[PointN<D>]) -> ShardedIndex<D> {
-        ShardedIndex::build_with(
-            self.name,
-            points,
-            self.shards,
-            self.leaf_size,
-            self.policy,
-            self.prune,
-            self.profile_ttl,
-        )
+        assert!(!points.is_empty(), "sharded index over zero points");
+        assert!(self.shards > 0, "sharded index needs at least one shard");
+        let n = points.len();
+        let order = morton_order(points);
+        let mut built = Vec::with_capacity(self.shards.min(n));
+        for s in 0..self.shards {
+            // Equal index ranges over the Morton-sorted order. Tiny or
+            // heavily duplicated datasets can make a range empty (n <
+            // shards, or duplicate keys collapsing); KdTree::build panics
+            // on zero points, so empty ranges are skipped outright.
+            let (lo, hi) = (s * n / self.shards, (s + 1) * n / self.shards);
+            if lo == hi {
+                continue;
+            }
+            let ids: Vec<u32> = order[lo..hi].to_vec();
+            let pts: Vec<PointN<D>> = ids.iter().map(|&i| points[i as usize]).collect();
+            built.push(Shard {
+                index: KdIndex::build(format!("shard-{s}"), &pts, self.leaf_size, self.policy),
+                bbox: Aabb::of_points(&pts),
+                ids,
+                profile: ProfileCache::new(DEFAULT_PROFILE_TTL, PROFILE_CACHE_CAPACITY),
+                #[cfg(test)]
+                failpoint: AtomicBool::new(false),
+            });
+        }
+        ShardedIndex {
+            name: self.name,
+            shards: built,
+            n_points: n,
+            prune: self.prune,
+            epoch: AtomicU64::new(0),
+        }
     }
 }
 
 impl<const D: usize> ShardedIndex<D> {
     /// Build a pruning-enabled index named `name` over `points` with
-    /// (at most) `shards` Morton-partitioned shards.
-    ///
-    /// # Panics
-    /// Panics if `points` is empty or `shards == 0` (delegated invariants
-    /// — each shard is a [`KdIndex`]).
+    /// (at most) `shards` Morton-partitioned shards
+    /// ([`ShardedIndexBuilder`] with its other defaults).
     pub fn build(
         name: impl Into<String>,
         points: &[PointN<D>],
@@ -200,60 +214,10 @@ impl<const D: usize> ShardedIndex<D> {
         leaf_size: usize,
         policy: SplitPolicy,
     ) -> Self {
-        Self::build_with(
-            name,
-            points,
-            shards,
-            leaf_size,
-            policy,
-            true,
-            DEFAULT_PROFILE_TTL,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build_with(
-        name: impl Into<String>,
-        points: &[PointN<D>],
-        shards: usize,
-        leaf_size: usize,
-        policy: SplitPolicy,
-        prune: bool,
-        profile_ttl: u64,
-    ) -> Self {
-        assert!(!points.is_empty(), "sharded index over zero points");
-        assert!(shards > 0, "sharded index needs at least one shard");
-        let n = points.len();
-        let order = morton_order(points);
-        let mut built = Vec::with_capacity(shards.min(n));
-        for s in 0..shards {
-            // Equal index ranges over the Morton-sorted order. Tiny or
-            // heavily duplicated datasets can make a range empty (n <
-            // shards, or duplicate keys collapsing); KdTree::build panics
-            // on zero points, so empty ranges are skipped outright.
-            let (lo, hi) = (s * n / shards, (s + 1) * n / shards);
-            if lo == hi {
-                continue;
-            }
-            let ids: Vec<u32> = order[lo..hi].to_vec();
-            let pts: Vec<PointN<D>> = ids.iter().map(|&i| points[i as usize]).collect();
-            built.push(Shard {
-                index: KdIndex::build(format!("shard-{s}"), &pts, leaf_size, policy),
-                bbox: Aabb::of_points(&pts),
-                ids,
-                profile: ProfileCache::new(profile_ttl.max(1), PROFILE_CACHE_CAPACITY),
-                #[cfg(test)]
-                failpoint: AtomicBool::new(false),
-            });
-        }
-        ShardedIndex {
-            name: name.into(),
-            shards: built,
-            n_points: n,
-            prune,
-            profile_ttl,
-            epoch: AtomicU64::new(0),
-        }
+        ShardedIndexBuilder::new(name, shards)
+            .leaf_size(leaf_size)
+            .split_policy(policy)
+            .build(points)
     }
 
     /// Number of non-empty shards actually built (≤ the requested count).
@@ -295,21 +259,6 @@ impl<const D: usize> ShardedIndex<D> {
     /// Make the next sub-batch that reaches shard `s` panic (once).
     pub(crate) fn arm_failpoint(&self, s: usize) {
         self.shards[s].failpoint.store(true, Ordering::SeqCst);
-    }
-}
-
-impl<const D: usize> Shard<D> {
-    /// The shard as the sweep sees it; `cached` says whether sub-batches
-    /// may consult the shard's profile cache at all.
-    fn view(&self, cached: bool) -> ShardView<'_, D> {
-        ShardView {
-            index: &self.index,
-            ids: &self.ids,
-            bbox: &self.bbox,
-            profile: cached.then_some(&self.profile),
-            #[cfg(test)]
-            failpoint: Some(&self.failpoint),
-        }
     }
 }
 
@@ -651,22 +600,20 @@ pub fn merge_kbest(k: usize, lists: &[(Vec<f32>, Vec<u32>)]) -> (Vec<f32>, Vec<u
     (kb.distances().to_vec(), kb.ids().to_vec())
 }
 
-/// One executed sub-batch: which shard, which fan-out round, plus the
-/// shard's answers and accounting and its wall-clock span.
+/// One executed sub-batch: its span (shard, the sweep's fan-out round,
+/// wall clock) and the shard's answers and accounting.
 struct SubRun {
-    shard: u32,
-    round: u32,
+    visit: ShardVisit,
     out: FusedOutcome,
-    offset_us: u64,
-    dur_us: u64,
 }
 
-/// Deterministic accumulation of per-sub-batch stats into one
-/// [`BatchOutcome`] — shared by every schedule, which only differ in how
-/// they *produce* the [`SubRun`]s — and across the sweeps of one batch
-/// (the epoch layer's NN re-probes sweep again into the same aggregate).
-/// Aggregates are weighted by sub-batch size; callers feed runs in a
-/// fixed order so the f64 sums are reproducible.
+/// Deterministic accumulation of per-sub-batch records into the batch's
+/// one [`BatchOutcome`] — shared by every schedule, which only differ in
+/// how they *produce* the [`SubRun`]s — and across the sweeps of one
+/// batch (the epoch layer's NN re-probes sweep again into the same
+/// aggregate). The record merges by its own rule
+/// ([`BatchOutcome::absorb`]); kept here is what it has no field for.
+/// Callers feed runs in a fixed order so the f64 sums are reproducible.
 #[derive(Default)]
 pub(crate) struct StatAgg {
     /// Batch-run start, set by the batch's first sweep: sub-batch spans
@@ -676,128 +623,67 @@ pub(crate) struct StatAgg {
     /// Rounds earlier sweeps of this batch used; a sweep's rounds are
     /// numbered from here.
     round_base: u32,
-    shards_pruned: u64,
-    node_visits: u64,
-    model_ms: f64,
-    warps: usize,
-    exp_sum: f64,
-    occ_sum: f64,
-    sim_sum: f64,
-    sim_weight: usize,
+    /// The batch's record so far; its three means are lane-weighted sums
+    /// until [`Self::finish`] divides them by the weights below.
+    out: BatchOutcome,
+    /// Lanes over every absorbed sub-batch: the weight of the means.
     executed: usize,
+    /// Lanes over the sub-batches that profiled: the weight of
+    /// `mean_similarity`.
+    profiled: usize,
     backend_queries: [usize; Backend::ALL.len()], // indexed by Backend::index()
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_evictions: u64,
-    stack_bytes_peak: u64,
-    stack_transactions: u64,
-    saved_visits: u64,
-    shard_visits: Vec<ShardVisit>,
-    pruned_pairs: Vec<(u32, u32, u32)>, // (shard, round, count)
+    /// Pruned `(lane, shard)` pairs per `(shard, round)`.
+    pruned_pairs: BTreeMap<(u32, u32), u32>,
 }
 
 impl StatAgg {
-    /// Count one pruned `(lane, shard)` pair, attributed to
-    /// `(shard, round)` so [`Self::finish`] can fold it into the matching
-    /// [`ShardVisit`].
-    fn note_pruned(&mut self, shard: u32, round: u32) {
-        self.shards_pruned += 1;
-        let round = self.round_base + round;
-        match self
-            .pruned_pairs
-            .iter_mut()
-            .find(|e| e.0 == shard && e.1 == round)
-        {
-            Some(e) => e.2 += 1,
-            None => self.pruned_pairs.push((shard, round, 1)),
-        }
-    }
-
     fn add(&mut self, run: &SubRun) {
-        let out = &run.out.outcome;
+        let sub = &run.out.outcome;
         let qs = run.out.lanes.len();
-        self.shard_visits.push(ShardVisit {
-            shard: run.shard,
-            round: self.round_base + run.round,
-            queries: qs as u32,
-            node_visits: out.node_visits,
-            pruned: 0,
-            model_ms: out.model_ms,
-            offset_us: run.offset_us,
-            dur_us: run.dur_us,
+        self.out.shard_visits.push(ShardVisit {
+            round: self.round_base + run.visit.round,
+            ..run.visit.clone()
         });
-        self.node_visits += out.node_visits;
-        self.model_ms += out.model_ms;
-        self.warps += out.warps;
-        self.exp_sum += out.work_expansion * qs as f64;
-        self.occ_sum += out.mask_occupancy * qs as f64;
-        if let Some(sim) = out.mean_similarity {
-            self.sim_sum += sim * qs as f64;
-            self.sim_weight += qs;
-        }
+        self.out.absorb(sub, qs);
         self.executed += qs;
-        self.backend_queries[out.backend.index()] += qs;
-        self.cache_hits += out.profile_cache_hits;
-        self.cache_misses += out.profile_cache_misses;
-        self.cache_evictions += out.profile_cache_evictions;
-        // Footprint merges by max (it's a peak), traffic by sum.
-        self.stack_bytes_peak = self.stack_bytes_peak.max(out.stack_bytes_peak);
-        self.stack_transactions += out.stack_transactions;
-        self.saved_visits += out.fusion_saved_visits;
+        if sub.mean_similarity.is_some() {
+            self.profiled += qs;
+        }
+        self.backend_queries[sub.backend.index()] += qs;
     }
 
     /// Close the batch: `lanes` as the caller was handed them, `accs`
     /// their accumulators after every sweep and correction.
-    pub(crate) fn finish(mut self, lanes: &[FusedLane], accs: Vec<LaneAcc>) -> FusedOutcome {
-        for visit in &mut self.shard_visits {
-            if let Some(e) = self
-                .pruned_pairs
-                .iter()
-                .find(|e| e.0 == visit.shard && e.1 == visit.round)
-            {
-                visit.pruned = e.2;
-            }
+    pub(crate) fn finish(self, lanes: &[FusedLane], accs: Vec<LaneAcc>) -> FusedOutcome {
+        let mut outcome = self.out;
+        for visit in &mut outcome.shard_visits {
+            let pruned = self.pruned_pairs.get(&(visit.shard, visit.round));
+            visit.pruned = pruned.copied().unwrap_or(0);
         }
         // Report the backend that served the most queries (first wins on
         // ties — deterministic because the scan order is fixed).
-        let majority = self
+        outcome.backend = self
             .backend_queries
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
             .map(|(i, _)| Backend::ALL[i])
-            .unwrap_or(Backend::Autoropes);
+            .unwrap_or_default();
+        // The one division of each lane-weighted sum; a batch that ran no
+        // sub-batch reports what a run without warps does.
+        let mean = |sum: f64| match self.executed {
+            0 => 1.0,
+            lanes => sum / lanes as f64,
+        };
+        outcome.work_expansion = mean(outcome.work_expansion);
+        outcome.mask_occupancy = mean(outcome.mask_occupancy);
+        outcome.mean_similarity = (outcome.mean_similarity).map(|sum| sum / self.profiled as f64);
         // Sub-batches ran the fused kernel iff the batch is not uniform
         // (`Sweep::pick`); a single-op batch reports no fusion at all.
-        let fused = uniform_op(lanes).is_none();
-        let outcome = BatchOutcome {
-            results: Vec::new(),
-            backend: majority,
-            mean_similarity: (self.sim_weight > 0).then(|| self.sim_sum / self.sim_weight as f64),
-            node_visits: self.node_visits,
-            model_ms: self.model_ms,
-            warps: self.warps,
-            work_expansion: if self.executed > 0 {
-                self.exp_sum / self.executed as f64
-            } else {
-                1.0
-            },
-            shards_pruned: self.shards_pruned,
-            mask_occupancy: if self.executed > 0 {
-                self.occ_sum / self.executed as f64
-            } else {
-                1.0
-            },
-            shard_visits: self.shard_visits,
-            profile_cache_hits: self.cache_hits,
-            profile_cache_misses: self.cache_misses,
-            profile_cache_evictions: self.cache_evictions,
-            stack_bytes_peak: self.stack_bytes_peak,
-            stack_transactions: self.stack_transactions,
-            fused_ops: if fused { distinct_ops(lanes) } else { 0 },
-            fused_lanes: if fused { lanes.len() as u64 } else { 0 },
-            fusion_saved_visits: self.saved_visits,
-        };
+        if uniform_op(lanes).is_none() {
+            outcome.fused_ops = distinct_ops(lanes);
+            outcome.fused_lanes = lanes.len() as u64;
+        }
         FusedOutcome {
             lanes: (accs.into_iter())
                 .map(|acc| acc.0.into_iter().map(Acc::finish).collect())
@@ -930,14 +816,17 @@ impl<const D: usize> Sweep<'_, D> {
         let out = view
             .index
             .run_lanes(&sub, self.pick, self.policy, ctx.as_ref());
-        let dur_us = (self.started.elapsed().as_micros() as u64).saturating_sub(offset_us);
-        SubRun {
+        let visit = ShardVisit {
             shard: shard_i as u32,
             round,
-            out,
+            queries: sub.len() as u32,
+            node_visits: out.outcome.node_visits,
+            pruned: 0,
+            model_ms: out.outcome.model_ms,
             offset_us,
-            dur_us,
-        }
+            dur_us: (self.started.elapsed().as_micros() as u64).saturating_sub(offset_us),
+        };
+        SubRun { visit, out }
     }
 
     /// Spawn a persistent pool of `threads - 1` workers (the calling
@@ -1042,11 +931,15 @@ impl<const D: usize> Sweep<'_, D> {
 
     /// Dispatch a `(lane, shard)` pair the lane's accumulator `admitted`
     /// (or any pair, with pruning off)? A refusal is counted as a pruned
-    /// pair of shard `s` in `round`.
+    /// pair of shard `s` in `round`, for [`StatAgg::finish`] to fold into
+    /// the matching [`ShardVisit`].
     fn keep(&self, admitted: bool, agg: &mut StatAgg, s: u32, round: u32) -> bool {
         let keep = !self.prune || admitted;
         if !keep {
-            agg.note_pruned(s, round);
+            agg.out.shards_pruned += 1;
+            *agg.pruned_pairs
+                .entry((s, agg.round_base + round))
+                .or_default() += 1;
         }
         keep
     }
@@ -1204,7 +1097,14 @@ impl<const D: usize> TreeIndex for ShardedIndex<D> {
         // One epoch per batch: the TTL clock every shard cache shares.
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
         let views: Vec<ShardView<'_, D>> = (self.shards.iter())
-            .map(|s| s.view(self.profile_ttl > 0))
+            .map(|s| ShardView {
+                index: &s.index,
+                ids: &s.ids,
+                bbox: &s.bbox,
+                profile: Some(&s.profile),
+                #[cfg(test)]
+                failpoint: Some(&s.failpoint),
+            })
             .collect();
         let mut agg = StatAgg::default();
         let accs = sweep(&views, lanes, policy, self.prune, epoch, &mut agg);
@@ -1401,26 +1301,95 @@ mod tests {
     }
 
     #[test]
-    fn zero_ttl_builder_disables_caching() {
-        let pts = uniform::<3>(512, 37);
-        let idx = ShardedIndexBuilder::new("nocache", 2)
-            .profile_cache_ttl(0)
-            .build(&pts);
-        let queries: Vec<Vec<f32>> = pts.iter().take(64).map(|p| p.0.to_vec()).collect();
-        for _ in 0..2 {
-            let out = idx.run_batch(OpKey::Nn, &queries, &ExecPolicy::default());
-            assert_eq!(out.profile_cache_hits + out.profile_cache_misses, 0);
-        }
-        assert_eq!(idx.profile_cache_stats().entries, 0);
-    }
-
-    #[test]
     fn merge_kbest_matches_concatenated() {
         let a = (vec![1.0, 3.0, 5.0], vec![0u32, 1, 2]);
         let b = (vec![2.0, 4.0], vec![3u32, 4]);
         let (d2, ids) = merge_kbest(3, &[a, b]);
         assert_eq!(d2, vec![1.0, 2.0, 3.0]);
         assert_eq!(ids, vec![0, 3, 1]);
+    }
+
+    #[test]
+    fn sub_batch_records_merge_by_the_one_rule() {
+        // Two sub-batches of unequal size, a distinct prime in every
+        // counter: a dropped or swapped clause of the merge moves a sum.
+        let a = BatchOutcome {
+            backend: Backend::Autoropes,
+            mean_similarity: Some(0.75),
+            node_visits: 2,
+            model_ms: 0.5,
+            warps: 3,
+            work_expansion: 1.5,
+            shards_pruned: 5,
+            mask_occupancy: 0.25,
+            profile_cache_hits: 7,
+            profile_cache_misses: 11,
+            profile_cache_evictions: 13,
+            stack_bytes_peak: 47,
+            stack_transactions: 17,
+            fusion_saved_visits: 19,
+            ..BatchOutcome::default()
+        };
+        let b = BatchOutcome {
+            backend: Backend::Lockstep,
+            mean_similarity: None,
+            node_visits: 23,
+            model_ms: 0.25,
+            warps: 29,
+            work_expansion: 3.0,
+            shards_pruned: 31,
+            mask_occupancy: 0.5,
+            profile_cache_hits: 37,
+            profile_cache_misses: 41,
+            profile_cache_evictions: 43,
+            stack_bytes_peak: 13,
+            stack_transactions: 53,
+            fusion_saved_visits: 59,
+            ..BatchOutcome::default()
+        };
+        let run = |shard: u32, outcome: &BatchOutcome, lanes: usize| SubRun {
+            visit: ShardVisit {
+                shard,
+                round: 0,
+                queries: lanes as u32,
+                node_visits: outcome.node_visits,
+                pruned: 0,
+                model_ms: outcome.model_ms,
+                offset_us: 0,
+                dur_us: 0,
+            },
+            out: FusedOutcome {
+                lanes: vec![std::iter::empty().collect(); lanes],
+                outcome: outcome.clone(),
+            },
+        };
+        let mut agg = StatAgg::default();
+        agg.add(&run(0, &a, 3));
+        agg.add(&run(1, &b, 5));
+        let mut lane = FusedLane::empty(vec![0.0; 3]);
+        lane.ask(OpKey::Nn);
+        let out = agg.finish(&[lane], Vec::new()).outcome;
+        assert_eq!(out.node_visits, 25);
+        assert_eq!(out.warps, 32);
+        assert_eq!(out.shards_pruned, 36);
+        assert_eq!(out.profile_cache_hits, 44);
+        assert_eq!(out.profile_cache_misses, 52);
+        assert_eq!(out.profile_cache_evictions, 56);
+        assert_eq!(out.stack_transactions, 70);
+        assert_eq!(out.fusion_saved_visits, 78);
+        assert_eq!(out.stack_bytes_peak, 47, "a peak merges by max");
+        assert_eq!(out.model_ms, 0.75);
+        // Means weigh each sub-batch by its lanes: (1.5·3 + 3·5) / 8.
+        assert_eq!(out.work_expansion, 19.5 / 8.0);
+        assert_eq!(out.mask_occupancy, 3.25 / 8.0);
+        // Only the sub-batch that profiled weighs in on similarity.
+        assert_eq!(out.mean_similarity, Some(0.75));
+        assert_eq!(out.backend, Backend::Lockstep, "served the most lanes");
+        assert_eq!((out.fused_ops, out.fused_lanes), (0, 0), "one op asked");
+        let visits: Vec<(u32, u32, u64)> = (out.shard_visits.iter())
+            .map(|v| (v.shard, v.queries, v.node_visits))
+            .collect();
+        assert_eq!(visits, [(0, 3, 2), (1, 5, 23)]);
     }
 
     #[test]

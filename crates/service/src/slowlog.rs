@@ -1,10 +1,10 @@
 //! Tail-based slow-query flight recorder.
 //!
-//! Every in-flight query gets a lightweight entry in a pending table at
-//! submit; when the query resolves, the full forensic record — backend
-//! chosen, shard visit order with per-shard node visits and prune counts,
-//! stack bytes, queue wait, epoch window, exec time — is committed to a
-//! bounded ring **only if the query is worth keeping**:
+//! A query's submit time and trace context ride the batch with its
+//! ticket, so when it resolves the worker holds the full forensic record —
+//! backend chosen, shard visit order with per-shard node visits and prune
+//! counts, stack bytes, queue wait, epoch window, exec time — and commits
+//! it to a bounded ring **only if the query is worth keeping**:
 //!
 //! * its latency exceeds a rolling threshold derived from the live
 //!   latency histogram (`ServiceConfig::slow_log_percentile`, e.g. p99),
@@ -31,9 +31,8 @@
 //! histogram ([`crate::metrics`]) link a tail bucket straight to the
 //! query id recorded here.
 
-use crate::trace::TraceContext;
 use serde::Serialize;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Histogram samples required before the percentile commit rule arms.
@@ -61,8 +60,8 @@ pub struct ShardVisitRecord {
 }
 
 /// A committed flight-recorder entry: everything known about one slow,
-/// rejected, or errored query.
-#[derive(Debug, Clone, Serialize)]
+/// rejected, or errored query. The default is a query nothing ran for.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct QueryRecord {
     /// Trace query id (matches the trace ring and exemplar labels).
     pub query: u64,
@@ -106,21 +105,6 @@ pub struct QueryRecord {
     pub pending_deltas: Option<u64>,
 }
 
-/// What the pending table holds between submit and resolve.
-#[derive(Debug, Clone)]
-pub struct PendingQuery {
-    /// Trace query id.
-    pub query: u64,
-    /// Propagated context.
-    pub ctx: TraceContext,
-    /// Index id submitted against.
-    pub index: usize,
-    /// Operation tag.
-    pub op: &'static str,
-    /// Submit timestamp, µs on the service trace timeline.
-    pub submitted_us: u64,
-}
-
 /// Counters over the slow log, stitched into every [`crate::MetricsSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SlowLogStats {
@@ -128,8 +112,6 @@ pub struct SlowLogStats {
     pub committed: u64,
     /// Committed records later evicted by ring wraparound.
     pub evicted: u64,
-    /// Queries currently in the pending table.
-    pub pending: u64,
     /// Latest rolling threshold, µs (0 until the histogram warms up).
     pub threshold_us: u64,
     /// Records currently retained.
@@ -155,7 +137,6 @@ pub struct SlowLogDump {
 }
 
 struct SlowInner {
-    pending: HashMap<u64, PendingQuery>,
     ring: VecDeque<QueryRecord>,
     committed: u64,
     evicted: u64,
@@ -193,7 +174,6 @@ impl SlowLog {
             capacity,
             percentile,
             inner: Mutex::new(SlowInner {
-                pending: HashMap::new(),
                 ring: VecDeque::new(),
                 committed: 0,
                 evicted: 0,
@@ -213,24 +193,6 @@ impl SlowLog {
     /// Commit percentile.
     pub fn percentile(&self) -> f64 {
         self.percentile
-    }
-
-    /// Register an in-flight query in the pending table.
-    pub fn admit(&self, entry: PendingQuery) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.pending.insert(entry.query, entry);
-    }
-
-    /// Remove and return a query's pending entry (at resolve time).
-    pub fn finish(&self, query: u64) -> Option<PendingQuery> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.pending.remove(&query)
     }
 
     /// The tail-sampling decision for one completed query. Updates the
@@ -288,7 +250,6 @@ impl SlowLog {
         SlowLogStats {
             committed: inner.committed,
             evicted: inner.evicted,
-            pending: inner.pending.len() as u64,
             threshold_us: inner.threshold_us,
             entries: inner.ring.len() as u64,
         }
@@ -358,23 +319,6 @@ mod tests {
             epoch: None,
             pending_deltas: None,
         }
-    }
-
-    #[test]
-    fn pending_table_tracks_in_flight_queries() {
-        let log = SlowLog::new(8, 99.0);
-        log.admit(PendingQuery {
-            query: 7,
-            ctx: TraceContext::LOCAL,
-            index: 0,
-            op: "nn",
-            submitted_us: 100,
-        });
-        assert_eq!(log.stats().pending, 1);
-        let p = log.finish(7).expect("pending entry");
-        assert_eq!(p.submitted_us, 100);
-        assert_eq!(log.stats().pending, 0);
-        assert!(log.finish(7).is_none(), "finish is take, not peek");
     }
 
     #[test]
@@ -449,13 +393,6 @@ mod tests {
     #[test]
     fn capacity_zero_disables_everything() {
         let log = SlowLog::new(0, 99.0);
-        log.admit(PendingQuery {
-            query: 1,
-            ctx: TraceContext::LOCAL,
-            index: 0,
-            op: "nn",
-            submitted_us: 0,
-        });
         assert_eq!(log.decide(1_000_000, 0), (false, "slow", 0));
         log.commit(record(1, 1, "slow"));
         assert_eq!(log.stats(), SlowLogStats::default());
