@@ -25,7 +25,11 @@
 //! answer is bit-identical to its unfused kernel: the union walk reaches a
 //! point a solo walk would have pruned only when its distance exceeds that
 //! constituent's bound, and every rule's `offer` rejects exactly those
-//! (the [`PointRule`] contract, property-tested below).
+//! (the [`PointRule`] contract, property-tested below). The same contract
+//! lets the walk count, at each descent, which constituents would have
+//! descended there alone ([`PointRule::solo_descents`]; NN, the kNN heap
+//! and each PC radius slot count one apiece) — what the fusion saved,
+//! without re-walking the tree per op.
 
 use gts_runtime::{FusedPoint, PointRule};
 use gts_trees::{KdTree, PointN};
@@ -105,6 +109,10 @@ impl<const D: usize> PointRule<D> for MultiPcRule {
                 slot.count += 1;
             }
         }
+    }
+    /// One op per radius slot: each would descend under its own radius.
+    fn solo_descents(&self, p: &mut MultiPcPoint<D>, lb: f32) -> u32 {
+        p.slots.iter().filter(|s| lb <= s.radius2).count() as u32
     }
 }
 
@@ -408,11 +416,15 @@ mod tests {
     }
 
     /// The [`PointRule`] contract on one offer sequence: `bound` never
-    /// grows, and an offer beyond the bound it met changes nothing.
+    /// grows, and an offer beyond the bound it met changes nothing. The
+    /// accounting hook, asked about a box as far as each offer, changes no
+    /// answer field and counts between none and all of the `ops` the state
+    /// asks — some iff the box is within the bound, so none when inert.
     fn assert_rule_contract<R: PointRule<3>>(
         label: &str,
         rule: &R,
         mut state: R::State,
+        ops: usize,
         offers: &[(f32, u32)],
     ) where
         R::State: PartialEq + std::fmt::Debug,
@@ -420,6 +432,20 @@ mod tests {
         for (step, &(d2, idx)) in offers.iter().enumerate() {
             let before = state.clone();
             let bound = rule.bound(&before);
+            let counted = rule.solo_descents(&mut state, d2) as usize;
+            assert_eq!(
+                state, before,
+                "{label} step {step}: the hook moved an answer"
+            );
+            assert_eq!(
+                counted > 0,
+                d2 <= bound,
+                "{label} step {step}: {d2} vs {bound}"
+            );
+            assert!(
+                counted <= ops,
+                "{label} step {step}: {counted} of {ops} ops"
+            );
             rule.offer(&mut state, d2, idx);
             assert!(
                 rule.bound(&state) <= bound,
@@ -453,13 +479,13 @@ mod tests {
             let inert = fused_ops_point(pos, false, None, &[]);
             let multi = MultiPcPoint::new(pos, &radii);
 
-            assert_rule_contract("nn", &NnRule, NnPoint::new(pos), &offers);
-            assert_rule_contract("nn inert", &NnRule, inert.a, &offers);
-            assert_rule_contract("knn", &KnnRule, KnnPoint::new(pos, k), &offers);
-            assert_rule_contract("knn inert", &KnnRule, inert.b.a, &offers);
-            assert_rule_contract("pc", &PcRule::new(1.0), PcPoint::new(pos), &offers);
-            assert_rule_contract("multi-pc", &MultiPcRule, multi, &offers);
-            assert_rule_contract("multi-pc inert", &MultiPcRule, inert.b.b, &offers);
+            assert_rule_contract("nn", &NnRule, NnPoint::new(pos), 1, &offers);
+            assert_rule_contract("nn inert", &NnRule, inert.a, 0, &offers);
+            assert_rule_contract("knn", &KnnRule, KnnPoint::new(pos, k), 1, &offers);
+            assert_rule_contract("knn inert", &KnnRule, inert.b.a, 0, &offers);
+            assert_rule_contract("pc", &PcRule::new(1.0), PcPoint::new(pos), 1, &offers);
+            assert_rule_contract("multi-pc", &MultiPcRule, multi, radii.len(), &offers);
+            assert_rule_contract("multi-pc inert", &MultiPcRule, inert.b.b, 0, &offers);
             let fused = FusedOpsRule::default();
             for (nn, knn_k, pc) in [
                 (true, Some(k), &radii[..]),
@@ -470,7 +496,8 @@ mod tests {
             ] {
                 let label = format!("fused nn={nn} k={knn_k:?} radii={pc:?}");
                 let lane = fused_ops_point(pos, nn, knn_k, pc);
-                assert_rule_contract(&label, &fused, lane, &offers);
+                let ops = usize::from(nn) + usize::from(knn_k.is_some()) + pc.len();
+                assert_rule_contract(&label, &fused, lane, ops, &offers);
             }
         }
     }

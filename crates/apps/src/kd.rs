@@ -8,7 +8,9 @@
 //! the two children. The truncation test is re-derivable from per-node
 //! state (no traversal-variant argument), so the same kernel rides the
 //! rope-stack executors, the CPU baseline *and* the stackless skip-link
-//! walk ([`gts_runtime::gpu::stackless::run_skip`]).
+//! walk ([`gts_runtime::gpu::stackless::run_skip`]). Each descent also
+//! reports its box distance to [`PointRule::solo_descents`], which is how
+//! a fused rule counts the walks it replaced while it walks.
 //!
 //! Guided rules search the query's side of the split plane first — two
 //! static call sets (the paper's Figure 5 shape), semantically equivalent
@@ -101,7 +103,8 @@ impl<const D: usize, R: PointRule<D>> TraversalKernel for KdBox<'_, D, R> {
         };
         // `can_correlate` from the paper's Figure 4, for any rule. Neither
         // side is ever NaN; an inert state's `-inf` truncates everywhere.
-        if b.dist2_to(R::pos(p)) > self.rule.bound(p) {
+        let lb = b.dist2_to(R::pos(p));
+        if lb > self.rule.bound(p) {
             return VisitOutcome::Truncated;
         }
         if self.tree.is_leaf(node) {
@@ -112,6 +115,9 @@ impl<const D: usize, R: PointRule<D>> TraversalKernel for KdBox<'_, D, R> {
             }
             return VisitOutcome::Leaf;
         }
+        // Accounting only: which of the rule's ops would be here alone. A
+        // solo rule keeps no tally and the call folds away.
+        self.rule.solo_descents(p, lb);
         // An unguided rule has one call set: a forced set is not its to
         // honor, and it reports set 0.
         let set = match forced {

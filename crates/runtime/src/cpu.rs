@@ -16,7 +16,7 @@ use crate::report::{CpuReport, TraversalStats};
 /// visited. This is the paper's Figure 1 executed literally — the oracle
 /// every transformed executor is tested against.
 pub fn traverse_one<K: TraversalKernel>(kernel: &K, point: &mut K::Point) -> u32 {
-    let mut kids = ChildBuf::with_capacity(K::MAX_KIDS);
+    let mut kids = child_stack(kernel);
     recurse(
         kernel,
         point,
@@ -32,7 +32,7 @@ pub fn traverse_one<K: TraversalKernel>(kernel: &K, point: &mut K::Point) -> u32
 /// §4.4 sortedness profiler samples: run a handful of points, compare
 /// their visit sets (`gts_points::profile::profile_sortedness`).
 pub fn trace_one<K: TraversalKernel>(kernel: &K, point: &mut K::Point) -> Vec<gts_trees::NodeId> {
-    let mut kids = ChildBuf::with_capacity(K::MAX_KIDS);
+    let mut kids = child_stack(kernel);
     let mut visits = Vec::new();
     trace_recurse(
         kernel,
@@ -47,40 +47,49 @@ pub fn trace_one<K: TraversalKernel>(kernel: &K, point: &mut K::Point) -> Vec<gt
     visits
 }
 
+/// The recursion's one child stack, sized for the deepest path: every
+/// frame on it holds at most `MAX_KIDS` children.
+fn child_stack<K: TraversalKernel>(kernel: &K) -> ChildBuf<K::Args> {
+    ChildBuf::with_capacity(K::MAX_KIDS * (kernel.max_depth() + 1))
+}
+
 fn trace_recurse<K: TraversalKernel>(
     kernel: &K,
     point: &mut K::Point,
     at: Child<K::Args>,
-    scratch: &mut ChildBuf<K::Args>,
+    kids: &mut ChildBuf<K::Args>,
     visits: &mut Vec<gts_trees::NodeId>,
 ) {
     visits.push(at.node);
-    scratch.clear();
-    let outcome = kernel.visit(point, at.node, at.args, None, scratch);
+    let base = kids.len();
+    let outcome = kernel.visit(point, at.node, at.args, None, kids);
     if let VisitOutcome::Descended { .. } = outcome {
-        let kids: Vec<Child<K::Args>> = std::mem::take(scratch);
-        for child in kids {
-            trace_recurse(kernel, point, child, scratch, visits);
+        for i in base..kids.len() {
+            trace_recurse(kernel, point, kids[i], kids, visits);
         }
     }
+    kids.truncate(base);
 }
 
+/// `kids` is the whole recursion's child stack: a visit appends its
+/// children above `base`, the loop descends into each (every callee
+/// truncates back to the length it found), and the frame pops its own on
+/// the way out — nothing is allocated per level.
 fn recurse<K: TraversalKernel>(
     kernel: &K,
     point: &mut K::Point,
     at: Child<K::Args>,
-    scratch: &mut ChildBuf<K::Args>,
+    kids: &mut ChildBuf<K::Args>,
 ) -> u32 {
-    scratch.clear();
-    let outcome = kernel.visit(point, at.node, at.args, None, scratch);
+    let base = kids.len();
+    let outcome = kernel.visit(point, at.node, at.args, None, kids);
     let mut visited = 1;
     if let VisitOutcome::Descended { .. } = outcome {
-        // `scratch` is reused across levels; take the children out first.
-        let kids: Vec<Child<K::Args>> = std::mem::take(scratch);
-        for child in kids {
-            visited += recurse(kernel, point, child, scratch);
+        for i in base..kids.len() {
+            visited += recurse(kernel, point, kids[i], kids);
         }
     }
+    kids.truncate(base);
     visited
 }
 

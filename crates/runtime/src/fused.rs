@@ -10,24 +10,46 @@
 //! rejects (the rule contract). Pairs nest — `(A, (B, C))` fuses three —
 //! with per-lane state the matching [`FusedPoint`] nest; a lane opts out
 //! of a constituent by carrying *inert* state for it (a bound of `-inf`).
+//!
+//! What the fusion saved is counted inside the same walk
+//! ([`PointRule::solo_descents`]): at each descent the pair asks both
+//! halves whether they would have come this way alone and adds the answers
+//! to [`FusedPoint::solo_descents`], from which the visits of the walks it
+//! replaced follow without walking them.
 
 use crate::kernel::PointRule;
 use gts_trees::PointN;
 
 /// Per-lane state of a fused traversal: the two constituents' states side
 /// by side. Nests like the rules do.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FusedPoint<A, B> {
     /// First constituent's per-lane state.
     pub a: A,
     /// Second constituent's per-lane state.
     pub b: B,
+    /// Descents the ops under this pair would have made walking alone, in
+    /// the order the fused walk took ([`PointRule::solo_descents`]).
+    pub solo_descents: u32,
 }
 
 impl<A, B> FusedPoint<A, B> {
     /// Pair `a` and `b` into one fused lane.
     pub fn new(a: A, b: B) -> Self {
-        FusedPoint { a, b }
+        FusedPoint {
+            a,
+            b,
+            solo_descents: 0,
+        }
+    }
+}
+
+/// Equality of the answers. The tally describes the walk that was taken —
+/// two executors that order children differently reach the same answers
+/// with different tallies — so it is no part of it.
+impl<A: PartialEq, B: PartialEq> PartialEq for FusedPoint<A, B> {
+    fn eq(&self, other: &Self) -> bool {
+        self.a == other.a && self.b == other.b
     }
 }
 
@@ -48,6 +70,11 @@ impl<const D: usize, A: PointRule<D>, B: PointRule<D>> PointRule<D> for (A, B) {
     fn offer(&self, state: &mut Self::State, d2: f32, idx: u32) {
         self.0.offer(&mut state.a, d2, idx);
         self.1.offer(&mut state.b, d2, idx);
+    }
+    fn solo_descents(&self, state: &mut Self::State, lb: f32) -> u32 {
+        let here = self.0.solo_descents(&mut state.a, lb) + self.1.solo_descents(&mut state.b, lb);
+        state.solo_descents += here;
+        here
     }
 }
 
@@ -124,5 +151,25 @@ mod tests {
         assert!(!guided::<(Within, Within)>());
         assert!(guided::<(Within, (Within, Nearest))>());
         assert_eq!(<(Within, Pair) as PointRule<2>>::VISIT_INSTS, 5 + 5 + 12);
+    }
+
+    #[test]
+    fn pair_tallies_what_each_half_would_descend_alone() {
+        let rule = (Within(4.0), (Within(1.0), Nearest));
+        let origin = PointN([0.0f32; 2]);
+        let fresh = FusedPoint::new(
+            (origin, 0.0, 0),
+            FusedPoint::new((origin, 0.0, 0), (origin, 9.0, 7)),
+        );
+        let mut lane = fresh.clone();
+        // Bounds 4, 1 and 9: a node 0.5 away is on all three walks, one 2
+        // away on two, one 5 away on the nearest's only, one 10 away on none.
+        assert_eq!(rule.solo_descents(&mut lane, 0.5), 3);
+        assert_eq!(rule.solo_descents(&mut lane, 2.0), 2);
+        assert_eq!(rule.solo_descents(&mut lane, 5.0), 1);
+        assert_eq!(rule.solo_descents(&mut lane, 10.0), 0);
+        assert_eq!(lane.solo_descents, 6);
+        assert_eq!(lane.b.solo_descents, 4, "a nested pair tallies its own two");
+        assert_eq!(lane, fresh, "the tally is no part of the answer");
     }
 }

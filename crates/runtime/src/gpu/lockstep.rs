@@ -50,9 +50,19 @@ pub fn run<K: TraversalKernel>(kernel: &K, points: &mut [K::Point], cfg: &GpuCon
         0
     };
     let scene = Scene::build(kernel, points.len(), cfg, "warp_rope_stack", extra);
-    drive(kernel, points, cfg, &scene, |kernel, _warp, lanes, sim| {
+    let mut rep = drive(kernel, points, cfg, &scene, |kernel, _warp, lanes, sim| {
         warp_body(kernel, &scene, lanes, sim)
-    })
+    });
+    // The warp bodies count the pops each lane was live for. Every carried
+    // point is *charged* for every pop of its warp — the warp drags masked
+    // lanes through the node (this is what makes lockstep's “Avg. # Nodes”
+    // the union size; see Table 1).
+    let charged = (rep.per_warp_nodes.iter())
+        .flat_map(|&pops| std::iter::repeat_n(pops as u32, WARP_SIZE))
+        .take(points.len())
+        .collect();
+    rep.per_point_live_nodes = std::mem::replace(&mut rep.stats.per_point_nodes, charged);
+    rep
 }
 
 /// One shared stack entry: the rope, the activity mask, and one argument
@@ -76,7 +86,8 @@ fn warp_body<K: TraversalKernel>(
         mask: full,
         args: [kernel.root_args(); WARP_SIZE],
     }];
-    let mut counts = vec![0u32; n_lanes];
+    // Pops each lane was live for: its own walk in the voted order.
+    let mut live = vec![0u32; n_lanes];
     let mut warp_nodes = 0u64;
     let mut max_depth = 1usize;
     let mut kids: ChildBuf<K::Args> = Vec::with_capacity(K::MAX_KIDS);
@@ -90,12 +101,6 @@ fn warp_body<K: TraversalKernel>(
         sim.step(2);
         scene.stack.access_warp(sim, full, stack.len() as u64);
         warp_nodes += 1;
-        // Every carried point is charged for the visit — the warp drags
-        // masked lanes through the node (this is what makes lockstep's
-        // “Avg. # Nodes” the union size; see Table 1).
-        for c in counts.iter_mut() {
-            *c += 1;
-        }
         // Broadcast hot-fragment load: the whole warp reads one node.
         sim.load_broadcast(scene.tree.nodes0, full, node as u64);
         sim.step(kernel.visit_insts());
@@ -121,6 +126,7 @@ fn warp_body<K: TraversalKernel>(
         slot_nodes.clear();
         slot_args.clear();
         for l in mask.iter_active() {
+            live[l] += 1;
             kids.clear();
             match kernel.visit(&mut lanes[l], node, args[l], forced, &mut kids) {
                 VisitOutcome::Truncated | VisitOutcome::Leaf => {
@@ -180,7 +186,7 @@ fn warp_body<K: TraversalKernel>(
     // One shared stack per warp: the footprint does not scale with lanes
     // (each entry already carries the per-lane argument slots).
     sim.stack_peak(max_depth as u64 * scene.stack.entry_bytes());
-    (counts, warp_nodes, max_depth)
+    (live, warp_nodes, max_depth)
 }
 
 #[cfg(test)]
@@ -213,6 +219,27 @@ mod tests {
                 assert_eq!(r.stats.per_point_nodes[w * 32 + l], warp_count);
             }
         }
+    }
+
+    #[test]
+    fn live_counts_are_each_lanes_own_walk() {
+        // One call set: the pops a lane is live for are exactly the nodes
+        // its independent walk visits, and they add up to the simulator's
+        // live-lane visit counter.
+        let kernel = BinKernel::new(6, 41);
+        let mut ls_pts: Vec<u64> = (0..70).map(|i| i as u64 * 1000).collect();
+        let mut ar_pts = ls_pts.clone();
+        let ls = run(&kernel, &mut ls_pts, &GpuConfig::default());
+        let ar = autoropes::run(&kernel, &mut ar_pts, &GpuConfig::default());
+        assert_eq!(ls.per_point_live_nodes, ar.stats.per_point_nodes);
+        assert_eq!(
+            ls.per_point_live_nodes
+                .iter()
+                .map(|&v| u64::from(v))
+                .sum::<u64>(),
+            ls.launch.counters.node_visits
+        );
+        assert!(ar.per_point_live_nodes.is_empty());
     }
 
     #[test]

@@ -292,6 +292,7 @@ where
         launch: launch.finish(scene.shared_bytes_per_warp),
         stats: TraversalStats { per_point_nodes },
         per_warp_nodes,
+        per_point_live_nodes: Vec::new(),
         max_stack_depth,
     }
 }

@@ -140,7 +140,9 @@ pub trait TraversalKernel: Sync {
 
     /// Execute the node body for `p` at `node`: evaluate the truncation
     /// condition, apply the update, and — for interior nodes — append the
-    /// children to `kids` in traversal order (first visited first).
+    /// children to `kids` in traversal order (first visited first). Append
+    /// only: `kids` may already hold entries that are not this visit's
+    /// (the CPU recursion keeps every level's children on one buffer).
     ///
     /// When `forced_set` is `Some(s)`, a guided kernel must emit children
     /// in call set `s`'s order regardless of its own preference (the warp
@@ -216,6 +218,24 @@ pub trait PointRule<const D: usize>: Sync {
     /// The update: a dataset point at squared distance `d2`, named `idx`
     /// in whatever id space the walking structure reports.
     fn offer(&self, state: &mut Self::State, d2: f32, idx: u32);
+
+    /// Accounting, not answer: a box-pruned walk calls this each time it
+    /// descends below a node whose box lies `lb` (squared) from the query,
+    /// and gets back how many of this rule's ops would have descended
+    /// there walking alone — one, unless `lb` is beyond the bound. A pair
+    /// sums its halves and keeps the running total in its state
+    /// (`crate::fused`); a rule that serves several ops from one state
+    /// overrides it to count each.
+    ///
+    /// The count is exact by the contract above. Bounds never grow and box
+    /// lower bounds never shrink down a path, so an op that would descend
+    /// here also descended at every ancestor; offers beyond its bound left
+    /// it unchanged, so its bound here is the one its own walk holds at
+    /// this node. That walk, taken in this walk's order over a binary
+    /// tree, therefore visits exactly `1 + 2 × (its descents)` nodes.
+    fn solo_descents(&self, state: &mut Self::State, lb: f32) -> u32 {
+        u32::from(lb <= self.bound(state))
+    }
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@ use gts_sim::sched::LaunchReport;
 pub struct TraversalStats {
     /// Tree-node visits per point (the paper's “Avg. # Nodes” divides this
     /// by the point count). For lockstep runs a point is charged for every
-    /// node its warp visited *while the point's lane was live on the
-    /// stack entry's mask*.
+    /// node its warp visited, live on the entry's mask or carried along
+    /// (the pops it was live for: [`GpuReport::per_point_live_nodes`]).
     pub per_point_nodes: Vec<u32>,
 }
 
@@ -60,6 +60,13 @@ pub struct GpuReport {
     /// one live lane). For lockstep runs, dividing by the warp's longest
     /// individual traversal gives Table 2's work expansion.
     pub per_warp_nodes: Vec<u64>,
+    /// Lockstep runs only (empty otherwise — there a point is charged for
+    /// nothing but its own visits): the pops each point's lane was live
+    /// for, i.e. its own walk in the order its warp voted, where
+    /// `stats.per_point_nodes` charges it for every pop of the warp.
+    /// [`work_expansion`] of `per_warp_nodes` over these is the expansion
+    /// the run's own masks show.
+    pub per_point_live_nodes: Vec<u32>,
     /// Deepest rope stack observed across all lanes/warps.
     pub max_stack_depth: usize,
 }
@@ -93,7 +100,11 @@ impl GpuReport {
 /// *non-lockstep* traversal of the same points in the same order (“the
 /// number of nodes in the longest traversal of each warp, which captures
 /// how long a warp would take to finish in the non-lockstep variant”,
-/// §6.3).
+/// §6.3). Fed the lockstep run's own
+/// [`per_point_live_nodes`](GpuReport::per_point_live_nodes) instead, it
+/// needs no second run: the same number for a one-call-set kernel, whose
+/// live set *is* its independent walk, and a lower one for a guided
+/// kernel, whose lanes' own walks the voted order lengthens too.
 pub fn work_expansion(per_warp_nodes: &[u64], per_point_nodes: &[u32]) -> (f64, f64) {
     assert!(!per_warp_nodes.is_empty(), "no warps to analyze");
     let mut ratios = Vec::with_capacity(per_warp_nodes.len());

@@ -22,7 +22,8 @@ use gts_points::sort::morton_order;
 use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig};
 use gts_runtime::{cpu, PointRule, TraversalKernel};
 use gts_trees::{KdTree, LbKdTree, PointN, SplitPolicy};
-use std::collections::{BTreeMap, HashSet};
+use std::cell::Cell;
+use std::collections::HashSet;
 
 /// Execution record of one dispatched batch, from the executor to the
 /// exposition: a sharded batch merges its sub-batches' records into its
@@ -44,8 +45,13 @@ pub struct BatchOutcome {
     pub model_ms: f64,
     /// Warps launched (0 for the CPU backend).
     pub warps: usize,
-    /// Lockstep work expansion vs the longest lane per warp (GPU runs on
-    /// at least one full warp; otherwise 1.0).
+    /// Lockstep work expansion, from the run's own masks: each warp's pops
+    /// over the pops its busiest lane was live for, averaged over warps
+    /// (1.0 for every other backend). For a one-call-set kernel (PC) a
+    /// lane's live pops are its independent walk and this is Table 2's
+    /// statistic; for a guided kernel the voted order lengthens the lanes'
+    /// own walks too, so it reads below the comparison against a separate
+    /// non-lockstep run that `gts-harness table2` makes.
     pub work_expansion: f64,
     /// `(query, shard)` pairs a sharded index skipped via its AABB bound
     /// (always 0 for flat indices).
@@ -73,10 +79,14 @@ pub struct BatchOutcome {
     pub fused_ops: u32,
     /// Lanes a multi-op batch dispatched (0 for a single-op batch).
     pub fused_lanes: u64,
-    /// Modeled node visits the fusion saved vs running each constituent
-    /// op as its own batch: per-lane solo CPU replays minus the fused
-    /// walk's visits (an estimate — it under-reports the extra savings
-    /// from lane dedup). 0 for single-op batches.
+    /// Node visits the fusion saved: what each lane's constituent ops
+    /// (NN, kNN at the lane's largest `k`, each PC radius) would have
+    /// visited walking alone in the order the fused walk took — counted
+    /// inside that walk ([`PointRule::solo_descents`]) — minus the fused
+    /// walk's live-lane visits. Exactly 0 when every lane asks one op; an
+    /// estimate otherwise, since it leaves out what lane dedup saves. 0 for
+    /// single-op batches, and 0 on [`Backend::StacklessKd`], whose Wald
+    /// walk is over a different tree and counts no constituent walks.
     pub fusion_saved_visits: u64,
 }
 
@@ -407,8 +417,8 @@ impl<const D: usize> KdIndex<D> {
     /// lane asks that one op — the op's own rule runs, the fastest walk
     /// for it and the reference the fused walk is tested against — and
     /// `None` for anything else, which runs the fused rule (lanes opt out
-    /// of an op by carrying inert state) and replays the per-op walks to
-    /// report what fusion saved. The shard sweep passes its batch's pick
+    /// of an op by carrying inert state) and reports what fusion saved from
+    /// the tally that walk kept. The shard sweep passes its batch's pick
     /// to every sub-batch, so one batch never mixes kernel families and
     /// its node visits do not depend on how the schedule grouped the
     /// lanes.
@@ -425,7 +435,10 @@ impl<const D: usize> KdIndex<D> {
     ) -> FusedOutcome {
         let pts: Vec<PointN<D>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
         let solo = |r: QueryResult| -> FusedLaneResult { std::iter::once(r).collect() };
-        let (results, outcome) = match pick {
+        // Node visits the lanes' constituent ops would have made walking
+        // alone; only the fused arm, as it reads its lanes back, adds any.
+        let per_op_visits = Cell::new(0u64);
+        let (results, mut outcome, live_visits) = match pick {
             Some(OpKey::Nn) => {
                 // The plane-pruning NN kernel is the fastest solo NN, but
                 // its traversal-variant argument cannot ride the skip
@@ -470,6 +483,13 @@ impl<const D: usize> KdIndex<D> {
                 };
                 let conv = |i: usize, pt: &FusedOpsPoint<D>| {
                     let lane = lanes[i];
+                    // Each constituent's own walk: the root, then two
+                    // children per descent the fused walk tallied for it.
+                    let asked = usize::from(lane.nn)
+                        + usize::from(!lane.knn_ks.is_empty())
+                        + lane.pc_radii.len();
+                    per_op_visits
+                        .set(per_op_visits.get() + asked as u64 + 2 * u64::from(pt.solo_descents));
                     let nn = lane.nn.then(|| QueryResult::Nn {
                         dist2: pt.a.best_d2,
                         id: self.original_id(pt.a.best_idx),
@@ -488,52 +508,27 @@ impl<const D: usize> KdIndex<D> {
                             .collect();
                     FusedLaneResult { nn, knn, pc }
                 };
-                let (results, mut outcome) =
-                    execute(self, &kernel, &kernel, &pts, policy, profile, make, conv);
-                outcome.fused_lanes = lanes.len() as u64;
-                outcome.fused_ops = distinct_ops(lanes.iter().copied());
-                outcome.fusion_saved_visits = self
-                    .solo_replay_visits(lanes, &pts)
-                    .saturating_sub(outcome.node_visits);
-                (results, outcome)
+                execute(self, &kernel, &kernel, &pts, policy, profile, make, conv)
             }
         };
+        if pick.is_none() {
+            outcome.fused_lanes = lanes.len() as u64;
+            outcome.fused_ops = distinct_ops(lanes.iter().copied());
+            // The Wald walk runs over the left-balanced mirror, not through
+            // `KdBox`: it tallies nothing, and visits of two different
+            // trees are not each other's saving.
+            if outcome.backend != Backend::StacklessKd {
+                outcome.fusion_saved_visits = per_op_visits.get().saturating_sub(live_visits);
+            }
+            // Every fused (sub-)batch any unit test of the crate runs is
+            // held to the CPU replay the tally replaced.
+            #[cfg(test)]
+            tests::check_counted_against_replay(self, lanes, &pts, &outcome, per_op_visits.get());
+        }
         FusedOutcome {
             lanes: results,
             outcome,
         }
-    }
-
-    /// Modeled cost of running each lane's constituent ops as separate
-    /// single-op batches: one cheap CPU traversal per (lane, op) with
-    /// that op's canonical solo kernel. The same per-lane walk the
-    /// executors perform, so the delta vs the fused run's `node_visits`
-    /// is exactly the traversal work fusion saved (modulo lane dedup,
-    /// which saves more than this counts).
-    fn solo_replay_visits(&self, lanes: &[&FusedLane], pts: &[PointN<D>]) -> u64 {
-        let nn_kernel = NnKernel::new(&self.tree);
-        let knn_kernel = KnnKernel::new(&self.tree);
-        // One PC kernel per distinct radius of the batch, not per lane.
-        let mut pc_kernels: BTreeMap<u32, PcKernel<'_, D>> = BTreeMap::new();
-        for &bits in lanes.iter().flat_map(|l| &l.pc_radii) {
-            pc_kernels
-                .entry(bits)
-                .or_insert_with(|| PcKernel::new(&self.tree, f32::from_bits(bits)));
-        }
-        let mut visits = 0u64;
-        for (lane, &p) in lanes.iter().zip(pts) {
-            if lane.nn {
-                visits += u64::from(cpu::traverse_one(&nn_kernel, &mut NnPoint::new(p)));
-            }
-            for &k in &lane.knn_ks {
-                visits += u64::from(cpu::traverse_one(&knn_kernel, &mut KnnPoint::new(p, k)));
-            }
-            for &bits in &lane.pc_radii {
-                let kernel = &pc_kernels[&bits];
-                visits += u64::from(cpu::traverse_one(kernel, &mut PcPoint::new(p)));
-            }
-        }
-        visits
     }
 }
 
@@ -595,7 +590,10 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
 /// the point, so heterogeneous batches (fused lanes with per-lane op
 /// specs) can build and read back per-lane state; homogeneous ops ignore
 /// it. The returned [`BatchOutcome`] carries the accounting with an empty
-/// `results` vec — the typed results ride the first tuple slot.
+/// `results` vec — the typed results ride the first tuple slot. The third
+/// is the run's *live-lane* node visits: `outcome.node_visits` for every
+/// backend but lockstep, which charges a lane for each pop of its warp
+/// (Table 1's convention) and is live for only some of them.
 #[allow(clippy::too_many_arguments)]
 fn execute<const D: usize, K, R, M, C, T>(
     index: &KdIndex<D>,
@@ -606,7 +604,7 @@ fn execute<const D: usize, K, R, M, C, T>(
     profile: Option<&ProfileCtx<'_>>,
     make: M,
     conv: C,
-) -> (Vec<T>, BatchOutcome)
+) -> (Vec<T>, BatchOutcome, u64)
 where
     K: TraversalKernel<Point = R::State>,
     R: PointRule<D>,
@@ -685,17 +683,9 @@ where
         profile_cache_evictions: cache_outcome.map_or(0, |o| o.evictions),
         ..BatchOutcome::default()
     };
+    let mut live_visits = None;
     let stats = match backend {
         Backend::Lockstep | Backend::Autoropes | Backend::StacklessKd | Backend::StacklessBvh => {
-            // Table 2's work expansion compares each warp's lockstep pops
-            // against its longest *independent* traversal — lockstep's own
-            // per-lane stats count every warp pop, so measure solo lengths
-            // first (one cheap CPU pass, dwarfed by the warp simulation).
-            let solo: Option<Vec<u32>> = (backend == Backend::Lockstep).then(|| {
-                work.iter()
-                    .map(|p| cpu::traverse_one(kernel, &mut p.clone()))
-                    .collect()
-            });
             let rep = match backend {
                 Backend::Lockstep => lockstep::run(kernel, &mut work, &cfg),
                 Backend::Autoropes => autoropes::run(kernel, &mut work, &cfg),
@@ -707,14 +697,20 @@ where
                 }
                 Backend::Cpu => unreachable!("handled by the CPU arm"),
             };
-            if let Some(solo) = solo.filter(|_| !rep.per_warp_nodes.is_empty()) {
-                outcome.work_expansion =
-                    gts_runtime::report::work_expansion(&rep.per_warp_nodes, &solo).0;
+            // Each warp's pops over the pops its busiest lane was live for:
+            // the run's own masks say how far lockstep stretched the warp.
+            if backend == Backend::Lockstep && !rep.per_warp_nodes.is_empty() {
+                outcome.work_expansion = gts_runtime::report::work_expansion(
+                    &rep.per_warp_nodes,
+                    &rep.per_point_live_nodes,
+                )
+                .0;
             }
             outcome.model_ms = rep.ms();
             outcome.warps = rep.launch.warps;
             outcome.mask_occupancy = rep.mask_occupancy();
             let counters = &rep.launch.counters;
+            live_visits = Some(counters.node_visits);
             outcome.stack_bytes_peak = counters.stack_bytes_peak;
             outcome.stack_transactions = (counters.per_region_transactions.iter())
                 .filter(|(region, _)| region.contains("stack"))
@@ -735,18 +731,110 @@ where
         .into_iter()
         .map(|r| r.expect("permutation covers all"))
         .collect();
-    (results, outcome)
+    let live_visits = live_visits.unwrap_or(outcome.node_visits);
+    (results, outcome, live_visits)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MutableIndexBuilder, ShardedIndex};
     use gts_apps::oracle;
     use gts_points::gen::uniform;
+    use gts_runtime::report::work_expansion;
+    use gts_runtime::VisitOutcome;
+    use gts_trees::NodeId;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn index3(n: usize, seed: u64) -> KdIndex<3> {
         let pts = uniform::<3>(n, seed);
         KdIndex::build("t", &pts, 8, SplitPolicy::MedianCycle)
+    }
+
+    /// Figure 1 executed literally from `node` down, counting visits, with
+    /// the call set optionally forced on every level.
+    fn walk<K: TraversalKernel<Args = ()>>(
+        kernel: &K,
+        p: &mut K::Point,
+        node: NodeId,
+        forced: Option<usize>,
+    ) -> u64 {
+        let mut kids = Vec::new();
+        let mut visited = 1;
+        if let VisitOutcome::Descended { .. } = kernel.visit(p, node, (), forced, &mut kids) {
+            for child in kids {
+                visited += walk(kernel, p, child.node, forced);
+            }
+        }
+        visited
+    }
+
+    /// The reference the counted statistic replaced: one CPU walk per
+    /// (lane, constituent op) — box-pruned NN, kNN at the lane's largest
+    /// `k`, each PC radius — summed over the batch.
+    fn solo_replay_visits<const D: usize>(
+        tree: &KdTree<D>,
+        lanes: &[&FusedLane],
+        pts: &[PointN<D>],
+        forced: Option<usize>,
+    ) -> u64 {
+        let mut visits = 0;
+        for (lane, &p) in lanes.iter().zip(pts) {
+            if lane.nn {
+                visits += walk(&NnAabbKernel::new(tree), &mut NnPoint::new(p), 0, forced);
+            }
+            if let Some(k) = lane.knn_ks.iter().copied().max() {
+                visits += walk(&KnnKernel::new(tree), &mut KnnPoint::new(p, k), 0, forced);
+            }
+            for &bits in &lane.pc_radii {
+                let kernel = PcKernel::new(tree, f32::from_bits(bits));
+                visits += walk(&kernel, &mut PcPoint::new(p), 0, forced);
+            }
+        }
+        visits
+    }
+
+    thread_local! {
+        /// Fused (sub-)batches this thread held to the replay.
+        static REPLAYED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Called by `run_lanes` on every fused (sub-)batch: the per-op visits
+    /// the walk counted are the replay's, wherever the executor's child
+    /// order can be replayed.
+    pub(super) fn check_counted_against_replay<const D: usize>(
+        index: &KdIndex<D>,
+        lanes: &[&FusedLane],
+        pts: &[PointN<D>],
+        outcome: &BatchOutcome,
+        per_op_visits: u64,
+    ) {
+        let forced = match outcome.backend {
+            // Each lane walks in its own guided order.
+            Backend::Autoropes | Backend::Cpu => None,
+            // The skip walk ignores the guided order: left child first.
+            Backend::StacklessBvh => Some(0),
+            // A warp's voted order is nobody's own and has no replay; the
+            // lockstep identities have their own test below.
+            Backend::Lockstep => return,
+            Backend::StacklessKd => {
+                assert_eq!(
+                    outcome.fusion_saved_visits, 0,
+                    "Wald walk: nothing to compare"
+                );
+                return;
+            }
+        };
+        let replayed = solo_replay_visits(&index.tree, lanes, pts, forced);
+        assert_eq!(
+            per_op_visits,
+            replayed,
+            "{}: counted per-op visits vs CPU replay, {} lanes",
+            outcome.backend.name(),
+            lanes.len()
+        );
+        REPLAYED.with(|n| n.set(n.get() + 1));
     }
 
     #[test]
@@ -969,5 +1057,232 @@ mod tests {
         );
         assert!(out.mean_similarity.unwrap() >= 0.35);
         assert!(out.work_expansion >= 1.0);
+    }
+
+    /// Lanes near dataset anchors, a third of them at an earlier lane's
+    /// position, each asking NN or not, none to two `k`s and none to three
+    /// radii (so constituents are inert at random) but at least one op —
+    /// or, with `one_op`, exactly one.
+    fn random_lanes(data: &[PointN<3>], n: usize, one_op: bool, seed: u64) -> Vec<FusedLane> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let ops = [
+            OpKey::Nn,
+            OpKey::Knn(8),
+            OpKey::Knn(3),
+            OpKey::Pc(0.05f32.to_bits()),
+            OpKey::Pc(0.12f32.to_bits()),
+            OpKey::Pc(0.3f32.to_bits()),
+        ];
+        let mut lanes: Vec<FusedLane> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let pos = if !lanes.is_empty() && rng.gen_range(0..3) == 0 {
+                lanes[rng.gen_range(0..lanes.len())].pos.clone()
+            } else {
+                let anchor = data[rng.gen_range(0..data.len())];
+                (anchor.0.iter())
+                    .map(|&c| c + rng.gen_range(-0.05f32..0.05))
+                    .collect()
+            };
+            let mut lane = FusedLane::empty(pos);
+            lane.ask(ops[rng.gen_range(0..ops.len())]);
+            for &op in &ops {
+                if !one_op && rng.gen_bool(0.4) {
+                    lane.ask(op);
+                }
+            }
+            lanes.push(lane);
+        }
+        lanes
+    }
+
+    /// A flat index, an 8-shard one and a mutable one with inserts and
+    /// deletes pending, over (initially) the same points.
+    fn every_index_kind(pts: &[PointN<3>]) -> Vec<Box<dyn TreeIndex>> {
+        let mutable = MutableIndexBuilder::new("m", 4)
+            .auto_merge(false)
+            .build(pts);
+        let mut muts: Vec<Mutation> = (pts.iter().step_by(9))
+            .map(|p| Mutation::Insert {
+                pos: p.0.iter().map(|&c| c + 0.01).collect(),
+            })
+            .collect();
+        muts.extend(
+            (0..pts.len() as u32)
+                .step_by(13)
+                .map(|id| Mutation::Delete { id }),
+        );
+        mutable.mutate(&muts).expect("valid mutations");
+        assert!(mutable.pending() > 0, "deltas must still be in flight");
+        vec![
+            Box::new(KdIndex::build("f", pts, 8, SplitPolicy::MedianCycle)),
+            Box::new(ShardedIndex::build(
+                "s",
+                pts,
+                8,
+                8,
+                SplitPolicy::MedianCycle,
+            )),
+            Box::new(mutable),
+        ]
+    }
+
+    /// One dispatching thread, so `REPLAYED` sees every sub-batch. With
+    /// nothing forced the profiler samples its traces (on clones — no
+    /// tally may leak from them) and, under a threshold no similarity
+    /// reaches, lands the batch on autoropes.
+    fn on_one_thread(force: Option<Backend>) -> ExecPolicy {
+        ExecPolicy {
+            force,
+            threshold: 2.0,
+            shard_parallelism: 1,
+            ..ExecPolicy::default()
+        }
+    }
+
+    #[test]
+    fn counted_per_op_visits_equal_the_cpu_replay_on_every_index_kind() {
+        let pts = uniform::<3>(700, 20);
+        let replayable = [Backend::Autoropes, Backend::Cpu, Backend::StacklessBvh];
+        for index in every_index_kind(&pts) {
+            for (round, force) in (replayable.map(Some).into_iter().chain([None])).enumerate() {
+                let lanes = random_lanes(&pts, 90, false, 40 + round as u64);
+                let before = REPLAYED.with(Cell::get);
+                let out = index.run(&lanes, &on_one_thread(force)).outcome;
+                let label = format!("{} forced {force:?}", index.name());
+                assert_eq!(out.fused_lanes, 90, "{label}");
+                // `run_lanes` held each fused sub-batch to the replay
+                // (`check_counted_against_replay`) and none slipped by;
+                // the epoch layer's NN re-probes are single-op sweeps.
+                let replayed = REPLAYED.with(Cell::get) - before;
+                let sub_batches = out.shard_visits.len().max(1) as u64;
+                if index.epoch_stats().is_none() {
+                    assert_eq!(replayed, sub_batches, "{label}");
+                }
+                assert!((1..=sub_batches).contains(&replayed), "{label}");
+                assert!(out.fusion_saved_visits > 0, "{label}");
+            }
+            // The Wald walk goes through no `KdBox` and is over another tree.
+            let lanes = random_lanes(&pts, 90, false, 50);
+            let out = index.run(&lanes, &on_one_thread(Some(Backend::StacklessKd)));
+            assert_eq!(out.outcome.fused_lanes, 90);
+            assert_eq!(out.outcome.fusion_saved_visits, 0, "{}", index.name());
+        }
+
+        // Seen from outside, on the flat index, where the batch is the one
+        // sub-batch and a lane is charged only its own visits.
+        let flat = KdIndex::build("f", &pts, 8, SplitPolicy::MedianCycle);
+        let lanes = random_lanes(&pts, 90, false, 60);
+        let refs: Vec<&FusedLane> = lanes.iter().collect();
+        let at: Vec<PointN<3>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
+        for (backend, forced) in [(Backend::Cpu, None), (Backend::StacklessBvh, Some(0))] {
+            let out = flat.run(&lanes, &ExecPolicy::forced(backend)).outcome;
+            let replayed = solo_replay_visits(flat.tree(), &refs, &at, forced);
+            assert_eq!(out.fusion_saved_visits, replayed - out.node_visits);
+        }
+    }
+
+    #[test]
+    fn counted_saving_is_zero_when_every_lane_asks_one_op() {
+        let pts = uniform::<3>(700, 21);
+        for index in every_index_kind(&pts) {
+            for backend in Backend::ALL {
+                let lanes = random_lanes(&pts, 90, true, 70 + backend.index() as u64);
+                assert_eq!(uniform_op(&lanes), None, "the ops differ across lanes");
+                let out = index.run(&lanes, &ExecPolicy::forced(backend)).outcome;
+                let label = format!("{} on {}", index.name(), backend.name());
+                assert!(out.fused_lanes == 90 && out.fused_ops >= 2, "{label}");
+                assert_eq!(out.fusion_saved_visits, 0, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn counted_lockstep_saving_is_per_op_minus_live_lane_visits() {
+        // The shared-position script: every lane asks NN, kNN and PC.
+        let pts = uniform::<3>(2048, 22);
+        let flat = KdIndex::build("f", &pts, 8, SplitPolicy::MedianCycle);
+        let radius = 0.07f32;
+        let lanes: Vec<FusedLane> = (pts.iter().take(100))
+            .map(|p| {
+                let mut lane = FusedLane::empty(p.0.to_vec());
+                for op in [OpKey::Nn, OpKey::Knn(8), OpKey::Pc(radius.to_bits())] {
+                    lane.ask(op);
+                }
+                lane
+            })
+            .collect();
+        let unsorted = ExecPolicy {
+            sort: false,
+            ..ExecPolicy::forced(Backend::Lockstep)
+        };
+        let out = flat.run(&lanes, &unsorted).outcome;
+
+        // The same launch, made here: the tallies and the live-lane visits.
+        let mut work: Vec<FusedOpsPoint<3>> = (pts.iter().take(100))
+            .map(|&p| fused_ops_point(p, true, Some(8), &[radius]))
+            .collect();
+        let rep = lockstep::run(
+            &fused_ops_kernel(flat.tree()),
+            &mut work,
+            &GpuConfig::new(1),
+        );
+        let per_op: u64 = (work.iter())
+            .map(|p| 3 + 2 * u64::from(p.solo_descents))
+            .sum();
+        let live = rep.launch.counters.node_visits;
+        assert_eq!(out.fusion_saved_visits, per_op - live);
+        assert!(out.fusion_saved_visits > 0);
+        // What the lanes are *charged* — every pop of their warp — is more
+        // than the per-op walks together: subtracting that floors at 0.
+        assert!(out.node_visits > per_op, "{} vs {per_op}", out.node_visits);
+        // A lane is live only where some constituent of it would be, so
+        // never for more nodes than their walks together.
+        for (p, &own) in work.iter().zip(&rep.per_point_live_nodes) {
+            assert!(u64::from(own) <= 3 + 2 * u64::from(p.solo_descents));
+        }
+    }
+
+    #[test]
+    fn counted_work_expansion_comes_from_the_runs_own_masks() {
+        let pts = uniform::<3>(2048, 23);
+        let flat = KdIndex::build("f", &pts, 8, SplitPolicy::MedianCycle);
+        let queries: Vec<Vec<f32>> = pts.iter().take(100).map(|p| p.0.to_vec()).collect();
+        let unsorted = ExecPolicy {
+            sort: false,
+            ..ExecPolicy::forced(Backend::Lockstep)
+        };
+        let cfg = GpuConfig::new(1);
+
+        // One call set: a lane's live pops are its independent walk, so the
+        // gauge is Table 2's statistic against CPU solo lengths, bit for bit.
+        let radius = 0.1f32;
+        let out = flat.run_batch(OpKey::Pc(radius.to_bits()), &queries, &unsorted);
+        let kernel = PcKernel::new(flat.tree(), radius);
+        let fresh =
+            || -> Vec<PcPoint<3>> { pts.iter().take(100).map(|&p| PcPoint::new(p)).collect() };
+        let rep = lockstep::run(&kernel, &mut fresh(), &cfg);
+        let solo: Vec<u32> = (fresh().iter_mut())
+            .map(|p| cpu::traverse_one(&kernel, p))
+            .collect();
+        assert_eq!(rep.per_point_live_nodes, solo);
+        let table2 = work_expansion(&rep.per_warp_nodes, &solo).0;
+        assert_eq!(out.work_expansion.to_bits(), table2.to_bits());
+        assert!(table2 > 1.0, "lanes of a warp diverge on this batch");
+
+        // Guided: the vote reorders the lanes' own walks, so the gauge is
+        // the run's own ratio — no warp's busiest lane outlasts its pops.
+        let out = flat.run_batch(OpKey::Knn(8), &queries, &unsorted);
+        let kernel = KnnKernel::new(flat.tree());
+        let mut work: Vec<KnnPoint<3>> = (pts.iter().take(100))
+            .map(|&p| KnnPoint::new(p, 8))
+            .collect();
+        let rep = lockstep::run(&kernel, &mut work, &cfg);
+        for (w, lanes) in rep.per_point_live_nodes.chunks(32).enumerate() {
+            let busiest = u64::from(*lanes.iter().max().expect("a warp has lanes"));
+            assert!(busiest <= rep.per_warp_nodes[w], "warp {w}");
+        }
+        let own = work_expansion(&rep.per_warp_nodes, &rep.per_point_live_nodes).0;
+        assert_eq!(out.work_expansion.to_bits(), own.to_bits());
+        assert!(own >= 1.0);
     }
 }

@@ -1,11 +1,14 @@
-//! Allocation budget of the simulated executors.
+//! Allocation budget of the executors.
 //!
 //! The simulator prices every modeled memory request of every warp step,
 //! so anything it allocates per request is paid hundreds of thousands of
 //! times per batch. This binary installs a counting global allocator and
 //! pins the budget: a launch may allocate per *warp* (stacks, per-lane
-//! counters, the per-warp counter fold), never per node visit. One test
-//! only — the counter is process-wide, so nothing else may run beside it.
+//! counters, the per-warp counter fold), never per node visit — and the
+//! CPU recursion, which serves the host backend and the profiler's sampled
+//! traces, per *traversal* (its one child stack), never per level. One
+//! test only — the counter is process-wide, so nothing else may run
+//! beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,7 +17,7 @@ use gts_apps::knn::{KnnKernel, KnnPoint};
 use gts_points::gen::uniform;
 use gts_points::sort::{apply_perm, morton_order};
 use gts_runtime::gpu::{autoropes, lockstep, GpuConfig};
-use gts_runtime::GpuReport;
+use gts_runtime::{cpu, GpuReport};
 use gts_trees::{KdTree, SplitPolicy};
 
 struct Counting;
@@ -65,7 +68,14 @@ fn executors_allocate_per_warp_not_per_node_visit() {
     let ar = allocs_per_visit(|| autoropes::run(&kernel, &mut work, &cfg));
     let mut work = points();
     let ls = allocs_per_visit(|| lockstep::run(&kernel, &mut work, &cfg));
-    println!("allocations per node visit: autoropes {ar:.3}, lockstep {ls:.3}");
+    let mut work = points();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let visits: u64 = (work.iter_mut())
+        .map(|p| u64::from(cpu::traverse_one(&kernel, p)))
+        .sum();
+    let cpu = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / visits as f64;
+    println!("allocations per node visit: autoropes {ar:.3}, lockstep {ls:.3}, cpu {cpu:.3}");
     assert!(ar < 0.25, "autoropes: {ar:.3} allocations per node visit");
     assert!(ls < 0.25, "lockstep: {ls:.3} allocations per node visit");
+    assert!(cpu < 0.25, "cpu: {cpu:.3} allocations per node visit");
 }
