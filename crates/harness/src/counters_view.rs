@@ -55,8 +55,8 @@ pub fn render_service(s: &MetricsSnapshot) -> String {
         s.fused_batches, s.fused_lanes, s.fusion_saved_visits
     ));
     out.push_str(&format!(
-        " modeled time      {:>12.3} ms total\n",
-        s.model_ms
+        " modeled time      {:>12.3} ms total over {} of {} batches\n",
+        s.model_ms, s.metered_batches, s.batches
     ));
     out.push_str(&format!(
         " work expansion    {:>12.3} mean\n",
@@ -242,6 +242,7 @@ mod tests {
         let outcome = BatchOutcome {
             backend: Backend::Lockstep,
             node_visits: 42,
+            metered: true,
             model_ms: 0.5,
             work_expansion: 1.25,
             mask_occupancy: 0.75,
@@ -261,6 +262,10 @@ mod tests {
         let text = render_service(&m.snapshot());
         assert!(
             text.contains("1 lockstep / 0 autoropes / 0 stackless-kd / 0 stackless-bvh / 0 cpu"),
+            "{text}"
+        );
+        assert!(
+            text.contains("0.500 ms total over 1 of 1 batches"),
             "{text}"
         );
         assert!(text.contains("p99.9"), "{text}");

@@ -9,7 +9,7 @@
 //! many transactions. That memory divergence is exactly the phenomenon
 //! lockstep traversal (§4) trades against.
 
-use gts_sim::{WarpMask, WarpSim, WARP_SIZE};
+use gts_sim::{Meter, WarpMask, WarpSim, WARP_SIZE};
 use gts_trees::NodeId;
 
 use crate::kernel::{Child, ChildBuf, TraversalKernel, VisitOutcome};
@@ -20,8 +20,18 @@ use super::{drive, scan_leaves_per_lane, GpuConfig, Scene};
 /// Run the autoropes (non-lockstep) traversal of `points` over `kernel`.
 /// Points are updated in place with the traversal's real results.
 pub fn run<K: TraversalKernel>(kernel: &K, points: &mut [K::Point], cfg: &GpuConfig) -> GpuReport {
+    run_on::<WarpSim<'_>, K>(kernel, points, cfg)
+}
+
+/// [`run`] under meter `M`. With [`gts_sim::Unmetered`] this is Figure 6
+/// on the host: same results and visit counts, no modeled number.
+pub fn run_on<M: Meter, K: TraversalKernel>(
+    kernel: &K,
+    points: &mut [K::Point],
+    cfg: &GpuConfig,
+) -> GpuReport {
     let scene = Scene::build(kernel, points.len(), cfg, "rope_stack", 0);
-    drive(kernel, points, cfg, &scene, |kernel, _warp, lanes, sim| {
+    drive::<M, _, _>(kernel, points, cfg, &scene, |kernel, _warp, lanes, sim| {
         warp_body(kernel, &scene, lanes, sim)
     })
 }
@@ -30,7 +40,7 @@ fn warp_body<K: TraversalKernel>(
     kernel: &K,
     scene: &Scene,
     lanes: &mut [K::Point],
-    sim: &mut WarpSim<'_>,
+    sim: &mut impl Meter,
 ) -> (Vec<u32>, u64, usize) {
     let n_lanes = lanes.len();
     let root = Child {

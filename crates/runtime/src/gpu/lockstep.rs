@@ -20,7 +20,7 @@
 //! active lanes each step and forces the winning order on the whole warp.
 
 use gts_sim::mask::majority_vote;
-use gts_sim::{WarpMask, WarpSim, WARP_SIZE};
+use gts_sim::{Meter, WarpMask, WarpSim, WARP_SIZE};
 use gts_trees::NodeId;
 
 use crate::kernel::{ChildBuf, TraversalKernel, VisitOutcome};
@@ -36,6 +36,17 @@ use super::{drive, scan_leaf_broadcast, GpuConfig, Scene};
 /// combination (“in the absence of this information, we do not perform the
 /// transformation”).
 pub fn run<K: TraversalKernel>(kernel: &K, points: &mut [K::Point], cfg: &GpuConfig) -> GpuReport {
+    run_on::<WarpSim<'_>, K>(kernel, points, cfg)
+}
+
+/// [`run`] under meter `M`. With [`gts_sim::Unmetered`] this is point
+/// blocking at warp granularity on the host: same results, pops and live
+/// sets, no modeled number.
+pub fn run_on<M: Meter, K: TraversalKernel>(
+    kernel: &K,
+    points: &mut [K::Point],
+    cfg: &GpuConfig,
+) -> GpuReport {
     assert!(
         K::CALL_SETS == 1 || K::CALL_SETS_EQUIVALENT,
         "lockstep traversal of a guided kernel requires the CALL_SETS_EQUIVALENT annotation (§4.3)"
@@ -50,7 +61,7 @@ pub fn run<K: TraversalKernel>(kernel: &K, points: &mut [K::Point], cfg: &GpuCon
         0
     };
     let scene = Scene::build(kernel, points.len(), cfg, "warp_rope_stack", extra);
-    let mut rep = drive(kernel, points, cfg, &scene, |kernel, _warp, lanes, sim| {
+    let mut rep = drive::<M, _, _>(kernel, points, cfg, &scene, |kernel, _warp, lanes, sim| {
         warp_body(kernel, &scene, lanes, sim)
     });
     // The warp bodies count the pops each lane was live for. Every carried
@@ -77,7 +88,7 @@ fn warp_body<K: TraversalKernel>(
     kernel: &K,
     scene: &Scene,
     lanes: &mut [K::Point],
-    sim: &mut WarpSim<'_>,
+    sim: &mut impl Meter,
 ) -> (Vec<u32>, u64, usize) {
     let n_lanes = lanes.len();
     let full = WarpMask::first(n_lanes);

@@ -3,10 +3,12 @@
 //!
 //! All of them share the launch scaffolding in this module: points are
 //! partitioned into warps of 32 lanes; each warp is simulated independently
-//! (real computation + event mirroring into [`gts_sim::WarpSim`]) and the
+//! (real computation + event mirroring into a [`gts_sim::Meter`]) and the
 //! per-warp results fold into a [`gts_sim::KernelLaunch`] **in warp order**,
 //! so reports are bit-identical regardless of how many host threads the
-//! simulation itself used.
+//! simulation itself used. Each executor's `run` is its loop under
+//! [`gts_sim::WarpSim`], the paper's C2070 model; `run_on::<Unmetered, _>`
+//! is the same loop with the accounting compiled out.
 
 pub mod autoropes;
 pub mod lockstep;
@@ -15,8 +17,10 @@ pub mod stackless;
 
 use gts_sim::{
     AddressMap, CostModel, DeviceConfig, KernelLaunch, L2Config, RegionId, SimCounters, WarpMask,
-    WarpSim, WARP_SIZE,
+    WARP_SIZE,
 };
+/// The meters an executor's `run_on` is instantiated with.
+pub use gts_sim::{Meter, Unmetered, WarpSim};
 use gts_trees::layout::{NodeLayout, TreeRegions};
 
 use crate::kernel::TraversalKernel;
@@ -179,46 +183,51 @@ pub(crate) struct WarpOut {
 
 /// [`drive_points`] with the kernel threaded through to the warp body —
 /// the shape every [`TraversalKernel`]-driven executor uses.
-pub(crate) fn drive<K, F>(
+pub(crate) fn drive<'s, M, K, F>(
     kernel: &K,
     points: &mut [K::Point],
-    cfg: &GpuConfig,
-    scene: &Scene,
+    cfg: &'s GpuConfig,
+    scene: &'s Scene,
     warp_fn: F,
 ) -> GpuReport
 where
+    M: Meter,
     K: TraversalKernel,
-    F: Fn(&K, usize, &mut [K::Point], &mut WarpSim<'_>) -> (Vec<u32>, u64, usize) + Sync,
+    F: Fn(&K, usize, &mut [K::Point], &mut M::For<'s>) -> (Vec<u32>, u64, usize) + Sync,
 {
-    drive_points(points, cfg, scene, |warp, lanes, sim| {
+    drive_points::<M, _, _>(points, cfg, scene, |warp, lanes, sim| {
         warp_fn(kernel, warp, lanes, sim)
     })
 }
 
-/// Simulate every warp of `points` with `warp_fn`, on `cfg.host_threads`
-/// host threads, and fold the results deterministically. Generic over the
-/// point type only, so executors that do not speak [`TraversalKernel`]
-/// (the Wald walker's own kernel interface) can reuse the scaffolding.
+/// Run every warp of `points` through `warp_fn` under meter `M`, on
+/// `cfg.host_threads` host threads, and fold the results deterministically.
+/// Generic over the point type only, so executors that do not speak
+/// [`TraversalKernel`] (the Wald walker's own kernel interface) can reuse
+/// the scaffolding.
 ///
 /// `warp_fn(warp_index, lanes, sim)` runs the traversal for one warp's
-/// points (`lanes.len() <= 32`), mirroring costs into `sim`, and returns
-/// `(per_point_nodes, warp_nodes, max_stack_depth)`.
-pub(crate) fn drive_points<P, F>(
+/// points (`lanes.len() <= 32`), reporting its events to `sim`, and returns
+/// `(per_point_nodes, warp_nodes, max_stack_depth)`. Under
+/// [`gts_sim::Unmetered`] the report's `launch` prices nothing; the three
+/// executor-side counts are the same either way.
+pub(crate) fn drive_points<'s, M, P, F>(
     points: &mut [P],
-    cfg: &GpuConfig,
-    scene: &Scene,
+    cfg: &'s GpuConfig,
+    scene: &'s Scene,
     warp_fn: F,
 ) -> GpuReport
 where
+    M: Meter,
     P: Send,
-    F: Fn(usize, &mut [P], &mut WarpSim<'_>) -> (Vec<u32>, u64, usize) + Sync,
+    F: Fn(usize, &mut [P], &mut M::For<'s>) -> (Vec<u32>, u64, usize) + Sync,
 {
     let n = points.len();
     let n_warps = n.div_ceil(WARP_SIZE);
     let segment = cfg.device.segment_bytes;
 
     let run_warp = |warp_idx: usize, lanes: &mut [P]| -> WarpOut {
-        let mut sim = WarpSim::with_l2(&scene.map, &cfg.cost, segment, cfg.l2.as_ref());
+        let mut sim = M::start(&scene.map, &cfg.cost, segment, cfg.l2.as_ref());
         let mask = WarpMask::first(lanes.len());
         // Thread prologue: grid-stride loop loads each lane's point record
         // (coalesced — adjacent lanes, adjacent records).
@@ -304,7 +313,7 @@ where
 pub(crate) fn scan_leaves_per_lane<K: TraversalKernel>(
     kernel: &K,
     scene: &Scene,
-    sim: &mut WarpSim<'_>,
+    sim: &mut impl Meter,
     leaf_of: &[Option<(u32, u32)>; WARP_SIZE],
 ) {
     let max_count = leaf_of.iter().flatten().map(|&(_, c)| c).max().unwrap_or(0);
@@ -326,7 +335,7 @@ pub(crate) fn scan_leaves_per_lane<K: TraversalKernel>(
 pub(crate) fn scan_leaf_broadcast<K: TraversalKernel>(
     kernel: &K,
     scene: &Scene,
-    sim: &mut WarpSim<'_>,
+    sim: &mut impl Meter,
     mask: WarpMask,
     first: u32,
     count: u32,

@@ -59,7 +59,7 @@ pub fn run<K: TraversalKernel>(
         "call_frames",
         FRAME_BYTES - base_entry,
     );
-    drive(kernel, points, cfg, &scene, |kernel, _warp, lanes, sim| {
+    drive::<WarpSim<'_>, _, _>(kernel, points, cfg, &scene, |kernel, _warp, lanes, sim| {
         let n_lanes = lanes.len();
         let full = WarpMask::first(n_lanes);
         let mut ctx = Ctx {

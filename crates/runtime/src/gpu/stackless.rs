@@ -31,7 +31,7 @@
 //! there is no per-warp stack to thrash — which is why the §4.4 policy
 //! prefers them on low-similarity batches.
 
-use gts_sim::{AddressMap, MemSpace, WarpMask, WarpSim, WARP_SIZE};
+use gts_sim::{AddressMap, MemSpace, Meter, WarpMask, WarpSim, WARP_SIZE};
 use gts_trees::layout::{NodeBytes, NodeLayout, TreeRegions};
 use gts_trees::{LbKdTree, NodeId, NO_NODE};
 
@@ -58,6 +58,16 @@ pub fn run_skip<K: TraversalKernel>(
     skip: &[NodeId],
     cfg: &GpuConfig,
 ) -> GpuReport {
+    run_skip_on::<WarpSim<'_>, K>(kernel, points, skip, cfg)
+}
+
+/// [`run_skip`] under meter `M`.
+pub fn run_skip_on<M: Meter, K: TraversalKernel>(
+    kernel: &K,
+    points: &mut [K::Point],
+    skip: &[NodeId],
+    cfg: &GpuConfig,
+) -> GpuReport {
     assert!(
         K::CALL_SETS == 1 || K::CALL_SETS_EQUIVALENT,
         "skip-link traversal forces the canonical child order; a guided kernel requires the CALL_SETS_EQUIVALENT annotation (§4.3)"
@@ -79,7 +89,7 @@ pub fn run_skip<K: TraversalKernel>(
         ..cfg.clone()
     };
     let scene = Scene::build(kernel, points.len(), &cfg, "rope_stack", 0);
-    drive(kernel, points, &cfg, &scene, |kernel, _warp, lanes, sim| {
+    drive::<M, _, _>(kernel, points, &cfg, &scene, |kernel, _warp, lanes, sim| {
         skip_warp_body(kernel, &scene, skip, lanes, sim)
     })
 }
@@ -89,7 +99,7 @@ fn skip_warp_body<K: TraversalKernel>(
     scene: &Scene,
     skip: &[NodeId],
     lanes: &mut [K::Point],
-    sim: &mut WarpSim<'_>,
+    sim: &mut impl Meter,
 ) -> (Vec<u32>, u64, usize) {
     let n_lanes = lanes.len();
     let mut curr = [NO_NODE; WARP_SIZE];
@@ -184,9 +194,19 @@ pub fn run_wald<const D: usize, R: PointRule<D>>(
     points: &mut [R::State],
     cfg: &GpuConfig,
 ) -> GpuReport {
+    run_wald_on::<WarpSim<'_>, D, R>(tree, rule, points, cfg)
+}
+
+/// [`run_wald`] under meter `M`.
+pub fn run_wald_on<M: Meter, const D: usize, R: PointRule<D>>(
+    tree: &LbKdTree<D>,
+    rule: &R,
+    points: &mut [R::State],
+    cfg: &GpuConfig,
+) -> GpuReport {
     assert!(tree.n_nodes() > 0, "Wald walk over an empty tree");
     let scene = wald_scene::<D, R>(tree.n_nodes(), points.len());
-    drive_points(points, cfg, &scene, |_warp, lanes, sim| {
+    drive_points::<M, _, _>(points, cfg, &scene, |_warp, lanes, sim| {
         wald_warp_body(tree, rule, &scene, lanes, sim)
     })
 }
@@ -232,7 +252,7 @@ fn wald_warp_body<const D: usize, R: PointRule<D>>(
     rule: &R,
     scene: &Scene,
     lanes: &mut [R::State],
-    sim: &mut WarpSim<'_>,
+    sim: &mut impl Meter,
 ) -> (Vec<u32>, u64, usize) {
     let n_lanes = lanes.len();
     let n_nodes = tree.n_nodes() as u64;
@@ -242,14 +262,16 @@ fn wald_warp_body<const D: usize, R: PointRule<D>>(
         *c = 0;
     }
     let mut counts = vec![0u32; n_lanes];
-    let mut warp_iters = 0u64;
+    // Steps on which some lane arrived at a node from its parent — the
+    // warp's node visits; a step of pure backtracking re-loads and visits
+    // nothing.
+    let mut warp_nodes = 0u64;
 
     loop {
         let active = WarpMask::ballot(|l| l < n_lanes && curr[l] != NO_NODE);
         if active.none_active() {
             break;
         }
-        warp_iters += 1;
         // Loop header: done test + parent/near arithmetic (registers only).
         sim.step(2);
         // The node is (re)loaded on every step, including backtracking —
@@ -297,12 +319,13 @@ fn wald_warp_body<const D: usize, R: PointRule<D>>(
             curr[l] = next;
         }
         if arrivals > 0 {
+            warp_nodes += 1;
             sim.visit_node(arrivals);
         }
         sim.diverge(u64::from(outcome_kinds.count_ones()));
     }
     // Stackless: depth 0, and `stack_bytes_peak` stays at its zero default.
-    (counts, warp_iters, 0)
+    (counts, warp_nodes, 0)
 }
 
 #[cfg(test)]

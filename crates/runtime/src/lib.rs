@@ -26,7 +26,10 @@
 //! The GPU executors perform the *real* computation (points end up with
 //! exactly the values the CPU baseline computes — tests depend on it) while
 //! mirroring every warp step into `gts-sim` for cycle/transaction
-//! accounting. Host-side, independent warps are simulated on multiple
+//! accounting — through a [`gpu::Meter`]: an executor's `run` is its loop
+//! under the C2070 model ([`gpu::WarpSim`]), `run_on::<Unmetered, _>` the
+//! same loop with nothing accounted, which is how `gts-service` answers
+//! most batches. Host-side, independent warps are simulated on multiple
 //! threads (crossbeam scoped threads, deterministic in-order merge), per
 //! the Rayon-style chunking idiom.
 

@@ -3,6 +3,7 @@
 use std::time::Duration;
 
 use gts_sim::sched::LaunchReport;
+use gts_sim::WARP_SIZE;
 
 /// Algorithmic statistics of one run, independent of any cost model.
 #[derive(Debug, Clone, Default)]
@@ -49,7 +50,10 @@ impl CpuReport {
     }
 }
 
-/// Result of a simulated GPU run.
+/// Result of a simulated GPU run. `launch` is the meter's account — the
+/// C2070 model under [`gts_sim::WarpSim`], priced at nothing and not to be
+/// read under [`gts_sim::Unmetered`]; every other field is the executor's
+/// own count and the same under either.
 #[derive(Debug, Clone)]
 pub struct GpuReport {
     /// Scheduling + counter report from the simulator (modeled time).
@@ -57,8 +61,10 @@ pub struct GpuReport {
     /// Per-point visit counts.
     pub stats: TraversalStats,
     /// Nodes visited by each warp (number of rope-stack pops with at least
-    /// one live lane). For lockstep runs, dividing by the warp's longest
-    /// individual traversal gives Table 2's work expansion.
+    /// one live lane; for the Wald walk, steps on which a lane arrived at a
+    /// node). For lockstep runs, dividing by the warp's longest individual
+    /// traversal gives Table 2's work expansion. Sums to the meter's
+    /// [`gts_sim::SimCounters::warp_node_visits`].
     pub per_warp_nodes: Vec<u64>,
     /// Lockstep runs only (empty otherwise — there a point is charged for
     /// nothing but its own visits): the pops each point's lane was live
@@ -77,17 +83,30 @@ impl GpuReport {
         self.launch.time_ms
     }
 
+    /// Node visits by live lanes — what the meter counts as
+    /// [`gts_sim::SimCounters::node_visits`], from the executor's own
+    /// per-point counts: the pops each lane was live for under lockstep,
+    /// each point's visits otherwise.
+    pub fn live_visits(&self) -> u64 {
+        let live = if self.per_point_live_nodes.is_empty() {
+            &self.stats.per_point_nodes
+        } else {
+            &self.per_point_live_nodes
+        };
+        live.iter().map(|&v| u64::from(v)).sum()
+    }
+
     /// Mean fraction of lanes live across all warp node visits (§5's mask
     /// occupancy): lane-visits divided by `WARP_SIZE ×` warp-visits. A
     /// lockstep warp dragging mostly-truncated lanes scores low; a warp
     /// whose lanes traverse alike scores near 1. Returns 1.0 for a run
     /// with no warp visits (nothing was diluted).
     pub fn mask_occupancy(&self) -> f64 {
-        let c = &self.launch.counters;
-        if c.warp_node_visits == 0 {
+        let warp_visits: u64 = self.per_warp_nodes.iter().sum();
+        if warp_visits == 0 {
             1.0
         } else {
-            c.node_visits as f64 / (32.0 * c.warp_node_visits as f64)
+            self.live_visits() as f64 / (WARP_SIZE as f64 * warp_visits as f64)
         }
     }
 }

@@ -19,7 +19,7 @@
 //!   warp in shared memory; its footprint reduces occupancy, which the
 //!   scheduler prices.
 
-use gts_sim::{AddressMap, MemSpace, RegionId, WarpMask, WarpSim, WARP_SIZE};
+use gts_sim::{AddressMap, MemSpace, Meter, RegionId, WarpMask, WARP_SIZE};
 
 /// Where rope-stack entries live and how they are addressed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +86,7 @@ impl StackRegion {
     /// lane in `mask` touches its own stack at `depth(lane)`.
     pub fn access_per_lane(
         &self,
-        sim: &mut WarpSim<'_>,
+        sim: &mut impl Meter,
         mask: WarpMask,
         depth: impl Fn(usize) -> u64,
     ) {
@@ -113,7 +113,7 @@ impl StackRegion {
 
     /// Record the traffic of one *warp-level* stack access at `depth`
     /// (lockstep: the single per-warp stack entry).
-    pub fn access_warp(&self, sim: &mut WarpSim<'_>, mask: WarpMask, depth: u64) {
+    pub fn access_warp(&self, sim: &mut impl Meter, mask: WarpMask, depth: u64) {
         if mask.none_active() {
             return;
         }
@@ -133,7 +133,7 @@ impl StackRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gts_sim::CostModel;
+    use gts_sim::{CostModel, WarpSim};
 
     fn sim_with(layout: StackLayout, max_depth: usize) -> (AddressMap, StackRegion) {
         let mut map = AddressMap::new();

@@ -1040,8 +1040,12 @@ fn run_state<const D: usize>(
         })
         .collect();
     let mut agg = StatAgg::default();
-    let sweep_trees =
-        |lanes: &[FusedLane], agg: &mut StatAgg| sweep(&views, lanes, policy, true, 0, agg);
+    // Decided once, on the lanes as handed in: the widened sweep and the
+    // NN re-probes below are the same batch.
+    let metered = policy.meters(lanes.iter().map(|l| &l.pos[..]));
+    let sweep_trees = |lanes: &[FusedLane], agg: &mut StatAgg| {
+        sweep(&views, lanes, policy, metered, true, 0, agg)
+    };
 
     if digest.is_empty() {
         let accs = sweep_trees(lanes, &mut agg);

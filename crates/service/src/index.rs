@@ -19,8 +19,8 @@ use gts_points::profile::{
     profile_sortedness, profile_sortedness_cached, CacheOutcome, ProfileCache,
 };
 use gts_points::sort::morton_order;
-use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig};
-use gts_runtime::{cpu, PointRule, TraversalKernel};
+use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig, Meter, Unmetered, WarpSim};
+use gts_runtime::{cpu, GpuReport, PointRule, TraversalKernel};
 use gts_trees::{KdTree, LbKdTree, PointN, SplitPolicy};
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -41,7 +41,14 @@ pub struct BatchOutcome {
     pub mean_similarity: Option<f64>,
     /// Total tree-node visits across the batch (traversal work).
     pub node_visits: u64,
-    /// Modeled GPU milliseconds (0 for the CPU backend).
+    /// Whether the batch ran under the C2070 model: its owner's
+    /// [`ExecPolicy::meters`] selected it and its executor has a meter
+    /// (the CPU walk has none). `model_ms`, `stack_bytes_peak` and
+    /// `stack_transactions` — the *modeled series* — are present on
+    /// metered batches and zero on the rest; every other count on this
+    /// record is the executor's own and exact on every batch.
+    pub metered: bool,
+    /// Modeled GPU milliseconds (metered batches only).
     pub model_ms: f64,
     /// Warps launched (0 for the CPU backend).
     pub warps: usize,
@@ -68,11 +75,12 @@ pub struct BatchOutcome {
     pub profile_cache_misses: u64,
     /// Cache entries dropped (TTL expiry or capacity) during this batch.
     pub profile_cache_evictions: u64,
-    /// Peak rope-stack / call-frame bytes any warp used (0 for the
-    /// stackless and CPU backends — the stackless executors' headline
-    /// number). Merges across sub-batches by `max`.
+    /// Peak rope-stack / call-frame bytes any warp used (metered batches
+    /// only, and 0 for the stackless backends — their headline number).
+    /// Merges across sub-batches by `max`.
     pub stack_bytes_peak: u64,
-    /// Memory transactions on rope-stack regions (0 for stackless/CPU).
+    /// Memory transactions on rope-stack regions (metered batches only,
+    /// and 0 for the stackless backends).
     pub stack_transactions: u64,
     /// Distinct op keys the batch's lanes carried, when two or more
     /// (0 for a single-op batch).
@@ -109,12 +117,14 @@ impl BatchOutcome {
     }
 
     /// Merge sub-batch `sub`, which ran `lanes` lanes, into this batch's
-    /// record: counters by [`Self::absorb_counts`], modeled time by sum,
-    /// the three means as lane-weighted *sums* — whoever closes the record
-    /// divides each once by the lanes that weighed in (for
+    /// record: counters by [`Self::absorb_counts`], modeled time by sum
+    /// (metered if any sub-batch was — they share their owner's one
+    /// decision), the three means as lane-weighted *sums* — whoever closes
+    /// the record divides each once by the lanes that weighed in (for
     /// `mean_similarity`, those of the sub-batches that profiled).
     pub fn absorb(&mut self, sub: &BatchOutcome, lanes: usize) {
         self.absorb_counts(sub);
+        self.metered |= sub.metered;
         self.model_ms += sub.model_ms;
         self.work_expansion += sub.work_expansion * lanes as f64;
         self.mask_occupancy += sub.mask_occupancy * lanes as f64;
@@ -141,7 +151,7 @@ pub struct ShardVisit {
     /// shards that ended up with no sub-batch at all are counted only in
     /// [`BatchOutcome::shards_pruned`]).
     pub pruned: u32,
-    /// Modeled GPU milliseconds for the sub-batch.
+    /// Modeled GPU milliseconds for the sub-batch (metered batches only).
     pub model_ms: f64,
     /// Wall microseconds from the batch-run start to this sub-batch.
     pub offset_us: u64,
@@ -421,7 +431,9 @@ impl<const D: usize> KdIndex<D> {
     /// the tally that walk kept. The shard sweep passes its batch's pick
     /// to every sub-batch, so one batch never mixes kernel families and
     /// its node visits do not depend on how the schedule grouped the
-    /// lanes.
+    /// lanes. `metered` ([`ExecPolicy::meters`] of the whole batch's
+    /// positions) travels the same way: a batch runs under the model whole
+    /// or not at all.
     ///
     /// With a [`ProfileCtx`], when the policy would profile, the §4.4
     /// decision is looked up in (and memoized into) the caller's cache
@@ -430,6 +442,7 @@ impl<const D: usize> KdIndex<D> {
         &self,
         lanes: &[&FusedLane],
         pick: Option<OpKey>,
+        metered: bool,
         policy: &ExecPolicy,
         profile: Option<&ProfileCtx<'_>>,
     ) -> FusedOutcome {
@@ -452,7 +465,9 @@ impl<const D: usize> KdIndex<D> {
                         id: self.original_id(r.best_idx),
                     })
                 };
-                execute(self, &kernel, &boxed, &pts, policy, profile, make, conv)
+                execute(
+                    self, &kernel, &boxed, &pts, metered, policy, profile, make, conv,
+                )
             }
             Some(OpKey::Knn(k)) => {
                 // KBest panics on k == 0 (the batch key already excludes
@@ -461,13 +476,17 @@ impl<const D: usize> KdIndex<D> {
                 let make = |_i: usize, p: PointN<D>| KnnPoint::new(p, k);
                 let conv =
                     |_i: usize, r: &KnnPoint<D>| solo(self.knn_result(&r.best, r.best.len()));
-                execute(self, &kernel, &kernel, &pts, policy, profile, make, conv)
+                execute(
+                    self, &kernel, &kernel, &pts, metered, policy, profile, make, conv,
+                )
             }
             Some(OpKey::Pc(radius_bits)) => {
                 let kernel = PcKernel::new(&self.tree, f32::from_bits(radius_bits));
                 let make = |_i: usize, p: PointN<D>| PcPoint::new(p);
                 let conv = |_i: usize, r: &PcPoint<D>| solo(QueryResult::Pc { count: r.count });
-                execute(self, &kernel, &kernel, &pts, policy, profile, make, conv)
+                execute(
+                    self, &kernel, &kernel, &pts, metered, policy, profile, make, conv,
+                )
             }
             None => {
                 let kernel = fused_ops_kernel(&self.tree);
@@ -508,7 +527,9 @@ impl<const D: usize> KdIndex<D> {
                             .collect();
                     FusedLaneResult { nn, knn, pc }
                 };
-                execute(self, &kernel, &kernel, &pts, policy, profile, make, conv)
+                execute(
+                    self, &kernel, &kernel, &pts, metered, policy, profile, make, conv,
+                )
             }
         };
         if pick.is_none() {
@@ -573,7 +594,8 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
 
     fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
         let refs: Vec<&FusedLane> = lanes.iter().collect();
-        self.run_lanes(&refs, uniform_op(lanes), policy, None)
+        let metered = policy.meters(lanes.iter().map(|l| &l.pos[..]));
+        self.run_lanes(&refs, uniform_op(lanes), metered, policy, None)
     }
 }
 
@@ -594,12 +616,19 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
 /// is the run's *live-lane* node visits: `outcome.node_visits` for every
 /// backend but lockstep, which charges a lane for each pop of its warp
 /// (Table 1's convention) and is live for only some of them.
+///
+/// `metered` picks the executor's instantiation: under [`WarpSim`] the
+/// launch's report fills the modeled series; under [`Unmetered`] the same
+/// loop answers at host speed and the launch's account is never read.
+/// Visits, warps, work expansion and mask occupancy are the executor's own
+/// counts ([`GpuReport`]'s per-point and per-warp vectors) either way.
 #[allow(clippy::too_many_arguments)]
 fn execute<const D: usize, K, R, M, C, T>(
     index: &KdIndex<D>,
     kernel: &K,
     boxed: &KdBox<'_, D, R>,
     pts: &[PointN<D>],
+    metered: bool,
     policy: &ExecPolicy,
     profile: Option<&ProfileCtx<'_>>,
     make: M,
@@ -685,18 +714,14 @@ where
     };
     let mut live_visits = None;
     let stats = match backend {
-        Backend::Lockstep | Backend::Autoropes | Backend::StacklessKd | Backend::StacklessBvh => {
-            let rep = match backend {
-                Backend::Lockstep => lockstep::run(kernel, &mut work, &cfg),
-                Backend::Autoropes => autoropes::run(kernel, &mut work, &cfg),
-                Backend::StacklessKd => {
-                    stackless::run_wald(&index.lb, boxed.rule(), &mut work, &cfg)
-                }
-                Backend::StacklessBvh => {
-                    stackless::run_skip(boxed, &mut work, &index.tree.skip, &cfg)
-                }
-                Backend::Cpu => unreachable!("handled by the CPU arm"),
+        Backend::Cpu => cpu::run_parallel(kernel, &mut work, cfg.host_threads).stats,
+        gpu => {
+            let launch = if metered {
+                launch::<WarpSim<'_>, D, K, R>
+            } else {
+                launch::<Unmetered, D, K, R>
             };
+            let rep = launch(gpu, index, kernel, boxed, &mut work, &cfg);
             // Each warp's pops over the pops its busiest lane was live for:
             // the run's own masks say how far lockstep stretched the warp.
             if backend == Backend::Lockstep && !rep.per_warp_nodes.is_empty() {
@@ -706,19 +731,21 @@ where
                 )
                 .0;
             }
-            outcome.model_ms = rep.ms();
-            outcome.warps = rep.launch.warps;
+            outcome.warps = rep.per_warp_nodes.len();
             outcome.mask_occupancy = rep.mask_occupancy();
-            let counters = &rep.launch.counters;
-            live_visits = Some(counters.node_visits);
-            outcome.stack_bytes_peak = counters.stack_bytes_peak;
-            outcome.stack_transactions = (counters.per_region_transactions.iter())
-                .filter(|(region, _)| region.contains("stack"))
-                .map(|(_, v)| *v)
-                .sum();
+            live_visits = Some(rep.live_visits());
+            if metered {
+                let counters = &rep.launch.counters;
+                outcome.metered = true;
+                outcome.model_ms = rep.ms();
+                outcome.stack_bytes_peak = counters.stack_bytes_peak;
+                outcome.stack_transactions = (counters.per_region_transactions.iter())
+                    .filter(|(region, _)| region.contains("stack"))
+                    .map(|(_, v)| *v)
+                    .sum();
+            }
             rep.stats
         }
-        Backend::Cpu => cpu::run_parallel(kernel, &mut work, cfg.host_threads).stats,
     };
     outcome.node_visits = stats.per_point_nodes.iter().map(|&v| v as u64).sum();
 
@@ -733,6 +760,33 @@ where
         .collect();
     let live_visits = live_visits.unwrap_or(outcome.node_visits);
     (results, outcome, live_visits)
+}
+
+/// One launch of `work` on simulated-GPU executor `backend` under meter
+/// `Mt`, with the kernel each executor rides (see [`execute`]).
+fn launch<Mt: Meter, const D: usize, K, R>(
+    backend: Backend,
+    index: &KdIndex<D>,
+    kernel: &K,
+    boxed: &KdBox<'_, D, R>,
+    work: &mut [K::Point],
+    cfg: &GpuConfig,
+) -> GpuReport
+where
+    K: TraversalKernel<Point = R::State>,
+    R: PointRule<D>,
+{
+    match backend {
+        Backend::Lockstep => lockstep::run_on::<Mt, K>(kernel, work, cfg),
+        Backend::Autoropes => autoropes::run_on::<Mt, K>(kernel, work, cfg),
+        Backend::StacklessKd => {
+            stackless::run_wald_on::<Mt, D, R>(&index.lb, boxed.rule(), work, cfg)
+        }
+        Backend::StacklessBvh => {
+            stackless::run_skip_on::<Mt, _>(boxed, work, &index.tree.skip, cfg)
+        }
+        Backend::Cpu => unreachable!("the CPU walk is not a launch"),
+    }
 }
 
 #[cfg(test)]
@@ -750,6 +804,16 @@ mod tests {
     fn index3(n: usize, seed: u64) -> KdIndex<3> {
         let pts = uniform::<3>(n, seed);
         KdIndex::build("t", &pts, 8, SplitPolicy::MedianCycle)
+    }
+
+    /// `policy` at the first `profile_seed`, from its own upward, that
+    /// meters the batch at `positions` — for a test that reads the model
+    /// off that batch.
+    fn metering(mut policy: ExecPolicy, positions: &[Vec<f32>]) -> ExecPolicy {
+        while !policy.meters(positions.iter().map(|p| &p[..])) {
+            policy.profile_seed += 1;
+        }
+        policy
     }
 
     /// Figure 1 executed literally from `node` down, counting visits, with
@@ -896,7 +960,7 @@ mod tests {
         let lock = idx.run_batch(
             OpKey::Knn(4),
             &queries,
-            &ExecPolicy::forced(Backend::Lockstep),
+            &metering(ExecPolicy::forced(Backend::Lockstep), &queries),
         );
         let auto = idx.run_batch(
             OpKey::Knn(4),
@@ -922,9 +986,10 @@ mod tests {
         let idx = KdIndex::build("t", &pts, 8, SplitPolicy::MedianCycle);
         let queries: Vec<Vec<f32>> = pts.iter().map(|p| p.0.to_vec()).collect();
         for op in [OpKey::Nn, OpKey::Knn(4), OpKey::Pc(0.25f32.to_bits())] {
-            let auto = idx.run_batch(op, &queries, &ExecPolicy::forced(Backend::Autoropes));
-            let kd = idx.run_batch(op, &queries, &ExecPolicy::forced(Backend::StacklessKd));
-            let bvh = idx.run_batch(op, &queries, &ExecPolicy::forced(Backend::StacklessBvh));
+            let forced = |b| metering(ExecPolicy::forced(b), &queries);
+            let auto = idx.run_batch(op, &queries, &forced(Backend::Autoropes));
+            let kd = idx.run_batch(op, &queries, &forced(Backend::StacklessKd));
+            let bvh = idx.run_batch(op, &queries, &forced(Backend::StacklessBvh));
             assert_eq!(auto.results, kd.results, "{op:?} wald");
             assert_eq!(auto.results, bvh.results, "{op:?} skip");
             assert_eq!(kd.backend, Backend::StacklessKd);
@@ -949,10 +1014,16 @@ mod tests {
         let pts = uniform::<3>(512, 31);
         let idx = KdIndex::build("t", &pts, 8, SplitPolicy::MedianCycle);
         let queries: Vec<Vec<f32>> = uniform::<3>(256, 97).iter().map(|p| p.0.to_vec()).collect();
+        let unsorted = metering(
+            ExecPolicy {
+                sort: false,
+                ..ExecPolicy::default()
+            },
+            &queries,
+        );
         let policy = ExecPolicy {
-            sort: false,
             stackless: true,
-            ..ExecPolicy::default()
+            ..unsorted.clone()
         };
         let out = idx.run_batch(OpKey::Nn, &queries, &policy);
         assert_eq!(
@@ -966,14 +1037,7 @@ mod tests {
         assert_eq!(out.stack_transactions, 0);
 
         // Same batch without the knob: autoropes, which pays for a stack.
-        let baseline = idx.run_batch(
-            OpKey::Nn,
-            &queries,
-            &ExecPolicy {
-                sort: false,
-                ..ExecPolicy::default()
-            },
-        );
+        let baseline = idx.run_batch(OpKey::Nn, &queries, &unsorted);
         assert_eq!(baseline.backend, Backend::Autoropes);
         assert_eq!(out.results, baseline.results, "bit-identical answers");
         assert!(baseline.stack_transactions > 0);
@@ -984,10 +1048,13 @@ mod tests {
         let pts = uniform::<3>(512, 23);
         let idx = KdIndex::build("t", &pts, 8, SplitPolicy::MedianCycle);
         let queries: Vec<Vec<f32>> = pts.iter().map(|p| p.0.to_vec()).collect();
-        let policy = ExecPolicy {
-            stackless: true,
-            ..ExecPolicy::default()
-        };
+        let policy = metering(
+            ExecPolicy {
+                stackless: true,
+                ..ExecPolicy::default()
+            },
+            &queries,
+        );
         let out = idx.run_batch(OpKey::Pc(0.15f32.to_bits()), &queries, &policy);
         assert_eq!(out.backend, Backend::Lockstep);
         assert!(out.stack_bytes_peak > 0);
@@ -1178,6 +1245,60 @@ mod tests {
             let out = flat.run(&lanes, &ExecPolicy::forced(backend)).outcome;
             let replayed = solo_replay_visits(flat.tree(), &refs, &at, forced);
             assert_eq!(out.fusion_saved_visits, replayed - out.node_visits);
+        }
+    }
+
+    #[test]
+    fn counted_series_are_the_same_on_a_metered_and_an_unmetered_batch() {
+        let pts = uniform::<3>(700, 24);
+        let backends = [
+            None,
+            Some(Backend::Lockstep),
+            Some(Backend::StacklessKd),
+            Some(Backend::StacklessBvh),
+        ];
+        for index in every_index_kind(&pts) {
+            for (round, force) in backends.into_iter().enumerate() {
+                // Mixed lanes run the fused rule; one op at every lane, its own.
+                let mut lanes = random_lanes(&pts, 90, false, 80 + round as u64);
+                if round % 2 == 1 {
+                    for lane in &mut lanes {
+                        *lane = FusedLane::empty(lane.pos.clone());
+                        lane.ask(OpKey::Pc(0.12f32.to_bits()));
+                    }
+                }
+                let positions: Vec<Vec<f32>> = lanes.iter().map(|l| l.pos.clone()).collect();
+                // Two seeds that differ in whether they select this batch.
+                let on = metering(on_one_thread(force), &positions);
+                let mut off = on_one_thread(force);
+                while off.meters(positions.iter().map(|p| &p[..])) {
+                    off.profile_seed += 1;
+                }
+                let (a, b) = (index.run(&lanes, &on), index.run(&lanes, &off));
+                let label = format!("{} forced {force:?}", index.name());
+                assert_eq!(a.lanes, b.lanes, "{label}: answers");
+                let (a, b) = (a.outcome, b.outcome);
+                assert!(a.metered && !b.metered, "{label}");
+                assert_eq!(a.backend, b.backend, "{label}");
+                assert_eq!(a.node_visits, b.node_visits, "{label}");
+                assert_eq!(a.warps, b.warps, "{label}");
+                assert_eq!(a.shards_pruned, b.shards_pruned, "{label}");
+                assert_eq!(a.fusion_saved_visits, b.fusion_saved_visits, "{label}");
+                assert_eq!(a.work_expansion.to_bits(), b.work_expansion.to_bits());
+                assert_eq!(a.mask_occupancy.to_bits(), b.mask_occupancy.to_bits());
+                assert!(
+                    a.mask_occupancy < 1.0,
+                    "{label}: lanes diverge on this batch"
+                );
+                // The modeled series: there, and not.
+                assert!(a.model_ms > 0.0, "{label}");
+                assert_eq!(
+                    (b.model_ms, b.stack_transactions, b.stack_bytes_peak),
+                    (0.0, 0, 0),
+                    "{label}"
+                );
+                assert!(b.shard_visits.iter().all(|v| v.model_ms == 0.0), "{label}");
+            }
         }
     }
 

@@ -125,10 +125,11 @@ struct Inner {
     per_index: BTreeMap<String, IndexSeries>,
 }
 
-/// One index's series: a modeled-ms sample per batch, a latency sample
-/// per completed query.
+/// One index's series: its batch count, a modeled-ms sample per metered
+/// batch, a latency sample per completed query.
 #[derive(Debug, Default)]
 struct IndexSeries {
+    batches: u64,
     model_ms: Histogram,
     latency_ms: Histogram,
 }
@@ -164,7 +165,7 @@ impl Inner {
         (self.per_index.iter())
             .map(|(name, s)| IndexMetricsSnapshot {
                 index: name.clone(),
-                batches: s.model_ms.count(),
+                batches: s.batches,
                 completed: s.latency_ms.count(),
                 latency_p50_ms: s.latency_ms.percentile(50.0),
                 latency_p99_ms: s.latency_ms.percentile(99.0),
@@ -211,7 +212,6 @@ impl Metrics {
         m.batch.absorb_counts(out);
         m.own.fused_batches.fold(u64::from(out.fused_lanes > 0));
         m.own.fused_lanes.fold(out.fused_lanes);
-        m.hists.model_ms_hist.record(out.model_ms);
         m.hists.work_expansion_hist.record(out.work_expansion);
         m.hists.mask_occupancy_hist.record(out.mask_occupancy);
         m.hists.node_visits_hist.record(out.node_visits as f64);
@@ -231,7 +231,16 @@ impl Metrics {
         };
         m.ewma_batch_service_ms = ewma(m.ewma_batch_service_ms, exec_ms);
         m.ewma_batch_size = ewma(m.ewma_batch_size, rec.size as f64);
-        m.index_series(rec.index).model_ms.record(out.model_ms);
+        let index = m.index_series(rec.index);
+        index.batches += 1;
+        // The modeled series exist on metered batches only: an unmetered
+        // batch is not a 0 ms sample.
+        if out.metered {
+            index.model_ms.record(out.model_ms);
+            m.hists.model_ms_hist.record(out.model_ms);
+            m.own.metered_batches.fold(1);
+            m.own.metered_queries.fold(size);
+        }
     }
 
     /// One query rejected by latency-budget admission control (also counts
@@ -409,11 +418,11 @@ pub struct IndexMetricsSnapshot {
     pub latency_p50_ms: f64,
     /// 99th-percentile latency for this index.
     pub latency_p99_ms: f64,
-    /// Total modeled GPU milliseconds for this index.
+    /// Total modeled GPU milliseconds for this index (metered batches).
     pub model_ms: f64,
     /// Full latency distribution (ms).
     pub latency_hist: HistogramSnapshot,
-    /// Full per-batch modeled-ms distribution.
+    /// Full modeled-ms distribution, one sample per metered batch.
     pub model_ms_hist: HistogramSnapshot,
 }
 
@@ -598,9 +607,15 @@ series! {
         failed: u64 = own Sum, counter "gts_queries_failed_total";
         /// Batches dispatched.
         batches: u64 = own Sum, counter "gts_batches_total";
+        /// Batches that ran under the C2070 model ([`BatchOutcome::metered`]):
+        /// the ones `model_ms`, `stack_transactions` and `stack_bytes_peak`
+        /// cover. Every other series covers every batch.
+        metered_batches: u64 = own Sum, counter "gts_metered_batches_total";
+        /// Queries those batches answered — what to scale a modeled total by.
+        metered_queries: u64 = own Sum, counter "gts_metered_queries_total";
         /// Total tree-node visits.
         node_visits: u64 = in batch, counter "gts_node_visits_total";
-        /// Total rope-stack memory transactions.
+        /// Total rope-stack memory transactions (metered batches only).
         stack_transactions: u64 = in batch, counter "gts_stack_transactions_total";
         /// `(query, shard)` pairs sharded indices skipped via AABB bounds.
         shards_pruned: u64 = in batch, counter "gts_shards_pruned_total";
@@ -648,10 +663,10 @@ series! {
         mean_batch_size: f64 = (m.per_batch(m.batch_size_sum as f64)), gauge "gts_batch_size_mean";
         /// Largest batch dispatched.
         max_batch_size: u64 = own Max, gauge "gts_batch_size_max";
-        /// Peak rope-stack bytes any warp used across all batches (0 when
-        /// every batch ran stackless or on the CPU).
+        /// Peak rope-stack bytes any warp used across the metered batches (0
+        /// when all of them ran stackless).
         stack_bytes_peak: u64 = in batch, gauge "gts_stack_bytes_peak";
-        /// Total modeled GPU milliseconds.
+        /// Total modeled GPU milliseconds over the metered batches.
         model_ms: f64 = (m.hists.model_ms_hist.sum()), gauge "gts_model_ms_total";
         /// Mean per-batch lockstep work expansion.
         mean_work_expansion: f64 = (m.per_batch(m.hists.work_expansion_hist.sum())),
@@ -703,7 +718,7 @@ series! {
         per_index: Vec<IndexMetricsSnapshot> = (m.per_index());
     }
     histograms {
-        /// Full modeled-ms distribution.
+        /// Full modeled-ms distribution, one sample per metered batch.
         model_ms_hist, "gts_batch_model_ms";
         /// Full per-batch work-expansion distribution.
         work_expansion_hist, "gts_batch_work_expansion";
@@ -728,7 +743,7 @@ mod tests {
     use crate::query::QueryResult;
 
     /// The outcome of a `size`-query batch with the counters the tests
-    /// vary, and nothing diluted or fused.
+    /// vary, and nothing diluted or fused; metered iff it has modeled time.
     fn batch(
         size: usize,
         backend: Backend,
@@ -741,6 +756,7 @@ mod tests {
             results: vec![QueryResult::Pc { count: 0 }; size],
             backend,
             node_visits,
+            metered: model_ms > 0.0,
             model_ms,
             work_expansion,
             mask_occupancy: 1.0,
@@ -881,6 +897,7 @@ mod tests {
             backend,
             mean_similarity: None,
             node_visits: p[1],
+            metered: floats[0] > 0.0,
             model_ms: floats[0],
             warps: 1,
             work_expansion: floats[1],
@@ -924,7 +941,9 @@ mod tests {
     /// The whole surface of the registry, pinned: the Prometheus text and
     /// the snapshot's JSON key set after a fixed script that feeds every
     /// hook, against a golden captured before the series table existed
-    /// (plus the `failed` row, the table's first addition).
+    /// (plus the `failed` row, the table's first addition, and the two
+    /// `metered_*` rows with the model histograms counting metered
+    /// batches only).
     #[test]
     fn exposition_of_a_fixed_script_matches_the_golden() {
         let m = Metrics::default();
@@ -962,8 +981,9 @@ mod tests {
             (
                 scripted_outcome(
                     Backend::StacklessKd,
-                    [2, 181, 191, 193, 197, 199, 0, 211, 0, 0],
-                    [0.125, 2.5, 0.5],
+                    // Unmetered: no modeled series, and no histogram sample.
+                    [2, 181, 191, 193, 197, 199, 0, 0, 0, 0],
+                    [0.0, 2.5, 0.5],
                     false,
                 ),
                 "alpha",

@@ -94,6 +94,10 @@ impl FusionMode {
     }
 }
 
+/// One batch in this many runs under the C2070 model
+/// ([`ExecPolicy::meters`]); the rest run the same loops unmetered.
+pub const METER_ONE_IN: u64 = 16;
+
 /// How a batch chooses its executor.
 #[derive(Debug, Clone)]
 pub struct ExecPolicy {
@@ -160,6 +164,31 @@ impl ExecPolicy {
         }
     }
 
+    /// Whether the batch asking at `positions` is *metered*: served by the
+    /// executors' [`gts_runtime::gpu::WarpSim`] instantiation, so that it carries
+    /// the modeled series ([`crate::BatchOutcome::metered`]). True for one
+    /// batch in [`METER_ONE_IN`]; a function of `profile_seed` and of the
+    /// coordinates' bit patterns and of nothing else — not of the order
+    /// the positions come in, so a batch and its Morton-sorted self agree,
+    /// nor of which worker runs it or when. The batch's owner asks once
+    /// and hands the answer to every sub-batch.
+    pub fn meters<'a>(&self, positions: impl IntoIterator<Item = &'a [f32]>) -> bool {
+        // splitmix64's finalizer.
+        let mix = |mut h: u64| {
+            h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            h ^ (h >> 31)
+        };
+        // Positions combine by a wrapping sum: commutative, and a repeated
+        // position still counts (an xor would cancel it).
+        let mut sum = 0u64;
+        for pos in positions {
+            let hash = (pos.iter()).fold(self.profile_seed, |h, c| mix(h ^ u64::from(c.to_bits())));
+            sum = sum.wrapping_add(hash);
+        }
+        mix(sum ^ self.profile_seed) % METER_ONE_IN == 0
+    }
+
     /// Simulation threads per launch, resolved (`0` → all cores).
     pub fn sim_threads(&self) -> usize {
         if self.sim_threads == 0 {
@@ -183,5 +212,45 @@ impl ExecPolicy {
             self.shard_parallelism
         };
         requested.min(n_shards).max(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gts_points::sort::{apply_perm, morton_order};
+    use gts_trees::PointN;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    #[test]
+    fn metered_subset_ignores_order_and_is_one_in_sixteen() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x3e7e);
+        let policy = ExecPolicy::default();
+        let other_seed = ExecPolicy {
+            profile_seed: policy.profile_seed + 1,
+            ..ExecPolicy::default()
+        };
+        let (mut selected, mut moved_by_seed) = (0u32, 0u32);
+        for _ in 0..1000 {
+            let n = rng.gen_range(1..200);
+            let mut batch: Vec<PointN<3>> = (0..n)
+                .map(|_| PointN(std::array::from_fn(|_| rng.gen_range(-1.0f32..1.0))))
+                .collect();
+            // A repeated position is still part of the batch.
+            batch.push(batch[0]);
+            let meters =
+                |policy: &ExecPolicy, b: &[PointN<3>]| policy.meters(b.iter().map(|p| &p.0[..]));
+            let metered = meters(&policy, &batch);
+            let sorted = apply_perm(&batch, &morton_order(&batch));
+            assert_eq!(meters(&policy, &sorted), metered, "Morton order");
+            batch.reverse();
+            assert_eq!(meters(&policy, &batch), metered, "reversed");
+            selected += u32::from(metered);
+            moved_by_seed += u32::from(meters(&other_seed, &batch) != metered);
+        }
+        // 1/16 ± 1/32 of 1 000.
+        assert!((32..=93).contains(&selected), "{selected} of 1000 selected");
+        assert!(moved_by_seed > 0, "the seed picks the subset");
     }
 }

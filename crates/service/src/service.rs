@@ -1131,12 +1131,14 @@ fn handle(batch: LaneBatch<Tag>, shared: &Shared) {
                     backend: out.backend,
                     node_visits: out.node_visits,
                     saved_visits: out.fusion_saved_visits,
+                    metered: out.metered,
                 }
             } else {
                 EventKind::Batch {
                     size: size as u32,
                     backend: out.backend,
                     node_visits: out.node_visits,
+                    metered: out.metered,
                     model_ms: out.model_ms,
                     work_expansion: out.work_expansion,
                     mask_occupancy: out.mask_occupancy,
@@ -1223,6 +1225,7 @@ fn handle(batch: LaneBatch<Tag>, shared: &Shared) {
                             latency_us,
                             threshold_us: threshold,
                             node_visits: out.node_visits,
+                            metered: out.metered,
                             stack_bytes_peak: out.stack_bytes_peak,
                             shards_pruned: out.shards_pruned,
                             shard_visits: shard_visits.clone(),

@@ -697,14 +697,17 @@ impl StatAgg {
 /// back, one [`LaneAcc`] per lane — the only shard sweep there is, under
 /// [`ShardedIndex`] and the epoch layer's pinned snapshot alike. The
 /// schedule follows the resolved [`ExecPolicy::shard_parallelism`] thread
-/// count (module docs); `prune` turns the AABB rule off for measuring
-/// what it saves; `epoch` is the owner's batch counter, the TTL clock of
-/// the views' profile caches. Accounting lands in `agg`, which a caller
-/// sweeping more than once per batch passes to each sweep in turn.
+/// count (module docs); `metered` is the owner's one
+/// [`ExecPolicy::meters`] answer for the whole batch, handed to every
+/// sub-batch of every sweep of it; `prune` turns the AABB rule off for
+/// measuring what it saves; `epoch` is the owner's batch counter, the TTL
+/// clock of the views' profile caches. Accounting lands in `agg`, which a
+/// caller sweeping more than once per batch passes to each sweep in turn.
 pub(crate) fn sweep<const D: usize>(
     views: &[ShardView<'_, D>],
     lanes: &[FusedLane],
     policy: &ExecPolicy,
+    metered: bool,
     prune: bool,
     epoch: u64,
     agg: &mut StatAgg,
@@ -729,6 +732,7 @@ pub(crate) fn sweep<const D: usize>(
         views,
         lanes,
         pick: uniform_op(lanes),
+        metered,
         qpts,
         visit,
         policy,
@@ -764,6 +768,8 @@ struct Sweep<'a, const D: usize> {
     /// The whole batch's kernel pick ([`KdIndex::run_lanes`]), handed to
     /// every sub-batch.
     pick: Option<OpKey>,
+    /// The whole batch's metering decision, handed on the same way.
+    metered: bool,
     qpts: Vec<PointN<D>>,
     /// Per lane, `(lower bound, shard)` in visit order.
     visit: Vec<Vec<(f32, u32)>>,
@@ -813,9 +819,7 @@ impl<const D: usize> Sweep<'_, D> {
                 epoch: self.epoch,
             }
         });
-        let out = view
-            .index
-            .run_lanes(&sub, self.pick, self.policy, ctx.as_ref());
+        let out = (view.index).run_lanes(&sub, self.pick, self.metered, self.policy, ctx.as_ref());
         let visit = ShardVisit {
             shard: shard_i as u32,
             round,
@@ -1107,7 +1111,8 @@ impl<const D: usize> TreeIndex for ShardedIndex<D> {
             })
             .collect();
         let mut agg = StatAgg::default();
-        let accs = sweep(&views, lanes, policy, self.prune, epoch, &mut agg);
+        let metered = policy.meters(lanes.iter().map(|l| &l.pos[..]));
+        let accs = sweep(&views, lanes, policy, metered, self.prune, epoch, &mut agg);
         agg.finish(lanes, accs)
     }
 }

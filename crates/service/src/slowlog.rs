@@ -93,7 +93,10 @@ pub struct QueryRecord {
     pub threshold_us: u64,
     /// Tree-node visits across the query's batch.
     pub node_visits: u64,
-    /// Peak rope-stack bytes any warp used in the batch.
+    /// Whether the query's batch ran under the C2070 model.
+    pub metered: bool,
+    /// Peak rope-stack bytes any warp used in the batch (metered batches
+    /// only).
     pub stack_bytes_peak: u64,
     /// `(query, shard)` fan-outs the batch pruned.
     pub shards_pruned: u64,
@@ -307,6 +310,7 @@ mod tests {
             latency_us,
             threshold_us: 0,
             node_visits: 10,
+            metered: false,
             stack_bytes_peak: 0,
             shards_pruned: 0,
             shard_visits: vec![ShardVisitRecord {

@@ -50,7 +50,9 @@ pub enum EventKind {
         backend: Backend,
         /// Tree-node visits across the batch.
         node_visits: u64,
-        /// Modeled GPU milliseconds.
+        /// Whether the batch ran under the C2070 model.
+        metered: bool,
+        /// Modeled GPU milliseconds (metered batches only).
         model_ms: f64,
         /// Lockstep work expansion (1.0 when not applicable).
         work_expansion: f64,
@@ -74,6 +76,8 @@ pub enum EventKind {
         node_visits: u64,
         /// Node visits saved vs. modeled per-op solo walks.
         saved_visits: u64,
+        /// Whether the batch ran under the C2070 model.
+        metered: bool,
     },
     /// The §4.4 profiler's (or forced policy's) executor decision.
     BackendChoice {
@@ -703,14 +707,15 @@ fn write_chrome_event(ev: &TraceEvent, out: &mut String) {
             size,
             backend,
             node_visits,
+            metered,
             model_ms,
             work_expansion,
             mask_occupancy,
         } => {
             out.push_str(&format!(
                 ",\"size\":{size},\"backend\":\"{}\",\"node_visits\":{node_visits},\
-                 \"model_ms\":{model_ms},\"work_expansion\":{work_expansion},\
-                 \"mask_occupancy\":{mask_occupancy}",
+                 \"metered\":{metered},\"model_ms\":{model_ms},\
+                 \"work_expansion\":{work_expansion},\"mask_occupancy\":{mask_occupancy}",
                 backend.name()
             ));
         }
@@ -721,11 +726,12 @@ fn write_chrome_event(ev: &TraceEvent, out: &mut String) {
             backend,
             node_visits,
             saved_visits,
+            metered,
         } => {
             out.push_str(&format!(
                 ",\"lanes\":{lanes},\"parts\":{parts},\"ops\":\"{}\",\
                  \"backend\":\"{}\",\"node_visits\":{node_visits},\
-                 \"saved_visits\":{saved_visits}",
+                 \"saved_visits\":{saved_visits},\"metered\":{metered}",
                 fused_ops_name(*ops),
                 backend.name()
             ));
@@ -1033,6 +1039,7 @@ mod tests {
                 size: 32,
                 backend: Backend::Lockstep,
                 node_visits: 1234,
+                metered: true,
                 model_ms: 0.75,
                 work_expansion: 1.25,
                 mask_occupancy: 0.9,

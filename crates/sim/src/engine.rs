@@ -6,6 +6,10 @@
 //! warp finishes, its counters fold into a [`KernelLaunch`]; when all warps
 //! have run, [`KernelLaunch::finish`] applies the SM scheduling model to
 //! produce the device-level execution time.
+//!
+//! The executors reach the recorder through the [`Meter`] trait, whose
+//! other implementor, [`Unmetered`], records nothing: the same loop then
+//! runs at the host's speed.
 
 use crate::cost::CostModel;
 use crate::counters::SimCounters;
@@ -190,6 +194,107 @@ impl<'a> WarpSim<'a> {
     }
 }
 
+/// Whom an executor tells what one warp did. The traversal loops in
+/// `gts-runtime` are written once against this trait and instantiated
+/// twice: under [`WarpSim`] every event is priced by the C2070 model;
+/// under [`Unmetered`] every call is empty and the loop runs at the
+/// host's speed — the same visits in the same order, nothing accounted.
+pub trait Meter: Sized {
+    /// This meter over a launch whose address map and prices are borrowed
+    /// for `'a` (a [`WarpSim`] holds both; a launch-local scene's lifetime
+    /// has no name at the executor's entry point).
+    type For<'a>: Meter;
+
+    /// Start one warp's meter ([`WarpSim::with_l2`]).
+    fn start<'a>(
+        map: &'a AddressMap,
+        cost: &'a CostModel,
+        segment_bytes: u64,
+        l2: Option<&L2Config>,
+    ) -> Self::For<'a>;
+
+    /// [`WarpSim::step`].
+    fn step(&mut self, compute_insts: u64);
+    /// [`WarpSim::load`]. An implementor that prices nothing never calls
+    /// `index`.
+    fn load(&mut self, region: RegionId, mask: WarpMask, index: impl Fn(usize) -> u64);
+    /// [`WarpSim::load_broadcast`].
+    fn load_broadcast(&mut self, region: RegionId, mask: WarpMask, index: u64);
+    /// [`WarpSim::diverge`].
+    fn diverge(&mut self, sides: u64);
+    /// [`WarpSim::call`].
+    fn call(&mut self);
+    /// [`WarpSim::visit_node`].
+    fn visit_node(&mut self, active_lanes: u64);
+    /// [`WarpSim::stack_peak`].
+    fn stack_peak(&mut self, bytes: u64);
+    /// [`WarpSim::finish`].
+    fn finish(self) -> SimCounters;
+}
+
+impl Meter for WarpSim<'_> {
+    type For<'a> = WarpSim<'a>;
+
+    fn start<'a>(
+        map: &'a AddressMap,
+        cost: &'a CostModel,
+        segment_bytes: u64,
+        l2: Option<&L2Config>,
+    ) -> WarpSim<'a> {
+        WarpSim::with_l2(map, cost, segment_bytes, l2)
+    }
+    fn step(&mut self, compute_insts: u64) {
+        WarpSim::step(self, compute_insts)
+    }
+    fn load(&mut self, region: RegionId, mask: WarpMask, index: impl Fn(usize) -> u64) {
+        WarpSim::load(self, region, mask, index)
+    }
+    fn load_broadcast(&mut self, region: RegionId, mask: WarpMask, index: u64) {
+        WarpSim::load_broadcast(self, region, mask, index)
+    }
+    fn diverge(&mut self, sides: u64) {
+        WarpSim::diverge(self, sides)
+    }
+    fn call(&mut self) {
+        WarpSim::call(self)
+    }
+    fn visit_node(&mut self, active_lanes: u64) {
+        WarpSim::visit_node(self, active_lanes)
+    }
+    fn stack_peak(&mut self, bytes: u64) {
+        WarpSim::stack_peak(self, bytes)
+    }
+    fn finish(self) -> SimCounters {
+        WarpSim::finish(self)
+    }
+}
+
+/// The meter that keeps no account: every method is empty, no address
+/// closure is evaluated, and [`Meter::finish`] hands back zeroed counters.
+/// A launch under it answers exactly what the [`WarpSim`] launch answers
+/// and reports the executor's own visit counts; its modeled numbers are
+/// not a model of anything and must not be read.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Unmetered;
+
+impl Meter for Unmetered {
+    type For<'a> = Unmetered;
+
+    fn start<'a>(_: &'a AddressMap, _: &'a CostModel, _: u64, _: Option<&L2Config>) -> Unmetered {
+        Unmetered
+    }
+    fn step(&mut self, _: u64) {}
+    fn load(&mut self, _: RegionId, _: WarpMask, _: impl Fn(usize) -> u64) {}
+    fn load_broadcast(&mut self, _: RegionId, _: WarpMask, _: u64) {}
+    fn diverge(&mut self, _: u64) {}
+    fn call(&mut self) {}
+    fn visit_node(&mut self, _: u64) {}
+    fn stack_peak(&mut self, _: u64) {}
+    fn finish(self) -> SimCounters {
+        SimCounters::new()
+    }
+}
+
 /// Accumulates per-warp results for one kernel launch.
 #[derive(Debug, Clone)]
 pub struct KernelLaunch {
@@ -360,6 +465,47 @@ mod tests {
         assert_eq!(w.counters.global_transactions, 1, "second touch must hit");
         assert_eq!(w.counters.l2_hits, 1);
         assert_eq!(w.counters.global_bus_bytes, 128);
+    }
+
+    #[test]
+    fn unmetered_evaluates_no_address_and_counts_nothing() {
+        let (map, cost) = setup();
+        let mut w = <Unmetered as Meter>::start(&map, &cost, 128, None);
+        w.step(3);
+        w.load(RegionId(0), WarpMask::ALL, |_| panic!("address evaluated"));
+        // Region 7 does not exist: nothing is looked up either.
+        w.load_broadcast(RegionId(7), WarpMask::ALL, u64::MAX);
+        w.diverge(3);
+        w.call();
+        w.visit_node(32);
+        w.stack_peak(4096);
+        assert_eq!(w.finish(), SimCounters::new());
+    }
+
+    #[test]
+    fn the_trait_reaches_warp_sim_unchanged() {
+        fn script(mut m: impl Meter) -> SimCounters {
+            m.step(3);
+            m.load(RegionId(0), WarpMask::ALL, |l| (l as u64) * 8);
+            m.load_broadcast(RegionId(0), WarpMask::first(5), 5);
+            m.diverge(3);
+            m.call();
+            m.visit_node(5);
+            m.stack_peak(64);
+            m.finish()
+        }
+        let (map, cost) = setup();
+        let l2 = crate::l2::L2Config::fermi();
+        let mut direct = WarpSim::with_l2(&map, &cost, 128, Some(&l2));
+        direct.step(3);
+        direct.load(RegionId(0), WarpMask::ALL, |l| (l as u64) * 8);
+        direct.load_broadcast(RegionId(0), WarpMask::first(5), 5);
+        direct.diverge(3);
+        direct.call();
+        direct.visit_node(5);
+        direct.stack_peak(64);
+        let through = script(<WarpSim<'_> as Meter>::start(&map, &cost, 128, Some(&l2)));
+        assert_eq!(through, direct.finish());
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod sched;
 pub use config::DeviceConfig;
 pub use cost::CostModel;
 pub use counters::SimCounters;
-pub use engine::{KernelLaunch, WarpSim};
+pub use engine::{KernelLaunch, Meter, Unmetered, WarpSim};
 pub use l2::{L2Cache, L2Config};
 pub use mask::WarpMask;
 pub use memory::{AddressMap, MemSpace, Region, RegionId};

@@ -1,7 +1,7 @@
 //! Integration test crate: the tests live in `tests/tests/`; inputs more
 //! than one of them feeds its oracle live here.
 
-use gts_service::{FusedLane, OpKey};
+use gts_service::{ExecPolicy, FusedLane, OpKey};
 use gts_trees::PointN;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -39,4 +39,14 @@ pub fn mixed_lanes(data: &[PointN<3>], n: usize, seed: u64) -> Vec<FusedLane> {
             lane
         })
         .collect()
+}
+
+/// `policy` at the first `profile_seed`, from its own upward, for which the
+/// batch at `positions` is metered ([`ExecPolicy::meters`]) — how a test
+/// that reads the model off one particular batch gets it onto that batch.
+pub fn metering(mut policy: ExecPolicy, positions: &[Vec<f32>]) -> ExecPolicy {
+    while !policy.meters(positions.iter().map(|p| &p[..])) {
+        policy.profile_seed += 1;
+    }
+    policy
 }

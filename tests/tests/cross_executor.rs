@@ -4,14 +4,18 @@
 //! sweep the *surrogate* inputs (clustered, projected, power-law) where
 //! degenerate geometry is most likely to break pruning logic.
 
+use gts_apps::fused::{fused_ops_kernel, fused_ops_point};
+use gts_apps::kd::KdBox;
 use gts_apps::knn::{KnnKernel, KnnPoint};
-use gts_apps::nn::{NnKernel, NnPoint};
+use gts_apps::nn::{NnAabbKernel, NnKernel, NnPoint};
 use gts_apps::oracle;
 use gts_apps::pc::{PcKernel, PcPoint};
 use gts_apps::vp::{VpKernel, VpPoint};
 use gts_points::gen;
-use gts_runtime::gpu::{autoropes, lockstep, recursive, GpuConfig};
-use gts_trees::{Aabb, KdTree, PointN, SplitPolicy, VpTree};
+use gts_points::sort::{apply_perm, morton_order};
+use gts_runtime::gpu::{autoropes, lockstep, recursive, stackless, GpuConfig, Unmetered};
+use gts_runtime::{GpuReport, PointRule, TraversalKernel};
+use gts_trees::{Aabb, KdTree, LbKdTree, PointN, SplitPolicy, VpTree};
 
 const N: usize = 700;
 
@@ -167,4 +171,120 @@ fn single_point_single_lane() {
     let r = autoropes::run(&kernel, &mut pts, &cfg);
     assert_eq!(pts[0].count, 1);
     assert_eq!(r.per_warp_nodes.len(), 1);
+}
+
+/// One query kind through the four served executors, each under both
+/// meters: `kernel` rides the rope-stack executors, `boxed` the skip-link
+/// walk and its rule the Wald walk over `lb` — the pairing the service
+/// dispatches. Everything an executor counts itself must not depend on the
+/// meter, and on the metered run must add up to what the meter counted.
+fn both_meters_agree<K, R>(
+    kind: &str,
+    kernel: &K,
+    boxed: &KdBox<'_, 3, R>,
+    lb: &LbKdTree<3>,
+    tree: &KdTree<3>,
+    points: &[K::Point],
+) where
+    K: TraversalKernel<Point = R::State>,
+    K::Point: std::fmt::Debug,
+    R: PointRule<3>,
+{
+    let cfg = GpuConfig::new(2);
+    type Launch<'a, P> = Box<dyn Fn(&mut [P], bool) -> GpuReport + 'a>;
+    let execs: [(&str, Launch<'_, K::Point>); 4] = [
+        (
+            "autoropes",
+            Box::new(|p, metered| match metered {
+                true => autoropes::run(kernel, p, &cfg),
+                false => autoropes::run_on::<Unmetered, _>(kernel, p, &cfg),
+            }),
+        ),
+        (
+            "lockstep",
+            Box::new(|p, metered| match metered {
+                true => lockstep::run(kernel, p, &cfg),
+                false => lockstep::run_on::<Unmetered, _>(kernel, p, &cfg),
+            }),
+        ),
+        (
+            "skip",
+            Box::new(|p, metered| match metered {
+                true => stackless::run_skip(boxed, p, &tree.skip, &cfg),
+                false => stackless::run_skip_on::<Unmetered, _>(boxed, p, &tree.skip, &cfg),
+            }),
+        ),
+        (
+            "wald",
+            Box::new(|p, metered| match metered {
+                true => stackless::run_wald(lb, boxed.rule(), p, &cfg),
+                false => stackless::run_wald_on::<Unmetered, 3, _>(lb, boxed.rule(), p, &cfg),
+            }),
+        ),
+    ];
+    for (exec, run) in &execs {
+        let ctx = format!("{kind} on {exec}");
+        let (mut modeled, mut plain) = (points.to_vec(), points.to_vec());
+        let (m, u) = (run(&mut modeled, true), run(&mut plain, false));
+        assert_eq!(
+            format!("{modeled:?}"),
+            format!("{plain:?}"),
+            "{ctx}: states"
+        );
+        assert_eq!(m.stats.per_point_nodes, u.stats.per_point_nodes, "{ctx}");
+        assert_eq!(m.per_warp_nodes, u.per_warp_nodes, "{ctx}");
+        assert_eq!(m.per_point_live_nodes, u.per_point_live_nodes, "{ctx}");
+        assert_eq!(m.max_stack_depth, u.max_stack_depth, "{ctx}");
+        // What makes live visits and mask occupancy exact without a meter.
+        let counters = &m.launch.counters;
+        assert_eq!(u.live_visits(), counters.node_visits, "{ctx}: lane visits");
+        assert_eq!(
+            u.per_warp_nodes.iter().sum::<u64>(),
+            counters.warp_node_visits,
+            "{ctx}: warp visits"
+        );
+        assert_eq!(u.mask_occupancy().to_bits(), m.mask_occupancy().to_bits());
+        assert!(counters.warp_steps > 0 && u.launch.counters.warp_steps == 0);
+    }
+}
+
+#[test]
+fn executors_count_the_same_under_either_meter() {
+    let data = gen::uniform::<3>(1024, 0x3e7e);
+    // 200 queries: six full warps and an 8-lane tail.
+    let unsorted = gen::uniform::<3>(200, 0x51a7);
+    let sorted = apply_perm(&unsorted, &morton_order(&unsorted));
+    let nn_tree = KdTree::build(&data, 8, SplitPolicy::MidpointWidest);
+    let nn_lb = LbKdTree::build(&nn_tree.points);
+    let tree = KdTree::build(&data, 8, SplitPolicy::MedianCycle);
+    let lb = LbKdTree::build(&tree.points);
+    for (order, queries) in [("sorted", &sorted), ("unsorted", &unsorted)] {
+        let nn: Vec<NnPoint<3>> = queries.iter().map(|&p| NnPoint::new(p)).collect();
+        both_meters_agree(
+            &format!("{order} nn"),
+            &NnKernel::new(&nn_tree),
+            &NnAabbKernel::new(&nn_tree),
+            &nn_lb,
+            &nn_tree,
+            &nn,
+        );
+        let knn: Vec<KnnPoint<3>> = queries.iter().map(|&p| KnnPoint::new(p, 8)).collect();
+        let kernel = KnnKernel::new(&tree);
+        both_meters_agree(&format!("{order} knn"), &kernel, &kernel, &lb, &tree, &knn);
+        let pc: Vec<PcPoint<3>> = queries.iter().map(|&p| PcPoint::new(p)).collect();
+        let kernel = PcKernel::new(&tree, 0.2);
+        both_meters_agree(&format!("{order} pc"), &kernel, &kernel, &lb, &tree, &pc);
+        let fused: Vec<_> = (queries.iter())
+            .map(|&p| fused_ops_point(p, true, Some(8), &[0.2]))
+            .collect();
+        let kernel = fused_ops_kernel(&tree);
+        both_meters_agree(
+            &format!("{order} fused"),
+            &kernel,
+            &kernel,
+            &lb,
+            &tree,
+            &fused,
+        );
+    }
 }

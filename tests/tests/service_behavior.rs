@@ -2,6 +2,7 @@
 //! semantics, validation, backpressure, and the thread-safety contract.
 
 use gts_apps::oracle;
+use gts_integration::metering;
 use gts_points::gen::uniform;
 use gts_service::{
     Backend, ExecPolicy, KdIndex, Metrics, MetricsSnapshot, Query, QueryKind, QueryResult, Service,
@@ -259,8 +260,9 @@ fn forced_cpu_backend_serves_queries_too() {
 
 /// DESIGN.md §8 **Determinism**: with one submitter and size-only flushes
 /// the batch composition is a function of the seed, so every modeled total
-/// is too — even with workers racing. The same stream shows what batching
-/// buys: one launch per query costs several times the modeled time.
+/// is too — and so is the subset of batches the model covers — even with
+/// workers racing. The same stream shows what batching buys: one launch
+/// per query costs several times the modeled time.
 #[test]
 fn modeled_totals_are_a_function_of_the_seed_and_batching_beats_single_launches() {
     let pts = uniform::<3>(512, 77);
@@ -295,11 +297,15 @@ fn modeled_totals_are_a_function_of_the_seed_and_batching_beats_single_launches(
             ))
         }
     };
-    let serve = |workers: usize, shards: usize| -> MetricsSnapshot {
+    let serve = |workers: usize, shards: usize, profile_seed: u64| -> MetricsSnapshot {
         let service = Service::start(ServiceConfig {
             batch_queries: 64,
             max_wait: Duration::from_secs(3600),
             workers,
+            policy: ExecPolicy {
+                profile_seed,
+                ..ExecPolicy::default()
+            },
             ..ServiceConfig::default()
         });
         service.register_index(build(shards));
@@ -314,8 +320,21 @@ fn modeled_totals_are_a_function_of_the_seed_and_batching_beats_single_launches(
     // caches, and the backend choice — so the modeled totals — would
     // depend on who won.
     for (workers, shards) in [(2, 1), (1, 4)] {
-        let (a, b) = (serve(workers, shards), serve(workers, shards));
-        let ctx = format!("{workers} worker(s), {shards} shard(s)");
+        // The first seed, from the default upward, whose metered subset
+        // holds one of this stream's batches.
+        let mut seed = ExecPolicy::default().profile_seed;
+        let a = loop {
+            let a = serve(workers, shards, seed);
+            if a.metered_batches > 0 {
+                break a;
+            }
+            seed += 1;
+        };
+        let b = serve(workers, shards, seed);
+        let ctx = format!("{workers} worker(s), {shards} shard(s), seed {seed:#x}");
+        assert!(a.metered_batches < a.batches, "{ctx}: a subset, not all");
+        assert_eq!(a.metered_batches, b.metered_batches, "{ctx}: metered");
+        assert_eq!(a.metered_queries, b.metered_queries, "{ctx}: metered");
         assert!(a.model_ms > 0.0, "{ctx}: nothing ran on a modeled backend");
         assert_eq!(
             a.model_ms.to_bits(),
@@ -326,21 +345,47 @@ fn modeled_totals_are_a_function_of_the_seed_and_batching_beats_single_launches(
         assert_eq!(a.shards_pruned, b.shards_pruned, "{ctx}: shards_pruned");
         assert_eq!(a.backend_batches, b.backend_batches, "{ctx}: backends");
 
+        // Every single launch metered, then scaled to the share of the
+        // stream the batched total covers.
         let index = build(shards);
-        let policy = ExecPolicy::forced(Backend::Autoropes);
         let single_ms: f64 = (stream.iter())
             .map(|q| {
                 let op = q.kind.op_key().expect("valid kinds");
                 let one = std::slice::from_ref(&q.pos);
+                let policy = metering(ExecPolicy::forced(Backend::Autoropes), one);
                 index.run_batch(op, one, &policy).model_ms
             })
             .sum();
+        let single_ms = single_ms * a.metered_queries as f64 / stream.len() as f64;
         assert!(
             single_ms > 2.0 * a.model_ms,
             "{ctx}: one launch per query {single_ms:.2} modeled ms vs {:.2} batched",
             a.model_ms
         );
     }
+}
+
+/// The CPU walk has no meter: a service forced onto it models nothing, and
+/// says so with empty model histograms rather than one 0 ms sample per
+/// batch — while each index still counts its batches.
+#[test]
+fn cpu_batches_leave_the_model_histograms_empty() {
+    let (service, pts) = small_service(ServiceConfig {
+        batch_queries: 32,
+        max_wait: Duration::from_secs(3600),
+        policy: ExecPolicy::forced(Backend::Cpu),
+        ..ServiceConfig::default()
+    });
+    let tickets: Vec<Ticket> = (0..160)
+        .map(|i| service.submit(nn_query(pts[i].0)).unwrap())
+        .collect();
+    let s = service.shutdown();
+    assert!(tickets.iter().all(|t| matches!(t.try_get(), Some(Ok(_)))));
+    assert_eq!(s.batches, 5);
+    assert_eq!((s.metered_batches, s.metered_queries), (0, 0));
+    assert_eq!(s.model_ms_hist.count, 0, "no batch was modeled");
+    assert_eq!(s.per_index[0].model_ms_hist.count, 0);
+    assert_eq!(s.per_index[0].batches, s.batches);
 }
 
 #[test]

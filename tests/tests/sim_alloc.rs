@@ -2,7 +2,8 @@
 //!
 //! The simulator prices every modeled memory request of every warp step,
 //! so anything it allocates per request is paid hundreds of thousands of
-//! times per batch. This binary installs a counting global allocator and
+//! times per batch — and the unmetered launches most batches are served
+//! by run the same loops. This binary installs a counting global allocator and
 //! pins the budget: a launch may allocate per *warp* (stacks, per-lane
 //! counters, the per-warp counter fold), never per node visit — and the
 //! CPU recursion, which serves the host backend and the profiler's sampled
@@ -16,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use gts_apps::knn::{KnnKernel, KnnPoint};
 use gts_points::gen::uniform;
 use gts_points::sort::{apply_perm, morton_order};
-use gts_runtime::gpu::{autoropes, lockstep, GpuConfig};
+use gts_runtime::gpu::{autoropes, lockstep, GpuConfig, Unmetered};
 use gts_runtime::{cpu, GpuReport};
 use gts_trees::{KdTree, SplitPolicy};
 
@@ -48,8 +49,8 @@ fn allocs_per_visit(run: impl FnOnce() -> GpuReport) -> f64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let rep = run();
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(rep.launch.warps, 8);
-    allocs as f64 / rep.launch.counters.node_visits as f64
+    assert_eq!(rep.per_warp_nodes.len(), 8);
+    allocs as f64 / rep.live_visits() as f64
 }
 
 #[test]
@@ -68,14 +69,25 @@ fn executors_allocate_per_warp_not_per_node_visit() {
     let ar = allocs_per_visit(|| autoropes::run(&kernel, &mut work, &cfg));
     let mut work = points();
     let ls = allocs_per_visit(|| lockstep::run(&kernel, &mut work, &cfg));
+    // The same loops with the accounting compiled out: what is left is
+    // the executor's own per-warp state.
+    let mut work = points();
+    let ar_plain = allocs_per_visit(|| autoropes::run_on::<Unmetered, _>(&kernel, &mut work, &cfg));
+    let mut work = points();
+    let ls_plain = allocs_per_visit(|| lockstep::run_on::<Unmetered, _>(&kernel, &mut work, &cfg));
     let mut work = points();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let visits: u64 = (work.iter_mut())
         .map(|p| u64::from(cpu::traverse_one(&kernel, p)))
         .sum();
     let cpu = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / visits as f64;
-    println!("allocations per node visit: autoropes {ar:.3}, lockstep {ls:.3}, cpu {cpu:.3}");
+    println!(
+        "allocations per node visit: autoropes {ar:.3} ({ar_plain:.3} unmetered), \
+         lockstep {ls:.3} ({ls_plain:.3} unmetered), cpu {cpu:.3}"
+    );
     assert!(ar < 0.25, "autoropes: {ar:.3} allocations per node visit");
     assert!(ls < 0.25, "lockstep: {ls:.3} allocations per node visit");
+    assert!(ar_plain < 0.25, "unmetered autoropes: {ar_plain:.3}");
+    assert!(ls_plain < 0.25, "unmetered lockstep: {ls_plain:.3}");
     assert!(cpu < 0.25, "cpu: {cpu:.3} allocations per node visit");
 }

@@ -11,6 +11,7 @@
 //! invariant holds at every node, and `locate` descends to a leaf whose
 //! path respects every split plane.
 
+use gts_integration::metering;
 use gts_points::gen::uniform;
 use gts_service::{Backend, ExecPolicy, KdIndex, OpKey, QueryResult, ShardedIndex, TreeIndex};
 use gts_trees::{LbKdTree, PointN, SplitPolicy, NO_NODE};
@@ -79,10 +80,12 @@ fn stackless_matches_every_other_executor_and_flat_cpu() {
         let want = flat.run_batch(op, &qs, &cpu);
         for shards in SHARD_COUNTS {
             let idx = ShardedIndex::build("sharded", &pts, shards, 8, SplitPolicy::MedianCycle);
-            let auto = idx.run_batch(op, &qs, &ExecPolicy::forced(Backend::Autoropes));
-            let lock = idx.run_batch(op, &qs, &ExecPolicy::forced(Backend::Lockstep));
-            let kd = idx.run_batch(op, &qs, &ExecPolicy::forced(Backend::StacklessKd));
-            let bvh = idx.run_batch(op, &qs, &ExecPolicy::forced(Backend::StacklessBvh));
+            // The stack counters below are the model's: meter the batch.
+            let forced = |b| metering(ExecPolicy::forced(b), &qs);
+            let auto = idx.run_batch(op, &qs, &forced(Backend::Autoropes));
+            let lock = idx.run_batch(op, &qs, &forced(Backend::Lockstep));
+            let kd = idx.run_batch(op, &qs, &forced(Backend::StacklessKd));
+            let bvh = idx.run_batch(op, &qs, &forced(Backend::StacklessBvh));
             // Bit-identical across executors: the stackless walks cull
             // exactly the subtrees whose points the update rules would
             // reject anyway, and lockstep's extra union visits likewise
