@@ -5,7 +5,8 @@
 //! baseline over the paper's thread sweep and runs the four GPU variants
 //! (lockstep / non-lockstep × autoropes / naïve-recursive) on the
 //! simulator. [`suite`] wires the five benchmarks and their inputs,
-//! [`table1`]/[`table2`]/[`figures`] format the paper's exhibits, and the
+//! [`table1`]/[`table2`]/[`figures`] format the paper's exhibits,
+//! [`ablations`] prices the §5 design choices one at a time, and the
 //! `gts-harness` binary drives it all:
 //!
 //! ```text
@@ -14,6 +15,7 @@
 //! cargo run --release -p gts-harness -- fig10
 //! cargo run --release -p gts-harness -- fig11
 //! cargo run --release -p gts-harness -- all --json results.json
+//! cargo run --release -p gts-harness -- ablations
 //! ```
 //!
 //! Beyond the paper's exhibits, [`serve`] exposes the `gts-service`
@@ -30,6 +32,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod ablations;
 pub mod config;
 pub mod counters_view;
 pub mod figures;

@@ -11,6 +11,7 @@
 //!   --json PATH      also dump every cell as JSON
 //!   --csv DIR        write Figure 10/11 panels as CSV files into DIR
 //!
+//! gts-harness ablations   (fixed inputs; modeled ms of the §5 design choices)
 //! gts-harness loadgen --connect HOST:PORT [--connections N] [--frame-queries N]
 //!                     [--queries N] [--points N] [--seed N] [--out PATH]
 //!                     [--single-sample N] [--differential N] [--expect-overload]
@@ -23,12 +24,13 @@
 use std::io::Write as _;
 
 use gts_harness::{
-    config::HarnessConfig, counters_view, figures, profiler_table, run_suite, table1, table2,
+    ablations, config::HarnessConfig, counters_view, figures, profiler_table, run_suite, table1,
+    table2,
 };
 
 fn usage() -> ! {
     eprintln!(
-        "usage: gts-harness <table1|table2|fig10|fig11|profiler|counters|all|loadgen|serve> \
+        "usage: gts-harness <table1|table2|fig10|fig11|profiler|counters|ablations|all|loadgen|serve> \
          [--scale F] [--seed N] [--only NAME] [--threads a,b,c] [--k N] [--json PATH]"
     );
     std::process::exit(2)
@@ -44,6 +46,11 @@ fn main() {
     }
     if command == "serve" {
         gts_harness::serve::main_serve(&args[1..]);
+        return;
+    }
+    if command == "ablations" && args.len() == 1 {
+        let rows = ablations::run(ablations::N_POINTS, ablations::N_BODIES, ablations::SEED);
+        print!("{}", ablations::render(&rows));
         return;
     }
     if !matches!(

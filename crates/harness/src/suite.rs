@@ -59,7 +59,7 @@ fn order_points<const D: usize>(data: &[PointN<D>], sorted: bool, seed: u64) -> 
     }
 }
 
-fn diag<const D: usize>(data: &[PointN<D>]) -> f32 {
+pub(crate) fn diag<const D: usize>(data: &[PointN<D>]) -> f32 {
     let b = Aabb::of_points(data);
     b.lo.dist(&b.hi)
 }

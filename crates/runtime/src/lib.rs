@@ -8,7 +8,6 @@
 //! |---|---|---|
 //! | [`cpu::run_sequential`] | baseline | plain recursive traversal (Figure 1) |
 //! | [`cpu::run_parallel`] | §6 CPU rows | multithreaded point loop, real wall time |
-//! | [`cpu_blocked::run_blocked`] | §7 refs \[10, 11\] | point-blocked CPU traversal (the Jo & Kulkarni locality transformation the paper builds on) |
 //! | [`gpu::recursive`] | §6 “naïve GPU” | CUDA-recursion baseline: call overhead, frame traffic, call-site serialization |
 //! | [`gpu::autoropes`] | §3 | iterative rope-stack traversal, per-lane stacks, non-lockstep |
 //! | [`gpu::lockstep`] | §4 | per-warp rope stack with mask bit-vectors, warp votes, optional shared-memory stack |
@@ -37,7 +36,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cpu;
-pub mod cpu_blocked;
 pub mod fused;
 pub mod gpu;
 pub mod kernel;

@@ -1088,13 +1088,13 @@ fn run_state<const D: usize>(
         let exhaustive = k_probe >= tree_total;
         open = (open.into_iter().zip(found))
             .filter_map(|(qi, probe)| {
-                let Some(Acc::Knn { best, .. }) = probe.0.first() else {
+                let Some(Acc::Knn { best }) = probe.0.first() else {
                     unreachable!("a kNN probe accumulates a k-best set")
                 };
                 let survivor = (best.distances().iter().zip(best.ids()))
                     .find(|&(&d2, id)| d2 > 0.0 && !digest.deleted.contains(id));
                 match (survivor, accs[qi].0.first_mut()) {
-                    (Some((&d2, &found)), Some(Acc::Nn { dist2, id, .. })) => {
+                    (Some((&d2, &found)), Some(Acc::Nn { dist2, id })) => {
                         if d2 < *dist2 {
                             (*dist2, *id) = (d2, found);
                         }

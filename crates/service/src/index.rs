@@ -140,14 +140,18 @@ impl BatchOutcome {
 pub struct ShardVisit {
     /// Shard index within the sharded index.
     pub shard: u32,
-    /// Fan-out round (0 = home shards, 1+ = pruned-miss revisits).
+    /// Wave number within the batch: the sweep's wave that dispatched the
+    /// sub-batch (wave 0 holds every query's first admissible shard,
+    /// usually its home), offset by the shard count for each earlier
+    /// sweep of the same batch (the epoch layer's NN re-probes). The
+    /// same for every [`ExecPolicy::shard_parallelism`].
     pub round: u32,
     /// Queries in the sub-batch.
     pub queries: u32,
     /// Tree-node visits inside the shard.
     pub node_visits: u64,
     /// `(query, shard)` pairs the AABB bound pruned *for this shard* in
-    /// this round (0 for rounds where nothing was skipped; prunes for
+    /// this wave (0 for waves where nothing was skipped; prunes for
     /// shards that ended up with no sub-batch at all are counted only in
     /// [`BatchOutcome::shards_pruned`]).
     pub pruned: u32,
@@ -430,7 +434,7 @@ impl<const D: usize> KdIndex<D> {
     /// of an op by carrying inert state) and reports what fusion saved from
     /// the tally that walk kept. The shard sweep passes its batch's pick
     /// to every sub-batch, so one batch never mixes kernel families and
-    /// its node visits do not depend on how the schedule grouped the
+    /// its node visits do not depend on how the sweep grouped the
     /// lanes. `metered` ([`ExecPolicy::meters`] of the whole batch's
     /// positions) travels the same way: a batch runs under the model whole
     /// or not at all.

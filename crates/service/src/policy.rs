@@ -117,8 +117,10 @@ pub struct ExecPolicy {
     /// concurrently, so this defaults to 1 to avoid oversubscription;
     /// 0 means "let the simulator pick".
     pub sim_threads: usize,
-    /// Threads a sharded index may run sub-batches on. `1` keeps the
-    /// sequential round-by-round path; `0` (the default) resolves to
+    /// Threads a sharded index may run a wave's sub-batches on — the
+    /// size of its wave pool and nothing else: the schedule, and with it
+    /// every answer and count, is the same for any value. `1` runs the
+    /// waves inline on the worker; `0` (the default) resolves to
     /// `min(shards, available_parallelism)`. Flat indices ignore it.
     pub shard_parallelism: usize,
     /// Let sharded indices reuse cached §4.4 sortedness decisions

@@ -16,44 +16,30 @@
 //! it asks and is dispatched to a shard iff *any* of them could still
 //! improve there ([`LaneAcc`]). One [`sweep`] runs every batch, for this
 //! index and for the epoch layer's pinned snapshots ([`crate::epoch`])
-//! alike, on one of three schedules selected by the resolved
-//! [`ExecPolicy::shard_parallelism`] thread count:
-//!
-//! * **Sequential rounds** (`shard_threads == 1`): every query visits its
-//!   shards in ascending order of AABB lower-bound distance, so the first
-//!   round usually resolves against the query's home shard and
-//!   establishes a tight bound. Later rounds skip any shard whose box
-//!   lower bound already proves it cannot improve the answer (NN: no
-//!   strictly closer point; kNN: the k-best set is full and the bound is
-//!   no better than its worst member; PC: the box lies entirely outside
-//!   the radius).
-//! * **Cursor waves** (`1 < shard_threads < n_shards`): each wave
-//!   dispatches every query's next admissible shard in visit order, one
-//!   merged sub-batch per shard, executed concurrently on a worker pool
-//!   that persists across the batch's waves (spawning per wave would
-//!   rival the traversal work at sub-millisecond wave granularity).
-//!   Pruning uses the exact running accumulator at the same
-//!   decision points as the sequential path, so the executed
-//!   (query, shard) set — and therefore the traversal work — is
-//!   identical; only the grouping is fewer, fuller sub-batches.
-//! * **Two waves** (`shard_threads == n_shards`): wave 0 runs every
-//!   query's home shard concurrently; wave 1 dispatches the remaining
-//!   shards a query's post-home accumulator and the chain of
-//!   already-dispatched farthest-corner bounds ([`Aabb::max_dist2_to`])
-//!   cannot rule out. The chain is conservative and may execute shards
-//!   the sequential path would prune, which only pays off when every
-//!   shard has a dedicated, otherwise-idle worker.
-//!
-//! Partial results always fold in each query's visit order.
+//! alike, on one schedule, **cursor waves**: every query visits its shards
+//! in ascending order of AABB lower-bound distance, so its first shard is
+//! usually its home and establishes a tight bound, and a later shard is
+//! skipped when its box lower bound already proves it cannot improve the
+//! answer (NN: no strictly closer point; kNN: the k-best set is full and
+//! the bound is no better than its worst member; PC: the box lies
+//! entirely outside the radius). Each wave dispatches every query's next
+//! admissible shard, one merged sub-batch per shard, on a worker pool of
+//! [`ExecPolicy::shard_parallelism`] threads that persists across the
+//! batch's waves (spawning per wave would rival the traversal work at
+//! sub-millisecond wave granularity); with one thread the waves run
+//! inline on the caller. A query's shard is always decided against the
+//! answers of that query's earlier shards, so the executed (query, shard)
+//! set — and with it the whole record, answers to [`ShardVisit`]s — is
+//! the same for every thread count. Partial results fold in each query's
+//! visit order.
 //!
 //! Every sub-batch returns a [`BatchOutcome`] of its own and the batch's
-//! is their merge ([`BatchOutcome::absorb`]), with skips on any path
-//! counted as its `shards_pruned`. Pruning is
-//! *exact*: `Aabb::dist2_to` is a true lower bound in f32 (per-axis
-//! monotone rounding), `Aabb::max_dist2_to` a true upper bound, and every
-//! merge rule admits only strictly-improving candidates, so pruned,
-//! unpruned, sequential, and parallel runs all return identical results —
-//! a property the differential tests check query by query.
+//! is their merge ([`BatchOutcome::absorb`]), with skips counted as its
+//! `shards_pruned`. Pruning is *exact*: `Aabb::dist2_to` is a true lower
+//! bound in f32 (per-axis monotone rounding) and every merge rule admits
+//! only strictly-improving candidates, so pruned and unpruned runs return
+//! identical results — a property the differential tests check query by
+//! query.
 //!
 //! Each shard also carries a [`ProfileCache`] memoizing the §4.4
 //! lockstep/autoropes decision per (op, sub-batch size bucket, Morton
@@ -240,6 +226,19 @@ impl<const D: usize> ShardedIndex<D> {
         self.shards[s].bbox
     }
 
+    fn views(&self) -> Vec<ShardView<'_, D>> {
+        (self.shards.iter())
+            .map(|s| ShardView {
+                index: &s.index,
+                ids: &s.ids,
+                bbox: &s.bbox,
+                profile: Some(&s.profile),
+                #[cfg(test)]
+                failpoint: Some(&s.failpoint),
+            })
+            .collect()
+    }
+
     /// Cumulative profile-cache counters summed across shards.
     pub fn profile_cache_stats(&self) -> ProfileCacheStats {
         let mut total = ProfileCacheStats::default();
@@ -278,15 +277,6 @@ pub(crate) struct ShardView<'a, const D: usize> {
 
 /// One wave of concurrent sub-batches: `(shard, lanes)` per slot.
 type Wave = Vec<(usize, Vec<usize>)>;
-
-/// One wave's slots from per-shard lane groups, empty groups dropped.
-fn wave_of(groups: Vec<Vec<usize>>) -> Wave {
-    groups
-        .into_iter()
-        .enumerate()
-        .filter(|(_, qs)| !qs.is_empty())
-        .collect()
-}
 
 /// Executes one wave and hands back its slots alongside their runs.
 type DispatchFn<'a> = dyn FnMut(u32, Wave) -> (Wave, Vec<SubRun>) + 'a;
@@ -342,37 +332,15 @@ impl Drop for PoolShutdown<'_> {
 
 /// Per-op merge accumulator of one lane. Every rule an op needs lives in
 /// this one `impl`: exact admission ([`Acc::improvable`]), the merge
-/// ([`Acc::absorb`]), the two-wave dispatch bound ([`Acc::admits`] /
-/// [`Acc::cover`]) and the epoch layer's signed delta correction
+/// ([`Acc::absorb`]) and the epoch layer's signed delta correction
 /// ([`Acc::correct`]).
-///
-/// The dispatch-bound fields (`cap`; `covered` and `worst`) describe the
-/// shards [`Acc::cover`] was told are dispatched but not yet absorbed.
-/// The sequential and cursor schedules prune with the *running*
-/// accumulator — shard `r+1` sees the results of shard `r`. The two-wave
-/// schedule dispatches a lane's remaining shards all at once, so instead
-/// of results it chains *precomputed AABB bounds*: each dispatched
-/// shard's farthest-corner distance ([`Aabb::max_dist2_to`]) caps what the
-/// best answer can possibly be, and later shards whose lower bound cannot
-/// beat that cap are skipped. The cap is conservative (never tighter than
-/// the real results the sequential path uses), and every merge rule
-/// admits only strictly-improving candidates, so executing these extra
-/// shards cannot change any result — the differential tests re-check
-/// this.
 pub(crate) enum Acc {
     Nn {
         dist2: f32,
         id: u32,
-        /// Min farthest-corner distance over covered shards.
-        cap: f32,
     },
     Knn {
         best: KBest,
-        /// Neighbors covered shards are guaranteed to offer, each with
-        /// distance ≤ `worst`.
-        covered: usize,
-        /// Max farthest-corner distance over covered shards.
-        worst: f32,
     },
     Pc {
         count: u32,
@@ -387,12 +355,9 @@ impl Acc {
             OpKey::Nn => Acc::Nn {
                 dist2: f32::INFINITY,
                 id: u32::MAX,
-                cap: f32::INFINITY,
             },
             OpKey::Knn(k) => Acc::Knn {
                 best: KBest::new(k),
-                covered: 0,
-                worst: 0.0,
             },
             OpKey::Pc(bits) => {
                 let r = f32::from_bits(bits);
@@ -411,53 +376,9 @@ impl Acc {
             // NN admits strictly closer points only.
             Acc::Nn { dist2, .. } => lb < *dist2,
             // KBest admits anything until full, then strictly-better only.
-            Acc::Knn { best, .. } => !best.full() || lb < best.bound(),
+            Acc::Knn { best } => !best.full() || lb < best.bound(),
             // PC counts d2 <= r2; a box entirely beyond r2 adds nothing.
             Acc::Pc { r2, .. } => lb <= *r2,
-        }
-    }
-
-    /// Could a shard at lower bound `lb` still matter once every covered
-    /// shard has answered?
-    fn admits(&self, lb: f32) -> bool {
-        match self {
-            Acc::Nn { cap, .. } => lb < *cap,
-            Acc::Knn {
-                best,
-                covered,
-                worst,
-            } => {
-                let held = best.distances().last().copied().unwrap_or(0.0);
-                best.len() + covered < best.k() || lb < worst.max(held)
-            }
-            // PC's accumulator rule (`lb <= r2`) is already complete —
-            // counting is insensitive to what other shards contribute.
-            Acc::Pc { .. } => true,
-        }
-    }
-
-    /// Account for dispatching a shard of `len` points whose farthest
-    /// corner lies at squared distance `ub`: that bounds every answer it
-    /// can produce for this lane.
-    fn cover(&mut self, ub: f32, len: usize) {
-        match self {
-            Acc::Nn { cap, .. } => {
-                // NN excludes zero-distance self matches, so a shard whose
-                // box collapses onto the query (ub == 0) proves nothing.
-                if ub > 0.0 {
-                    *cap = cap.min(ub);
-                }
-            }
-            Acc::Knn {
-                best,
-                covered,
-                worst,
-            } => {
-                // The shard offers its min(k, points) best, all ≤ ub.
-                *covered += len.min(best.k());
-                *worst = worst.max(ub);
-            }
-            Acc::Pc { .. } => {}
         }
     }
 
@@ -465,7 +386,7 @@ impl Acc {
     /// callers know through `ids`.
     fn absorb(&mut self, r: &QueryResult, ids: &[u32]) {
         match (self, r) {
-            (Acc::Nn { dist2, id, .. }, QueryResult::Nn { dist2: d, id: i }) => {
+            (Acc::Nn { dist2, id }, QueryResult::Nn { dist2: d, id: i }) => {
                 if *d < *dist2 {
                     *dist2 = *d;
                     *id = if *i == u32::MAX {
@@ -475,7 +396,7 @@ impl Acc {
                     };
                 }
             }
-            (Acc::Knn { best, .. }, QueryResult::Knn { dist2, ids: local }) => {
+            (Acc::Knn { best }, QueryResult::Knn { dist2, ids: local }) => {
                 for (&d2, &i) in dist2.iter().zip(local) {
                     best.offer(d2, ids[i as usize]);
                 }
@@ -500,7 +421,7 @@ impl Acc {
         digest: &DeltaDigest<D>,
     ) -> bool {
         match self {
-            Acc::Nn { dist2, id, .. } => {
+            Acc::Nn { dist2, id } => {
                 let lost = *id != u32::MAX && digest.deleted.contains(id);
                 if lost {
                     (*dist2, *id) = (f32::INFINITY, u32::MAX);
@@ -513,7 +434,7 @@ impl Acc {
                 }
                 lost
             }
-            Acc::Knn { best, .. } => {
+            Acc::Knn { best } => {
                 let mut kb = KBest::new(best.k() - digest.del_tree.len());
                 for (&d2, &id) in best.distances().iter().zip(best.ids()) {
                     if !digest.deleted.contains(&id) {
@@ -538,8 +459,8 @@ impl Acc {
 
     fn finish(self) -> QueryResult {
         match self {
-            Acc::Nn { dist2, id, .. } => QueryResult::Nn { dist2, id },
-            Acc::Knn { best, .. } => QueryResult::Knn {
+            Acc::Nn { dist2, id } => QueryResult::Nn { dist2, id },
+            Acc::Knn { best } => QueryResult::Knn {
                 dist2: best.distances().to_vec(),
                 ids: best.ids().to_vec(),
             },
@@ -566,19 +487,6 @@ impl LaneAcc {
         self.0.iter().any(|a| a.improvable(lb))
     }
 
-    /// [`Self::improvable`], for the two-wave schedule: also by the
-    /// bounds of the shards already covered.
-    fn admits(&self, lb: f32) -> bool {
-        self.0.iter().any(|a| a.improvable(lb) && a.admits(lb))
-    }
-
-    /// The shard answers every op of the lane, so it covers them all.
-    fn cover(&mut self, ub: f32, len: usize) {
-        for a in &mut self.0 {
-            a.cover(ub, len);
-        }
-    }
-
     fn absorb(&mut self, r: &FusedLaneResult, ids: &[u32]) {
         for (a, r) in self.0.iter_mut().zip(r.answers()) {
             a.absorb(r, ids);
@@ -600,18 +508,17 @@ pub fn merge_kbest(k: usize, lists: &[(Vec<f32>, Vec<u32>)]) -> (Vec<f32>, Vec<u
     (kb.distances().to_vec(), kb.ids().to_vec())
 }
 
-/// One executed sub-batch: its span (shard, the sweep's fan-out round,
-/// wall clock) and the shard's answers and accounting.
+/// One executed sub-batch: its span (shard, wave number, wall clock) and
+/// the shard's answers and accounting.
 struct SubRun {
     visit: ShardVisit,
     out: FusedOutcome,
 }
 
 /// Deterministic accumulation of per-sub-batch records into the batch's
-/// one [`BatchOutcome`] — shared by every schedule, which only differ in
-/// how they *produce* the [`SubRun`]s — and across the sweeps of one
-/// batch (the epoch layer's NN re-probes sweep again into the same
-/// aggregate). The record merges by its own rule
+/// one [`BatchOutcome`], across the sweeps of one batch (the epoch layer's
+/// NN re-probes sweep again into the same aggregate). The record merges
+/// by its own rule
 /// ([`BatchOutcome::absorb`]); kept here is what it has no field for.
 /// Callers feed runs in a fixed order so the f64 sums are reproducible.
 #[derive(Default)]
@@ -620,8 +527,8 @@ pub(crate) struct StatAgg {
     /// are timed against it (wall times, outside the determinism contract
     /// like every other wall measurement).
     started: Option<Instant>,
-    /// Rounds earlier sweeps of this batch used; a sweep's rounds are
-    /// numbered from here.
+    /// Waves earlier sweeps of this batch could have used; a sweep's
+    /// waves are numbered from here.
     round_base: u32,
     /// The batch's record so far; its three means are lane-weighted sums
     /// until [`Self::finish`] divides them by the weights below.
@@ -695,9 +602,9 @@ impl StatAgg {
 
 /// Fan one batch of lanes out over `views` and fold the per-shard answers
 /// back, one [`LaneAcc`] per lane — the only shard sweep there is, under
-/// [`ShardedIndex`] and the epoch layer's pinned snapshot alike. The
-/// schedule follows the resolved [`ExecPolicy::shard_parallelism`] thread
-/// count (module docs); `metered` is the owner's one
+/// [`ShardedIndex`] and the epoch layer's pinned snapshot alike, on the
+/// one schedule there is (module docs), its pool sized by
+/// [`ExecPolicy::shard_parallelism`]; `metered` is the owner's one
 /// [`ExecPolicy::meters`] answer for the whole batch, handed to every
 /// sub-batch of every sweep of it; `prune` turns the AABB rule off for
 /// measuring what it saves; `epoch` is the owner's batch counter, the TTL
@@ -712,56 +619,14 @@ pub(crate) fn sweep<const D: usize>(
     epoch: u64,
     agg: &mut StatAgg,
 ) -> Vec<LaneAcc> {
-    let qpts: Vec<PointN<D>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
-    // Each lane visits shards in ascending lower-bound order, ties broken
-    // by shard id — deterministic, and the home shard (lb = 0) comes first
-    // so bounds tighten before distant shards are tested.
-    let visit = qpts
-        .iter()
-        .map(|p| {
-            let mut order: Vec<(f32, u32)> = views
-                .iter()
-                .enumerate()
-                .map(|(s, v)| (v.bbox.dist2_to(p), s as u32))
-                .collect();
-            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            order
-        })
-        .collect();
-    let sweep = Sweep {
-        views,
-        lanes,
-        pick: uniform_op(lanes),
-        metered,
-        qpts,
-        visit,
-        policy,
-        prune,
-        epoch,
-        started: *agg.started.get_or_insert_with(Instant::now),
-    };
-    let mut accs: Vec<LaneAcc> = lanes.iter().map(LaneAcc::new).collect();
-    let threads = policy.shard_threads(views.len());
-    sweep.with_wave_pool(threads, |dispatch| {
-        if threads <= 1 {
-            sweep.rounds(&mut accs, agg, dispatch)
-        } else if threads >= views.len() {
-            // Every shard gets its own worker: overexecuting a shard the
-            // conservative bound chain admits costs idle cores nothing,
-            // so the latency-optimal two-wave schedule wins.
-            sweep.two_waves(&mut accs, agg, dispatch)
-        } else {
-            // Fewer workers than shards: extra work competes with needed
-            // work for cores, so the work-conserving schedule — executed
-            // set identical to the sequential path — wins.
-            sweep.cursor_waves(&mut accs, agg, dispatch)
-        }
-    });
-    agg.round_base += views.len() as u32;
-    accs
+    // A wave holds at most one slot per lane, so workers beyond the lane
+    // count could only idle (the epoch layer's NN re-probes are one lane).
+    let threads = policy.shard_threads(views.len()).min(lanes.len());
+    let started = *agg.started.get_or_insert_with(Instant::now);
+    Sweep::new(views, lanes, policy, metered, prune, epoch, started).run(threads, agg)
 }
 
-/// The per-batch inputs every sub-batch and every schedule shares.
+/// The per-batch inputs every sub-batch and every wave shares.
 struct Sweep<'a, const D: usize> {
     views: &'a [ShardView<'a, D>],
     lanes: &'a [FusedLane],
@@ -779,7 +644,46 @@ struct Sweep<'a, const D: usize> {
     started: Instant,
 }
 
-impl<const D: usize> Sweep<'_, D> {
+impl<'a, const D: usize> Sweep<'a, D> {
+    fn new(
+        views: &'a [ShardView<'a, D>],
+        lanes: &'a [FusedLane],
+        policy: &'a ExecPolicy,
+        metered: bool,
+        prune: bool,
+        epoch: u64,
+        started: Instant,
+    ) -> Self {
+        let qpts: Vec<PointN<D>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
+        // Each lane visits shards in ascending lower-bound order, ties
+        // broken by shard id — deterministic, and the home shard (lb = 0)
+        // comes first so bounds tighten before distant shards are tested.
+        let visit = qpts
+            .iter()
+            .map(|p| {
+                let mut order: Vec<(f32, u32)> = views
+                    .iter()
+                    .enumerate()
+                    .map(|(s, v)| (v.bbox.dist2_to(p), s as u32))
+                    .collect();
+                order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                order
+            })
+            .collect();
+        Sweep {
+            views,
+            lanes,
+            pick: uniform_op(lanes),
+            metered,
+            qpts,
+            visit,
+            policy,
+            prune,
+            epoch,
+            started,
+        }
+    }
+
     /// Run the sub-batch of lanes `qs` against shard `shard_i`,
     /// consulting the shard's profile cache when the policy allows it.
     /// The cache key fingerprints what makes decisions interchangeable:
@@ -837,8 +741,7 @@ impl<const D: usize> Sweep<'_, D> {
     /// thread is the remaining worker), hand `body` a dispatch callback
     /// that executes one wave on the pool, and tear the pool down when
     /// `body` returns. Spawning once per *batch* instead of once per
-    /// *wave* matters: the cursor-wave path runs up to `n_shards` waves
-    /// per batch, and at sub-millisecond wave granularity the per-wave
+    /// *wave* matters: a sweep runs up to `n_shards` waves per batch, and at sub-millisecond wave granularity the per-wave
     /// spawn/join cost rivals the traversal work itself.
     ///
     /// The dispatch callback takes wave ownership and returns it alongside
@@ -948,139 +851,57 @@ impl<const D: usize> Sweep<'_, D> {
         keep
     }
 
-    /// Fold a drained wave into the accumulators, slot by slot.
-    fn absorb_wave(&self, accs: &mut [LaneAcc], agg: &mut StatAgg, wave: &Wave, runs: &[SubRun]) {
-        for ((s, qs), run) in wave.iter().zip(runs) {
-            for (&q, r) in qs.iter().zip(&run.out.lanes) {
-                accs[q].absorb(r, self.views[*s].ids);
-            }
-            agg.add(run);
-        }
-    }
-
-    /// Sequential schedule (`shard_threads == 1`): round-by-round
-    /// fan-out, pruning each round against the *running* accumulator.
-    /// Per-shard sub-runs start with fresh lane state and fold back
-    /// through each op's strict-improvement merge, so every answer is
-    /// bit-identical to a flat run of that op.
-    fn rounds(&self, accs: &mut [LaneAcc], agg: &mut StatAgg, dispatch: &mut DispatchFn<'_>) {
-        let n_shards = self.views.len();
-        for round in 0..n_shards as u32 {
-            // Group this round's surviving lanes by target shard.
-            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-            for (q, order) in self.visit.iter().enumerate() {
-                let (lb, s) = order[round as usize];
-                if self.keep(accs[q].improvable(lb), agg, s, round) {
-                    groups[s as usize].push(q);
-                }
-            }
-            let (wave, runs) = dispatch(round, wave_of(groups));
-            self.absorb_wave(accs, agg, &wave, &runs);
-        }
-    }
-
-    /// Latency-optimal parallel schedule (`shard_threads == n_shards`):
-    /// two waves of concurrent sub-batches instead of up-to-N sequential
-    /// rounds.
+    /// The schedule, on a pool of `threads`: each wave dispatches every
+    /// lane's *next* shard in visit order that the running accumulator
+    /// cannot rule out, groups the wave into one sub-batch per shard, and
+    /// executes those concurrently.
     ///
-    /// Wave 0 sends every lane to its home shard (closest box). Wave 1
-    /// walks each lane's remaining shards in visit order and dispatches
-    /// the ones that neither the post-home accumulator nor the chain of
-    /// already-dispatched boxes ([`Acc::admits`]) can rule out — all of
-    /// wave 1 is grouped into one sub-batch per shard and executed
-    /// concurrently. The chain is conservative (farthest-corner bounds
-    /// instead of actual best distances), so this path may execute shards
-    /// the sequential path would have pruned — acceptable only because
-    /// every shard has a dedicated worker. Partial results are folded in
-    /// each lane's visit order, and merges admit only strict
-    /// improvements, so the outputs are bit-identical to the sequential
-    /// path's.
-    fn two_waves(&self, accs: &mut [LaneAcc], agg: &mut StatAgg, dispatch: &mut DispatchFn<'_>) {
-        let n_shards = self.views.len();
-        // Wave 0: home shards. Only the fresh-accumulator rule applies
-        // (PC can rule a shard out by radius alone; NN/kNN cannot yet).
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-        for (q, order) in self.visit.iter().enumerate() {
-            let (lb, s) = order[0];
-            if self.keep(accs[q].improvable(lb), agg, s, 0) {
-                groups[s as usize].push(q);
-            }
-        }
-        let (wave0, runs0) = dispatch(0, wave_of(groups));
-        self.absorb_wave(accs, agg, &wave0, &runs0);
-
-        // Wave 1: everything the home results and the AABB-bound chain
-        // cannot rule out, one sub-batch per shard. `fold` remembers each
-        // lane's dispatched (shard, slot) pairs in visit order so the
-        // merge below replays the sequential absorb order exactly.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-        let mut fold: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.lanes.len()];
-        for (q, order) in self.visit.iter().enumerate() {
-            for &(lb, s) in &order[1..] {
-                if self.keep(accs[q].admits(lb), agg, s, 1) {
-                    let view = &self.views[s as usize];
-                    fold[q].push((s as usize, groups[s as usize].len()));
-                    groups[s as usize].push(q);
-                    accs[q].cover(view.bbox.max_dist2_to(&self.qpts[q]), view.ids.len());
-                }
-            }
-        }
-        let wave1 = wave_of(groups);
-        let mut wave_of_shard = vec![usize::MAX; n_shards];
-        for (slot, (s, _)) in wave1.iter().enumerate() {
-            wave_of_shard[*s] = slot;
-        }
-        let (_, runs1) = dispatch(1, wave1);
-        for (q, dispatched) in fold.iter().enumerate() {
-            for &(s, slot) in dispatched {
-                let run = &runs1[wave_of_shard[s]];
-                accs[q].absorb(&run.out.lanes[slot], self.views[s].ids);
-            }
-        }
-        for run in &runs1 {
-            agg.add(run);
-        }
-    }
-
-    /// Work-conserving parallel schedule (`1 < shard_threads <
-    /// n_shards`): each wave dispatches every lane's *next* shard in
-    /// visit order that the running accumulator cannot rule out, groups
-    /// the wave into one sub-batch per shard, and executes those
-    /// concurrently.
-    ///
-    /// Per lane, every shard is checked exactly once, with exactly the
-    /// accumulator state the sequential path would have at that check
-    /// (the results of the lane's earlier dispatched shards) — so the
-    /// executed (lane, shard) set, the prune count, and the merged
-    /// results are all identical to [`Self::rounds`]. What differs is
-    /// grouping: lanes at different visit depths land in the same wave's
-    /// sub-batch for a shard, so waves are fewer and fuller than
-    /// sequential rounds — better warp packing and fewer profiler
+    /// Per lane, every shard is checked exactly once, against the results
+    /// of the lane's earlier dispatched shards and nothing else — so the
+    /// executed (lane, shard) set, the prune count and the merged results
+    /// do not depend on `threads`. Per-shard sub-runs start with fresh
+    /// lane state and fold back through each op's strict-improvement
+    /// merge, so every answer is bit-identical to a flat run of that op.
+    /// Lanes at different visit depths land in the same wave's sub-batch
+    /// for a shard, so waves are fewer and fuller than one round per visit
+    /// depth would be — better warp packing and fewer profiler
     /// consultations for the same traversal work.
-    fn cursor_waves(&self, accs: &mut [LaneAcc], agg: &mut StatAgg, dispatch: &mut DispatchFn<'_>) {
+    fn run(&self, threads: usize, agg: &mut StatAgg) -> Vec<LaneAcc> {
         let n_shards = self.views.len();
+        let mut accs: Vec<LaneAcc> = self.lanes.iter().map(LaneAcc::new).collect();
         // cursor[q] = how far down q's visit order we have decided.
         let mut cursor = vec![0usize; self.lanes.len()];
-        for wave_no in 0..n_shards as u32 {
-            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-            for (q, order) in self.visit.iter().enumerate() {
-                while cursor[q] < n_shards {
-                    let (lb, s) = order[cursor[q]];
-                    cursor[q] += 1;
-                    if self.keep(accs[q].improvable(lb), agg, s, wave_no) {
-                        groups[s as usize].push(q);
-                        break;
+        self.with_wave_pool(threads, |dispatch| {
+            for wave_no in 0..n_shards as u32 {
+                let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+                for (q, order) in self.visit.iter().enumerate() {
+                    while cursor[q] < n_shards {
+                        let (lb, s) = order[cursor[q]];
+                        cursor[q] += 1;
+                        if self.keep(accs[q].improvable(lb), agg, s, wave_no) {
+                            groups[s as usize].push(q);
+                            break;
+                        }
                     }
                 }
+                let wave: Wave = (groups.into_iter().enumerate())
+                    .filter(|(_, qs)| !qs.is_empty())
+                    .collect();
+                if wave.is_empty() {
+                    // Nothing admissible anywhere — every cursor is spent.
+                    break;
+                }
+                let (wave, runs) = dispatch(wave_no, wave);
+                for ((s, qs), run) in wave.iter().zip(&runs) {
+                    for (&q, r) in qs.iter().zip(&run.out.lanes) {
+                        accs[q].absorb(r, self.views[*s].ids);
+                    }
+                    agg.add(run);
+                }
             }
-            let wave = wave_of(groups);
-            if wave.is_empty() {
-                // Nothing admissible anywhere — every cursor is spent.
-                break;
-            }
-            let (wave, runs) = dispatch(wave_no, wave);
-            self.absorb_wave(accs, agg, &wave, &runs);
-        }
+        });
+        agg.round_base += n_shards as u32;
+        accs
     }
 }
 
@@ -1100,16 +921,7 @@ impl<const D: usize> TreeIndex for ShardedIndex<D> {
     fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
         // One epoch per batch: the TTL clock every shard cache shares.
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
-        let views: Vec<ShardView<'_, D>> = (self.shards.iter())
-            .map(|s| ShardView {
-                index: &s.index,
-                ids: &s.ids,
-                bbox: &s.bbox,
-                profile: Some(&s.profile),
-                #[cfg(test)]
-                failpoint: Some(&s.failpoint),
-            })
-            .collect();
+        let views = self.views();
         let mut agg = StatAgg::default();
         let metered = policy.meters(lanes.iter().map(|l| &l.pos[..]));
         let accs = sweep(&views, lanes, policy, metered, self.prune, epoch, &mut agg);
@@ -1189,39 +1001,64 @@ mod tests {
         let pts = geocity_like(3000, 21);
         let idx = ShardedIndex::build("par", &pts, 8, 8, SplitPolicy::MedianCycle);
         let queries: Vec<Vec<f32>> = pts.iter().take(256).map(|p| p.0.to_vec()).collect();
-        let seq = ExecPolicy {
-            shard_parallelism: 1,
-            ..cpu()
-        };
-        // 4 threads < 8 shards → the work-conserving cursor-wave path.
-        let cursor = ExecPolicy {
-            shard_parallelism: 4,
-            ..cpu()
-        };
-        // 8 threads == 8 shards → the latency-optimal two-wave path.
-        let waves = ExecPolicy {
-            shard_parallelism: 8,
+        let threads = |shard_parallelism| ExecPolicy {
+            shard_parallelism,
             ..cpu()
         };
         for op in [OpKey::Nn, OpKey::Knn(8), OpKey::Pc(0.1f32.to_bits())] {
-            let s = idx.run_batch(op, &queries, &seq);
-            let c = idx.run_batch(op, &queries, &cursor);
-            let w = idx.run_batch(op, &queries, &waves);
-            assert_eq!(s.results, c.results, "op {op:?}: cursor waves diverged");
-            assert_eq!(s.results, w.results, "op {op:?}: two waves diverged");
-            // Cursor waves make the same pruning decisions with the same
-            // accumulator state as the sequential rounds, so the executed
-            // traversal work matches exactly (CPU backend: node visits
-            // are pure traversal counts, independent of grouping).
-            assert_eq!(c.node_visits, s.node_visits, "op {op:?}: extra work");
-            assert_eq!(c.shards_pruned, s.shards_pruned, "op {op:?}");
-            // Two waves: at most two rounds, and the conservative bound
-            // chain may execute extra shards — but never prunes one the
-            // exact rule would have kept.
-            assert!(w.shard_visits.iter().all(|v| v.round <= 1));
-            assert!(w.node_visits >= s.node_visits);
-            assert!(w.shards_pruned <= s.shards_pruned);
+            // One thread (the waves run inline), fewer threads than
+            // shards, one per shard: one schedule, so every decision is
+            // made with the same accumulator state and the executed
+            // traversal work matches exactly (CPU backend: node visits are
+            // pure traversal counts, independent of grouping).
+            let waves = |out: &BatchOutcome| -> Vec<(u32, u32)> {
+                (out.shard_visits.iter())
+                    .map(|v| (v.round, v.shard))
+                    .collect()
+            };
+            let s = idx.run_batch(op, &queries, &threads(1));
+            for t in [4, 8] {
+                let p = idx.run_batch(op, &queries, &threads(t));
+                assert_eq!(s.results, p.results, "op {op:?}: {t} threads diverged");
+                assert_eq!(p.node_visits, s.node_visits, "op {op:?}: extra work");
+                assert_eq!(p.shards_pruned, s.shards_pruned, "op {op:?}");
+                assert_eq!(waves(&p), waves(&s), "op {op:?}: wave numbering");
+            }
         }
+    }
+
+    #[test]
+    fn one_lane_sweep_reads_the_same_on_a_pool_it_cannot_use() {
+        // A wave of a one-lane sweep (the epoch layer's NN re-probe) holds
+        // one slot and runs inline, so `sweep` capping the pool at the
+        // lane count takes away only workers that never claimed anything.
+        let pts = uniform::<3>(1024, 17);
+        let idx = ShardedIndex::build("one", &pts, 8, 8, SplitPolicy::MedianCycle);
+        let mut lane = FusedLane::empty(vec![0.1, -0.2, 0.3]);
+        for op in [OpKey::Nn, OpKey::Knn(40), OpKey::Pc(0.3f32.to_bits())] {
+            lane.ask(op);
+        }
+        let lanes = [lane];
+        let policy = ExecPolicy {
+            shard_parallelism: 8,
+            ..ExecPolicy::forced(Backend::Lockstep)
+        };
+        let views = idx.views();
+        let record = |run: &dyn Fn(&mut StatAgg) -> Vec<LaneAcc>| {
+            let mut agg = StatAgg::default();
+            let accs = run(&mut agg);
+            let mut out = agg.finish(&lanes, accs);
+            for v in &mut out.outcome.shard_visits {
+                (v.offset_us, v.dur_us) = (0, 0); // wall clock
+            }
+            format!("{out:?}")
+        };
+        let capped = record(&|agg| sweep(&views, &lanes, &policy, true, true, 0, agg));
+        let uncapped = record(&|agg| {
+            Sweep::new(&views, &lanes, &policy, true, true, 0, Instant::now()).run(8, agg)
+        });
+        assert_eq!(capped, uncapped);
+        assert!(capped.contains("round: 1"), "the lane left its home shard");
     }
 
     #[test]
@@ -1236,7 +1073,7 @@ mod tests {
         ));
         // Every point is a query, so every shard is some lane's home.
         let queries: Vec<Vec<f32>> = pts.iter().map(|p| p.0.to_vec()).collect();
-        // Sequential rounds, cursor waves, two waves.
+        // Inline, fewer workers than shards, one per shard.
         for threads in [1usize, 4, 8] {
             let policy = ExecPolicy {
                 shard_parallelism: threads,

@@ -135,26 +135,6 @@ impl<const D: usize> Aabb<D> {
         s
     }
 
-    /// Squared distance from `p` to the *farthest* point of the box — an
-    /// upper bound on the distance from `p` to every point inside. The
-    /// dual of [`Aabb::dist2_to`]: a shard whose farthest corner is closer
-    /// than another shard's nearest corner makes the latter irrelevant,
-    /// which is what the sharded index's dispatch-time pruning exploits.
-    ///
-    /// Soundness in f32 mirrors `dist2_to`: per axis the chosen corner
-    /// offset dominates `|p[i] - x[i]|` for every `x` in the box in exact
-    /// arithmetic, and rounding is monotone through the subtraction,
-    /// square, and sum, so the result upper-bounds any `p.dist2(x)`
-    /// computed the same way.
-    pub fn max_dist2_to(&self, p: &PointN<D>) -> f32 {
-        let mut s = 0.0;
-        for i in 0..D {
-            let d = (p[i] - self.lo[i]).abs().max((self.hi[i] - p[i]).abs());
-            s += d * d;
-        }
-        s
-    }
-
     /// Extent along axis `axis`.
     pub fn extent(&self, axis: usize) -> f32 {
         self.hi[axis] - self.lo[axis]
@@ -223,30 +203,6 @@ mod tests {
         assert_eq!(b.dist2_to(&PointN([0.0, 2.0])), 0.0); // boundary
         assert_eq!(b.dist2_to(&PointN([3.0, 2.0])), 1.0);
         assert_eq!(b.dist2_to(&PointN([3.0, 4.0])), 5.0);
-    }
-
-    #[test]
-    fn max_dist2_to_bounds_every_corner_and_interior_point() {
-        let b = Aabb {
-            lo: PointN([0.0, 0.0]),
-            hi: PointN([2.0, 4.0]),
-        };
-        // Inside: farthest corner is (2, 4) from the origin corner.
-        assert_eq!(b.max_dist2_to(&PointN([0.0, 0.0])), 4.0 + 16.0);
-        // Center: farthest corner is any corner.
-        assert_eq!(b.max_dist2_to(&PointN([1.0, 2.0])), 1.0 + 4.0);
-        // Outside: still the farthest corner.
-        assert_eq!(b.max_dist2_to(&PointN([3.0, 5.0])), 9.0 + 25.0);
-        // Upper bound on every contained point, lower bound never exceeds it.
-        for p in [PointN([0.3, 1.7]), PointN([2.0, 0.0]), PointN([-1.0, 6.0])] {
-            for x in [PointN([0.0, 0.0]), PointN([2.0, 4.0]), PointN([1.0, 3.0])] {
-                assert!(b.max_dist2_to(&p) >= p.dist2(&x));
-            }
-            assert!(b.dist2_to(&p) <= b.max_dist2_to(&p));
-        }
-        // Degenerate box equal to the query: both bounds collapse to zero.
-        let pt = Aabb::point(PointN([1.0, 1.0]));
-        assert_eq!(pt.max_dist2_to(&PointN([1.0, 1.0])), 0.0);
     }
 
     #[test]

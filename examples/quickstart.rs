@@ -35,16 +35,6 @@ fn main() {
         cpu_r.stats.avg_nodes()
     );
 
-    // 3b. Point-blocked CPU traversal (the Jo & Kulkarni locality
-    //     transformation): identical results, better cache behavior.
-    let mut blk_pts = fresh();
-    let blk_r = gts_runtime::cpu_blocked::run_blocked(&kernel, &mut blk_pts, 128);
-    println!(
-        "CPU point-blocked:       {:>9.2} ms   avg nodes/point {:>8.1}",
-        blk_r.ms(),
-        blk_r.stats.avg_nodes()
-    );
-
     // 4. GPU strategies on the simulated Tesla C2070.
     let cfg = GpuConfig::default();
 
@@ -77,7 +67,6 @@ fn main() {
 
     // 5. Every strategy computes exactly the same counts.
     for i in 0..n {
-        assert_eq!(cpu_pts[i].count, blk_pts[i].count);
         assert_eq!(cpu_pts[i].count, ar_pts[i].count);
         assert_eq!(cpu_pts[i].count, ls_pts[i].count);
     }

@@ -54,24 +54,23 @@ fn query_positions(pts: &[PointN<3>], seed: u64) -> Vec<Vec<f32>> {
 }
 
 /// The mutable index's answers vs a from-scratch flat build over the
-/// same live multiset, for every op × backend × sweep schedule
-/// (`shard_parallelism` 1, 2 and one thread per shard: sequential rounds,
-/// cursor waves, two waves). Distances must agree within f32 epsilon (ids
-/// may differ only on exact ties); kNN ids must be unique (a torn or
-/// double-counted shard would duplicate); PC counts must be exactly
-/// equal.
+/// same live multiset, for every op × backend × wave-pool size
+/// (`shard_parallelism` 1, 2 and one thread per shard). Distances must
+/// agree within f32 epsilon (ids may differ only on exact ties); kNN ids
+/// must be unique (a torn or double-counted shard would duplicate); PC
+/// counts must be exactly equal.
 fn check_vs_flat_rebuild(idx: &MutableIndex<3>, queries: &[Vec<f32>], ctx: &str) {
     let live: Vec<PointN<3>> = idx.live().into_iter().map(|(_, p)| p).collect();
     assert!(!live.is_empty(), "{ctx}: script emptied the index");
     let flat = KdIndex::build("flat-oracle", &live, 8, SplitPolicy::MedianCycle);
     let cpu = ExecPolicy::forced(Backend::Cpu);
-    let mut schedules = vec![1, 2, idx.n_shards().max(1)];
-    schedules.dedup();
+    let mut pools = vec![1, 2, idx.n_shards().max(1)];
+    pools.dedup();
     for op in [OpKey::Nn, OpKey::Knn(8), OpKey::Pc(PC_RADIUS.to_bits())] {
         let want = flat.run_batch(op, queries, &cpu);
         for (backend, &threads) in BACKENDS
             .iter()
-            .flat_map(|b| schedules.iter().map(move |t| (*b, t)))
+            .flat_map(|b| pools.iter().map(move |t| (*b, t)))
         {
             let policy = ExecPolicy {
                 shard_parallelism: threads,

@@ -200,7 +200,7 @@ fn fused_stays_exact_mid_epoch_window() {
         let rebuilt = KdIndex::build("fuse-rebuilt", &live, 8, SplitPolicy::MedianCycle);
         let oracle = unfused_answers(&rebuilt, &lanes, &ExecPolicy::forced(Backend::Cpu));
 
-        // Sequential rounds, cursor waves (on 4 shards) and two waves.
+        // Waves inline, on two threads, and on one thread per shard.
         for threads in [1, 2, shards] {
             for backend in [Backend::Autoropes, Backend::Cpu] {
                 let policy = ExecPolicy {

@@ -182,6 +182,60 @@ fn shared_memory_stack_helps_lockstep_bh() {
     );
 }
 
+/// §5.2, §4.4, §2.2: the design-choice orderings of `gts-harness
+/// ablations` (EXPERIMENTS.md § Ablations) that hold — at a quarter of its
+/// size, so that a debug run takes seconds. The node-layout pair is absent
+/// on purpose: the model prices the hot/cold split *above* the monolithic
+/// record on the 7-d kd-tree, which EXPERIMENTS.md explains.
+#[test]
+fn ablation_orderings_hold() {
+    let rows = gts_harness::ablations::run(1_000, 2_000, 1309);
+    let ms = |group: &str, variant: &str| {
+        let row = rows
+            .iter()
+            .find(|r| r.group == group && r.variant == variant);
+        row.unwrap_or_else(|| panic!("no row {group}/{variant}")).ms
+    };
+    let ascending = |group: &str, variants: &[&str]| {
+        for pair in variants.windows(2) {
+            let (a, b) = (ms(group, pair[0]), ms(group, pair[1]));
+            assert!(
+                a < b,
+                "{group}: {} {a:.3} ms !< {} {b:.3} ms",
+                pair[0],
+                pair[1]
+            );
+        }
+    };
+    // The per-warp stack belongs in shared memory; among global layouts,
+    // per-lane stacks at equal depths coalesce when interleaved.
+    ascending(
+        "stack_layout_bh_lockstep",
+        &["shared_per_warp", "interleaved_global"],
+    );
+    ascending(
+        "stack_layout_bh_lockstep",
+        &["shared_per_warp", "contiguous_global"],
+    );
+    ascending(
+        "stack_layout_bh_autoropes",
+        &["interleaved_global", "contiguous_global"],
+    );
+    // Both sorts bound lockstep's expansion; the Morton curve does it best.
+    ascending(
+        "point_sorting_pc_lockstep",
+        &["morton_sorted", "tree_order_sorted", "unsorted"],
+    );
+    // A hardware L2 helps both variants and does not reorder them.
+    ascending("l2_cache_pc", &["autoropes_with_l2", "autoropes_dram_only"]);
+    ascending("l2_cache_pc", &["lockstep_with_l2", "lockstep_dram_only"]);
+    ascending("l2_cache_pc", &["lockstep_with_l2", "autoropes_with_l2"]);
+    ascending(
+        "l2_cache_pc",
+        &["lockstep_dram_only", "autoropes_dram_only"],
+    );
+}
+
 /// §3.3: the autoropes transformation preserves results bit-for-bit, even
 /// for the order-sensitive floating-point accumulation of BH forces.
 #[test]

@@ -1,19 +1,26 @@
-//! Differential oracle for parallel sharded dispatch: running a batch
-//! through the scoped-thread wave scheduler must produce exactly the
-//! results of the sequential round-by-round dispatcher, which in turn
-//! must agree with a flat [`KdIndex`] over the same dataset. Parallelism
-//! and AABB-bound pruning are execution details, not semantics changes.
+//! Differential oracle for parallel sharded dispatch: running a batch's
+//! waves on a pool must produce exactly the results of running them
+//! inline on one thread, which in turn must agree with a flat [`KdIndex`]
+//! over the same dataset. Parallelism and AABB-bound pruning are
+//! execution details, not semantics changes — and since there is one
+//! schedule, the thread count cannot move anything else on a batch's
+//! record either (`a_batchs_whole_record_is_the_same_for_every_thread_count`),
+//! and what a batch executes is what its lanes execute alone
+//! (`a_batch_executes_what_its_lanes_execute_alone`).
 //!
 //! Plus property tests pinning the profile-cache contract: a miss returns
 //! exactly what a fresh profiler run returns, and a hit replays the
 //! memoized decision verbatim under a fixed seed.
 
-use gts_integration::mixed_lanes;
+use gts_integration::{metering, mixed_lanes};
 use gts_points::gen::uniform;
 use gts_points::profile::{
     profile_key, profile_sortedness, profile_sortedness_cached, ProfileCache,
 };
-use gts_service::{Backend, ExecPolicy, KdIndex, OpKey, QueryResult, ShardedIndex, TreeIndex};
+use gts_service::{
+    Backend, ExecPolicy, FusedLane, FusedOutcome, KdIndex, MutableIndexBuilder, Mutation, OpKey,
+    QueryResult, ShardedIndex, TreeIndex,
+};
 use gts_trees::{PointN, SplitPolicy};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -24,7 +31,7 @@ const N_POINTS: usize = 3000;
 const N_QUERIES: usize = 2000;
 
 /// Seeded query mix: half uniform over the cube, half hugging dataset
-/// points (tight bounds, so wave-1 pruning actually engages).
+/// points (tight bounds, so pruning after the home shard actually engages).
 fn queries(pts: &[PointN<3>], seed: u64) -> Vec<Vec<f32>> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..N_QUERIES)
@@ -115,8 +122,8 @@ fn parallel_matches_sequential_and_flat_for_every_op_and_shard_count() {
 
     // The same oracle over mixed lane batches (each lane a random subset
     // of NN / two kNN ks / two PC radii): a lane is dispatched to a shard
-    // while *any* of its ops could still improve there, on every
-    // schedule.
+    // while *any* of its ops could still improve there, at every
+    // thread count.
     let lanes = mixed_lanes(&pts, 600, 0x1a9e5);
     let want = flat.run(&lanes, &sequential());
     for shards in SHARD_COUNTS {
@@ -129,28 +136,152 @@ fn parallel_matches_sequential_and_flat_for_every_op_and_shard_count() {
                 check_vs_flat(w, g, shards, q);
             }
         }
-        // 4 threads: cursor waves on 8 shards; `shards` threads: two waves.
+        // Fewer threads than the 8 shards, and one per shard.
         for threads in [4, shards] {
             let par = idx.run(&lanes, &parallel(threads));
             assert_eq!(
                 seq.lanes, par.lanes,
                 "{shards} shards, {threads} threads: mixed lanes diverged from sequential"
             );
-            if 1 < threads && threads < idx.n_shards() {
-                // Cursor waves decide every (lane, shard) pair with the
-                // accumulator state the sequential rounds have at that
-                // check, so the executed set — pure traversal counts on
-                // the CPU backend, whatever the grouping — is the same.
-                assert_eq!(par.outcome.node_visits, seq.outcome.node_visits);
-                assert_eq!(par.outcome.shards_pruned, seq.outcome.shards_pruned);
-            } else if threads > 1 {
-                // Two waves: at most two rounds, and the conservative
-                // bound chain may execute extra shards — but never prunes
-                // one the exact rule would have kept.
-                assert!(par.outcome.shard_visits.iter().all(|v| v.round <= 1));
-                assert!(par.outcome.node_visits >= seq.outcome.node_visits);
-                assert!(par.outcome.shards_pruned <= seq.outcome.shards_pruned);
+            // Every (lane, shard) pair is decided with the accumulator
+            // state one thread has at that check, so the executed set —
+            // pure traversal counts on the CPU backend, whatever the
+            // grouping — is the same.
+            assert_eq!(par.outcome.node_visits, seq.outcome.node_visits);
+            assert_eq!(par.outcome.shards_pruned, seq.outcome.shards_pruned);
+        }
+    }
+}
+
+/// A batch's record with its wall-clock fields zeroed: everything the
+/// determinism contract covers, answers to shard spans.
+fn record(mut out: FusedOutcome) -> String {
+    for v in &mut out.outcome.shard_visits {
+        (v.offset_us, v.dur_us) = (0, 0);
+    }
+    format!("{out:#?}")
+}
+
+fn single_op_lanes(op: OpKey, positions: &[Vec<f32>]) -> Vec<FusedLane> {
+    (positions.iter())
+        .map(|pos| {
+            let mut lane = FusedLane::empty(pos.clone());
+            lane.ask(op);
+            lane
+        })
+        .collect()
+}
+
+/// One schedule for every thread count: `shard_parallelism` sizes the
+/// wave pool and moves nothing a batch reports — answers, `node_visits`,
+/// `shards_pruned`, the modeled series, and each `ShardVisit`'s `(shard,
+/// round, queries, node_visits, pruned)`. Lockstep is forced because its
+/// counts depend on how lanes are grouped into sub-batches, which is what
+/// a second schedule would change; the unforced policy (cache off: a hit
+/// on the second run would be a difference of its own) adds the §4.4
+/// profile per sub-batch.
+#[test]
+fn a_batchs_whole_record_is_the_same_for_every_thread_count() {
+    let pts = uniform::<3>(N_POINTS, 0x1dea);
+    let positions = queries(&pts, 0xface)[..384].to_vec();
+    let mut batches: Vec<(String, Vec<FusedLane>)> =
+        [OpKey::Nn, OpKey::Knn(8), OpKey::Pc(0.15f32.to_bits())]
+            .map(|op| (format!("{op:?}"), single_op_lanes(op, &positions)))
+            .into();
+    batches.push(("mixed".into(), mixed_lanes(&pts, 384, 0x1a9e5)));
+    batches.push(("one lane".into(), mixed_lanes(&pts, 1, 7)));
+
+    let sharded = ShardedIndex::build("static", &pts, 8, 8, SplitPolicy::MedianCycle);
+    // Frozen mid-window: deltas pending, so every batch is a widened
+    // sweep, a correction and NN re-probe sweeps into the same record.
+    let mutable = MutableIndexBuilder::new("window", 8)
+        .auto_merge(false)
+        .build(&pts);
+    let mut muts: Vec<Mutation> = (positions.iter().step_by(5))
+        .map(|pos| Mutation::Insert { pos: pos.clone() })
+        .collect();
+    muts.extend(
+        (0..N_POINTS as u32)
+            .step_by(7)
+            .map(|id| Mutation::Delete { id }),
+    );
+    mutable.mutate(&muts).expect("mutations are valid");
+    assert!(
+        mutable.stats().pending > 0,
+        "deltas must still be in flight"
+    );
+    let indices: [(&str, &dyn TreeIndex); 2] = [("static", &sharded), ("window", &mutable)];
+
+    for (what, lanes) in &batches {
+        let at: Vec<Vec<f32>> = lanes.iter().map(|l| l.pos.clone()).collect();
+        let policies = [
+            metering(ExecPolicy::forced(Backend::Lockstep), &at),
+            ExecPolicy {
+                profile_cache: false,
+                ..ExecPolicy::default()
+            },
+        ];
+        for (name, idx) in indices {
+            for policy in &policies {
+                let run = |threads: usize| {
+                    let policy = ExecPolicy {
+                        shard_parallelism: threads,
+                        ..policy.clone()
+                    };
+                    record(idx.run(lanes, &policy))
+                };
+                let one = run(1);
+                assert!(
+                    one.contains("round: 1"),
+                    "{name}, {what}: never left wave 0"
+                );
+                for threads in [2, 4, 8, 9] {
+                    assert!(
+                        run(threads) == one,
+                        "{name}, {what}, forced {:?}: {threads} threads moved the record",
+                        policy.force
+                    );
+                }
             }
+        }
+    }
+}
+
+/// The executed `(lane, shard)` set has a reference that needs no second
+/// schedule: a lane's shards are decided against that lane's own earlier
+/// answers only, so a batch executes exactly what its lanes execute when
+/// each is run as a batch of one — and on the CPU backend, whose node
+/// visits are per-lane traversal counts whatever the grouping,
+/// `node_visits` and `shards_pruned` are those runs' sums. The mixed
+/// batch keeps only lanes that ask two ops or more: a lane of one op
+/// alone would pick that op's own kernel, not the fused walk the mixed
+/// batch gives it.
+#[test]
+fn a_batch_executes_what_its_lanes_execute_alone() {
+    let pts = uniform::<3>(N_POINTS, 0x5eed);
+    let idx = ShardedIndex::build("sharded", &pts, 8, 8, SplitPolicy::MedianCycle);
+    let positions = &queries(&pts, 0xfeed)[..256];
+    let mut mixed = mixed_lanes(&pts, 320, 0x1a9e5);
+    mixed.retain(|lane| lane.ops() >= 2);
+    let batches = [
+        single_op_lanes(OpKey::Nn, positions),
+        single_op_lanes(OpKey::Knn(8), positions),
+        single_op_lanes(OpKey::Pc(0.15f32.to_bits()), positions),
+        mixed,
+    ];
+    for (b, lanes) in batches.iter().enumerate() {
+        for threads in [1, 4] {
+            let whole = idx.run(lanes, &parallel(threads));
+            let (mut visits, mut pruned) = (0, 0);
+            for (q, lane) in lanes.iter().enumerate() {
+                let alone = idx.run(std::slice::from_ref(lane), &parallel(threads));
+                assert_eq!(alone.lanes[0], whole.lanes[q], "batch {b}, lane {q}");
+                visits += alone.outcome.node_visits;
+                pruned += alone.outcome.shards_pruned;
+            }
+            assert!(pruned > 0, "batch {b}: nothing pruned, nothing pinned");
+            assert_eq!(whole.outcome.node_visits, visits, "batch {b}");
+            assert_eq!(whole.outcome.shards_pruned, pruned, "batch {b}");
         }
     }
 }
