@@ -1,7 +1,8 @@
 //! Batch accumulation: the time-or-size flush policy.
 //!
-//! Pure data structure, no threads — the service's batcher thread drives
-//! it with submissions and clock ticks, tests drive it directly. Queries
+//! Pure data structure, no threads — the service keeps one behind its
+//! front lock, where submitters push and the deadline keeper flushes what
+//! is due; tests drive it directly. Queries
 //! coalesce per [`BatchKey`] (same index, same kernel parameters); a
 //! bucket flushes when it reaches the size target (rounded up to a warp
 //! multiple, so full flushes are always N×32) or when its oldest entry has
@@ -91,19 +92,19 @@ impl<T> Batcher<T> {
         entry: BatchEntry<T>,
         now: Instant,
     ) -> Option<ReadyBatch<T>> {
-        match self.buckets.iter_mut().find(|b| b.key == key) {
-            Some(b) => b.entries.push(entry),
-            None => self.buckets.push(Bucket {
+        let at = (self.buckets.iter().position(|b| b.key == key)).unwrap_or_else(|| {
+            self.buckets.push(Bucket {
                 key,
-                entries: vec![entry],
+                entries: Vec::new(),
                 oldest: now,
-            }),
+            });
+            self.buckets.len() - 1
+        });
+        self.buckets[at].entries.push(entry);
+        if self.buckets[at].entries.len() < self.target {
+            return None;
         }
-        let pos = self
-            .buckets
-            .iter()
-            .position(|b| b.key == key && b.entries.len() >= self.target)?;
-        let b = self.buckets.swap_remove(pos);
+        let b = self.buckets.swap_remove(at);
         Some(ReadyBatch {
             id: self.take_id(),
             key: b.key,

@@ -7,9 +7,10 @@
 //! crate turns that offline heuristic into an online scheduling policy:
 //!
 //! * clients submit NN / kNN / point-correlation queries against
-//!   registered tree indices through a bounded queue (backpressure);
-//! * a batcher coalesces them per (index, kernel-parameters) key into
-//!   warp-multiple batches under a time-or-size flush policy;
+//!   registered tree indices; `submit` files each into its (index,
+//!   kernel-parameters) bucket, and a bucket flushes as a warp-multiple
+//!   batch under a time-or-size policy ([`batcher`]) into a bounded
+//!   dispatch queue (backpressure);
 //! * a worker pool Morton-sorts each batch, runs the sortedness profiler,
 //!   and dispatches to lockstep or autoropes (or the CPU executor when
 //!   forced) — results return in submission order through tickets;

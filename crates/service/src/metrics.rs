@@ -184,7 +184,7 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// One query accepted into the submission queue.
+    /// One query accepted into its bucket.
     pub fn on_submit(&self) {
         self.lock().own.submitted.fold(1);
     }

@@ -66,9 +66,10 @@ impl Backend {
 /// union prune bound, per-op answers bit-identical to unfused runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FusionMode {
-    /// Fuse only when it plausibly saves work: a drain window must hold
-    /// at least two *distinct* ops against the same index. Single-op
-    /// windows dispatch as they flushed, one batch per op.
+    /// Fuse only when it plausibly saves work: what a flush releases
+    /// (the full or due buckets plus their same-index companions) must
+    /// hold at least two *distinct* ops against the same index. A
+    /// single-op flush dispatches as it flushed, one batch per op.
     #[default]
     Auto,
     /// Never fuse — reproduces per-op batching exactly.
@@ -135,7 +136,7 @@ pub struct ExecPolicy {
     /// it wins exactly where lockstep loses. High-similarity batches still
     /// go to lockstep.
     pub stackless: bool,
-    /// When the batcher may fuse same-index multi-op drain windows into
+    /// When the front may fuse a flush's same-index multi-op batches into
     /// one traversal (see [`FusionMode`]).
     pub fusion: FusionMode,
 }

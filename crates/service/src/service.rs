@@ -1,21 +1,26 @@
-//! The query service: submission queue → batcher thread → worker pool.
+//! The query service: submitters bucket → deadline keeper → worker pool.
 //!
 //! ```text
-//!  clients ──submit──▶ [bounded channel] ──▶ batcher thread
-//!                                              │  time-or-size flush
-//!                                              ▼
+//!  clients ──submit──▶ [front: one lock around the buckets]
+//!                          │ size flush: the submit that filled the bucket
+//!                          │ deadline flush: the keeper thread
+//!                          ▼
 //!                       [bounded channel] ──▶ workers (N threads)
-//!                                              │  sort → profile →
+//!                                              │  lanes → sort → profile →
 //!                                              │  lockstep/autoropes
 //!                                              ▼
 //!                                        tickets resolve
 //! ```
 //!
-//! Both channels are bounded: a full submission queue blocks submitters
-//! (backpressure), a full dispatch queue blocks the batcher, which in turn
-//! fills the submission queue. Shutdown drops the submission sender; the
-//! batcher drains its buckets, the workers drain the dispatch queue, and
-//! every in-flight ticket resolves before `shutdown` returns.
+//! `submit` files its query into its `(index, op)` bucket under the front
+//! lock and returns; the call that fills a bucket takes it out under the
+//! lock and sends it after releasing it. The dispatch channel is bounded,
+//! and that send is the backpressure: a full dispatch queue blocks the
+//! submitter whose push flushed, holding no lock. The keeper thread sleeps
+//! until the oldest bucket's deadline and flushes what is due. Shutdown
+//! closes the front, flushes every bucket and drops the dispatch sender;
+//! the workers drain the dispatch queue, and every in-flight ticket
+//! resolves before `shutdown` returns.
 
 use crate::batcher::{BatchEntry, Batcher, ReadyBatch};
 use crate::epoch::{EpochEvent, EpochStats, MutateError, Mutation, MutationAck};
@@ -28,11 +33,12 @@ use crate::trace::{
     EventKind, TraceContext, TraceRecorder, TraceSnapshot, FUSED_OP_KNN, FUSED_OP_NN, FUSED_OP_PC,
     NO_ID,
 };
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use std::collections::{HashMap, HashSet};
+use crossbeam::channel::{bounded, Receiver, Sender};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasher, Hasher};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -98,15 +104,14 @@ impl std::error::Error for ServiceError {}
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Submission queue capacity; a full queue blocks `submit`.
-    pub queue_capacity: usize,
     /// Batch size target (rounded up to a warp multiple by the batcher).
     pub batch_queries: usize,
     /// Max time a query waits in a partial bucket before it flushes.
     pub max_wait: Duration,
     /// Worker threads executing batches.
     pub workers: usize,
-    /// Dispatch queue capacity (ready batches waiting for a worker).
+    /// Dispatch queue capacity (ready batches waiting for a worker); a
+    /// full queue blocks the `submit` whose push flushed a batch.
     pub dispatch_capacity: usize,
     /// Per-batch execution policy (sort, profile, backend override).
     pub policy: ExecPolicy,
@@ -131,7 +136,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            queue_capacity: 1024,
             batch_queries: 256,
             max_wait: Duration::from_millis(2),
             workers: std::thread::available_parallelism()
@@ -213,11 +217,15 @@ impl Ticket {
 
     fn resolve(&self, r: Result<QueryResult, ServiceError>) {
         let mut state = self.lock();
-        match std::mem::replace(&mut *state, TicketState::Done(r.clone())) {
+        match std::mem::replace(&mut *state, TicketState::Pending) {
             TicketState::Pending => {
+                *state = TicketState::Done(r);
                 self.0.cv.notify_all();
             }
             TicketState::Waker(callback) => {
+                // The one copy a resolution makes: `Done` keeps the result
+                // readable after the callback consumed its own.
+                *state = TicketState::Done(r.clone());
                 self.0.cv.notify_all();
                 // Fire outside the lock: the callback may take arbitrary
                 // locks of its own (the net writer channel, a batch
@@ -332,10 +340,15 @@ struct Tag {
     _depth: DepthGuard,
 }
 
-struct Submission {
-    key: BatchKey,
-    pos: Vec<f32>,
-    tag: Tag,
+/// What travels the dispatch channel: same-index per-op batches as they
+/// flushed, and whether queries at one position share a lane. The worker
+/// that executes the dispatch builds its lanes ([`lanes_of`]), so nothing
+/// holding the front lock does.
+struct Dispatch<T> {
+    id: u64,
+    index: IndexId,
+    batches: Vec<ReadyBatch<T>>,
+    dedup: bool,
 }
 
 /// One per-op batch's queries inside a dispatch: the ready batch's key,
@@ -345,71 +358,71 @@ struct Part<T> {
     entries: Vec<(T, u32)>,
 }
 
-/// What travels the dispatch channel, and the only batch shape a worker
-/// knows: the lanes one index runs, plus the per-op parts whose tickets
-/// the worker scatters the lane answers back to.
-struct LaneBatch<T> {
-    id: u64,
-    index: IndexId,
-    lanes: Vec<FusedLane>,
-    parts: Vec<Part<T>>,
-}
-
-impl<T> LaneBatch<T> {
-    /// A per-op batch as it flushed: one part, one lane per entry.
-    fn solo(batch: ReadyBatch<T>) -> Self {
-        LaneBatch::new(batch.id, batch.key.index, vec![batch], false)
-    }
-
-    /// One dispatch from same-index per-op batches. With `dedup`, one
-    /// lane per distinct query position (keyed on exact f32 bit
-    /// patterns) accumulates every op requested there, so N ops at one
-    /// position traverse once.
-    fn new(id: u64, index: IndexId, batches: Vec<ReadyBatch<T>>, dedup: bool) -> Self {
-        let mut lane_of: HashMap<Vec<u32>, u32> = HashMap::new();
-        let mut lanes: Vec<FusedLane> = Vec::new();
-        let mut parts = Vec::with_capacity(batches.len());
-        for b in batches {
-            let mut entries = Vec::with_capacity(b.entries.len());
-            for e in b.entries {
-                let mut fresh = |pos: Vec<f32>| {
-                    lanes.push(FusedLane::empty(pos));
-                    (lanes.len() - 1) as u32
-                };
-                let lane = if dedup {
-                    let bits: Vec<u32> = e.pos.iter().map(|v| v.to_bits()).collect();
-                    *lane_of.entry(bits).or_insert_with(|| fresh(e.pos))
-                } else {
-                    fresh(e.pos)
-                };
-                lanes[lane as usize].ask(b.key.op);
-                entries.push((e.tag, lane));
-            }
-            parts.push(Part {
-                key: b.key,
-                entries,
+/// The lanes one index runs for a dispatch, plus the per-op parts whose
+/// tickets the worker scatters the lane answers back to. With `dedup`,
+/// one lane per distinct query position (exact f32 bit patterns)
+/// accumulates every op requested there, so N ops at one position
+/// traverse once; without, one lane per entry.
+fn lanes_of<T>(batches: Vec<ReadyBatch<T>>, dedup: bool) -> (Vec<FusedLane>, Vec<Part<T>>) {
+    let queries: usize = batches.iter().map(|b| b.entries.len()).sum();
+    let same_bits =
+        |a: &[f32], b: &[f32]| (a.iter().map(|v| v.to_bits())).eq(b.iter().map(|v| v.to_bits()));
+    // Position → lane without a key per entry: the map holds a keyed hash
+    // of the position's bits, and the lane's own `pos` settles a hit (two
+    // positions sharing all 64 bits cost the later its dedup, no answer).
+    let mut lane_of: HashMap<u64, usize> = HashMap::with_capacity(if dedup { queries } else { 0 });
+    let mut lanes: Vec<FusedLane> = Vec::with_capacity(queries);
+    let mut parts = Vec::with_capacity(batches.len());
+    for b in batches {
+        let mut entries = Vec::with_capacity(b.entries.len());
+        for e in b.entries {
+            let slot = dedup.then(|| {
+                let mut h = lane_of.hasher().build_hasher();
+                e.pos.iter().for_each(|v| h.write_u32(v.to_bits()));
+                lane_of.entry(h.finish())
             });
+            let lane = match slot {
+                Some(Entry::Occupied(at)) if same_bits(&lanes[*at.get()].pos, &e.pos) => *at.get(),
+                slot => {
+                    if let Some(Entry::Vacant(slot)) = slot {
+                        slot.insert(lanes.len());
+                    }
+                    lanes.push(FusedLane::empty(e.pos));
+                    lanes.len() - 1
+                }
+            };
+            lanes[lane].ask(b.key.op);
+            entries.push((e.tag, lane as u32));
         }
-        LaneBatch {
-            id,
-            index,
-            lanes,
-            parts,
-        }
+        parts.push(Part {
+            key: b.key,
+            entries,
+        });
     }
+    (lanes, parts)
 }
 
-/// Group a drain window's ready batches by index and fuse every group
-/// that spans two or more distinct ops — a lone op's fused walk would be
-/// the solo walk with extra bookkeeping; everything else passes through
-/// as it flushed.
+/// Group a burst's ready batches by index and fuse every group that,
+/// with the same-index buckets still filling, spans two or more distinct
+/// ops — pulling those companions in, so that a full NN bucket carries the
+/// half-full kNN/PC buckets along rather than leave them to age out into
+/// separate walks. Everything else passes through as it flushed, its
+/// companions untouched: a lone op's fused walk would be the solo walk
+/// with extra bookkeeping, and single-op timing stays what `Off` gives.
 fn coalesce<T>(
     burst: Vec<ReadyBatch<T>>,
     fusion: FusionMode,
     batcher: &mut Batcher<T>,
-) -> Vec<LaneBatch<T>> {
+) -> Vec<Dispatch<T>> {
+    // A per-op batch as it flushed: one part, one lane per entry.
+    let solo = |b: ReadyBatch<T>| Dispatch {
+        id: b.id,
+        index: b.key.index,
+        batches: vec![b],
+        dedup: false,
+    };
     if fusion == FusionMode::Off {
-        return burst.into_iter().map(LaneBatch::solo).collect();
+        return burst.into_iter().map(solo).collect();
     }
     let mut groups: Vec<(IndexId, Vec<ReadyBatch<T>>)> = Vec::new();
     for b in burst {
@@ -419,15 +432,76 @@ fn coalesce<T>(
         }
     }
     let mut out = Vec::new();
-    for (index, batches) in groups {
-        let distinct: HashSet<OpKey> = batches.iter().map(|b| b.key.op).collect();
-        if distinct.len() >= 2 {
-            out.push(LaneBatch::new(batcher.take_id(), index, batches, true));
+    for (index, mut batches) in groups {
+        let first = batches[0].key.op;
+        let fuses = (batches.iter().map(|b| b.key.op))
+            .chain(batcher.pending_ops(index))
+            .any(|op| op != first);
+        if fuses {
+            batches.extend(batcher.flush_index(index));
+            out.push(Dispatch {
+                id: batcher.take_id(),
+                index,
+                batches,
+                dedup: true,
+            });
         } else {
-            out.extend(batches.into_iter().map(LaneBatch::solo));
+            out.extend(batches.into_iter().map(solo));
         }
     }
     out
+}
+
+/// What stands between `submit` and the workers: the buckets and the
+/// dispatch sender under one lock. Submitters file queries in; a submit
+/// that fills a bucket, the deadline keeper and `close` take batches out.
+struct Front {
+    state: Mutex<FrontState>,
+    /// Wakes the keeper: a push created the first bucket (there is a
+    /// deadline to sleep towards), or the front closed.
+    wake: Condvar,
+    fusion: FusionMode,
+}
+
+struct FrontState {
+    batcher: Batcher<Tag>,
+    /// The dispatch sender; `None` once closed. Whoever takes batches out
+    /// clones it under the lock and sends after releasing it, so the
+    /// workers see the channel disconnect only when the last such send is
+    /// through.
+    tx: Option<Sender<Dispatch<Tag>>>,
+}
+
+/// What a flush put on its way out under the front lock: the dispatches,
+/// and a sender to put them on the channel with once the lock is released.
+type Flushed = (Sender<Dispatch<Tag>>, Vec<Dispatch<Tag>>);
+
+impl Front {
+    fn lock(&self) -> MutexGuard<'_, FrontState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// `burst`, just flushed from `state`, on its way out.
+    fn release(&self, state: &mut FrontState, burst: Vec<ReadyBatch<Tag>>) -> Flushed {
+        let tx = state.tx.clone().expect("only an open front flushes");
+        (tx, coalesce(burst, self.fusion, &mut state.batcher))
+    }
+}
+
+/// Send a burst's dispatches, blocking on a full dispatch queue — the
+/// service's backpressure, so no lock may be held here. A failed dispatch
+/// (workers gone early — only happens on a worker panic) must still
+/// resolve the batch's tickets or `wait` would hang.
+fn send_all((tx, dispatches): Flushed) {
+    for d in dispatches {
+        if let Err(err) = tx.send(d) {
+            for e in err.0.batches.into_iter().flat_map(|b| b.entries) {
+                e.tag
+                    .ticket
+                    .resolve(Err(ServiceError::Internal("dispatch queue closed".into())));
+            }
+        }
+    }
 }
 
 struct Shared {
@@ -444,6 +518,10 @@ struct Shared {
 impl Shared {
     fn depth(&self) -> u64 {
         self.depth.load(Ordering::Relaxed).max(0) as u64
+    }
+
+    fn indices(&self) -> RwLockReadGuard<'_, Vec<Arc<dyn TreeIndex>>> {
+        self.indices.read().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -529,18 +607,14 @@ fn rejected_record(
 /// pipeline shape.
 pub struct Service {
     shared: Arc<Shared>,
-    // Mutex so `close` can drop the sender through `&self` while
-    // submitters race; `submit` clones the sender out of the lock before
-    // the (potentially blocking) send, so `close` never waits on a full
-    // queue.
-    submit_tx: Mutex<Option<Sender<Submission>>>,
-    batcher: Option<JoinHandle<()>>,
+    front: Arc<Front>,
+    keeper: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     admission_budget: Option<Duration>,
 }
 
 impl Service {
-    /// Start the batcher thread and worker pool.
+    /// Start the deadline keeper and the worker pool.
     pub fn start(config: ServiceConfig) -> Service {
         let shared = Arc::new(Shared {
             indices: RwLock::new(Vec::new()),
@@ -550,16 +624,22 @@ impl Service {
             policy: config.policy.clone(),
             depth: Arc::new(AtomicI64::new(0)),
         });
-        let (submit_tx, submit_rx) = bounded::<Submission>(config.queue_capacity.max(1));
-        let (dispatch_tx, dispatch_rx) = bounded::<LaneBatch<Tag>>(config.dispatch_capacity.max(1));
-
-        let batch_queries = config.batch_queries;
-        let max_wait = config.max_wait;
-        let fusion = config.policy.fusion;
-        let batcher = std::thread::Builder::new()
-            .name("gts-service-batcher".into())
-            .spawn(move || batcher_loop(submit_rx, dispatch_tx, batch_queries, max_wait, fusion))
-            .expect("spawn batcher");
+        let (dispatch_tx, dispatch_rx) = bounded::<Dispatch<Tag>>(config.dispatch_capacity.max(1));
+        let front = Arc::new(Front {
+            state: Mutex::new(FrontState {
+                batcher: Batcher::new(config.batch_queries, config.max_wait),
+                tx: Some(dispatch_tx),
+            }),
+            wake: Condvar::new(),
+            fusion: config.policy.fusion,
+        });
+        let keeper = {
+            let front = Arc::clone(&front);
+            std::thread::Builder::new()
+                .name("gts-service-batcher".into())
+                .spawn(move || keeper_loop(&front))
+                .expect("spawn deadline keeper")
+        };
 
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -575,8 +655,8 @@ impl Service {
 
         Service {
             shared,
-            submit_tx: Mutex::new(Some(submit_tx)),
-            batcher: Some(batcher),
+            front,
+            keeper: Some(keeper),
             workers,
             admission_budget: config.admission_budget,
         }
@@ -649,25 +729,11 @@ impl Service {
     /// acknowledgement: ids assigned to inserts, the epoch the batch
     /// landed on, and the pending delta depth.
     pub fn mutate(&self, index: IndexId, muts: &[Mutation]) -> Result<MutationAck, ServiceError> {
-        if self
-            .submit_tx
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_none()
-        {
+        if self.front.lock().tx.is_none() {
             return Err(ServiceError::ShuttingDown);
         }
-        let idx = {
-            let indices = self
-                .shared
-                .indices
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
-            indices
-                .get(index)
-                .cloned()
-                .ok_or(ServiceError::UnknownIndex(index))?
-        };
+        let idx =
+            (self.shared.indices().get(index).cloned()).ok_or(ServiceError::UnknownIndex(index))?;
         for m in muts {
             if let Mutation::Insert { pos } = m {
                 if pos.len() != idx.dim() {
@@ -694,19 +760,15 @@ impl Service {
     /// Epoch counters of a registered index: `Ok(Some(_))` for a mutable
     /// index, `Ok(None)` for a static one.
     pub fn epoch_stats(&self, index: IndexId) -> Result<Option<EpochStats>, ServiceError> {
-        let indices = self
-            .shared
-            .indices
-            .read()
-            .unwrap_or_else(|e| e.into_inner());
-        indices
-            .get(index)
+        (self.shared.indices().get(index))
             .map(|idx| idx.epoch_stats())
             .ok_or(ServiceError::UnknownIndex(index))
     }
 
-    /// Submit a query. Blocks while the submission queue is full
-    /// (backpressure); returns a [`Ticket`] that resolves to the result.
+    /// Submit a query; returns a [`Ticket`] that resolves to the result.
+    /// The query is in its batch when this returns. The call whose query
+    /// fills a batch also dispatches it, and blocks while the dispatch
+    /// queue is full (backpressure).
     pub fn submit(&self, query: Query) -> Result<Ticket, ServiceError> {
         self.submit_traced(query, TraceContext::LOCAL)
     }
@@ -739,11 +801,8 @@ impl Service {
             // the tail is exactly what the operator is hunting), with
             // whatever detail exists before execution.
             if shared.slow_log.capacity() > 0 {
-                let name = {
-                    let indices = shared.indices.read().unwrap_or_else(|e| e.into_inner());
-                    indices.get(index_id).map(|i| i.name().to_string())
-                };
-                let name = name.unwrap_or_else(|| format!("index-{index_id}"));
+                let name = (shared.indices().get(index_id))
+                    .map_or_else(|| format!("index-{index_id}"), |i| i.name().to_string());
                 let record = rejected_record(shared, qid, ctx, op, submitted, name, reason);
                 shared.slow_log.commit(record);
             }
@@ -785,8 +844,7 @@ impl Service {
         let ticket = Ticket::new();
         let submitted_us = trace.us_of(submitted);
         trace.instant_traced(submitted_us, qid, NO_ID, ctx.trace_id, EventKind::Submit);
-        let submission = Submission {
-            key,
+        let entry = BatchEntry {
             pos: query.pos,
             tag: Tag {
                 ticket: ticket.clone(),
@@ -796,33 +854,33 @@ impl Service {
                 _depth: DepthGuard::acquire(&shared.depth),
             },
         };
-        // The close raced the submission: the query never ran.
-        let refuse_closed = || {
+        // Record Enqueue *before* the push: once the query is in its
+        // bucket another thread may flush it and a worker record its
+        // Complete, and the ring numbers events in record order. When the
+        // close won the race the optimistic event stays in the trace,
+        // followed by the Reject that tells the true outcome.
+        trace.instant_traced(trace.now_us(), qid, NO_ID, ctx.trace_id, EventKind::Enqueue);
+        let mut front = self.front.lock();
+        if front.tx.is_none() {
+            // The close raced the submission: the query never ran.
+            drop(front);
             shared.metrics.on_reject();
             reject("shutting-down");
-            Err(ServiceError::ShuttingDown)
-        };
-        let tx = {
-            let guard = self.submit_tx.lock().unwrap_or_else(|e| e.into_inner());
-            match guard.as_ref() {
-                Some(tx) => tx.clone(),
-                None => return refuse_closed(),
-            }
-        };
-        // Record Enqueue *before* the send: once the submission is in the
-        // channel a worker may record the query's Complete immediately,
-        // and the ring assigns sequence numbers in record order — an
-        // after-the-send Enqueue could land after its own Complete. On
-        // the (shutdown-race) send failure the optimistic event stays in
-        // the trace, followed by the Reject that tells the true outcome.
-        trace.instant_traced(trace.now_us(), qid, NO_ID, ctx.trace_id, EventKind::Enqueue);
-        match tx.send(submission) {
-            Ok(()) => {
-                shared.metrics.on_submit();
-                Ok(ticket)
-            }
-            Err(_) => refuse_closed(),
+            return Err(ServiceError::ShuttingDown);
         }
+        // The bucket ages from `submitted`, read before the lock: two
+        // racing submitters may create buckets a hair out of deadline
+        // order, which costs the younger deadline that hair.
+        let first = front.batcher.pending() == 0;
+        let full = front.batcher.push(key, entry, submitted);
+        let flushed = full.map(|batch| self.front.release(&mut front, vec![batch]));
+        drop(front);
+        if first {
+            self.front.wake.notify_one();
+        }
+        shared.metrics.on_submit();
+        flushed.into_iter().for_each(send_all);
+        Ok(ticket)
     }
 
     /// Submit and wait — convenience for sequential callers.
@@ -885,25 +943,25 @@ impl Service {
     /// [`ServiceError::ShuttingDown`]; every query accepted *before* the
     /// close still drains and resolves its ticket (call [`Service::shutdown`]
     /// to join the threads and collect final metrics). Submitters racing
-    /// with the close either get their query accepted (their clone of the
-    /// channel sender was live) or a clean `ShuttingDown` error — never a
-    /// lost ticket.
+    /// with the close either get their query accepted (it was in a bucket
+    /// before the close took the lock) or a clean `ShuttingDown` error —
+    /// never a lost ticket. Blocks while the dispatch queue is too full to
+    /// take the residual buckets.
     pub fn close(&self) {
-        self.submit_tx
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
+        let mut front = self.front.lock();
+        let flushed = front.tx.take().map(|tx| {
+            let residue = front.batcher.flush_all();
+            (tx, coalesce(residue, self.front.fusion, &mut front.batcher))
+        });
+        drop(front);
+        self.front.wake.notify_one();
+        flushed.into_iter().for_each(send_all);
         // Drain every mutable index's merge machinery: pending deltas
         // flush into a final merge and later mutations are rejected
         // deterministically — never silently dropped. Queries in flight
         // (and the drain below, for `shutdown`) still answer correctly
         // against the fully merged state.
-        let indices: Vec<Arc<dyn TreeIndex>> = self
-            .shared
-            .indices
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
+        let indices = self.shared.indices().clone();
         for idx in indices {
             idx.quiesce();
         }
@@ -928,13 +986,14 @@ impl Service {
     }
 
     fn drain(&mut self) {
-        // Closing the submission channel cascades: the batcher sees
-        // Disconnected, drains its buckets into the dispatch channel and
-        // exits; dropping its dispatch sender disconnects the workers
+        // Closing cascades: the residual buckets go to the dispatch
+        // channel, the keeper sees the front closed and exits, and once
+        // the last clone of the dispatch sender is dropped (a submitter
+        // still blocked on a full queue holds one) the workers disconnect
         // after the queue empties.
         self.close();
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
+        if let Some(k) = self.keeper.take() {
+            let _ = k.join();
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -948,14 +1007,8 @@ impl Service {
         if !query.pos.iter().all(|v| v.is_finite()) {
             return Err(ServiceError::BadQuery("non-finite query position"));
         }
-        let indices = self
-            .shared
-            .indices
-            .read()
-            .unwrap_or_else(|e| e.into_inner());
-        let index = indices
-            .get(query.index)
-            .ok_or(ServiceError::UnknownIndex(query.index))?;
+        let indices = self.shared.indices();
+        let index = (indices.get(query.index)).ok_or(ServiceError::UnknownIndex(query.index))?;
         if index.dim() != query.pos.len() {
             return Err(ServiceError::DimMismatch {
                 expected: index.dim(),
@@ -975,111 +1028,53 @@ impl Drop for Service {
     }
 }
 
-fn batcher_loop(
-    rx: Receiver<Submission>,
-    tx: Sender<LaneBatch<Tag>>,
-    batch_queries: usize,
-    max_wait: Duration,
-    fusion: FusionMode,
-) {
-    let mut batcher: Batcher<Tag> = Batcher::new(batch_queries, max_wait);
-    // A failed dispatch (workers gone early — only happens on a worker
-    // panic) must still resolve the batch's tickets or `wait` would hang.
-    let send = |d: LaneBatch<Tag>| {
-        if let Err(err) = tx.send(d) {
-            for (tag, _) in err.0.parts.into_iter().flat_map(|p| p.entries) {
-                tag.ticket
-                    .resolve(Err(ServiceError::Internal("dispatch queue closed".into())));
+/// The deadline keeper: sleep until the oldest bucket's `max_wait` runs
+/// out, flush what is due, exit when the front closes. Size flushes are
+/// the submitters' own.
+fn keeper_loop(front: &Front) {
+    let mut state = front.lock();
+    while state.tx.is_some() {
+        let now = Instant::now();
+        state = match state.batcher.next_deadline() {
+            // Idle until a push creates a bucket (or the close).
+            None => front.wake.wait(state).unwrap_or_else(|e| e.into_inner()),
+            // A bucket created later cannot be due sooner, so nothing
+            // needs to cut this sleep short but the close.
+            Some(due) if due > now => {
+                let wait = front.wake.wait_timeout(state, due - now);
+                wait.unwrap_or_else(|e| e.into_inner()).0
             }
-        }
-    };
-    loop {
-        // Sleep exactly until the oldest bucket's deadline (or idle).
-        let timeout = match batcher.next_deadline() {
-            Some(d) => d.saturating_duration_since(Instant::now()),
-            None => Duration::from_millis(50),
+            Some(_) => {
+                let burst = state.batcher.flush_due(now);
+                let flushed = front.release(&mut state, burst);
+                drop(state);
+                send_all(flushed);
+                front.lock()
+            }
         };
-        // Collect everything this tick releases — the drain window the
-        // fusion coalescer groups over.
-        let mut burst: Vec<ReadyBatch<Tag>> = Vec::new();
-        let mut disconnected = false;
-        match rx.recv_timeout(timeout) {
-            Ok(sub) => {
-                let entry = BatchEntry {
-                    pos: sub.pos,
-                    tag: sub.tag,
-                };
-                if let Some(ready) = batcher.push(sub.key, entry, Instant::now()) {
-                    burst.push(ready);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => disconnected = true,
-        }
-        burst.extend(batcher.flush_due(Instant::now()));
-        if disconnected {
-            // Shutdown: drain every bucket before exiting.
-            burst.extend(batcher.flush_all());
-        }
-        if !burst.is_empty() {
-            // Pull same-index companion buckets into the window when the
-            // group will actually fuse: a full NN bucket should carry the
-            // half-full kNN/PC buckets along rather than leave them to
-            // age out into separate walks. Never under `Off`; under
-            // `Auto` only when the union spans ≥ 2 distinct ops (a
-            // non-fusing drain must leave companion buckets untouched so
-            // single-op timing is exactly what `Off` gives).
-            if fusion != FusionMode::Off {
-                let mut indices: Vec<IndexId> = Vec::new();
-                for b in &burst {
-                    if !indices.contains(&b.key.index) {
-                        indices.push(b.key.index);
-                    }
-                }
-                for ix in indices {
-                    let mut ops: HashSet<OpKey> = burst
-                        .iter()
-                        .filter(|b| b.key.index == ix)
-                        .map(|b| b.key.op)
-                        .collect();
-                    ops.extend(batcher.pending_ops(ix));
-                    if ops.len() >= 2 {
-                        burst.extend(batcher.flush_index(ix));
-                    }
-                }
-            }
-            for d in coalesce(burst, fusion, &mut batcher) {
-                send(d);
-            }
-        }
-        if disconnected {
-            return;
-        }
     }
 }
 
-fn worker_loop(rx: Receiver<LaneBatch<Tag>>, shared: Arc<Shared>) {
+fn worker_loop(rx: Receiver<Dispatch<Tag>>, shared: Arc<Shared>) {
     while let Ok(batch) = rx.recv() {
         handle(batch, &shared);
     }
 }
 
-/// Execute one dispatch: run the index over the lanes once, then scatter
-/// each lane's per-op answers back to the parts' tickets.
-fn handle(batch: LaneBatch<Tag>, shared: &Shared) {
+/// Execute one dispatch: build its lanes, run the index over them once,
+/// then scatter each lane's per-op answers back to the parts' tickets.
+fn handle(dispatch: Dispatch<Tag>, shared: &Shared) {
     let dispatched = Instant::now();
-    let LaneBatch {
+    let Dispatch {
         id,
         index: index_id,
-        lanes,
-        parts,
-    } = batch;
+        batches,
+        dedup,
+    } = dispatch;
+    let (lanes, parts) = lanes_of(batches, dedup);
     let trace = &shared.trace;
     let dispatch_us = trace.us_of(dispatched);
-    let index = {
-        let indices = shared.indices.read().unwrap_or_else(|e| e.into_inner());
-        indices.get(index_id).cloned()
-    };
+    let index = shared.indices().get(index_id).cloned();
     let index_name = index.as_ref().map_or("unknown", |i| i.name());
     let outcome = match &index {
         Some(index) => {

@@ -40,7 +40,8 @@ use std::time::Instant;
 pub enum EventKind {
     /// Query validated; a ticket was issued.
     Submit,
-    /// Query accepted into the submission queue.
+    /// Query on its way into its bucket (recorded before the push, so it
+    /// precedes the query's `Complete`).
     Enqueue,
     /// One batch executed on a worker (span: dispatch → tickets resolved).
     Batch {

@@ -1,0 +1,288 @@
+//! The front end between `submit` and the workers: who flushes a bucket,
+//! who blocks on a full dispatch queue, and what they hold meanwhile.
+//!
+//! * the deadline keeper re-arms after every idle stretch and after a size
+//!   flush emptied the front — a lost wake-up is a hang, not a late batch;
+//! * a submitter blocked on the dispatch queue holds no lock: other
+//!   submitters, `metrics()` and `close()` all get through;
+//! * with one submitter and size-only flushing, batch composition is
+//!   decided by `submit` itself.
+//!
+//! Every wait is bounded by [`HANG`], far above anything a healthy run
+//! needs, because the failure mode of all of these is a hang.
+
+use gts_points::gen::uniform;
+use gts_service::{
+    EventKind, ExecPolicy, FusedLane, FusedOutcome, KdIndex, Query, QueryKind, Service,
+    ServiceConfig, ServiceError, Ticket, TreeIndex,
+};
+use gts_trees::{PointN, SplitPolicy};
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+const HANG: Duration = Duration::from_secs(30);
+const BATCH: usize = 32;
+
+fn points() -> Vec<PointN<3>> {
+    uniform::<3>(512, 0xf407)
+}
+
+fn kd(pts: &[PointN<3>]) -> KdIndex<3> {
+    KdIndex::build("front", pts, 8, SplitPolicy::MedianCycle)
+}
+
+fn query(index: usize, p: PointN<3>, kind: QueryKind) -> Query {
+    Query {
+        index,
+        pos: p.0.to_vec(),
+        kind,
+    }
+}
+
+fn resolved(t: &Ticket) -> bool {
+    matches!(t.wait_timeout(HANG), Some(Ok(_)))
+}
+
+/// An index whose `run` parks until the gate opens (its sender dropped).
+struct Gated {
+    inner: KdIndex<3>,
+    gate: Mutex<mpsc::Receiver<()>>,
+}
+
+impl TreeIndex for Gated {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn n_points(&self) -> usize {
+        self.inner.n_points()
+    }
+    fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
+        let _ = self.gate.lock().unwrap().recv();
+        self.inner.run(lanes, policy)
+    }
+}
+
+/// One worker behind a one-slot dispatch queue, size-only flushing, a
+/// gated index and a plain one. Of the gated index's batches the first
+/// parks on the worker, the second fills the queue, and the submit that
+/// completes the third blocks in its dispatch send.
+fn gated_service(pts: &[PointN<3>]) -> (Service, usize, usize, mpsc::Sender<()>) {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        dispatch_capacity: 1,
+        batch_queries: BATCH,
+        max_wait: Duration::from_secs(3600),
+        ..ServiceConfig::default()
+    });
+    let (open, gate) = mpsc::channel();
+    let gated = service.register_index(Arc::new(Gated {
+        inner: kd(pts),
+        gate: Mutex::new(gate),
+    }));
+    let plain = service.register_index(Arc::new(kd(pts)));
+    (service, gated, plain, open)
+}
+
+/// Submit three batches of NN queries; the last `submit` cannot return
+/// until the gate opens. Reports each outcome on `done`.
+fn fill_until_blocked(
+    service: &Service,
+    id: usize,
+    pts: &[PointN<3>],
+    done: &mpsc::Sender<Result<Ticket, ServiceError>>,
+) {
+    for p in &pts[..3 * BATCH] {
+        let _ = done.send(service.submit(query(id, *p, QueryKind::Nn)));
+    }
+}
+
+/// Wait until the filler's last query is in its batch (`submitted` counts
+/// it after the push and before the dispatch send), give it a moment to
+/// reach the send, and check it has not come back.
+fn await_blocked(
+    service: &Service,
+    extra: u64,
+    done: &mpsc::Receiver<Result<Ticket, ServiceError>>,
+) -> Vec<Ticket> {
+    let deadline = Instant::now() + HANG;
+    while service.metrics().submitted < 3 * BATCH as u64 + extra {
+        assert!(Instant::now() < deadline, "the filler never got there");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    let returned: Vec<Ticket> = done.try_iter().map(|r| r.expect("open")).collect();
+    assert_eq!(returned.len(), 3 * BATCH - 1, "the last submit is blocked");
+    returned
+}
+
+#[test]
+fn keeper_rearms_after_idling_and_after_a_size_flush() {
+    let pts = points();
+    let max_wait = Duration::from_millis(5);
+    let service = Service::start(ServiceConfig {
+        batch_queries: BATCH,
+        max_wait,
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let id = service.register_index(Arc::new(kd(&pts)));
+    let lone_query_flushes_on_its_deadline = |cycle: usize, idle: Duration| {
+        std::thread::sleep(idle);
+        let start = Instant::now();
+        let ticket = service
+            .submit(query(id, pts[cycle], QueryKind::Nn))
+            .expect("open");
+        assert!(resolved(&ticket), "cycle {cycle}: the keeper slept on");
+        assert!(start.elapsed() >= max_wait, "cycle {cycle}: flushed early");
+    };
+    for cycle in 0..30 {
+        lone_query_flushes_on_its_deadline(cycle, 3 * max_wait);
+    }
+    // A size flush leaves the keeper asleep towards a deadline that no
+    // longer exists; the next first bucket must still get its own,
+    // whether it arrives before the keeper has noticed or after.
+    for cycle in 30..40 {
+        let full: Vec<Ticket> = (pts[..BATCH].iter())
+            .map(|p| service.submit(query(id, *p, QueryKind::Nn)).expect("open"))
+            .collect();
+        assert!(full.iter().all(resolved));
+        lone_query_flushes_on_its_deadline(cycle, (cycle % 2) as u32 * 3 * max_wait);
+    }
+    let snapshot = service.shutdown();
+    assert_eq!(snapshot.completed, 40 + 10 * BATCH as u64);
+}
+
+#[test]
+fn blocked_submitter_holds_no_lock() {
+    let pts = points();
+    let (service, gated, plain, open) = gated_service(&pts);
+    let (done_tx, done) = mpsc::channel();
+    let (other_tx, other) = mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(|| fill_until_blocked(&service, gated, &pts, &done_tx));
+        let mut tickets = await_blocked(&service, 0, &done);
+
+        // Another key's bucket takes 31 queries and `metrics()` answers
+        // while the filler sits in its send.
+        scope.spawn(|| {
+            let tickets: Vec<Ticket> = (pts[..BATCH - 1].iter())
+                .map(|p| service.submit(query(plain, *p, QueryKind::Knn { k: 4 })))
+                .collect::<Result<_, _>>()
+                .expect("open");
+            other_tx.send((tickets, service.metrics())).unwrap();
+        });
+        let (others, snapshot) = (other.recv_timeout(HANG))
+            .expect("a second submitter waited on the blocked one's lock");
+        assert_eq!(snapshot.submitted, (4 * BATCH - 1) as u64);
+        assert_eq!(snapshot.completed, 0, "the gate is shut");
+        assert!(done.try_recv().is_err(), "the filler is still blocked");
+
+        drop(open);
+        let last = done.recv_timeout(HANG).expect("the filler came back");
+        tickets.push(last.expect("open"));
+        assert!(tickets.iter().all(resolved));
+        // The partial bucket has no deadline to speak of: the close
+        // flushes it.
+        service.close();
+        assert!(others.iter().all(resolved));
+    });
+    let snapshot = service.shutdown();
+    assert_eq!(snapshot.completed, (4 * BATCH - 1) as u64);
+    assert_eq!(snapshot.submitted, snapshot.completed + snapshot.failed);
+    assert_eq!(snapshot.rejected, 0);
+}
+
+#[test]
+fn close_beside_a_blocked_submitter_returns_and_loses_nothing() {
+    let pts = points();
+    let (service, gated, plain, open) = gated_service(&pts);
+    // A partial bucket for the close to flush into the full queue.
+    let residue: Vec<Ticket> = (pts[..5].iter())
+        .map(|p| service.submit(query(plain, *p, QueryKind::Knn { k: 4 })))
+        .collect::<Result<_, _>>()
+        .expect("open");
+    let (done_tx, done) = mpsc::channel();
+    let (closed_tx, closed) = mpsc::channel();
+    let (probed_tx, probed) = mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(|| fill_until_blocked(&service, gated, &pts, &done_tx));
+        let mut tickets = await_blocked(&service, residue.len() as u64, &done);
+        tickets.extend(residue);
+
+        scope.spawn(|| {
+            service.close();
+            closed_tx.send(()).unwrap();
+        });
+        // The close blocks on the same full queue, and like the filler it
+        // holds no lock there: submits are refused at once. The ones that
+        // beat the close to the lock were accepted and must resolve (a `k`
+        // of its own each, so that none of them completes a batch and
+        // blocks too). On a thread of its own: this one opens the gate.
+        scope.spawn(|| {
+            let (mut accepted, mut refused) = (Vec::new(), 0);
+            let deadline = Instant::now() + HANG;
+            while refused < 3 && Instant::now() < deadline {
+                let k = 5 + accepted.len();
+                match service.submit(query(plain, pts[0], QueryKind::Knn { k })) {
+                    Ok(ticket) => accepted.push(ticket),
+                    Err(ServiceError::ShuttingDown) => refused += 1,
+                    Err(other) => panic!("unexpected error: {other}"),
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            probed_tx.send((accepted, refused)).unwrap();
+        });
+        let (accepted, mut refused) = (probed.recv_timeout(HANG))
+            .expect("a submit waited on the blocked close or the blocked submitter");
+        assert_eq!(refused, 3, "the close never took effect");
+        tickets.extend(accepted);
+
+        drop(open);
+        closed.recv_timeout(HANG).expect("close() never returned");
+        match done.recv_timeout(HANG).expect("the filler came back") {
+            Ok(ticket) => tickets.push(ticket),
+            Err(ServiceError::ShuttingDown) => refused += 1,
+            Err(other) => panic!("unexpected error: {other}"),
+        }
+        assert!(tickets.iter().all(resolved));
+        let snapshot = service.metrics();
+        assert_eq!(snapshot.submitted, tickets.len() as u64);
+        assert_eq!(snapshot.rejected, refused);
+    });
+    let snapshot = service.shutdown();
+    assert_eq!(snapshot.submitted, snapshot.completed + snapshot.failed);
+    assert_eq!(snapshot.failed, 0);
+}
+
+#[test]
+fn a_single_submitter_decides_batch_composition_at_submit() {
+    let pts = points();
+    let batch_of_each_query = || -> Vec<u64> {
+        let service = Service::start(ServiceConfig {
+            batch_queries: BATCH,
+            max_wait: Duration::from_secs(3600),
+            workers: 2,
+            ..ServiceConfig::default()
+        });
+        let id = service.register_index(Arc::new(kd(&pts)));
+        let tickets: Vec<Ticket> = (pts[..6 * BATCH].iter())
+            .map(|p| service.submit(query(id, *p, QueryKind::Nn)).expect("open"))
+            .collect();
+        assert!(tickets.iter().all(resolved));
+        let (_, trace) = service.shutdown_with_trace();
+        let mut completes: Vec<(u64, u64)> = (trace.events.iter())
+            .filter(|e| matches!(e.kind, EventKind::Complete))
+            .map(|e| (e.query, e.batch))
+            .collect();
+        completes.sort_unstable();
+        assert_eq!(completes.len(), tickets.len());
+        completes.into_iter().map(|(_, batch)| batch).collect()
+    };
+    let expected: Vec<u64> = (0..6 * BATCH as u64).map(|n| n / BATCH as u64).collect();
+    assert_eq!(batch_of_each_query(), expected);
+    assert_eq!(batch_of_each_query(), expected);
+}

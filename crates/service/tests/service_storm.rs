@@ -24,7 +24,6 @@ fn storm_service() -> (Service, usize) {
     // Small queue + small batches + short max_wait: the queue actually
     // fills, flushes race the close, and the storm finishes quickly.
     let service = Service::start(ServiceConfig {
-        queue_capacity: 32,
         batch_queries: 16,
         max_wait: Duration::from_micros(300),
         workers: 2,

@@ -120,10 +120,9 @@ fn shutdown_with_in_flight_queries_delivers_all_results() {
 
 #[test]
 fn concurrent_submitters_under_tight_backpressure() {
-    // A 2-slot submission queue forces submitters to block on send; the
-    // pipeline must keep moving and deliver everything.
+    // A one-slot dispatch queue forces flushing submitters to block on
+    // send; the pipeline must keep moving and deliver everything.
     let (service, pts) = small_service(ServiceConfig {
-        queue_capacity: 2,
         dispatch_capacity: 1,
         batch_queries: 32,
         max_wait: Duration::from_millis(1),
