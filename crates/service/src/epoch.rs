@@ -14,11 +14,14 @@
 //! * **Readers** ([`TreeIndex::run`]) pin the current epoch by
 //!   cloning the state's `Arc`. Queries in flight keep traversing the
 //!   shard set they pinned; no reader ever observes a torn shard set.
-//! * A **background merge thread** folds pending deltas into the shards:
-//!   only *touched* shards (those with a non-empty delta buffer) rebuild;
-//!   a touched shard that grew past twice the ideal Morton partition size
-//!   re-splits into equal Morton chunks during the merge. The new shard
-//!   vector swaps in atomically and the epoch advances.
+//! * A **background merge thread** folds pending deltas into the shards —
+//!   the same [`Shard`]s a [`crate::ShardedIndex`] holds: only *touched*
+//!   shards (those with a non-empty delta buffer) rebuild, reading their
+//!   points back out of the tree ([`Shard::points`]; no copy is kept
+//!   beside it), and a touched shard that grew past twice the ideal Morton
+//!   partition size re-splits through [`Shard::partition`]. Untouched
+//!   shards carry across by pointer, warm profile cache included. The new
+//!   shard vector swaps in atomically and the epoch advances.
 //!
 //! **Delta-window answer rule.** Answers are exact at every instant, not
 //! just at epoch boundaries. While deltas are pending, the tree sweep is
@@ -39,12 +42,11 @@
 //! or gets reused, so a result id always names the same point — the
 //! invariant the differential oracle and the churn stress tests lean on.
 
-use crate::index::{to_point, FusedLane, FusedOutcome, KdIndex, TreeIndex};
+use crate::index::{to_point, FusedLane, FusedOutcome, TreeIndex};
 use crate::policy::ExecPolicy;
 use crate::query::OpKey;
-use crate::shard::{sweep, Acc, ShardView, StatAgg};
-use gts_points::sort::morton_order;
-use gts_trees::{Aabb, PointN, SplitPolicy};
+use crate::shard::{sweep, Acc, Shard, StatAgg};
+use gts_trees::{PointN, SplitPolicy};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -211,29 +213,6 @@ impl<const D: usize> ShardDelta<D> {
     }
 }
 
-/// One merged shard: a kd-tree over its points plus the id table mapping
-/// tree-local result indices back to stable global ids.
-struct EpochShard<const D: usize> {
-    index: KdIndex<D>,
-    /// `ids[i]` = stable global id of the shard's i-th build point.
-    ids: Vec<u32>,
-    /// The build points, kept for merge rebuilds and delete lookups.
-    pts: Vec<PointN<D>>,
-    bbox: Aabb<D>,
-}
-
-impl<const D: usize> EpochShard<D> {
-    fn build(pts: Vec<PointN<D>>, ids: Vec<u32>, leaf_size: usize, split: SplitPolicy) -> Self {
-        debug_assert!(!pts.is_empty());
-        EpochShard {
-            index: KdIndex::build("epoch-shard", &pts, leaf_size, split),
-            bbox: Aabb::of_points(&pts),
-            ids,
-            pts,
-        }
-    }
-}
-
 /// One immutable epoch snapshot: the merged shard set plus the pending
 /// delta buffers layered on top. Readers pin it by cloning the `Arc`.
 struct EpochState<const D: usize> {
@@ -241,7 +220,8 @@ struct EpochState<const D: usize> {
     epoch: u64,
     /// Mutation sequence high-water mark covered by `deltas`.
     seq: u64,
-    shards: Vec<Arc<EpochShard<D>>>,
+    /// Shard ids are the stable global ids.
+    shards: Vec<Arc<Shard<D>>>,
     /// Parallel to `shards` (one slot even when the tree is empty).
     deltas: Vec<ShardDelta<D>>,
     /// Live multiset size (tree − pending deletes + pending inserts).
@@ -295,7 +275,8 @@ struct Core<const D: usize> {
     merge_lock: Mutex<()>,
     ctl: Mutex<MergeCtl>,
     cv: Condvar,
-    epoch: AtomicU64,
+    /// Batch counter driving the shard caches' TTL clock.
+    batches: AtomicU64,
     merges: AtomicU64,
     mutations: AtomicU64,
     observer: Mutex<Option<EpochObserverFn>>,
@@ -403,23 +384,14 @@ impl<const D: usize> MutableIndex<D> {
         auto_merge: bool,
         merge_debounce: Duration,
     ) -> Self {
-        let mut shards: Vec<Arc<EpochShard<D>>> = Vec::new();
-        let mut owner = HashMap::new();
-        if !points.is_empty() {
-            let n = points.len();
-            let order = morton_order(points);
-            for s in 0..target_shards {
-                let (lo, hi) = (s * n / target_shards, (s + 1) * n / target_shards);
-                if lo == hi {
-                    continue;
-                }
-                let ids: Vec<u32> = order[lo..hi].to_vec();
-                let pts: Vec<PointN<D>> = ids.iter().map(|&i| points[i as usize]).collect();
-                for &id in &ids {
-                    owner.insert(id, Owner::Tree(shards.len()));
-                }
-                shards.push(Arc::new(EpochShard::build(pts, ids, leaf_size, split)));
-            }
+        let items: Vec<_> = (0..).zip(points.iter().copied()).collect();
+        let shards: Vec<Arc<Shard<D>>> = Shard::partition(&items, target_shards, leaf_size, split)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        let mut owner = HashMap::with_capacity(points.len());
+        for (s, shard) in shards.iter().enumerate() {
+            owner.extend(shard.ids.iter().map(|&id| (id, Owner::Tree(s))));
         }
         let n_live = points.len();
         let deltas = vec![ShardDelta::default(); shards.len().max(1)];
@@ -448,7 +420,7 @@ impl<const D: usize> MutableIndex<D> {
                 shutdown: false,
             }),
             cv: Condvar::new(),
-            epoch: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
             merges: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
             observer: Mutex::new(None),
@@ -476,7 +448,7 @@ impl<const D: usize> MutableIndex<D> {
 
     /// Current merged epoch.
     pub fn epoch(&self) -> u64 {
-        self.core.epoch.load(Ordering::Acquire)
+        self.pin().epoch
     }
 
     /// Delta entries currently pending.
@@ -508,13 +480,8 @@ impl<const D: usize> MutableIndex<D> {
         let state = self.pin();
         let digest = DeltaDigest::new(&state);
         let mut out: Vec<(u32, PointN<D>)> = Vec::with_capacity(state.n_live);
-        for shard in &state.shards {
-            for (i, &id) in shard.ids.iter().enumerate() {
-                if !digest.deleted.contains(&id) {
-                    out.push((id, shard.pts[i]));
-                }
-            }
-        }
+        let merged = state.shards.iter().flat_map(|shard| shard.points());
+        out.extend(merged.filter(|(id, _)| !digest.deleted.contains(id)));
         out.extend(digest.live_inserts.iter().copied());
         out.sort_by_key(|&(id, _)| id);
         out
@@ -595,17 +562,14 @@ impl<const D: usize> MutableIndex<D> {
                         accepted += 1;
                     }
                     Some(Owner::Tree(s)) => {
-                        let shard = &cur.shards[s];
-                        let at = shard
-                            .ids
-                            .iter()
-                            .position(|&x| x == *id)
+                        let (_, pt) = (cur.shards[s].points())
+                            .find(|&(x, _)| x == *id)
                             .expect("tree owner maps into its shard");
                         w.seq += 1;
                         deltas[s].deletes.push(DeltaDelete {
                             seq: w.seq,
                             id: *id,
-                            pt: shard.pts[at],
+                            pt,
                             in_tree: true,
                         });
                         w.owner.remove(id);
@@ -710,7 +674,8 @@ impl<const D: usize> TreeIndex for MutableIndex<D> {
     }
 
     fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
-        run_state(&self.pin(), lanes, policy)
+        let batch = self.core.batches.fetch_add(1, Ordering::Relaxed);
+        run_state(&self.pin(), lanes, policy, batch)
     }
 
     fn mutate(&self, muts: &[Mutation]) -> Result<MutationAck, MutateError> {
@@ -743,7 +708,7 @@ fn notify<const D: usize>(core: &Core<D>, event: &EpochEvent) {
 
 /// Home slot of a point: the shard whose box is nearest (ties to the
 /// lowest index), slot 0 when the tree is empty.
-fn home_of<const D: usize>(shards: &[Arc<EpochShard<D>>], p: &PointN<D>) -> usize {
+fn home_of<const D: usize>(shards: &[Arc<Shard<D>>], p: &PointN<D>) -> usize {
     shards
         .iter()
         .enumerate()
@@ -822,14 +787,13 @@ fn do_merge<const D: usize>(core: &Core<D>) -> bool {
     // Per slot: carry untouched shards, collect touched ones' merged
     // point sets.
     enum Slot<const D: usize> {
-        Carry(Arc<EpochShard<D>>),
+        Carry(Arc<Shard<D>>),
         Rebuild(Vec<(u32, PointN<D>)>),
     }
     let mut slots: Vec<Slot<D>> = Vec::with_capacity(snap.deltas.len());
     let mut tree_after = 0usize;
     for (s, delta) in snap.deltas.iter().enumerate() {
         let touched = delta.inserts.iter().any(|i| i.seq <= cut)
-            || delta.deletes.iter().any(|d| d.seq <= cut && d.in_tree)
             // A pending-insert delete still dirties the slot: the insert
             // it cancels is merged (filtered) here.
             || delta.deletes.iter().any(|d| d.seq <= cut);
@@ -843,11 +807,7 @@ fn do_merge<const D: usize>(core: &Core<D>) -> bool {
         }
         let mut merged: Vec<(u32, PointN<D>)> = Vec::new();
         if let Some(shard) = base {
-            for (i, &id) in shard.ids.iter().enumerate() {
-                if !deleted.contains(&id) {
-                    merged.push((id, shard.pts[i]));
-                }
-            }
+            merged.extend(shard.points().filter(|(id, _)| !deleted.contains(id)));
         }
         for ins in &delta.inserts {
             if ins.seq <= cut && !deleted.contains(&ins.id) {
@@ -859,37 +819,22 @@ fn do_merge<const D: usize>(core: &Core<D>) -> bool {
     }
 
     // Re-split policy: a rebuilt slot holding more than twice the ideal
-    // Morton partition size splits into equal Morton chunks of at most
+    // Morton partition size splits into equal Morton ranges of at most
     // the ideal size each; empty slots disappear.
     let ideal = tree_after.div_ceil(core.target_shards).max(1);
-    let mut new_shards: Vec<Arc<EpochShard<D>>> = Vec::new();
+    let mut new_shards: Vec<Arc<Shard<D>>> = Vec::new();
     let mut rebuilt = 0u32;
     for slot in slots {
         match slot {
             Slot::Carry(shard) => new_shards.push(shard),
             Slot::Rebuild(merged) => {
-                if merged.is_empty() {
-                    continue;
-                }
-                let chunks: Vec<Vec<(u32, PointN<D>)>> = if merged.len() > 2 * ideal {
-                    let pts: Vec<PointN<D>> = merged.iter().map(|&(_, p)| p).collect();
-                    let order = morton_order(&pts);
-                    let sorted: Vec<(u32, PointN<D>)> =
-                        order.iter().map(|&i| merged[i as usize]).collect();
-                    sorted.chunks(ideal).map(|c| c.to_vec()).collect()
-                } else {
-                    vec![merged]
+                let k = match merged.len() {
+                    n if n > 2 * ideal => n.div_ceil(ideal),
+                    _ => 1,
                 };
-                for chunk in chunks {
-                    let (ids, pts): (Vec<u32>, Vec<PointN<D>>) = chunk.into_iter().unzip();
-                    rebuilt += 1;
-                    new_shards.push(Arc::new(EpochShard::build(
-                        pts,
-                        ids,
-                        core.leaf_size,
-                        core.split,
-                    )));
-                }
+                let pieces = Shard::partition(&merged, k, core.leaf_size, core.split);
+                rebuilt += pieces.len() as u32;
+                new_shards.extend(pieces.into_iter().map(Arc::new));
             }
         }
     }
@@ -959,7 +904,6 @@ fn do_merge<const D: usize>(core: &Core<D>) -> bool {
     });
     drop(state);
     drop(w);
-    core.epoch.store(epoch, Ordering::Release);
     core.merges.fetch_add(1, Ordering::Relaxed);
     notify(
         core,
@@ -1021,30 +965,22 @@ impl<const D: usize> DeltaDigest<D> {
 /// shards (every requested `k` widened by the pending tree-delete count,
 /// so each top-k survives the delete filter), then apply the delta-window
 /// correction op by op ([`Acc::correct`]), then re-probe the trees for
-/// the NN answers the window deleted.
+/// the NN answers the window deleted. `batch` is the index's batch
+/// counter, the TTL clock of the shards' profile caches.
 fn run_state<const D: usize>(
     state: &EpochState<D>,
     lanes: &[FusedLane],
     policy: &ExecPolicy,
+    batch: u64,
 ) -> FusedOutcome {
     let digest = DeltaDigest::new(state);
     let n_del_tree = digest.del_tree.len();
-    let views: Vec<ShardView<'_, D>> = (state.shards.iter())
-        .map(|s| ShardView {
-            index: &s.index,
-            ids: &s.ids,
-            bbox: &s.bbox,
-            profile: None,
-            #[cfg(test)]
-            failpoint: None,
-        })
-        .collect();
     let mut agg = StatAgg::default();
     // Decided once, on the lanes as handed in: the widened sweep and the
     // NN re-probes below are the same batch.
     let metered = policy.meters(lanes.iter().map(|l| &l.pos[..]));
     let sweep_trees = |lanes: &[FusedLane], agg: &mut StatAgg| {
-        sweep(&views, lanes, policy, metered, true, 0, agg)
+        sweep(&state.shards, lanes, policy, metered, true, batch, agg)
     };
 
     if digest.is_empty() {
@@ -1295,16 +1231,22 @@ mod tests {
             before,
             idx.n_shards()
         );
-        // Partition invariant: every live point in exactly one shard.
+        // Partition invariant: every live point in exactly one shard, and
+        // no shard above the ideal size ⌈700 / 4⌉ — the re-split cuts the
+        // grown shard into equal Morton ranges of at most that.
+        let ideal = 700usize.div_ceil(4);
         let mut seen = HashSet::new();
         let mut total = 0usize;
         for ids in idx.shard_ids() {
+            assert!(ids.len() <= ideal, "{} points over {ideal}", ids.len());
             total += ids.len();
             for id in ids {
                 assert!(seen.insert(id), "id {id} in two shards");
             }
         }
         assert_eq!(total, 700);
+        let live: HashSet<u32> = idx.live().iter().map(|&(id, _)| id).collect();
+        assert_eq!(seen, live, "shards cover the live set");
         check_against_oracle(&idx, &pts[..8]);
     }
 

@@ -330,13 +330,10 @@ pub trait TreeIndex: Send + Sync {
             lanes: answers,
             mut outcome,
         } = self.run(&lanes, policy);
-        outcome.results = answers
-            .into_iter()
-            .map(|r| {
-                (r.nn.into_iter().chain(r.knn).chain(r.pc).next())
-                    .expect("a single-op lane has one answer")
-            })
-            .collect();
+        outcome.results = (answers.iter())
+            .map(|r| r.answers().next().cloned())
+            .collect::<Option<_>>()
+            .expect("a single-op lane has one answer");
         outcome
     }
     /// [`TreeIndex::run`] under the name multi-op callers know it by.

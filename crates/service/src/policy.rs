@@ -124,10 +124,11 @@ pub struct ExecPolicy {
     /// waves inline on the worker; `0` (the default) resolves to
     /// `min(shards, available_parallelism)`. Flat indices ignore it.
     pub shard_parallelism: usize,
-    /// Let sharded indices reuse cached §4.4 sortedness decisions
-    /// (per-shard [`gts_points::profile::ProfileCache`]) instead of
-    /// re-sampling on every sub-batch. Disabling reproduces the
-    /// profile-every-sub-batch baseline; flat indices always profile.
+    /// Let sharded indices — static and mutable alike — reuse cached §4.4
+    /// sortedness decisions (per-shard
+    /// [`gts_points::profile::ProfileCache`]) instead of re-sampling on
+    /// every sub-batch. Disabling reproduces the profile-every-sub-batch
+    /// baseline; flat indices always profile.
     pub profile_cache: bool,
     /// Prefer the stackless executor on *low-similarity* batches: where
     /// the §4.4 profile steers away from lockstep, dispatch to

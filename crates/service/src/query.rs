@@ -4,6 +4,8 @@
 //! as a `Vec<f32>` and names the target index by [`IndexId`]. Dimension
 //! checking happens at submission against the registered index.
 
+use crate::trace::{FUSED_OP_KNN, FUSED_OP_NN, FUSED_OP_PC};
+
 /// Handle of a registered index (returned by `Service::register_index`).
 pub type IndexId = usize;
 
@@ -84,6 +86,19 @@ pub enum OpKey {
     /// Point correlation with this radius (stored as `f32::to_bits` so the
     /// key stays `Eq + Hash`).
     Pc(u32),
+}
+
+impl OpKey {
+    /// The op's family, whatever its parameter: its name (`"nn"`, `"knn"`,
+    /// `"pc"`) as slow-log records spell it, and its bit in
+    /// [`crate::EventKind::FusedBatch`]'s op mask.
+    pub fn family(self) -> (&'static str, u32) {
+        match self {
+            OpKey::Nn => ("nn", FUSED_OP_NN),
+            OpKey::Knn(_) => ("knn", FUSED_OP_KNN),
+            OpKey::Pc(_) => ("pc", FUSED_OP_PC),
+        }
+    }
 }
 
 impl QueryKind {

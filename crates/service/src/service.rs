@@ -27,12 +27,9 @@ use crate::epoch::{EpochEvent, EpochStats, MutateError, Mutation, MutationAck};
 use crate::index::{FusedLane, FusedOutcome, TreeIndex};
 use crate::metrics::{BatchRecord, KindDropped, Metrics, MetricsSnapshot};
 use crate::policy::{ExecPolicy, FusionMode};
-use crate::query::{BatchKey, IndexId, OpKey, Query, QueryResult};
+use crate::query::{BatchKey, IndexId, Query, QueryResult};
 use crate::slowlog::{QueryRecord, ShardVisitRecord, SlowLog};
-use crate::trace::{
-    EventKind, TraceContext, TraceRecorder, TraceSnapshot, FUSED_OP_KNN, FUSED_OP_NN, FUSED_OP_PC,
-    NO_ID,
-};
+use crate::trace::{EventKind, TraceContext, TraceRecorder, TraceSnapshot, NO_ID};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, Hasher};
@@ -525,15 +522,6 @@ impl Shared {
     }
 }
 
-/// Stable operation tag for slow-log records.
-fn op_tag(op: OpKey) -> &'static str {
-    match op {
-        OpKey::Nn => "nn",
-        OpKey::Knn(_) => "knn",
-        OpKey::Pc(_) => "pc",
-    }
-}
-
 /// Registry snapshot with the trace recorder's and slow log's counters
 /// stitched in — the registry cannot see either, so every public snapshot
 /// path routes through here.
@@ -788,7 +776,7 @@ impl Service {
         }
         let submitted = Instant::now();
         let index_id = query.index;
-        let op = query.kind.op_key().map(op_tag).unwrap_or("invalid");
+        let op = query.kind.op_key().map_or("invalid", |op| op.family().0);
         let reject = |reason: &'static str| {
             trace.instant_traced(
                 trace.now_us(),
@@ -1111,14 +1099,8 @@ fn handle(dispatch: Dispatch<Tag>, shared: &Shared) {
             // when the index reports fused lanes) make it a FusedBatch
             // span naming the ops.
             let span = if out.fused_lanes > 0 {
-                let mut ops = 0u32;
-                for op in lanes.iter().flat_map(|l| l.op_keys()) {
-                    ops |= match op {
-                        OpKey::Nn => FUSED_OP_NN,
-                        OpKey::Knn(_) => FUSED_OP_KNN,
-                        OpKey::Pc(_) => FUSED_OP_PC,
-                    };
-                }
+                let ops =
+                    (lanes.iter().flat_map(|l| l.op_keys())).fold(0, |ops, op| ops | op.family().1);
                 EventKind::FusedBatch {
                     lanes: lanes.len() as u32,
                     parts: parts.len() as u32,
@@ -1188,7 +1170,7 @@ fn handle(dispatch: Dispatch<Tag>, shared: &Shared) {
                 })
                 .collect();
             for part in parts {
-                let op = op_tag(part.key.op);
+                let (op, _) = part.key.op.family();
                 for (tag, lane) in part.entries {
                     let lane = lane as usize;
                     let r = lane_results[lane]
@@ -1251,7 +1233,7 @@ fn handle(dispatch: Dispatch<Tag>, shared: &Shared) {
             // Accepted, never answered: counted, so the registry balances.
             shared.metrics.on_fail(size as u64);
             for part in parts {
-                let op = op_tag(part.key.op);
+                let (op, _) = part.key.op.family();
                 for (tag, _) in part.entries {
                     trace.instant_traced(
                         now_us,

@@ -10,28 +10,35 @@
 //! the same motivation as stack-free/short-stack GPU traversals
 //! (arXiv:2210.12859, arXiv:2402.00665).
 //!
+//! [`Shard`] is the one shard type, held as `Arc<Shard>` by this index and
+//! by the epoch layer's snapshots ([`crate::epoch`]) alike: a kd-tree, the
+//! table mapping its build points to the ids callers know, its box and its
+//! profile cache. [`Shard::partition`] is the one Morton partition (both
+//! builders and the epoch layer's re-split call it), and the tree is the
+//! shard's only point store — [`Shard::points`] reads `(id, point)` pairs
+//! back out of it, as Wald's left-balanced tree keeps no parallel array.
+//!
 //! A batch is a slice of lanes — a position plus every op asked there
 //! ([`FusedLane`]); a single-op batch is the case where every lane asks
 //! the same one op. A lane (a "query" below) keeps one accumulator per op
 //! it asks and is dispatched to a shard iff *any* of them could still
-//! improve there ([`LaneAcc`]). One [`sweep`] runs every batch, for this
-//! index and for the epoch layer's pinned snapshots ([`crate::epoch`])
-//! alike, on one schedule, **cursor waves**: every query visits its shards
-//! in ascending order of AABB lower-bound distance, so its first shard is
-//! usually its home and establishes a tight bound, and a later shard is
-//! skipped when its box lower bound already proves it cannot improve the
-//! answer (NN: no strictly closer point; kNN: the k-best set is full and
-//! the bound is no better than its worst member; PC: the box lies
-//! entirely outside the radius). Each wave dispatches every query's next
-//! admissible shard, one merged sub-batch per shard, on a worker pool of
-//! [`ExecPolicy::shard_parallelism`] threads that persists across the
-//! batch's waves (spawning per wave would rival the traversal work at
-//! sub-millisecond wave granularity); with one thread the waves run
-//! inline on the caller. A query's shard is always decided against the
-//! answers of that query's earlier shards, so the executed (query, shard)
-//! set — and with it the whole record, answers to [`ShardVisit`]s — is
-//! the same for every thread count. Partial results fold in each query's
-//! visit order.
+//! improve there ([`LaneAcc`]). One [`sweep`] runs every batch, over
+//! either owner's shards, on one schedule, **cursor waves**: every query
+//! visits its shards in ascending order of AABB lower-bound distance, so
+//! its first shard is usually its home and establishes a tight bound, and
+//! a later shard is skipped when its box lower bound already proves it
+//! cannot improve the answer (NN: no strictly closer point; kNN: the
+//! k-best set is full and the bound is no better than its worst member;
+//! PC: the box lies entirely outside the radius). Each wave dispatches
+//! every query's next admissible shard, one merged sub-batch per shard, on
+//! a worker pool of [`ExecPolicy::shard_parallelism`] threads that
+//! persists across the batch's waves (spawning per wave would rival the
+//! traversal work at sub-millisecond wave granularity); with one thread
+//! the waves run inline on the caller. A query's shard is always decided
+//! against the answers of that query's earlier shards, so the executed
+//! (query, shard) set — and with it the whole record, answers to
+//! [`ShardVisit`]s — is the same for every thread count. Partial results
+//! fold in each query's visit order.
 //!
 //! Every sub-batch returns a [`BatchOutcome`] of its own and the batch's
 //! is their merge ([`BatchOutcome::absorb`]), with skips counted as its
@@ -43,10 +50,13 @@
 //!
 //! Each shard also carries a [`ProfileCache`] memoizing the §4.4
 //! lockstep/autoropes decision per (op, sub-batch size bucket, Morton
-//! octant fingerprint) key, with a TTL counted in batches, so steady
-//! workloads profile once per shard per workload shift instead of once
-//! per sub-batch. Cache traffic surfaces as
-//! `profile_cache_{hits,misses,evictions}` on the [`BatchOutcome`].
+//! octant fingerprint) key, with a TTL counted in its owner's batches, so
+//! steady workloads profile once per shard per workload shift instead of
+//! once per sub-batch. Every sub-batch consults it under one rule
+//! ([`Sweep::run_sub`]), whichever index owns the shard; a shard the epoch
+//! layer carries across a merge keeps its warm cache. Cache traffic
+//! surfaces as `profile_cache_{hits,misses,evictions}` on the
+//! [`BatchOutcome`].
 //!
 //! Merge rules per operation:
 //! * **NN** — keep the minimum squared distance across shards (each shard
@@ -68,14 +78,14 @@ use crate::policy::{Backend, ExecPolicy};
 use crate::query::{OpKey, QueryResult};
 use gts_apps::kbest::KBest;
 use gts_points::profile::{profile_key, ProfileCache, ProfileCacheStats};
-use gts_points::sort::{morton_order, morton_prefix};
+use gts_points::sort::{morton_key, morton_prefix};
 use gts_trees::{Aabb, PointN, SplitPolicy};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 #[cfg(test)]
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Lifetime, in batches, of a cached per-shard §4.4 decision.
@@ -87,23 +97,74 @@ const PROFILE_CACHE_CAPACITY: usize = 128;
 /// A [`TreeIndex`] made of N Morton-partitioned [`KdIndex`] shards.
 pub struct ShardedIndex<const D: usize> {
     name: String,
-    shards: Vec<Shard<D>>,
+    shards: Vec<Arc<Shard<D>>>,
     n_points: usize,
     prune: bool,
     /// Batch counter driving the caches' TTL clock.
-    epoch: AtomicU64,
+    batches: AtomicU64,
 }
 
-struct Shard<const D: usize> {
+/// One shard, whichever index holds it: a kd-tree over the shard's points
+/// and what [`sweep`] needs beside it.
+pub(crate) struct Shard<const D: usize> {
     index: KdIndex<D>,
-    /// `ids[i]` = original dataset index of the shard's i-th input point.
-    ids: Vec<u32>,
-    bbox: Aabb<D>,
+    /// `ids[i]` = the id callers know the shard's i-th build point by.
+    pub(crate) ids: Vec<u32>,
+    pub(crate) bbox: Aabb<D>,
     /// Memoized §4.4 decisions for this shard's sub-batches.
     profile: ProfileCache,
     /// Armed by a test: the next sub-batch on this shard panics.
     #[cfg(test)]
     failpoint: AtomicBool,
+}
+
+impl<const D: usize> Shard<D> {
+    /// Cut `items` (`(id, point)` pairs), in Morton order when `k > 1`, into
+    /// `k` equal index ranges and build one shard per range, each with a
+    /// cold cache.
+    /// A range comes out empty only when `items` has fewer than `k`
+    /// entries; `KdTree::build` panics on zero points, so empty ranges are
+    /// skipped outright.
+    pub(crate) fn partition(
+        items: &[(u32, PointN<D>)],
+        k: usize,
+        leaf_size: usize,
+        split: SplitPolicy,
+    ) -> Vec<Shard<D>> {
+        let n = items.len();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        // `morton_order`'s box, key and stable sort, over the items. One
+        // range needs no order, and sorting it would add a sort to every
+        // merge's rebuild of a shard that does not re-split.
+        if k > 1 {
+            let bbox = items.iter().fold(Aabb::empty(), |b, &(_, p)| b.grow(p));
+            order.sort_by_cached_key(|&i| morton_key(&items[i as usize].1, &bbox));
+        }
+        (0..k)
+            .map(|s| (s, s * n / k, (s + 1) * n / k))
+            .filter(|&(_, lo, hi)| lo < hi)
+            .map(|(s, lo, hi)| {
+                let (ids, pts): (Vec<u32>, Vec<PointN<D>>) =
+                    order[lo..hi].iter().map(|&i| items[i as usize]).unzip();
+                Shard {
+                    index: KdIndex::build(format!("shard-{s}"), &pts, leaf_size, split),
+                    bbox: Aabb::of_points(&pts),
+                    ids,
+                    profile: ProfileCache::new(DEFAULT_PROFILE_TTL, PROFILE_CACHE_CAPACITY),
+                    #[cfg(test)]
+                    failpoint: AtomicBool::new(false),
+                }
+            })
+            .collect()
+    }
+
+    /// The shard's `(id, point)` pairs, in tree order, read from the tree
+    /// itself: `tree.points[j]` is build point `tree.perm[j]`, whose id is
+    /// `ids[perm[j]]`.
+    pub(crate) fn points(&self) -> impl Iterator<Item = (u32, PointN<D>)> + '_ {
+        let tree = self.index.tree();
+        (tree.perm.iter().zip(&tree.points)).map(|(&b, &p)| (self.ids[b as usize], p))
+    }
 }
 
 /// Builder for a [`ShardedIndex`]; the defaults mirror
@@ -156,35 +217,14 @@ impl ShardedIndexBuilder {
     pub fn build<const D: usize>(self, points: &[PointN<D>]) -> ShardedIndex<D> {
         assert!(!points.is_empty(), "sharded index over zero points");
         assert!(self.shards > 0, "sharded index needs at least one shard");
-        let n = points.len();
-        let order = morton_order(points);
-        let mut built = Vec::with_capacity(self.shards.min(n));
-        for s in 0..self.shards {
-            // Equal index ranges over the Morton-sorted order. Tiny or
-            // heavily duplicated datasets can make a range empty (n <
-            // shards, or duplicate keys collapsing); KdTree::build panics
-            // on zero points, so empty ranges are skipped outright.
-            let (lo, hi) = (s * n / self.shards, (s + 1) * n / self.shards);
-            if lo == hi {
-                continue;
-            }
-            let ids: Vec<u32> = order[lo..hi].to_vec();
-            let pts: Vec<PointN<D>> = ids.iter().map(|&i| points[i as usize]).collect();
-            built.push(Shard {
-                index: KdIndex::build(format!("shard-{s}"), &pts, self.leaf_size, self.policy),
-                bbox: Aabb::of_points(&pts),
-                ids,
-                profile: ProfileCache::new(DEFAULT_PROFILE_TTL, PROFILE_CACHE_CAPACITY),
-                #[cfg(test)]
-                failpoint: AtomicBool::new(false),
-            });
-        }
+        let items: Vec<_> = (0..).zip(points.iter().copied()).collect();
+        let shards = Shard::partition(&items, self.shards, self.leaf_size, self.policy);
         ShardedIndex {
             name: self.name,
-            shards: built,
-            n_points: n,
+            shards: shards.into_iter().map(Arc::new).collect(),
+            n_points: points.len(),
             prune: self.prune,
-            epoch: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
         }
     }
 }
@@ -211,32 +251,9 @@ impl<const D: usize> ShardedIndex<D> {
         self.shards.len()
     }
 
-    /// Is shard AABB pruning enabled?
-    pub fn pruning(&self) -> bool {
-        self.prune
-    }
-
     /// Points owned by shard `s`.
     pub fn shard_len(&self, s: usize) -> usize {
         self.shards[s].ids.len()
-    }
-
-    /// Bounding box of shard `s`.
-    pub fn shard_bbox(&self, s: usize) -> Aabb<D> {
-        self.shards[s].bbox
-    }
-
-    fn views(&self) -> Vec<ShardView<'_, D>> {
-        (self.shards.iter())
-            .map(|s| ShardView {
-                index: &s.index,
-                ids: &s.ids,
-                bbox: &s.bbox,
-                profile: Some(&s.profile),
-                #[cfg(test)]
-                failpoint: Some(&s.failpoint),
-            })
-            .collect()
     }
 
     /// Cumulative profile-cache counters summed across shards.
@@ -259,20 +276,6 @@ impl<const D: usize> ShardedIndex<D> {
     pub(crate) fn arm_failpoint(&self, s: usize) {
         self.shards[s].failpoint.store(true, Ordering::SeqCst);
     }
-}
-
-/// One shard as [`sweep`] sees it — what [`ShardedIndex`] and the epoch
-/// layer's pinned snapshot both hand over.
-pub(crate) struct ShardView<'a, const D: usize> {
-    pub(crate) index: &'a KdIndex<D>,
-    /// `ids[i]` = the id callers know the shard's i-th build point by.
-    pub(crate) ids: &'a [u32],
-    pub(crate) bbox: &'a Aabb<D>,
-    /// Memoized §4.4 decisions for this shard's sub-batches, if kept.
-    pub(crate) profile: Option<&'a ProfileCache>,
-    /// Armed by a test: the next sub-batch on this shard panics.
-    #[cfg(test)]
-    pub(crate) failpoint: Option<&'a AtomicBool>,
 }
 
 /// One wave of concurrent sub-batches: `(shard, lanes)` per slot.
@@ -600,7 +603,7 @@ impl StatAgg {
     }
 }
 
-/// Fan one batch of lanes out over `views` and fold the per-shard answers
+/// Fan one batch of lanes out over `shards` and fold the per-shard answers
 /// back, one [`LaneAcc`] per lane — the only shard sweep there is, under
 /// [`ShardedIndex`] and the epoch layer's pinned snapshot alike, on the
 /// one schedule there is (module docs), its pool sized by
@@ -608,10 +611,10 @@ impl StatAgg {
 /// [`ExecPolicy::meters`] answer for the whole batch, handed to every
 /// sub-batch of every sweep of it; `prune` turns the AABB rule off for
 /// measuring what it saves; `epoch` is the owner's batch counter, the TTL
-/// clock of the views' profile caches. Accounting lands in `agg`, which a
+/// clock of the shards' profile caches. Accounting lands in `agg`, which a
 /// caller sweeping more than once per batch passes to each sweep in turn.
 pub(crate) fn sweep<const D: usize>(
-    views: &[ShardView<'_, D>],
+    shards: &[Arc<Shard<D>>],
     lanes: &[FusedLane],
     policy: &ExecPolicy,
     metered: bool,
@@ -621,14 +624,14 @@ pub(crate) fn sweep<const D: usize>(
 ) -> Vec<LaneAcc> {
     // A wave holds at most one slot per lane, so workers beyond the lane
     // count could only idle (the epoch layer's NN re-probes are one lane).
-    let threads = policy.shard_threads(views.len()).min(lanes.len());
+    let threads = policy.shard_threads(shards.len()).min(lanes.len());
     let started = *agg.started.get_or_insert_with(Instant::now);
-    Sweep::new(views, lanes, policy, metered, prune, epoch, started).run(threads, agg)
+    Sweep::new(shards, lanes, policy, metered, prune, epoch, started).run(threads, agg)
 }
 
 /// The per-batch inputs every sub-batch and every wave shares.
 struct Sweep<'a, const D: usize> {
-    views: &'a [ShardView<'a, D>],
+    shards: &'a [Arc<Shard<D>>],
     lanes: &'a [FusedLane],
     /// The whole batch's kernel pick ([`KdIndex::run_lanes`]), handed to
     /// every sub-batch.
@@ -646,7 +649,7 @@ struct Sweep<'a, const D: usize> {
 
 impl<'a, const D: usize> Sweep<'a, D> {
     fn new(
-        views: &'a [ShardView<'a, D>],
+        shards: &'a [Arc<Shard<D>>],
         lanes: &'a [FusedLane],
         policy: &'a ExecPolicy,
         metered: bool,
@@ -661,17 +664,17 @@ impl<'a, const D: usize> Sweep<'a, D> {
         let visit = qpts
             .iter()
             .map(|p| {
-                let mut order: Vec<(f32, u32)> = views
+                let mut order: Vec<(f32, u32)> = shards
                     .iter()
                     .enumerate()
-                    .map(|(s, v)| (v.bbox.dist2_to(p), s as u32))
+                    .map(|(s, shard)| (shard.bbox.dist2_to(p), s as u32))
                     .collect();
                 order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 order
             })
             .collect();
         Sweep {
-            views,
+            shards,
             lanes,
             pick: uniform_op(lanes),
             metered,
@@ -692,20 +695,15 @@ impl<'a, const D: usize> Sweep<'a, D> {
     /// log2 size bucket, and which Morton octants of the shard's box the
     /// lanes land in.
     fn run_sub(&self, shard_i: usize, round: u32, qs: &[usize]) -> SubRun {
-        let view = &self.views[shard_i];
+        let shard = &self.shards[shard_i];
         #[cfg(test)]
-        if view
-            .failpoint
-            .is_some_and(|armed| armed.swap(false, Ordering::SeqCst))
-        {
+        if shard.failpoint.swap(false, Ordering::SeqCst) {
             panic!("failpoint: shard {shard_i}");
         }
         let sub: Vec<&FusedLane> = qs.iter().map(|&q| &self.lanes[q]).collect();
-        let cache = view
-            .profile
-            .filter(|_| self.policy.profile_cache && self.policy.force.is_none() && sub.len() >= 2);
+        let cached = self.policy.profile_cache && self.policy.force.is_none() && sub.len() >= 2;
         let offset_us = self.started.elapsed().as_micros() as u64;
-        let ctx = cache.map(|cache| {
+        let ctx = cached.then(|| {
             let (tag, param) = match self.pick {
                 Some(OpKey::Nn) => (0u64, 0u64),
                 Some(OpKey::Knn(k)) => (1, k as u64),
@@ -714,16 +712,16 @@ impl<'a, const D: usize> Sweep<'a, D> {
             };
             let mut octants = 0u64;
             for &q in qs {
-                octants |= 1 << (morton_prefix(&self.qpts[q], view.bbox, 1) & 63);
+                octants |= 1 << (morton_prefix(&self.qpts[q], &shard.bbox, 1) & 63);
             }
             let bucket = u64::from(sub.len().ilog2());
             ProfileCtx {
-                cache,
+                cache: &shard.profile,
                 key: profile_key(self.policy.profile_seed, &[tag, param, bucket, octants]),
                 epoch: self.epoch,
             }
         });
-        let out = (view.index).run_lanes(&sub, self.pick, self.metered, self.policy, ctx.as_ref());
+        let out = (shard.index).run_lanes(&sub, self.pick, self.metered, self.policy, ctx.as_ref());
         let visit = ShardVisit {
             shard: shard_i as u32,
             round,
@@ -867,7 +865,7 @@ impl<'a, const D: usize> Sweep<'a, D> {
     /// depth would be — better warp packing and fewer profiler
     /// consultations for the same traversal work.
     fn run(&self, threads: usize, agg: &mut StatAgg) -> Vec<LaneAcc> {
-        let n_shards = self.views.len();
+        let n_shards = self.shards.len();
         let mut accs: Vec<LaneAcc> = self.lanes.iter().map(LaneAcc::new).collect();
         // cursor[q] = how far down q's visit order we have decided.
         let mut cursor = vec![0usize; self.lanes.len()];
@@ -894,7 +892,7 @@ impl<'a, const D: usize> Sweep<'a, D> {
                 let (wave, runs) = dispatch(wave_no, wave);
                 for ((s, qs), run) in wave.iter().zip(&runs) {
                     for (&q, r) in qs.iter().zip(&run.out.lanes) {
-                        accs[q].absorb(r, self.views[*s].ids);
+                        accs[q].absorb(r, &self.shards[*s].ids);
                     }
                     agg.add(run);
                 }
@@ -919,12 +917,19 @@ impl<const D: usize> TreeIndex for ShardedIndex<D> {
     }
 
     fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
-        // One epoch per batch: the TTL clock every shard cache shares.
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
-        let views = self.views();
+        // One tick per batch: the TTL clock every shard cache shares.
+        let batch = self.batches.fetch_add(1, Ordering::Relaxed);
         let mut agg = StatAgg::default();
         let metered = policy.meters(lanes.iter().map(|l| &l.pos[..]));
-        let accs = sweep(&views, lanes, policy, metered, self.prune, epoch, &mut agg);
+        let accs = sweep(
+            &self.shards,
+            lanes,
+            policy,
+            metered,
+            self.prune,
+            batch,
+            &mut agg,
+        );
         agg.finish(lanes, accs)
     }
 }
@@ -1043,7 +1048,7 @@ mod tests {
             shard_parallelism: 8,
             ..ExecPolicy::forced(Backend::Lockstep)
         };
-        let views = idx.views();
+        let shards = &idx.shards;
         let record = |run: &dyn Fn(&mut StatAgg) -> Vec<LaneAcc>| {
             let mut agg = StatAgg::default();
             let accs = run(&mut agg);
@@ -1053,9 +1058,9 @@ mod tests {
             }
             format!("{out:?}")
         };
-        let capped = record(&|agg| sweep(&views, &lanes, &policy, true, true, 0, agg));
+        let capped = record(&|agg| sweep(shards, &lanes, &policy, true, true, 0, agg));
         let uncapped = record(&|agg| {
-            Sweep::new(&views, &lanes, &policy, true, true, 0, Instant::now()).run(8, agg)
+            Sweep::new(shards, &lanes, &policy, true, true, 0, Instant::now()).run(8, agg)
         });
         assert_eq!(capped, uncapped);
         assert!(capped.contains("round: 1"), "the lane left its home shard");

@@ -12,8 +12,8 @@
 
 use gts_points::gen::uniform;
 use gts_service::{
-    Backend, ExecPolicy, KdIndex, MutableIndex, MutableIndexBuilder, Mutation, OpKey, Query,
-    QueryKind, QueryResult, Service, ServiceConfig, ServiceError, TreeIndex,
+    Backend, ExecPolicy, FusedLane, KdIndex, MutableIndex, MutableIndexBuilder, Mutation, OpKey,
+    Query, QueryKind, QueryResult, Service, ServiceConfig, ServiceError, ShardedIndex, TreeIndex,
 };
 use gts_trees::{PointN, SplitPolicy};
 use proptest::prelude::*;
@@ -226,6 +226,67 @@ fn mutable_index_matches_flat_rebuild_at_every_epoch() {
         assert_eq!(total, live_ids.len(), "{shards} shards: coverage");
         assert_eq!(idx.n_points(), live_ids.len());
     }
+}
+
+/// A mutable index at rest (nothing pending) holds the same Morton shards
+/// a `ShardedIndex` over the same points holds, consults their profile
+/// caches under the same rule on the same batch clock, and so serves the
+/// very record the sharded index serves — batch for batch, a repeat that
+/// hits the cache included.
+#[test]
+fn a_mutable_index_at_rest_serves_a_sharded_indexs_record() {
+    let pts = uniform::<3>(4096, 0x5eed);
+    let sharded = ShardedIndex::build("static", &pts, 4, 8, SplitPolicy::MedianCycle);
+    let mutable = MutableIndexBuilder::new("live", 4)
+        .auto_merge(false)
+        .build(&pts);
+    let queries = query_positions(&pts, 0xca11);
+    let ops = [OpKey::Nn, OpKey::Knn(8), OpKey::Pc(PC_RADIUS.to_bits())];
+    // Lane `i` asks each `ops[j]` that `asks(i, j)` picks.
+    let lanes = |asks: &dyn Fn(usize, usize) -> bool| -> Vec<FusedLane> {
+        (queries.iter().enumerate())
+            .map(|(i, pos)| {
+                let mut lane = FusedLane::empty(pos.clone());
+                for (j, &op) in ops.iter().enumerate() {
+                    if asks(i, j) {
+                        lane.ask(op);
+                    }
+                }
+                lane
+            })
+            .collect()
+    };
+    let batches = [
+        ("nn", lanes(&|_, j| j == 0)),
+        ("knn", lanes(&|_, j| j == 1)),
+        ("pc", lanes(&|_, j| j == 2)),
+        // Two of the three ops per lane, a different two lane to lane.
+        ("mixed", lanes(&|i, j| (i + j) % 3 != 0)),
+    ];
+    let record = |index: &dyn TreeIndex, lanes: &[FusedLane], policy: &ExecPolicy| {
+        let mut out = index.run(lanes, policy);
+        for v in &mut out.outcome.shard_visits {
+            (v.offset_us, v.dur_us) = (0, 0); // wall clock
+        }
+        (format!("{out:?}"), out.outcome.profile_cache_hits)
+    };
+    for threads in [1, 2] {
+        let policy = ExecPolicy {
+            shard_parallelism: threads,
+            ..ExecPolicy::default()
+        };
+        for (name, lanes) in &batches {
+            for pass in ["first", "repeat"] {
+                let (want, _) = record(&sharded, lanes, &policy);
+                let (got, hits) = record(&mutable, lanes, &policy);
+                assert_eq!(got, want, "{threads} threads, {name}, {pass} run");
+                if pass == "repeat" {
+                    assert!(hits > 0, "{threads} threads, {name}: the repeat missed");
+                }
+            }
+        }
+    }
+    assert_eq!(mutable.pending(), 0);
 }
 
 const WRITERS: usize = 8;
