@@ -174,7 +174,7 @@ mod tests {
     use crate::pc::{PcKernel, PcPoint, PcRule};
     use gts_points::gen::uniform;
     use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig};
-    use gts_runtime::{ChildBuf, TraversalKernel, VisitOutcome};
+    use gts_runtime::{cpu, ChildBuf, Live, Tombstones, TraversalKernel, VisitOutcome};
     use gts_trees::layout::NodeBytes;
     use gts_trees::{LbKdTree, NodeId, SplitPolicy};
     use proptest::prelude::*;
@@ -404,6 +404,136 @@ mod tests {
             assert_eq!(lane.a.best_idx, u32::MAX, "inert NN untouched");
             assert!(lane.b.a.best.is_empty(), "inert kNN untouched");
         }
+    }
+
+    /// A lane's answer: distances, ids, counts.
+    type Answer = (Vec<f32>, Vec<u32>, Vec<u32>);
+
+    /// Each lane's answer after every walk a rule is served with — the CPU
+    /// walk, autoropes, lockstep, the skip walk, and the Wald walk over the
+    /// tree's left-balanced mirror — with `ids` mapping tree positions.
+    fn served_walks<R: PointRule<3>>(
+        tree: &KdTree<3>,
+        rule: R,
+        lanes: &[R::State],
+        answer: fn(&R::State) -> Answer,
+        ids: &dyn Fn(u32) -> u32,
+    ) -> Vec<(&'static str, Vec<Answer>)> {
+        let lb = LbKdTree::build(&tree.points);
+        let kernel = KdBox::with_rule(tree, rule);
+        let cfg = GpuConfig::default();
+        let run = |walk: &dyn Fn(&mut [R::State])| -> Vec<Answer> {
+            let mut lanes = lanes.to_vec();
+            walk(&mut lanes);
+            (lanes.iter().map(answer))
+                .map(|(d2, at, counts)| (d2, at.into_iter().map(ids).collect(), counts))
+                .collect()
+        };
+        vec![
+            ("cpu", run(&|p| drop(cpu::run_sequential(&kernel, p)))),
+            (
+                "autoropes",
+                run(&|p| drop(autoropes::run(&kernel, p, &cfg))),
+            ),
+            ("lockstep", run(&|p| drop(lockstep::run(&kernel, p, &cfg)))),
+            (
+                "skip",
+                run(&|p| drop(stackless::run_skip(&kernel, p, &tree.skip, &cfg))),
+            ),
+            (
+                "wald",
+                run(&|p| drop(stackless::run_wald(&lb, kernel.rule(), p, &cfg))),
+            ),
+        ]
+    }
+
+    /// A tree with every `nth` dataset point tombstoned, beside a tree
+    /// built without those points.
+    struct Pruned {
+        tree: KdTree<3>,
+        dead: Tombstones,
+        bare: KdTree<3>,
+        /// `keep[i]` = the dataset id of `bare`'s build point `i`.
+        keep: Vec<u32>,
+    }
+
+    impl Pruned {
+        fn new(pts: &[PointN<3>], nth: u32) -> Self {
+            let tree = KdTree::build(pts, 8, SplitPolicy::MedianCycle);
+            let dead = ((0..).zip(&tree.perm))
+                .filter(|&(_, &id)| id % nth == 0)
+                .map(|(at, _)| at)
+                .collect();
+            let keep: Vec<u32> = (0..pts.len() as u32).filter(|id| id % nth != 0).collect();
+            let kept: Vec<PointN<3>> = keep.iter().map(|&id| pts[id as usize]).collect();
+            let bare = KdTree::build(&kept, 8, SplitPolicy::MedianCycle);
+            Pruned {
+                tree,
+                dead,
+                bare,
+                keep,
+            }
+        }
+
+        /// `Live` of `rule` over the tombstoned tree answers like `rule`
+        /// over the bare one on every served walk, ids compared through
+        /// each tree's `perm` — and unlike `rule` over the whole tree.
+        fn check<R: PointRule<3> + Clone>(
+            &self,
+            op: &str,
+            rule: R,
+            lanes: &[R::State],
+            answer: fn(&R::State) -> Answer,
+        ) {
+            let id = |at: u32, of: &dyn Fn(usize) -> u32| match at {
+                u32::MAX => at,
+                at => of(at as usize),
+            };
+            let tree_ids = |at| id(at, &|at| self.tree.perm[at]);
+            let bare_ids = |at| id(at, &|at| self.keep[self.bare.perm[at] as usize]);
+            let live = Live {
+                rule: rule.clone(),
+                dead: &self.dead,
+            };
+            let got = served_walks(&self.tree, live, lanes, answer, &tree_ids);
+            let want = served_walks(&self.bare, rule.clone(), lanes, answer, &bare_ids);
+            for ((walk, got), (_, want)) in got.iter().zip(&want) {
+                assert_eq!(got, want, "{op} on {walk}");
+            }
+            let whole = served_walks(&self.tree, rule, lanes, answer, &tree_ids);
+            assert_ne!(got[0].1, whole[0].1, "{op}: no dead point ever answered");
+        }
+    }
+
+    #[test]
+    fn live_rules_answer_like_a_tree_built_without_the_dead() {
+        let pts = uniform::<3>(400, 76);
+        let case = Pruned::new(&pts, 5);
+        // Off the data, and on it: dead points among the queries.
+        let queries: Vec<PointN<3>> = (uniform::<3>(60, 77).into_iter())
+            .chain(pts[..20].iter().copied())
+            .collect();
+        let nn: Vec<_> = queries.iter().map(|&q| NnPoint::new(q)).collect();
+        case.check("nn", NnRule, &nn, |p| {
+            (vec![p.best_d2], vec![p.best_idx], vec![])
+        });
+        let knn: Vec<_> = queries.iter().map(|&q| KnnPoint::new(q, 6)).collect();
+        case.check("knn", KnnRule, &knn, |p| {
+            (p.best.distances().to_vec(), p.best.ids().to_vec(), vec![])
+        });
+        let pc: Vec<_> = queries.iter().map(|&q| PcPoint::new(q)).collect();
+        case.check("pc", PcRule::new(0.3), &pc, |p| {
+            (vec![], vec![], vec![p.count])
+        });
+        let fused: Vec<_> = (queries.iter())
+            .map(|&q| fused_ops_point(q, true, Some(6), &[0.2, 0.45]))
+            .collect();
+        case.check("fused", FusedOpsRule::default(), &fused, |p| {
+            let d2 = std::iter::once(p.a.best_d2).chain(p.b.a.best.distances().iter().copied());
+            let ids = std::iter::once(p.a.best_idx).chain(p.b.a.best.ids().iter().copied());
+            let counts = p.b.b.slots.iter().map(|s| s.count);
+            (d2.collect(), ids.collect(), counts.collect())
+        });
     }
 
     #[test]

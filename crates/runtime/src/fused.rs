@@ -16,9 +16,113 @@
 //! halves whether they would have come this way alone and adds the answers
 //! to [`FusedPoint::solo_descents`], from which the visits of the walks it
 //! replaced follow without walking them.
+//!
+//! Deletion is the same kind of algebra: [`Live`] is a rule over the points
+//! a [`Tombstones`] set leaves alive. It drops a dead point's offer and is
+//! its inner rule in everything else, so any walk of a rule — a pair
+//! included — walks a tree minus its dead points without being rebuilt.
 
 use crate::kernel::PointRule;
 use gts_trees::PointN;
+
+/// A set of dead point positions, one bit each, in the id space the
+/// walking structure offers points in. The empty set allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Tombstones(Vec<u64>);
+
+impl Tombstones {
+    /// The empty set, usable where a `'static` one is needed.
+    pub const NONE: &'static Tombstones = &Tombstones(Vec::new());
+
+    /// Is position `idx` dead?
+    #[inline]
+    pub fn contains(&self, idx: u32) -> bool {
+        (self.0.get(idx as usize / 64)).is_some_and(|word| word >> (idx % 64) & 1 == 1)
+    }
+
+    /// Is nothing dead? (Bits are only ever set, so no word means no bit.)
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// The dead positions a [`Live`] rule consults: a [`Tombstones`] set, or
+/// [`AllLive`] where a caller knows nothing is dead.
+pub trait Dead: Copy + Sync {
+    /// Is position `idx` dead?
+    fn contains(&self, idx: u32) -> bool;
+}
+
+impl Dead for &Tombstones {
+    #[inline]
+    fn contains(&self, idx: u32) -> bool {
+        Tombstones::contains(self, idx)
+    }
+}
+
+/// The empty dead set as a zero-sized type: [`Live`] over it compiles to
+/// its inner rule, without a test per offer.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AllLive;
+
+impl Dead for AllLive {
+    #[inline]
+    fn contains(&self, _idx: u32) -> bool {
+        false
+    }
+}
+
+impl FromIterator<u32> for Tombstones {
+    fn from_iter<I: IntoIterator<Item = u32>>(dead: I) -> Self {
+        let mut words = Vec::new();
+        for idx in dead {
+            let at = idx as usize / 64;
+            if at >= words.len() {
+                words.resize(at + 1, 0);
+            }
+            words[at] |= 1 << (idx % 64);
+        }
+        Tombstones(words)
+    }
+}
+
+/// Rule `R` over the points `dead` leaves alive: a dead point's offer is
+/// dropped, and everything else — position, bound, guidance, cost
+/// constants, the descent tally — is `R`'s. Pruning stays exact by the
+/// [`PointRule`] contract: `R` builds its bound from the offers it is
+/// given, so dropping some only keeps the bound where a walk of the live
+/// points alone would hold it.
+#[derive(Debug, Clone, Copy)]
+pub struct Live<R, T> {
+    /// The rule answering for the live points.
+    pub rule: R,
+    /// The dead positions.
+    pub dead: T,
+}
+
+impl<const D: usize, R: PointRule<D>, T: Dead> PointRule<D> for Live<R, T> {
+    type State = R::State;
+    const GUIDED: bool = R::GUIDED;
+    const VISIT_INSTS: u64 = R::VISIT_INSTS;
+    const LEAF_ELEM_INSTS: u64 = R::LEAF_ELEM_INSTS;
+    const POINT_BYTES: u64 = R::POINT_BYTES;
+
+    fn pos(state: &Self::State) -> &PointN<D> {
+        R::pos(state)
+    }
+    fn bound(&self, state: &Self::State) -> f32 {
+        self.rule.bound(state)
+    }
+    #[inline]
+    fn offer(&self, state: &mut Self::State, d2: f32, idx: u32) {
+        if !self.dead.contains(idx) {
+            self.rule.offer(state, d2, idx);
+        }
+    }
+    fn solo_descents(&self, state: &mut Self::State, lb: f32) -> u32 {
+        self.rule.solo_descents(state, lb)
+    }
+}
 
 /// Per-lane state of a fused traversal: the two constituents' states side
 /// by side. Nests like the rules do.
@@ -171,5 +275,57 @@ mod tests {
         assert_eq!(lane.solo_descents, 6);
         assert_eq!(lane.b.solo_descents, 4, "a nested pair tallies its own two");
         assert_eq!(lane, fresh, "the tally is no part of the answer");
+    }
+
+    #[test]
+    fn live_rule_drops_dead_offers_and_is_its_rule_otherwise() {
+        let dead: Tombstones = [200, 3, 64].into_iter().collect();
+        for idx in [0, 63, 65, 199, 201, u32::MAX] {
+            assert!(!dead.contains(idx), "{idx}");
+        }
+        assert!(dead.contains(3) && dead.contains(64) && dead.contains(200));
+        assert!(!Tombstones::NONE.contains(0));
+        assert_eq!(Tombstones::default(), *Tombstones::NONE);
+        assert!(Tombstones::NONE.is_empty() && !dead.is_empty());
+
+        type Pair = (Within, Nearest);
+        let rule = Live {
+            rule: (Within(4.0), Nearest),
+            dead: &dead,
+        };
+        let origin = PointN([0.0f32; 2]);
+        let mut lane = FusedPoint::new((origin, 0.0, 0), (origin, f32::INFINITY, u32::MAX));
+        rule.offer(&mut lane, 1.0, 64);
+        assert_eq!(
+            (lane.a.2, lane.b.2),
+            (0, u32::MAX),
+            "a dead offer reaches neither"
+        );
+        rule.offer(&mut lane, 1.0, 65);
+        assert_eq!((lane.a.2, lane.b.1, lane.b.2), (1, 1.0, 65));
+        // The bound and the tally are the pair's.
+        assert_eq!(rule.bound(&lane), 4.0);
+        assert_eq!(rule.solo_descents(&mut lane, 2.0), 1);
+        assert_eq!(lane.solo_descents, 1);
+        fn facts<R: PointRule<2>>() -> (bool, u64, u64, u64) {
+            (
+                R::GUIDED,
+                R::VISIT_INSTS,
+                R::LEAF_ELEM_INSTS,
+                R::POINT_BYTES,
+            )
+        }
+        assert_eq!(facts::<Live<Pair, &Tombstones>>(), facts::<Pair>());
+        assert_eq!(facts::<Live<Within, AllLive>>(), facts::<Within>());
+
+        // Over `AllLive` every offer goes through, dead-listed or not.
+        let all = Live {
+            rule: Nearest,
+            dead: AllLive,
+        };
+        let mut lane = (origin, f32::INFINITY, u32::MAX);
+        all.offer(&mut lane, 1.0, 64);
+        assert_eq!((lane.1, lane.2), (1.0, 64));
+        assert_eq!(std::mem::size_of::<Live<Nearest, AllLive>>(), 0);
     }
 }

@@ -20,7 +20,8 @@
 //! *semantics* of a point-distance op — its prune bound and its update —
 //! from which such structures are derived (`gts_apps::kd::KdBox`, the Wald
 //! walk), and a pair of rules is a rule ([`fused`]), which is all of
-//! traversal fusion.
+//! traversal fusion — as a rule over the points a [`Tombstones`] set leaves
+//! alive ([`Live`]) is all of walking a tree with deleted points.
 //!
 //! The GPU executors perform the *real* computation (points end up with
 //! exactly the values the CPU baseline computes — tests depend on it) while
@@ -42,7 +43,7 @@ pub mod kernel;
 pub mod report;
 pub mod stack;
 
-pub use fused::FusedPoint;
+pub use fused::{AllLive, Dead, FusedPoint, Live, Tombstones};
 pub use kernel::{Child, ChildBuf, PointRule, TraversalKernel, VisitOutcome};
 pub use report::{CpuReport, GpuReport, TraversalStats};
 pub use stack::StackLayout;

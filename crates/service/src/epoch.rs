@@ -24,32 +24,37 @@
 //!   shard vector swaps in atomically and the epoch advances.
 //!
 //! **Delta-window answer rule.** Answers are exact at every instant, not
-//! just at epoch boundaries. While deltas are pending, the tree sweep is
-//! combined with a brute-force pass over the (small) delta set:
+//! just at epoch boundaries, and every batch — pending deltas or not — is
+//! one ordinary [`sweep`]. Each published [`EpochState`] expresses its
+//! pending deltas as two things the sweep already walks:
 //!
-//! * *Insert* — every live pending insert is offered as a candidate next
-//!   to the tree results (NN keeps its nearest-distinct-position rule:
-//!   zero-distance inserts are not NN answers; kNN and PC admit them).
-//! * *Delete* of a tree point — tree results are filtered by the deleted
-//!   id set. kNN runs the tree at `k + |pending tree deletes|` so the
-//!   top-k always survives the filter; NN falls back to a widening kNN
-//!   probe only when its answer was deleted; PC subtracts the deleted
-//!   points inside the radius (their coordinates ride the delta entry).
-//! * *Delete* of a pending insert — masks the insert; once merged the
-//!   pair cancels to the identity multiset.
+//! * *Delete* of a tree point — a bit in its shard's [`Tombstones`], set
+//!   at the point's tree position. Every sub-batch on that shard runs its
+//!   rule as [`gts_runtime::Live`] of it, which drops a dead point's
+//!   offer; each bound is built from offered points only, so pruning stays
+//!   exact, and kNN with `k` above the live count returns the live points.
+//! * *Insert* — the live pending inserts are one more [`Shard`], built
+//!   once per published state, by the first batch that reads it (a
+//!   writer's one-mutation call builds no tree), and swept after the
+//!   merged ones. Its box
+//!   prunes it like any other shard, and NN's nearest-distinct-position
+//!   rule holds in it as in every shard: a zero-distance insert is not an
+//!   NN answer; kNN and PC admit it.
+//! * *Delete* of a pending insert — drops the insert from the insert
+//!   shard; once merged the pair cancels to the identity multiset.
 //!
 //! Ids are stable: an insert is assigned a fresh id that never changes
 //! or gets reused, so a result id always names the same point — the
 //! invariant the differential oracle and the churn stress tests lean on.
 
-use crate::index::{to_point, FusedLane, FusedOutcome, TreeIndex};
+use crate::index::{FusedLane, FusedOutcome, TreeIndex};
 use crate::policy::ExecPolicy;
-use crate::query::OpKey;
-use crate::shard::{sweep, Acc, Shard, StatAgg};
+use crate::shard::{sweep, Shard};
+use gts_runtime::Tombstones;
 use gts_trees::{PointN, SplitPolicy};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -180,22 +185,21 @@ struct DeltaInsert<const D: usize> {
     pt: PointN<D>,
 }
 
-/// One pending delete. `in_tree` records whether the id lived in the
-/// merged shards (its coordinates then matter for PC subtraction) or in a
-/// pending insert (the pair cancels at merge time).
-#[derive(Clone)]
-struct DeltaDelete<const D: usize> {
+/// One pending delete. `at` is the deleted point's position in its merged
+/// shard's tree — its tombstone — or `None` when the id names a pending
+/// insert (the pair cancels at merge time).
+#[derive(Clone, Copy)]
+struct DeltaDelete {
     seq: u64,
     id: u32,
-    pt: PointN<D>,
-    in_tree: bool,
+    at: Option<u32>,
 }
 
 /// Per-shard delta buffer.
 #[derive(Clone)]
 struct ShardDelta<const D: usize> {
     inserts: Vec<DeltaInsert<D>>,
-    deletes: Vec<DeltaDelete<D>>,
+    deletes: Vec<DeltaDelete>,
 }
 
 impl<const D: usize> Default for ShardDelta<D> {
@@ -214,37 +218,92 @@ impl<const D: usize> ShardDelta<D> {
 }
 
 /// One immutable epoch snapshot: the merged shard set plus the pending
-/// delta buffers layered on top. Readers pin it by cloning the `Arc`.
+/// delta buffers layered on top, and those deltas as the sweep reads
+/// them. Readers pin it by cloning the `Arc`.
 struct EpochState<const D: usize> {
     /// Merged epoch; advances only when a merge swaps new shards in.
     epoch: u64,
     /// Mutation sequence high-water mark covered by `deltas`.
     seq: u64,
-    /// Shard ids are the stable global ids.
+    /// The merged shards. Shard ids are the stable global ids.
     shards: Vec<Arc<Shard<D>>>,
-    /// Parallel to `shards` (one slot even when the tree is empty).
+    /// Per merged shard, the tree positions its pending deletes tombstone.
+    dead: Vec<Tombstones>,
+    /// Parallel to the merged shards (one slot even when there are none).
     deltas: Vec<ShardDelta<D>>,
     /// Live multiset size (tree − pending deletes + pending inserts).
     n_live: usize,
+    /// What every batch sweeps: `shards`, then — while inserts are pending
+    /// — one shard of the live ones. Built by the first reader of this
+    /// state ([`EpochState::swept`]), so a writer publishing one mutation
+    /// at a time builds no tree under the writer lock.
+    swept: OnceLock<Vec<Arc<Shard<D>>>>,
 }
 
 impl<const D: usize> EpochState<D> {
+    /// The state with `deltas` pending on top of the merged `shards`, each
+    /// pending tree delete tombstoned.
+    fn publish(
+        epoch: u64,
+        seq: u64,
+        shards: Vec<Arc<Shard<D>>>,
+        deltas: Vec<ShardDelta<D>>,
+        n_live: usize,
+    ) -> Arc<Self> {
+        let dead = (deltas.iter().take(shards.len()))
+            .map(|d| d.deletes.iter().filter_map(|del| del.at).collect())
+            .collect();
+        Arc::new(EpochState {
+            epoch,
+            seq,
+            shards,
+            dead,
+            deltas,
+            n_live,
+            swept: OnceLock::new(),
+        })
+    }
+
+    /// The merged shards and the shard of the live pending inserts, built
+    /// on first use.
+    fn swept(&self, core: &Core<D>) -> &[Arc<Shard<D>>] {
+        self.swept.get_or_init(|| {
+            let deleted: HashSet<u32> = (self.deltas.iter().flat_map(|d| &d.deletes))
+                .filter(|del| del.at.is_none())
+                .map(|del| del.id)
+                .collect();
+            let inserts: Vec<(u32, PointN<D>)> = (self.deltas.iter().flat_map(|d| &d.inserts))
+                .filter(|ins| !deleted.contains(&ins.id))
+                .map(|ins| (ins.id, ins.pt))
+                .collect();
+            let pending = Shard::partition(&inserts, 1, core.leaf_size, core.split);
+            (self.shards.iter().cloned())
+                .chain(pending.into_iter().map(Arc::new))
+                .collect()
+        })
+    }
+
     fn pending(&self) -> u64 {
         self.deltas.iter().map(|d| d.len() as u64).sum()
     }
-
-    fn tree_points(&self) -> usize {
-        self.shards.iter().map(|s| s.ids.len()).sum()
-    }
 }
 
-/// Where a live id currently resides — the writer-side routing table.
+/// Where a live id currently resides — the writer-side routing table:
+/// merged into shard `slot` at tree position `at`, or (`at` is `None`)
+/// pending in delta slot `slot`.
 #[derive(Clone, Copy)]
-enum Owner {
-    /// Merged into shard `.0`.
-    Tree(usize),
-    /// Pending in delta slot `.0`.
-    Pending(usize),
+struct Owner {
+    slot: u32,
+    at: Option<u32>,
+}
+
+/// Route every point of `shards` to its tree position.
+fn route_tree<const D: usize>(owner: &mut HashMap<u32, Owner>, shards: &[Arc<Shard<D>>]) {
+    for (slot, shard) in (0..).zip(shards) {
+        owner.extend(
+            (shard.points().zip(0..)).map(|((id, _), at)| (id, Owner { slot, at: Some(at) })),
+        );
+    }
 }
 
 struct WriterState {
@@ -390,10 +449,7 @@ impl<const D: usize> MutableIndex<D> {
             .map(Arc::new)
             .collect();
         let mut owner = HashMap::with_capacity(points.len());
-        for (s, shard) in shards.iter().enumerate() {
-            owner.extend(shard.ids.iter().map(|&id| (id, Owner::Tree(s))));
-        }
-        let n_live = points.len();
+        route_tree(&mut owner, &shards);
         let deltas = vec![ShardDelta::default(); shards.len().max(1)];
         let core = Arc::new(Core {
             name,
@@ -401,19 +457,13 @@ impl<const D: usize> MutableIndex<D> {
             leaf_size,
             split,
             merge_debounce,
-            state: Mutex::new(Arc::new(EpochState {
-                epoch: 0,
-                seq: 0,
-                shards,
-                deltas,
-                n_live,
-            })),
             writer: Mutex::new(WriterState {
                 next_id: points.len() as u32,
                 owner,
                 closed: false,
                 seq: 0,
             }),
+            state: Mutex::new(EpochState::publish(0, 0, shards, deltas, points.len())),
             merge_lock: Mutex::new(()),
             ctl: Mutex::new(MergeCtl {
                 wake: false,
@@ -472,17 +522,19 @@ impl<const D: usize> MutableIndex<D> {
         self.pin().shards.iter().map(|s| s.ids.clone()).collect()
     }
 
-    /// The live multiset — merged points minus pending deletes plus
-    /// pending inserts — as `(stable id, point)` pairs sorted by id. This
-    /// is exactly the set a from-scratch flat build must be given for the
-    /// differential comparison.
+    /// The live multiset — merged points minus their tombstones plus the
+    /// pending inserts' shard — as `(stable id, point)` pairs sorted by
+    /// id. This is exactly the set a fresh flat build must be given
+    /// for the differential comparison.
     pub fn live(&self) -> Vec<(u32, PointN<D>)> {
         let state = self.pin();
-        let digest = DeltaDigest::new(&state);
         let mut out: Vec<(u32, PointN<D>)> = Vec::with_capacity(state.n_live);
-        let merged = state.shards.iter().flat_map(|shard| shard.points());
-        out.extend(merged.filter(|(id, _)| !digest.deleted.contains(id)));
-        out.extend(digest.live_inserts.iter().copied());
+        for (s, shard) in state.swept(&self.core).iter().enumerate() {
+            let dead = state.dead.get(s).unwrap_or(Tombstones::NONE);
+            out.extend(
+                (shard.points().zip(0..)).filter_map(|(p, at)| (!dead.contains(at)).then_some(p)),
+            );
+        }
         out.sort_by_key(|&(id, _)| id);
         out
     }
@@ -532,60 +584,29 @@ impl<const D: usize> MutableIndex<D> {
                     w.next_id += 1;
                     let slot = home_of(&cur.shards, &pt);
                     w.seq += 1;
-                    deltas[slot]
+                    deltas[slot as usize]
                         .inserts
                         .push(DeltaInsert { seq: w.seq, id, pt });
-                    w.owner.insert(id, Owner::Pending(slot));
+                    w.owner.insert(id, Owner { slot, at: None });
                     n_live += 1;
                     accepted += 1;
                     assigned.push(id);
                 }
-                Mutation::Delete { id } => match w.owner.get(id).copied() {
+                Mutation::Delete { id } => match w.owner.remove(id) {
                     None => rejected += 1,
-                    Some(Owner::Pending(slot)) => {
-                        let pt = deltas[slot]
-                            .inserts
-                            .iter()
-                            .rev()
-                            .find(|i| i.id == *id)
-                            .expect("pending owner maps into its slot")
-                            .pt;
+                    Some(Owner { slot, at }) => {
                         w.seq += 1;
-                        deltas[slot].deletes.push(DeltaDelete {
-                            seq: w.seq,
-                            id: *id,
-                            pt,
-                            in_tree: false,
-                        });
-                        w.owner.remove(id);
-                        n_live -= 1;
-                        accepted += 1;
-                    }
-                    Some(Owner::Tree(s)) => {
-                        let (_, pt) = (cur.shards[s].points())
-                            .find(|&(x, _)| x == *id)
-                            .expect("tree owner maps into its shard");
-                        w.seq += 1;
-                        deltas[s].deletes.push(DeltaDelete {
-                            seq: w.seq,
-                            id: *id,
-                            pt,
-                            in_tree: true,
-                        });
-                        w.owner.remove(id);
+                        let seq = w.seq;
+                        let del = DeltaDelete { seq, id: *id, at };
+                        deltas[slot as usize].deletes.push(del);
                         n_live -= 1;
                         accepted += 1;
                     }
                 },
             }
         }
-        let next = Arc::new(EpochState {
-            epoch: cur.epoch,
-            seq: w.seq,
-            shards: cur.shards.clone(),
-            deltas,
-            n_live,
-        });
+        let shards = cur.shards.clone();
+        let next = EpochState::publish(cur.epoch, w.seq, shards, deltas, n_live);
         let pending = next.pending();
         *core.state.lock().unwrap_or_else(|e| e.into_inner()) = next;
         drop(w);
@@ -675,7 +696,9 @@ impl<const D: usize> TreeIndex for MutableIndex<D> {
 
     fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
         let batch = self.core.batches.fetch_add(1, Ordering::Relaxed);
-        run_state(&self.pin(), lanes, policy, batch)
+        let state = self.pin();
+        let shards = state.swept(&self.core);
+        sweep(shards, &state.dead, lanes, policy, true, batch)
     }
 
     fn mutate(&self, muts: &[Mutation]) -> Result<MutationAck, MutateError> {
@@ -708,10 +731,9 @@ fn notify<const D: usize>(core: &Core<D>, event: &EpochEvent) {
 
 /// Home slot of a point: the shard whose box is nearest (ties to the
 /// lowest index), slot 0 when the tree is empty.
-fn home_of<const D: usize>(shards: &[Arc<Shard<D>>], p: &PointN<D>) -> usize {
-    shards
-        .iter()
-        .enumerate()
+fn home_of<const D: usize>(shards: &[Arc<Shard<D>>], p: &PointN<D>) -> u32 {
+    (0..)
+        .zip(shards)
         .min_by(|a, b| {
             a.1.bbox
                 .dist2_to(p)
@@ -840,69 +862,34 @@ fn do_merge<const D: usize>(core: &Core<D>) -> bool {
     }
 
     // Swap: re-home the deltas that arrived during the rebuild onto the
-    // new shard list and rebuild the writer's routing table.
+    // new shard list — a delete whose target got merged under it becomes a
+    // tombstone in the target's new shard — and rebuild the writer's
+    // routing table in place. Holding the writer lock keeps the state
+    // still; readers only wait for the swap itself.
     let mut w = core.writer.lock().unwrap_or_else(|e| e.into_inner());
-    let mut state = core.state.lock().unwrap_or_else(|e| e.into_inner());
-    let cur = state.clone();
-    let mut tree_of: HashMap<u32, usize> = HashMap::new();
-    for (s, shard) in new_shards.iter().enumerate() {
-        for &id in &shard.ids {
-            tree_of.insert(id, s);
-        }
-    }
-    let n_slots = new_shards.len().max(1);
-    let mut new_deltas = vec![ShardDelta::<D>::default(); n_slots];
-    let mut pending_slot: HashMap<u32, usize> = HashMap::new();
-    for delta in &cur.deltas {
-        for ins in &delta.inserts {
-            if ins.seq > cut {
-                let s = home_of(&new_shards, &ins.pt);
-                pending_slot.insert(ins.id, s);
-                new_deltas[s].inserts.push(ins.clone());
-            }
-        }
-    }
-    for delta in &cur.deltas {
-        for del in &delta.deletes {
-            if del.seq > cut {
-                let mut del = del.clone();
-                if let Some(&s) = tree_of.get(&del.id) {
-                    // The target got merged under it mid-window: the
-                    // delete is now a tree delete against the new shard.
-                    del.in_tree = true;
-                    new_deltas[s].deletes.push(del);
-                } else if let Some(&s) = pending_slot.get(&del.id) {
-                    del.in_tree = false;
-                    new_deltas[s].deletes.push(del);
-                } else {
-                    debug_assert!(false, "pending delete lost its target");
-                }
-            }
-        }
-    }
+    let cur = core.state.lock().unwrap_or_else(|e| e.into_inner()).clone();
     w.owner.clear();
-    for (&id, &s) in &tree_of {
-        w.owner.insert(id, Owner::Tree(s));
+    route_tree(&mut w.owner, &new_shards);
+    let mut new_deltas = vec![ShardDelta::<D>::default(); new_shards.len().max(1)];
+    for ins in (cur.deltas.iter().flat_map(|d| &d.inserts)).filter(|ins| ins.seq > cut) {
+        let slot = home_of(&new_shards, &ins.pt);
+        w.owner.insert(ins.id, Owner { slot, at: None });
+        new_deltas[slot as usize].inserts.push(ins.clone());
     }
-    for (&id, &s) in &pending_slot {
-        w.owner.insert(id, Owner::Pending(s));
-    }
-    for delta in &new_deltas {
-        for del in &delta.deletes {
-            w.owner.remove(&del.id);
-        }
+    for del in (cur.deltas.iter().flat_map(|d| &d.deletes)).filter(|del| del.seq > cut) {
+        let Some(Owner { slot, at }) = w.owner.remove(&del.id) else {
+            debug_assert!(false, "pending delete lost its target");
+            continue;
+        };
+        new_deltas[slot as usize]
+            .deletes
+            .push(DeltaDelete { at, ..*del });
     }
     let n_live = w.owner.len();
     let epoch = snap.epoch + 1;
     let pending_after: u64 = new_deltas.iter().map(|d| d.len() as u64).sum();
-    *state = Arc::new(EpochState {
-        epoch,
-        seq: cur.seq,
-        shards: new_shards,
-        deltas: new_deltas,
-        n_live,
-    });
-    drop(state);
+    let next = EpochState::publish(epoch, cur.seq, new_shards, new_deltas, n_live);
+    *core.state.lock().unwrap_or_else(|e| e.into_inner()) = next;
     drop(w);
     core.merges.fetch_add(1, Ordering::Relaxed);
     notify(
@@ -918,139 +905,11 @@ fn do_merge<const D: usize>(core: &Core<D>) -> bool {
     true
 }
 
-/// Per-batch digest of the pending deltas: what to mask and what to
-/// brute-force ([`Acc::correct`] applies it, op by op).
-pub(crate) struct DeltaDigest<const D: usize> {
-    /// Every pending delete's id (tree and pending-insert alike).
-    pub(crate) deleted: HashSet<u32>,
-    /// Deleted *tree* points (id, coordinates) — PC subtracts these.
-    pub(crate) del_tree: Vec<(u32, PointN<D>)>,
-    /// Pending inserts still live (not cancelled by a pending delete).
-    pub(crate) live_inserts: Vec<(u32, PointN<D>)>,
-}
-
-impl<const D: usize> DeltaDigest<D> {
-    fn new(state: &EpochState<D>) -> Self {
-        let mut deleted = HashSet::new();
-        let mut del_tree = Vec::new();
-        for delta in &state.deltas {
-            for del in &delta.deletes {
-                deleted.insert(del.id);
-                if del.in_tree {
-                    del_tree.push((del.id, del.pt));
-                }
-            }
-        }
-        let mut live_inserts = Vec::new();
-        for delta in &state.deltas {
-            for ins in &delta.inserts {
-                if !deleted.contains(&ins.id) {
-                    live_inserts.push((ins.id, ins.pt));
-                }
-            }
-        }
-        DeltaDigest {
-            deleted,
-            del_tree,
-            live_inserts,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.deleted.is_empty() && self.live_inserts.is_empty()
-    }
-}
-
-/// Execute one batch against a pinned epoch snapshot: sweep the merged
-/// shards (every requested `k` widened by the pending tree-delete count,
-/// so each top-k survives the delete filter), then apply the delta-window
-/// correction op by op ([`Acc::correct`]), then re-probe the trees for
-/// the NN answers the window deleted. `batch` is the index's batch
-/// counter, the TTL clock of the shards' profile caches.
-fn run_state<const D: usize>(
-    state: &EpochState<D>,
-    lanes: &[FusedLane],
-    policy: &ExecPolicy,
-    batch: u64,
-) -> FusedOutcome {
-    let digest = DeltaDigest::new(state);
-    let n_del_tree = digest.del_tree.len();
-    let mut agg = StatAgg::default();
-    // Decided once, on the lanes as handed in: the widened sweep and the
-    // NN re-probes below are the same batch.
-    let metered = policy.meters(lanes.iter().map(|l| &l.pos[..]));
-    let sweep_trees = |lanes: &[FusedLane], agg: &mut StatAgg| {
-        sweep(&state.shards, lanes, policy, metered, true, batch, agg)
-    };
-
-    if digest.is_empty() {
-        let accs = sweep_trees(lanes, &mut agg);
-        return agg.finish(lanes, accs);
-    }
-    let widened: Vec<FusedLane> = (lanes.iter())
-        .map(|l| FusedLane {
-            knn_ks: l.knn_ks.iter().map(|&k| k + n_del_tree).collect(),
-            ..l.clone()
-        })
-        .collect();
-    let mut accs = sweep_trees(&widened, &mut agg);
-    // An NN answer is a lane's first accumulator; `open` lists the lanes
-    // whose tree answer the window deleted.
-    let mut open: Vec<usize> = Vec::new();
-    for (qi, (lane, acc)) in lanes.iter().zip(&mut accs).enumerate() {
-        let q = to_point::<D>(&lane.pos);
-        for a in &mut acc.0 {
-            if a.correct(&q, &digest) {
-                open.push(qi);
-            }
-        }
-    }
-
-    // NN retry: probe with a widening kNN — the merged top-k' is a prefix
-    // of the trees' distance order, so the first surviving
-    // (positive-distance, non-deleted) entry is exact; no survivor in a
-    // prefix as long as the trees means no tree answer at all.
-    let tree_total = state.tree_points();
-    let mut k_probe = n_del_tree + 2;
-    while !open.is_empty() {
-        let probes: Vec<FusedLane> = (open.iter())
-            .map(|&qi| {
-                let mut probe = FusedLane::empty(lanes[qi].pos.clone());
-                probe.ask(OpKey::Knn(k_probe));
-                probe
-            })
-            .collect();
-        let found = sweep_trees(&probes, &mut agg);
-        let exhaustive = k_probe >= tree_total;
-        open = (open.into_iter().zip(found))
-            .filter_map(|(qi, probe)| {
-                let Some(Acc::Knn { best }) = probe.0.first() else {
-                    unreachable!("a kNN probe accumulates a k-best set")
-                };
-                let survivor = (best.distances().iter().zip(best.ids()))
-                    .find(|&(&d2, id)| d2 > 0.0 && !digest.deleted.contains(id));
-                match (survivor, accs[qi].0.first_mut()) {
-                    (Some((&d2, &found)), Some(Acc::Nn { dist2, id })) => {
-                        if d2 < *dist2 {
-                            (*dist2, *id) = (d2, found);
-                        }
-                        None
-                    }
-                    (None, _) if !exhaustive => Some(qi),
-                    _ => None, // truly no tree answer
-                }
-            })
-            .collect();
-        k_probe *= 2;
-    }
-    agg.finish(lanes, accs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::Backend;
-    use crate::query::QueryResult;
+    use crate::query::{OpKey, QueryResult};
     use gts_apps::oracle;
     use gts_points::gen::uniform;
 
@@ -1067,11 +926,23 @@ mod tests {
     }
 
     fn check_against_oracle(idx: &MutableIndex<3>, queries: &[PointN<3>]) {
+        for backend in Backend::ALL {
+            check_against_oracle_on(idx, queries, &ExecPolicy::forced(backend));
+        }
+    }
+
+    /// NN, kNN and PC against the flat oracle over the live set, each one
+    /// sweep of the merged shards and at most one of pending inserts.
+    fn check_against_oracle_on(idx: &MutableIndex<3>, queries: &[PointN<3>], policy: &ExecPolicy) {
         let live = live_points(idx);
         let qpos = positions(queries);
-        let nn = idx.run_batch(OpKey::Nn, &qpos, &cpu());
-        let knn = idx.run_batch(OpKey::Knn(4), &qpos, &cpu());
-        let pc = idx.run_batch(OpKey::Pc(0.3f32.to_bits()), &qpos, &cpu());
+        let nn = idx.run_batch(OpKey::Nn, &qpos, policy);
+        let knn = idx.run_batch(OpKey::Knn(4), &qpos, policy);
+        let pc = idx.run_batch(OpKey::Pc(0.3f32.to_bits()), &qpos, policy);
+        let walked = idx.n_shards() as u32 + 1;
+        for out in [&nn, &knn, &pc] {
+            assert!(out.shard_visits.iter().all(|v| v.round < walked));
+        }
         for (i, q) in queries.iter().enumerate() {
             let QueryResult::Nn { dist2, .. } = nn.results[i] else {
                 panic!()
@@ -1137,7 +1008,7 @@ mod tests {
     #[test]
     fn deleted_nn_answer_falls_back_to_runner_up() {
         // Query exactly on a dataset point whose nearest neighbor gets
-        // deleted: the widening probe must find the runner-up.
+        // deleted: the one sweep must find the runner-up.
         let pts = uniform::<3>(100, 7);
         let idx = MutableIndexBuilder::new("m", 2)
             .auto_merge(false)
@@ -1157,9 +1028,124 @@ mod tests {
         let want = oracle::nn_dist2_nonself(&live, &q);
         assert!((dist2 - want).abs() <= 1e-5 * want.max(1e-6));
         assert_ne!(id, nn_id);
-        // The probe is a second sweep: its rounds follow the first's.
+        // One sweep: its waves number below the shards it walks, the
+        // merged ones and at most one of pending inserts.
         let n_shards = idx.n_shards() as u32;
-        assert!(out.shard_visits.iter().any(|v| v.round >= n_shards));
+        assert!(out.shard_visits.iter().all(|v| v.round < n_shards + 1));
+    }
+
+    /// Where the window's tombstones and its shard of pending inserts meet
+    /// the sweep's edges, on every backend.
+    #[test]
+    fn window_corners_answer_exactly() {
+        let build = |pts: &[PointN<3>], shards| {
+            MutableIndexBuilder::new("m", shards)
+                .auto_merge(false)
+                .build(pts)
+        };
+        let insert = |pos: &[f32]| Mutation::Insert { pos: pos.to_vec() };
+
+        // A shard whose every point is tombstoned: its box still admits
+        // the lanes around it, and it offers them nothing.
+        let pts = uniform::<3>(120, 51);
+        let idx = build(&pts, 3);
+        let doomed = idx.shard_ids()[1].clone();
+        let muts: Vec<Mutation> = doomed.iter().map(|&id| Mutation::Delete { id }).collect();
+        idx.mutate(&muts).unwrap();
+        assert_eq!(idx.n_points(), 120 - doomed.len());
+        let inside: Vec<PointN<3>> = doomed.iter().take(12).map(|&id| pts[id as usize]).collect();
+        check_against_oracle(&idx, &inside);
+
+        // kNN with `k` above the live count: every live point, no dead one.
+        let idx = build(&uniform::<3>(10, 52), 2);
+        let muts = [0, 3, 7].map(|id| Mutation::Delete { id });
+        idx.mutate(&muts).unwrap();
+        idx.mutate(&[insert(&[0.1, 0.1, 0.1])]).unwrap();
+        let live: Vec<u32> = idx.live().iter().map(|&(id, _)| id).collect();
+        assert_eq!(live.len(), 8);
+        let origin = PointN([0.0f32; 3]);
+        let want = oracle::knn_dists(&live_points(&idx), &origin, 20);
+        for backend in Backend::ALL {
+            let out = idx.run_batch(
+                OpKey::Knn(20),
+                &[vec![0.0; 3]],
+                &ExecPolicy::forced(backend),
+            );
+            let QueryResult::Knn { dist2, ids } = &out.results[0] else {
+                panic!()
+            };
+            let mut ids = ids.clone();
+            ids.sort_unstable();
+            assert_eq!((dist2, &ids), (&want, &live), "{}", backend.name());
+        }
+
+        // PC with a deleted tree point and a pending insert both exactly at
+        // the radius: `d2 <= r2` counts the insert, and not the dead point.
+        let mut pts = uniform::<3>(60, 53);
+        pts[0] = PointN([0.5, 0.0, 0.0]);
+        let idx = build(&pts, 2);
+        idx.mutate(&[Mutation::Delete { id: 0 }, insert(&[0.0, 0.5, 0.0])])
+            .unwrap();
+        let want = oracle::pc_count(&live_points(&idx), &origin, 0.5);
+        assert_eq!(
+            want,
+            oracle::pc_count(&pts, &origin, 0.5),
+            "one out, one in"
+        );
+        for backend in Backend::ALL {
+            let pc = OpKey::Pc(0.5f32.to_bits());
+            let out = idx.run_batch(pc, &[vec![0.0; 3]], &ExecPolicy::forced(backend));
+            assert_eq!(
+                out.results[0],
+                QueryResult::Pc { count: want },
+                "{}",
+                backend.name()
+            );
+        }
+
+        // NN sitting on a pending insert (twice over): the shard of inserts
+        // keeps the distinct-position rule, while kNN admits both copies.
+        let idx = build(&uniform::<3>(80, 54), 2);
+        let x = [0.3f32, -0.2, 0.1];
+        let near = [0.31f32, -0.2, 0.1];
+        let ack = idx
+            .mutate(&[insert(&x), insert(&x), insert(&near)])
+            .unwrap();
+        let want = oracle::nn_dist2_nonself(&live_points(&idx), &PointN(x));
+        for backend in Backend::ALL {
+            let policy = ExecPolicy::forced(backend);
+            let out = idx.run_batch(OpKey::Nn, &[x.to_vec()], &policy);
+            let label = backend.name();
+            assert_eq!(
+                out.results[0],
+                QueryResult::Nn {
+                    dist2: want,
+                    id: ack.assigned[2]
+                },
+                "{label}"
+            );
+            let out = idx.run_batch(OpKey::Knn(2), &[x.to_vec()], &policy);
+            let QueryResult::Knn { dist2, ids } = &out.results[0] else {
+                panic!()
+            };
+            assert_eq!(dist2, &[0.0, 0.0], "{label}");
+            assert!(
+                ids.contains(&ack.assigned[0]) && ids.contains(&ack.assigned[1]),
+                "{label}"
+            );
+        }
+
+        // Built empty: no merged shard, so every answer comes from the
+        // shard of pending inserts.
+        let idx = build(&[], 2);
+        let pts = uniform::<3>(40, 55);
+        idx.mutate(&pts.iter().map(|p| insert(&p.0)).collect::<Vec<_>>())
+            .unwrap();
+        assert_eq!(idx.n_shards(), 0);
+        check_against_oracle(&idx, &pts[..8]);
+        let out = idx.run_batch(OpKey::Knn(3), &positions(&pts[..8]), &cpu());
+        assert!(!out.shard_visits.is_empty());
+        assert!(out.shard_visits.iter().all(|v| v.shard == 0));
     }
 
     #[test]

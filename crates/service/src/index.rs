@@ -9,18 +9,18 @@
 use crate::epoch::{EpochObserverFn, EpochStats, MutateError, Mutation, MutationAck};
 use crate::policy::{Backend, ExecPolicy};
 use crate::query::{OpKey, QueryResult};
-use gts_apps::fused::{fused_ops_kernel, fused_ops_point, FusedOpsPoint};
+use gts_apps::fused::{fused_ops_point, FusedOpsPoint, FusedOpsRule};
 use gts_apps::kbest::KBest;
 use gts_apps::kd::KdBox;
-use gts_apps::knn::{KnnKernel, KnnPoint};
-use gts_apps::nn::{NnAabbKernel, NnKernel, NnPoint};
-use gts_apps::pc::{PcKernel, PcPoint};
+use gts_apps::knn::{KnnPoint, KnnRule};
+use gts_apps::nn::{NnKernel, NnPoint, NnRule};
+use gts_apps::pc::{PcPoint, PcRule};
 use gts_points::profile::{
     profile_sortedness, profile_sortedness_cached, CacheOutcome, ProfileCache,
 };
 use gts_points::sort::morton_order;
 use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig, Meter, Unmetered, WarpSim};
-use gts_runtime::{cpu, GpuReport, PointRule, TraversalKernel};
+use gts_runtime::{cpu, AllLive, Dead, GpuReport, Live, PointRule, Tombstones, TraversalKernel};
 use gts_trees::{KdTree, LbKdTree, PointN, SplitPolicy};
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -138,13 +138,14 @@ impl BatchOutcome {
 /// trace recorder renders as a nested span under the batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardVisit {
-    /// Shard index within the sharded index.
+    /// Shard index within the sharded index (for a mutable index with
+    /// inserts pending, the shard of those inserts follows the merged
+    /// ones).
     pub shard: u32,
-    /// Wave number within the batch: the sweep's wave that dispatched the
-    /// sub-batch (wave 0 holds every query's first admissible shard,
-    /// usually its home), offset by the shard count for each earlier
-    /// sweep of the same batch (the epoch layer's NN re-probes). The
-    /// same for every [`ExecPolicy::shard_parallelism`].
+    /// Wave number within the batch: the wave of the batch's one sweep
+    /// that dispatched the sub-batch (wave 0 holds every query's first
+    /// admissible shard, usually its home), below the number of shards
+    /// swept. The same for every [`ExecPolicy::shard_parallelism`].
     pub round: u32,
     /// Queries in the sub-batch.
     pub queries: u32,
@@ -439,6 +440,12 @@ impl<const D: usize> KdIndex<D> {
     /// With a [`ProfileCtx`], when the policy would profile, the §4.4
     /// decision is looked up in (and memoized into) the caller's cache
     /// instead of sampled fresh; answers are identical either way.
+    ///
+    /// `dead` holds the tree positions of points the lanes must not see
+    /// (the epoch layer's pending deletes; a static index passes
+    /// [`Tombstones::NONE`]): whichever rule runs, it runs as
+    /// [`Live`] of it. The empty set is chosen once here, as `metered`
+    /// is: it runs as [`AllLive`], which tests nothing per offer.
     pub(crate) fn run_lanes(
         &self,
         lanes: &[&FusedLane],
@@ -446,6 +453,24 @@ impl<const D: usize> KdIndex<D> {
         metered: bool,
         policy: &ExecPolicy,
         profile: Option<&ProfileCtx<'_>>,
+        dead: &Tombstones,
+    ) -> FusedOutcome {
+        if dead.is_empty() {
+            self.run_live(lanes, pick, metered, policy, profile, AllLive)
+        } else {
+            self.run_live(lanes, pick, metered, policy, profile, dead)
+        }
+    }
+
+    /// [`KdIndex::run_lanes`] over the dead set `dead`.
+    fn run_live<T: Dead>(
+        &self,
+        lanes: &[&FusedLane],
+        pick: Option<OpKey>,
+        metered: bool,
+        policy: &ExecPolicy,
+        profile: Option<&ProfileCtx<'_>>,
+        dead: T,
     ) -> FusedOutcome {
         let pts: Vec<PointN<D>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
         let solo = |r: QueryResult| -> FusedLaneResult { std::iter::once(r).collect() };
@@ -457,8 +482,9 @@ impl<const D: usize> KdIndex<D> {
                 // The plane-pruning NN kernel is the fastest solo NN, but
                 // its traversal-variant argument cannot ride the skip
                 // walk; the box-pruned kernel of the same rule can.
-                let kernel = NnKernel::new(&self.tree);
-                let boxed = NnAabbKernel::new(&self.tree);
+                let rule = Live { rule: NnRule, dead };
+                let kernel = NnKernel::with_rule(&self.tree, rule);
+                let boxed = KdBox::with_rule(&self.tree, rule);
                 let make = |_i: usize, p: PointN<D>| NnPoint::new(p);
                 let conv = |_i: usize, r: &NnPoint<D>| {
                     solo(QueryResult::Nn {
@@ -473,7 +499,8 @@ impl<const D: usize> KdIndex<D> {
             Some(OpKey::Knn(k)) => {
                 // KBest panics on k == 0 (the batch key already excludes
                 // it); k > n is fine — the set just never fills.
-                let kernel = KnnKernel::new(&self.tree);
+                let rule = KnnRule;
+                let kernel = KdBox::with_rule(&self.tree, Live { rule, dead });
                 let make = |_i: usize, p: PointN<D>| KnnPoint::new(p, k);
                 let conv =
                     |_i: usize, r: &KnnPoint<D>| solo(self.knn_result(&r.best, r.best.len()));
@@ -482,7 +509,8 @@ impl<const D: usize> KdIndex<D> {
                 )
             }
             Some(OpKey::Pc(radius_bits)) => {
-                let kernel = PcKernel::new(&self.tree, f32::from_bits(radius_bits));
+                let rule = PcRule::new(f32::from_bits(radius_bits));
+                let kernel = KdBox::with_rule(&self.tree, Live { rule, dead });
                 let make = |_i: usize, p: PointN<D>| PcPoint::new(p);
                 let conv = |_i: usize, r: &PcPoint<D>| solo(QueryResult::Pc { count: r.count });
                 execute(
@@ -490,7 +518,8 @@ impl<const D: usize> KdIndex<D> {
                 )
             }
             None => {
-                let kernel = fused_ops_kernel(&self.tree);
+                let rule = FusedOpsRule::default();
+                let kernel = KdBox::with_rule(&self.tree, Live { rule, dead });
                 let make = |i: usize, p: PointN<D>| {
                     let lane = lanes[i];
                     let radii: Vec<f32> =
@@ -545,7 +574,14 @@ impl<const D: usize> KdIndex<D> {
             // Every fused (sub-)batch any unit test of the crate runs is
             // held to the CPU replay the tally replaced.
             #[cfg(test)]
-            tests::check_counted_against_replay(self, lanes, &pts, &outcome, per_op_visits.get());
+            tests::check_counted_against_replay(
+                self,
+                lanes,
+                &pts,
+                dead,
+                &outcome,
+                per_op_visits.get(),
+            );
         }
         FusedOutcome {
             lanes: results,
@@ -596,7 +632,8 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
     fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
         let refs: Vec<&FusedLane> = lanes.iter().collect();
         let metered = policy.meters(lanes.iter().map(|l| &l.pos[..]));
-        self.run_lanes(&refs, uniform_op(lanes), metered, policy, None)
+        let pick = uniform_op(lanes);
+        self.run_lanes(&refs, pick, metered, policy, None, Tombstones::NONE)
     }
 }
 
@@ -794,7 +831,10 @@ where
 mod tests {
     use super::*;
     use crate::{MutableIndexBuilder, ShardedIndex};
+    use gts_apps::fused::fused_ops_kernel;
+    use gts_apps::knn::KnnKernel;
     use gts_apps::oracle;
+    use gts_apps::pc::PcKernel;
     use gts_points::gen::uniform;
     use gts_runtime::report::work_expansion;
     use gts_runtime::VisitOutcome;
@@ -837,23 +877,30 @@ mod tests {
 
     /// The reference the counted statistic replaced: one CPU walk per
     /// (lane, constituent op) — box-pruned NN, kNN at the lane's largest
-    /// `k`, each PC radius — summed over the batch.
+    /// `k`, each PC radius — over the points `dead` leaves alive, summed
+    /// over the batch.
     fn solo_replay_visits<const D: usize>(
         tree: &KdTree<D>,
         lanes: &[&FusedLane],
         pts: &[PointN<D>],
+        dead: impl Dead,
         forced: Option<usize>,
     ) -> u64 {
         let mut visits = 0;
         for (lane, &p) in lanes.iter().zip(pts) {
             if lane.nn {
-                visits += walk(&NnAabbKernel::new(tree), &mut NnPoint::new(p), 0, forced);
+                let rule = NnRule;
+                let kernel = KdBox::with_rule(tree, Live { rule, dead });
+                visits += walk(&kernel, &mut NnPoint::new(p), 0, forced);
             }
             if let Some(k) = lane.knn_ks.iter().copied().max() {
-                visits += walk(&KnnKernel::new(tree), &mut KnnPoint::new(p, k), 0, forced);
+                let rule = KnnRule;
+                let kernel = KdBox::with_rule(tree, Live { rule, dead });
+                visits += walk(&kernel, &mut KnnPoint::new(p, k), 0, forced);
             }
             for &bits in &lane.pc_radii {
-                let kernel = PcKernel::new(tree, f32::from_bits(bits));
+                let rule = PcRule::new(f32::from_bits(bits));
+                let kernel = KdBox::with_rule(tree, Live { rule, dead });
                 visits += walk(&kernel, &mut PcPoint::new(p), 0, forced);
             }
         }
@@ -866,12 +913,13 @@ mod tests {
     }
 
     /// Called by `run_lanes` on every fused (sub-)batch: the per-op visits
-    /// the walk counted are the replay's, wherever the executor's child
-    /// order can be replayed.
+    /// the walk counted are the replay's under the same tombstones,
+    /// wherever the executor's child order can be replayed.
     pub(super) fn check_counted_against_replay<const D: usize>(
         index: &KdIndex<D>,
         lanes: &[&FusedLane],
         pts: &[PointN<D>],
+        dead: impl Dead,
         outcome: &BatchOutcome,
         per_op_visits: u64,
     ) {
@@ -891,7 +939,7 @@ mod tests {
                 return;
             }
         };
-        let replayed = solo_replay_visits(&index.tree, lanes, pts, forced);
+        let replayed = solo_replay_visits(&index.tree, lanes, pts, dead, forced);
         assert_eq!(
             per_op_visits,
             replayed,
@@ -1219,14 +1267,11 @@ mod tests {
                 let label = format!("{} forced {force:?}", index.name());
                 assert_eq!(out.fused_lanes, 90, "{label}");
                 // `run_lanes` held each fused sub-batch to the replay
-                // (`check_counted_against_replay`) and none slipped by;
-                // the epoch layer's NN re-probes are single-op sweeps.
+                // (`check_counted_against_replay`, under the shard's
+                // tombstones) and none slipped by.
                 let replayed = REPLAYED.with(Cell::get) - before;
                 let sub_batches = out.shard_visits.len().max(1) as u64;
-                if index.epoch_stats().is_none() {
-                    assert_eq!(replayed, sub_batches, "{label}");
-                }
-                assert!((1..=sub_batches).contains(&replayed), "{label}");
+                assert_eq!(replayed, sub_batches, "{label}");
                 assert!(out.fusion_saved_visits > 0, "{label}");
             }
             // The Wald walk goes through no `KdBox` and is over another tree.
@@ -1244,7 +1289,7 @@ mod tests {
         let at: Vec<PointN<3>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
         for (backend, forced) in [(Backend::Cpu, None), (Backend::StacklessBvh, Some(0))] {
             let out = flat.run(&lanes, &ExecPolicy::forced(backend)).outcome;
-            let replayed = solo_replay_visits(flat.tree(), &refs, &at, forced);
+            let replayed = solo_replay_visits(flat.tree(), &refs, &at, Tombstones::NONE, forced);
             assert_eq!(out.fusion_saved_visits, replayed - out.node_visits);
         }
     }

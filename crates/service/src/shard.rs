@@ -23,7 +23,9 @@
 //! the same one op. A lane (a "query" below) keeps one accumulator per op
 //! it asks and is dispatched to a shard iff *any* of them could still
 //! improve there ([`LaneAcc`]). One [`sweep`] runs every batch, over
-//! either owner's shards, on one schedule, **cursor waves**: every query
+//! either owner's shards — the epoch layer's pending deletes riding beside
+//! its shards as tombstone sets the sub-batches' rules skip, its pending
+//! inserts as one more shard — on one schedule, **cursor waves**: every query
 //! visits its shards in ascending order of AABB lower-bound distance, so
 //! its first shard is usually its home and establishes a tight bound, and
 //! a later shard is skipped when its box lower bound already proves it
@@ -69,7 +71,6 @@
 //! * **PC** — sum the per-shard counts (shards partition the points, so
 //!   counts are exact).
 
-use crate::epoch::DeltaDigest;
 use crate::index::{
     distinct_ops, to_point, uniform_op, BatchOutcome, FusedLane, FusedLaneResult, FusedOutcome,
     KdIndex, ProfileCtx, ShardVisit, TreeIndex,
@@ -79,6 +80,7 @@ use crate::query::{OpKey, QueryResult};
 use gts_apps::kbest::KBest;
 use gts_points::profile::{profile_key, ProfileCache, ProfileCacheStats};
 use gts_points::sort::{morton_key, morton_prefix};
+use gts_runtime::Tombstones;
 use gts_trees::{Aabb, PointN, SplitPolicy};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -334,10 +336,9 @@ impl Drop for PoolShutdown<'_> {
 }
 
 /// Per-op merge accumulator of one lane. Every rule an op needs lives in
-/// this one `impl`: exact admission ([`Acc::improvable`]), the merge
-/// ([`Acc::absorb`]) and the epoch layer's signed delta correction
-/// ([`Acc::correct`]).
-pub(crate) enum Acc {
+/// this one `impl`: exact admission ([`Acc::improvable`]) and the merge
+/// ([`Acc::absorb`]).
+enum Acc {
     Nn {
         dist2: f32,
         id: u32,
@@ -353,7 +354,7 @@ pub(crate) enum Acc {
 }
 
 impl Acc {
-    pub(crate) fn new(op: OpKey) -> Acc {
+    fn new(op: OpKey) -> Acc {
         match op {
             OpKey::Nn => Acc::Nn {
                 dist2: f32::INFINITY,
@@ -409,57 +410,6 @@ impl Acc {
         }
     }
 
-    /// Signed delta correction, for an accumulator that swept the merged
-    /// trees of an epoch whose `digest` is pending on top: pending
-    /// deletes come out, live pending inserts go in, each by the op's own
-    /// rule (NN keeps its nearest-distinct-position rule: zero-distance
-    /// inserts are not NN answers; kNN and PC admit them). A kNN
-    /// accumulator must have swept at `k + |pending tree deletes|`, so
-    /// that its top `k` survives the filter. Returns whether an NN answer
-    /// was deleted — the runner-up is then somewhere in the trees and the
-    /// caller has to probe for it.
-    pub(crate) fn correct<const D: usize>(
-        &mut self,
-        q: &PointN<D>,
-        digest: &DeltaDigest<D>,
-    ) -> bool {
-        match self {
-            Acc::Nn { dist2, id } => {
-                let lost = *id != u32::MAX && digest.deleted.contains(id);
-                if lost {
-                    (*dist2, *id) = (f32::INFINITY, u32::MAX);
-                }
-                for &(iid, ip) in &digest.live_inserts {
-                    let d = ip.dist2(q);
-                    if d > 0.0 && d < *dist2 {
-                        (*dist2, *id) = (d, iid);
-                    }
-                }
-                lost
-            }
-            Acc::Knn { best } => {
-                let mut kb = KBest::new(best.k() - digest.del_tree.len());
-                for (&d2, &id) in best.distances().iter().zip(best.ids()) {
-                    if !digest.deleted.contains(&id) {
-                        kb.offer(d2, id);
-                    }
-                }
-                for &(iid, ip) in &digest.live_inserts {
-                    kb.offer(ip.dist2(q), iid);
-                }
-                *best = kb;
-                false
-            }
-            Acc::Pc { count, r2 } => {
-                let within = |pts: &[(u32, PointN<D>)]| {
-                    pts.iter().filter(|(_, p)| p.dist2(q) <= *r2).count() as u32
-                };
-                *count = *count - within(&digest.del_tree) + within(&digest.live_inserts);
-                false
-            }
-        }
-    }
-
     fn finish(self) -> QueryResult {
         match self {
             Acc::Nn { dist2, id } => QueryResult::Nn { dist2, id },
@@ -479,7 +429,7 @@ impl Acc {
 /// unimprovable) cannot corrupt that op: every candidate they produce
 /// fails its strict merge rule (NN: `d2 ≥ lb ≥ best`; kNN: set full and
 /// `d2 ≥ lb ≥ bound`; PC: `d2 ≥ lb > r²` counts nothing).
-pub(crate) struct LaneAcc(pub(crate) Vec<Acc>);
+struct LaneAcc(Vec<Acc>);
 
 impl LaneAcc {
     fn new(lane: &FusedLane) -> LaneAcc {
@@ -518,21 +468,12 @@ struct SubRun {
     out: FusedOutcome,
 }
 
-/// Deterministic accumulation of per-sub-batch records into the batch's
-/// one [`BatchOutcome`], across the sweeps of one batch (the epoch layer's
-/// NN re-probes sweep again into the same aggregate). The record merges
-/// by its own rule
+/// Deterministic accumulation of a sweep's per-sub-batch records into the
+/// batch's one [`BatchOutcome`]. The record merges by its own rule
 /// ([`BatchOutcome::absorb`]); kept here is what it has no field for.
-/// Callers feed runs in a fixed order so the f64 sums are reproducible.
+/// The sweep feeds runs in a fixed order so the f64 sums are reproducible.
 #[derive(Default)]
-pub(crate) struct StatAgg {
-    /// Batch-run start, set by the batch's first sweep: sub-batch spans
-    /// are timed against it (wall times, outside the determinism contract
-    /// like every other wall measurement).
-    started: Option<Instant>,
-    /// Waves earlier sweeps of this batch could have used; a sweep's
-    /// waves are numbered from here.
-    round_base: u32,
+struct StatAgg {
     /// The batch's record so far; its three means are lane-weighted sums
     /// until [`Self::finish`] divides them by the weights below.
     out: BatchOutcome,
@@ -550,10 +491,7 @@ impl StatAgg {
     fn add(&mut self, run: &SubRun) {
         let sub = &run.out.outcome;
         let qs = run.out.lanes.len();
-        self.out.shard_visits.push(ShardVisit {
-            round: self.round_base + run.visit.round,
-            ..run.visit.clone()
-        });
+        self.out.shard_visits.push(run.visit.clone());
         self.out.absorb(sub, qs);
         self.executed += qs;
         if sub.mean_similarity.is_some() {
@@ -563,8 +501,8 @@ impl StatAgg {
     }
 
     /// Close the batch: `lanes` as the caller was handed them, `accs`
-    /// their accumulators after every sweep and correction.
-    pub(crate) fn finish(self, lanes: &[FusedLane], accs: Vec<LaneAcc>) -> FusedOutcome {
+    /// their accumulators after the sweep.
+    fn finish(self, lanes: &[FusedLane], accs: Vec<LaneAcc>) -> FusedOutcome {
         let mut outcome = self.out;
         for visit in &mut outcome.shard_visits {
             let pruned = self.pruned_pairs.get(&(visit.shard, visit.round));
@@ -603,40 +541,39 @@ impl StatAgg {
     }
 }
 
-/// Fan one batch of lanes out over `shards` and fold the per-shard answers
-/// back, one [`LaneAcc`] per lane — the only shard sweep there is, under
-/// [`ShardedIndex`] and the epoch layer's pinned snapshot alike, on the
-/// one schedule there is (module docs), its pool sized by
-/// [`ExecPolicy::shard_parallelism`]; `metered` is the owner's one
-/// [`ExecPolicy::meters`] answer for the whole batch, handed to every
-/// sub-batch of every sweep of it; `prune` turns the AABB rule off for
-/// measuring what it saves; `epoch` is the owner's batch counter, the TTL
-/// clock of the shards' profile caches. Accounting lands in `agg`, which a
-/// caller sweeping more than once per batch passes to each sweep in turn.
+/// Answer one batch of lanes from `shards`: fan the lanes out, fold the
+/// per-shard answers back and close the batch's record — the only shard
+/// sweep there is, one per batch, under [`ShardedIndex`] and the epoch
+/// layer's pinned snapshot alike, on the one schedule there is (module
+/// docs), its pool sized by [`ExecPolicy::shard_parallelism`]. `dead[s]`
+/// holds the tree positions of shard `s`'s points the lanes must not see
+/// (a shard past the end of `dead` has none); `prune` turns the AABB rule
+/// off for measuring what it saves; `epoch` is the owner's batch counter,
+/// the TTL clock of the shards' profile caches.
 pub(crate) fn sweep<const D: usize>(
     shards: &[Arc<Shard<D>>],
+    dead: &[Tombstones],
     lanes: &[FusedLane],
     policy: &ExecPolicy,
-    metered: bool,
     prune: bool,
     epoch: u64,
-    agg: &mut StatAgg,
-) -> Vec<LaneAcc> {
+) -> FusedOutcome {
     // A wave holds at most one slot per lane, so workers beyond the lane
-    // count could only idle (the epoch layer's NN re-probes are one lane).
+    // count could only idle (a batch smaller than the pool).
     let threads = policy.shard_threads(shards.len()).min(lanes.len());
-    let started = *agg.started.get_or_insert_with(Instant::now);
-    Sweep::new(shards, lanes, policy, metered, prune, epoch, started).run(threads, agg)
+    Sweep::new(shards, dead, lanes, policy, prune, epoch).run(threads)
 }
 
 /// The per-batch inputs every sub-batch and every wave shares.
 struct Sweep<'a, const D: usize> {
     shards: &'a [Arc<Shard<D>>],
+    dead: &'a [Tombstones],
     lanes: &'a [FusedLane],
     /// The whole batch's kernel pick ([`KdIndex::run_lanes`]), handed to
     /// every sub-batch.
     pick: Option<OpKey>,
-    /// The whole batch's metering decision, handed on the same way.
+    /// The whole batch's one [`ExecPolicy::meters`] answer, handed on the
+    /// same way: a batch runs under the model whole or not at all.
     metered: bool,
     qpts: Vec<PointN<D>>,
     /// Per lane, `(lower bound, shard)` in visit order.
@@ -644,19 +581,22 @@ struct Sweep<'a, const D: usize> {
     policy: &'a ExecPolicy,
     prune: bool,
     epoch: u64,
+    /// Batch-run start: sub-batch spans are timed against it (wall times,
+    /// outside the determinism contract like every other wall
+    /// measurement).
     started: Instant,
 }
 
 impl<'a, const D: usize> Sweep<'a, D> {
     fn new(
         shards: &'a [Arc<Shard<D>>],
+        dead: &'a [Tombstones],
         lanes: &'a [FusedLane],
         policy: &'a ExecPolicy,
-        metered: bool,
         prune: bool,
         epoch: u64,
-        started: Instant,
     ) -> Self {
+        let started = Instant::now();
         let qpts: Vec<PointN<D>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
         // Each lane visits shards in ascending lower-bound order, ties
         // broken by shard id — deterministic, and the home shard (lb = 0)
@@ -675,9 +615,10 @@ impl<'a, const D: usize> Sweep<'a, D> {
             .collect();
         Sweep {
             shards,
+            dead,
             lanes,
             pick: uniform_op(lanes),
-            metered,
+            metered: policy.meters(lanes.iter().map(|l| &l.pos[..])),
             qpts,
             visit,
             policy,
@@ -721,7 +662,15 @@ impl<'a, const D: usize> Sweep<'a, D> {
                 epoch: self.epoch,
             }
         });
-        let out = (shard.index).run_lanes(&sub, self.pick, self.metered, self.policy, ctx.as_ref());
+        let dead = self.dead.get(shard_i).unwrap_or(Tombstones::NONE);
+        let out = (shard.index).run_lanes(
+            &sub,
+            self.pick,
+            self.metered,
+            self.policy,
+            ctx.as_ref(),
+            dead,
+        );
         let visit = ShardVisit {
             shard: shard_i as u32,
             round,
@@ -842,9 +791,7 @@ impl<'a, const D: usize> Sweep<'a, D> {
         let keep = !self.prune || admitted;
         if !keep {
             agg.out.shards_pruned += 1;
-            *agg.pruned_pairs
-                .entry((s, agg.round_base + round))
-                .or_default() += 1;
+            *agg.pruned_pairs.entry((s, round)).or_default() += 1;
         }
         keep
     }
@@ -864,8 +811,9 @@ impl<'a, const D: usize> Sweep<'a, D> {
     /// for a shard, so waves are fewer and fuller than one round per visit
     /// depth would be — better warp packing and fewer profiler
     /// consultations for the same traversal work.
-    fn run(&self, threads: usize, agg: &mut StatAgg) -> Vec<LaneAcc> {
+    fn run(&self, threads: usize) -> FusedOutcome {
         let n_shards = self.shards.len();
+        let mut agg = StatAgg::default();
         let mut accs: Vec<LaneAcc> = self.lanes.iter().map(LaneAcc::new).collect();
         // cursor[q] = how far down q's visit order we have decided.
         let mut cursor = vec![0usize; self.lanes.len()];
@@ -876,7 +824,7 @@ impl<'a, const D: usize> Sweep<'a, D> {
                     while cursor[q] < n_shards {
                         let (lb, s) = order[cursor[q]];
                         cursor[q] += 1;
-                        if self.keep(accs[q].improvable(lb), agg, s, wave_no) {
+                        if self.keep(accs[q].improvable(lb), &mut agg, s, wave_no) {
                             groups[s as usize].push(q);
                             break;
                         }
@@ -898,8 +846,7 @@ impl<'a, const D: usize> Sweep<'a, D> {
                 }
             }
         });
-        agg.round_base += n_shards as u32;
-        accs
+        agg.finish(self.lanes, accs)
     }
 }
 
@@ -919,18 +866,7 @@ impl<const D: usize> TreeIndex for ShardedIndex<D> {
     fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
         // One tick per batch: the TTL clock every shard cache shares.
         let batch = self.batches.fetch_add(1, Ordering::Relaxed);
-        let mut agg = StatAgg::default();
-        let metered = policy.meters(lanes.iter().map(|l| &l.pos[..]));
-        let accs = sweep(
-            &self.shards,
-            lanes,
-            policy,
-            metered,
-            self.prune,
-            batch,
-            &mut agg,
-        );
-        agg.finish(lanes, accs)
+        sweep(&self.shards, &[], lanes, policy, self.prune, batch)
     }
 }
 
@@ -1034,9 +970,9 @@ mod tests {
 
     #[test]
     fn one_lane_sweep_reads_the_same_on_a_pool_it_cannot_use() {
-        // A wave of a one-lane sweep (the epoch layer's NN re-probe) holds
-        // one slot and runs inline, so `sweep` capping the pool at the
-        // lane count takes away only workers that never claimed anything.
+        // A wave of a one-lane batch holds one slot and runs inline, so
+        // `sweep` capping the pool at the lane count takes away only
+        // workers that never claimed anything.
         let pts = uniform::<3>(1024, 17);
         let idx = ShardedIndex::build("one", &pts, 8, 8, SplitPolicy::MedianCycle);
         let mut lane = FusedLane::empty(vec![0.1, -0.2, 0.3]);
@@ -1044,24 +980,24 @@ mod tests {
             lane.ask(op);
         }
         let lanes = [lane];
-        let policy = ExecPolicy {
+        let mut policy = ExecPolicy {
             shard_parallelism: 8,
             ..ExecPolicy::forced(Backend::Lockstep)
         };
+        // The modeled series are part of the record: a seed that meters.
+        while !policy.meters([&lanes[0].pos[..]]) {
+            policy.profile_seed += 1;
+        }
         let shards = &idx.shards;
-        let record = |run: &dyn Fn(&mut StatAgg) -> Vec<LaneAcc>| {
-            let mut agg = StatAgg::default();
-            let accs = run(&mut agg);
-            let mut out = agg.finish(&lanes, accs);
+        let record = |mut out: FusedOutcome| {
             for v in &mut out.outcome.shard_visits {
                 (v.offset_us, v.dur_us) = (0, 0); // wall clock
             }
             format!("{out:?}")
         };
-        let capped = record(&|agg| sweep(shards, &lanes, &policy, true, true, 0, agg));
-        let uncapped = record(&|agg| {
-            Sweep::new(shards, &lanes, &policy, true, true, 0, Instant::now()).run(8, agg)
-        });
+        let capped = record(sweep(shards, &[], &lanes, &policy, true, 0));
+        let uncapped = record(Sweep::new(shards, &[], &lanes, &policy, true, 0).run(8));
+        assert!(capped.contains("metered: true"), "{capped}");
         assert_eq!(capped, uncapped);
         assert!(capped.contains("round: 1"), "the lane left its home shard");
     }

@@ -4,17 +4,17 @@
 //! sweep the *surrogate* inputs (clustered, projected, power-law) where
 //! degenerate geometry is most likely to break pruning logic.
 
-use gts_apps::fused::{fused_ops_kernel, fused_ops_point};
+use gts_apps::fused::{fused_ops_kernel, fused_ops_point, FusedOpsRule};
 use gts_apps::kd::KdBox;
 use gts_apps::knn::{KnnKernel, KnnPoint};
-use gts_apps::nn::{NnAabbKernel, NnKernel, NnPoint};
+use gts_apps::nn::{NnAabbKernel, NnKernel, NnPoint, NnRule};
 use gts_apps::oracle;
 use gts_apps::pc::{PcKernel, PcPoint};
 use gts_apps::vp::{VpKernel, VpPoint};
 use gts_points::gen;
 use gts_points::sort::{apply_perm, morton_order};
 use gts_runtime::gpu::{autoropes, lockstep, recursive, stackless, GpuConfig, Unmetered};
-use gts_runtime::{GpuReport, PointRule, TraversalKernel};
+use gts_runtime::{GpuReport, Live, PointRule, Tombstones, TraversalKernel};
 use gts_trees::{Aabb, KdTree, LbKdTree, PointN, SplitPolicy, VpTree};
 
 const N: usize = 700;
@@ -280,6 +280,33 @@ fn executors_count_the_same_under_either_meter() {
         let kernel = fused_ops_kernel(&tree);
         both_meters_agree(
             &format!("{order} fused"),
+            &kernel,
+            &kernel,
+            &lb,
+            &tree,
+            &fused,
+        );
+        // The same walks with every third tree position tombstoned.
+        let dead: Tombstones = (0..data.len() as u32).step_by(3).collect();
+        let live_nn = Live {
+            rule: NnRule,
+            dead: &dead,
+        };
+        both_meters_agree(
+            &format!("{order} live nn"),
+            &NnKernel::with_rule(&nn_tree, live_nn),
+            &KdBox::with_rule(&nn_tree, live_nn),
+            &nn_lb,
+            &nn_tree,
+            &nn,
+        );
+        let live_fused = Live {
+            rule: FusedOpsRule::default(),
+            dead: &dead,
+        };
+        let kernel = KdBox::with_rule(&tree, live_fused);
+        both_meters_agree(
+            &format!("{order} live fused"),
             &kernel,
             &kernel,
             &lb,

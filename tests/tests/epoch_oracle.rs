@@ -174,7 +174,7 @@ fn mutable_index_matches_flat_rebuild_at_every_epoch() {
             let mut muts = scripted_batch(&pts, &mut rng, &mut live_ids, &window_ids, step);
             if step == 1 {
                 // Delete what the first queries currently answer NN with,
-                // so the window must re-probe the trees for runners-up.
+                // so the window's sweep must skip them for the runners-up.
                 let nn = idx.run_batch(OpKey::Nn, &queries[..16], &ExecPolicy::default());
                 for r in &nn.results {
                     let QueryResult::Nn { id, .. } = r else {

@@ -1,16 +1,16 @@
 //! Property tests over the executor matrix: for randomly drawn workloads,
 //! the §3.3 equivalences hold across all execution strategies.
 
-use gts_apps::fused::{fused_ops_kernel, fused_ops_point, MultiPcPoint, MultiPcRule};
+use gts_apps::fused::{fused_ops_kernel, fused_ops_point, FusedOpsRule, MultiPcPoint, MultiPcRule};
 use gts_apps::kd::KdBox;
 use gts_apps::knn::{KnnKernel, KnnPoint};
-use gts_apps::nn::{NnAabbKernel, NnKernel, NnPoint};
+use gts_apps::nn::{NnAabbKernel, NnKernel, NnPoint, NnRule};
 use gts_apps::pc::{PcKernel, PcPoint};
 use gts_apps::vp::{VpKernel, VpPoint};
 use gts_points::gen::uniform;
 use gts_runtime::gpu::{autoropes, lockstep, recursive, stackless, GpuConfig};
 use gts_runtime::report::work_expansion;
-use gts_runtime::{cpu, Child, TraversalKernel, VisitOutcome};
+use gts_runtime::{cpu, Child, Live, Tombstones, TraversalKernel, VisitOutcome};
 use gts_trees::{KdTree, NodeId, SplitPolicy, VpTree};
 use proptest::prelude::*;
 use std::fmt::Debug;
@@ -195,5 +195,23 @@ fn served_kernel_annotations_match_behaviour() {
                 .collect();
             assert_annotations_match_behaviour("fused", &fused_ops_kernel(&tree), &lanes, skip);
         }
+        // Each rule again as `Live` of it, over a tree with every third
+        // position tombstoned: the annotations are the inner rule's, and
+        // must still describe what the kernels do.
+        let dead: Tombstones = (0..data.len() as u32).step_by(3).collect();
+        let live_nn = Live {
+            rule: NnRule,
+            dead: &dead,
+        };
+        let plane = NnKernel::with_rule(&tree, live_nn);
+        assert_annotations_match_behaviour("live nn plane", &plane, &nn, skip);
+        let boxed = KdBox::with_rule(&tree, live_nn);
+        assert_annotations_match_behaviour("live nn box", &boxed, &nn, skip);
+        let lanes: Vec<_> = (queries.iter())
+            .map(|&q| fused_ops_point(q, true, Some(5), &[0.3]))
+            .collect();
+        let rule = FusedOpsRule::default();
+        let fused = KdBox::with_rule(&tree, Live { rule, dead: &dead });
+        assert_annotations_match_behaviour("live fused", &fused, &lanes, skip);
     }
 }

@@ -171,8 +171,9 @@ fn fused_stays_exact_mid_epoch_window() {
     let lanes = mixed_lanes(&pts, 40, 5150);
     for shards in [2usize, 4] {
         // auto_merge(false) freezes the epoch mid-window: the deltas stay
-        // pending, so every fused answer must flow through the widened-k
-        // sweep plus per-constituent corrections.
+        // pending, so every fused answer must come from a sweep whose rule
+        // skips the tombstoned points and whose shards include the one of
+        // pending inserts.
         let idx = MutableIndexBuilder::new("fuse-epoch", shards)
             .auto_merge(false)
             .build(&pts);

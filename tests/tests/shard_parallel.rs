@@ -192,8 +192,8 @@ fn a_batchs_whole_record_is_the_same_for_every_thread_count() {
     batches.push(("one lane".into(), mixed_lanes(&pts, 1, 7)));
 
     let sharded = ShardedIndex::build("static", &pts, 8, 8, SplitPolicy::MedianCycle);
-    // Frozen mid-window: deltas pending, so every batch is a widened
-    // sweep, a correction and NN re-probe sweeps into the same record.
+    // Frozen mid-window: deltas pending, so every batch sweeps tombstoned
+    // shards plus the shard of pending inserts.
     let mutable = MutableIndexBuilder::new("window", 8)
         .auto_merge(false)
         .build(&pts);
