@@ -2,13 +2,32 @@
 //!
 //! Pure data structure, no threads — the service keeps one behind its
 //! front lock, where submitters push and the deadline keeper flushes what
-//! is due; tests drive it directly. Queries
-//! coalesce per [`BatchKey`] (same index, same kernel parameters); a
-//! bucket flushes when it reaches the size target (rounded up to a warp
-//! multiple, so full flushes are always N×32) or when its oldest entry has
-//! waited past the deadline (so a trickle of queries still makes latency).
+//! is due; tests drive it directly. Queries coalesce per [`BatchKey`]
+//! (same index, same kernel parameters). A bucket flushes when its oldest
+//! entry has waited past the deadline (so a trickle of queries still makes
+//! latency), or on size, by one of two rules:
+//!
+//! * **per op** ([`Batcher::new`]): a bucket flushes when it reaches the
+//!   size target (rounded up to a warp multiple, so full flushes are
+//!   always N×32);
+//! * **by lanes** ([`Batcher::by_lanes`], what the service runs when it
+//!   fuses): an index's buckets leave together, so the size that counts
+//!   is what their fused dispatch runs — the index's *distinct* pending
+//!   positions, across all of its op buckets. The push that brings them
+//!   up to the target flushes. A bucket that reaches the target in
+//!   entries still flushes too, so queries piling up at one position
+//!   cannot grow a bucket past it.
+//!
+//! Under the lanes rule, any bucket leaving resets its index's count, and
+//! the caller takes the index's other buckets with
+//! [`Batcher::flush_index`] under the same borrow. A position counts by
+//! an unkeyed hash of its bits, the same bits the service's lanes compare
+//! (`0.0` and `-0.0` are two lanes), so the count is a function of the
+//! pushes alone; a collision can only delay a flush by a lane.
 
 use crate::query::BatchKey;
+use std::collections::HashSet;
+use std::hash::{DefaultHasher, Hasher};
 use std::time::{Duration, Instant};
 
 /// Simulated-GPU warp width; full batches are a multiple of this.
@@ -50,18 +69,32 @@ pub struct Batcher<T> {
     // iteration order stays deterministic for flush ordering.
     buckets: Vec<Bucket<T>>,
     next_id: u64,
+    /// The lanes rule: each index's pending position hashes, by index id
+    /// (cleared, not dropped, so a warm set never reallocates). `None`
+    /// under the per-op rule.
+    lanes: Option<Vec<HashSet<u64>>>,
 }
 
 impl<T> Batcher<T> {
-    /// Policy with `target` queries per batch (rounded up to a warp
-    /// multiple, minimum one warp) and `max_wait` before a partial bucket
-    /// flushes anyway.
+    /// Per-op policy with `target` queries per bucket (rounded up to a
+    /// warp multiple, minimum one warp) and `max_wait` before a partial
+    /// bucket flushes anyway.
     pub fn new(target: usize, max_wait: Duration) -> Self {
         Batcher {
             target: target.max(1).div_ceil(WARP) * WARP,
             max_wait,
             buckets: Vec::new(),
             next_id: 0,
+            lanes: None,
+        }
+    }
+
+    /// Lanes policy: as [`Batcher::new`], but a push also flushes when it
+    /// brings its index's distinct pending positions up to the target.
+    pub fn by_lanes(target: usize, max_wait: Duration) -> Self {
+        Batcher {
+            lanes: Some(Vec::new()),
+            ..Batcher::new(target, max_wait)
         }
     }
 
@@ -85,13 +118,22 @@ impl<T> Batcher<T> {
     }
 
     /// Add a query. Returns the key's batch if this push filled it to the
-    /// size target.
+    /// size target — or, under the lanes rule, filled its index's lanes.
     pub fn push(
         &mut self,
         key: BatchKey,
         entry: BatchEntry<T>,
         now: Instant,
     ) -> Option<ReadyBatch<T>> {
+        let lanes_full = self.lanes.as_mut().is_some_and(|lanes| {
+            if lanes.len() <= key.index {
+                lanes.resize_with(key.index + 1, HashSet::new);
+            }
+            let mut h = DefaultHasher::new();
+            entry.pos.iter().for_each(|v| h.write_u32(v.to_bits()));
+            lanes[key.index].insert(h.finish());
+            lanes[key.index].len() >= self.target
+        });
         let at = (self.buckets.iter().position(|b| b.key == key)).unwrap_or_else(|| {
             self.buckets.push(Bucket {
                 key,
@@ -101,37 +143,46 @@ impl<T> Batcher<T> {
             self.buckets.len() - 1
         });
         self.buckets[at].entries.push(entry);
-        if self.buckets[at].entries.len() < self.target {
+        if !lanes_full && self.buckets[at].entries.len() < self.target {
             return None;
         }
         let b = self.buckets.swap_remove(at);
-        Some(ReadyBatch {
+        Some(self.ready(b))
+    }
+
+    /// A bucket on its way out: its batch id, and under the lanes rule
+    /// its index's count starts over.
+    fn ready(&mut self, b: Bucket<T>) -> ReadyBatch<T> {
+        if let Some(set) = (self.lanes.as_mut()).and_then(|lanes| lanes.get_mut(b.key.index)) {
+            set.clear();
+        }
+        ReadyBatch {
             id: self.take_id(),
             key: b.key,
             entries: b.entries,
-        })
+        }
+    }
+
+    /// Flush the buckets `leaves` selects, in bucket order.
+    fn flush_where(&mut self, leaves: impl Fn(&Bucket<T>) -> bool) -> Vec<ReadyBatch<T>> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < self.buckets.len() {
+            if leaves(&self.buckets[i]) {
+                let b = self.buckets.remove(i);
+                out.push(self.ready(b));
+            } else {
+                i += 1;
+            }
+        }
+        out
     }
 
     /// Flush every bucket whose oldest entry has waited at least
     /// `max_wait` as of `now`. Empty when nothing is due.
     pub fn flush_due(&mut self, now: Instant) -> Vec<ReadyBatch<T>> {
         let max_wait = self.max_wait;
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.buckets.len() {
-            if now.duration_since(self.buckets[i].oldest) >= max_wait {
-                let b = self.buckets.remove(i);
-                let id = self.take_id();
-                out.push(ReadyBatch {
-                    id,
-                    key: b.key,
-                    entries: b.entries,
-                });
-            } else {
-                i += 1;
-            }
-        }
-        out
+        self.flush_where(|b| now.duration_since(b.oldest) >= max_wait)
     }
 
     /// The next instant at which some bucket becomes due, if any —
@@ -140,50 +191,16 @@ impl<T> Batcher<T> {
         self.buckets.iter().map(|b| b.oldest + self.max_wait).min()
     }
 
-    /// Ops of the non-empty buckets currently accumulating for `index` —
-    /// what the fusion coalescer inspects before deciding to pull
-    /// companions into a fused dispatch.
-    pub fn pending_ops(&self, index: usize) -> Vec<crate::query::OpKey> {
-        self.buckets
-            .iter()
-            .filter(|b| b.key.index == index)
-            .map(|b| b.key.op)
-            .collect()
-    }
-
-    /// Flush every bucket of `index` regardless of size or age — the
-    /// fusion coalescer pulls same-index companion buckets into the
-    /// fused dispatch a full or due bucket just triggered.
+    /// Flush every bucket of `index` regardless of size or age — under
+    /// the lanes rule, the rest of an index one of whose buckets just
+    /// flushed.
     pub fn flush_index(&mut self, index: usize) -> Vec<ReadyBatch<T>> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.buckets.len() {
-            if self.buckets[i].key.index == index {
-                let b = self.buckets.remove(i);
-                let id = self.take_id();
-                out.push(ReadyBatch {
-                    id,
-                    key: b.key,
-                    entries: b.entries,
-                });
-            } else {
-                i += 1;
-            }
-        }
-        out
+        self.flush_where(|b| b.key.index == index)
     }
 
     /// Flush everything regardless of size or age (shutdown drain).
     pub fn flush_all(&mut self) -> Vec<ReadyBatch<T>> {
-        let buckets: Vec<Bucket<T>> = self.buckets.drain(..).collect();
-        buckets
-            .into_iter()
-            .map(|b| ReadyBatch {
-                id: self.take_id(),
-                key: b.key,
-                entries: b.entries,
-            })
-            .collect()
+        self.flush_where(|_| true)
     }
 }
 
@@ -205,6 +222,20 @@ mod tests {
             tag,
         }
     }
+
+    fn op_key(index: usize, op: OpKey) -> BatchKey {
+        BatchKey { index, op }
+    }
+
+    /// Query `tag` at position `at` (one coordinate varies).
+    fn at(at: f32, tag: usize) -> BatchEntry<usize> {
+        BatchEntry {
+            pos: vec![at, 0.5, 0.5],
+            tag,
+        }
+    }
+
+    const OPS: [OpKey; 3] = [OpKey::Nn, OpKey::Knn(4), OpKey::Pc(0)];
 
     #[test]
     fn target_rounds_up_to_warp_multiple() {
@@ -301,5 +332,103 @@ mod tests {
         b.push(key(2), entry(0), t0);
         let drained = b.flush_all();
         assert_eq!(drained[0].id, 2, "ids keep ascending across paths");
+    }
+
+    #[test]
+    fn lanes_count_distinct_positions_across_op_buckets() {
+        let mut b = Batcher::by_lanes(32, Duration::from_secs(60));
+        let now = Instant::now();
+        // A triple at one position is one lane, however many buckets.
+        for p in 0..31 {
+            for op in OPS {
+                assert!(b.push(op_key(0, op), at(p as f32, p), now).is_none());
+            }
+        }
+        assert_eq!(b.pending(), 93, "31 lanes, 93 entries");
+        let full = (b.push(op_key(0, OpKey::Nn), at(31.0, 31), now))
+            .expect("the 32nd distinct position flushes");
+        assert_eq!((full.key.op, full.entries.len()), (OpKey::Nn, 32));
+        let rest = b.flush_index(0);
+        assert_eq!(
+            rest.iter().map(|r| r.entries.len()).collect::<Vec<_>>(),
+            [31, 31]
+        );
+        assert_eq!(b.pending(), 0);
+    }
+
+    #[test]
+    fn lanes_tell_positions_apart_by_bits() {
+        let mut b = Batcher::by_lanes(32, Duration::from_secs(60));
+        let now = Instant::now();
+        for p in 1..31 {
+            assert!(b.push(key(0), at(p as f32, p), now).is_none());
+        }
+        assert!(b.push(key(0), at(0.0, 31), now).is_none(), "31 lanes");
+        // `-0.0 == 0.0`, but its bits differ: a lane of its own.
+        let full = b.push(op_key(0, OpKey::Knn(4)), at(-0.0, 32), now);
+        assert!(full.is_some(), "-0.0 is the 32nd lane");
+    }
+
+    #[test]
+    fn lanes_reset_when_the_index_flushes_on_size_or_deadline() {
+        let mut b = Batcher::by_lanes(32, Duration::from_millis(5));
+        let t0 = Instant::now();
+        // Size path.
+        for p in 0..32 {
+            b.push(key(0), at(p as f32, p), t0);
+        }
+        assert_eq!(b.pending(), 0);
+        // Index 1's 20 lanes wait out index 0's flushes for the deadline.
+        for p in 0..20 {
+            b.push(op_key(1, OpKey::Knn(4)), at(p as f32, p), t0);
+        }
+        // Positions seen before the flush count again after it.
+        for p in 0..31 {
+            assert!(b
+                .push(op_key(0, OpKey::Pc(0)), at(p as f32, p), t0)
+                .is_none());
+        }
+        assert!(b.push(key(0), at(0.0, 31), t0).is_none(), "still 31 lanes");
+        assert!(b.push(key(0), at(31.0, 32), t0).is_some(), "32nd lane");
+        b.flush_index(0);
+        // Deadline path: index 1 falls due and starts over.
+        let t1 = t0 + Duration::from_millis(5);
+        assert_eq!(b.flush_due(t1).len(), 1);
+        for p in 0..31 {
+            assert!(b.push(op_key(1, OpKey::Nn), at(p as f32, p), t1).is_none());
+        }
+        assert!(b.push(op_key(1, OpKey::Nn), at(31.0, 31), t1).is_some());
+    }
+
+    #[test]
+    fn lanes_still_cap_a_bucket_at_one_position() {
+        let mut b = Batcher::by_lanes(32, Duration::from_secs(60));
+        let now = Instant::now();
+        for i in 0..31 {
+            assert!(b.push(key(0), entry(i), now).is_none());
+        }
+        let full = b.push(key(0), entry(31), now).expect("the bucket cap");
+        assert_eq!(full.entries.len(), 32, "one lane, 32 entries");
+    }
+
+    #[test]
+    fn the_per_op_rule_counts_entries_not_lanes() {
+        let mut b = Batcher::new(32, Duration::from_secs(60));
+        let now = Instant::now();
+        // 93 lanes across three buckets, and none of them full.
+        for p in 0..31 {
+            for (i, op) in OPS.into_iter().enumerate() {
+                assert!(b
+                    .push(op_key(0, op), at((3 * p + i) as f32, p), now)
+                    .is_none());
+            }
+        }
+        for op in OPS {
+            let full = b
+                .push(op_key(0, op), at(-1.0, 31), now)
+                .expect("32 entries");
+            assert_eq!((full.key.op, full.entries.len()), (op, 32));
+        }
+        assert_eq!(b.pending(), 0);
     }
 }

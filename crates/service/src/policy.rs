@@ -66,10 +66,11 @@ impl Backend {
 /// union prune bound, per-op answers bit-identical to unfused runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FusionMode {
-    /// Fuse only when it plausibly saves work: what a flush releases
-    /// (the full or due buckets plus their same-index companions) must
-    /// hold at least two *distinct* ops against the same index. A
-    /// single-op flush dispatches as it flushed, one batch per op.
+    /// An index's buckets fill and leave together: they flush on the push
+    /// that brings their *distinct* pending positions — the lanes the
+    /// fused dispatch runs — up to the batch target (or on a bucket's
+    /// size cap, or its deadline). Two or more distinct ops make one
+    /// deduplicated fused dispatch; a single op dispatches as it flushed.
     #[default]
     Auto,
     /// Never fuse — reproduces per-op batching exactly.

@@ -3,6 +3,7 @@
 //! ```text
 //!  clients ──submit──▶ [front: one lock around the buckets]
 //!                          │ size flush: the submit that filled the bucket
+//!                          │   (fusing: that filled the index's lanes)
 //!                          │ deadline flush: the keeper thread
 //!                          ▼
 //!                       [bounded channel] ──▶ workers (N threads)
@@ -14,7 +15,10 @@
 //!
 //! `submit` files its query into its `(index, op)` bucket under the front
 //! lock and returns; the call that fills a bucket takes it out under the
-//! lock and sends it after releasing it. The dispatch channel is bounded,
+//! lock and sends it after releasing it. Under `FusionMode::Auto` what
+//! fills is the index: its buckets leave together, on the push that brings
+//! their distinct positions (the fused dispatch's lanes) up to the target
+//! (`batcher.rs`). The dispatch channel is bounded,
 //! and that send is the backpressure: a full dispatch queue blocks the
 //! submitter whose push flushed, holding no lock. The keeper thread sleeps
 //! until the oldest bucket's deadline and flushes what is due. Shutdown
@@ -399,13 +403,13 @@ fn lanes_of<T>(batches: Vec<ReadyBatch<T>>, dedup: bool) -> (Vec<FusedLane>, Vec
     (lanes, parts)
 }
 
-/// Group a burst's ready batches by index and fuse every group that,
-/// with the same-index buckets still filling, spans two or more distinct
-/// ops — pulling those companions in, so that a full NN bucket carries the
-/// half-full kNN/PC buckets along rather than leave them to age out into
-/// separate walks. Everything else passes through as it flushed, its
-/// companions untouched: a lone op's fused walk would be the solo walk
-/// with extra bookkeeping, and single-op timing stays what `Off` gives.
+/// Group a burst's ready batches by index into dispatches. Under `Auto`
+/// the batcher fills by lanes, so an index leaves whole: each group takes
+/// the rest of its index's buckets along (`flush_index`) and goes as one
+/// dispatch — fused and deduplicated when it holds two or more ops (one
+/// bucket per key, so two batches are two ops), solo when it holds one:
+/// a lone op's fused walk would be the solo walk with extra bookkeeping.
+/// `Off` passes every batch through as it flushed.
 fn coalesce<T>(
     burst: Vec<ReadyBatch<T>>,
     fusion: FusionMode,
@@ -421,30 +425,26 @@ fn coalesce<T>(
     if fusion == FusionMode::Off {
         return burst.into_iter().map(solo).collect();
     }
-    let mut groups: Vec<(IndexId, Vec<ReadyBatch<T>>)> = Vec::new();
+    let mut groups: Vec<Vec<ReadyBatch<T>>> = Vec::new();
     for b in burst {
-        match groups.iter_mut().find(|(ix, _)| *ix == b.key.index) {
-            Some((_, v)) => v.push(b),
-            None => groups.push((b.key.index, vec![b])),
+        match groups.iter_mut().find(|g| g[0].key.index == b.key.index) {
+            Some(g) => g.push(b),
+            None => groups.push(vec![b]),
         }
     }
-    let mut out = Vec::new();
-    for (index, mut batches) in groups {
-        let first = batches[0].key.op;
-        let fuses = (batches.iter().map(|b| b.key.op))
-            .chain(batcher.pending_ops(index))
-            .any(|op| op != first);
-        if fuses {
-            batches.extend(batcher.flush_index(index));
-            out.push(Dispatch {
+    let mut out = Vec::with_capacity(groups.len());
+    for mut batches in groups {
+        let index = batches[0].key.index;
+        batches.extend(batcher.flush_index(index));
+        out.push(match batches.len() {
+            1 => solo(batches.pop().expect("one batch")),
+            _ => Dispatch {
                 id: batcher.take_id(),
                 index,
                 batches,
                 dedup: true,
-            });
-        } else {
-            out.extend(batches.into_iter().map(solo));
-        }
+            },
+        });
     }
     out
 }
@@ -615,7 +615,10 @@ impl Service {
         let (dispatch_tx, dispatch_rx) = bounded::<Dispatch<Tag>>(config.dispatch_capacity.max(1));
         let front = Arc::new(Front {
             state: Mutex::new(FrontState {
-                batcher: Batcher::new(config.batch_queries, config.max_wait),
+                batcher: match config.policy.fusion {
+                    FusionMode::Auto => Batcher::by_lanes(config.batch_queries, config.max_wait),
+                    FusionMode::Off => Batcher::new(config.batch_queries, config.max_wait),
+                },
                 tx: Some(dispatch_tx),
             }),
             wake: Condvar::new(),

@@ -6,17 +6,19 @@
 //! * a submitter blocked on the dispatch queue holds no lock: other
 //!   submitters, `metrics()` and `close()` all get through;
 //! * with one submitter and size-only flushing, batch composition is
-//!   decided by `submit` itself.
+//!   decided by `submit` itself — under fusion, by the push that brings an
+//!   index's distinct positions up to the target.
 //!
 //! Every wait is bounded by [`HANG`], far above anything a healthy run
 //! needs, because the failure mode of all of these is a hang.
 
 use gts_points::gen::uniform;
 use gts_service::{
-    EventKind, ExecPolicy, FusedLane, FusedOutcome, KdIndex, Query, QueryKind, Service,
-    ServiceConfig, ServiceError, Ticket, TreeIndex,
+    EventKind, ExecPolicy, FusedLane, FusedOutcome, FusionMode, KdIndex, Query, QueryKind, Service,
+    ServiceConfig, ServiceError, Ticket, TraceSnapshot, TreeIndex,
 };
 use gts_trees::{PointN, SplitPolicy};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -285,4 +287,135 @@ fn a_single_submitter_decides_batch_composition_at_submit() {
     let expected: Vec<u64> = (0..6 * BATCH as u64).map(|n| n / BATCH as u64).collect();
     assert_eq!(batch_of_each_query(), expected);
     assert_eq!(batch_of_each_query(), expected);
+}
+
+/// Serve `stream` from one submitter over two indices, `BATCH` queries per
+/// batch and no deadline in reach, and return the trace: the close
+/// flushes what is left.
+fn serve_one_submitter(fusion: FusionMode, stream: &[Query]) -> TraceSnapshot {
+    let pts = points();
+    let service = Service::start(ServiceConfig {
+        batch_queries: BATCH,
+        max_wait: Duration::from_secs(3600),
+        workers: 2,
+        policy: ExecPolicy {
+            fusion,
+            ..ExecPolicy::default()
+        },
+        ..ServiceConfig::default()
+    });
+    for _ in 0..2 {
+        service.register_index(Arc::new(kd(&pts)));
+    }
+    let tickets: Vec<Ticket> = (stream.iter())
+        .map(|q| service.submit(q.clone()).expect("open"))
+        .collect();
+    let (_, trace) = service.shutdown_with_trace();
+    assert!(tickets.iter().all(resolved));
+    trace
+}
+
+/// What the trace says each batch id ran: the stream positions of its
+/// queries (query ids ascend with submission), and its span — the
+/// `FusedBatch` lane count, or `None` for a per-op `Batch`.
+fn dispatches(trace: &TraceSnapshot) -> BTreeMap<u64, (Vec<usize>, Option<u32>)> {
+    let mut completes: Vec<(u64, u64)> = (trace.events.iter())
+        .filter(|e| matches!(e.kind, EventKind::Complete))
+        .map(|e| (e.query, e.batch))
+        .collect();
+    completes.sort_unstable();
+    let mut out: BTreeMap<u64, (Vec<usize>, Option<u32>)> = BTreeMap::new();
+    for (n, (_, batch)) in completes.into_iter().enumerate() {
+        out.entry(batch).or_default().0.push(n);
+    }
+    for e in &trace.events {
+        if let EventKind::FusedBatch { lanes, .. } = e.kind {
+            out.get_mut(&e.batch).expect("a span for a served batch").1 = Some(lanes);
+        }
+    }
+    out
+}
+
+fn kind_of(n: usize) -> QueryKind {
+    match n % 3 {
+        0 => QueryKind::Nn,
+        1 => QueryKind::Knn { k: 4 },
+        _ => QueryKind::Pc { radius: 0.1 },
+    }
+}
+
+#[test]
+fn fusion_dispatches_an_index_on_the_push_of_its_32nd_distinct_position() {
+    let pts = points();
+    // Two indices in turn; each one's m-th query asks the m-th op of the
+    // NN / kNN / PC cycle at point ⌊2m / 3⌋, so positions repeat under
+    // different ops and some lanes fuse.
+    let stream: Vec<Query> = (0..8 * BATCH)
+        .map(|n| {
+            let m = n / 2;
+            query(n % 2, pts[2 * m / 3], kind_of(m))
+        })
+        .collect();
+    // The rule, replayed: an index goes on the push that brings its
+    // distinct pending positions to `BATCH`, with everything it holds.
+    let mut expected: Vec<Vec<usize>> = Vec::new();
+    let mut pending: [(HashSet<usize>, Vec<usize>); 2] = Default::default();
+    for (n, q) in stream.iter().enumerate() {
+        let (lanes, queries) = &mut pending[q.index];
+        lanes.insert(2 * (n / 2) / 3);
+        queries.push(n);
+        if lanes.len() == BATCH {
+            lanes.clear();
+            expected.push(std::mem::take(queries));
+        }
+    }
+    assert!(
+        expected.len() >= 4,
+        "the stream fills batches on both indices"
+    );
+    let served = dispatches(&serve_one_submitter(FusionMode::Auto, &stream));
+    let mut full = served
+        .values()
+        .filter(|(_, lanes)| *lanes == Some(BATCH as u32));
+    for (i, want) in expected.iter().enumerate() {
+        let (got, _) = full.next().expect("a 32-lane fused dispatch per fill");
+        assert_eq!(got, want, "fill {i}");
+    }
+    assert!(
+        full.next().is_none(),
+        "the residue goes at the close, short"
+    );
+    let served_queries: usize = served.values().map(|(q, _)| q.len()).sum();
+    assert_eq!(served_queries, stream.len());
+}
+
+#[test]
+fn fusion_dispatches_triples_at_shared_positions_as_32_lanes() {
+    let pts = points();
+    // NN, kNN and PC in turn at each position, on index 0.
+    let stream: Vec<Query> = (0..3 * BATCH)
+        .map(|n| query(0, pts[n / 3], kind_of(n)))
+        .collect();
+    let fused = dispatches(&serve_one_submitter(FusionMode::Auto, &stream));
+    // The 32nd position's NN fills the lanes: 32 lanes, 94 queries. Its
+    // kNN and PC go at the close.
+    let mut batches = fused.values();
+    let (first, lanes) = batches.next().expect("a dispatch");
+    assert_eq!((first.len(), *lanes), (3 * BATCH - 2, Some(BATCH as u32)));
+    assert_eq!(first, &(0..3 * BATCH - 2).collect::<Vec<_>>());
+    let (rest, lanes) = batches.next().expect("the residue");
+    assert_eq!(
+        (rest, *lanes),
+        (&vec![3 * BATCH - 2, 3 * BATCH - 1], Some(1))
+    );
+    assert!(batches.next().is_none());
+
+    // Per-op buckets without fusion: three batches of 32, one per op.
+    let unfused = dispatches(&serve_one_submitter(FusionMode::Off, &stream));
+    assert_eq!(unfused.len(), 3);
+    for (op, (queries, lanes)) in unfused.values().enumerate() {
+        assert_eq!(*lanes, None, "no fused span");
+        let of_op: Vec<usize> = (0..3 * BATCH).filter(|n| n % 3 == op).collect();
+        assert_eq!(queries, &of_op);
+    }
 }
