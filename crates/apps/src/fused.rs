@@ -30,6 +30,25 @@
 //! descended there alone ([`PointRule::solo_descents`]; NN, the kNN heap
 //! and each PC radius slot count one apiece) — what the fusion saved,
 //! without re-walking the tree per op.
+//!
+//! The same state is what a sharded index folds. [`merge`] combines the
+//! states two disjoint point sets left behind, and [`reaches`] is the
+//! admission a set with lower-bound distance `lb` must pass before its
+//! walk can move a state — `offer` and its bound, one level up. Per part:
+//! * **NN** — keep the strictly smaller `best_d2` (each walk already
+//!   skipped zero-distance self matches, so the minimum is exactly the
+//!   answer over the union); a set reaches it iff `lb < best_d2`.
+//! * **kNN** — offer the other heap's list, in order, into this one. A
+//!   point of the union's top k is in the top k of its own set, so the
+//!   fold equals the heap of every offer; arriving set by set, ties keep
+//!   the order of a walk over the sets in turn. A set reaches the heap
+//!   iff it is not full or `lb < bound`.
+//! * **PC** — add the slot counts (the sets are disjoint, so counts are
+//!   exact); a set reaches the slots iff `lb <= max_r2`.
+//!
+//! A set a state does not reach cannot change it: every distance it
+//! offers is `≥ lb`, which each part refuses by the rule above. Inert
+//! parts never reach and fold nothing.
 
 use gts_runtime::{FusedPoint, PointRule};
 use gts_trees::{KdTree, PointN};
@@ -164,6 +183,36 @@ pub fn fused_ops_point<const D: usize>(
         nn_state,
         FusedPoint::new(knn_state, MultiPcPoint::new(pos, pc_radii)),
     )
+}
+
+/// Fold `from`, the state a walk over a disjoint point set left behind,
+/// into `into`, a state of the same shape (module docs). `id` renames
+/// `from`'s point ids into `into`'s id space; `u32::MAX` ("none found")
+/// passes through unrenamed.
+pub fn merge<const D: usize>(
+    into: &mut FusedOpsPoint<D>,
+    from: &FusedOpsPoint<D>,
+    id: impl Fn(u32) -> u32,
+) {
+    let id = |i: u32| if i == u32::MAX { i } else { id(i) };
+    if from.a.best_d2 < into.a.best_d2 {
+        into.a.best_d2 = from.a.best_d2;
+        into.a.best_idx = id(from.a.best_idx);
+    }
+    let best = &from.b.a.best;
+    for (&d2, &i) in best.distances().iter().zip(best.ids()) {
+        into.b.a.best.offer(d2, id(i));
+    }
+    for (slot, other) in into.b.b.slots.iter_mut().zip(&from.b.b.slots) {
+        slot.count += other.count;
+    }
+}
+
+/// Can a point set whose lower-bound squared distance is `lb` still change
+/// `state`? The union of its parts' admissions (module docs).
+pub fn reaches<const D: usize>(state: &FusedOpsPoint<D>, lb: f32) -> bool {
+    let knn = &state.b.a.best;
+    lb < state.a.best_d2 || !knn.full() || lb < knn.bound() || lb <= state.b.b.max_r2
 }
 
 #[cfg(test)]
@@ -630,5 +679,111 @@ mod tests {
                 assert_rule_contract(&label, &fused, lane, ops, &offers);
             }
         }
+    }
+
+    /// Lane shape `0..5` as `(nn, knn_k, radii)`: every part live, or some
+    /// of them inert.
+    fn lane_shape(shape: usize, k: usize) -> (bool, Option<usize>, &'static [f32]) {
+        const RADII: [f32; 3] = [0.5, 1.25, 0.0];
+        match shape {
+            0 => (true, Some(k), &RADII),
+            1 => (true, None, &[]),
+            2 => (false, Some(k), &RADII[..1]),
+            3 => (false, None, &RADII),
+            _ => (false, None, &[]),
+        }
+    }
+
+    /// A squared distance on a coarse grid, so ties and zeros are common.
+    fn quantized(rng: &mut impl Rng) -> f32 {
+        rng.gen_range(0u32..24) as f32 * 0.125
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Walks over disjoint point sets, folded in set order with their
+        /// ids renamed, leave the state one walk over every offer leaves —
+        /// the fold a sharded sweep makes.
+        #[test]
+        fn merge_folds_shard_states_into_the_state_of_all_offers(
+            seed in 0u64..1 << 40,
+            shards in 1usize..7,
+            per_shard in 0usize..30,
+            k in 1usize..9,
+            shape in 0usize..5,
+        ) {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let (nn, knn_k, radii) = lane_shape(shape, k);
+            let fresh = || fused_ops_point(PointN([0.5f32; 3]), nn, knn_k, radii);
+            let rule = FusedOpsRule::default();
+            let (mut folded, mut whole) = (fresh(), fresh());
+            let mut base = 0u32;
+            for _ in 0..shards {
+                // Distinct across sets, and in no order the fold could
+                // lean on.
+                let rename = |i: u32| (base + i).wrapping_mul(0x9e37_79b1);
+                let mut shard = fresh();
+                let n = rng.gen_range(0..=per_shard) as u32;
+                for local in 0..n {
+                    let d2 = quantized(&mut rng);
+                    rule.offer(&mut shard, d2, local);
+                    rule.offer(&mut whole, d2, rename(local));
+                }
+                merge(&mut folded, &shard, rename);
+                base += n;
+            }
+            prop_assert_eq!(folded, whole);
+        }
+
+        /// A state that a set with lower bound `lb` does not reach ignores
+        /// the walk over that set, each of whose offers is at least `lb`.
+        #[test]
+        fn merge_beyond_an_unreached_bound_changes_nothing(
+            seed in 0u64..1 << 40,
+            len in 0usize..30,
+            k in 1usize..9,
+            shape in 0usize..5,
+        ) {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let (nn, knn_k, radii) = lane_shape(shape, k);
+            let fresh = || fused_ops_point(PointN([0.5f32; 3]), nn, knn_k, radii);
+            let rule = FusedOpsRule::default();
+            let mut state = fresh();
+            for i in 0..len as u32 {
+                rule.offer(&mut state, quantized(&mut rng), i);
+            }
+            let lb = quantized(&mut rng);
+            prop_assume!(!reaches(&state, lb));
+            let mut beyond = fresh();
+            for i in 0..len as u32 {
+                rule.offer(&mut beyond, lb + quantized(&mut rng), i);
+            }
+            let before = state.clone();
+            merge(&mut state, &beyond, |i| i + 1000);
+            prop_assert_eq!(state, before);
+        }
+    }
+
+    #[test]
+    fn merge_admission_is_strict_for_nn_and_knn_only() {
+        let pos = PointN([0.0f32; 3]);
+        let rule = FusedOpsRule::default();
+        let mut nn = fused_ops_point(pos, true, None, &[]);
+        rule.offer(&mut nn, 1.0, 0);
+        let mut knn = fused_ops_point(pos, false, Some(2), &[]);
+        rule.offer(&mut knn, 0.5, 0);
+        assert!(reaches(&knn, 9.0), "a heap that is not full takes anything");
+        rule.offer(&mut knn, 1.0, 1);
+        // The largest radius² is 1.
+        let pc = fused_ops_point(pos, false, None, &[0.5, 1.0]);
+        for (op, state) in [("nn", &nn), ("knn", &knn), ("pc", &pc)] {
+            assert!(reaches(state, 0.75), "{op}");
+            assert!(!reaches(state, 1.5), "{op}");
+        }
+        assert!(!reaches(&nn, 1.0), "nn: a tie cannot improve");
+        assert!(!reaches(&knn, 1.0), "knn: a tie cannot improve");
+        assert!(reaches(&pc, 1.0), "pc: a point at the radius counts");
+        let inert = fused_ops_point(pos, false, None, &[]);
+        assert!(!reaches(&inert, 0.0), "inert parts never reach");
     }
 }

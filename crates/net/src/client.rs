@@ -43,6 +43,20 @@ fn proto_err(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// Refuse, before anything is written, what the wire's slots would carry
+/// as something else: an index id is a `u32` and a position's length a
+/// `u16` there.
+fn fits_the_wire(index: IndexId, pos: &[f32]) -> io::Result<()> {
+    let why = if u32::try_from(index).is_err() {
+        format!("index {index} does not fit the wire's u32")
+    } else if u16::try_from(pos.len()).is_err() {
+        format!("{} coordinates do not fit the wire's u16", pos.len())
+    } else {
+        return Ok(());
+    };
+    Err(io::Error::new(io::ErrorKind::InvalidInput, why))
+}
+
 /// Mint a nonzero per-connection trace id: a global counter mixed with
 /// the wall clock (splitmix64 finalizer) so ids from concurrent clients
 /// and successive runs land far apart.
@@ -313,8 +327,11 @@ impl Client {
 
     /// Submit one query and block for its answer. Service-side failures
     /// (validation, overload, shutdown) come back as `Ok(Err(WireError))`;
-    /// transport or protocol faults are the outer `io::Error`.
+    /// transport or protocol faults are the outer `io::Error`, and so is a
+    /// query the wire cannot carry (`InvalidInput`, refused before anything
+    /// is sent, so the session stays usable).
     pub fn query(&mut self, query: Query) -> io::Result<Result<QueryResult, WireError>> {
+        fits_the_wire(query.index, &query.pos)?;
         let req = self.next_req;
         self.next_req += 1;
         let ctx = self.mint_ctx();
@@ -334,8 +351,12 @@ impl Client {
 
     /// Send one `BatchSubmit` frame and return its correlation id without
     /// waiting — call [`Client::recv_batch`] later. Interleave several
-    /// sends to keep the pipeline full.
+    /// sends to keep the pipeline full. A frame holding a query the wire
+    /// cannot carry is refused whole, as [`Client::query`] refuses one.
     pub fn send_batch(&mut self, queries: &[Query]) -> io::Result<u64> {
+        for q in queries {
+            fits_the_wire(q.index, &q.pos)?;
+        }
         let base_req = self.next_req;
         self.next_req += queries.len().max(1) as u64;
         let ctx = self.mint_ctx();
@@ -379,12 +400,20 @@ impl Client {
     /// Apply a mutation batch to a mutable index and block for the ack.
     /// The ack's assigned ids and epoch are valid for every query sent
     /// after this returns. Service-side refusals (immutable index,
-    /// shutdown, bad position) come back as `Ok(Err(WireError))`.
+    /// shutdown, bad position) come back as `Ok(Err(WireError))`; an index
+    /// or insert the wire cannot carry is refused as [`Client::query`]
+    /// refuses one.
     pub fn mutate(
         &mut self,
         index: IndexId,
         muts: &[Mutation],
     ) -> io::Result<Result<MutationAck, WireError>> {
+        fits_the_wire(index, &[])?;
+        for m in muts {
+            if let Mutation::Insert { pos } = m {
+                fits_the_wire(index, pos)?;
+            }
+        }
         let req = self.next_req;
         self.next_req += 1;
         self.send(&Frame::Mutate {

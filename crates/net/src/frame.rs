@@ -332,14 +332,17 @@ fn put_query(out: &mut Vec<u8>, q: &Query) {
             put_u32(out, 0);
         }
         QueryKind::Knn { k } => {
+            // A k past the slot asks for every point, as `u32::MAX` does
+            // (the service clamps k to the index size).
             out.push(1);
-            put_u32(out, k as u32);
+            put_u32(out, u32::try_from(k).unwrap_or(u32::MAX));
         }
         QueryKind::Pc { radius } => {
             out.push(2);
             put_u32(out, radius.to_bits());
         }
     }
+    // `Client` refuses an index or a length these slots cannot hold.
     put_u32(out, q.index as u32);
     put_u16(out, q.pos.len() as u16);
     for &c in &q.pos {

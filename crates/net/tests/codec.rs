@@ -168,6 +168,24 @@ fn scalar_frames_roundtrip() {
 }
 
 #[test]
+fn a_k_past_the_wire_slot_saturates_instead_of_wrapping() {
+    let submit = |k: usize| Frame::Submit {
+        req: 1,
+        query: Query {
+            index: 0,
+            pos: vec![0.5; 3],
+            kind: QueryKind::Knn { k },
+        },
+        ctx: None,
+    };
+    let max = u32::MAX as usize;
+    for k in [(1 << 32) + 1, usize::MAX] {
+        assert_eq!(roundtrip(&submit(k)), submit(max), "k = {k}");
+    }
+    assert_eq!(roundtrip(&submit(max)), submit(max));
+}
+
+#[test]
 fn truncated_frame_waits_for_more_bytes() {
     let bytes = Frame::Submit {
         req: 9,

@@ -3,8 +3,11 @@
 
 use gts_net::{Client, ErrorCode, NetServer};
 use gts_points::gen::uniform;
-use gts_service::{KdIndex, Query, QueryKind, Service, ServiceConfig, Ticket, TreeIndex};
+use gts_service::{
+    KdIndex, Mutation, Query, QueryKind, QueryResult, Service, ServiceConfig, Ticket, TreeIndex,
+};
 use gts_trees::SplitPolicy;
+use std::io::ErrorKind::InvalidInput;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -161,6 +164,63 @@ fn validation_failures_come_back_as_structured_wire_errors() {
     assert_eq!(results[1].as_ref().unwrap_err().code, ErrorCode::BadQuery);
     assert!(results[2].is_ok());
 
+    client.shutdown().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn what_the_wire_cannot_carry_is_saturated_or_refused() {
+    let (server, pts) = start_server(ServiceConfig {
+        max_wait: Duration::from_millis(1),
+        ..ServiceConfig::default()
+    });
+    let service = Arc::clone(server.service());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    // A k past the wire's u32 saturates, and a k past the index asks for
+    // every point: the answer is the one the service gives in process.
+    let every = Query {
+        index: 0,
+        pos: pts[3].0.to_vec(),
+        kind: QueryKind::Knn { k: (1 << 32) + 1 },
+    };
+    let got = client.query(every.clone()).unwrap().expect("answered");
+    let QueryResult::Knn { ids, .. } = &got else {
+        panic!("{got:?}")
+    };
+    assert_eq!(ids.len(), pts.len(), "k = 2^32 + 1 arrived as another k");
+    assert_eq!(got, service.query(every).unwrap());
+
+    // An index or a length the wire would wrap is refused before anything
+    // is written.
+    let long = Query {
+        pos: vec![0.0; 1 << 16],
+        ..nn(pts[0].0)
+    };
+    let far = Query {
+        index: 1 << 32,
+        ..nn(pts[0].0)
+    };
+    fn refused<T>(r: std::io::Result<T>) -> std::io::ErrorKind {
+        r.err().expect("refused").kind()
+    }
+    assert_eq!(refused(client.query(far.clone())), InvalidInput);
+    assert_eq!(refused(client.query(long.clone())), InvalidInput);
+    assert_eq!(
+        refused(client.send_batch(&[nn(pts[0].0), far])),
+        InvalidInput
+    );
+    assert_eq!(refused(client.send_batch(&[long])), InvalidInput);
+    assert_eq!(refused(client.mutate(1 << 32, &[])), InvalidInput);
+    let insert = Mutation::Insert {
+        pos: vec![0.0; 1 << 16],
+    };
+    assert_eq!(refused(client.mutate(0, &[insert])), InvalidInput);
+
+    // The session is intact: the next query and batch are answered.
+    assert!(client.query(nn(pts[0].0)).unwrap().is_ok());
+    let base = client.send_batch(&[nn(pts[1].0)]).unwrap();
+    assert!(client.recv_batch(base).unwrap()[0].is_ok());
     client.shutdown().unwrap();
     server.shutdown();
 }

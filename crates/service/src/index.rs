@@ -10,7 +10,6 @@ use crate::epoch::{EpochObserverFn, EpochStats, MutateError, Mutation, MutationA
 use crate::policy::{Backend, ExecPolicy};
 use crate::query::{OpKey, QueryResult};
 use gts_apps::fused::{fused_ops_point, FusedOpsPoint, FusedOpsRule};
-use gts_apps::kbest::KBest;
 use gts_apps::kd::KdBox;
 use gts_apps::knn::{KnnPoint, KnnRule};
 use gts_apps::nn::{NnKernel, NnPoint, NnRule};
@@ -22,7 +21,6 @@ use gts_points::sort::morton_order;
 use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig, Meter, Unmetered, WarpSim};
 use gts_runtime::{cpu, AllLive, Dead, GpuReport, Live, PointRule, Tombstones, TraversalKernel};
 use gts_trees::{KdTree, LbKdTree, PointN, SplitPolicy};
-use std::cell::Cell;
 use std::collections::HashSet;
 
 /// Execution record of one dispatched batch, from the executor to the
@@ -253,26 +251,6 @@ impl FusedLaneResult {
     }
 }
 
-/// Assemble a lane's answers from a stream in slot order (NN, then each
-/// `k`, then each radius) — the inverse of [`FusedLaneResult::answers`].
-impl FromIterator<QueryResult> for FusedLaneResult {
-    fn from_iter<I: IntoIterator<Item = QueryResult>>(answers: I) -> Self {
-        let mut out = FusedLaneResult {
-            nn: None,
-            knn: Vec::new(),
-            pc: Vec::new(),
-        };
-        for r in answers {
-            match r {
-                QueryResult::Nn { .. } => out.nn = Some(r),
-                QueryResult::Knn { .. } => out.knn.push(r),
-                QueryResult::Pc { .. } => out.pc.push(r),
-            }
-        }
-        out
-    }
-}
-
 /// Execution record of one lane batch: per-lane results plus the usual
 /// [`BatchOutcome`] accounting (whose `results` vec is empty — the
 /// per-op answers live in `lanes`).
@@ -366,8 +344,8 @@ pub struct KdIndex<const D: usize> {
     /// Left-balanced implicit mirror of the same points, for the
     /// stack-free Wald walk ([`Backend::StacklessKd`]). Built over the
     /// pointer tree's *reordered* `points` so the Wald kernels' reported
-    /// ids land in the same tree-internal space as the rope-stack
-    /// kernels' — [`Self::original_id`] maps both.
+    /// ids land in the same tree positions as the rope-stack kernels' —
+    /// the tree's `perm` maps both.
     lb: LbKdTree<D>,
 }
 
@@ -401,28 +379,11 @@ impl<const D: usize> KdIndex<D> {
         &self.lb
     }
 
-    /// Map a tree-internal point index to the original dataset index.
-    fn original_id(&self, idx: u32) -> u32 {
-        if idx == u32::MAX {
-            u32::MAX
-        } else {
-            self.tree.perm[idx as usize]
-        }
-    }
-
-    /// The `take` nearest of a k-best set as a kNN answer.
-    fn knn_result(&self, best: &KBest, take: usize) -> QueryResult {
-        QueryResult::Knn {
-            dist2: best.distances()[..take].to_vec(),
-            ids: best.ids()[..take]
-                .iter()
-                .map(|&i| self.original_id(i))
-                .collect(),
-        }
-    }
-
     /// Run `lanes` as one batch through the §4.4 pipeline (sort → profile
-    /// once → dispatch → un-sort).
+    /// once → dispatch → un-sort) and hand back each lane's fused state,
+    /// in submission order, with point ids as tree positions. A solo walk's
+    /// state is moved into an otherwise inert fused one, so every caller
+    /// reads one shape ([`lane_answers`], or a shard sweep's fold).
     ///
     /// `pick` chooses the kernel, and whoever owns the whole batch makes
     /// it from the batch's lanes ([`uniform_op`]): `Some(op)` when every
@@ -454,7 +415,7 @@ impl<const D: usize> KdIndex<D> {
         policy: &ExecPolicy,
         profile: Option<&ProfileCtx<'_>>,
         dead: &Tombstones,
-    ) -> FusedOutcome {
+    ) -> (Vec<FusedOpsPoint<D>>, BatchOutcome) {
         if dead.is_empty() {
             self.run_live(lanes, pick, metered, policy, profile, AllLive)
         } else {
@@ -471,13 +432,11 @@ impl<const D: usize> KdIndex<D> {
         policy: &ExecPolicy,
         profile: Option<&ProfileCtx<'_>>,
         dead: T,
-    ) -> FusedOutcome {
+    ) -> (Vec<FusedOpsPoint<D>>, BatchOutcome) {
         let pts: Vec<PointN<D>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
-        let solo = |r: QueryResult| -> FusedLaneResult { std::iter::once(r).collect() };
-        // Node visits the lanes' constituent ops would have made walking
-        // alone; only the fused arm, as it reads its lanes back, adds any.
-        let per_op_visits = Cell::new(0u64);
-        let (results, mut outcome, live_visits) = match pick {
+        let n = self.tree.points.len();
+        let inert = |pos| fused_ops_point(pos, false, None, &[]);
+        let (states, mut outcome, live_visits) = match pick {
             Some(OpKey::Nn) => {
                 // The plane-pruning NN kernel is the fastest solo NN, but
                 // its traversal-variant argument cannot ride the skip
@@ -486,108 +445,129 @@ impl<const D: usize> KdIndex<D> {
                 let kernel = NnKernel::with_rule(&self.tree, rule);
                 let boxed = KdBox::with_rule(&self.tree, rule);
                 let make = |_i: usize, p: PointN<D>| NnPoint::new(p);
-                let conv = |_i: usize, r: &NnPoint<D>| {
-                    solo(QueryResult::Nn {
-                        dist2: r.best_d2,
-                        id: self.original_id(r.best_idx),
-                    })
-                };
-                execute(
-                    self, &kernel, &boxed, &pts, metered, policy, profile, make, conv,
-                )
+                let (work, outcome, live) =
+                    execute(self, &kernel, &boxed, &pts, metered, policy, profile, make);
+                let states = (work.into_iter()).map(|p| {
+                    let mut state = inert(p.pos);
+                    state.a = p;
+                    state
+                });
+                (states.collect(), outcome, live)
             }
             Some(OpKey::Knn(k)) => {
                 // KBest panics on k == 0 (the batch key already excludes
-                // it); k > n is fine — the set just never fills.
+                // it); a k beyond the tree asks for every point.
                 let rule = KnnRule;
                 let kernel = KdBox::with_rule(&self.tree, Live { rule, dead });
-                let make = |_i: usize, p: PointN<D>| KnnPoint::new(p, k);
-                let conv =
-                    |_i: usize, r: &KnnPoint<D>| solo(self.knn_result(&r.best, r.best.len()));
-                execute(
-                    self, &kernel, &kernel, &pts, metered, policy, profile, make, conv,
-                )
+                let make = |_i: usize, p: PointN<D>| KnnPoint::new(p, k.min(n));
+                let (work, outcome, live) =
+                    execute(self, &kernel, &kernel, &pts, metered, policy, profile, make);
+                let states = (work.into_iter()).map(|p| {
+                    let mut state = inert(p.pos);
+                    state.b.a = p;
+                    state
+                });
+                (states.collect(), outcome, live)
             }
             Some(OpKey::Pc(radius_bits)) => {
-                let rule = PcRule::new(f32::from_bits(radius_bits));
-                let kernel = KdBox::with_rule(&self.tree, Live { rule, dead });
+                let radius = f32::from_bits(radius_bits);
+                let kernel = KdBox::with_rule(
+                    &self.tree,
+                    Live {
+                        rule: PcRule::new(radius),
+                        dead,
+                    },
+                );
                 let make = |_i: usize, p: PointN<D>| PcPoint::new(p);
-                let conv = |_i: usize, r: &PcPoint<D>| solo(QueryResult::Pc { count: r.count });
-                execute(
-                    self, &kernel, &kernel, &pts, metered, policy, profile, make, conv,
-                )
+                let (work, outcome, live) =
+                    execute(self, &kernel, &kernel, &pts, metered, policy, profile, make);
+                let states = (work.into_iter()).map(|p| {
+                    let mut state = fused_ops_point(p.pos, false, None, &[radius]);
+                    state.b.b.slots[0].count = p.count;
+                    state
+                });
+                (states.collect(), outcome, live)
             }
             None => {
                 let rule = FusedOpsRule::default();
                 let kernel = KdBox::with_rule(&self.tree, Live { rule, dead });
-                let make = |i: usize, p: PointN<D>| {
-                    let lane = lanes[i];
-                    let radii: Vec<f32> =
-                        lane.pc_radii.iter().map(|&b| f32::from_bits(b)).collect();
-                    // One heap sized to the lane's largest k serves every
-                    // smaller k as a prefix (`KBest`'s prefix property).
-                    // The maximum, not the last: the fields are public and
-                    // nothing makes a caller keep them ascending.
-                    fused_ops_point(p, lane.nn, lane.knn_ks.iter().copied().max(), &radii)
-                };
-                let conv = |i: usize, pt: &FusedOpsPoint<D>| {
-                    let lane = lanes[i];
-                    // Each constituent's own walk: the root, then two
-                    // children per descent the fused walk tallied for it.
-                    let asked = usize::from(lane.nn)
-                        + usize::from(!lane.knn_ks.is_empty())
-                        + lane.pc_radii.len();
-                    per_op_visits
-                        .set(per_op_visits.get() + asked as u64 + 2 * u64::from(pt.solo_descents));
-                    let nn = lane.nn.then(|| QueryResult::Nn {
-                        dist2: pt.a.best_d2,
-                        id: self.original_id(pt.a.best_idx),
-                    });
-                    let kb = &pt.b.a.best;
-                    let knn = lane
-                        .knn_ks
-                        .iter()
-                        .map(|&k| self.knn_result(kb, k.min(kb.len())))
-                        .collect();
-                    let pc =
-                        pt.b.b
-                            .slots
-                            .iter()
-                            .map(|s| QueryResult::Pc { count: s.count })
-                            .collect();
-                    FusedLaneResult { nn, knn, pc }
-                };
-                execute(
-                    self, &kernel, &kernel, &pts, metered, policy, profile, make, conv,
-                )
+                let make = |i: usize, p: PointN<D>| lane_state(lanes[i], p, n);
+                execute(self, &kernel, &kernel, &pts, metered, policy, profile, make)
             }
         };
         if pick.is_none() {
+            // Each constituent's own walk: the root, then two children per
+            // descent the fused walk tallied for it.
+            let per_op_visits: u64 = (lanes.iter().zip(&states))
+                .map(|(lane, state)| {
+                    let asked = usize::from(lane.nn)
+                        + usize::from(!lane.knn_ks.is_empty())
+                        + lane.pc_radii.len();
+                    asked as u64 + 2 * u64::from(state.solo_descents)
+                })
+                .sum();
             outcome.fused_lanes = lanes.len() as u64;
             outcome.fused_ops = distinct_ops(lanes.iter().copied());
             // The Wald walk runs over the left-balanced mirror, not through
             // `KdBox`: it tallies nothing, and visits of two different
             // trees are not each other's saving.
             if outcome.backend != Backend::StacklessKd {
-                outcome.fusion_saved_visits = per_op_visits.get().saturating_sub(live_visits);
+                outcome.fusion_saved_visits = per_op_visits.saturating_sub(live_visits);
             }
             // Every fused (sub-)batch any unit test of the crate runs is
             // held to the CPU replay the tally replaced.
             #[cfg(test)]
-            tests::check_counted_against_replay(
-                self,
-                lanes,
-                &pts,
-                dead,
-                &outcome,
-                per_op_visits.get(),
-            );
+            tests::check_counted_against_replay(self, lanes, &pts, dead, &outcome, per_op_visits);
         }
-        FusedOutcome {
-            lanes: results,
-            outcome,
-        }
+        (states, outcome)
     }
+}
+
+/// A lane's fused state at `pos` over `points` points: each op it asks
+/// live, the rest inert. The fused rule walks it, and a shard sweep folds
+/// sub-batch states into it.
+pub(crate) fn lane_state<const D: usize>(
+    lane: &FusedLane,
+    pos: PointN<D>,
+    points: usize,
+) -> FusedOpsPoint<D> {
+    let radii: Vec<f32> = lane.pc_radii.iter().map(|&b| f32::from_bits(b)).collect();
+    // One heap sized to the lane's largest k serves every smaller k as a
+    // prefix (`KBest`'s prefix property). The maximum, not the last: the
+    // fields are public and nothing makes a caller keep them ascending. A
+    // heap holds no more than the points there are, whatever k asks.
+    let k = (lane.knn_ks.iter().max()).map(|&k| k.min(points.max(1)));
+    fused_ops_point(pos, lane.nn, k, &radii)
+}
+
+/// `lane`'s answers, read once per batch off the state its walks left:
+/// NN if asked, each `k` as a prefix of the one heap, each radius's count.
+/// `id` maps the state's point ids to the ids callers know; `u32::MAX`
+/// (no neighbour found) passes through.
+pub(crate) fn lane_answers<const D: usize>(
+    lane: &FusedLane,
+    state: &FusedOpsPoint<D>,
+    id: impl Fn(u32) -> u32,
+) -> FusedLaneResult {
+    let id = |i: u32| if i == u32::MAX { i } else { id(i) };
+    let nn = lane.nn.then(|| QueryResult::Nn {
+        dist2: state.a.best_d2,
+        id: id(state.a.best_idx),
+    });
+    let best = &state.b.a.best;
+    let knn = (lane.knn_ks.iter())
+        .map(|&k| {
+            let take = k.min(best.len());
+            QueryResult::Knn {
+                dist2: best.distances()[..take].to_vec(),
+                ids: best.ids()[..take].iter().map(|&i| id(i)).collect(),
+            }
+        })
+        .collect();
+    let pc = (state.b.b.slots.iter())
+        .map(|s| QueryResult::Pc { count: s.count })
+        .collect();
+    FusedLaneResult { nn, knn, pc }
 }
 
 /// Convert an erased position (validated upstream) to a `PointN`.
@@ -633,7 +613,14 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
         let refs: Vec<&FusedLane> = lanes.iter().collect();
         let metered = policy.meters(lanes.iter().map(|l| &l.pos[..]));
         let pick = uniform_op(lanes);
-        self.run_lanes(&refs, pick, metered, policy, None, Tombstones::NONE)
+        let (states, outcome) =
+            self.run_lanes(&refs, pick, metered, policy, None, Tombstones::NONE);
+        // The walks offer tree positions; callers know build order.
+        let perm = &self.tree.perm;
+        let lanes = (lanes.iter().zip(&states))
+            .map(|(lane, state)| lane_answers(lane, state, |i| perm[i as usize]))
+            .collect();
+        FusedOutcome { lanes, outcome }
     }
 }
 
@@ -644,14 +631,14 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
 /// executors, the CPU baseline and the profiler; `boxed` — the same object
 /// for everything but solo NN — rides the skip-link walk, and its rule
 /// rides the Wald walk over `index`'s left-balanced mirror. Both share one
-/// point type, so sort/un-sort and result conversion are backend-agnostic.
+/// point type, so sort and un-sort are backend-agnostic.
 ///
-/// `make`/`conv` receive the query's *submission-order* index alongside
-/// the point, so heterogeneous batches (fused lanes with per-lane op
-/// specs) can build and read back per-lane state; homogeneous ops ignore
-/// it. The returned [`BatchOutcome`] carries the accounting with an empty
-/// `results` vec — the typed results ride the first tuple slot. The third
-/// is the run's *live-lane* node visits: `outcome.node_visits` for every
+/// `make` receives the query's *submission-order* index alongside the
+/// point, so heterogeneous batches (fused lanes with per-lane op specs)
+/// can build per-lane state; homogeneous ops ignore it. The walked states
+/// come back in submission order, beside a [`BatchOutcome`] that carries
+/// the accounting with an empty `results` vec. The third slot is the
+/// run's *live-lane* node visits: `outcome.node_visits` for every
 /// backend but lockstep, which charges a lane for each pop of its warp
 /// (Table 1's convention) and is live for only some of them.
 ///
@@ -661,7 +648,7 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
 /// Visits, warps, work expansion and mask occupancy are the executor's own
 /// counts ([`GpuReport`]'s per-point and per-warp vectors) either way.
 #[allow(clippy::too_many_arguments)]
-fn execute<const D: usize, K, R, M, C, T>(
+fn execute<const D: usize, K, R, M>(
     index: &KdIndex<D>,
     kernel: &K,
     boxed: &KdBox<'_, D, R>,
@@ -670,13 +657,11 @@ fn execute<const D: usize, K, R, M, C, T>(
     policy: &ExecPolicy,
     profile: Option<&ProfileCtx<'_>>,
     make: M,
-    conv: C,
-) -> (Vec<T>, BatchOutcome, u64)
+) -> (Vec<K::Point>, BatchOutcome, u64)
 where
     K: TraversalKernel<Point = R::State>,
     R: PointRule<D>,
     M: Fn(usize, PointN<D>) -> K::Point,
-    C: Fn(usize, &K::Point) -> T,
 {
     let n = pts.len();
     // §4.4 step 1: spatial sort, so nearby queries share warps.
@@ -788,16 +773,15 @@ where
     outcome.node_visits = stats.per_point_nodes.iter().map(|&v| v as u64).sum();
 
     // Undo the sort: callers see submission order.
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, point) in work.iter().enumerate() {
-        results[orig(i)] = Some(conv(orig(i), point));
+    let mut states: Vec<Option<K::Point>> = (0..n).map(|_| None).collect();
+    for (i, point) in work.into_iter().enumerate() {
+        states[orig(i)] = Some(point);
     }
-    let results: Vec<T> = results
-        .into_iter()
-        .map(|r| r.expect("permutation covers all"))
+    let states = (states.into_iter())
+        .map(|s| s.expect("permutation covers all"))
         .collect();
     let live_visits = live_visits.unwrap_or(outcome.node_visits);
-    (results, outcome, live_visits)
+    (states, outcome, live_visits)
 }
 
 /// One launch of `work` on simulated-GPU executor `backend` under meter
@@ -841,6 +825,7 @@ mod tests {
     use gts_trees::NodeId;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::cell::Cell;
 
     fn index3(n: usize, seed: u64) -> KdIndex<3> {
         let pts = uniform::<3>(n, seed);

@@ -77,7 +77,7 @@ pub use metrics::{
 pub use policy::{Backend, ExecPolicy, FusionMode};
 pub use query::{BatchKey, IndexId, OpKey, Query, QueryKind, QueryResult};
 pub use service::{CompletionFn, Service, ServiceConfig, ServiceError, Ticket};
-pub use shard::{merge_kbest, ShardedIndex, ShardedIndexBuilder, DEFAULT_PROFILE_TTL};
+pub use shard::{ShardedIndex, ShardedIndexBuilder, DEFAULT_PROFILE_TTL};
 pub use slowlog::{
     QueryRecord, ShardVisitRecord, SlowLog, SlowLogDump, SlowLogStats, SLOW_LOG_WARMUP,
 };

@@ -20,18 +20,18 @@
 //!
 //! A batch is a slice of lanes — a position plus every op asked there
 //! ([`FusedLane`]); a single-op batch is the case where every lane asks
-//! the same one op. A lane (a "query" below) keeps one accumulator per op
-//! it asks and is dispatched to a shard iff *any* of them could still
-//! improve there ([`LaneAcc`]). One [`sweep`] runs every batch, over
+//! the same one op. A lane (a "query" below) keeps one accumulator, the
+//! fused state its walks leave ([`FusedOpsPoint`]), and is dispatched to a
+//! shard iff the state still [`reaches`] it. One [`sweep`] runs every batch, over
 //! either owner's shards — the epoch layer's pending deletes riding beside
 //! its shards as tombstone sets the sub-batches' rules skip, its pending
 //! inserts as one more shard — on one schedule, **cursor waves**: every query
 //! visits its shards in ascending order of AABB lower-bound distance, so
 //! its first shard is usually its home and establishes a tight bound, and
 //! a later shard is skipped when its box lower bound already proves it
-//! cannot improve the answer (NN: no strictly closer point; kNN: the
+//! cannot change the state (NN: no strictly closer point; kNN: the
 //! k-best set is full and the bound is no better than its worst member;
-//! PC: the box lies entirely outside the radius). Each wave dispatches
+//! PC: the box lies entirely outside every radius). Each wave dispatches
 //! every query's next admissible shard, one merged sub-batch per shard, on
 //! a worker pool of [`ExecPolicy::shard_parallelism`] threads that
 //! persists across the batch's waves (spawning per wave would rival the
@@ -39,14 +39,16 @@
 //! the waves run inline on the caller. A query's shard is always decided
 //! against the answers of that query's earlier shards, so the executed
 //! (query, shard) set — and with it the whole record, answers to
-//! [`ShardVisit`]s — is the same for every thread count. Partial results
-//! fold in each query's visit order.
+//! [`ShardVisit`]s — is the same for every thread count. A sub-batch's
+//! states fold into the lanes' accumulators in each query's visit order
+//! ([`merge`], its ids renamed to the ids callers know), and the answers
+//! are read off the accumulators once, when the batch closes.
 //!
 //! Every sub-batch returns a [`BatchOutcome`] of its own and the batch's
 //! is their merge ([`BatchOutcome::absorb`]), with skips counted as its
 //! `shards_pruned`. Pruning is *exact*: `Aabb::dist2_to` is a true lower
-//! bound in f32 (per-axis monotone rounding) and every merge rule admits
-//! only strictly-improving candidates, so pruned and unpruned runs return
+//! bound in f32 (per-axis monotone rounding) and a state a shard does not
+//! reach refuses every candidate in it, so pruned and unpruned runs return
 //! identical results — a property the differential tests check query by
 //! query.
 //!
@@ -60,24 +62,16 @@
 //! surfaces as `profile_cache_{hits,misses,evictions}` on the
 //! [`BatchOutcome`].
 //!
-//! Merge rules per operation:
-//! * **NN** — keep the minimum squared distance across shards (each shard
-//!   already excludes zero-distance self matches, so the min is exactly
-//!   the flat answer);
-//! * **kNN** — offer every per-shard neighbor into one [`KBest`]; any
-//!   point in the global top-k is in the top-k of its own shard, so the
-//!   merge of per-shard k-best lists equals the k-best of the
-//!   concatenation (the property test re-checks this);
-//! * **PC** — sum the per-shard counts (shards partition the points, so
-//!   counts are exact).
+//! The merge rule of each op, and why a fold of per-shard states equals
+//! one walk over every point, is `gts_apps::fused`'s.
 
 use crate::index::{
-    distinct_ops, to_point, uniform_op, BatchOutcome, FusedLane, FusedLaneResult, FusedOutcome,
-    KdIndex, ProfileCtx, ShardVisit, TreeIndex,
+    distinct_ops, lane_answers, lane_state, to_point, uniform_op, BatchOutcome, FusedLane,
+    FusedOutcome, KdIndex, ProfileCtx, ShardVisit, TreeIndex,
 };
 use crate::policy::{Backend, ExecPolicy};
-use crate::query::{OpKey, QueryResult};
-use gts_apps::kbest::KBest;
+use crate::query::OpKey;
+use gts_apps::fused::{merge, reaches, FusedOpsPoint};
 use gts_points::profile::{profile_key, ProfileCache, ProfileCacheStats};
 use gts_points::sort::{morton_key, morton_prefix};
 use gts_runtime::Tombstones;
@@ -284,22 +278,22 @@ impl<const D: usize> ShardedIndex<D> {
 type Wave = Vec<(usize, Vec<usize>)>;
 
 /// Executes one wave and hands back its slots alongside their runs.
-type DispatchFn<'a> = dyn FnMut(u32, Wave) -> (Wave, Vec<SubRun>) + 'a;
+type DispatchFn<'a, const D: usize> = dyn FnMut(u32, Wave) -> (Wave, Vec<SubRun<D>>) + 'a;
 
 /// Shared state of a batch's wave pool.
-struct PoolShared {
-    state: Mutex<WaveState>,
+struct PoolShared<const D: usize> {
+    state: Mutex<WaveState<D>>,
     /// Workers park here between waves.
     work: Condvar,
     /// The dispatcher parks here until the wave's last slot fills.
     idle: Condvar,
 }
 
-impl PoolShared {
+impl<const D: usize> PoolShared<D> {
     /// The lock is never held across a sub-batch, and a sub-batch's panic
     /// is caught before the lock is retaken, so it cannot be poisoned by
     /// anything the pool runs.
-    fn lock(&self) -> MutexGuard<'_, WaveState> {
+    fn lock(&self) -> MutexGuard<'_, WaveState<D>> {
         self.state
             .lock()
             .expect("wave pool lock is never held across a sub-batch")
@@ -307,7 +301,7 @@ impl PoolShared {
 }
 
 #[derive(Default)]
-struct WaveState {
+struct WaveState<const D: usize> {
     round: u32,
     wave: Wave,
     /// First unclaimed wave slot.
@@ -315,15 +309,15 @@ struct WaveState {
     /// Filled wave slots; the wave is drained when `done == runs.len()`.
     done: usize,
     /// A slot holds its run, or the payload of the panic that ended it.
-    runs: Vec<Option<std::thread::Result<SubRun>>>,
+    runs: Vec<Option<std::thread::Result<SubRun<D>>>>,
     shutdown: bool,
 }
 
 /// Releases the pool's workers when the batch is done with them — also
 /// when it unwinds, or the scope joining them would wait forever.
-struct PoolShutdown<'a>(&'a PoolShared);
+struct PoolShutdown<'a, const D: usize>(&'a PoolShared<D>);
 
-impl Drop for PoolShutdown<'_> {
+impl<const D: usize> Drop for PoolShutdown<'_, D> {
     fn drop(&mut self) {
         // Setting a flag is valid whatever state a panic left behind.
         self.0
@@ -335,137 +329,13 @@ impl Drop for PoolShutdown<'_> {
     }
 }
 
-/// Per-op merge accumulator of one lane. Every rule an op needs lives in
-/// this one `impl`: exact admission ([`Acc::improvable`]) and the merge
-/// ([`Acc::absorb`]).
-enum Acc {
-    Nn {
-        dist2: f32,
-        id: u32,
-    },
-    Knn {
-        best: KBest,
-    },
-    Pc {
-        count: u32,
-        /// Radius²: PC counts `d2 <= r2`.
-        r2: f32,
-    },
-}
-
-impl Acc {
-    fn new(op: OpKey) -> Acc {
-        match op {
-            OpKey::Nn => Acc::Nn {
-                dist2: f32::INFINITY,
-                id: u32::MAX,
-            },
-            OpKey::Knn(k) => Acc::Knn {
-                best: KBest::new(k),
-            },
-            OpKey::Pc(bits) => {
-                let r = f32::from_bits(bits);
-                Acc::Pc {
-                    count: 0,
-                    r2: r * r,
-                }
-            }
-        }
-    }
-
-    /// Can a shard whose AABB lower-bound squared distance is `lb` still
-    /// change this accumulator?
-    fn improvable(&self, lb: f32) -> bool {
-        match self {
-            // NN admits strictly closer points only.
-            Acc::Nn { dist2, .. } => lb < *dist2,
-            // KBest admits anything until full, then strictly-better only.
-            Acc::Knn { best } => !best.full() || lb < best.bound(),
-            // PC counts d2 <= r2; a box entirely beyond r2 adds nothing.
-            Acc::Pc { r2, .. } => lb <= *r2,
-        }
-    }
-
-    /// Fold one shard's answer in, mapping shard-local ids to the ids
-    /// callers know through `ids`.
-    fn absorb(&mut self, r: &QueryResult, ids: &[u32]) {
-        match (self, r) {
-            (Acc::Nn { dist2, id }, QueryResult::Nn { dist2: d, id: i }) => {
-                if *d < *dist2 {
-                    *dist2 = *d;
-                    *id = if *i == u32::MAX {
-                        u32::MAX
-                    } else {
-                        ids[*i as usize]
-                    };
-                }
-            }
-            (Acc::Knn { best }, QueryResult::Knn { dist2, ids: local }) => {
-                for (&d2, &i) in dist2.iter().zip(local) {
-                    best.offer(d2, ids[i as usize]);
-                }
-            }
-            (Acc::Pc { count, .. }, QueryResult::Pc { count: c }) => *count += c,
-            _ => unreachable!("shard answered with a different op's result"),
-        }
-    }
-
-    fn finish(self) -> QueryResult {
-        match self {
-            Acc::Nn { dist2, id } => QueryResult::Nn { dist2, id },
-            Acc::Knn { best } => QueryResult::Knn {
-                dist2: best.distances().to_vec(),
-                ids: best.ids().to_vec(),
-            },
-            Acc::Pc { count, .. } => QueryResult::Pc { count },
-        }
-    }
-}
-
-/// A lane's accumulators: one [`Acc`] per op the lane asks, in answer-slot
-/// order, each folding per-shard answers by exactly its own rules. A
-/// shard is dispatched for the lane iff *any* of them could still improve
-/// — the union admission rule. Union-extra shards (where some op was
-/// unimprovable) cannot corrupt that op: every candidate they produce
-/// fails its strict merge rule (NN: `d2 ≥ lb ≥ best`; kNN: set full and
-/// `d2 ≥ lb ≥ bound`; PC: `d2 ≥ lb > r²` counts nothing).
-struct LaneAcc(Vec<Acc>);
-
-impl LaneAcc {
-    fn new(lane: &FusedLane) -> LaneAcc {
-        LaneAcc(lane.op_keys().map(Acc::new).collect())
-    }
-
-    fn improvable(&self, lb: f32) -> bool {
-        self.0.iter().any(|a| a.improvable(lb))
-    }
-
-    fn absorb(&mut self, r: &FusedLaneResult, ids: &[u32]) {
-        for (a, r) in self.0.iter_mut().zip(r.answers()) {
-            a.absorb(r, ids);
-        }
-    }
-}
-
-/// Merge per-shard k-best lists (each `(distances, ids)`, ascending) into
-/// the global k-best. Equivalent to taking the k-best of the concatenated
-/// lists — the invariant the sharded kNN merge relies on, re-checked by
-/// the property tests.
-pub fn merge_kbest(k: usize, lists: &[(Vec<f32>, Vec<u32>)]) -> (Vec<f32>, Vec<u32>) {
-    let mut kb = KBest::new(k);
-    for (d2s, ids) in lists {
-        for (&d2, &id) in d2s.iter().zip(ids) {
-            kb.offer(d2, id);
-        }
-    }
-    (kb.distances().to_vec(), kb.ids().to_vec())
-}
-
-/// One executed sub-batch: its span (shard, wave number, wall clock) and
-/// the shard's answers and accounting.
-struct SubRun {
+/// One executed sub-batch: its span (shard, wave number, wall clock), its
+/// lanes' states (point ids as the shard's tree positions) and its
+/// accounting.
+struct SubRun<const D: usize> {
     visit: ShardVisit,
-    out: FusedOutcome,
+    states: Vec<FusedOpsPoint<D>>,
+    outcome: BatchOutcome,
 }
 
 /// Deterministic accumulation of a sweep's per-sub-batch records into the
@@ -488,9 +358,9 @@ struct StatAgg {
 }
 
 impl StatAgg {
-    fn add(&mut self, run: &SubRun) {
-        let sub = &run.out.outcome;
-        let qs = run.out.lanes.len();
+    fn add<const D: usize>(&mut self, run: &SubRun<D>) {
+        let sub = &run.outcome;
+        let qs = run.visit.queries as usize;
         self.out.shard_visits.push(run.visit.clone());
         self.out.absorb(sub, qs);
         self.executed += qs;
@@ -501,8 +371,13 @@ impl StatAgg {
     }
 
     /// Close the batch: `lanes` as the caller was handed them, `accs`
-    /// their accumulators after the sweep.
-    fn finish(self, lanes: &[FusedLane], accs: Vec<LaneAcc>) -> FusedOutcome {
+    /// their accumulators after the sweep, point ids already the ones
+    /// callers know.
+    fn finish<const D: usize>(
+        self,
+        lanes: &[FusedLane],
+        accs: &[FusedOpsPoint<D>],
+    ) -> FusedOutcome {
         let mut outcome = self.out;
         for visit in &mut outcome.shard_visits {
             let pruned = self.pruned_pairs.get(&(visit.shard, visit.round));
@@ -533,8 +408,8 @@ impl StatAgg {
             outcome.fused_lanes = lanes.len() as u64;
         }
         FusedOutcome {
-            lanes: (accs.into_iter())
-                .map(|acc| acc.0.into_iter().map(Acc::finish).collect())
+            lanes: (lanes.iter().zip(accs))
+                .map(|(lane, acc)| lane_answers(lane, acc, |i| i))
                 .collect(),
             outcome,
         }
@@ -635,7 +510,7 @@ impl<'a, const D: usize> Sweep<'a, D> {
     /// sub-batch mixes, under a tag no single op uses), the sub-batch's
     /// log2 size bucket, and which Morton octants of the shard's box the
     /// lanes land in.
-    fn run_sub(&self, shard_i: usize, round: u32, qs: &[usize]) -> SubRun {
+    fn run_sub(&self, shard_i: usize, round: u32, qs: &[usize]) -> SubRun<D> {
         let shard = &self.shards[shard_i];
         #[cfg(test)]
         if shard.failpoint.swap(false, Ordering::SeqCst) {
@@ -663,7 +538,7 @@ impl<'a, const D: usize> Sweep<'a, D> {
             }
         });
         let dead = self.dead.get(shard_i).unwrap_or(Tombstones::NONE);
-        let out = (shard.index).run_lanes(
+        let (states, outcome) = (shard.index).run_lanes(
             &sub,
             self.pick,
             self.metered,
@@ -675,13 +550,17 @@ impl<'a, const D: usize> Sweep<'a, D> {
             shard: shard_i as u32,
             round,
             queries: sub.len() as u32,
-            node_visits: out.outcome.node_visits,
+            node_visits: outcome.node_visits,
             pruned: 0,
-            model_ms: out.outcome.model_ms,
+            model_ms: outcome.model_ms,
             offset_us,
             dur_us: (self.started.elapsed().as_micros() as u64).saturating_sub(offset_us),
         };
-        SubRun { visit, out }
+        SubRun {
+            visit,
+            states,
+            outcome,
+        }
     }
 
     /// Spawn a persistent pool of `threads - 1` workers (the calling
@@ -697,7 +576,11 @@ impl<'a, const D: usize> Sweep<'a, D> {
     /// which worker ran what. A sub-batch that panics does not take its
     /// worker (or the wave's bookkeeping) down with it: the panic resumes
     /// on the dispatching thread once the wave has drained.
-    fn with_wave_pool<R>(&self, threads: usize, body: impl FnOnce(&mut DispatchFn<'_>) -> R) -> R {
+    fn with_wave_pool<R>(
+        &self,
+        threads: usize,
+        body: impl FnOnce(&mut DispatchFn<'_, D>) -> R,
+    ) -> R {
         let shared = PoolShared {
             state: Mutex::new(WaveState::default()),
             work: Condvar::new(),
@@ -714,7 +597,12 @@ impl<'a, const D: usize> Sweep<'a, D> {
 
     /// Submit one wave to the pool and drain it, claiming sub-batches on
     /// the calling thread alongside the workers.
-    fn pool_dispatch(&self, shared: &PoolShared, round: u32, wave: Wave) -> (Wave, Vec<SubRun>) {
+    fn pool_dispatch(
+        &self,
+        shared: &PoolShared<D>,
+        round: u32,
+        wave: Wave,
+    ) -> (Wave, Vec<SubRun<D>>) {
         match &wave[..] {
             [] => return (wave, Vec::new()),
             // A one-shard wave gains nothing from the pool; run it inline
@@ -758,7 +646,7 @@ impl<'a, const D: usize> Sweep<'a, D> {
     /// next wave until shutdown; the dispatching thread runs the same
     /// loop with `wait == false` to help drain the wave it just
     /// submitted.
-    fn pool_work(&self, shared: &PoolShared, wait: bool) {
+    fn pool_work(&self, shared: &PoolShared<D>, wait: bool) {
         let mut state = shared.lock();
         loop {
             if state.next < state.wave.len() {
@@ -805,8 +693,8 @@ impl<'a, const D: usize> Sweep<'a, D> {
     /// of the lane's earlier dispatched shards and nothing else — so the
     /// executed (lane, shard) set, the prune count and the merged results
     /// do not depend on `threads`. Per-shard sub-runs start with fresh
-    /// lane state and fold back through each op's strict-improvement
-    /// merge, so every answer is bit-identical to a flat run of that op.
+    /// lane state and fold back through [`merge`], so every answer is
+    /// bit-identical to a flat run of that op.
     /// Lanes at different visit depths land in the same wave's sub-batch
     /// for a shard, so waves are fewer and fuller than one round per visit
     /// depth would be — better warp packing and fewer profiler
@@ -814,7 +702,10 @@ impl<'a, const D: usize> Sweep<'a, D> {
     fn run(&self, threads: usize) -> FusedOutcome {
         let n_shards = self.shards.len();
         let mut agg = StatAgg::default();
-        let mut accs: Vec<LaneAcc> = self.lanes.iter().map(LaneAcc::new).collect();
+        let points = self.shards.iter().map(|s| s.ids.len()).sum();
+        let mut accs: Vec<FusedOpsPoint<D>> = (self.lanes.iter().zip(&self.qpts))
+            .map(|(lane, &pos)| lane_state(lane, pos, points))
+            .collect();
         // cursor[q] = how far down q's visit order we have decided.
         let mut cursor = vec![0usize; self.lanes.len()];
         self.with_wave_pool(threads, |dispatch| {
@@ -824,7 +715,7 @@ impl<'a, const D: usize> Sweep<'a, D> {
                     while cursor[q] < n_shards {
                         let (lb, s) = order[cursor[q]];
                         cursor[q] += 1;
-                        if self.keep(accs[q].improvable(lb), &mut agg, s, wave_no) {
+                        if self.keep(reaches(&accs[q], lb), &mut agg, s, wave_no) {
                             groups[s as usize].push(q);
                             break;
                         }
@@ -839,14 +730,17 @@ impl<'a, const D: usize> Sweep<'a, D> {
                 }
                 let (wave, runs) = dispatch(wave_no, wave);
                 for ((s, qs), run) in wave.iter().zip(&runs) {
-                    for (&q, r) in qs.iter().zip(&run.out.lanes) {
-                        accs[q].absorb(r, &self.shards[*s].ids);
+                    let shard = &self.shards[*s];
+                    let perm = &shard.index.tree().perm;
+                    let id = |i: u32| shard.ids[perm[i as usize] as usize];
+                    for (&q, state) in qs.iter().zip(&run.states) {
+                        merge(&mut accs[q], state, id);
                     }
                     agg.add(run);
                 }
             }
         });
-        agg.finish(self.lanes, accs)
+        agg.finish(self.lanes, &accs)
     }
 }
 
@@ -873,6 +767,7 @@ impl<const D: usize> TreeIndex for ShardedIndex<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::QueryResult;
     use gts_points::gen::{geocity_like, uniform};
 
     fn cpu() -> ExecPolicy {
@@ -1084,15 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_kbest_matches_concatenated() {
-        let a = (vec![1.0, 3.0, 5.0], vec![0u32, 1, 2]);
-        let b = (vec![2.0, 4.0], vec![3u32, 4]);
-        let (d2, ids) = merge_kbest(3, &[a, b]);
-        assert_eq!(d2, vec![1.0, 2.0, 3.0]);
-        assert_eq!(ids, vec![0, 3, 1]);
-    }
-
-    #[test]
     fn sub_batch_records_merge_by_the_one_rule() {
         // Two sub-batches of unequal size, a distinct prime in every
         // counter: a dropped or swapped clause of the merge moves a sum.
@@ -1130,7 +1016,7 @@ mod tests {
             fusion_saved_visits: 59,
             ..BatchOutcome::default()
         };
-        let run = |shard: u32, outcome: &BatchOutcome, lanes: usize| SubRun {
+        let run = |shard: u32, outcome: &BatchOutcome, lanes: usize| SubRun::<3> {
             visit: ShardVisit {
                 shard,
                 round: 0,
@@ -1141,17 +1027,15 @@ mod tests {
                 offset_us: 0,
                 dur_us: 0,
             },
-            out: FusedOutcome {
-                lanes: vec![std::iter::empty().collect(); lanes],
-                outcome: outcome.clone(),
-            },
+            states: Vec::new(),
+            outcome: outcome.clone(),
         };
         let mut agg = StatAgg::default();
         agg.add(&run(0, &a, 3));
         agg.add(&run(1, &b, 5));
         let mut lane = FusedLane::empty(vec![0.0; 3]);
         lane.ask(OpKey::Nn);
-        let out = agg.finish(&[lane], Vec::new()).outcome;
+        let out = agg.finish::<3>(&[lane], &[]).outcome;
         assert_eq!(out.node_visits, 25);
         assert_eq!(out.warps, 32);
         assert_eq!(out.shards_pruned, 36);

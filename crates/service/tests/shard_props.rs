@@ -1,74 +1,20 @@
-//! Property tests for the shard merge/prune layer (vendored proptest stub).
+//! Property tests for the shard prune layer (vendored proptest stub).
 //!
-//! * **Merge is lossless**: taking the k-best of each shard's list and
-//!   merging equals taking the k-best of the concatenated list — the
-//!   algebraic fact that makes per-shard kNN fan-out exact.
 //! * **Pruning is invisible**: an AABB-pruned [`ShardedIndex`] returns
 //!   bitwise-identical results to an unpruned one; it may only *reduce*
 //!   node visits, never change answers.
+//!
+//! That the fold itself is lossless — per-shard states merged in shard
+//! order equal one walk over every point, and a shard a state does not
+//! reach changes nothing — is property-tested where the fold lives, as
+//! `gts_apps::fused`'s `merge_` tests.
 
-use gts_apps::kbest::KBest;
 use gts_points::gen::geocity_like;
-use gts_service::{merge_kbest, Backend, ExecPolicy, OpKey, ShardedIndexBuilder, TreeIndex};
+use gts_service::{Backend, ExecPolicy, OpKey, ShardedIndexBuilder, TreeIndex};
 use gts_trees::SplitPolicy;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-    #[test]
-    fn merged_kbest_equals_kbest_of_concatenation(
-        seed in 0u64..1 << 40,
-        k in 1usize..12,
-        n_lists in 1usize..9,
-        per_list in 0usize..40,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut next_id = 0u32;
-        // Per-shard candidate pools; a shard's contribution to the merge
-        // is its own k-best, exactly as ShardedIndex accumulates them.
-        let mut all: Vec<(f32, u32)> = Vec::new();
-        let lists: Vec<(Vec<f32>, Vec<u32>)> = (0..n_lists)
-            .map(|_| {
-                let mut kb = KBest::new(k);
-                for _ in 0..per_list {
-                    let d2 = rng.gen_range(0.0f32..4.0);
-                    // Quantize so exact ties actually occur.
-                    let d2 = (d2 * 8.0).round() / 8.0;
-                    all.push((d2, next_id));
-                    kb.offer(d2, next_id);
-                    next_id += 1;
-                }
-                (kb.distances().to_vec(), kb.ids().to_vec())
-            })
-            .collect();
-
-        let (got_d, got_i) = merge_kbest(k, &lists);
-
-        let mut kb = KBest::new(k);
-        for &(d2, id) in &all {
-            kb.offer(d2, id);
-        }
-        let want_d = kb.distances().to_vec();
-
-        // Distances must agree exactly; ids only up to ties, so check
-        // each returned id really sits at its claimed distance.
-        prop_assert_eq!(&got_d, &want_d);
-        prop_assert_eq!(got_i.len(), got_d.len());
-        prop_assert!(got_d.windows(2).all(|w| w[0] <= w[1]));
-        let mut uniq = got_i.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        prop_assert_eq!(uniq.len(), got_i.len(), "merge produced duplicate ids");
-        for (&d2, &id) in got_d.iter().zip(&got_i) {
-            prop_assert!(
-                all.iter().any(|&(ad, ai)| ai == id && ad == d2),
-                "id {} not offered at distance {}", id, d2
-            );
-        }
-    }
-}
 
 /// Build pruned + unpruned twins over the same clustered dataset and run
 /// the same batch through both with the CPU executor.

@@ -13,7 +13,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gts_points::gen::uniform;
-use gts_service::{Backend, ExecPolicy, KdIndex, Query, QueryKind, Service, ServiceConfig, Ticket};
+use gts_service::{
+    Backend, ExecPolicy, KdIndex, Query, QueryKind, Service, ServiceConfig, ShardedIndex, Ticket,
+    TreeIndex,
+};
 use gts_trees::SplitPolicy;
 
 struct Counting;
@@ -42,21 +45,15 @@ static GLOBAL: Counting = Counting;
 const QUERIES: usize = 4096;
 const WARM_UP: usize = 512;
 
-/// Allocations per query of serving `QUERIES` queries whose kinds cycle
-/// through `kinds`, after a warm-up of the same stream.
-fn allocs_per_query(kinds: &[QueryKind]) -> f64 {
-    let data = uniform::<3>(4096, 0xa110c);
+/// Allocations per query of serving, from `index`, `QUERIES` queries whose
+/// kinds cycle through `kinds`, after a warm-up of the same stream.
+fn allocs_per_query(index: Arc<dyn TreeIndex>, kinds: &[QueryKind]) -> f64 {
     let service = Service::start(ServiceConfig {
         workers: 1,
         policy: ExecPolicy::forced(Backend::Cpu),
         ..ServiceConfig::default()
     });
-    let index = service.register_index(Arc::new(KdIndex::build(
-        "alloc",
-        &data,
-        8,
-        SplitPolicy::MedianCycle,
-    )));
+    let index = service.register_index(index);
     let queries: Vec<Query> = (uniform::<3>(WARM_UP + QUERIES, 0xbeef).iter().enumerate())
         .map(|(i, p)| Query {
             index,
@@ -86,16 +83,37 @@ fn allocs_per_query(kinds: &[QueryKind]) -> f64 {
 
 #[test]
 fn service_path_allocates_a_few_times_per_query() {
-    let nn = allocs_per_query(&[QueryKind::Nn]);
-    let mix = allocs_per_query(&[
+    let data = uniform::<3>(4096, 0xa110c);
+    let flat = Arc::new(KdIndex::build("alloc", &data, 8, SplitPolicy::MedianCycle));
+    let mix_kinds = [
         QueryKind::Nn,
         QueryKind::Knn { k: 8 },
         QueryKind::Pc { radius: 0.1 },
-    ]);
-    println!("allocations per served query: NN only {nn:.2}, NN / kNN k=8 / PC mix {mix:.2}");
+    ];
+    let nn = allocs_per_query(flat.clone(), &[QueryKind::Nn]);
+    let mix = allocs_per_query(flat, &mix_kinds);
+    let sharded = Arc::new(ShardedIndex::build(
+        "alloc",
+        &data,
+        4,
+        8,
+        SplitPolicy::MedianCycle,
+    ));
+    let sharded = allocs_per_query(sharded, &mix_kinds);
+    println!(
+        "allocations per served query: NN only {nn:.2}, NN / kNN k=8 / PC mix {mix:.2}, \
+         the mix on 4 shards {sharded:.2}"
+    );
     // Measured (2.12 and 6.77) + 10 %. The mix stays under 8: a position
     // key per fused entry and a copy of every answer that no callback
     // asked for put it at 8.46.
     assert!(nn < 2.33, "NN only: {nn:.2} allocations per query");
     assert!(mix < 7.45, "mix: {mix:.2} allocations per query");
+    // Measured (12.27) + 10 %. A lane's walks leave one fused state per
+    // shard, folded into its accumulator and read off as answers once per
+    // batch; building answers per shard and folding those put it at 15.34.
+    assert!(
+        sharded < 13.5,
+        "4 shards: {sharded:.2} allocations per query"
+    );
 }
