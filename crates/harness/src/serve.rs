@@ -46,6 +46,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Write `text` to `path` whole: into a sibling tmp file, then renamed over
+/// `path`, so a reader never sees a torn file — not even after a SIGKILL.
+fn publish(path: &str, text: &str) -> std::io::Result<()> {
+    let tmp = format!("{path}.tmp");
+    std::fs::write(&tmp, text)?;
+    std::fs::rename(&tmp, path)
+}
+
 fn parse_floats(tokens: &[&str]) -> Option<Vec<f32>> {
     tokens.iter().map(|t| t.parse().ok()).collect()
 }
@@ -294,9 +302,7 @@ pub fn main_serve(args: &[String]) {
             "listening on {bound} (binary frame protocol; `gts-harness loadgen --connect {bound}`)"
         );
         if let Some(path) = &port_file {
-            let tmp = format!("{path}.tmp");
-            std::fs::write(&tmp, bound.to_string()).expect("write port file");
-            std::fs::rename(&tmp, path).expect("publish port file");
+            publish(path, &bound.to_string()).expect("publish port file");
         }
         server
     });
@@ -311,38 +317,22 @@ pub fn main_serve(args: &[String]) {
         .as_ref()
         .map(|path| TraceStream::create(path).expect("create trace stream"));
     std::thread::scope(|scope| {
-        if let Some(path) = metrics_file.clone() {
-            let service = &service;
-            let stop = &stop;
+        // One refresher republishes the metrics and the slow log each
+        // second until stopped: a SIGKILL mid-run leaves the last whole
+        // files behind.
+        if metrics_file.is_some() || slow_log_file.is_some() {
+            let (service, stop) = (&service, &stop);
+            let (metrics_file, slow_log_file) = (&metrics_file, &slow_log_file);
             scope.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let tmp = format!("{path}.tmp");
-                    if std::fs::write(&tmp, service.metrics().to_prometheus()).is_ok() {
-                        let _ = std::fs::rename(&tmp, &path);
+                    if let Some(path) = metrics_file {
+                        let _ = publish(path, &service.metrics().to_prometheus());
+                    }
+                    if let Some(path) = slow_log_file {
+                        let _ = publish(path, &service.slow_log_json());
                     }
                     // Re-check the flag at a human cadence: fresh enough
                     // for a scraper, cheap enough to never matter.
-                    for _ in 0..10 {
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(100));
-                    }
-                }
-            });
-        }
-        if let Some(path) = slow_log_file.clone() {
-            let service = &service;
-            let stop = &stop;
-            scope.spawn(move || {
-                // Tmp + rename each second: the published file is always a
-                // complete JSON document, so a SIGKILL mid-run leaves the
-                // last good dump behind, never a torn one.
-                while !stop.load(Ordering::Relaxed) {
-                    let tmp = format!("{path}.tmp");
-                    if std::fs::write(&tmp, service.slow_log_json()).is_ok() {
-                        let _ = std::fs::rename(&tmp, &path);
-                    }
                     for _ in 0..10 {
                         if stop.load(Ordering::Relaxed) {
                             return;
@@ -470,9 +460,7 @@ pub fn main_serve(args: &[String]) {
     // every commit up to the drain.
     if let Some(path) = &slow_log_file {
         let stats = service.slow_log().stats();
-        let tmp = format!("{path}.tmp");
-        std::fs::write(&tmp, service.slow_log_json()).expect("write slow log");
-        std::fs::rename(&tmp, path).expect("publish slow log");
+        publish(path, &service.slow_log_json()).expect("publish slow log");
         eprintln!(
             "wrote {path} ({} committed, {} evicted, threshold {}µs)",
             stats.committed, stats.evicted, stats.threshold_us
@@ -480,7 +468,7 @@ pub fn main_serve(args: &[String]) {
     }
     let (snapshot, trace) = service.shutdown_with_trace();
     if let Some(path) = &metrics_file {
-        std::fs::write(path, snapshot.to_prometheus()).expect("write metrics file");
+        publish(path, &snapshot.to_prometheus()).expect("publish metrics file");
         eprintln!("wrote {path}");
     }
     if let Some(path) = &trace_file {

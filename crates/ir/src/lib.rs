@@ -1,5 +1,12 @@
 //! # gts-ir — the traversal compiler
 //!
+//! This crate reproduces the paper's §3: the pseudo-tail-recursion check,
+//! the restructuring that makes a kernel body pseudo-tail-recursive,
+//! call-set analysis, the autoropes transform, and Figures 4–6. Nothing on
+//! the served path (`gts-service`, `gts-net`) reads it; the served
+//! kernels are hand-written `gts-apps` rules whose declared constants are
+//! held to their behaviour by tests instead.
+//!
 //! The paper implements its transformations in a C++ source-to-source
 //! compiler (ROSE, §5). This crate is that compiler's analysis and
 //! transformation layer over an equivalent input: traversal kernels

@@ -21,6 +21,7 @@ use gts_points::sort::morton_order;
 use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig, Meter, Unmetered, WarpSim};
 use gts_runtime::{cpu, AllLive, Dead, GpuReport, Live, PointRule, Tombstones, TraversalKernel};
 use gts_trees::{KdTree, LbKdTree, PointN, SplitPolicy};
+use serde::Serialize;
 use std::collections::HashSet;
 
 /// Execution record of one dispatched batch, from the executor to the
@@ -133,8 +134,9 @@ impl BatchOutcome {
 }
 
 /// One shard's sub-batch inside a sharded batch execution — the unit the
-/// trace recorder renders as a nested span under the batch.
-#[derive(Debug, Clone, PartialEq)]
+/// trace recorder renders as a nested span under the batch, and the slow
+/// log lists in visit order.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ShardVisit {
     /// Shard index within the sharded index (for a mutable index with
     /// inserts pending, the shard of those inserts follows the merged
@@ -262,6 +264,15 @@ pub struct FusedOutcome {
     /// `fused_lanes` / `fusion_saved_visits` are populated when the lanes
     /// carried two or more distinct ops (0 for a single-op batch).
     pub outcome: BatchOutcome,
+}
+
+impl FusedOutcome {
+    /// Whether these are answers to `lanes`: one result per lane, with an
+    /// answer for every op its lane asked.
+    pub(crate) fn fits(&self, lanes: &[FusedLane]) -> bool {
+        self.lanes.len() == lanes.len()
+            && (lanes.iter().zip(&self.lanes)).all(|(l, r)| r.answers().count() >= l.ops())
+    }
 }
 
 /// A profile-cache consultation context: where to memoize this batch's

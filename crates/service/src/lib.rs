@@ -78,9 +78,7 @@ pub use policy::{Backend, ExecPolicy, FusionMode};
 pub use query::{BatchKey, IndexId, OpKey, Query, QueryKind, QueryResult};
 pub use service::{CompletionFn, Service, ServiceConfig, ServiceError, Ticket};
 pub use shard::{ShardedIndex, ShardedIndexBuilder, DEFAULT_PROFILE_TTL};
-pub use slowlog::{
-    QueryRecord, ShardVisitRecord, SlowLog, SlowLogDump, SlowLogStats, SLOW_LOG_WARMUP,
-};
+pub use slowlog::{QueryRecord, SlowLog, SlowLogDump, SlowLogStats, SLOW_LOG_WARMUP};
 pub use trace::{
     fused_ops_name, merge_snapshots, EventKind, TraceContext, TraceEvent, TraceRecorder,
     TraceSnapshot, TraceStream, TraceStreamStats, FUSED_OP_KNN, FUSED_OP_NN, FUSED_OP_PC,

@@ -28,13 +28,14 @@
 
 use crate::batcher::{BatchEntry, Batcher, ReadyBatch};
 use crate::epoch::{EpochEvent, EpochStats, MutateError, Mutation, MutationAck};
-use crate::index::{FusedLane, FusedOutcome, TreeIndex};
+use crate::index::{BatchOutcome, FusedLane, ShardVisit, TreeIndex};
 use crate::metrics::{BatchRecord, KindDropped, Metrics, MetricsSnapshot};
 use crate::policy::{ExecPolicy, FusionMode};
 use crate::query::{BatchKey, IndexId, Query, QueryResult};
-use crate::slowlog::{QueryRecord, ShardVisitRecord, SlowLog};
+use crate::slowlog::{QueryRecord, SlowLog};
 use crate::trace::{EventKind, TraceContext, TraceRecorder, TraceSnapshot, NO_ID};
 use crossbeam::channel::{bounded, Receiver, Sender};
+use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, Hasher};
 use std::panic::AssertUnwindSafe;
@@ -70,7 +71,7 @@ pub enum ServiceError {
         /// The configured admission budget the prediction exceeded.
         budget: Duration,
     },
-    /// A worker failed while executing the batch (kernel panic).
+    /// The batch failed: its kernel panicked, or its answers missed lanes.
     Internal(String),
 }
 
@@ -330,14 +331,20 @@ impl Drop for DepthGuard {
     }
 }
 
-/// Payload riding each batched query: its ticket, submit time, trace query
-/// id, propagated trace context, and the depth guard keeping the admission
-/// gauge honest.
-struct Tag {
-    ticket: Ticket,
-    submitted: Instant,
+/// A query as every sink names it: its trace query id, its propagated
+/// trace context, and when it was submitted.
+#[derive(Clone, Copy)]
+struct Origin {
     query: u64,
     ctx: TraceContext,
+    submitted: Instant,
+}
+
+/// Payload riding each batched query: its origin, its ticket, and the
+/// depth guard keeping the admission gauge honest.
+struct Tag {
+    origin: Origin,
+    ticket: Ticket,
     _depth: DepthGuard,
 }
 
@@ -562,32 +569,114 @@ fn reject_reason(err: &ServiceError) -> &'static str {
     }
 }
 
-/// The flight-recorder record, as of now, of a query that never executed:
-/// refused at submission, or — the worker adds `batch` and
-/// `queue_wait_us` — caught in a batch that failed. The wait is all there
-/// is to report.
-fn rejected_record(
-    shared: &Shared,
-    query: u64,
-    ctx: TraceContext,
+/// The dispatch a query rode in: `out` is what the index answered with
+/// (`None`: the dispatch failed), `epoch` its epoch window, and
+/// `threshold_us` the rolling slow-log threshold its answers are judged by.
+struct Ride<'a> {
+    id: u64,
+    dispatched: Instant,
+    out: Option<&'a BatchOutcome>,
+    epoch: Option<EpochStats>,
+    threshold_us: u64,
+}
+
+/// How one query ended, at `ended`: answered (`reason` is `None`), or
+/// failed with the dispatch it rode in, or refused at submission (`ride`
+/// is `None`). Its [`QueryRecord`] is built from this.
+struct End<'a> {
+    origin: Origin,
+    index: &'a str,
     op: &'static str,
-    submitted: Instant,
-    index: String,
-    reason: &'static str,
-) -> QueryRecord {
-    let submitted_us = shared.trace.us_of(submitted);
-    QueryRecord {
-        query,
-        trace_id: ctx.trace_id,
-        span_id: ctx.span_id,
-        index,
-        op,
-        outcome: "rejected",
-        reason: Some(reason),
-        submitted_us,
-        latency_us: shared.trace.now_us().saturating_sub(submitted_us),
-        threshold_us: shared.slow_log.stats().threshold_us,
-        ..QueryRecord::default()
+    ride: Option<&'a Ride<'a>>,
+    reason: Option<&'static str>,
+    ended: Instant,
+}
+
+impl End<'_> {
+    /// The one [`QueryRecord`] constructor, with the slow log's verdict on
+    /// the latency; `index` and `shard_visits` are borrowed, or copies for
+    /// the record the slow log keeps.
+    fn record<'o>(
+        &self,
+        trace: &TraceRecorder,
+        (latency_us, outcome, threshold_us): (u64, &'static str, u64),
+        index: Cow<'o, str>,
+        shard_visits: Cow<'o, [ShardVisit]>,
+    ) -> QueryRecord<'o> {
+        let (origin, ride) = (self.origin, self.ride);
+        let (out, epoch) = (ride.and_then(|r| r.out), ride.and_then(|r| r.epoch));
+        let us = |d: Duration| d.as_micros() as u64;
+        QueryRecord {
+            query: origin.query,
+            trace_id: origin.ctx.trace_id,
+            span_id: origin.ctx.span_id,
+            index,
+            op: self.op,
+            outcome,
+            reason: self.reason,
+            backend: out.map(|o| o.backend.name()),
+            batch: ride.map(|r| r.id),
+            submitted_us: trace.us_of(origin.submitted),
+            queue_wait_us: ride.map_or(0, |r| us(r.dispatched - origin.submitted)),
+            exec_us: out.and(ride).map_or(0, |r| us(self.ended - r.dispatched)),
+            latency_us,
+            threshold_us,
+            node_visits: out.map_or(0, |o| o.node_visits),
+            metered: out.is_some_and(|o| o.metered),
+            stack_bytes_peak: out.map_or(0, |o| o.stack_bytes_peak),
+            shards_pruned: out.map_or(0, |o| o.shards_pruned),
+            shard_visits,
+            epoch: epoch.map(|s| s.epoch),
+            pending_deltas: epoch.map(|s| s.pending),
+        }
+    }
+}
+
+/// Where every query ends, and the one place its end is written: the
+/// metrics, the trace event (a `Complete` span or a `Reject` instant) and
+/// the slow log all read one [`QueryRecord`]. An answer commits when the
+/// tail sampler keeps it, a refusal or a failure always. Then the depth
+/// guard drops and the ticket, if one was issued, resolves.
+fn finish(shared: &Shared, end: End<'_>, tag: Option<(Tag, Result<QueryResult, ServiceError>)>) {
+    let (trace, log, metrics) = (&shared.trace, &shared.slow_log, &shared.metrics);
+    // Submit to end: the `Complete` span's length, and the latency sample.
+    let latency = end.ended - end.origin.submitted;
+    let latency_us = latency.as_micros() as u64;
+    let (keep, outcome, threshold_us) = match (end.reason, end.ride) {
+        (None, Some(ride)) => log.decide(latency_us, ride.threshold_us),
+        _ => (log.capacity() > 0, "rejected", log.stats().threshold_us),
+    };
+    let judged = (latency_us, outcome, threshold_us);
+    let visits: &[ShardVisit] = (end.ride.and_then(|r| r.out)).map_or(&[], |o| &o.shard_visits);
+    let r = end.record(trace, judged, end.index.into(), visits.into());
+    let (query, batch, trace_id) = (r.query, r.batch.unwrap_or(NO_ID), r.trace_id);
+    match r.reason {
+        None => {
+            metrics.on_complete(&r.index, latency, query, trace_id);
+            let kind = EventKind::Complete;
+            trace.span_traced(r.submitted_us, r.latency_us, query, batch, trace_id, kind);
+        }
+        Some(reason) => {
+            match (reason, end.ride) {
+                ("overloaded", _) => metrics.on_admission_reject(),
+                // Accepted, never answered: counted, so the registry balances.
+                (_, Some(_)) => metrics.on_fail(1),
+                (_, None) => metrics.on_reject(),
+            }
+            let (ts_us, kind) = (r.submitted_us + r.latency_us, EventKind::Reject { reason });
+            trace.instant_traced(ts_us, query, batch, trace_id, kind);
+        }
+    }
+    if keep {
+        let (index, visits) = (end.index.to_owned().into(), visits.to_vec().into());
+        log.commit(end.record(trace, judged, index, visits));
+    }
+    if let Some((Tag { ticket, _depth, .. }, result)) = tag {
+        // Depth guard drops *before* the ticket resolves, so a caller
+        // observing completion never sees a stale depth (the admission
+        // model would reject spuriously).
+        drop(_depth);
+        ticket.resolve(result);
     }
 }
 
@@ -778,33 +867,33 @@ impl Service {
             shared.metrics.on_propagated();
         }
         let submitted = Instant::now();
+        let origin = Origin {
+            query: qid,
+            ctx,
+            submitted,
+        };
         let index_id = query.index;
         let op = query.kind.op_key().map_or("invalid", |op| op.family().0);
-        let reject = |reason: &'static str| {
-            trace.instant_traced(
-                trace.now_us(),
-                qid,
-                NO_ID,
-                ctx.trace_id,
-                EventKind::Reject { reason },
-            );
-            // Rejects always commit to the flight recorder (a rejection at
-            // the tail is exactly what the operator is hunting), with
-            // whatever detail exists before execution.
-            if shared.slow_log.capacity() > 0 {
-                let name = (shared.indices().get(index_id))
-                    .map_or_else(|| format!("index-{index_id}"), |i| i.name().to_string());
-                let record = rejected_record(shared, qid, ctx, op, submitted, name, reason);
-                shared.slow_log.commit(record);
-            }
+        // A refused query ends here, with a record and without a ticket.
+        let refuse = |err: ServiceError| {
+            let index = shared.indices().get(index_id).cloned();
+            let unknown = || Cow::Owned(format!("index-{index_id}"));
+            let name = (index.as_ref()).map_or_else(unknown, |i| i.name().into());
+            let (reason, ended) = (Some(reject_reason(&err)), Instant::now());
+            let end = End {
+                origin,
+                index: &name,
+                op,
+                ride: None,
+                reason,
+                ended,
+            };
+            finish(shared, end, None);
+            Err(err)
         };
         let key = match self.validate(&query) {
             Ok(key) => key,
-            Err(err) => {
-                shared.metrics.on_reject();
-                reject(reject_reason(&err));
-                return Err(err);
-            }
+            Err(err) => return refuse(err),
         };
         // Latency-budget admission: reject up front when the modeled wait
         // already exceeds the budget, rather than parking the caller on a
@@ -824,9 +913,7 @@ impl Service {
                 },
             );
             if !accepted {
-                shared.metrics.on_admission_reject();
-                reject("overloaded");
-                return Err(ServiceError::Overloaded {
+                return refuse(ServiceError::Overloaded {
                     predicted_wait: predicted,
                     budget,
                 });
@@ -838,10 +925,8 @@ impl Service {
         let entry = BatchEntry {
             pos: query.pos,
             tag: Tag {
+                origin,
                 ticket: ticket.clone(),
-                submitted,
-                query: qid,
-                ctx,
                 _depth: DepthGuard::acquire(&shared.depth),
             },
         };
@@ -855,9 +940,7 @@ impl Service {
         if front.tx.is_none() {
             // The close raced the submission: the query never ran.
             drop(front);
-            shared.metrics.on_reject();
-            reject("shutting-down");
-            return Err(ServiceError::ShuttingDown);
+            return refuse(ServiceError::ShuttingDown);
         }
         // The bucket ages from `submitted`, read before the lock: two
         // racing submitters may create buckets a hair out of deadline
@@ -1067,206 +1150,122 @@ fn handle(dispatch: Dispatch<Tag>, shared: &Shared) {
     let dispatch_us = trace.us_of(dispatched);
     let index = shared.indices().get(index_id).cloned();
     let index_name = index.as_ref().map_or("unknown", |i| i.name());
+    let misfit = || ServiceError::Internal("answers do not fit the lanes".into());
     let outcome = match &index {
         Some(index) => {
             std::panic::catch_unwind(AssertUnwindSafe(|| index.run(&lanes, &shared.policy)))
                 .map_err(|_| ServiceError::Internal("kernel panicked".into()))
+                // The scatter reads an answer for every op of every lane:
+                // an outcome of another shape fails the dispatch the way a
+                // panic does, and spares the worker.
+                .and_then(|o| o.fits(&lanes).then_some(o).ok_or_else(misfit))
         }
         // Registration is checked at submit; this covers torn-down state
         // only.
         None => Err(ServiceError::UnknownIndex(index_id)),
     };
-    let queue_wait_of = |tag: &Tag| dispatched.duration_since(tag.submitted);
     let size: usize = parts.iter().map(|p| p.entries.len()).sum();
-    match outcome {
-        Ok(FusedOutcome {
-            lanes: lane_results,
-            outcome: out,
-        }) => {
-            let queue_wait = (parts.iter().flat_map(|p| &p.entries))
-                .map(|(tag, _)| queue_wait_of(tag))
-                .max()
-                .unwrap_or(Duration::ZERO);
-            let done = Instant::now();
-            let exec = done.duration_since(dispatched);
-            // The outcome's `results` is empty (answers live in
-            // `lane_results`) — the record's size is the query count the
-            // dispatch served.
-            let mut rec = BatchRecord::from_outcome(&out, queue_wait, exec, index_name);
-            rec.size = size;
-            shared.metrics.on_batch(&rec);
-            let done_us = trace.us_of(done);
-            // One batch span per dispatch — the invariant the
-            // observability tests check against `batches` in the metrics
-            // snapshot. Lanes carrying two or more distinct ops (which is
-            // when the index reports fused lanes) make it a FusedBatch
-            // span naming the ops.
-            let span = if out.fused_lanes > 0 {
-                let ops =
-                    (lanes.iter().flat_map(|l| l.op_keys())).fold(0, |ops, op| ops | op.family().1);
-                EventKind::FusedBatch {
-                    lanes: lanes.len() as u32,
-                    parts: parts.len() as u32,
-                    ops,
-                    backend: out.backend,
-                    node_visits: out.node_visits,
-                    saved_visits: out.fusion_saved_visits,
-                    metered: out.metered,
-                }
-            } else {
-                EventKind::Batch {
-                    size: size as u32,
-                    backend: out.backend,
-                    node_visits: out.node_visits,
-                    metered: out.metered,
-                    model_ms: out.model_ms,
-                    work_expansion: out.work_expansion,
-                    mask_occupancy: out.mask_occupancy,
-                }
-            };
-            trace.span(
-                dispatch_us,
-                done_us.saturating_sub(dispatch_us),
-                NO_ID,
-                id,
-                span,
-            );
-            trace.instant(
-                done_us,
-                NO_ID,
-                id,
-                EventKind::BackendChoice {
-                    backend: out.backend,
-                    similarity: out.mean_similarity,
-                },
-            );
-            for v in &out.shard_visits {
-                trace.span(
-                    dispatch_us + v.offset_us,
-                    v.dur_us,
-                    NO_ID,
-                    id,
-                    EventKind::ShardVisit {
-                        shard: v.shard,
-                        round: v.round,
-                        queries: v.queries,
-                        node_visits: v.node_visits,
-                    },
-                );
+    let done = Instant::now();
+    let out = outcome.as_ref().ok().map(|o| &o.outcome);
+    if let Some(out) = out {
+        let queue_wait = (parts.iter().flat_map(|p| &p.entries))
+            .map(|(tag, _)| dispatched.duration_since(tag.origin.submitted))
+            .max()
+            .unwrap_or(Duration::ZERO);
+        let exec = done.duration_since(dispatched);
+        // The outcome's `results` is empty (answers live in its
+        // `lanes`) — the record's size is the query count the
+        // dispatch served.
+        let mut rec = BatchRecord::from_outcome(out, queue_wait, exec, index_name);
+        rec.size = size;
+        shared.metrics.on_batch(&rec);
+        let done_us = trace.us_of(done);
+        // One batch span per dispatch — the invariant the
+        // observability tests check against `batches` in the metrics
+        // snapshot. Lanes carrying two or more distinct ops (which is
+        // when the index reports fused lanes) make it a FusedBatch
+        // span naming the ops.
+        let span = if out.fused_lanes > 0 {
+            let ops =
+                (lanes.iter().flat_map(|l| l.op_keys())).fold(0, |ops, op| ops | op.family().1);
+            EventKind::FusedBatch {
+                lanes: lanes.len() as u32,
+                parts: parts.len() as u32,
+                ops,
+                backend: out.backend,
+                node_visits: out.node_visits,
+                saved_visits: out.fusion_saved_visits,
+                metered: out.metered,
             }
-            // Tail-sampling context shared by every entry of the batch:
-            // the rolling threshold, the epoch window, and the shard
-            // visit path (with per-shard prune counts).
-            let threshold_us = shared
-                .metrics
-                .slow_threshold_us(shared.slow_log.percentile());
-            let epoch_stats = index.as_ref().and_then(|i| i.epoch_stats());
-            let shard_visits: Vec<ShardVisitRecord> = out
-                .shard_visits
-                .iter()
-                .map(|v| ShardVisitRecord {
+        } else {
+            EventKind::Batch {
+                size: size as u32,
+                backend: out.backend,
+                node_visits: out.node_visits,
+                metered: out.metered,
+                model_ms: out.model_ms,
+                work_expansion: out.work_expansion,
+                mask_occupancy: out.mask_occupancy,
+            }
+        };
+        trace.span(
+            dispatch_us,
+            done_us.saturating_sub(dispatch_us),
+            NO_ID,
+            id,
+            span,
+        );
+        trace.instant(
+            done_us,
+            NO_ID,
+            id,
+            EventKind::BackendChoice {
+                backend: out.backend,
+                similarity: out.mean_similarity,
+            },
+        );
+        for v in &out.shard_visits {
+            trace.span(
+                dispatch_us + v.offset_us,
+                v.dur_us,
+                NO_ID,
+                id,
+                EventKind::ShardVisit {
                     shard: v.shard,
                     round: v.round,
                     queries: v.queries,
                     node_visits: v.node_visits,
-                    pruned: v.pruned,
-                })
-                .collect();
-            for part in parts {
-                let (op, _) = part.key.op.family();
-                for (tag, lane) in part.entries {
-                    let lane = lane as usize;
-                    let r = lane_results[lane]
-                        .answer(&lanes[lane], part.key.op)
-                        .expect("the entry's lane serves its op")
-                        .clone();
-                    let latency = done.duration_since(tag.submitted);
-                    shared
-                        .metrics
-                        .on_complete(index_name, latency, tag.query, tag.ctx.trace_id);
-                    let start_us = trace.us_of(tag.submitted);
-                    let latency_us = latency.as_micros() as u64;
-                    let (commit, outcome, threshold) =
-                        shared.slow_log.decide(latency_us, threshold_us);
-                    if commit {
-                        shared.slow_log.commit(QueryRecord {
-                            query: tag.query,
-                            trace_id: tag.ctx.trace_id,
-                            span_id: tag.ctx.span_id,
-                            index: index_name.to_string(),
-                            op,
-                            outcome,
-                            reason: None,
-                            backend: Some(out.backend.name()),
-                            batch: Some(id),
-                            submitted_us: start_us,
-                            queue_wait_us: queue_wait_of(&tag).as_micros() as u64,
-                            exec_us: exec.as_micros() as u64,
-                            latency_us,
-                            threshold_us: threshold,
-                            node_visits: out.node_visits,
-                            metered: out.metered,
-                            stack_bytes_peak: out.stack_bytes_peak,
-                            shards_pruned: out.shards_pruned,
-                            shard_visits: shard_visits.clone(),
-                            epoch: epoch_stats.as_ref().map(|s| s.epoch),
-                            pending_deltas: epoch_stats.as_ref().map(|s| s.pending),
-                        });
-                    }
-                    trace.span_traced(
-                        start_us,
-                        done_us.saturating_sub(start_us),
-                        tag.query,
-                        id,
-                        tag.ctx.trace_id,
-                        EventKind::Complete,
-                    );
-                    // Depth guard drops *before* the ticket resolves, so a
-                    // caller observing completion never sees a stale depth
-                    // (the admission model would reject spuriously).
-                    let Tag { ticket, _depth, .. } = tag;
-                    drop(_depth);
-                    ticket.resolve(Ok(r));
-                }
-            }
+                },
+            );
         }
-        Err(err) => {
-            let reason = reject_reason(&err);
-            let now_us = trace.now_us();
-            // Accepted, never answered: counted, so the registry balances.
-            shared.metrics.on_fail(size as u64);
-            for part in parts {
-                let (op, _) = part.key.op.family();
-                for (tag, _) in part.entries {
-                    trace.instant_traced(
-                        now_us,
-                        tag.query,
-                        id,
-                        tag.ctx.trace_id,
-                        EventKind::Reject { reason },
-                    );
-                    // Errored queries always commit to the flight recorder.
-                    if shared.slow_log.capacity() > 0 {
-                        let index = index_name.to_string();
-                        shared.slow_log.commit(QueryRecord {
-                            batch: Some(id),
-                            queue_wait_us: queue_wait_of(&tag).as_micros() as u64,
-                            ..rejected_record(
-                                shared,
-                                tag.query,
-                                tag.ctx,
-                                op,
-                                tag.submitted,
-                                index,
-                                reason,
-                            )
-                        });
-                    }
-                    let Tag { ticket, _depth, .. } = tag;
-                    drop(_depth);
-                    ticket.resolve(Err(err.clone()));
-                }
-            }
+    }
+    let ride = Ride {
+        id,
+        dispatched,
+        out,
+        epoch: out.and(index.as_ref()).and_then(|i| i.epoch_stats()),
+        threshold_us: (shared.metrics).slow_threshold_us(shared.slow_log.percentile()),
+    };
+    let reason = outcome.as_ref().err().map(reject_reason);
+    for part in parts {
+        let (key, (op, _)) = (part.key.op, part.key.op.family());
+        for (tag, lane) in part.entries {
+            let lane = lane as usize;
+            let result = match &outcome {
+                Ok(o) => Ok((o.lanes[lane].answer(&lanes[lane], key))
+                    .expect("the outcome's shape was checked")
+                    .clone()),
+                Err(err) => Err(err.clone()),
+            };
+            let end = End {
+                origin: tag.origin,
+                index: index_name,
+                op,
+                ride: Some(&ride),
+                reason,
+                ended: done,
+            };
+            finish(shared, end, Some((tag, result)));
         }
     }
 }

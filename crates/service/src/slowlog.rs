@@ -1,10 +1,10 @@
 //! Tail-based slow-query flight recorder.
 //!
-//! A query's submit time and trace context ride the batch with its
-//! ticket, so when it resolves the worker holds the full forensic record —
-//! backend chosen, shard visit order with per-shard node visits and prune
-//! counts, stack bytes, queue wait, epoch window, exec time — and commits
-//! it to a bounded ring **only if the query is worth keeping**:
+//! Every query ends with one [`QueryRecord`] — backend chosen, shard visit
+//! order with per-shard node visits and prune counts, stack bytes, queue
+//! wait, epoch window, exec time — that the service's metrics and trace
+//! read too. The ring keeps a copy of it **only if the query is worth
+//! keeping**:
 //!
 //! * its latency exceeds a rolling threshold derived from the live
 //!   latency histogram (`ServiceConfig::slow_log_percentile`, e.g. p99),
@@ -31,7 +31,9 @@
 //! histogram ([`crate::metrics`]) link a tail bucket straight to the
 //! query id recorded here.
 
+use crate::index::ShardVisit;
 use serde::Serialize;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -43,26 +45,13 @@ pub const SLOW_LOG_WARMUP: u64 = 64;
 /// pattern defeats the rolling percentile (see the module docs).
 pub const SLOW_LOG_BUDGET: u64 = 32;
 
-/// One shard's sub-batch as seen by a committed slow query, in visit
-/// order.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ShardVisitRecord {
-    /// Shard index within the sharded index.
-    pub shard: u32,
-    /// Fan-out round (0 = home shards).
-    pub round: u32,
-    /// Queries sharing the sub-batch.
-    pub queries: u32,
-    /// Tree-node visits inside the shard.
-    pub node_visits: u64,
-    /// Queries whose AABB bound pruned this shard in this round.
-    pub pruned: u32,
-}
-
-/// A committed flight-recorder entry: everything known about one slow,
-/// rejected, or errored query. The default is a query nothing ran for.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct QueryRecord {
+/// Everything known about how one query ended: answered, refused, or
+/// failed with its batch. The service builds one per query and writes its
+/// metrics, trace event and slow-log entry from it; the index name and
+/// shard visits are borrowed from the batch, and the ring keeps a record
+/// that owns copies of them.
+#[derive(Debug, Clone, Serialize)]
+pub struct QueryRecord<'a> {
     /// Trace query id (matches the trace ring and exemplar labels).
     pub query: u64,
     /// Propagated client trace id (0 = submitted in-process).
@@ -70,7 +59,7 @@ pub struct QueryRecord {
     /// Propagated client span id (the client's frame counter).
     pub span_id: u64,
     /// Index name (or `index-N` when the id never resolved).
-    pub index: String,
+    pub index: Cow<'a, str>,
     /// Operation tag: `nn`, `knn`, or `pc`.
     pub op: &'static str,
     /// Why the record was committed: `slow`, `max`, or `rejected`.
@@ -79,7 +68,7 @@ pub struct QueryRecord {
     pub reason: Option<&'static str>,
     /// Executor that ran the batch (absent for rejected queries).
     pub backend: Option<&'static str>,
-    /// Batch id the query rode in (absent for rejected queries).
+    /// Batch id the query rode in (absent for queries refused at submit).
     pub batch: Option<u64>,
     /// Submit timestamp, µs on the service trace timeline.
     pub submitted_us: u64,
@@ -101,7 +90,7 @@ pub struct QueryRecord {
     /// `(query, shard)` fan-outs the batch pruned.
     pub shards_pruned: u64,
     /// Per-shard sub-batches of the query's batch, in visit order.
-    pub shard_visits: Vec<ShardVisitRecord>,
+    pub shard_visits: Cow<'a, [ShardVisit]>,
     /// Index epoch during execution (mutable indices only).
     pub epoch: Option<u64>,
     /// Pending delta depth during execution (mutable indices only).
@@ -136,11 +125,11 @@ pub struct SlowLogDump {
     /// Latest rolling threshold, µs.
     pub threshold_us: u64,
     /// Retained records, oldest first.
-    pub entries: Vec<QueryRecord>,
+    pub entries: Vec<QueryRecord<'static>>,
 }
 
 struct SlowInner {
-    ring: VecDeque<QueryRecord>,
+    ring: VecDeque<QueryRecord<'static>>,
     committed: u64,
     evicted: u64,
     threshold_us: u64,
@@ -234,7 +223,7 @@ impl SlowLog {
     }
 
     /// Append a committed record, evicting the oldest past capacity.
-    pub fn commit(&self, record: QueryRecord) {
+    pub fn commit(&self, record: QueryRecord<'static>) {
         if self.capacity == 0 {
             return;
         }
@@ -259,7 +248,7 @@ impl SlowLog {
     }
 
     /// Copy out the retained records, oldest first.
-    pub fn snapshot(&self) -> Vec<QueryRecord> {
+    pub fn snapshot(&self) -> Vec<QueryRecord<'static>> {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.ring.iter().cloned().collect()
     }
@@ -293,12 +282,12 @@ impl SlowLog {
 mod tests {
     use super::*;
 
-    fn record(query: u64, latency_us: u64, outcome: &'static str) -> QueryRecord {
+    fn record(query: u64, latency_us: u64, outcome: &'static str) -> QueryRecord<'static> {
         QueryRecord {
             query,
             trace_id: 0,
             span_id: 0,
-            index: "t".into(),
+            index: Cow::Borrowed("t"),
             op: "nn",
             outcome,
             reason: None,
@@ -313,13 +302,16 @@ mod tests {
             metered: false,
             stack_bytes_peak: 0,
             shards_pruned: 0,
-            shard_visits: vec![ShardVisitRecord {
+            shard_visits: Cow::Owned(vec![ShardVisit {
                 shard: 0,
                 round: 0,
                 queries: 1,
                 node_visits: 10,
                 pruned: 0,
-            }],
+                model_ms: 0.0,
+                offset_us: 0,
+                dur_us: 0,
+            }]),
             epoch: None,
             pending_deltas: None,
         }

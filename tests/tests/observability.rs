@@ -4,13 +4,50 @@
 //! metrics snapshot does.
 
 use gts_points::gen::uniform;
+use gts_service::trace::NO_ID;
 use gts_service::{
-    EventKind, KdIndex, Metrics, Query, QueryKind, Service, ServiceConfig, ShardedIndex, TreeIndex,
-    SLOW_LOG_WARMUP,
+    BatchOutcome, EventKind, ExecPolicy, FusedLane, FusedOutcome, KdIndex, Metrics, Query,
+    QueryKind, QueryRecord, QueryResult, Service, ServiceConfig, ServiceError, ShardedIndex,
+    TraceContext, TreeIndex, SLOW_LOG_WARMUP,
 };
 use gts_trees::SplitPolicy;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Far above anything a healthy run needs: a lost ticket is a hang.
+const HANG: Duration = Duration::from_secs(30);
+
+/// An index that fails every dispatch it is given: its `run` panics, or
+/// returns an outcome with no lanes at all.
+struct Broken {
+    inner: KdIndex<3>,
+    panics: bool,
+}
+
+impl TreeIndex for Broken {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn n_points(&self) -> usize {
+        self.inner.n_points()
+    }
+    fn run(&self, _lanes: &[FusedLane], _policy: &ExecPolicy) -> FusedOutcome {
+        assert!(!self.panics, "kernel failpoint");
+        FusedOutcome {
+            lanes: Vec::new(),
+            outcome: BatchOutcome::default(),
+        }
+    }
+}
+
+fn broken(name: &str, panics: bool) -> Arc<Broken> {
+    let pts = uniform::<3>(256, 13);
+    let inner = KdIndex::build(name, &pts, 8, SplitPolicy::MedianCycle);
+    Arc::new(Broken { inner, panics })
+}
 
 fn small_service(trace_capacity: usize) -> (Service, usize) {
     let service = Service::start(ServiceConfig {
@@ -318,4 +355,128 @@ fn rejected_queries_leave_reject_events() {
         .any(|e| matches!(e.kind, EventKind::Reject { reason } if reason == "unknown-index")));
     let snapshot = service.shutdown();
     assert_eq!(snapshot.rejected, 1);
+}
+
+#[test]
+fn wrong_shape_outcome_fails_its_dispatch_and_spares_the_worker() {
+    // One worker: if a malformed outcome killed it, every later dispatch
+    // would wait forever.
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        batch_queries: 32,
+        max_wait: Duration::from_millis(1),
+        ..ServiceConfig::default()
+    });
+    let mute = service.register_index(broken("mute", false));
+    let pts = uniform::<3>(64, 15);
+    let good = service.register_index(Arc::new(KdIndex::build(
+        "good",
+        &pts,
+        8,
+        SplitPolicy::MedianCycle,
+    )));
+    let round = |index| -> Vec<Result<QueryResult, ServiceError>> {
+        let tickets: Vec<_> = (pts.iter())
+            .map(|p| {
+                let query = Query {
+                    index,
+                    pos: p.0.to_vec(),
+                    kind: QueryKind::Nn,
+                };
+                service.submit(query).expect("accepted")
+            })
+            .collect();
+        (tickets.iter())
+            .map(|t| t.wait_timeout(HANG).expect("ticket hung"))
+            .collect()
+    };
+    for r in round(mute) {
+        assert!(matches!(r, Err(ServiceError::Internal(_))), "{r:?}");
+    }
+    for r in round(good) {
+        assert!(matches!(r, Ok(QueryResult::Nn { .. })), "{r:?}");
+    }
+    let s = service.shutdown();
+    assert_eq!((s.completed, s.failed, s.rejected), (64, 64, 0));
+    assert_eq!(s.submitted, s.completed + s.failed + s.rejected);
+}
+
+#[test]
+fn one_record_names_each_ending_alike_on_every_sink() {
+    let (service, good) = small_service(16_384);
+    let boom = service.register_index(broken("boom", true));
+    let at = |index| Query {
+        index,
+        pos: vec![0.5, 0.5, 0.5],
+        kind: QueryKind::Nn,
+    };
+    let ctx = |trace_id| TraceContext {
+        trace_id,
+        span_id: 7,
+    };
+    // Answered first: the first completion always commits.
+    let answered = service.submit_traced(at(good), ctx(0xA1)).expect("valid");
+    assert!(matches!(answered.wait_timeout(HANG), Some(Ok(_))));
+    let failed = service.submit_traced(at(boom), ctx(0xB2)).expect("valid");
+    let failure = failed.wait_timeout(HANG).expect("resolves");
+    assert!(matches!(failure, Err(ServiceError::Internal(_))));
+    let refused = service.submit_traced(at(99), ctx(0xC3));
+    assert!(matches!(refused, Err(ServiceError::UnknownIndex(99))));
+
+    let entries = service.slow_log().snapshot();
+    let entry = |trace_id| -> &QueryRecord {
+        let e = entries.iter().find(|r| r.trace_id == trace_id);
+        e.expect("every ending commits")
+    };
+    let metrics = service.metrics();
+    let trace = service.trace();
+    // The per-query event names the record's query, under its trace id.
+    let event = |r: &QueryRecord| {
+        let ends = |k: &EventKind| matches!(k, EventKind::Complete | EventKind::Reject { .. });
+        let e = (trace.events.iter()).find(|e| e.query == r.query && ends(&e.kind));
+        let e = e.expect("a per-query event");
+        assert_eq!(e.trace, r.trace_id);
+        e
+    };
+
+    let r = entry(0xA1);
+    let e = event(r);
+    assert!(matches!(e.kind, EventKind::Complete));
+    assert_eq!(
+        (r.latency_us, r.batch, r.reason),
+        (e.dur_us, Some(e.batch), None)
+    );
+    let span = (trace.events.iter())
+        .find_map(|b| match b.kind {
+            EventKind::Batch { backend, .. } | EventKind::FusedBatch { backend, .. }
+                if b.batch == e.batch =>
+            {
+                Some(backend)
+            }
+            _ => None,
+        })
+        .expect("the batch span");
+    assert_eq!(r.backend, Some(span.name()));
+    let exemplar = (metrics.latency_exemplars.iter()).find(|x| x.query == r.query);
+    assert_eq!(exemplar.expect("an exemplar").trace, 0xA1);
+
+    let r = entry(0xB2);
+    let e = event(r);
+    assert!(matches!(e.kind, EventKind::Reject { reason: "internal" }));
+    assert_eq!((r.outcome, r.reason), ("rejected", Some("internal")));
+    assert_eq!(r.batch, Some(e.batch));
+    assert_eq!(metrics.failed, 1);
+
+    let r = entry(0xC3);
+    let e = event(r);
+    assert!(matches!(
+        e.kind,
+        EventKind::Reject {
+            reason: "unknown-index"
+        }
+    ));
+    assert_eq!((r.outcome, r.reason), ("rejected", Some("unknown-index")));
+    assert_eq!((r.batch, e.batch), (None, NO_ID));
+    assert_eq!(metrics.rejected, 1);
+    assert_eq!(metrics.submitted, metrics.completed + metrics.failed);
 }
