@@ -68,13 +68,11 @@ impl<const D: usize> PointRule<D> for NnRule {
     }
 }
 
-/// The NN kernel over a midpoint-split kd-tree: [`NnRule`] — or any rule
-/// over its state, such as [`gts_runtime::fused::Live`] of it — under
+/// The NN kernel over a midpoint-split kd-tree: [`NnRule`] under
 /// split-plane pruning.
-pub struct NnKernel<'t, const D: usize, R = NnRule> {
+pub struct NnKernel<'t, const D: usize> {
     tree: &'t KdTree<D>,
     depth: usize,
-    rule: R,
 }
 
 impl<'t, const D: usize> NnKernel<'t, D> {
@@ -82,22 +80,14 @@ impl<'t, const D: usize> NnKernel<'t, D> {
     /// [`gts_trees::SplitPolicy::MidpointWidest`] for the paper's NN
     /// benchmark shape; any kd-tree works).
     pub fn new(tree: &'t KdTree<D>) -> Self {
-        Self::with_rule(tree, NnRule)
-    }
-}
-
-impl<'t, const D: usize, R: PointRule<D, State = NnPoint<D>>> NnKernel<'t, D, R> {
-    /// Kernel answering `rule` over `tree`.
-    pub fn with_rule(tree: &'t KdTree<D>, rule: R) -> Self {
         NnKernel {
             tree,
             depth: tree.depth(),
-            rule,
         }
     }
 }
 
-impl<const D: usize, R: PointRule<D, State = NnPoint<D>>> TraversalKernel for NnKernel<'_, D, R> {
+impl<const D: usize> TraversalKernel for NnKernel<'_, D> {
     type Point = NnPoint<D>;
     /// Squared distance from the query to the plane separating it from
     /// this subtree (0 for the subtree containing the query).
@@ -150,14 +140,14 @@ impl<const D: usize, R: PointRule<D, State = NnPoint<D>>> TraversalKernel for Nn
     ) -> VisitOutcome {
         // Split-plane pruning: the carried bound is a lower bound on any
         // distance inside this subtree.
-        if plane_d2 > self.rule.bound(p) {
+        if plane_d2 > p.best_d2 {
             return VisitOutcome::Truncated;
         }
         if self.tree.is_leaf(node) {
             let first = self.tree.first[node as usize];
             for (k, q) in self.tree.leaf_points(node).iter().enumerate() {
                 let d2 = q.dist2(&p.pos);
-                self.rule.offer(p, d2, first + k as u32);
+                NnRule.offer(p, d2, first + k as u32);
             }
             return VisitOutcome::Leaf;
         }

@@ -37,8 +37,8 @@
 use gts_net::NetServer;
 use gts_points::gen::{geocity_like, uniform};
 use gts_service::{
-    Backend, ExecPolicy, FusionMode, KdIndex, MutableIndexBuilder, Mutation, Query, QueryKind,
-    QueryResult, Service, ServiceConfig, ShardedIndex, TraceStream, TreeIndex,
+    Backend, ExecPolicy, KdIndex, MutableIndexBuilder, Mutation, Query, QueryKind, QueryResult,
+    Service, ServiceConfig, ShardedIndex, TraceStream, TreeIndex,
 };
 use gts_trees::SplitPolicy;
 use std::io::BufRead as _;
@@ -128,7 +128,6 @@ pub fn main_serve(args: &[String]) {
     let mut admission_budget_us: Option<u64> = None;
     let mut backend: Option<Backend> = None;
     let mut stackless = false;
-    let mut fusion = FusionMode::Auto;
     let mut mutable = false;
     let usage = || -> ! {
         eprintln!(
@@ -137,7 +136,7 @@ pub fn main_serve(args: &[String]) {
              [--slow-log PATH] [--slow-log-percentile P] [--slow-log-capacity N] \
              [--listen ADDR] [--port-file PATH] [--admission-budget-us N] \
              [--backend auto|lockstep|autoropes|stackless-kd|stackless-bvh|cpu] \
-             [--stackless] [--fusion auto|off] [--mutable]"
+             [--stackless] [--mutable]"
         );
         std::process::exit(2)
     };
@@ -209,10 +208,6 @@ pub fn main_serve(args: &[String]) {
                 stackless = true;
                 i += 1;
             }
-            "--fusion" => {
-                fusion = FusionMode::from_name(need(i)).unwrap_or_else(|| usage());
-                i += 2;
-            }
             "--mutable" => {
                 mutable = true;
                 i += 1;
@@ -231,7 +226,6 @@ pub fn main_serve(args: &[String]) {
             shard_parallelism: shard_threads,
             force: backend,
             stackless,
-            fusion,
             ..ExecPolicy::default()
         },
         ..ServiceConfig::default()

@@ -3,27 +3,21 @@
 //! Pure data structure, no threads — the service keeps one behind its
 //! front lock, where submitters push and the deadline keeper flushes what
 //! is due; tests drive it directly. Queries coalesce per [`BatchKey`]
-//! (same index, same kernel parameters). A bucket flushes when its oldest
-//! entry has waited past the deadline (so a trickle of queries still makes
-//! latency), or on size, by one of two rules:
+//! (same index, same op). A bucket flushes when its oldest entry has
+//! waited past the deadline (so a trickle of queries still makes latency),
+//! or on size, by one rule: an index's buckets leave together, so the size
+//! that counts is what their dispatch runs — the index's *distinct*
+//! pending positions, across all of its op buckets. The push that brings
+//! them up to the target (rounded up to a warp multiple) flushes. A bucket
+//! that reaches the target in entries still flushes too, so queries piling
+//! up at one position cannot grow a bucket past it.
 //!
-//! * **per op** ([`Batcher::new`]): a bucket flushes when it reaches the
-//!   size target (rounded up to a warp multiple, so full flushes are
-//!   always N×32);
-//! * **by lanes** ([`Batcher::by_lanes`], what the service runs when it
-//!   fuses): an index's buckets leave together, so the size that counts
-//!   is what their fused dispatch runs — the index's *distinct* pending
-//!   positions, across all of its op buckets. The push that brings them
-//!   up to the target flushes. A bucket that reaches the target in
-//!   entries still flushes too, so queries piling up at one position
-//!   cannot grow a bucket past it.
-//!
-//! Under the lanes rule, any bucket leaving resets its index's count, and
-//! the caller takes the index's other buckets with
-//! [`Batcher::flush_index`] under the same borrow. A position counts by
-//! an unkeyed hash of its bits, the same bits the service's lanes compare
-//! (`0.0` and `-0.0` are two lanes), so the count is a function of the
-//! pushes alone; a collision can only delay a flush by a lane.
+//! Any bucket leaving resets its index's count, and the caller takes the
+//! index's other buckets with [`Batcher::flush_index`] under the same
+//! borrow. A position counts by an unkeyed hash of its bits, the same bits
+//! the service's lanes compare (`0.0` and `-0.0` are two lanes), so the
+//! count is a function of the pushes alone; a collision can only delay a
+//! flush by a lane.
 
 use crate::query::BatchKey;
 use std::collections::HashSet;
@@ -69,38 +63,28 @@ pub struct Batcher<T> {
     // iteration order stays deterministic for flush ordering.
     buckets: Vec<Bucket<T>>,
     next_id: u64,
-    /// The lanes rule: each index's pending position hashes, by index id
-    /// (cleared, not dropped, so a warm set never reallocates). `None`
-    /// under the per-op rule.
-    lanes: Option<Vec<HashSet<u64>>>,
+    /// Each index's pending position hashes, by index id (cleared, not
+    /// dropped, so a warm set never reallocates).
+    lanes: Vec<HashSet<u64>>,
 }
 
 impl<T> Batcher<T> {
-    /// Per-op policy with `target` queries per bucket (rounded up to a
-    /// warp multiple, minimum one warp) and `max_wait` before a partial
-    /// bucket flushes anyway.
+    /// A batcher flushing an index at `target` distinct positions and a
+    /// bucket at `target` entries (rounded up to a warp multiple, minimum
+    /// one warp), and a partial bucket after `max_wait` anyway.
     pub fn new(target: usize, max_wait: Duration) -> Self {
         Batcher {
             target: target.max(1).div_ceil(WARP) * WARP,
             max_wait,
             buckets: Vec::new(),
             next_id: 0,
-            lanes: None,
-        }
-    }
-
-    /// Lanes policy: as [`Batcher::new`], but a push also flushes when it
-    /// brings its index's distinct pending positions up to the target.
-    pub fn by_lanes(target: usize, max_wait: Duration) -> Self {
-        Batcher {
-            lanes: Some(Vec::new()),
-            ..Batcher::new(target, max_wait)
+            lanes: Vec::new(),
         }
     }
 
     /// Take the next batch id (ascending in flush order). The service's
-    /// fusion coalescer also draws ids here, so fused dispatches share
-    /// one id space with per-op batches.
+    /// coalescer also draws ids here, so a dispatch of several buckets
+    /// shares one id space with single buckets.
     pub fn take_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -117,23 +101,22 @@ impl<T> Batcher<T> {
         self.buckets.iter().map(|b| b.entries.len()).sum()
     }
 
-    /// Add a query. Returns the key's batch if this push filled it to the
-    /// size target — or, under the lanes rule, filled its index's lanes.
+    /// Add a query. Returns the key's batch if this push filled its
+    /// index's lanes, or the bucket, to the size target.
     pub fn push(
         &mut self,
         key: BatchKey,
         entry: BatchEntry<T>,
         now: Instant,
     ) -> Option<ReadyBatch<T>> {
-        let lanes_full = self.lanes.as_mut().is_some_and(|lanes| {
-            if lanes.len() <= key.index {
-                lanes.resize_with(key.index + 1, HashSet::new);
-            }
-            let mut h = DefaultHasher::new();
-            entry.pos.iter().for_each(|v| h.write_u32(v.to_bits()));
-            lanes[key.index].insert(h.finish());
-            lanes[key.index].len() >= self.target
-        });
+        if self.lanes.len() <= key.index {
+            self.lanes.resize_with(key.index + 1, HashSet::new);
+        }
+        let mut h = DefaultHasher::new();
+        entry.pos.iter().for_each(|v| h.write_u32(v.to_bits()));
+        let lanes = &mut self.lanes[key.index];
+        lanes.insert(h.finish());
+        let lanes_full = lanes.len() >= self.target;
         let at = (self.buckets.iter().position(|b| b.key == key)).unwrap_or_else(|| {
             self.buckets.push(Bucket {
                 key,
@@ -150,10 +133,10 @@ impl<T> Batcher<T> {
         Some(self.ready(b))
     }
 
-    /// A bucket on its way out: its batch id, and under the lanes rule
-    /// its index's count starts over.
+    /// A bucket on its way out: its batch id, and its index's count
+    /// starts over.
     fn ready(&mut self, b: Bucket<T>) -> ReadyBatch<T> {
-        if let Some(set) = (self.lanes.as_mut()).and_then(|lanes| lanes.get_mut(b.key.index)) {
+        if let Some(set) = self.lanes.get_mut(b.key.index) {
             set.clear();
         }
         ReadyBatch {
@@ -191,9 +174,8 @@ impl<T> Batcher<T> {
         self.buckets.iter().map(|b| b.oldest + self.max_wait).min()
     }
 
-    /// Flush every bucket of `index` regardless of size or age — under
-    /// the lanes rule, the rest of an index one of whose buckets just
-    /// flushed.
+    /// Flush every bucket of `index` regardless of size or age — the rest
+    /// of an index one of whose buckets just flushed.
     pub fn flush_index(&mut self, index: usize) -> Vec<ReadyBatch<T>> {
         self.flush_where(|b| b.key.index == index)
     }
@@ -336,7 +318,7 @@ mod tests {
 
     #[test]
     fn lanes_count_distinct_positions_across_op_buckets() {
-        let mut b = Batcher::by_lanes(32, Duration::from_secs(60));
+        let mut b = Batcher::new(32, Duration::from_secs(60));
         let now = Instant::now();
         // A triple at one position is one lane, however many buckets.
         for p in 0..31 {
@@ -358,7 +340,7 @@ mod tests {
 
     #[test]
     fn lanes_tell_positions_apart_by_bits() {
-        let mut b = Batcher::by_lanes(32, Duration::from_secs(60));
+        let mut b = Batcher::new(32, Duration::from_secs(60));
         let now = Instant::now();
         for p in 1..31 {
             assert!(b.push(key(0), at(p as f32, p), now).is_none());
@@ -371,7 +353,7 @@ mod tests {
 
     #[test]
     fn lanes_reset_when_the_index_flushes_on_size_or_deadline() {
-        let mut b = Batcher::by_lanes(32, Duration::from_millis(5));
+        let mut b = Batcher::new(32, Duration::from_millis(5));
         let t0 = Instant::now();
         // Size path.
         for p in 0..32 {
@@ -402,33 +384,12 @@ mod tests {
 
     #[test]
     fn lanes_still_cap_a_bucket_at_one_position() {
-        let mut b = Batcher::by_lanes(32, Duration::from_secs(60));
+        let mut b = Batcher::new(32, Duration::from_secs(60));
         let now = Instant::now();
         for i in 0..31 {
             assert!(b.push(key(0), entry(i), now).is_none());
         }
         let full = b.push(key(0), entry(31), now).expect("the bucket cap");
         assert_eq!(full.entries.len(), 32, "one lane, 32 entries");
-    }
-
-    #[test]
-    fn the_per_op_rule_counts_entries_not_lanes() {
-        let mut b = Batcher::new(32, Duration::from_secs(60));
-        let now = Instant::now();
-        // 93 lanes across three buckets, and none of them full.
-        for p in 0..31 {
-            for (i, op) in OPS.into_iter().enumerate() {
-                assert!(b
-                    .push(op_key(0, op), at((3 * p + i) as f32, p), now)
-                    .is_none());
-            }
-        }
-        for op in OPS {
-            let full = b
-                .push(op_key(0, op), at(-1.0, 31), now)
-                .expect("32 entries");
-            assert_eq!((full.key.op, full.entries.len()), (op, 32));
-        }
-        assert_eq!(b.pending(), 0);
     }
 }

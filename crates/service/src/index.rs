@@ -4,22 +4,22 @@
 //! the batch's query points (§4.4), sample neighboring traversals with the
 //! sortedness profiler, run the whole batch on the executor the profiler
 //! picks (lockstep when neighbors traverse alike, autoropes otherwise),
-//! then undo the sort so callers see results in submission order.
+//! then undo the sort so callers see results in submission order. Every
+//! batch walks one rule, the fused one: a lane carries each op it asks
+//! live and the rest inert, so a lone op is a fusion with one live
+//! constituent.
 
 use crate::epoch::{EpochObserverFn, EpochStats, MutateError, Mutation, MutationAck};
 use crate::policy::{Backend, ExecPolicy};
 use crate::query::{OpKey, QueryResult};
 use gts_apps::fused::{fused_ops_point, FusedOpsPoint, FusedOpsRule};
 use gts_apps::kd::KdBox;
-use gts_apps::knn::{KnnPoint, KnnRule};
-use gts_apps::nn::{NnKernel, NnPoint, NnRule};
-use gts_apps::pc::{PcPoint, PcRule};
 use gts_points::profile::{
     profile_sortedness, profile_sortedness_cached, CacheOutcome, ProfileCache,
 };
 use gts_points::sort::morton_order;
 use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig, Meter, Unmetered, WarpSim};
-use gts_runtime::{cpu, AllLive, Dead, GpuReport, Live, PointRule, Tombstones, TraversalKernel};
+use gts_runtime::{cpu, AllLive, Dead, GpuReport, Live, PointRule, Tombstones};
 use gts_trees::{KdTree, LbKdTree, PointN, SplitPolicy};
 use serde::Serialize;
 use std::collections::HashSet;
@@ -392,22 +392,17 @@ impl<const D: usize> KdIndex<D> {
 
     /// Run `lanes` as one batch through the §4.4 pipeline (sort → profile
     /// once → dispatch → un-sort) and hand back each lane's fused state,
-    /// in submission order, with point ids as tree positions. A solo walk's
-    /// state is moved into an otherwise inert fused one, so every caller
-    /// reads one shape ([`lane_answers`], or a shard sweep's fold).
+    /// in submission order, with point ids as tree positions — the one
+    /// shape every caller reads ([`lane_answers`], or a shard sweep's
+    /// fold).
     ///
-    /// `pick` chooses the kernel, and whoever owns the whole batch makes
-    /// it from the batch's lanes ([`uniform_op`]): `Some(op)` when every
-    /// lane asks that one op — the op's own rule runs, the fastest walk
-    /// for it and the reference the fused walk is tested against — and
-    /// `None` for anything else, which runs the fused rule (lanes opt out
-    /// of an op by carrying inert state) and reports what fusion saved from
-    /// the tally that walk kept. The shard sweep passes its batch's pick
-    /// to every sub-batch, so one batch never mixes kernel families and
-    /// its node visits do not depend on how the sweep grouped the
-    /// lanes. `metered` ([`ExecPolicy::meters`] of the whole batch's
-    /// positions) travels the same way: a batch runs under the model whole
-    /// or not at all.
+    /// One rule runs every batch: the fused rule, each lane's ops live and
+    /// the rest inert ([`lane_state`]); a lone op is a fusion with one
+    /// live constituent. What fusion saved comes from the tally that walk
+    /// kept, and is 0 when every lane asks one op. `metered`
+    /// ([`ExecPolicy::meters`] of the whole batch's positions) is decided
+    /// by whoever owns the whole batch and handed to every sub-batch: a
+    /// batch runs under the model whole or not at all.
     ///
     /// With a [`ProfileCtx`], when the policy would profile, the §4.4
     /// decision is looked up in (and memoized into) the caller's cache
@@ -415,22 +410,21 @@ impl<const D: usize> KdIndex<D> {
     ///
     /// `dead` holds the tree positions of points the lanes must not see
     /// (the epoch layer's pending deletes; a static index passes
-    /// [`Tombstones::NONE`]): whichever rule runs, it runs as
-    /// [`Live`] of it. The empty set is chosen once here, as `metered`
-    /// is: it runs as [`AllLive`], which tests nothing per offer.
+    /// [`Tombstones::NONE`]): the rule runs as [`Live`] of it. The empty
+    /// set is chosen once here, as `metered` is: it runs as [`AllLive`],
+    /// which tests nothing per offer.
     pub(crate) fn run_lanes(
         &self,
         lanes: &[&FusedLane],
-        pick: Option<OpKey>,
         metered: bool,
         policy: &ExecPolicy,
         profile: Option<&ProfileCtx<'_>>,
         dead: &Tombstones,
     ) -> (Vec<FusedOpsPoint<D>>, BatchOutcome) {
         if dead.is_empty() {
-            self.run_live(lanes, pick, metered, policy, profile, AllLive)
+            self.run_live(lanes, metered, policy, profile, AllLive)
         } else {
-            self.run_live(lanes, pick, metered, policy, profile, dead)
+            self.run_live(lanes, metered, policy, profile, dead)
         }
     }
 
@@ -438,7 +432,6 @@ impl<const D: usize> KdIndex<D> {
     fn run_live<T: Dead>(
         &self,
         lanes: &[&FusedLane],
-        pick: Option<OpKey>,
         metered: bool,
         policy: &ExecPolicy,
         profile: Option<&ProfileCtx<'_>>,
@@ -446,90 +439,31 @@ impl<const D: usize> KdIndex<D> {
     ) -> (Vec<FusedOpsPoint<D>>, BatchOutcome) {
         let pts: Vec<PointN<D>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
         let n = self.tree.points.len();
-        let inert = |pos| fused_ops_point(pos, false, None, &[]);
-        let (states, mut outcome, live_visits) = match pick {
-            Some(OpKey::Nn) => {
-                // The plane-pruning NN kernel is the fastest solo NN, but
-                // its traversal-variant argument cannot ride the skip
-                // walk; the box-pruned kernel of the same rule can.
-                let rule = Live { rule: NnRule, dead };
-                let kernel = NnKernel::with_rule(&self.tree, rule);
-                let boxed = KdBox::with_rule(&self.tree, rule);
-                let make = |_i: usize, p: PointN<D>| NnPoint::new(p);
-                let (work, outcome, live) =
-                    execute(self, &kernel, &boxed, &pts, metered, policy, profile, make);
-                let states = (work.into_iter()).map(|p| {
-                    let mut state = inert(p.pos);
-                    state.a = p;
-                    state
-                });
-                (states.collect(), outcome, live)
-            }
-            Some(OpKey::Knn(k)) => {
-                // KBest panics on k == 0 (the batch key already excludes
-                // it); a k beyond the tree asks for every point.
-                let rule = KnnRule;
-                let kernel = KdBox::with_rule(&self.tree, Live { rule, dead });
-                let make = |_i: usize, p: PointN<D>| KnnPoint::new(p, k.min(n));
-                let (work, outcome, live) =
-                    execute(self, &kernel, &kernel, &pts, metered, policy, profile, make);
-                let states = (work.into_iter()).map(|p| {
-                    let mut state = inert(p.pos);
-                    state.b.a = p;
-                    state
-                });
-                (states.collect(), outcome, live)
-            }
-            Some(OpKey::Pc(radius_bits)) => {
-                let radius = f32::from_bits(radius_bits);
-                let kernel = KdBox::with_rule(
-                    &self.tree,
-                    Live {
-                        rule: PcRule::new(radius),
-                        dead,
-                    },
-                );
-                let make = |_i: usize, p: PointN<D>| PcPoint::new(p);
-                let (work, outcome, live) =
-                    execute(self, &kernel, &kernel, &pts, metered, policy, profile, make);
-                let states = (work.into_iter()).map(|p| {
-                    let mut state = fused_ops_point(p.pos, false, None, &[radius]);
-                    state.b.b.slots[0].count = p.count;
-                    state
-                });
-                (states.collect(), outcome, live)
-            }
-            None => {
-                let rule = FusedOpsRule::default();
-                let kernel = KdBox::with_rule(&self.tree, Live { rule, dead });
-                let make = |i: usize, p: PointN<D>| lane_state(lanes[i], p, n);
-                execute(self, &kernel, &kernel, &pts, metered, policy, profile, make)
-            }
-        };
-        if pick.is_none() {
-            // Each constituent's own walk: the root, then two children per
-            // descent the fused walk tallied for it.
-            let per_op_visits: u64 = (lanes.iter().zip(&states))
-                .map(|(lane, state)| {
-                    let asked = usize::from(lane.nn)
-                        + usize::from(!lane.knn_ks.is_empty())
-                        + lane.pc_radii.len();
-                    asked as u64 + 2 * u64::from(state.solo_descents)
-                })
-                .sum();
-            outcome.fused_lanes = lanes.len() as u64;
-            outcome.fused_ops = distinct_ops(lanes.iter().copied());
-            // The Wald walk runs over the left-balanced mirror, not through
-            // `KdBox`: it tallies nothing, and visits of two different
-            // trees are not each other's saving.
-            if outcome.backend != Backend::StacklessKd {
-                outcome.fusion_saved_visits = per_op_visits.saturating_sub(live_visits);
-            }
-            // Every fused (sub-)batch any unit test of the crate runs is
-            // held to the CPU replay the tally replaced.
-            #[cfg(test)]
-            tests::check_counted_against_replay(self, lanes, &pts, dead, &outcome, per_op_visits);
+        let rule = FusedOpsRule::default();
+        let kernel = KdBox::with_rule(&self.tree, Live { rule, dead });
+        let make = |i: usize, p: PointN<D>| lane_state(lanes[i], p, n);
+        let (states, mut outcome, live_visits) =
+            execute(self, &kernel, &pts, metered, policy, profile, make);
+        // Each constituent's own walk: the root, then two children per
+        // descent the fused walk tallied for it.
+        let per_op_visits: u64 = (lanes.iter().zip(&states))
+            .map(|(lane, state)| {
+                let asked = usize::from(lane.nn)
+                    + usize::from(!lane.knn_ks.is_empty())
+                    + lane.pc_radii.len();
+                asked as u64 + 2 * u64::from(state.solo_descents)
+            })
+            .sum();
+        // The Wald walk runs over the left-balanced mirror, not through
+        // `KdBox`: it tallies nothing, and visits of two different trees
+        // are not each other's saving.
+        if outcome.backend != Backend::StacklessKd {
+            outcome.fusion_saved_visits = per_op_visits.saturating_sub(live_visits);
         }
+        // Every (sub-)batch any unit test of the crate runs is held to the
+        // CPU replay the tally replaced.
+        #[cfg(test)]
+        tests::check_counted_against_replay(self, lanes, &pts, dead, &outcome, per_op_visits);
         (states, outcome)
     }
 }
@@ -587,24 +521,21 @@ pub(crate) fn to_point<const D: usize>(pos: &[f32]) -> PointN<D> {
     PointN(std::array::from_fn(|i| pos[i]))
 }
 
-/// The op every lane asks, when the batch is uniform: each lane asks
-/// exactly one op and it is the same for all. This is the kernel pick of
-/// [`KdIndex::run_lanes`], and — for batches whose lanes all ask
-/// something, which is every batch the service builds — `None` is exactly
-/// "the lanes carry two or more distinct op keys".
-pub(crate) fn uniform_op(lanes: &[FusedLane]) -> Option<OpKey> {
-    let op = lanes.first()?.op_keys().next()?;
-    lanes
-        .iter()
-        .all(|l| l.ops() == 1 && l.op_keys().next() == Some(op))
-        .then_some(op)
-}
-
 /// Distinct op keys across a batch's lanes (NN counts once, each distinct
 /// `k` once, each distinct radius once).
 pub(crate) fn distinct_ops<'a>(lanes: impl IntoIterator<Item = &'a FusedLane>) -> u32 {
     let ops: HashSet<OpKey> = lanes.into_iter().flat_map(|l| l.op_keys()).collect();
     ops.len() as u32
+}
+
+/// Report the whole batch's `lanes` as fused on its `outcome` when they
+/// carry two or more distinct op keys; a single-op batch reports none.
+pub(crate) fn mark_fused(outcome: &mut BatchOutcome, lanes: &[FusedLane]) {
+    let ops = distinct_ops(lanes);
+    if ops >= 2 {
+        outcome.fused_ops = ops;
+        outcome.fused_lanes = lanes.len() as u64;
+    }
 }
 
 impl<const D: usize> TreeIndex for KdIndex<D> {
@@ -623,9 +554,8 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
     fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
         let refs: Vec<&FusedLane> = lanes.iter().collect();
         let metered = policy.meters(lanes.iter().map(|l| &l.pos[..]));
-        let pick = uniform_op(lanes);
-        let (states, outcome) =
-            self.run_lanes(&refs, pick, metered, policy, None, Tombstones::NONE);
+        let (states, mut outcome) = self.run_lanes(&refs, metered, policy, None, Tombstones::NONE);
+        mark_fused(&mut outcome, lanes);
         // The walks offer tree positions; callers know build order.
         let perm = &self.tree.perm;
         let lanes = (lanes.iter().zip(&states))
@@ -638,15 +568,12 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
 /// Shared execution path: sort → profile (optionally through the caller's
 /// cache) → run → un-sort.
 ///
-/// Two kernels describe the same rule: `kernel` rides the rope-stack
-/// executors, the CPU baseline and the profiler; `boxed` — the same object
-/// for everything but solo NN — rides the skip-link walk, and its rule
-/// rides the Wald walk over `index`'s left-balanced mirror. Both share one
-/// point type, so sort and un-sort are backend-agnostic.
+/// `kernel` rides the rope-stack executors, the CPU baseline, the profiler
+/// and the skip-link walk; its rule rides the Wald walk over `index`'s
+/// left-balanced mirror.
 ///
-/// `make` receives the query's *submission-order* index alongside the
-/// point, so heterogeneous batches (fused lanes with per-lane op specs)
-/// can build per-lane state; homogeneous ops ignore it. The walked states
+/// `make` receives the lane's *submission-order* index alongside the
+/// point, so each lane builds its own state. The walked states
 /// come back in submission order, beside a [`BatchOutcome`] that carries
 /// the accounting with an empty `results` vec. The third slot is the
 /// run's *live-lane* node visits: `outcome.node_visits` for every
@@ -658,21 +585,18 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
 /// loop answers at host speed and the launch's account is never read.
 /// Visits, warps, work expansion and mask occupancy are the executor's own
 /// counts ([`GpuReport`]'s per-point and per-warp vectors) either way.
-#[allow(clippy::too_many_arguments)]
-fn execute<const D: usize, K, R, M>(
+fn execute<const D: usize, R, M>(
     index: &KdIndex<D>,
-    kernel: &K,
-    boxed: &KdBox<'_, D, R>,
+    kernel: &KdBox<'_, D, R>,
     pts: &[PointN<D>],
     metered: bool,
     policy: &ExecPolicy,
     profile: Option<&ProfileCtx<'_>>,
     make: M,
-) -> (Vec<K::Point>, BatchOutcome, u64)
+) -> (Vec<R::State>, BatchOutcome, u64)
 where
-    K: TraversalKernel<Point = R::State>,
     R: PointRule<D>,
-    M: Fn(usize, PointN<D>) -> K::Point,
+    M: Fn(usize, PointN<D>) -> R::State,
 {
     let n = pts.len();
     // §4.4 step 1: spatial sort, so nearby queries share warps.
@@ -683,7 +607,7 @@ where
     };
     // Submission-order index of the point in `work` slot `i`.
     let orig = |i: usize| perm.as_ref().map_or(i, |p| p[i] as usize);
-    let mut work: Vec<K::Point> = (0..n).map(|i| make(orig(i), pts[orig(i)])).collect();
+    let mut work: Vec<R::State> = (0..n).map(|i| make(orig(i), pts[orig(i)])).collect();
 
     // §4.4 step 2: sample neighboring traversals; lockstep only when they
     // overlap enough to amortize the per-warp rope stack. A `ProfileCtx`
@@ -751,11 +675,11 @@ where
         Backend::Cpu => cpu::run_parallel(kernel, &mut work, cfg.host_threads).stats,
         gpu => {
             let launch = if metered {
-                launch::<WarpSim<'_>, D, K, R>
+                launch::<WarpSim<'_>, D, R>
             } else {
-                launch::<Unmetered, D, K, R>
+                launch::<Unmetered, D, R>
             };
-            let rep = launch(gpu, index, kernel, boxed, &mut work, &cfg);
+            let rep = launch(gpu, index, kernel, &mut work, &cfg);
             // Each warp's pops over the pops its busiest lane was live for:
             // the run's own masks say how far lockstep stretched the warp.
             if backend == Backend::Lockstep && !rep.per_warp_nodes.is_empty() {
@@ -784,7 +708,7 @@ where
     outcome.node_visits = stats.per_point_nodes.iter().map(|&v| v as u64).sum();
 
     // Undo the sort: callers see submission order.
-    let mut states: Vec<Option<K::Point>> = (0..n).map(|_| None).collect();
+    let mut states: Vec<Option<R::State>> = (0..n).map(|_| None).collect();
     for (i, point) in work.into_iter().enumerate() {
         states[orig(i)] = Some(point);
     }
@@ -796,27 +720,22 @@ where
 }
 
 /// One launch of `work` on simulated-GPU executor `backend` under meter
-/// `Mt`, with the kernel each executor rides (see [`execute`]).
-fn launch<Mt: Meter, const D: usize, K, R>(
+/// `Mt` (see [`execute`]).
+fn launch<Mt: Meter, const D: usize, R: PointRule<D>>(
     backend: Backend,
     index: &KdIndex<D>,
-    kernel: &K,
-    boxed: &KdBox<'_, D, R>,
-    work: &mut [K::Point],
+    kernel: &KdBox<'_, D, R>,
+    work: &mut [R::State],
     cfg: &GpuConfig,
-) -> GpuReport
-where
-    K: TraversalKernel<Point = R::State>,
-    R: PointRule<D>,
-{
+) -> GpuReport {
     match backend {
-        Backend::Lockstep => lockstep::run_on::<Mt, K>(kernel, work, cfg),
-        Backend::Autoropes => autoropes::run_on::<Mt, K>(kernel, work, cfg),
+        Backend::Lockstep => lockstep::run_on::<Mt, _>(kernel, work, cfg),
+        Backend::Autoropes => autoropes::run_on::<Mt, _>(kernel, work, cfg),
         Backend::StacklessKd => {
-            stackless::run_wald_on::<Mt, D, R>(&index.lb, boxed.rule(), work, cfg)
+            stackless::run_wald_on::<Mt, D, R>(&index.lb, kernel.rule(), work, cfg)
         }
         Backend::StacklessBvh => {
-            stackless::run_skip_on::<Mt, _>(boxed, work, &index.tree.skip, cfg)
+            stackless::run_skip_on::<Mt, _>(kernel, work, &index.tree.skip, cfg)
         }
         Backend::Cpu => unreachable!("the CPU walk is not a launch"),
     }
@@ -827,12 +746,13 @@ mod tests {
     use super::*;
     use crate::{MutableIndexBuilder, ShardedIndex};
     use gts_apps::fused::fused_ops_kernel;
-    use gts_apps::knn::KnnKernel;
+    use gts_apps::knn::{KnnKernel, KnnPoint, KnnRule};
+    use gts_apps::nn::{NnPoint, NnRule};
     use gts_apps::oracle;
-    use gts_apps::pc::PcKernel;
+    use gts_apps::pc::{PcKernel, PcPoint, PcRule};
     use gts_points::gen::uniform;
     use gts_runtime::report::work_expansion;
-    use gts_runtime::VisitOutcome;
+    use gts_runtime::{TraversalKernel, VisitOutcome};
     use gts_trees::NodeId;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -1291,6 +1211,36 @@ mod tests {
     }
 
     #[test]
+    fn a_one_op_batch_walks_the_box_pruned_rule_and_is_held_to_the_replay() {
+        let pts = uniform::<3>(700, 25);
+        let flat = KdIndex::build("f", &pts, 8, SplitPolicy::MidpointWidest);
+        let queries: Vec<Vec<f32>> = uniform::<3>(90, 26).iter().map(|p| p.0.to_vec()).collect();
+        let lanes: Vec<FusedLane> = (queries.iter())
+            .map(|pos| {
+                let mut lane = FusedLane::empty(pos.clone());
+                lane.ask(OpKey::Nn);
+                lane
+            })
+            .collect();
+        let refs: Vec<&FusedLane> = lanes.iter().collect();
+        let at: Vec<PointN<3>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
+        let replayed = solo_replay_visits(flat.tree(), &refs, &at, Tombstones::NONE, None);
+        for backend in [Backend::Autoropes, Backend::Cpu] {
+            let before = REPLAYED.with(Cell::get);
+            let out = flat.run_batch(OpKey::Nn, &queries, &ExecPolicy::forced(backend));
+            let label = backend.name();
+            // Each lane's own guided walk of the box-pruned NN rule.
+            assert_eq!(out.node_visits, replayed, "{label}");
+            assert_eq!(REPLAYED.with(Cell::get) - before, 1, "{label}: hook ran");
+            assert_eq!(
+                (out.fused_lanes, out.fusion_saved_visits),
+                (0, 0),
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
     fn counted_series_are_the_same_on_a_metered_and_an_unmetered_batch() {
         let pts = uniform::<3>(700, 24);
         let backends = [
@@ -1350,7 +1300,7 @@ mod tests {
         for index in every_index_kind(&pts) {
             for backend in Backend::ALL {
                 let lanes = random_lanes(&pts, 90, true, 70 + backend.index() as u64);
-                assert_eq!(uniform_op(&lanes), None, "the ops differ across lanes");
+                assert!(distinct_ops(&lanes) >= 2, "the ops differ across lanes");
                 let out = index.run(&lanes, &ExecPolicy::forced(backend)).outcome;
                 let label = format!("{} on {}", index.name(), backend.name());
                 assert!(out.fused_lanes == 90 && out.fused_ops >= 2, "{label}");

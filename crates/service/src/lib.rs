@@ -74,7 +74,7 @@ pub use metrics::{
     BackendBatches, BatchRecord, IndexMetricsSnapshot, KindDropped, LatencyExemplar, Metrics,
     MetricsSnapshot,
 };
-pub use policy::{Backend, ExecPolicy, FusionMode};
+pub use policy::{Backend, ExecPolicy};
 pub use query::{BatchKey, IndexId, OpKey, Query, QueryKind, QueryResult};
 pub use service::{CompletionFn, Service, ServiceConfig, ServiceError, Ticket};
 pub use shard::{ShardedIndex, ShardedIndexBuilder, DEFAULT_PROFILE_TTL};

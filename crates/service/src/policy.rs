@@ -61,41 +61,6 @@ impl Backend {
     }
 }
 
-/// When the batcher may coalesce same-index queries of *different* ops
-/// (NN / kNN / PC) into one fused traversal (one tree walk under the
-/// union prune bound, per-op answers bit-identical to unfused runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FusionMode {
-    /// An index's buckets fill and leave together: they flush on the push
-    /// that brings their *distinct* pending positions — the lanes the
-    /// fused dispatch runs — up to the batch target (or on a bucket's
-    /// size cap, or its deadline). Two or more distinct ops make one
-    /// deduplicated fused dispatch; a single op dispatches as it flushed.
-    #[default]
-    Auto,
-    /// Never fuse — reproduces per-op batching exactly.
-    Off,
-}
-
-impl FusionMode {
-    /// Stable lowercase name for CLI flags and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FusionMode::Auto => "auto",
-            FusionMode::Off => "off",
-        }
-    }
-
-    /// Inverse of [`name`](Self::name).
-    pub fn from_name(name: &str) -> Option<FusionMode> {
-        match name {
-            "auto" => Some(FusionMode::Auto),
-            "off" => Some(FusionMode::Off),
-            _ => None,
-        }
-    }
-}
-
 /// One batch in this many runs under the C2070 model
 /// ([`ExecPolicy::meters`]); the rest run the same loops unmetered.
 pub const METER_ONE_IN: u64 = 16;
@@ -138,9 +103,6 @@ pub struct ExecPolicy {
     /// it wins exactly where lockstep loses. High-similarity batches still
     /// go to lockstep.
     pub stackless: bool,
-    /// When the front may fuse a flush's same-index multi-op batches into
-    /// one traversal (see [`FusionMode`]).
-    pub fusion: FusionMode,
 }
 
 impl Default for ExecPolicy {
@@ -155,7 +117,6 @@ impl Default for ExecPolicy {
             shard_parallelism: 0,
             profile_cache: true,
             stackless: false,
-            fusion: FusionMode::default(),
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //!  clients ──submit──▶ [front: one lock around the buckets]
-//!                          │ size flush: the submit that filled the bucket
-//!                          │   (fusing: that filled the index's lanes)
+//!                          │ size flush: the submit that filled the index's
+//!                          │   lanes
 //!                          │ deadline flush: the keeper thread
 //!                          ▼
 //!                       [bounded channel] ──▶ workers (N threads)
@@ -14,11 +14,11 @@
 //! ```
 //!
 //! `submit` files its query into its `(index, op)` bucket under the front
-//! lock and returns; the call that fills a bucket takes it out under the
-//! lock and sends it after releasing it. Under `FusionMode::Auto` what
-//! fills is the index: its buckets leave together, on the push that brings
-//! their distinct positions (the fused dispatch's lanes) up to the target
-//! (`batcher.rs`). The dispatch channel is bounded,
+//! lock and returns; the call that fills an index takes it out under the
+//! lock and sends it after releasing it. What fills is the index: its
+//! buckets leave together, on the push that brings their distinct
+//! positions (the dispatch's lanes) up to the target (`batcher.rs`). The
+//! dispatch channel is bounded,
 //! and that send is the backpressure: a full dispatch queue blocks the
 //! submitter whose push flushed, holding no lock. The keeper thread sleeps
 //! until the oldest bucket's deadline and flushes what is due. Shutdown
@@ -30,11 +30,11 @@ use crate::batcher::{BatchEntry, Batcher, ReadyBatch};
 use crate::epoch::{EpochEvent, EpochStats, MutateError, Mutation, MutationAck};
 use crate::index::{BatchOutcome, FusedLane, ShardVisit, TreeIndex};
 use crate::metrics::{BatchRecord, KindDropped, Metrics, MetricsSnapshot};
-use crate::policy::{ExecPolicy, FusionMode};
+use crate::policy::ExecPolicy;
 use crate::query::{BatchKey, IndexId, Query, QueryResult};
 use crate::slowlog::{QueryRecord, SlowLog};
 use crate::trace::{EventKind, TraceContext, TraceRecorder, TraceSnapshot, NO_ID};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, Hasher};
@@ -348,15 +348,13 @@ struct Tag {
     _depth: DepthGuard,
 }
 
-/// What travels the dispatch channel: same-index per-op batches as they
-/// flushed, and whether queries at one position share a lane. The worker
-/// that executes the dispatch builds its lanes ([`lanes_of`]), so nothing
-/// holding the front lock does.
+/// What travels the dispatch channel: one index's per-op batches as they
+/// flushed. The worker that executes the dispatch builds its lanes
+/// ([`lanes_of`]), so nothing holding the front lock does.
 struct Dispatch<T> {
     id: u64,
     index: IndexId,
     batches: Vec<ReadyBatch<T>>,
-    dedup: bool,
 }
 
 /// One per-op batch's queries inside a dispatch: the ready batch's key,
@@ -367,32 +365,28 @@ struct Part<T> {
 }
 
 /// The lanes one index runs for a dispatch, plus the per-op parts whose
-/// tickets the worker scatters the lane answers back to. With `dedup`,
-/// one lane per distinct query position (exact f32 bit patterns)
-/// accumulates every op requested there, so N ops at one position
-/// traverse once; without, one lane per entry.
-fn lanes_of<T>(batches: Vec<ReadyBatch<T>>, dedup: bool) -> (Vec<FusedLane>, Vec<Part<T>>) {
+/// tickets the worker scatters the lane answers back to. One lane per
+/// distinct query position (exact f32 bit patterns) accumulates every op
+/// requested there, so N queries at one position traverse once.
+fn lanes_of<T>(batches: Vec<ReadyBatch<T>>) -> (Vec<FusedLane>, Vec<Part<T>>) {
     let queries: usize = batches.iter().map(|b| b.entries.len()).sum();
     let same_bits =
         |a: &[f32], b: &[f32]| (a.iter().map(|v| v.to_bits())).eq(b.iter().map(|v| v.to_bits()));
     // Position → lane without a key per entry: the map holds a keyed hash
     // of the position's bits, and the lane's own `pos` settles a hit (two
     // positions sharing all 64 bits cost the later its dedup, no answer).
-    let mut lane_of: HashMap<u64, usize> = HashMap::with_capacity(if dedup { queries } else { 0 });
+    let mut lane_of: HashMap<u64, usize> = HashMap::with_capacity(queries);
     let mut lanes: Vec<FusedLane> = Vec::with_capacity(queries);
     let mut parts = Vec::with_capacity(batches.len());
     for b in batches {
         let mut entries = Vec::with_capacity(b.entries.len());
         for e in b.entries {
-            let slot = dedup.then(|| {
-                let mut h = lane_of.hasher().build_hasher();
-                e.pos.iter().for_each(|v| h.write_u32(v.to_bits()));
-                lane_of.entry(h.finish())
-            });
-            let lane = match slot {
-                Some(Entry::Occupied(at)) if same_bits(&lanes[*at.get()].pos, &e.pos) => *at.get(),
+            let mut h = lane_of.hasher().build_hasher();
+            e.pos.iter().for_each(|v| h.write_u32(v.to_bits()));
+            let lane = match lane_of.entry(h.finish()) {
+                Entry::Occupied(at) if same_bits(&lanes[*at.get()].pos, &e.pos) => *at.get(),
                 slot => {
-                    if let Some(Entry::Vacant(slot)) = slot {
+                    if let Entry::Vacant(slot) = slot {
                         slot.insert(lanes.len());
                     }
                     lanes.push(FusedLane::empty(e.pos));
@@ -410,28 +404,11 @@ fn lanes_of<T>(batches: Vec<ReadyBatch<T>>, dedup: bool) -> (Vec<FusedLane>, Vec
     (lanes, parts)
 }
 
-/// Group a burst's ready batches by index into dispatches. Under `Auto`
-/// the batcher fills by lanes, so an index leaves whole: each group takes
-/// the rest of its index's buckets along (`flush_index`) and goes as one
-/// dispatch — fused and deduplicated when it holds two or more ops (one
-/// bucket per key, so two batches are two ops), solo when it holds one:
-/// a lone op's fused walk would be the solo walk with extra bookkeeping.
-/// `Off` passes every batch through as it flushed.
-fn coalesce<T>(
-    burst: Vec<ReadyBatch<T>>,
-    fusion: FusionMode,
-    batcher: &mut Batcher<T>,
-) -> Vec<Dispatch<T>> {
-    // A per-op batch as it flushed: one part, one lane per entry.
-    let solo = |b: ReadyBatch<T>| Dispatch {
-        id: b.id,
-        index: b.key.index,
-        batches: vec![b],
-        dedup: false,
-    };
-    if fusion == FusionMode::Off {
-        return burst.into_iter().map(solo).collect();
-    }
+/// Group a burst's ready batches by index into dispatches. The batcher
+/// fills by lanes, so an index leaves whole: each group takes the rest of
+/// its index's buckets along (`flush_index`) and goes as one dispatch. A
+/// group of one bucket keeps that bucket's id; a larger one draws a new id.
+fn coalesce<T>(burst: Vec<ReadyBatch<T>>, batcher: &mut Batcher<T>) -> Vec<Dispatch<T>> {
     let mut groups: Vec<Vec<ReadyBatch<T>>> = Vec::new();
     for b in burst {
         match groups.iter_mut().find(|g| g[0].key.index == b.key.index) {
@@ -439,21 +416,17 @@ fn coalesce<T>(
             None => groups.push(vec![b]),
         }
     }
-    let mut out = Vec::with_capacity(groups.len());
-    for mut batches in groups {
-        let index = batches[0].key.index;
-        batches.extend(batcher.flush_index(index));
-        out.push(match batches.len() {
-            1 => solo(batches.pop().expect("one batch")),
-            _ => Dispatch {
-                id: batcher.take_id(),
-                index,
-                batches,
-                dedup: true,
-            },
-        });
-    }
-    out
+    (groups.into_iter())
+        .map(|mut batches| {
+            let index = batches[0].key.index;
+            batches.extend(batcher.flush_index(index));
+            let id = match &batches[..] {
+                [only] => only.id,
+                _ => batcher.take_id(),
+            };
+            Dispatch { id, index, batches }
+        })
+        .collect()
 }
 
 /// What stands between `submit` and the workers: the buckets and the
@@ -464,7 +437,6 @@ struct Front {
     /// Wakes the keeper: a push created the first bucket (there is a
     /// deadline to sleep towards), or the front closed.
     wake: Condvar,
-    fusion: FusionMode,
 }
 
 struct FrontState {
@@ -488,21 +460,42 @@ impl Front {
     /// `burst`, just flushed from `state`, on its way out.
     fn release(&self, state: &mut FrontState, burst: Vec<ReadyBatch<Tag>>) -> Flushed {
         let tx = state.tx.clone().expect("only an open front flushes");
-        (tx, coalesce(burst, self.fusion, &mut state.batcher))
+        (tx, coalesce(burst, &mut state.batcher))
     }
 }
 
 /// Send a burst's dispatches, blocking on a full dispatch queue — the
-/// service's backpressure, so no lock may be held here. A failed dispatch
-/// (workers gone early — only happens on a worker panic) must still
-/// resolve the batch's tickets or `wait` would hang.
-fn send_all((tx, dispatches): Flushed) {
+/// service's backpressure, so no lock may be held here. A dispatch the
+/// queue refuses (workers gone early — only happens on a worker panic)
+/// still ends each of its queries in [`finish`], as a failure of that
+/// dispatch, or `wait` would hang and the registry would not balance.
+fn send_all(shared: &Shared, (tx, dispatches): Flushed) {
     for d in dispatches {
-        if let Err(err) = tx.send(d) {
-            for e in err.0.batches.into_iter().flat_map(|b| b.entries) {
-                e.tag
-                    .ticket
-                    .resolve(Err(ServiceError::Internal("dispatch queue closed".into())));
+        let Err(SendError(d)) = tx.send(d) else {
+            continue;
+        };
+        let err = ServiceError::Internal("dispatch queue closed".into());
+        let ended = Instant::now();
+        let ride = Ride {
+            id: d.id,
+            dispatched: ended,
+            out: None,
+            epoch: None,
+            threshold_us: 0,
+        };
+        let index = shared.indices().get(d.index).cloned();
+        let index_name = index.as_ref().map_or("unknown", |i| i.name());
+        for b in d.batches {
+            for e in b.entries {
+                let end = End {
+                    origin: e.tag.origin,
+                    index: index_name,
+                    op: b.key.op.family().0,
+                    ride: Some(&ride),
+                    reason: Some(reject_reason(&err)),
+                    ended,
+                };
+                finish(shared, end, Some((e.tag, Err(err.clone()))));
             }
         }
     }
@@ -704,20 +697,16 @@ impl Service {
         let (dispatch_tx, dispatch_rx) = bounded::<Dispatch<Tag>>(config.dispatch_capacity.max(1));
         let front = Arc::new(Front {
             state: Mutex::new(FrontState {
-                batcher: match config.policy.fusion {
-                    FusionMode::Auto => Batcher::by_lanes(config.batch_queries, config.max_wait),
-                    FusionMode::Off => Batcher::new(config.batch_queries, config.max_wait),
-                },
+                batcher: Batcher::new(config.batch_queries, config.max_wait),
                 tx: Some(dispatch_tx),
             }),
             wake: Condvar::new(),
-            fusion: config.policy.fusion,
         });
         let keeper = {
-            let front = Arc::clone(&front);
+            let (front, shared) = (Arc::clone(&front), Arc::clone(&shared));
             std::thread::Builder::new()
                 .name("gts-service-batcher".into())
-                .spawn(move || keeper_loop(&front))
+                .spawn(move || keeper_loop(&front, &shared))
                 .expect("spawn deadline keeper")
         };
 
@@ -953,7 +942,7 @@ impl Service {
             self.front.wake.notify_one();
         }
         shared.metrics.on_submit();
-        flushed.into_iter().for_each(send_all);
+        flushed.into_iter().for_each(|f| send_all(shared, f));
         Ok(ticket)
     }
 
@@ -1025,11 +1014,11 @@ impl Service {
         let mut front = self.front.lock();
         let flushed = front.tx.take().map(|tx| {
             let residue = front.batcher.flush_all();
-            (tx, coalesce(residue, self.front.fusion, &mut front.batcher))
+            (tx, coalesce(residue, &mut front.batcher))
         });
         drop(front);
         self.front.wake.notify_one();
-        flushed.into_iter().for_each(send_all);
+        flushed.into_iter().for_each(|f| send_all(&self.shared, f));
         // Drain every mutable index's merge machinery: pending deltas
         // flush into a final merge and later mutations are rejected
         // deterministically — never silently dropped. Queries in flight
@@ -1105,7 +1094,7 @@ impl Drop for Service {
 /// The deadline keeper: sleep until the oldest bucket's `max_wait` runs
 /// out, flush what is due, exit when the front closes. Size flushes are
 /// the submitters' own.
-fn keeper_loop(front: &Front) {
+fn keeper_loop(front: &Front, shared: &Shared) {
     let mut state = front.lock();
     while state.tx.is_some() {
         let now = Instant::now();
@@ -1122,7 +1111,7 @@ fn keeper_loop(front: &Front) {
                 let burst = state.batcher.flush_due(now);
                 let flushed = front.release(&mut state, burst);
                 drop(state);
-                send_all(flushed);
+                send_all(shared, flushed);
                 front.lock()
             }
         };
@@ -1143,9 +1132,8 @@ fn handle(dispatch: Dispatch<Tag>, shared: &Shared) {
         id,
         index: index_id,
         batches,
-        dedup,
     } = dispatch;
-    let (lanes, parts) = lanes_of(batches, dedup);
+    let (lanes, parts) = lanes_of(batches);
     let trace = &shared.trace;
     let dispatch_us = trace.us_of(dispatched);
     let index = shared.indices().get(index_id).cloned();
@@ -1442,6 +1430,63 @@ mod tests {
         let text = snapshot.to_prometheus();
         let line = format!("gts_queries_failed_total {}\n", pts.len());
         assert!(text.contains(&line), "{text}");
+    }
+
+    #[test]
+    fn a_dispatch_the_closed_queue_refuses_ends_its_queries_as_failures() {
+        let shared = Shared {
+            indices: RwLock::new(Vec::new()),
+            metrics: Metrics::default(),
+            trace: TraceRecorder::new(64),
+            slow_log: SlowLog::new(8, 99.0),
+            policy: ExecPolicy::default(),
+            depth: Arc::new(AtomicI64::new(0)),
+        };
+        let (tx, rx) = bounded(1);
+        drop(rx);
+        let ticket = Ticket::new();
+        let origin = Origin {
+            query: shared.trace.next_query_id(),
+            ctx: TraceContext::LOCAL,
+            submitted: Instant::now(),
+        };
+        let tag = Tag {
+            origin,
+            ticket: ticket.clone(),
+            _depth: DepthGuard::acquire(&shared.depth),
+        };
+        shared.metrics.on_submit();
+        let key = BatchKey {
+            index: 0,
+            op: crate::OpKey::Nn,
+        };
+        let entries = vec![BatchEntry {
+            pos: vec![0.5; 3],
+            tag,
+        }];
+        let batches = vec![ReadyBatch {
+            id: 7,
+            key,
+            entries,
+        }];
+        let dispatch = Dispatch {
+            id: 7,
+            index: 0,
+            batches,
+        };
+        send_all(&shared, (tx, vec![dispatch]));
+        assert!(
+            matches!(ticket.try_get(), Some(Err(ServiceError::Internal(_)))),
+            "{ticket:?}"
+        );
+        let snapshot = stitched_snapshot(&shared);
+        assert_eq!((snapshot.submitted, snapshot.failed), (1, 1));
+        assert_eq!(shared.depth(), 0);
+        let rejects: Vec<u64> = (shared.trace.snapshot().events.iter())
+            .filter(|e| matches!(e.kind, EventKind::Reject { .. }))
+            .map(|e| e.batch)
+            .collect();
+        assert_eq!(rejects, [7], "one Reject, naming the dispatch");
     }
 
     #[test]

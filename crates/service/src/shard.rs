@@ -19,8 +19,8 @@
 //! back out of it, as Wald's left-balanced tree keeps no parallel array.
 //!
 //! A batch is a slice of lanes — a position plus every op asked there
-//! ([`FusedLane`]); a single-op batch is the case where every lane asks
-//! the same one op. A lane (a "query" below) keeps one accumulator, the
+//! ([`FusedLane`]) — and every sub-batch walks the fused rule over them
+//! ([`KdIndex::run_lanes`]). A lane (a "query" below) keeps one accumulator, the
 //! fused state its walks leave ([`FusedOpsPoint`]), and is dispatched to a
 //! shard iff the state still [`reaches`] it. One [`sweep`] runs every batch, over
 //! either owner's shards — the epoch layer's pending deletes riding beside
@@ -53,8 +53,8 @@
 //! query.
 //!
 //! Each shard also carries a [`ProfileCache`] memoizing the §4.4
-//! lockstep/autoropes decision per (op, sub-batch size bucket, Morton
-//! octant fingerprint) key, with a TTL counted in its owner's batches, so
+//! lockstep/autoropes decision per (distinct ops, sub-batch size bucket,
+//! Morton octant fingerprint) key, with a TTL counted in its owner's batches, so
 //! steady workloads profile once per shard per workload shift instead of
 //! once per sub-batch. Every sub-batch consults it under one rule
 //! ([`Sweep::run_sub`]), whichever index owns the shard; a shard the epoch
@@ -66,11 +66,10 @@
 //! one walk over every point, is `gts_apps::fused`'s.
 
 use crate::index::{
-    distinct_ops, lane_answers, lane_state, to_point, uniform_op, BatchOutcome, FusedLane,
+    distinct_ops, lane_answers, lane_state, mark_fused, to_point, BatchOutcome, FusedLane,
     FusedOutcome, KdIndex, ProfileCtx, ShardVisit, TreeIndex,
 };
 use crate::policy::{Backend, ExecPolicy};
-use crate::query::OpKey;
 use gts_apps::fused::{merge, reaches, FusedOpsPoint};
 use gts_points::profile::{profile_key, ProfileCache, ProfileCacheStats};
 use gts_points::sort::{morton_key, morton_prefix};
@@ -401,12 +400,7 @@ impl StatAgg {
         outcome.work_expansion = mean(outcome.work_expansion);
         outcome.mask_occupancy = mean(outcome.mask_occupancy);
         outcome.mean_similarity = (outcome.mean_similarity).map(|sum| sum / self.profiled as f64);
-        // Sub-batches ran the fused kernel iff the batch is not uniform
-        // (`Sweep::pick`); a single-op batch reports no fusion at all.
-        if uniform_op(lanes).is_none() {
-            outcome.fused_ops = distinct_ops(lanes);
-            outcome.fused_lanes = lanes.len() as u64;
-        }
+        mark_fused(&mut outcome, lanes);
         FusedOutcome {
             lanes: (lanes.iter().zip(accs))
                 .map(|(lane, acc)| lane_answers(lane, acc, |i| i))
@@ -444,11 +438,8 @@ struct Sweep<'a, const D: usize> {
     shards: &'a [Arc<Shard<D>>],
     dead: &'a [Tombstones],
     lanes: &'a [FusedLane],
-    /// The whole batch's kernel pick ([`KdIndex::run_lanes`]), handed to
-    /// every sub-batch.
-    pick: Option<OpKey>,
-    /// The whole batch's one [`ExecPolicy::meters`] answer, handed on the
-    /// same way: a batch runs under the model whole or not at all.
+    /// The whole batch's one [`ExecPolicy::meters`] answer, handed to
+    /// every sub-batch: a batch runs under the model whole or not at all.
     metered: bool,
     qpts: Vec<PointN<D>>,
     /// Per lane, `(lower bound, shard)` in visit order.
@@ -492,7 +483,6 @@ impl<'a, const D: usize> Sweep<'a, D> {
             shards,
             dead,
             lanes,
-            pick: uniform_op(lanes),
             metered: policy.meters(lanes.iter().map(|l| &l.pos[..])),
             qpts,
             visit,
@@ -506,10 +496,9 @@ impl<'a, const D: usize> Sweep<'a, D> {
     /// Run the sub-batch of lanes `qs` against shard `shard_i`,
     /// consulting the shard's profile cache when the policy allows it.
     /// The cache key fingerprints what makes decisions interchangeable:
-    /// the operation (or, for a multi-op batch, how many distinct ops the
-    /// sub-batch mixes, under a tag no single op uses), the sub-batch's
-    /// log2 size bucket, and which Morton octants of the shard's box the
-    /// lanes land in.
+    /// how many distinct ops the sub-batch mixes (under the fused rule's
+    /// tag, 3), the sub-batch's log2 size bucket, and which Morton octants
+    /// of the shard's box the lanes land in.
     fn run_sub(&self, shard_i: usize, round: u32, qs: &[usize]) -> SubRun<D> {
         let shard = &self.shards[shard_i];
         #[cfg(test)]
@@ -520,12 +509,7 @@ impl<'a, const D: usize> Sweep<'a, D> {
         let cached = self.policy.profile_cache && self.policy.force.is_none() && sub.len() >= 2;
         let offset_us = self.started.elapsed().as_micros() as u64;
         let ctx = cached.then(|| {
-            let (tag, param) = match self.pick {
-                Some(OpKey::Nn) => (0u64, 0u64),
-                Some(OpKey::Knn(k)) => (1, k as u64),
-                Some(OpKey::Pc(bits)) => (2, u64::from(bits)),
-                None => (3, u64::from(distinct_ops(sub.iter().copied()))),
-            };
+            let ops = u64::from(distinct_ops(sub.iter().copied()));
             let mut octants = 0u64;
             for &q in qs {
                 octants |= 1 << (morton_prefix(&self.qpts[q], &shard.bbox, 1) & 63);
@@ -533,19 +517,13 @@ impl<'a, const D: usize> Sweep<'a, D> {
             let bucket = u64::from(sub.len().ilog2());
             ProfileCtx {
                 cache: &shard.profile,
-                key: profile_key(self.policy.profile_seed, &[tag, param, bucket, octants]),
+                key: profile_key(self.policy.profile_seed, &[3, ops, bucket, octants]),
                 epoch: self.epoch,
             }
         });
         let dead = self.dead.get(shard_i).unwrap_or(Tombstones::NONE);
-        let (states, outcome) = (shard.index).run_lanes(
-            &sub,
-            self.pick,
-            self.metered,
-            self.policy,
-            ctx.as_ref(),
-            dead,
-        );
+        let (states, outcome) =
+            (shard.index).run_lanes(&sub, self.metered, self.policy, ctx.as_ref(), dead);
         let visit = ShardVisit {
             shard: shard_i as u32,
             round,
@@ -767,7 +745,7 @@ impl<const D: usize> TreeIndex for ShardedIndex<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::QueryResult;
+    use crate::query::{OpKey, QueryResult};
     use gts_points::gen::{geocity_like, uniform};
 
     fn cpu() -> ExecPolicy {

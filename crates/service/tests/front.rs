@@ -6,15 +6,16 @@
 //! * a submitter blocked on the dispatch queue holds no lock: other
 //!   submitters, `metrics()` and `close()` all get through;
 //! * with one submitter and size-only flushing, batch composition is
-//!   decided by `submit` itself — under fusion, by the push that brings an
-//!   index's distinct positions up to the target.
+//!   decided by `submit` itself — by the push that brings an index's
+//!   distinct positions, or a bucket's queries, up to the target — and
+//!   queries at one position share a lane, whatever ops they ask.
 //!
 //! Every wait is bounded by [`HANG`], far above anything a healthy run
 //! needs, because the failure mode of all of these is a hang.
 
 use gts_points::gen::uniform;
 use gts_service::{
-    EventKind, ExecPolicy, FusedLane, FusedOutcome, FusionMode, KdIndex, Query, QueryKind, Service,
+    EventKind, ExecPolicy, FusedLane, FusedOutcome, KdIndex, Query, QueryKind, Service,
     ServiceConfig, ServiceError, Ticket, TraceSnapshot, TreeIndex,
 };
 use gts_trees::{PointN, SplitPolicy};
@@ -292,16 +293,12 @@ fn a_single_submitter_decides_batch_composition_at_submit() {
 /// Serve `stream` from one submitter over two indices, `BATCH` queries per
 /// batch and no deadline in reach, and return the trace: the close
 /// flushes what is left.
-fn serve_one_submitter(fusion: FusionMode, stream: &[Query]) -> TraceSnapshot {
+fn serve_one_submitter(stream: &[Query]) -> TraceSnapshot {
     let pts = points();
     let service = Service::start(ServiceConfig {
         batch_queries: BATCH,
         max_wait: Duration::from_secs(3600),
         workers: 2,
-        policy: ExecPolicy {
-            fusion,
-            ..ExecPolicy::default()
-        },
         ..ServiceConfig::default()
     });
     for _ in 0..2 {
@@ -373,7 +370,7 @@ fn fusion_dispatches_an_index_on_the_push_of_its_32nd_distinct_position() {
         expected.len() >= 4,
         "the stream fills batches on both indices"
     );
-    let served = dispatches(&serve_one_submitter(FusionMode::Auto, &stream));
+    let served = dispatches(&serve_one_submitter(&stream));
     let mut full = served
         .values()
         .filter(|(_, lanes)| *lanes == Some(BATCH as u32));
@@ -396,7 +393,7 @@ fn fusion_dispatches_triples_at_shared_positions_as_32_lanes() {
     let stream: Vec<Query> = (0..3 * BATCH)
         .map(|n| query(0, pts[n / 3], kind_of(n)))
         .collect();
-    let fused = dispatches(&serve_one_submitter(FusionMode::Auto, &stream));
+    let fused = dispatches(&serve_one_submitter(&stream));
     // The 32nd position's NN fills the lanes: 32 lanes, 94 queries. Its
     // kNN and PC go at the close.
     let mut batches = fused.values();
@@ -409,13 +406,56 @@ fn fusion_dispatches_triples_at_shared_positions_as_32_lanes() {
         (&vec![3 * BATCH - 2, 3 * BATCH - 1], Some(1))
     );
     assert!(batches.next().is_none());
+}
 
-    // Per-op buckets without fusion: three batches of 32, one per op.
-    let unfused = dispatches(&serve_one_submitter(FusionMode::Off, &stream));
-    assert_eq!(unfused.len(), 3);
-    for (op, (queries, lanes)) in unfused.values().enumerate() {
-        assert_eq!(*lanes, None, "no fused span");
-        let of_op: Vec<usize> = (0..3 * BATCH).filter(|n| n % 3 == op).collect();
-        assert_eq!(queries, &of_op);
+/// An index that notes how many lanes each batch it runs holds.
+struct Counting {
+    inner: KdIndex<3>,
+    lanes: Mutex<Vec<usize>>,
+}
+
+impl TreeIndex for Counting {
+    fn name(&self) -> &str {
+        self.inner.name()
     }
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn n_points(&self) -> usize {
+        self.inner.n_points()
+    }
+    fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
+        self.lanes.lock().unwrap().push(lanes.len());
+        self.inner.run(lanes, policy)
+    }
+}
+
+#[test]
+fn a_lone_op_at_repeated_positions_dispatches_one_lane_per_position() {
+    let pts = points();
+    let index = Arc::new(Counting {
+        inner: kd(&pts),
+        lanes: Mutex::new(Vec::new()),
+    });
+    let service = Service::start(ServiceConfig {
+        batch_queries: BATCH,
+        max_wait: Duration::from_secs(3600),
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let id = service.register_index(index.clone());
+    // NN only, every position twice in a row: each bucket fills to its
+    // 32 queries at 16 positions.
+    let tickets: Vec<Ticket> = (0..4 * BATCH)
+        .map(|n| service.submit(query(id, pts[n / 2], QueryKind::Nn)))
+        .collect::<Result<_, _>>()
+        .expect("open");
+    assert!(tickets.iter().all(resolved));
+    // A repeated position's two tickets read its one lane's answer.
+    for pair in tickets.chunks(2) {
+        assert_eq!(pair[0].wait(), pair[1].wait());
+    }
+    let snapshot = service.shutdown();
+    assert_eq!(snapshot.completed, 4 * BATCH as u64);
+    assert_eq!(*index.lanes.lock().unwrap(), [BATCH / 2; 4]);
 }

@@ -1,13 +1,13 @@
 //! Tier-1 smoke test of the serving path: the root `cargo test -q` starts
 //! a service, registers one index of each kind, streams mixed NN / kNN /
 //! PC queries at them with one mutation batch mid-stream, and checks
-//! every answer against the brute-force oracle — once per fusion mode.
+//! every answer against the brute-force oracle.
 
 use gpu_tree_traversals::apps::oracle;
 use gpu_tree_traversals::points::gen::uniform;
 use gpu_tree_traversals::service::{
-    ExecPolicy, FusionMode, KdIndex, MetricsSnapshot, MutableIndex, Mutation, Query, QueryKind,
-    QueryResult, Service, ServiceConfig, ShardedIndex, Ticket,
+    KdIndex, MetricsSnapshot, MutableIndex, Mutation, Query, QueryKind, QueryResult, Service,
+    ServiceConfig, ShardedIndex, Ticket,
 };
 use gpu_tree_traversals::trees::{PointN, SplitPolicy};
 use std::sync::Arc;
@@ -75,18 +75,13 @@ fn stream(
     answers
 }
 
-/// The whole stream under one fusion mode: every answer, and the final
-/// metrics.
-fn serve_mixed_stream(fusion: FusionMode) -> (Vec<QueryResult>, MetricsSnapshot) {
+/// The whole stream: every answer, and the final metrics.
+fn serve_mixed_stream() -> (Vec<QueryResult>, MetricsSnapshot) {
     let pts = uniform::<3>(512, 0x5301);
     let split = SplitPolicy::MedianCycle;
     let service = Service::start(ServiceConfig {
         batch_queries: 64,
         workers: 2,
-        policy: ExecPolicy {
-            fusion,
-            ..ExecPolicy::default()
-        },
         ..ServiceConfig::default()
     });
     let flat = service.register_index(Arc::new(KdIndex::build("flat", &pts, 8, split)));
@@ -124,21 +119,9 @@ fn serve_mixed_stream(fusion: FusionMode) -> (Vec<QueryResult>, MetricsSnapshot)
 
 #[test]
 fn service_answers_a_mixed_stream_on_every_index_kind() {
-    let (fused_answers, fused) = serve_mixed_stream(FusionMode::Auto);
+    let (_, fused) = serve_mixed_stream();
     assert!(
         fused.fused_batches > 0 && fused.fused_lanes > 0 && fused.fusion_saved_visits > 0,
         "mixed windows must fuse, and the one walk must save visits"
     );
-
-    // `Off` keeps every op in its own batch and changes no answer.
-    let (answers, unfused) = serve_mixed_stream(FusionMode::Off);
-    assert_eq!(
-        (
-            unfused.fused_batches,
-            unfused.fused_lanes,
-            unfused.fusion_saved_visits
-        ),
-        (0, 0, 0)
-    );
-    assert_eq!(answers, fused_answers);
 }

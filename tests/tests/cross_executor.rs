@@ -7,7 +7,7 @@
 use gts_apps::fused::{fused_ops_kernel, fused_ops_point, FusedOpsRule};
 use gts_apps::kd::KdBox;
 use gts_apps::knn::{KnnKernel, KnnPoint};
-use gts_apps::nn::{NnAabbKernel, NnKernel, NnPoint, NnRule};
+use gts_apps::nn::{NnAabbKernel, NnKernel, NnPoint};
 use gts_apps::oracle;
 use gts_apps::pc::{PcKernel, PcPoint};
 use gts_apps::vp::{VpKernel, VpPoint};
@@ -286,20 +286,8 @@ fn executors_count_the_same_under_either_meter() {
             &tree,
             &fused,
         );
-        // The same walks with every third tree position tombstoned.
+        // The served walk with every third tree position tombstoned.
         let dead: Tombstones = (0..data.len() as u32).step_by(3).collect();
-        let live_nn = Live {
-            rule: NnRule,
-            dead: &dead,
-        };
-        both_meters_agree(
-            &format!("{order} live nn"),
-            &NnKernel::with_rule(&nn_tree, live_nn),
-            &KdBox::with_rule(&nn_tree, live_nn),
-            &nn_lb,
-            &nn_tree,
-            &nn,
-        );
         let live_fused = Live {
             rule: FusedOpsRule::default(),
             dead: &dead,

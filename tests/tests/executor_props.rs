@@ -195,16 +195,14 @@ fn served_kernel_annotations_match_behaviour() {
                 .collect();
             assert_annotations_match_behaviour("fused", &fused_ops_kernel(&tree), &lanes, skip);
         }
-        // Each rule again as `Live` of it, over a tree with every third
-        // position tombstoned: the annotations are the inner rule's, and
-        // must still describe what the kernels do.
+        // Box-pruned rules again as `Live` of them, over a tree with every
+        // third position tombstoned: the annotations are the inner rule's,
+        // and must still describe what the kernels do.
         let dead: Tombstones = (0..data.len() as u32).step_by(3).collect();
         let live_nn = Live {
             rule: NnRule,
             dead: &dead,
         };
-        let plane = NnKernel::with_rule(&tree, live_nn);
-        assert_annotations_match_behaviour("live nn plane", &plane, &nn, skip);
         let boxed = KdBox::with_rule(&tree, live_nn);
         assert_annotations_match_behaviour("live nn box", &boxed, &nn, skip);
         let lanes: Vec<_> = (queries.iter())

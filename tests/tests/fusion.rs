@@ -1,7 +1,9 @@
 //! Fused multi-op traversal oracle.
 //!
 //! One union-pruned tree walk answers NN + kNN + PC for a lane; the
-//! answers must be bit-identical to running each op as its own batch —
+//! answers must equal brute force over the index's points, and be
+//! bit-identical to running each op as its own batch (the same rule over
+//! other lanes: a lane's answers do not depend on its batch-mates) —
 //! across shard counts, forced backends, mixed op subsets per lane, and
 //! a mid-epoch mutation window with deltas pending. A property test pins
 //! the soundness argument underneath: union admission never prunes a
@@ -11,6 +13,7 @@ use gts_apps::fused::{fused_ops_kernel, fused_ops_point};
 use gts_apps::kbest::KBest;
 use gts_apps::knn::{KnnKernel, KnnPoint};
 use gts_apps::nn::{NnAabbKernel, NnPoint};
+use gts_apps::oracle;
 use gts_apps::pc::{PcKernel, PcPoint};
 use gts_integration::mixed_lanes;
 use gts_points::gen::uniform;
@@ -25,9 +28,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, HashSet};
 
-/// Today's per-op dispatch over the same lanes: gather each op's
-/// positions, run one batch per op, scatter results back into the
-/// lanes' slot order.
+/// Per-op dispatch over the same lanes: gather each op's positions, run
+/// one batch per op, scatter results back into the lanes' slot order.
 fn unfused_answers(
     index: &dyn TreeIndex,
     lanes: &[FusedLane],
@@ -100,9 +102,37 @@ fn assert_identical(got: &[FusedLaneResult], want: &[FusedLaneResult], ctx: &str
     }
 }
 
+/// Each lane's answers by brute force over `points`. Ids are left empty:
+/// on an exact distance tie either point is right, so only values are
+/// compared ([`assert_values_match`]).
+fn brute_force(points: &[PointN<3>], lanes: &[FusedLane]) -> Vec<FusedLaneResult> {
+    (lanes.iter())
+        .map(|lane| {
+            let q = PointN(std::array::from_fn(|i| lane.pos[i]));
+            FusedLaneResult {
+                nn: lane.nn.then(|| QueryResult::Nn {
+                    dist2: oracle::nn_dist2_nonself(points, &q),
+                    id: u32::MAX,
+                }),
+                knn: (lane.knn_ks.iter())
+                    .map(|&k| QueryResult::Knn {
+                        dist2: oracle::knn_dists(points, &q, k),
+                        ids: Vec::new(),
+                    })
+                    .collect(),
+                pc: (lane.pc_radii.iter())
+                    .map(|&bits| QueryResult::Pc {
+                        count: oracle::pc_count(points, &q, f32::from_bits(bits)),
+                    })
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
 /// Value-level equality (distances and counts, not ids) — used against
-/// the flat CPU oracle, where an id may legitimately differ on an exact
-/// distance tie between index structures.
+/// brute force, where an id may legitimately differ on an exact distance
+/// tie.
 fn assert_values_match(got: &[FusedLaneResult], want: &[FusedLaneResult], ctx: &str) {
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
         match (&g.nn, &w.nn) {
@@ -128,11 +158,9 @@ fn assert_values_match(got: &[FusedLaneResult], want: &[FusedLaneResult], ctx: &
 #[test]
 fn fused_matches_unfused_and_flat_cpu_across_shards_and_backends() {
     let pts = uniform::<3>(600, 4213);
-    let flat = KdIndex::build("fuse-flat", &pts, 8, SplitPolicy::MedianCycle);
-    let cpu = ExecPolicy::forced(Backend::Cpu);
     for (mix, seed) in [(48usize, 71u64), (17, 72)] {
         let lanes = mixed_lanes(&pts, mix, seed);
-        let oracle = unfused_answers(&flat, &lanes, &cpu);
+        let oracle = brute_force(&pts, &lanes);
         for shards in [1usize, 2, 8] {
             let index: Box<dyn TreeIndex> = if shards == 1 {
                 Box::new(KdIndex::build("fuse-kd", &pts, 8, SplitPolicy::MedianCycle))
@@ -158,7 +186,7 @@ fn fused_matches_unfused_and_flat_cpu_across_shards_and_backends() {
                     .unwrap_or_else(|| panic!("{ctx}: index supports fused dispatch"));
                 let want = unfused_answers(index.as_ref(), &lanes, &policy);
                 assert_identical(&fused.lanes, &want, &ctx);
-                assert_values_match(&fused.lanes, &oracle, &format!("{ctx} vs flat CPU"));
+                assert_values_match(&fused.lanes, &oracle, &format!("{ctx} vs brute force"));
                 assert!(fused.outcome.node_visits > 0, "{ctx}: no work recorded");
             }
         }
@@ -195,11 +223,10 @@ fn fused_stays_exact_mid_epoch_window() {
         idx.mutate(&muts).expect("mutations are valid");
         assert!(idx.stats().pending > 0, "deltas must still be in flight");
 
-        // A flat index built from scratch over the live points is the
-        // reference the whole window must agree with.
+        // Brute force over the live points is the reference the whole
+        // window must agree with.
         let live: Vec<PointN<3>> = idx.live().into_iter().map(|(_, p)| p).collect();
-        let rebuilt = KdIndex::build("fuse-rebuilt", &live, 8, SplitPolicy::MedianCycle);
-        let oracle = unfused_answers(&rebuilt, &lanes, &ExecPolicy::forced(Backend::Cpu));
+        let oracle = brute_force(&live, &lanes);
 
         // Waves inline, on two threads, and on one thread per shard.
         for threads in [1, 2, shards] {
@@ -217,7 +244,7 @@ fn fused_stays_exact_mid_epoch_window() {
                     .unwrap_or_else(|| panic!("{ctx}: mutable index supports fused dispatch"));
                 let want = unfused_answers(&idx, &lanes, &policy);
                 assert_identical(&fused.lanes, &want, &ctx);
-                assert_values_match(&fused.lanes, &oracle, &format!("{ctx} vs flat rebuild"));
+                assert_values_match(&fused.lanes, &oracle, &format!("{ctx} vs brute force"));
             }
         }
     }

@@ -252,17 +252,14 @@ fn a_batchs_whole_record_is_the_same_for_every_thread_count() {
 /// answers only, so a batch executes exactly what its lanes execute when
 /// each is run as a batch of one — and on the CPU backend, whose node
 /// visits are per-lane traversal counts whatever the grouping,
-/// `node_visits` and `shards_pruned` are those runs' sums. The mixed
-/// batch keeps only lanes that ask two ops or more: a lane of one op
-/// alone would pick that op's own kernel, not the fused walk the mixed
-/// batch gives it.
+/// `node_visits` and `shards_pruned` are those runs' sums. Every batch,
+/// a lane of one op alone included, walks the one fused rule.
 #[test]
 fn a_batch_executes_what_its_lanes_execute_alone() {
     let pts = uniform::<3>(N_POINTS, 0x5eed);
     let idx = ShardedIndex::build("sharded", &pts, 8, 8, SplitPolicy::MedianCycle);
     let positions = &queries(&pts, 0xfeed)[..256];
-    let mut mixed = mixed_lanes(&pts, 320, 0x1a9e5);
-    mixed.retain(|lane| lane.ops() >= 2);
+    let mixed = mixed_lanes(&pts, 320, 0x1a9e5);
     let batches = [
         single_op_lanes(OpKey::Nn, positions),
         single_op_lanes(OpKey::Knn(8), positions),
