@@ -251,13 +251,8 @@ mod tests {
             profile_cache_misses: 1,
             ..BatchOutcome::default()
         };
-        m.on_batch(&BatchRecord {
-            index: "demo",
-            size: 1,
-            queue_wait: Duration::from_millis(1),
-            exec: Duration::from_millis(2),
-            outcome: &outcome,
-        });
+        let (wait, exec) = (Duration::from_millis(1), Duration::from_millis(2));
+        m.on_batch(&BatchRecord::from_outcome(&outcome, wait, exec, "demo"));
         m.on_complete("demo", Duration::from_millis(3), 1, 0);
         let text = render_service(&m.snapshot());
         assert!(

@@ -23,41 +23,58 @@ use crate::hist::{bucket_index, Histogram, HistogramSnapshot, N_BUCKETS};
 use crate::index::BatchOutcome;
 use crate::policy::Backend;
 use crate::slowlog::SLOW_LOG_WARMUP;
+use crate::trace::NO_ID;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// What the registry records about one executed batch: the batch's own
-/// accounting record plus what only the worker that ran it knows.
+/// What is written about one answered dispatch: the batch's own
+/// accounting record plus what only the worker that ran it knows. The
+/// service's `record_batch` writes it to the metrics and the trace.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchRecord<'a> {
     /// Name of the index the batch ran against.
     pub index: &'a str,
+    /// Dispatch id, as the trace's batch events and the queries' records
+    /// name it ([`NO_ID`] for a record built from a lone outcome).
+    pub id: u64,
     /// Queries the batch answered.
     pub size: usize,
+    /// Distinct positions the walk carried (one lane each).
+    pub lanes: usize,
+    /// Per-op batches coalesced into the dispatch.
+    pub parts: usize,
+    /// Op families the lanes asked ([`crate::OpKey::family`] bits).
+    pub ops: u8,
     /// Longest submit-to-dispatch wait among the batch's queries.
     pub queue_wait: Duration,
     /// Wall-clock execution time of the batch on its worker (dispatch →
-    /// tickets resolved) — the sample feeding the admission model's EWMA
-    /// batch service time.
+    /// answers ready, before the scatter to the tickets) — the sample
+    /// feeding the admission model's EWMA batch service time.
     pub exec: Duration,
     /// The batch's accounting record.
     pub outcome: &'a BatchOutcome,
 }
 
 impl<'a> BatchRecord<'a> {
-    /// Record for `outcome` against index `index`, with the batch's
-    /// measured `queue_wait` and wall-clock `exec` time.
+    /// Record for a per-query `outcome` against index `index`, with the
+    /// batch's measured `queue_wait` and wall-clock `exec` time: one lane
+    /// per result, one part, no dispatch id, no op mask.
     pub fn from_outcome(
         outcome: &'a BatchOutcome,
         queue_wait: Duration,
         exec: Duration,
         index: &'a str,
     ) -> Self {
+        let size = outcome.results.len();
         BatchRecord {
             index,
-            size: outcome.results.len(),
+            id: NO_ID,
+            size,
+            lanes: size,
+            parts: 1,
+            ops: 0,
             queue_wait,
             exec,
             outcome,

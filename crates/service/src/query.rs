@@ -91,8 +91,8 @@ pub enum OpKey {
 impl OpKey {
     /// The op's family, whatever its parameter: its name (`"nn"`, `"knn"`,
     /// `"pc"`) as slow-log records spell it, and its bit in
-    /// [`crate::EventKind::FusedBatch`]'s op mask.
-    pub fn family(self) -> (&'static str, u32) {
+    /// [`crate::EventKind::Batch`]'s op mask.
+    pub fn family(self) -> (&'static str, u8) {
         match self {
             OpKey::Nn => ("nn", FUSED_OP_NN),
             OpKey::Knn(_) => ("knn", FUSED_OP_KNN),

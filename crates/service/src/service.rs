@@ -10,7 +10,7 @@
 //!                                              │  lanes → sort → profile →
 //!                                              │  lockstep/autoropes
 //!                                              ▼
-//!                                        tickets resolve
+//!                                  answers ready → tickets resolve
 //! ```
 //!
 //! `submit` files its query into its `(index, op)` bucket under the front
@@ -28,7 +28,7 @@
 
 use crate::batcher::{BatchEntry, Batcher, ReadyBatch};
 use crate::epoch::{EpochEvent, EpochStats, MutateError, Mutation, MutationAck};
-use crate::index::{BatchOutcome, FusedLane, ShardVisit, TreeIndex};
+use crate::index::{BatchOutcome, FusedLane, FusedOutcome, ShardVisit, TreeIndex};
 use crate::metrics::{BatchRecord, KindDropped, Metrics, MetricsSnapshot};
 use crate::policy::ExecPolicy;
 use crate::query::{BatchKey, IndexId, Query, QueryResult};
@@ -467,36 +467,13 @@ impl Front {
 /// Send a burst's dispatches, blocking on a full dispatch queue — the
 /// service's backpressure, so no lock may be held here. A dispatch the
 /// queue refuses (workers gone early — only happens on a worker panic)
-/// still ends each of its queries in [`finish`], as a failure of that
-/// dispatch, or `wait` would hang and the registry would not balance.
+/// still ends in [`end_dispatch`], as a failure, or `wait` would hang and
+/// the registry would not balance.
 fn send_all(shared: &Shared, (tx, dispatches): Flushed) {
     for d in dispatches {
-        let Err(SendError(d)) = tx.send(d) else {
-            continue;
-        };
-        let err = ServiceError::Internal("dispatch queue closed".into());
-        let ended = Instant::now();
-        let ride = Ride {
-            id: d.id,
-            dispatched: ended,
-            out: None,
-            epoch: None,
-            threshold_us: 0,
-        };
-        let index = shared.indices().get(d.index).cloned();
-        let index_name = index.as_ref().map_or("unknown", |i| i.name());
-        for b in d.batches {
-            for e in b.entries {
-                let end = End {
-                    origin: e.tag.origin,
-                    index: index_name,
-                    op: b.key.op.family().0,
-                    ride: Some(&ride),
-                    reason: Some(reject_reason(&err)),
-                    ended,
-                };
-                finish(shared, end, Some((e.tag, Err(err.clone()))));
-            }
+        if let Err(SendError(d)) = tx.send(d) {
+            let closed = ServiceError::Internal("dispatch queue closed".into());
+            end_dispatch(shared, d, |_, _| Err(closed));
         }
     }
 }
@@ -610,8 +587,8 @@ impl End<'_> {
             backend: out.map(|o| o.backend.name()),
             batch: ride.map(|r| r.id),
             submitted_us: trace.us_of(origin.submitted),
-            queue_wait_us: ride.map_or(0, |r| us(r.dispatched - origin.submitted)),
-            exec_us: out.and(ride).map_or(0, |r| us(self.ended - r.dispatched)),
+            queue_wait_us: us(ride.map_or(self.ended, |r| r.dispatched) - origin.submitted),
+            exec_us: ride.map_or(0, |r| us(self.ended - r.dispatched)),
             latency_us,
             threshold_us,
             node_visits: out.map_or(0, |o| o.node_visits),
@@ -1119,113 +1096,56 @@ fn keeper_loop(front: &Front, shared: &Shared) {
 }
 
 fn worker_loop(rx: Receiver<Dispatch<Tag>>, shared: Arc<Shared>) {
-    while let Ok(batch) = rx.recv() {
-        handle(batch, &shared);
+    while let Ok(dispatch) = rx.recv() {
+        let index_id = dispatch.index;
+        end_dispatch(&shared, dispatch, |index, lanes| {
+            // Registration is checked at submit; this covers torn-down
+            // state only.
+            let index = index.ok_or(ServiceError::UnknownIndex(index_id))?;
+            let misfit = || ServiceError::Internal("answers do not fit the lanes".into());
+            std::panic::catch_unwind(AssertUnwindSafe(|| index.run(lanes, &shared.policy)))
+                .map_err(|_| ServiceError::Internal("kernel panicked".into()))
+                // The scatter reads an answer for every op of every lane: an
+                // outcome of another shape fails the dispatch the way a panic
+                // does, and spares the worker.
+                .and_then(|o| o.fits(lanes).then_some(o).ok_or_else(misfit))
+        });
     }
 }
 
-/// Execute one dispatch: build its lanes, run the index over them once,
-/// then scatter each lane's per-op answers back to the parts' tickets.
-fn handle(dispatch: Dispatch<Tag>, shared: &Shared) {
+/// Where every dispatch ends: build its lanes, `run` the index over them
+/// once, write an answered dispatch's one [`BatchRecord`]
+/// ([`record_batch`]), then end each query in [`finish`] with its lane's
+/// answer or the dispatch's error.
+fn end_dispatch(
+    shared: &Shared,
+    Dispatch { id, index, batches }: Dispatch<Tag>,
+    run: impl FnOnce(Option<&dyn TreeIndex>, &[FusedLane]) -> Result<FusedOutcome, ServiceError>,
+) {
     let dispatched = Instant::now();
-    let Dispatch {
-        id,
-        index: index_id,
-        batches,
-    } = dispatch;
     let (lanes, parts) = lanes_of(batches);
-    let trace = &shared.trace;
-    let dispatch_us = trace.us_of(dispatched);
-    let index = shared.indices().get(index_id).cloned();
-    let index_name = index.as_ref().map_or("unknown", |i| i.name());
-    let misfit = || ServiceError::Internal("answers do not fit the lanes".into());
-    let outcome = match &index {
-        Some(index) => {
-            std::panic::catch_unwind(AssertUnwindSafe(|| index.run(&lanes, &shared.policy)))
-                .map_err(|_| ServiceError::Internal("kernel panicked".into()))
-                // The scatter reads an answer for every op of every lane:
-                // an outcome of another shape fails the dispatch the way a
-                // panic does, and spares the worker.
-                .and_then(|o| o.fits(&lanes).then_some(o).ok_or_else(misfit))
-        }
-        // Registration is checked at submit; this covers torn-down state
-        // only.
-        None => Err(ServiceError::UnknownIndex(index_id)),
-    };
-    let size: usize = parts.iter().map(|p| p.entries.len()).sum();
+    let index = shared.indices().get(index).cloned();
+    let outcome = run(index.as_deref(), &lanes);
+    // The answers are ready: a query's exec and latency end here, before
+    // the scatter to the tickets.
     let done = Instant::now();
+    let index_name = index.as_ref().map_or("unknown", |i| i.name());
     let out = outcome.as_ref().ok().map(|o| &o.outcome);
-    if let Some(out) = out {
-        let queue_wait = (parts.iter().flat_map(|p| &p.entries))
-            .map(|(tag, _)| dispatched.duration_since(tag.origin.submitted))
-            .max()
-            .unwrap_or(Duration::ZERO);
-        let exec = done.duration_since(dispatched);
-        // The outcome's `results` is empty (answers live in its
-        // `lanes`) — the record's size is the query count the
-        // dispatch served.
-        let mut rec = BatchRecord::from_outcome(out, queue_wait, exec, index_name);
-        rec.size = size;
-        shared.metrics.on_batch(&rec);
-        let done_us = trace.us_of(done);
-        // One batch span per dispatch — the invariant the
-        // observability tests check against `batches` in the metrics
-        // snapshot. Lanes carrying two or more distinct ops (which is
-        // when the index reports fused lanes) make it a FusedBatch
-        // span naming the ops.
-        let span = if out.fused_lanes > 0 {
-            let ops =
-                (lanes.iter().flat_map(|l| l.op_keys())).fold(0, |ops, op| ops | op.family().1);
-            EventKind::FusedBatch {
-                lanes: lanes.len() as u32,
-                parts: parts.len() as u32,
-                ops,
-                backend: out.backend,
-                node_visits: out.node_visits,
-                saved_visits: out.fusion_saved_visits,
-                metered: out.metered,
-            }
-        } else {
-            EventKind::Batch {
-                size: size as u32,
-                backend: out.backend,
-                node_visits: out.node_visits,
-                metered: out.metered,
-                model_ms: out.model_ms,
-                work_expansion: out.work_expansion,
-                mask_occupancy: out.mask_occupancy,
-            }
+    if let Some(outcome) = out {
+        let entries = || parts.iter().flat_map(|p| &p.entries);
+        let waits = entries().map(|(tag, _)| dispatched - tag.origin.submitted);
+        let rec = BatchRecord {
+            index: index_name,
+            id,
+            size: entries().count(),
+            lanes: lanes.len(),
+            parts: parts.len(),
+            ops: parts.iter().fold(0, |ops, p| ops | p.key.op.family().1),
+            queue_wait: waits.max().unwrap_or_default(),
+            exec: done - dispatched,
+            outcome,
         };
-        trace.span(
-            dispatch_us,
-            done_us.saturating_sub(dispatch_us),
-            NO_ID,
-            id,
-            span,
-        );
-        trace.instant(
-            done_us,
-            NO_ID,
-            id,
-            EventKind::BackendChoice {
-                backend: out.backend,
-                similarity: out.mean_similarity,
-            },
-        );
-        for v in &out.shard_visits {
-            trace.span(
-                dispatch_us + v.offset_us,
-                v.dur_us,
-                NO_ID,
-                id,
-                EventKind::ShardVisit {
-                    shard: v.shard,
-                    round: v.round,
-                    queries: v.queries,
-                    node_visits: v.node_visits,
-                },
-            );
-        }
+        record_batch(shared, &rec, dispatched);
     }
     let ride = Ride {
         id,
@@ -1255,6 +1175,41 @@ fn handle(dispatch: Dispatch<Tag>, shared: &Shared) {
             };
             finish(shared, end, Some((tag, result)));
         }
+    }
+}
+
+/// The one place an answered dispatch is written: the metrics' batch
+/// series, one `Batch` span from dispatch to answers ready, and a
+/// `ShardVisit` span per shard sub-batch.
+fn record_batch(shared: &Shared, rec: &BatchRecord<'_>, dispatched: Instant) {
+    shared.metrics.on_batch(rec);
+    let (trace, out) = (&shared.trace, rec.outcome);
+    let (dispatch_us, exec_us) = (trace.us_of(dispatched), rec.exec.as_micros() as u64);
+    let kind = EventKind::Batch {
+        size: rec.size as u32,
+        lanes: rec.lanes as u32,
+        parts: u16::try_from(rec.parts).unwrap_or(u16::MAX),
+        ops: rec.ops,
+        backend: out.backend,
+        fused: out.fused_lanes > 0,
+        metered: out.metered,
+        similarity: out.mean_similarity.map_or(f32::NAN, |s| s as f32),
+        node_visits: out.node_visits,
+        saved_visits: out.fusion_saved_visits,
+        model_ms: out.model_ms as f32,
+        work_expansion: out.work_expansion as f32,
+        mask_occupancy: out.mask_occupancy as f32,
+    };
+    trace.span(dispatch_us, exec_us, NO_ID, rec.id, kind);
+    for v in &out.shard_visits {
+        let (shard, round, queries, node_visits) = (v.shard, v.round, v.queries, v.node_visits);
+        let kind = EventKind::ShardVisit {
+            shard,
+            round,
+            queries,
+            node_visits,
+        };
+        trace.span(dispatch_us + v.offset_us, v.dur_us, NO_ID, rec.id, kind);
     }
 }
 

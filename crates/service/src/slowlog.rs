@@ -72,11 +72,16 @@ pub struct QueryRecord<'a> {
     pub batch: Option<u64>,
     /// Submit timestamp, µs on the service trace timeline.
     pub submitted_us: u64,
-    /// Queue wait (submit → batch dispatch), µs.
+    /// Queue wait (submit → batch dispatch; submit → refusal for a query
+    /// refused at submit, which never leaves the front), µs.
     pub queue_wait_us: u64,
-    /// Batch execution wall time, µs.
+    /// Batch execution wall time (dispatch → answers ready, or the
+    /// dispatch's failure), µs.
     pub exec_us: u64,
-    /// Full submit → resolve latency, µs.
+    /// Submit → answers ready (or the refusal, or the failure) latency,
+    /// µs: `queue_wait_us + exec_us` to the clock's µs rounding. The
+    /// scatter to the tickets comes after; ROADMAP item 1(b) adds it as a
+    /// stage.
     pub latency_us: u64,
     /// The rolling slow threshold in force at commit, µs (0 = unarmed).
     pub threshold_us: u64,

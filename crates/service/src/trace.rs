@@ -4,7 +4,7 @@
 //! Every query and batch moving through the service leaves a trail:
 //!
 //! ```text
-//! submit → enqueue → batch dispatch → backend choice → [shard visits] →
+//! submit → enqueue → batch (executor, why, lanes, ops) → [shard visits] →
 //! complete | reject
 //! ```
 //!
@@ -43,49 +43,40 @@ pub enum EventKind {
     /// Query on its way into its bucket (recorded before the push, so it
     /// precedes the query's `Complete`).
     Enqueue,
-    /// One batch executed on a worker (span: dispatch → tickets resolved).
+    /// One dispatch executed on a worker (span: dispatch → answers ready;
+    /// the scatter to the tickets comes after, the stage ROADMAP item 1(b)
+    /// adds): which executor ran it, why (the profiler's similarity, none
+    /// when forced or too small to profile) and on what (lanes, op mix).
+    /// Floats are `f32` so a ring slot stays at 96 bytes.
     Batch {
-        /// Queries in the batch.
+        /// Queries the dispatch answered.
         size: u32,
+        /// Distinct positions the walk carried (one lane each).
+        lanes: u32,
+        /// Per-op batches coalesced into the dispatch.
+        parts: u16,
+        /// Op-family bitmask (1 = nn, 2 = knn, 4 = pc), rendered as
+        /// `"nn+knn+pc"` in the Chrome args.
+        ops: u8,
         /// Executor that ran it.
         backend: Backend,
+        /// The lanes carried two or more distinct op keys between them.
+        fused: bool,
+        /// Whether the batch ran under the C2070 model.
+        metered: bool,
+        /// The §4.4 profiler's mean Jaccard similarity; NaN when the
+        /// batch was not profiled (omitted from the Chrome args).
+        similarity: f32,
         /// Tree-node visits across the batch.
         node_visits: u64,
-        /// Whether the batch ran under the C2070 model.
-        metered: bool,
-        /// Modeled GPU milliseconds (metered batches only).
-        model_ms: f64,
-        /// Lockstep work expansion (1.0 when not applicable).
-        work_expansion: f64,
-        /// Mean live-lane fraction per warp pop.
-        mask_occupancy: f64,
-    },
-    /// One fused multi-op batch executed on a worker (span: dispatch →
-    /// tickets resolved). `ops` is a bitmask naming the constituent op
-    /// families (1 = nn, 2 = knn, 4 = pc), rendered as `"nn+knn+pc"` in
-    /// the Chrome args.
-    FusedBatch {
-        /// Deduplicated lanes the fused walk carried.
-        lanes: u32,
-        /// Constituent per-op batches coalesced into the dispatch.
-        parts: u32,
-        /// Op-family bitmask (1 = nn, 2 = knn, 4 = pc).
-        ops: u32,
-        /// Executor that ran it.
-        backend: Backend,
-        /// Tree-node visits across the fused batch.
-        node_visits: u64,
-        /// Node visits saved vs. modeled per-op solo walks.
+        /// Node visits the fusion saved against per-op solo walks.
         saved_visits: u64,
-        /// Whether the batch ran under the C2070 model.
-        metered: bool,
-    },
-    /// The §4.4 profiler's (or forced policy's) executor decision.
-    BackendChoice {
-        /// Chosen executor.
-        backend: Backend,
-        /// Profiler mean Jaccard similarity, when profiling ran.
-        similarity: Option<f64>,
+        /// Modeled GPU milliseconds (metered batches only).
+        model_ms: f32,
+        /// Lockstep work expansion (1.0 when not applicable).
+        work_expansion: f32,
+        /// Mean live-lane fraction per warp pop.
+        mask_occupancy: f32,
     },
     /// One shard's sub-batch inside a sharded batch (span).
     ShardVisit {
@@ -98,7 +89,7 @@ pub enum EventKind {
         /// Node visits inside the shard.
         node_visits: u64,
     },
-    /// Query result delivered (span: submit → resolve).
+    /// Query answered (span: submit → its batch's answers ready).
     Complete,
     /// Query rejected (validation, shutdown, admission, or worker
     /// failure).
@@ -175,7 +166,7 @@ pub enum EventKind {
 }
 
 /// Number of [`EventKind`] variants (size of the per-kind drop counters).
-pub const KIND_COUNT: usize = 16;
+pub const KIND_COUNT: usize = 14;
 
 impl EventKind {
     /// Stable short tag, used as the `kind` label on
@@ -190,19 +181,17 @@ impl EventKind {
             EventKind::Submit => 0,
             EventKind::Enqueue => 1,
             EventKind::Batch { .. } => 2,
-            EventKind::BackendChoice { .. } => 3,
-            EventKind::ShardVisit { .. } => 4,
-            EventKind::Complete => 5,
-            EventKind::Reject { .. } => 6,
-            EventKind::Accept { .. } => 7,
-            EventKind::FrameDecode { .. } => 8,
-            EventKind::Admission { .. } => 9,
-            EventKind::Mutate { .. } => 10,
-            EventKind::EpochMerge { .. } => 11,
-            EventKind::ClientSpan { .. } => 12,
-            EventKind::FlowOut { .. } => 13,
-            EventKind::FlowIn { .. } => 14,
-            EventKind::FusedBatch { .. } => 15,
+            EventKind::ShardVisit { .. } => 3,
+            EventKind::Complete => 4,
+            EventKind::Reject { .. } => 5,
+            EventKind::Accept { .. } => 6,
+            EventKind::FrameDecode { .. } => 7,
+            EventKind::Admission { .. } => 8,
+            EventKind::Mutate { .. } => 9,
+            EventKind::EpochMerge { .. } => 10,
+            EventKind::ClientSpan { .. } => 11,
+            EventKind::FlowOut { .. } => 12,
+            EventKind::FlowIn { .. } => 13,
         }
     }
 }
@@ -212,7 +201,6 @@ pub const KIND_NAMES: [&str; KIND_COUNT] = [
     "submit",
     "enqueue",
     "batch",
-    "backend_choice",
     "shard_visit",
     "complete",
     "reject",
@@ -224,22 +212,21 @@ pub const KIND_NAMES: [&str; KIND_COUNT] = [
     "client_span",
     "flow_out",
     "flow_in",
-    "fused_batch",
 ];
 
 /// Marker for "no query/batch id" on events that lack one.
 pub const NO_ID: u64 = u64::MAX;
 
-/// NN bit of [`EventKind::FusedBatch`]'s op-family mask.
-pub const FUSED_OP_NN: u32 = 1;
-/// kNN bit of [`EventKind::FusedBatch`]'s op-family mask.
-pub const FUSED_OP_KNN: u32 = 2;
-/// PC bit of [`EventKind::FusedBatch`]'s op-family mask.
-pub const FUSED_OP_PC: u32 = 4;
+/// NN bit of [`EventKind::Batch`]'s op-family mask.
+pub const FUSED_OP_NN: u8 = 1;
+/// kNN bit of [`EventKind::Batch`]'s op-family mask.
+pub const FUSED_OP_KNN: u8 = 2;
+/// PC bit of [`EventKind::Batch`]'s op-family mask.
+pub const FUSED_OP_PC: u8 = 4;
 
 /// Stable `+`-joined name of an op-family mask (`"nn+knn+pc"`) — how a
-/// fused batch's constituent ops read in the Chrome trace args.
-pub fn fused_ops_name(mask: u32) -> String {
+/// batch's ops read in the Chrome trace args.
+pub fn fused_ops_name(mask: u8) -> String {
     let mut parts = Vec::new();
     if mask & FUSED_OP_NN != 0 {
         parts.push("nn");
@@ -544,19 +531,12 @@ pub struct TraceSnapshot {
 }
 
 impl TraceSnapshot {
-    /// Number of batch-execution spans in the snapshot. Fused dispatches
-    /// record a [`EventKind::FusedBatch`] span instead of a plain batch
-    /// span, and both shapes count here — the invariant is one span per
-    /// dispatched batch, fused or not.
+    /// Number of batch-execution spans in the snapshot: one per answered
+    /// dispatch.
     pub fn batch_spans(&self) -> usize {
         self.events
             .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    EventKind::Batch { .. } | EventKind::FusedBatch { .. }
-                )
-            })
+            .filter(|e| matches!(e.kind, EventKind::Batch { .. }))
             .count()
     }
 
@@ -650,8 +630,6 @@ fn write_chrome_event(ev: &TraceEvent, out: &mut String) {
         EventKind::Submit => ("submit", "i", QUERY_PID, ev.query),
         EventKind::Enqueue => ("enqueue", "i", QUERY_PID, ev.query),
         EventKind::Batch { .. } => ("batch", "X", BATCH_PID, ev.batch),
-        EventKind::FusedBatch { .. } => ("fused_batch", "X", BATCH_PID, ev.batch),
-        EventKind::BackendChoice { .. } => ("backend", "i", BATCH_PID, ev.batch),
         EventKind::ShardVisit { shard, .. } => ("shard_visit", "X", SHARD_PID, u64::from(*shard)),
         EventKind::Complete => ("query", "X", QUERY_PID, ev.query),
         EventKind::Reject { .. } => ("reject", "i", QUERY_PID, ev.query),
@@ -706,45 +684,33 @@ fn write_chrome_event(ev: &TraceEvent, out: &mut String) {
     match &ev.kind {
         EventKind::Batch {
             size,
+            lanes,
+            parts,
+            ops,
             backend,
-            node_visits,
+            fused,
             metered,
+            similarity,
+            node_visits,
+            saved_visits,
             model_ms,
             work_expansion,
             mask_occupancy,
         } => {
             out.push_str(&format!(
-                ",\"size\":{size},\"backend\":\"{}\",\"node_visits\":{node_visits},\
-                 \"metered\":{metered},\"model_ms\":{model_ms},\
-                 \"work_expansion\":{work_expansion},\"mask_occupancy\":{mask_occupancy}",
-                backend.name()
-            ));
-        }
-        EventKind::FusedBatch {
-            lanes,
-            parts,
-            ops,
-            backend,
-            node_visits,
-            saved_visits,
-            metered,
-        } => {
-            out.push_str(&format!(
-                ",\"lanes\":{lanes},\"parts\":{parts},\"ops\":\"{}\",\
-                 \"backend\":\"{}\",\"node_visits\":{node_visits},\
-                 \"saved_visits\":{saved_visits},\"metered\":{metered}",
+                ",\"size\":{size},\"lanes\":{lanes},\"parts\":{parts},\"ops\":\"{}\",\
+                 \"backend\":\"{}\",\"fused\":{fused},\"metered\":{metered}",
                 fused_ops_name(*ops),
                 backend.name()
             ));
-        }
-        EventKind::BackendChoice {
-            backend,
-            similarity,
-        } => {
-            out.push_str(&format!(",\"backend\":\"{}\"", backend.name()));
-            if let Some(sim) = similarity {
-                out.push_str(&format!(",\"similarity\":{sim}"));
+            if !similarity.is_nan() {
+                out.push_str(&format!(",\"similarity\":{similarity}"));
             }
+            out.push_str(&format!(
+                ",\"node_visits\":{node_visits},\"saved_visits\":{saved_visits},\
+                 \"model_ms\":{model_ms},\"work_expansion\":{work_expansion},\
+                 \"mask_occupancy\":{mask_occupancy}"
+            ));
         }
         EventKind::ShardVisit {
             shard,
@@ -1038,21 +1004,18 @@ mod tests {
             b,
             EventKind::Batch {
                 size: 32,
+                lanes: 30,
+                parts: 2,
+                ops: FUSED_OP_NN | FUSED_OP_KNN,
                 backend: Backend::Lockstep,
-                node_visits: 1234,
+                fused: true,
                 metered: true,
+                similarity: 0.6,
+                node_visits: 1234,
+                saved_visits: 56,
                 model_ms: 0.75,
                 work_expansion: 1.25,
                 mask_occupancy: 0.9,
-            },
-        );
-        rec.instant(
-            50,
-            NO_ID,
-            b,
-            EventKind::BackendChoice {
-                backend: Backend::Lockstep,
-                similarity: Some(0.6),
             },
         );
         rec.span(
@@ -1082,7 +1045,9 @@ mod tests {
         let serde::Value::Array(events) = v else {
             panic!("trace is not a JSON array")
         };
-        assert_eq!(events.len(), 7);
+        assert_eq!(events.len(), 6);
+        assert!(json.contains("\"ops\":\"nn+knn\""), "{json}");
+        assert!(json.contains("\"similarity\":0.6,"), "{json}");
         for ev in &events {
             let serde::Value::Object(fields) = ev else {
                 panic!("event is not an object")
@@ -1117,6 +1082,39 @@ mod tests {
                 assert_eq!(tid.as_f64(), 2.0, "tid is the shard index");
             }
         }
+    }
+
+    #[test]
+    fn an_unprofiled_batch_omits_its_similarity() {
+        let rec = TraceRecorder::new(4);
+        let kind = EventKind::Batch {
+            size: 1,
+            lanes: 1,
+            parts: 1,
+            ops: FUSED_OP_PC,
+            backend: Backend::Cpu,
+            fused: false,
+            metered: false,
+            similarity: f32::NAN,
+            node_visits: 9,
+            saved_visits: 0,
+            model_ms: 0.0,
+            work_expansion: 1.0,
+            mask_occupancy: 1.0,
+        };
+        rec.span(0, 3, NO_ID, 0, kind);
+        let json = rec.snapshot().to_chrome_json();
+        let _: serde::Value = serde_json::from_str(&json).expect("parses");
+        assert!(!json.contains("similarity"), "{json}");
+        assert!(
+            json.contains("\"ops\":\"pc\",\"backend\":\"cpu\""),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn a_ring_slot_stays_within_96_bytes() {
+        assert!(std::mem::size_of::<TraceEvent>() <= 96);
     }
 
     #[test]

@@ -313,8 +313,9 @@ fn serve_one_submitter(stream: &[Query]) -> TraceSnapshot {
 }
 
 /// What the trace says each batch id ran: the stream positions of its
-/// queries (query ids ascend with submission), and its span — the
-/// `FusedBatch` lane count, or `None` for a per-op `Batch`.
+/// queries (query ids ascend with submission), and its span — its lane
+/// count when its lanes carried two or more distinct ops, `None`
+/// otherwise.
 fn dispatches(trace: &TraceSnapshot) -> BTreeMap<u64, (Vec<usize>, Option<u32>)> {
     let mut completes: Vec<(u64, u64)> = (trace.events.iter())
         .filter(|e| matches!(e.kind, EventKind::Complete))
@@ -326,7 +327,10 @@ fn dispatches(trace: &TraceSnapshot) -> BTreeMap<u64, (Vec<usize>, Option<u32>)>
         out.entry(batch).or_default().0.push(n);
     }
     for e in &trace.events {
-        if let EventKind::FusedBatch { lanes, .. } = e.kind {
+        if let EventKind::Batch {
+            fused: true, lanes, ..
+        } = e.kind
+        {
             out.get_mut(&e.batch).expect("a span for a served batch").1 = Some(lanes);
         }
     }

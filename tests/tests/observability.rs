@@ -6,11 +6,12 @@
 use gts_points::gen::uniform;
 use gts_service::trace::NO_ID;
 use gts_service::{
-    BatchOutcome, EventKind, ExecPolicy, FusedLane, FusedOutcome, KdIndex, Metrics, Query,
-    QueryKind, QueryRecord, QueryResult, Service, ServiceConfig, ServiceError, ShardedIndex,
-    TraceContext, TreeIndex, SLOW_LOG_WARMUP,
+    fused_ops_name, Backend, BatchOutcome, EventKind, ExecPolicy, FusedLane, FusedOutcome, KdIndex,
+    Metrics, Query, QueryKind, QueryRecord, QueryResult, Service, ServiceConfig, ServiceError,
+    ShardedIndex, TraceContext, TraceEvent, TreeIndex, SLOW_LOG_WARMUP,
 };
 use gts_trees::SplitPolicy;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -439,6 +440,14 @@ fn one_record_names_each_ending_alike_on_every_sink() {
         e
     };
 
+    // Every ending's latency is its queue wait plus its execution, to the
+    // clock's µs rounding.
+    for trace_id in [0xA1, 0xB2, 0xC3] {
+        let r = entry(trace_id);
+        let stages = r.queue_wait_us + r.exec_us;
+        assert!(r.latency_us.abs_diff(stages) <= 1, "{r:?}");
+    }
+
     let r = entry(0xA1);
     let e = event(r);
     assert!(matches!(e.kind, EventKind::Complete));
@@ -446,17 +455,27 @@ fn one_record_names_each_ending_alike_on_every_sink() {
         (r.latency_us, r.batch, r.reason),
         (e.dur_us, Some(e.batch), None)
     );
-    let span = (trace.events.iter())
-        .find_map(|b| match b.kind {
-            EventKind::Batch { backend, .. } | EventKind::FusedBatch { backend, .. }
-                if b.batch == e.batch =>
-            {
-                Some(backend)
-            }
-            _ => None,
-        })
-        .expect("the batch span");
-    assert_eq!(r.backend, Some(span.name()));
+    // Its batch is written once: one `Batch` span, as long as the query's
+    // execution, naming its size, backend and op.
+    let in_batch = |b: &&TraceEvent| b.batch == e.batch && b.query == NO_ID;
+    let spans: Vec<&TraceEvent> = trace.events.iter().filter(in_batch).collect();
+    let [span] = spans[..] else {
+        panic!("one batch-scoped event for the batch: {spans:?}")
+    };
+    let EventKind::Batch {
+        size, backend, ops, ..
+    } = span.kind
+    else {
+        panic!("the batch's event is its span: {span:?}")
+    };
+    let riders = (trace.events.iter())
+        .filter(|c| c.batch == e.batch && matches!(c.kind, EventKind::Complete))
+        .count();
+    assert_eq!(span.dur_us, r.exec_us);
+    assert_eq!(
+        (size as usize, Some(backend.name()), fused_ops_name(ops)),
+        (riders, r.backend, r.op.to_string())
+    );
     let exemplar = (metrics.latency_exemplars.iter()).find(|x| x.query == r.query);
     assert_eq!(exemplar.expect("an exemplar").trace, 0xA1);
 
@@ -479,4 +498,120 @@ fn one_record_names_each_ending_alike_on_every_sink() {
     assert_eq!((r.batch, e.batch), (None, NO_ID));
     assert_eq!(metrics.rejected, 1);
     assert_eq!(metrics.submitted, metrics.completed + metrics.failed);
+}
+
+#[test]
+fn one_batch_span_per_dispatch_names_its_lanes_ops_and_decision() {
+    let pts = uniform::<3>(512, 21);
+    let at = |i: usize, kind| Query {
+        index: 0,
+        pos: pts[i].0.to_vec(),
+        kind,
+    };
+    let knn = QueryKind::Knn { k: 4 };
+    // Distinct positions, NN only; then NN and kNN at every position.
+    let single: Vec<Query> = (0..128).map(|i| at(i, QueryKind::Nn)).collect();
+    let mixed: Vec<Query> = (0..128)
+        .flat_map(|i| [at(i, QueryKind::Nn), at(i, knn)])
+        .collect();
+    for policy in [
+        ExecPolicy::default(),
+        ExecPolicy::forced(Backend::Autoropes),
+    ] {
+        for stream in [&single, &mixed] {
+            let label = format!("force {:?}, {} queries", policy.force, stream.len());
+            // One submitter and size-only flushes: query ids ascend with
+            // the stream, and each dispatch is decided by `submit`.
+            let service = Service::start(ServiceConfig {
+                batch_queries: 32,
+                max_wait: Duration::from_secs(3600),
+                workers: 2,
+                policy: policy.clone(),
+                trace_capacity: 16_384,
+                ..ServiceConfig::default()
+            });
+            let index = KdIndex::build("flat", &pts, 8, SplitPolicy::MedianCycle);
+            service.register_index(Arc::new(index));
+            let tickets: Vec<_> = (stream.iter())
+                .map(|q| service.submit(q.clone()).expect("valid"))
+                .collect();
+            let (snapshot, trace) = service.shutdown_with_trace();
+            assert!(tickets.iter().all(|t| matches!(t.try_get(), Some(Ok(_)))));
+            assert_eq!(trace.dropped, 0);
+
+            // What each batch id carried, from its queries' Complete spans.
+            let mut asked: HashMap<u64, Vec<&Query>> = HashMap::new();
+            let mut completes: Vec<(u64, u64)> = (trace.events.iter())
+                .filter(|e| matches!(e.kind, EventKind::Complete))
+                .map(|e| (e.query, e.batch))
+                .collect();
+            completes.sort_unstable();
+            for (n, (_, batch)) in completes.into_iter().enumerate() {
+                asked.entry(batch).or_default().push(&stream[n]);
+            }
+            let mut spans: HashMap<u64, usize> = HashMap::new();
+            for e in trace.events.iter().filter(|e| e.query == NO_ID) {
+                let EventKind::Batch {
+                    size,
+                    lanes,
+                    parts,
+                    ops,
+                    fused,
+                    similarity,
+                    ..
+                } = e.kind
+                else {
+                    // A flat index leaves no shard spans either.
+                    assert_eq!(e.batch, NO_ID, "{label}: {e:?}");
+                    continue;
+                };
+                *spans.entry(e.batch).or_default() += 1;
+                let queries = &asked[&e.batch];
+                let keys: HashSet<_> = queries.iter().map(|q| q.kind.op_key()).collect();
+                let positions: HashSet<Vec<u32>> = (queries.iter())
+                    .map(|q| q.pos.iter().map(|v| v.to_bits()).collect())
+                    .collect();
+                let mask = (keys.iter()).fold(0, |m, k| m | k.expect("valid").family().1);
+                assert_eq!(size as usize, queries.len(), "{label}");
+                assert_eq!(lanes as usize, positions.len(), "{label}");
+                assert_eq!((parts as usize, ops), (keys.len(), mask), "{label}");
+                assert_eq!(fused, keys.len() == 2, "{label}: {e:?}");
+                // The profiler samples pairs of lanes, unless forced.
+                let profiled = policy.force.is_none() && lanes >= 2;
+                assert_eq!(!similarity.is_nan(), profiled, "{label}: {e:?}");
+            }
+            assert!(spans.values().all(|&n| n == 1), "{label}: {spans:?}");
+            assert_eq!(spans.len(), asked.len(), "{label}");
+            assert_eq!(spans.len() as u64, snapshot.batches, "{label}");
+
+            // The Chrome export carries the whole decision on the span.
+            let json = trace.to_chrome_json();
+            let serde_json::Value::Array(events) = serde_json::from_str(&json).expect("parses")
+            else {
+                panic!("not an array")
+            };
+            let field = |ev: &serde_json::Value, k: &str| match ev {
+                serde_json::Value::Object(f) => {
+                    f.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone())
+                }
+                _ => None,
+            };
+            for ev in &events {
+                let name = field(ev, "name");
+                for gone in ["fused_batch", "backend"] {
+                    assert_ne!(
+                        name,
+                        Some(serde_json::Value::String(gone.into())),
+                        "{label}"
+                    );
+                }
+                if name == Some(serde_json::Value::String("batch".into())) {
+                    let args = field(ev, "args").expect("args");
+                    for k in ["backend", "lanes", "ops", "fused"] {
+                        assert!(field(&args, k).is_some(), "{label}: no {k} in {args:?}");
+                    }
+                }
+            }
+        }
+    }
 }
