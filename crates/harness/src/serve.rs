@@ -127,7 +127,6 @@ pub fn main_serve(args: &[String]) {
     let mut port_file: Option<String> = None;
     let mut admission_budget_us: Option<u64> = None;
     let mut backend: Option<Backend> = None;
-    let mut stackless = false;
     let mut mutable = false;
     let usage = || -> ! {
         eprintln!(
@@ -136,7 +135,7 @@ pub fn main_serve(args: &[String]) {
              [--slow-log PATH] [--slow-log-percentile P] [--slow-log-capacity N] \
              [--listen ADDR] [--port-file PATH] [--admission-budget-us N] \
              [--backend auto|lockstep|autoropes|stackless-kd|stackless-bvh|cpu] \
-             [--stackless] [--mutable]"
+             [--mutable]"
         );
         std::process::exit(2)
     };
@@ -204,10 +203,6 @@ pub fn main_serve(args: &[String]) {
                 };
                 i += 2;
             }
-            "--stackless" => {
-                stackless = true;
-                i += 1;
-            }
             "--mutable" => {
                 mutable = true;
                 i += 1;
@@ -225,7 +220,6 @@ pub fn main_serve(args: &[String]) {
         policy: ExecPolicy {
             shard_parallelism: shard_threads,
             force: backend,
-            stackless,
             ..ExecPolicy::default()
         },
         ..ServiceConfig::default()

@@ -702,8 +702,9 @@ mod tests {
 
     #[test]
     fn skip_walk_insensitive_to_batch_order() {
-        // The §4.4 policy's reason to pick stackless: shuffling the batch
-        // leaves the model time unchanged (per-warp work just permutes).
+        // What sets the stackless walk apart from lockstep: shuffling the
+        // batch leaves the model time unchanged (per-warp work just
+        // permutes).
         let kernel = PreBin::new(7, 83);
         let skip = linearize::skip_links(&kernel.right);
         let cfg = GpuConfig::default();

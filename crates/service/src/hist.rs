@@ -140,6 +140,11 @@ impl Histogram {
         self.sum_fp as f64 * SUM_UNIT
     }
 
+    /// Mean of the recorded samples, from [`Self::sum`] (0 when empty).
+    pub fn mean(&self) -> f64 {
+        self.sum() / self.count.max(1) as f64
+    }
+
     /// Nearest-rank percentile (`p` in 0..=100) from the buckets: the
     /// upper edge of the bucket holding the rank-th sample, clamped to the
     /// exact observed `[min, max]`. 0 when empty. Within one bucket width

@@ -1,13 +1,12 @@
 //! Registered indices: dimension-erased handles over concrete kd-trees.
 //!
-//! Each batch execution is the paper's pipeline in miniature: Morton-sort
-//! the batch's query points (§4.4), sample neighboring traversals with the
-//! sortedness profiler, run the whole batch on the executor the profiler
-//! picks (lockstep when neighbors traverse alike, autoropes otherwise),
-//! then undo the sort so callers see results in submission order. Every
-//! batch walks one rule, the fused one: a lane carries each op it asks
-//! live and the rest inert, so a lone op is a fusion with one live
-//! constituent.
+//! A batch Morton-sorts its query points (§4.4), runs on one executor and
+//! undoes the sort. A batch the C2070 model meters keeps the paper's
+//! pipeline — the sortedness profiler picks lockstep when neighbors
+//! traverse alike, autoropes otherwise; every other batch is priced by the
+//! host clock alone and runs the host walk, unprofiled. Every batch walks
+//! one rule, the fused one: a lane carries each op it asks live and the
+//! rest inert, so a lone op is a fusion with one live constituent.
 
 use crate::epoch::{EpochObserverFn, EpochStats, MutateError, Mutation, MutationAck};
 use crate::policy::{Backend, ExecPolicy};
@@ -23,6 +22,7 @@ use gts_runtime::{cpu, AllLive, Dead, GpuReport, Live, PointRule, Tombstones};
 use gts_trees::{KdTree, LbKdTree, PointN, SplitPolicy};
 use serde::Serialize;
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// Execution record of one dispatched batch, from the executor to the
 /// exposition: a sharded batch merges its sub-batches' records into its
@@ -68,7 +68,7 @@ pub struct BatchOutcome {
     /// Per-shard sub-batch statistics (empty for flat indices).
     pub shard_visits: Vec<ShardVisit>,
     /// Sub-batches whose §4.4 decision came from a [`ProfileCache`]
-    /// (always 0 for flat indices, which profile every batch).
+    /// (always 0 for flat indices, which consult none).
     pub profile_cache_hits: u64,
     /// Cache consultations that fell through to a fresh profiler run.
     pub profile_cache_misses: u64,
@@ -356,8 +356,8 @@ pub struct KdIndex<const D: usize> {
     /// stack-free Wald walk ([`Backend::StacklessKd`]). Built over the
     /// pointer tree's *reordered* `points` so the Wald kernels' reported
     /// ids land in the same tree positions as the rope-stack kernels' —
-    /// the tree's `perm` maps both.
-    lb: LbKdTree<D>,
+    /// the tree's `perm` maps both. Built on first use ([`KdIndex::lb_tree`]).
+    lb: OnceLock<LbKdTree<D>>,
 }
 
 impl<const D: usize> KdIndex<D> {
@@ -371,12 +371,10 @@ impl<const D: usize> KdIndex<D> {
         leaf_size: usize,
         policy: SplitPolicy,
     ) -> Self {
-        let tree = KdTree::build(points, leaf_size, policy);
-        let lb = LbKdTree::build(&tree.points);
         KdIndex {
             name: name.into(),
-            tree,
-            lb,
+            tree: KdTree::build(points, leaf_size, policy),
+            lb: OnceLock::new(),
         }
     }
 
@@ -385,13 +383,13 @@ impl<const D: usize> KdIndex<D> {
         &self.tree
     }
 
-    /// The left-balanced implicit mirror used by the stackless backend.
+    /// The left-balanced mirror the Wald walk reads, built on first call.
     pub fn lb_tree(&self) -> &LbKdTree<D> {
-        &self.lb
+        self.lb.get_or_init(|| LbKdTree::build(&self.tree.points))
     }
 
-    /// Run `lanes` as one batch through the §4.4 pipeline (sort → profile
-    /// once → dispatch → un-sort) and hand back each lane's fused state,
+    /// Run `lanes` as one batch (sort → choose the executor → dispatch →
+    /// un-sort; see [`execute`]) and hand back each lane's fused state,
     /// in submission order, with point ids as tree positions — the one
     /// shape every caller reads ([`lane_answers`], or a shard sweep's
     /// fold).
@@ -404,9 +402,9 @@ impl<const D: usize> KdIndex<D> {
     /// by whoever owns the whole batch and handed to every sub-batch: a
     /// batch runs under the model whole or not at all.
     ///
-    /// With a [`ProfileCtx`], when the policy would profile, the §4.4
-    /// decision is looked up in (and memoized into) the caller's cache
-    /// instead of sampled fresh; answers are identical either way.
+    /// With a [`ProfileCtx`], when the batch profiles, the §4.4 decision is
+    /// looked up in (and memoized into) the caller's cache instead of
+    /// sampled fresh; answers are identical either way.
     ///
     /// `dead` holds the tree positions of points the lanes must not see
     /// (the epoch layer's pending deletes; a static index passes
@@ -565,8 +563,8 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
     }
 }
 
-/// Shared execution path: sort → profile (optionally through the caller's
-/// cache) → run → un-sort.
+/// Shared execution path: sort → choose (a metered batch profiles,
+/// optionally through the caller's cache) → run → un-sort.
 ///
 /// `kernel` rides the rope-stack executors, the CPU baseline, the profiler
 /// and the skip-link walk; its rule rides the Wald walk over `index`'s
@@ -580,9 +578,11 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
 /// backend but lockstep, which charges a lane for each pop of its warp
 /// (Table 1's convention) and is live for only some of them.
 ///
-/// `metered` picks the executor's instantiation: under [`WarpSim`] the
-/// launch's report fills the modeled series; under [`Unmetered`] the same
-/// loop answers at host speed and the launch's account is never read.
+/// `metered` picks the executor and its instantiation: unforced, a batch
+/// runs the §4.4 choice under [`WarpSim`], whose report fills the modeled
+/// series, or the host walk when unmetered. A forced simulated-GPU backend
+/// on an unmetered batch runs under [`Unmetered`]: the same loop at host
+/// speed, the launch's account never read.
 /// Visits, warps, work expansion and mask occupancy are the executor's own
 /// counts ([`GpuReport`]'s per-point and per-warp vectors) either way.
 fn execute<const D: usize, R, M>(
@@ -609,14 +609,15 @@ where
     let orig = |i: usize| perm.as_ref().map_or(i, |p| p[i] as usize);
     let mut work: Vec<R::State> = (0..n).map(|i| make(orig(i), pts[orig(i)])).collect();
 
-    // §4.4 step 2: sample neighboring traversals; lockstep only when they
-    // overlap enough to amortize the per-warp rope stack. A `ProfileCtx`
-    // memoizes the decision under the caller's key so steady-state
-    // sub-batches skip the sampling.
+    // On the host clock the host walk is the cheapest executor. The model
+    // keeps §4.4 step 2: sample neighboring traversals; lockstep only when
+    // they overlap enough to amortize the per-warp rope stack. A
+    // `ProfileCtx` memoizes that under the caller's key.
     let mut mean_similarity = None;
     let mut cache_outcome: Option<CacheOutcome> = None;
     let backend = match policy.force {
         Some(b) => b,
+        None if !metered => Backend::Cpu,
         None if n < 2 => Backend::Autoropes,
         None => {
             let trace = |i: usize| cpu::trace_one(kernel, &mut work[i].clone());
@@ -646,11 +647,6 @@ where
             mean_similarity = Some(report.mean_similarity);
             if report.use_lockstep {
                 Backend::Lockstep
-            } else if policy.stackless {
-                // Low similarity is where the per-warp rope stack loses;
-                // the Wald walk pays no stack traffic at all and its node
-                // schedule does not depend on batch sortedness.
-                Backend::StacklessKd
             } else {
                 Backend::Autoropes
             }
@@ -732,7 +728,7 @@ fn launch<Mt: Meter, const D: usize, R: PointRule<D>>(
         Backend::Lockstep => lockstep::run_on::<Mt, _>(kernel, work, cfg),
         Backend::Autoropes => autoropes::run_on::<Mt, _>(kernel, work, cfg),
         Backend::StacklessKd => {
-            stackless::run_wald_on::<Mt, D, R>(&index.lb, kernel.rule(), work, cfg)
+            stackless::run_wald_on::<Mt, D, R>(index.lb_tree(), kernel.rule(), work, cfg)
         }
         Backend::StacklessBvh => {
             stackless::run_skip_on::<Mt, _>(kernel, work, &index.tree.skip, cfg)
@@ -768,6 +764,15 @@ mod tests {
     /// off that batch.
     fn metering(mut policy: ExecPolicy, positions: &[Vec<f32>]) -> ExecPolicy {
         while !policy.meters(positions.iter().map(|p| &p[..])) {
+            policy.profile_seed += 1;
+        }
+        policy
+    }
+
+    /// `policy` at the first `profile_seed`, from its own upward, that
+    /// does not meter the batch at `positions`.
+    fn unmetering(mut policy: ExecPolicy, positions: &[Vec<f32>]) -> ExecPolicy {
+        while policy.meters(positions.iter().map(|p| &p[..])) {
             policy.profile_seed += 1;
         }
         policy
@@ -972,60 +977,6 @@ mod tests {
     }
 
     #[test]
-    fn stackless_policy_picks_wald_walk_on_low_similarity() {
-        // Unsorted scattered queries: the profiler steers away from
-        // lockstep, and with the stackless knob set the batch lands on
-        // the Wald walk instead of autoropes.
-        let pts = uniform::<3>(512, 31);
-        let idx = KdIndex::build("t", &pts, 8, SplitPolicy::MedianCycle);
-        let queries: Vec<Vec<f32>> = uniform::<3>(256, 97).iter().map(|p| p.0.to_vec()).collect();
-        let unsorted = metering(
-            ExecPolicy {
-                sort: false,
-                ..ExecPolicy::default()
-            },
-            &queries,
-        );
-        let policy = ExecPolicy {
-            stackless: true,
-            ..unsorted.clone()
-        };
-        let out = idx.run_batch(OpKey::Nn, &queries, &policy);
-        assert_eq!(
-            out.backend,
-            Backend::StacklessKd,
-            "similarity {:?}",
-            out.mean_similarity
-        );
-        assert!(out.mean_similarity.is_some(), "profiling ran");
-        assert_eq!(out.stack_bytes_peak, 0);
-        assert_eq!(out.stack_transactions, 0);
-
-        // Same batch without the knob: autoropes, which pays for a stack.
-        let baseline = idx.run_batch(OpKey::Nn, &queries, &unsorted);
-        assert_eq!(baseline.backend, Backend::Autoropes);
-        assert_eq!(out.results, baseline.results, "bit-identical answers");
-        assert!(baseline.stack_transactions > 0);
-    }
-
-    #[test]
-    fn stackless_policy_still_yields_lockstep_on_sorted_clusters() {
-        let pts = uniform::<3>(512, 23);
-        let idx = KdIndex::build("t", &pts, 8, SplitPolicy::MedianCycle);
-        let queries: Vec<Vec<f32>> = pts.iter().map(|p| p.0.to_vec()).collect();
-        let policy = metering(
-            ExecPolicy {
-                stackless: true,
-                ..ExecPolicy::default()
-            },
-            &queries,
-        );
-        let out = idx.run_batch(OpKey::Pc(0.15f32.to_bits()), &queries, &policy);
-        assert_eq!(out.backend, Backend::Lockstep);
-        assert!(out.stack_bytes_peak > 0);
-    }
-
-    #[test]
     fn unsorted_and_duplicated_knn_ks_get_full_answers() {
         // `FusedLane`'s fields are public, so a caller filling `knn_ks`
         // with a bare push owes no order: every `k` still gets `k`
@@ -1063,7 +1014,9 @@ mod tests {
     #[test]
     fn single_query_batch_skips_profiling() {
         let idx = index3(64, 19);
-        let out = idx.run_batch(OpKey::Nn, &[vec![0.1, 0.2, 0.3]], &ExecPolicy::default());
+        let queries = [vec![0.1, 0.2, 0.3]];
+        let policy = metering(ExecPolicy::default(), &queries);
+        let out = idx.run_batch(OpKey::Nn, &queries, &policy);
         assert_eq!(out.results.len(), 1);
         assert!(out.mean_similarity.is_none());
         assert_eq!(out.backend, Backend::Autoropes);
@@ -1076,11 +1029,8 @@ mod tests {
         let pts = uniform::<3>(512, 23);
         let idx = KdIndex::build("t", &pts, 8, SplitPolicy::MedianCycle);
         let queries: Vec<Vec<f32>> = pts.iter().map(|p| p.0.to_vec()).collect();
-        let out = idx.run_batch(
-            OpKey::Pc(0.15f32.to_bits()),
-            &queries,
-            &ExecPolicy::default(),
-        );
+        let policy = metering(ExecPolicy::default(), &queries);
+        let out = idx.run_batch(OpKey::Pc(0.15f32.to_bits()), &queries, &policy);
         assert_eq!(
             out.backend,
             Backend::Lockstep,
@@ -1159,9 +1109,9 @@ mod tests {
     }
 
     /// One dispatching thread, so `REPLAYED` sees every sub-batch. With
-    /// nothing forced the profiler samples its traces (on clones — no
-    /// tally may leak from them) and, under a threshold no similarity
-    /// reaches, lands the batch on autoropes.
+    /// nothing forced, a metered batch has the profiler sample its traces
+    /// (on clones — no tally may leak from them) and, under a threshold no
+    /// similarity reaches, lands on autoropes.
     fn on_one_thread(force: Option<Backend>) -> ExecPolicy {
         ExecPolicy {
             force,
@@ -1178,8 +1128,10 @@ mod tests {
         for index in every_index_kind(&pts) {
             for (round, force) in (replayable.map(Some).into_iter().chain([None])).enumerate() {
                 let lanes = random_lanes(&pts, 90, false, 40 + round as u64);
+                let positions: Vec<Vec<f32>> = lanes.iter().map(|l| l.pos.clone()).collect();
+                let policy = metering(on_one_thread(force), &positions);
                 let before = REPLAYED.with(Cell::get);
-                let out = index.run(&lanes, &on_one_thread(force)).outcome;
+                let out = index.run(&lanes, &policy).outcome;
                 let label = format!("{} forced {force:?}", index.name());
                 assert_eq!(out.fused_lanes, 90, "{label}");
                 // `run_lanes` held each fused sub-batch to the replay
@@ -1244,13 +1196,13 @@ mod tests {
     fn counted_series_are_the_same_on_a_metered_and_an_unmetered_batch() {
         let pts = uniform::<3>(700, 24);
         let backends = [
-            None,
-            Some(Backend::Lockstep),
-            Some(Backend::StacklessKd),
-            Some(Backend::StacklessBvh),
+            Backend::Autoropes,
+            Backend::Lockstep,
+            Backend::StacklessKd,
+            Backend::StacklessBvh,
         ];
         for index in every_index_kind(&pts) {
-            for (round, force) in backends.into_iter().enumerate() {
+            for (round, force) in backends.map(Some).into_iter().enumerate() {
                 // Mixed lanes run the fused rule; one op at every lane, its own.
                 let mut lanes = random_lanes(&pts, 90, false, 80 + round as u64);
                 if round % 2 == 1 {
@@ -1262,10 +1214,7 @@ mod tests {
                 let positions: Vec<Vec<f32>> = lanes.iter().map(|l| l.pos.clone()).collect();
                 // Two seeds that differ in whether they select this batch.
                 let on = metering(on_one_thread(force), &positions);
-                let mut off = on_one_thread(force);
-                while off.meters(positions.iter().map(|p| &p[..])) {
-                    off.profile_seed += 1;
-                }
+                let off = unmetering(on_one_thread(force), &positions);
                 let (a, b) = (index.run(&lanes, &on), index.run(&lanes, &off));
                 let label = format!("{} forced {force:?}", index.name());
                 assert_eq!(a.lanes, b.lanes, "{label}: answers");
@@ -1292,6 +1241,84 @@ mod tests {
                 assert!(b.shard_visits.iter().all(|v| v.model_ms == 0.0), "{label}");
             }
         }
+    }
+
+    #[test]
+    fn an_unmetered_batch_walks_the_host_and_skips_the_profile() {
+        let pts = uniform::<3>(700, 27);
+        for index in every_index_kind(&pts) {
+            let lone = vec![FusedLane {
+                nn: true,
+                ..FusedLane::empty(vec![0.4, 0.5, 0.6])
+            }];
+            let sets = [
+                ("mixed", random_lanes(&pts, 90, false, 90)),
+                ("one-op", random_lanes(&pts, 90, true, 91)),
+                ("one lane", lone),
+            ];
+            for (shape, lanes) in sets {
+                let label = format!("{} {shape}", index.name());
+                let positions: Vec<Vec<f32>> = lanes.iter().map(|l| l.pos.clone()).collect();
+                // The metered run first: it warms the shard caches the
+                // unmetered one must not read.
+                let on = index.run(&lanes, &metering(ExecPolicy::default(), &positions));
+                let off = index.run(&lanes, &unmetering(ExecPolicy::default(), &positions));
+                let cpu = index.run(&lanes, &ExecPolicy::forced(Backend::Cpu));
+                assert_eq!(off.lanes, on.lanes, "{label}: answers");
+                assert_eq!(off.lanes, cpu.lanes, "{label}: answers");
+                let (off, on) = (off.outcome, on.outcome);
+                // Unmetered: the host walk, no sample taken, no cache read.
+                assert_eq!(off.backend, Backend::Cpu, "{label}");
+                assert_eq!(off.mean_similarity, None, "{label}");
+                assert_eq!(
+                    (off.profile_cache_hits, off.profile_cache_misses),
+                    (0, 0),
+                    "{label}"
+                );
+                assert!(!off.metered && off.model_ms == 0.0, "{label}");
+                // Metered: the paper's choice, under the model.
+                assert!(on.metered && on.model_ms > 0.0, "{label}");
+                if lanes.len() < 2 {
+                    assert_eq!(on.backend, Backend::Autoropes, "{label}");
+                    assert_eq!(on.mean_similarity, None, "{label}");
+                } else {
+                    assert!(
+                        matches!(on.backend, Backend::Lockstep | Backend::Autoropes),
+                        "{label}: {:?}",
+                        on.backend
+                    );
+                    assert!(on.mean_similarity.is_some(), "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_wald_mirror_is_built_by_the_first_batch_that_walks_it() {
+        let pts = uniform::<3>(300, 28);
+        let flat = KdIndex::build("f", &pts, 8, SplitPolicy::MedianCycle);
+        let queries: Vec<Vec<f32>> = uniform::<3>(64, 29).iter().map(|p| p.0.to_vec()).collect();
+        let policy = ExecPolicy::default();
+        for policy in [
+            metering(policy.clone(), &queries),
+            unmetering(policy, &queries),
+        ] {
+            flat.run_batch(OpKey::Knn(4), &queries, &policy);
+        }
+        assert!(flat.lb.get().is_none(), "a default batch builds no mirror");
+        let auto = flat.run_batch(
+            OpKey::Knn(4),
+            &queries,
+            &ExecPolicy::forced(Backend::Autoropes),
+        );
+        let wald = flat.run_batch(
+            OpKey::Knn(4),
+            &queries,
+            &ExecPolicy::forced(Backend::StacklessKd),
+        );
+        assert!(flat.lb.get().is_some(), "the forced Wald walk built it");
+        assert_eq!(wald.backend, Backend::StacklessKd);
+        assert_eq!(wald.results, auto.results);
     }
 
     #[test]

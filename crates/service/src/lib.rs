@@ -11,9 +11,9 @@
 //!   kernel-parameters) bucket, and a bucket flushes as a warp-multiple
 //!   batch under a time-or-size policy ([`batcher`]) into a bounded
 //!   dispatch queue (backpressure);
-//! * a worker pool Morton-sorts each batch, runs the sortedness profiler,
-//!   and dispatches to lockstep or autoropes (or the CPU executor when
-//!   forced) — results return in submission order through tickets;
+//! * a worker pool Morton-sorts each batch and runs the host walk on it —
+//!   or, on a batch the C2070 model meters, the profiler's lockstep or
+//!   autoropes — results return in submission order through tickets;
 //! * a metrics registry tracks queue wait, batch sizes, backend choices,
 //!   node visits, work expansion, mask occupancy, shard pruning, and
 //!   p50/p99/p99.9 latency in bounded log-scale histograms ([`hist`]),

@@ -229,8 +229,10 @@ impl Metrics {
         m.batch.absorb_counts(out);
         m.own.fused_batches.fold(u64::from(out.fused_lanes > 0));
         m.own.fused_lanes.fold(out.fused_lanes);
-        m.hists.work_expansion_hist.record(out.work_expansion);
-        m.hists.mask_occupancy_hist.record(out.mask_occupancy);
+        if out.warps > 0 {
+            m.hists.work_expansion_hist.record(out.work_expansion);
+            m.hists.mask_occupancy_hist.record(out.mask_occupancy);
+        }
         m.hists.node_visits_hist.record(out.node_visits as f64);
         m.hists
             .queue_wait_hist
@@ -685,11 +687,11 @@ series! {
         stack_bytes_peak: u64 = in batch, gauge "gts_stack_bytes_peak";
         /// Total modeled GPU milliseconds over the metered batches.
         model_ms: f64 = (m.hists.model_ms_hist.sum()), gauge "gts_model_ms_total";
-        /// Mean per-batch lockstep work expansion.
-        mean_work_expansion: f64 = (m.per_batch(m.hists.work_expansion_hist.sum())),
+        /// Mean per-batch lockstep work expansion over warp batches.
+        mean_work_expansion: f64 = (m.hists.work_expansion_hist.mean()),
             gauge "gts_work_expansion_mean";
-        /// Mean per-batch warp mask occupancy (live-lane fraction).
-        mean_mask_occupancy: f64 = (m.per_batch(m.hists.mask_occupancy_hist.sum())),
+        /// Mean per-batch mask occupancy (live-lane fraction) over warp batches.
+        mean_mask_occupancy: f64 = (m.hists.mask_occupancy_hist.mean()),
             gauge "gts_mask_occupancy_mean";
         /// EWMA batch service time (wall ms) — the admission model's per-batch
         /// cost estimate.
@@ -737,9 +739,9 @@ series! {
     histograms {
         /// Full modeled-ms distribution, one sample per metered batch.
         model_ms_hist, "gts_batch_model_ms";
-        /// Full per-batch work-expansion distribution.
+        /// Full per-batch work-expansion distribution (warp batches only).
         work_expansion_hist, "gts_batch_work_expansion";
-        /// Full per-batch mask-occupancy distribution.
+        /// Full per-batch mask-occupancy distribution (warp batches only).
         mask_occupancy_hist, "gts_batch_mask_occupancy";
         /// Full per-batch node-visit distribution.
         node_visits_hist, "gts_batch_node_visits";
@@ -760,7 +762,8 @@ mod tests {
     use crate::query::QueryResult;
 
     /// The outcome of a `size`-query batch with the counters the tests
-    /// vary, and nothing diluted or fused; metered iff it has modeled time.
+    /// vary, and nothing diluted or fused; metered iff it has modeled time,
+    /// one warp unless the host walk ran it.
     fn batch(
         size: usize,
         backend: Backend,
@@ -775,6 +778,7 @@ mod tests {
             node_visits,
             metered: model_ms > 0.0,
             model_ms,
+            warps: usize::from(backend != Backend::Cpu),
             work_expansion,
             mask_occupancy: 1.0,
             shards_pruned,
@@ -829,6 +833,29 @@ mod tests {
         assert_eq!(s.per_index[0].batches, 2);
         assert_eq!(s.per_index[0].completed, 1);
         assert!((s.per_index[0].model_ms - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_host_walk_batch_moves_neither_warp_mean() {
+        let m = Metrics::default();
+        let warped = BatchOutcome {
+            mask_occupancy: 0.5,
+            ..batch(4, Backend::Lockstep, 10, 1.0, 1.5, 0)
+        };
+        m.on_batch(&record(&warped, 1));
+        let before = m.snapshot();
+        assert_eq!(
+            (before.mean_work_expansion, before.mean_mask_occupancy),
+            (1.5, 0.5)
+        );
+        // The host walk's placeholders (1.0, no warps) are not samples.
+        m.on_batch(&record(&batch(4, Backend::Cpu, 10, 0.0, 1.0, 0), 1));
+        let after = m.snapshot();
+        assert_eq!(after.batches, 2);
+        assert_eq!(after.mean_work_expansion, before.mean_work_expansion);
+        assert_eq!(after.mean_mask_occupancy, before.mean_mask_occupancy);
+        assert_eq!(after.work_expansion_hist.count, 1);
+        assert_eq!(after.mask_occupancy_hist.count, 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Per-batch execution policy: the paper's offline §4.4 decision — sort,
-//! sample neighboring traversals, pick lockstep when they look alike —
-//! applied online to every batch the service flushes.
+//! Per-batch execution policy: a batch the C2070 model meters takes the
+//! paper's offline §4.4 decision online — sample neighboring traversals,
+//! pick lockstep when they look alike — and every other one the host walk.
 
 use gts_points::profile::DEFAULT_THRESHOLD;
 
@@ -10,7 +10,7 @@ pub enum Backend {
     /// Warp-lockstep rope-stack executor (`gts_runtime::gpu::lockstep`).
     Lockstep,
     /// Independent-lane rope-stack executor (`gts_runtime::gpu::autoropes`)
-    /// — where a batch too small to profile lands, hence the default.
+    /// — a metered batch's low-similarity or too-small-to-profile choice.
     #[default]
     Autoropes,
     /// Stack-free Wald walk of the left-balanced implicit kd-tree
@@ -20,7 +20,7 @@ pub enum Backend {
     /// Ropes-free skip-link walk of the pointer tree
     /// (`gts_runtime::gpu::stackless::run_skip`, Apetrei escape links).
     StacklessBvh,
-    /// Host-side parallel traversal (`gts_runtime::cpu`), no GPU model.
+    /// Host-side traversal (`gts_runtime::cpu`): what unmetered batches run.
     Cpu,
 }
 
@@ -62,27 +62,28 @@ impl Backend {
 }
 
 /// One batch in this many runs under the C2070 model
-/// ([`ExecPolicy::meters`]); the rest run the same loops unmetered.
+/// ([`ExecPolicy::meters`]) and takes the §4.4 choice; the rest run the
+/// host walk (or, when forced, their executor's loop unmetered).
 pub const METER_ONE_IN: u64 = 16;
 
 /// How a batch chooses its executor.
 #[derive(Debug, Clone)]
 pub struct ExecPolicy {
-    /// Neighbor pairs the sortedness profiler samples per batch.
+    /// Neighbor pairs the sortedness profiler samples per metered batch.
     pub profile_pairs: usize,
-    /// Similarity threshold above which lockstep is chosen.
+    /// Similarity threshold above which a metered batch takes lockstep.
     pub threshold: f64,
-    /// Seed for the profiler's pair sampling (deterministic per service).
+    /// Seed for metering and the profiler's sampling (deterministic).
     pub profile_seed: u64,
     /// When set, skip profiling and always use this backend.
     pub force: Option<Backend>,
     /// Apply the Morton pre-sort before dispatch (§4.4 point sorting).
     /// Disabling this models an unsorted baseline; the profiler then
-    /// usually steers batches away from lockstep.
+    /// usually steers metered batches away from lockstep.
     pub sort: bool,
-    /// Host threads each simulated-GPU launch may use. Workers run
-    /// concurrently, so this defaults to 1 to avoid oversubscription;
-    /// 0 means "let the simulator pick".
+    /// Host threads each executor run may use — a simulated-GPU launch or
+    /// the host walk alike. Workers run concurrently, so this defaults to
+    /// 1 to avoid oversubscription; 0 means every core.
     pub sim_threads: usize,
     /// Threads a sharded index may run a wave's sub-batches on — the
     /// size of its wave pool and nothing else: the schedule, and with it
@@ -90,19 +91,12 @@ pub struct ExecPolicy {
     /// waves inline on the worker; `0` (the default) resolves to
     /// `min(shards, available_parallelism)`. Flat indices ignore it.
     pub shard_parallelism: usize,
-    /// Let sharded indices — static and mutable alike — reuse cached §4.4
-    /// sortedness decisions (per-shard
-    /// [`gts_points::profile::ProfileCache`]) instead of re-sampling on
-    /// every sub-batch. Disabling reproduces the profile-every-sub-batch
-    /// baseline; flat indices always profile.
+    /// Let a metered batch's sub-batches on a sharded index — static and
+    /// mutable alike — reuse cached §4.4 sortedness decisions (per-shard
+    /// [`gts_points::profile::ProfileCache`]) instead of re-sampling each.
+    /// Disabling reproduces the profile-every-sub-batch baseline; a
+    /// metered flat batch always profiles, an unmetered one never does.
     pub profile_cache: bool,
-    /// Prefer the stackless executor on *low-similarity* batches: where
-    /// the §4.4 profile steers away from lockstep, dispatch to
-    /// [`Backend::StacklessKd`] instead of autoropes. Stackless pays no
-    /// rope-stack traffic and its schedule is sortedness-insensitive, so
-    /// it wins exactly where lockstep loses. High-similarity batches still
-    /// go to lockstep.
-    pub stackless: bool,
 }
 
 impl Default for ExecPolicy {
@@ -116,7 +110,6 @@ impl Default for ExecPolicy {
             sim_threads: 1,
             shard_parallelism: 0,
             profile_cache: true,
-            stackless: false,
         }
     }
 }
@@ -155,7 +148,7 @@ impl ExecPolicy {
         mix(sum ^ self.profile_seed) % METER_ONE_IN == 0
     }
 
-    /// Simulation threads per launch, resolved (`0` → all cores).
+    /// Host threads per executor run, resolved (`0` → all cores).
     pub fn sim_threads(&self) -> usize {
         if self.sim_threads == 0 {
             std::thread::available_parallelism()

@@ -7,8 +7,8 @@
 //!                          │ deadline flush: the keeper thread
 //!                          ▼
 //!                       [bounded channel] ──▶ workers (N threads)
-//!                                              │  lanes → sort → profile →
-//!                                              │  lockstep/autoropes
+//!                                              │  lanes → sort → host walk
+//!                                              │  (metered: §4.4 profile)
 //!                                              ▼
 //!                                  answers ready → tickets resolve
 //! ```
@@ -115,7 +115,7 @@ pub struct ServiceConfig {
     /// Dispatch queue capacity (ready batches waiting for a worker); a
     /// full queue blocks the `submit` whose push flushed a batch.
     pub dispatch_capacity: usize,
-    /// Per-batch execution policy (sort, profile, backend override).
+    /// Per-batch execution policy (sort, meter, profile, backend override).
     pub policy: ExecPolicy,
     /// Lifecycle-event ring capacity for the trace recorder (newest events
     /// win; 0 disables tracing).

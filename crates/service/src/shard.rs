@@ -54,13 +54,13 @@
 //!
 //! Each shard also carries a [`ProfileCache`] memoizing the §4.4
 //! lockstep/autoropes decision per (distinct ops, sub-batch size bucket,
-//! Morton octant fingerprint) key, with a TTL counted in its owner's batches, so
-//! steady workloads profile once per shard per workload shift instead of
-//! once per sub-batch. Every sub-batch consults it under one rule
-//! ([`Sweep::run_sub`]), whichever index owns the shard; a shard the epoch
-//! layer carries across a merge keeps its warm cache. Cache traffic
-//! surfaces as `profile_cache_{hits,misses,evictions}` on the
-//! [`BatchOutcome`].
+//! Morton octant fingerprint) key, with a TTL counted in its owner's
+//! batches, so steady workloads profile once per shard per workload shift
+//! instead of once per sub-batch. Only metered batches profile, and every
+//! sub-batch of one consults the cache under one rule ([`Sweep::run_sub`]),
+//! whichever index owns the shard; a shard the epoch layer carries across
+//! a merge keeps its warm cache. Cache traffic surfaces as
+//! `profile_cache_{hits,misses,evictions}` on the [`BatchOutcome`].
 //!
 //! The merge rule of each op, and why a fold of per-shard states equals
 //! one walk over every point, is `gts_apps::fused`'s.
@@ -493,8 +493,8 @@ impl<'a, const D: usize> Sweep<'a, D> {
         }
     }
 
-    /// Run the sub-batch of lanes `qs` against shard `shard_i`,
-    /// consulting the shard's profile cache when the policy allows it.
+    /// Run the sub-batch of lanes `qs` against shard `shard_i`, consulting
+    /// the shard's profile cache when the sub-batch profiles and may cache.
     /// The cache key fingerprints what makes decisions interchangeable:
     /// how many distinct ops the sub-batch mixes (under the fused rule's
     /// tag, 3), the sub-batch's log2 size bucket, and which Morton octants
@@ -506,7 +506,10 @@ impl<'a, const D: usize> Sweep<'a, D> {
             panic!("failpoint: shard {shard_i}");
         }
         let sub: Vec<&FusedLane> = qs.iter().map(|&q| &self.lanes[q]).collect();
-        let cached = self.policy.profile_cache && self.policy.force.is_none() && sub.len() >= 2;
+        let cached = self.metered
+            && self.policy.profile_cache
+            && self.policy.force.is_none()
+            && sub.len() >= 2;
         let offset_us = self.started.elapsed().as_micros() as u64;
         let ctx = cached.then(|| {
             let ops = u64::from(distinct_ops(sub.iter().copied()));
@@ -922,10 +925,14 @@ mod tests {
         let pts = uniform::<3>(2048, 31);
         let idx = ShardedIndexBuilder::new("cached", 4).build(&pts);
         let queries: Vec<Vec<f32>> = pts.iter().take(128).map(|p| p.0.to_vec()).collect();
-        let policy = ExecPolicy {
+        let mut policy = ExecPolicy {
             shard_parallelism: 2,
             ..ExecPolicy::default()
         };
+        // Only a metered batch profiles: a seed that meters this one.
+        while !policy.meters(queries.iter().map(|p| &p[..])) {
+            policy.profile_seed += 1;
+        }
         let first = idx.run_batch(OpKey::Knn(4), &queries, &policy);
         assert_eq!(first.profile_cache_hits, 0, "cold cache cannot hit");
         assert!(first.profile_cache_misses > 0, "profiled sub-batches miss");

@@ -46,7 +46,7 @@ pub enum EventKind {
     /// One dispatch executed on a worker (span: dispatch → answers ready;
     /// the scatter to the tickets comes after, the stage ROADMAP item 1(b)
     /// adds): which executor ran it, why (the profiler's similarity, none
-    /// when forced or too small to profile) and on what (lanes, op mix).
+    /// when it did not run) and on what (lanes, op mix).
     /// Floats are `f32` so a ring slot stays at 96 bytes.
     Batch {
         /// Queries the dispatch answered.

@@ -81,9 +81,10 @@ fn main() {
 
     let snapshot = service.shutdown();
     println!(
-        "\n{} queries in {} batches ({} lockstep / {} autoropes), p99 {:.2} ms",
+        "\n{} queries in {} batches ({} host walk / {} lockstep / {} autoropes), p99 {:.2} ms",
         snapshot.completed,
         snapshot.batches,
+        snapshot.backend_batches[Backend::Cpu.index()].batches,
         snapshot.backend_batches[Backend::Lockstep.index()].batches,
         snapshot.backend_batches[Backend::Autoropes.index()].batches,
         snapshot.latency_p99_ms

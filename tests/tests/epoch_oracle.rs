@@ -10,6 +10,7 @@
 //! property tests for the delta/merge layer, and the shutdown-ordering
 //! guarantee that `close` drains the merge thread.
 
+use gts_integration::metering;
 use gts_points::gen::uniform;
 use gts_service::{
     Backend, ExecPolicy, FusedLane, KdIndex, MutableIndex, MutableIndexBuilder, Mutation, OpKey,
@@ -231,8 +232,8 @@ fn mutable_index_matches_flat_rebuild_at_every_epoch() {
 /// A mutable index at rest (nothing pending) holds the same Morton shards
 /// a `ShardedIndex` over the same points holds, consults their profile
 /// caches under the same rule on the same batch clock, and so serves the
-/// very record the sharded index serves — batch for batch, a repeat that
-/// hits the cache included.
+/// very record the sharded index serves — batch for batch, a metered
+/// repeat that hits the cache included.
 #[test]
 fn a_mutable_index_at_rest_serves_a_sharded_indexs_record() {
     let pts = uniform::<3>(4096, 0x5eed);
@@ -271,10 +272,15 @@ fn a_mutable_index_at_rest_serves_a_sharded_indexs_record() {
         (format!("{out:?}"), out.outcome.profile_cache_hits)
     };
     for threads in [1, 2] {
-        let policy = ExecPolicy {
-            shard_parallelism: threads,
-            ..ExecPolicy::default()
-        };
+        // Only a metered batch profiles: a seed that meters these lanes'
+        // positions, which every batch shares.
+        let policy = metering(
+            ExecPolicy {
+                shard_parallelism: threads,
+                ..ExecPolicy::default()
+            },
+            &queries,
+        );
         for (name, lanes) in &batches {
             for pass in ["first", "repeat"] {
                 let (want, _) = record(&sharded, lanes, &policy);

@@ -285,19 +285,23 @@ fn a_batch_executes_what_its_lanes_execute_alone() {
 
 #[test]
 fn parallel_matches_sequential_under_default_profiling_policy() {
-    // No forced backend: the §4.4 profiler (and the profile cache, warmed
-    // by the first run) picks executors per sub-batch. All executors are
-    // exact, so results must still match bit-for-bit across dispatchers.
+    // No forced backend on a metered batch: the §4.4 profiler (and the
+    // profile cache, warmed by the first run) picks executors per
+    // sub-batch. All executors are exact, so results must still match
+    // bit-for-bit across dispatchers.
     let pts = uniform::<3>(N_POINTS, 0xbead);
     let qs = queries(&pts, 0xdead);
     let idx = ShardedIndex::build("sharded", &pts, 8, 8, SplitPolicy::MedianCycle);
-    let seq = ExecPolicy {
-        shard_parallelism: 1,
-        ..ExecPolicy::default()
-    };
+    let seq = metering(
+        ExecPolicy {
+            shard_parallelism: 1,
+            ..ExecPolicy::default()
+        },
+        &qs[..512],
+    );
     let par = ExecPolicy {
         shard_parallelism: 4,
-        ..ExecPolicy::default()
+        ..seq.clone()
     };
     for op in [OpKey::Nn, OpKey::Knn(8)] {
         let s = idx.run_batch(op, &qs[..512], &seq);
