@@ -238,7 +238,7 @@ mod tests {
         use gts_service::{Backend, BatchOutcome, BatchRecord, Metrics};
         use std::time::Duration;
         let m = Metrics::default();
-        m.on_submit();
+        m.on_submit(1);
         let outcome = BatchOutcome {
             backend: Backend::Lockstep,
             node_visits: 42,
@@ -283,8 +283,8 @@ mod tests {
         use gts_service::{KindDropped, Metrics};
         use std::time::Duration;
         let m = Metrics::default();
-        m.on_submit();
-        m.on_propagated();
+        m.on_submit(1);
+        m.on_propagated(1);
         m.on_complete("demo", Duration::from_millis(2), 9, 0xABC);
         let mut snap = m.snapshot();
         // The service stitches these in from its trace ring and slow log;

@@ -7,9 +7,13 @@
 //! frames. An in-flight query costs *no* thread: its
 //! [`gts_service::Ticket::on_complete`] waker fires on the resolving
 //! worker and pushes the response frame onto the connection's writer
-//! channel. A `BatchSubmit` of `n` queries registers `n` wakers that fill
-//! one shared slot table; the last completion encodes a single
-//! `BatchResult` frame.
+//! channel. A `BatchSubmit` of `n` queries goes to the service as one unit
+//! ([`gts_service::Service::submit_all`]: admitted under one front lock,
+//! and flushed when the frame ends rather than at the batching deadline),
+//! then registers `n` wakers that fill one shared slot table; the last
+//! completion encodes a single `BatchResult` frame. A lone `Submit` waits
+//! for its index to fill or for the deadline, like an in-process
+//! `submit`.
 //!
 //! Draining: a `Shutdown` frame stops reads, waits for the connection's
 //! in-flight count to reach zero (every accepted frame is answered), then
@@ -545,8 +549,8 @@ fn submit_batch(
         ctx,
         conn,
     });
-    for (i, query) in queries.into_iter().enumerate() {
-        match service.submit_traced(query, ctx) {
+    for (i, submitted) in service.submit_all(queries, ctx).into_iter().enumerate() {
+        match submitted {
             Ok(ticket) => {
                 let agg = Arc::clone(&agg);
                 ticket.on_complete(move |r| {

@@ -1,14 +1,15 @@
 //! End-to-end socket-path tests: a real `Service` behind a real
 //! `NetServer`, exercised through `Client` over loopback TCP.
 
-use gts_net::{Client, ErrorCode, NetServer};
+use gts_net::{Client, ErrorCode, NetServer, WireError};
 use gts_points::gen::uniform;
 use gts_service::{
-    KdIndex, Mutation, Query, QueryKind, QueryResult, Service, ServiceConfig, Ticket, TreeIndex,
+    KdIndex, Mutation, Query, QueryKind, QueryResult, Service, ServiceConfig, Ticket, TraceContext,
+    TreeIndex,
 };
 use gts_trees::SplitPolicy;
 use std::io::ErrorKind::InvalidInput;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn start_server(cfg: ServiceConfig) -> (NetServer, Vec<gts_trees::PointN<3>>) {
@@ -19,6 +20,25 @@ fn start_server(cfg: ServiceConfig) -> (NetServer, Vec<gts_trees::PointN<3>>) {
     );
     let server = NetServer::bind("127.0.0.1:0", Arc::new(service)).expect("bind");
     (server, pts)
+}
+
+/// Bounds every wait that a lost flush would turn into a hang.
+const HANG: Duration = Duration::from_secs(30);
+
+/// Send `frame` and collect its answers, failing instead of hanging when
+/// they take `HANG` or longer.
+fn answered_within_hang(
+    client: &mut Client,
+    frame: &[Query],
+) -> Vec<Result<QueryResult, WireError>> {
+    let base = client.send_batch(frame).unwrap();
+    std::thread::scope(|scope| {
+        let (done, answered) = mpsc::channel();
+        scope.spawn(move || done.send(client.recv_batch(base).unwrap()));
+        answered
+            .recv_timeout(HANG)
+            .expect("the frame was never answered")
+    })
 }
 
 fn nn(pos: [f32; 3]) -> Query {
@@ -243,8 +263,10 @@ fn overload_rejections_carry_the_predicted_wait() {
     }
 
     // Park one query (depth 1), then every submission models a wait
-    // above the 1ns budget and is rejected with the model attached.
-    let parked = client.send_batch(&warm[..1]).unwrap();
+    // above the 1ns budget and is rejected with the model attached. It is
+    // parked in process: a frame is answered at once and would leave the
+    // depth at 0.
+    let parked = server.service().submit(nn(pts[0].0)).expect("admitted");
     let err = client.query(nn(pts[3].0)).unwrap().unwrap_err();
     assert_eq!(err.code, ErrorCode::Overloaded);
     let predicted = err.predicted_wait().expect("overload carries the model");
@@ -253,9 +275,8 @@ fn overload_rejections_carry_the_predicted_wait() {
 
     // The parked query is not lost: closing the service drains it.
     server.service().close();
-    let results = client.recv_batch(parked).unwrap();
-    assert_eq!(results.len(), 1);
-    assert!(results[0].is_ok(), "drain completed the admitted query");
+    let drained = parked.wait_timeout(HANG).expect("the close drains it");
+    assert!(drained.is_ok(), "drain completed the admitted query");
     client.shutdown().unwrap();
     server.shutdown();
 }
@@ -263,7 +284,7 @@ fn overload_rejections_carry_the_predicted_wait() {
 #[test]
 fn mid_stream_service_close_answers_cleanly_instead_of_dropping() {
     // Regression: closing the service while a connection is mid-stream
-    // must (a) complete already-accepted frames via the drain and (b)
+    // must (a) complete already-accepted queries via the drain and (b)
     // answer new submissions with Error(ShuttingDown) — the TCP
     // connection itself stays up.
     let (server, pts) = start_server(ServiceConfig {
@@ -271,44 +292,76 @@ fn mid_stream_service_close_answers_cleanly_instead_of_dropping() {
         max_wait: Duration::from_secs(3600),
         ..ServiceConfig::default()
     });
+    let service = Arc::clone(server.service());
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
-    // Accepted before the close; parked in the batcher (deadline is an
-    // hour away, size target unreachable).
-    let accepted: Vec<Query> = (0..50).map(|i| nn(pts[i % pts.len()].0)).collect();
-    let base = client.send_batch(&accepted).unwrap();
+    // A frame is answered when it ends, deadline an hour away and size
+    // target unreachable or not.
+    let frame: Vec<Query> = (0..50).map(|i| nn(pts[i % pts.len()].0)).collect();
+    let results = answered_within_hang(&mut client, &frame);
+    assert!(results.iter().all(Result::is_ok));
 
-    // Ordering barrier: frames are processed in order, and a validation
-    // failure is answered synchronously (it never enters the batcher) —
-    // once its Error comes back, every query in the batch above has been
-    // accepted by the service.
-    let err = client
-        .query(Query {
-            index: 99,
-            pos: vec![0.0; 3],
-            kind: QueryKind::Nn,
-        })
-        .unwrap()
-        .unwrap_err();
-    assert_eq!(err.code, ErrorCode::UnknownIndex);
+    // Lone submits are parked in the batcher until the close.
+    let parked: Vec<Ticket> = (pts[..5].iter())
+        .map(|p| service.submit(nn(p.0)).expect("open"))
+        .collect();
+    assert!(parked.iter().all(|t| t.try_get().is_none()));
 
-    server.service().close();
+    service.close();
 
-    // (b) New submissions get a structured ShuttingDown error frame.
+    // (b) New submissions get a structured ShuttingDown error frame, a
+    // frame's in every slot.
     let err = client.query(nn(pts[0].0)).unwrap().unwrap_err();
     assert_eq!(err.code, ErrorCode::ShuttingDown);
+    let base = client.send_batch(&frame[..3]).unwrap();
+    for r in client.recv_batch(base).unwrap() {
+        assert_eq!(r.unwrap_err().code, ErrorCode::ShuttingDown);
+    }
 
     // (a) The close drained the batcher: every accepted query resolves.
-    let results = client.recv_batch(base).unwrap();
-    assert_eq!(results.len(), 50);
-    for r in results {
-        assert!(r.is_ok(), "accepted work completed through the drain");
+    for t in &parked {
+        let drained = t.wait_timeout(HANG).expect("the close drains it");
+        assert!(drained.is_ok(), "accepted work completed through the drain");
     }
 
     // The connection still shuts down gracefully afterwards.
     client
         .shutdown()
         .expect("clean shutdown after service close");
+    server.shutdown();
+}
+
+#[test]
+fn a_batch_frame_is_answered_without_waiting_for_the_deadline() {
+    let (server, pts) = start_server(ServiceConfig {
+        max_wait: Duration::from_secs(3600),
+        ..ServiceConfig::default()
+    });
+    let service = Arc::clone(server.service());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    // Short of the 256-lane target, a frame of mixed ops; the next one
+    // finds the front as empty as the first did. In process, the same
+    // queries as one batch answer alike, and as soon.
+    for wave in 0..3 {
+        let frame: Vec<Query> = (0..100)
+            .map(|i| Query {
+                kind: match i % 2 {
+                    0 => QueryKind::Nn,
+                    _ => QueryKind::Knn { k: 3 },
+                },
+                ..nn(pts[(wave * 100 + i) % pts.len()].0)
+            })
+            .collect();
+        let results = answered_within_hang(&mut client, &frame);
+        let in_process = service.submit_all(frame.clone(), TraceContext::LOCAL);
+        assert_eq!(results.len(), frame.len());
+        for (r, t) in results.into_iter().zip(in_process) {
+            let t = t.expect("admitted");
+            assert_eq!(Ok(r.expect("answered")), t.wait_timeout(HANG).unwrap());
+        }
+    }
+    assert_eq!(service.queue_depth(), 0);
+    client.shutdown().unwrap();
     server.shutdown();
 }
 

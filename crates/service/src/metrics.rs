@@ -201,9 +201,10 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// One query accepted into its bucket.
-    pub fn on_submit(&self) {
-        self.lock().own.submitted.fold(1);
+    /// `queries` queries accepted into their buckets (one submit, or a
+    /// frame's worth).
+    pub fn on_submit(&self, queries: u64) {
+        self.lock().own.submitted.fold(queries);
     }
 
     /// One query rejected at submission (validation or shutdown).
@@ -353,10 +354,10 @@ impl Metrics {
         m.index_series(index).latency_ms.record(ms);
     }
 
-    /// One submission arrived carrying a propagated (non-local) trace
-    /// context.
-    pub fn on_propagated(&self) {
-        self.lock().own.trace_propagated.fold(1);
+    /// `queries` submissions arrived carrying a propagated (non-local)
+    /// trace context.
+    pub fn on_propagated(&self, queries: u64) {
+        self.lock().own.trace_propagated.fold(queries);
     }
 
     /// The slow-log commit threshold: the given percentile of the live
@@ -802,7 +803,7 @@ mod tests {
     fn snapshot_aggregates_batches() {
         let m = Metrics::default();
         for _ in 0..3 {
-            m.on_submit();
+            m.on_submit(1);
         }
         m.on_batch(&record(&batch(2, Backend::Lockstep, 100, 1.5, 1.2, 3), 2));
         m.on_batch(&record(&batch(1, Backend::Autoropes, 40, 0.5, 1.0, 1), 4));
@@ -899,7 +900,7 @@ mod tests {
     #[test]
     fn snapshot_json_round_trips() {
         let m = Metrics::default();
-        m.on_submit();
+        m.on_submit(1);
         m.on_batch(&record(&batch(1, Backend::Cpu, 10, 0.0, 1.0, 0), 0));
         let s = m.snapshot();
         let back: MetricsSnapshot = serde_json::from_str(&s.to_json()).unwrap();
@@ -911,7 +912,7 @@ mod tests {
         let m = Metrics::default();
         let before = m.approx_bytes();
         for i in 0..10_000u64 {
-            m.on_submit();
+            m.on_submit(1);
             let out = batch(1, Backend::Cpu, i, i as f64 * 0.01, 1.0, 0);
             m.on_batch(&record(&out, i % 7));
             m.on_complete("idx", Duration::from_micros(10 * i), i, 0);
@@ -992,7 +993,7 @@ mod tests {
     fn exposition_of_a_fixed_script_matches_the_golden() {
         let m = Metrics::default();
         for _ in 0..7 {
-            m.on_submit();
+            m.on_submit(1);
         }
         m.on_reject();
         m.on_reject();
@@ -1038,7 +1039,7 @@ mod tests {
         for (outcome, index, wait, exec) in &batches {
             m.on_batch(&BatchRecord::from_outcome(outcome, *wait, *exec, index));
         }
-        m.on_propagated();
+        m.on_propagated(1);
         m.on_complete("alpha", ms(3), 11, 0);
         m.on_complete("alpha", ms(3), 13, 0xfeed);
         m.on_complete("beta", ms(250), 17, 0);
@@ -1079,7 +1080,7 @@ mod tests {
         let m = Metrics::default();
         m.on_complete("idx", Duration::from_millis(3), 7, 0xabc);
         m.on_complete("idx", Duration::from_millis(250), 42, 0xdef);
-        m.on_propagated();
+        m.on_propagated(1);
         let s = m.snapshot();
         assert_eq!(s.trace_propagated, 1);
         assert_eq!(s.latency_exemplars.len(), 2, "one exemplar per bucket");

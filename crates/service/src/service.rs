@@ -4,6 +4,7 @@
 //!  clients ──submit──▶ [front: one lock around the buckets]
 //!                          │ size flush: the submit that filled the index's
 //!                          │   lanes
+//!                          │ frame flush: the end of a `submit_all`
 //!                          │ deadline flush: the keeper thread
 //!                          ▼
 //!                       [bounded channel] ──▶ workers (N threads)
@@ -17,8 +18,11 @@
 //! lock and returns; the call that fills an index takes it out under the
 //! lock and sends it after releasing it. What fills is the index: its
 //! buckets leave together, on the push that brings their distinct
-//! positions (the dispatch's lanes) up to the target (`batcher.rs`). The
-//! dispatch channel is bounded,
+//! positions (the dispatch's lanes) up to the target (`batcher.rs`). A
+//! client's batch (`submit_all`, a `BatchSubmit` frame) is filed as one
+//! unit, under one lock, and takes every index it touched out when it
+//! ends: it is a batch already, and the deadline exists to gather single
+//! submits into one. The dispatch channel is bounded,
 //! and that send is the backpressure: a full dispatch queue blocks the
 //! submitter whose push flushed, holding no lock. The keeper thread sleeps
 //! until the oldest bucket's deadline and flushes what is due. Shutdown
@@ -179,8 +183,16 @@ enum TicketState {
     Done(Result<QueryResult, ServiceError>),
 }
 
+/// A ticket's state, and how many threads are parked on its condvar: a
+/// resolution wakes them only when there are some, so the common case —
+/// nobody waits, or a waker fires — makes no wake-up call.
+struct Slot {
+    state: TicketState,
+    parked: u32,
+}
+
 struct TicketInner {
-    state: Mutex<TicketState>,
+    slot: Mutex<Slot>,
     cv: Condvar,
 }
 
@@ -208,37 +220,66 @@ impl std::fmt::Debug for Ticket {
 impl Ticket {
     fn new() -> Self {
         Ticket(Arc::new(TicketInner {
-            state: Mutex::new(TicketState::Pending),
+            slot: Mutex::new(Slot {
+                state: TicketState::Pending,
+                parked: 0,
+            }),
             cv: Condvar::new(),
         }))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, TicketState> {
-        self.0.state.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.0.slot.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Sleep on the condvar until woken, spuriously or not, or for at most
+    /// `timeout`, counted in `parked` meanwhile.
+    fn park<'a>(
+        &self,
+        mut slot: MutexGuard<'a, Slot>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, Slot> {
+        slot.parked += 1;
+        let mut slot = match timeout {
+            None => self.0.cv.wait(slot).unwrap_or_else(|e| e.into_inner()),
+            Some(t) => {
+                (self.0.cv.wait_timeout(slot, t))
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0
+            }
+        };
+        slot.parked -= 1;
+        slot
     }
 
     fn resolve(&self, r: Result<QueryResult, ServiceError>) {
-        let mut state = self.lock();
-        match std::mem::replace(&mut *state, TicketState::Pending) {
+        let mut slot = self.lock();
+        let fire = match std::mem::replace(&mut slot.state, TicketState::Pending) {
             TicketState::Pending => {
-                *state = TicketState::Done(r);
-                self.0.cv.notify_all();
+                slot.state = TicketState::Done(r);
+                None
             }
             TicketState::Waker(callback) => {
                 // The one copy a resolution makes: `Done` keeps the result
                 // readable after the callback consumed its own.
-                *state = TicketState::Done(r.clone());
-                self.0.cv.notify_all();
-                // Fire outside the lock: the callback may take arbitrary
-                // locks of its own (the net writer channel, a batch
-                // aggregator) and must never deadlock against `wait`.
-                drop(state);
-                callback(r);
+                slot.state = TicketState::Done(r.clone());
+                Some((callback, r))
             }
             // First resolution wins; put it back.
             TicketState::Done(first) => {
-                *state = TicketState::Done(first);
+                slot.state = TicketState::Done(first);
+                return;
             }
+        };
+        if slot.parked > 0 {
+            self.0.cv.notify_all();
+        }
+        // Fire outside the lock: the callback may take arbitrary locks of
+        // its own (the net writer channel, a batch aggregator) and must
+        // never deadlock against `wait`.
+        drop(slot);
+        if let Some((callback, r)) = fire {
+            callback(r);
         }
     }
 
@@ -251,15 +292,15 @@ impl Ticket {
         &self,
         callback: impl FnOnce(Result<QueryResult, ServiceError>) + Send + 'static,
     ) {
-        let mut state = self.lock();
-        match &*state {
+        let mut slot = self.lock();
+        match &slot.state {
             TicketState::Done(r) => {
                 let r = r.clone();
-                drop(state);
+                drop(slot);
                 callback(r);
             }
             TicketState::Pending | TicketState::Waker(_) => {
-                *state = TicketState::Waker(Box::new(callback));
+                slot.state = TicketState::Waker(Box::new(callback));
             }
         }
     }
@@ -267,12 +308,12 @@ impl Ticket {
     /// Block until the result arrives. Loops on the condvar, re-checking
     /// state on every wake — spurious wakeups never return early.
     pub fn wait(&self) -> Result<QueryResult, ServiceError> {
-        let mut state = self.lock();
+        let mut slot = self.lock();
         loop {
-            if let TicketState::Done(r) = &*state {
+            if let TicketState::Done(r) = &slot.state {
                 return r.clone();
             }
-            state = self.0.cv.wait(state).unwrap_or_else(|e| e.into_inner());
+            slot = self.park(slot, None);
         }
     }
 
@@ -283,29 +324,24 @@ impl Ticket {
     /// rather than restarting the full timeout.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<QueryResult, ServiceError>> {
         let deadline = Instant::now() + timeout;
-        let mut state = self.lock();
+        let mut slot = self.lock();
         loop {
-            if let TicketState::Done(r) = &*state {
+            if let TicketState::Done(r) = &slot.state {
                 return Some(r.clone());
             }
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
-            let (s, _) = self
-                .0
-                .cv
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            state = s;
             // Loop re-checks: a timeout wake with a result present still
             // returns the result; a spurious wake re-arms the wait.
+            slot = self.park(slot, Some(deadline - now));
         }
     }
 
     /// The result, if it has already arrived.
     pub fn try_get(&self) -> Option<Result<QueryResult, ServiceError>> {
-        match &*self.lock() {
+        match &self.lock().state {
             TicketState::Done(r) => Some(r.clone()),
             _ => None,
         }
@@ -404,11 +440,12 @@ fn lanes_of<T>(batches: Vec<ReadyBatch<T>>) -> (Vec<FusedLane>, Vec<Part<T>>) {
     (lanes, parts)
 }
 
-/// Group a burst's ready batches by index into dispatches. The batcher
-/// fills by lanes, so an index leaves whole: each group takes the rest of
-/// its index's buckets along (`flush_index`) and goes as one dispatch. A
-/// group of one bucket keeps that bucket's id; a larger one draws a new id.
-fn coalesce<T>(burst: Vec<ReadyBatch<T>>, batcher: &mut Batcher<T>) -> Vec<Dispatch<T>> {
+/// Group a burst's ready batches by index into dispatches, appended to
+/// `out`. The batcher fills by lanes, so an index leaves whole: each group
+/// takes the rest of its index's buckets along (`flush_index`) and goes as
+/// one dispatch. A group of one bucket keeps that bucket's id; a larger one
+/// draws a new id.
+fn coalesce<T>(burst: Vec<ReadyBatch<T>>, batcher: &mut Batcher<T>, out: &mut Vec<Dispatch<T>>) {
     let mut groups: Vec<Vec<ReadyBatch<T>>> = Vec::new();
     for b in burst {
         match groups.iter_mut().find(|g| g[0].key.index == b.key.index) {
@@ -416,22 +453,21 @@ fn coalesce<T>(burst: Vec<ReadyBatch<T>>, batcher: &mut Batcher<T>) -> Vec<Dispa
             None => groups.push(vec![b]),
         }
     }
-    (groups.into_iter())
-        .map(|mut batches| {
-            let index = batches[0].key.index;
-            batches.extend(batcher.flush_index(index));
-            let id = match &batches[..] {
-                [only] => only.id,
-                _ => batcher.take_id(),
-            };
-            Dispatch { id, index, batches }
-        })
-        .collect()
+    out.extend(groups.into_iter().map(|mut batches| {
+        let index = batches[0].key.index;
+        batches.extend(batcher.flush_index(index));
+        let id = match &batches[..] {
+            [only] => only.id,
+            _ => batcher.take_id(),
+        };
+        Dispatch { id, index, batches }
+    }));
 }
 
 /// What stands between `submit` and the workers: the buckets and the
 /// dispatch sender under one lock. Submitters file queries in; a submit
-/// that fills a bucket, the deadline keeper and `close` take batches out.
+/// that fills a bucket, the end of a frame, the deadline keeper and
+/// `close` take batches out.
 struct Front {
     state: Mutex<FrontState>,
     /// Wakes the keeper: a push created the first bucket (there is a
@@ -456,11 +492,19 @@ impl Front {
     fn lock(&self) -> MutexGuard<'_, FrontState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
+}
 
-    /// `burst`, just flushed from `state`, on its way out.
-    fn release(&self, state: &mut FrontState, burst: Vec<ReadyBatch<Tag>>) -> Flushed {
-        let tx = state.tx.clone().expect("only an open front flushes");
-        (tx, coalesce(burst, &mut state.batcher))
+impl FrontState {
+    /// `dispatches`, just taken out, on their way out; `None` when there
+    /// are none.
+    fn release(&self, dispatches: Vec<Dispatch<Tag>>) -> Option<Flushed> {
+        if dispatches.is_empty() {
+            return None;
+        }
+        Some((
+            self.tx.clone().expect("only an open front flushes"),
+            dispatches,
+        ))
     }
 }
 
@@ -537,6 +581,37 @@ fn reject_reason(err: &ServiceError) -> &'static str {
         ServiceError::Overloaded { .. } => "overloaded",
         ServiceError::Internal(_) => "internal",
     }
+}
+
+/// End a query refused at submission: its record, through [`finish`], and
+/// no ticket. Returns the error for the caller.
+fn refuse(
+    shared: &Shared,
+    origin: Origin,
+    index: IndexId,
+    op: &'static str,
+    err: ServiceError,
+) -> ServiceError {
+    let found = shared.indices().get(index).cloned();
+    let unknown = || Cow::Owned(format!("index-{index}"));
+    let name = (found.as_ref()).map_or_else(unknown, |i| i.name().into());
+    let end = End {
+        origin,
+        index: &name,
+        op,
+        ride: None,
+        reason: Some(reject_reason(&err)),
+        ended: Instant::now(),
+    };
+    finish(shared, end, None);
+    err
+}
+
+/// A query past validation and admission, with its ticket in its tag, on
+/// its way into its bucket.
+struct Admitted {
+    key: BatchKey,
+    entry: BatchEntry<Tag>,
 }
 
 /// The dispatch a query rode in: `out` is what the index answered with
@@ -822,45 +897,63 @@ impl Service {
     /// [`Service::submit`] carrying a propagated trace context: every
     /// lifecycle event the query produces is stamped with `ctx.trace_id`,
     /// so a merged client+server Chrome trace joins across the wire. The
-    /// network front-end routes versioned `Submit`/`BatchSubmit` frames
-    /// here; in-process callers use [`Service::submit`]
+    /// network front-end routes versioned `Submit` frames here;
+    /// in-process callers use [`Service::submit`]
     /// (= [`TraceContext::LOCAL`]).
     pub fn submit_traced(&self, query: Query, ctx: TraceContext) -> Result<Ticket, ServiceError> {
+        if !ctx.is_local() {
+            self.shared.metrics.on_propagated(1);
+        }
+        let admitted = self.admit(query, ctx)?;
+        let ticket = admitted.entry.tag.ticket.clone();
+        self.file([admitted], false)?;
+        Ok(ticket)
+    }
+
+    /// Submit a client's batch (a `BatchSubmit` frame) as one unit. Each
+    /// query is validated, admission-checked and given a ticket, or
+    /// refused, as [`Service::submit_traced`] would; the accepted ones go
+    /// into their buckets under one front lock, and every index the batch
+    /// touched leaves when it ends — the batch is already the client's, so
+    /// nothing waits for `max_wait`. One result per query, in order; on a
+    /// closed service every query is refused with
+    /// [`ServiceError::ShuttingDown`].
+    pub fn submit_all(
+        &self,
+        queries: Vec<Query>,
+        ctx: TraceContext,
+    ) -> Vec<Result<Ticket, ServiceError>> {
+        if !ctx.is_local() {
+            self.shared.metrics.on_propagated(queries.len() as u64);
+        }
+        let mut admitted = Vec::with_capacity(queries.len());
+        let mut tickets: Vec<Result<Ticket, ServiceError>> = (queries.into_iter())
+            .map(|query| {
+                let a = self.admit(query, ctx)?;
+                let ticket = a.entry.tag.ticket.clone();
+                admitted.push(a);
+                Ok(ticket)
+            })
+            .collect();
+        if let Err(closed) = self.file(admitted, true) {
+            (tickets.iter_mut().filter(|t| t.is_ok())).for_each(|t| *t = Err(closed.clone()));
+        }
+        tickets
+    }
+
+    /// Validate and admission-check one query and give it a ticket. A
+    /// refused query ends here, without a ticket.
+    fn admit(&self, query: Query, ctx: TraceContext) -> Result<Admitted, ServiceError> {
         let shared = &*self.shared;
         let trace = &shared.trace;
-        let qid = trace.next_query_id();
-        if !ctx.is_local() {
-            shared.metrics.on_propagated();
-        }
-        let submitted = Instant::now();
         let origin = Origin {
-            query: qid,
+            query: trace.next_query_id(),
             ctx,
-            submitted,
+            submitted: Instant::now(),
         };
-        let index_id = query.index;
+        let index = query.index;
         let op = query.kind.op_key().map_or("invalid", |op| op.family().0);
-        // A refused query ends here, with a record and without a ticket.
-        let refuse = |err: ServiceError| {
-            let index = shared.indices().get(index_id).cloned();
-            let unknown = || Cow::Owned(format!("index-{index_id}"));
-            let name = (index.as_ref()).map_or_else(unknown, |i| i.name().into());
-            let (reason, ended) = (Some(reject_reason(&err)), Instant::now());
-            let end = End {
-                origin,
-                index: &name,
-                op,
-                ride: None,
-                reason,
-                ended,
-            };
-            finish(shared, end, None);
-            Err(err)
-        };
-        let key = match self.validate(&query) {
-            Ok(key) => key,
-            Err(err) => return refuse(err),
-        };
+        let key = (self.validate(&query)).map_err(|err| refuse(shared, origin, index, op, err))?;
         // Latency-budget admission: reject up front when the modeled wait
         // already exceeds the budget, rather than parking the caller on a
         // full queue it will regret.
@@ -869,7 +962,7 @@ impl Service {
             let accepted = predicted <= budget;
             trace.instant_traced(
                 trace.now_us(),
-                qid,
+                origin.query,
                 NO_ID,
                 ctx.trace_id,
                 EventKind::Admission {
@@ -879,48 +972,97 @@ impl Service {
                 },
             );
             if !accepted {
-                return refuse(ServiceError::Overloaded {
+                let err = ServiceError::Overloaded {
                     predicted_wait: predicted,
                     budget,
-                });
+                };
+                return Err(refuse(shared, origin, index, op, err));
             }
         }
-        let ticket = Ticket::new();
-        let submitted_us = trace.us_of(submitted);
-        trace.instant_traced(submitted_us, qid, NO_ID, ctx.trace_id, EventKind::Submit);
-        let entry = BatchEntry {
-            pos: query.pos,
-            tag: Tag {
-                origin,
-                ticket: ticket.clone(),
-                _depth: DepthGuard::acquire(&shared.depth),
-            },
+        let tag = Tag {
+            origin,
+            ticket: Ticket::new(),
+            _depth: DepthGuard::acquire(&shared.depth),
         };
-        // Record Enqueue *before* the push: once the query is in its
-        // bucket another thread may flush it and a worker record its
-        // Complete, and the ring numbers events in record order. When the
-        // close won the race the optimistic event stays in the trace,
-        // followed by the Reject that tells the true outcome.
-        trace.instant_traced(trace.now_us(), qid, NO_ID, ctx.trace_id, EventKind::Enqueue);
+        let pos = query.pos;
+        Ok(Admitted {
+            key,
+            entry: BatchEntry { pos, tag },
+        })
+    }
+
+    /// File admitted queries into their buckets under one front lock, and
+    /// send what that took out once the lock is released. A push that
+    /// fills its index flushes it, as always; a `frame` also takes out the
+    /// rest of every index it touched when it ends. On a closed front
+    /// every query is refused with [`ServiceError::ShuttingDown`].
+    fn file<A>(&self, admitted: A, frame: bool) -> Result<(), ServiceError>
+    where
+        A: AsRef<[Admitted]> + IntoIterator<Item = Admitted>,
+    {
+        let shared = &*self.shared;
+        let trace = &shared.trace;
+        // Record Enqueue *before* the push: once a query is in its bucket
+        // another thread may flush it and a worker record its Complete,
+        // and the ring numbers events in record order. When the close won
+        // the race the optimistic events stay in the trace, followed by
+        // the Reject that tells the true outcome.
+        let enqueued_us = trace.now_us();
+        trace.instants_traced(admitted.as_ref().iter().flat_map(|a| {
+            let Origin { query, ctx, .. } = a.entry.tag.origin;
+            let submitted_us = trace.us_of(a.entry.tag.origin.submitted);
+            [
+                (submitted_us, query, ctx.trace_id, EventKind::Submit),
+                (enqueued_us, query, ctx.trace_id, EventKind::Enqueue),
+            ]
+        }));
         let mut front = self.front.lock();
         if front.tx.is_none() {
-            // The close raced the submission: the query never ran.
+            // The close raced the submission: no query ran.
             drop(front);
-            return refuse(ServiceError::ShuttingDown);
+            for Admitted { key, entry } in admitted {
+                let (index, op) = (key.index, key.op.family().0);
+                refuse(
+                    shared,
+                    entry.tag.origin,
+                    index,
+                    op,
+                    ServiceError::ShuttingDown,
+                );
+            }
+            return Err(ServiceError::ShuttingDown);
         }
-        // The bucket ages from `submitted`, read before the lock: two
-        // racing submitters may create buckets a hair out of deadline
-        // order, which costs the younger deadline that hair.
-        let first = front.batcher.pending() == 0;
-        let full = front.batcher.push(key, entry, submitted);
-        let flushed = full.map(|batch| self.front.release(&mut front, vec![batch]));
+        let state = &mut *front;
+        let first = state.batcher.pending() == 0;
+        let accepted = admitted.as_ref().len() as u64;
+        let (mut touched, mut out) = (Vec::new(), Vec::new());
+        for Admitted { key, entry } in admitted {
+            if frame && !touched.contains(&key.index) {
+                touched.push(key.index);
+            }
+            // The bucket ages from `submitted`, read before the lock: two
+            // racing submitters may create buckets a hair out of deadline
+            // order, which costs the younger deadline that hair.
+            let submitted = entry.tag.origin.submitted;
+            if let Some(full) = state.batcher.push(key, entry, submitted) {
+                coalesce(vec![full], &mut state.batcher, &mut out);
+            }
+        }
+        let rest = (touched.into_iter())
+            .flat_map(|index| state.batcher.flush_index(index))
+            .collect();
+        coalesce(rest, &mut state.batcher, &mut out);
+        // A frame leaves nothing of its own behind, so only a lone query
+        // can leave the first bucket the keeper must sleep towards.
+        let wake = first && state.batcher.pending() > 0;
+        let flushed = state.release(out);
         drop(front);
-        if first {
+        if wake {
             self.front.wake.notify_one();
         }
-        shared.metrics.on_submit();
+        shared.metrics.on_submit(accepted);
         flushed.into_iter().for_each(|f| send_all(shared, f));
-        Ok(ticket)
+        Ok(())
     }
 
     /// Submit and wait — convenience for sequential callers.
@@ -990,8 +1132,9 @@ impl Service {
     pub fn close(&self) {
         let mut front = self.front.lock();
         let flushed = front.tx.take().map(|tx| {
-            let residue = front.batcher.flush_all();
-            (tx, coalesce(residue, &mut front.batcher))
+            let (residue, mut out) = (front.batcher.flush_all(), Vec::new());
+            coalesce(residue, &mut front.batcher, &mut out);
+            (tx, out)
         });
         drop(front);
         self.front.wake.notify_one();
@@ -1085,10 +1228,11 @@ fn keeper_loop(front: &Front, shared: &Shared) {
                 wait.unwrap_or_else(|e| e.into_inner()).0
             }
             Some(_) => {
-                let burst = state.batcher.flush_due(now);
-                let flushed = front.release(&mut state, burst);
+                let (burst, mut out) = (state.batcher.flush_due(now), Vec::new());
+                coalesce(burst, &mut state.batcher, &mut out);
+                let flushed = state.release(out);
                 drop(state);
-                send_all(shared, flushed);
+                flushed.into_iter().for_each(|f| send_all(shared, f));
                 front.lock()
             }
         };
@@ -1297,6 +1441,24 @@ mod tests {
     }
 
     #[test]
+    fn a_resolution_wakes_every_parked_waiter() {
+        let t = Ticket::new();
+        std::thread::scope(|scope| {
+            let waiting = scope.spawn(|| t.wait());
+            let timed = scope.spawn(|| t.wait_timeout(Duration::from_secs(30)));
+            // Both are on the condvar before the resolution: the count the
+            // wake-up reads is the one they keep.
+            while t.lock().parked < 2 {
+                std::thread::yield_now();
+            }
+            t.resolve(Ok(nn_result(6.0)));
+            assert_eq!(waiting.join().unwrap(), Ok(nn_result(6.0)));
+            assert_eq!(timed.join().unwrap(), Some(Ok(nn_result(6.0))));
+        });
+        assert_eq!(t.lock().parked, 0);
+    }
+
+    #[test]
     fn waker_fires_exactly_once_on_resolution() {
         let t = Ticket::new();
         let (tx, rx) = mpsc::channel();
@@ -1410,7 +1572,7 @@ mod tests {
             ticket: ticket.clone(),
             _depth: DepthGuard::acquire(&shared.depth),
         };
-        shared.metrics.on_submit();
+        shared.metrics.on_submit(1);
         let key = BatchKey {
             index: 0,
             op: crate::OpKey::Nn,

@@ -414,34 +414,66 @@ impl TraceRecorder {
         self.push(ts_us, dur_us, query, batch, trace, kind);
     }
 
+    /// Instant events `(ts_us, query, trace, kind)` with no batch, recorded
+    /// under one lock of the ring, in order — a whole frame's submissions
+    /// in one go.
+    pub(crate) fn instants_traced(
+        &self,
+        events: impl IntoIterator<Item = (u64, u64, u64, EventKind)>,
+    ) {
+        self.record(
+            events
+                .into_iter()
+                .map(|(ts_us, query, trace, kind)| TraceEvent {
+                    seq: 0,
+                    ts_us,
+                    dur_us: 0,
+                    query,
+                    batch: NO_ID,
+                    trace,
+                    kind,
+                }),
+        );
+    }
+
     fn push(&self, ts_us: u64, dur_us: u64, query: u64, batch: u64, trace: u64, kind: EventKind) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        let ev = TraceEvent {
-            seq,
+        self.record([TraceEvent {
+            seq: 0,
             ts_us,
             dur_us,
             query,
             batch,
             trace,
             kind,
-        };
-        if ring.buf.len() < self.capacity {
-            ring.buf.push(ev);
-        } else {
-            // Overwrite the oldest slot; head advances so the ring stays
-            // seq-ordered starting at `head`. The evicted event's kind is
-            // what got dropped — account it, never silently.
-            let head = ring.head;
-            let slot = ring.buf[head].kind.slot();
-            ring.buf[head] = ev;
-            ring.head = (head + 1) % self.capacity;
-            ring.dropped += 1;
-            ring.dropped_by_kind[slot] += 1;
+        }]);
+    }
+
+    /// Number `events` in record order and put them in the ring, under one
+    /// lock.
+    fn record(&self, events: impl IntoIterator<Item = TraceEvent>) {
+        if self.capacity == 0 {
+            return;
+        }
+        let mut ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        for ev in events {
+            let ev = TraceEvent {
+                seq: ring.next_seq,
+                ..ev
+            };
+            ring.next_seq += 1;
+            if ring.buf.len() < self.capacity {
+                ring.buf.push(ev);
+            } else {
+                // Overwrite the oldest slot; head advances so the ring
+                // stays seq-ordered starting at `head`. The evicted event's
+                // kind is what got dropped — account it, never silently.
+                let head = ring.head;
+                let slot = ring.buf[head].kind.slot();
+                ring.buf[head] = ev;
+                ring.head = (head + 1) % self.capacity;
+                ring.dropped += 1;
+                ring.dropped_by_kind[slot] += 1;
+            }
         }
     }
 

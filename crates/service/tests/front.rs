@@ -8,7 +8,10 @@
 //! * with one submitter and size-only flushing, batch composition is
 //!   decided by `submit` itself — by the push that brings an index's
 //!   distinct positions, or a bucket's queries, up to the target — and
-//!   queries at one position share a lane, whatever ops they ask.
+//!   queries at one position share a lane, whatever ops they ask;
+//! * a frame (`submit_all`) is filed whole or refused whole, and every
+//!   index it touched leaves when it ends, while a lone submit still waits
+//!   for its deadline or the close.
 //!
 //! Every wait is bounded by [`HANG`], far above anything a healthy run
 //! needs, because the failure mode of all of these is a hang.
@@ -16,7 +19,7 @@
 use gts_points::gen::uniform;
 use gts_service::{
     EventKind, ExecPolicy, FusedLane, FusedOutcome, KdIndex, Query, QueryKind, Service,
-    ServiceConfig, ServiceError, Ticket, TraceSnapshot, TreeIndex,
+    ServiceConfig, ServiceError, Ticket, TraceContext, TraceSnapshot, TreeIndex,
 };
 use gts_trees::{PointN, SplitPolicy};
 use std::collections::{BTreeMap, HashSet};
@@ -462,4 +465,151 @@ fn a_lone_op_at_repeated_positions_dispatches_one_lane_per_position() {
     let snapshot = service.shutdown();
     assert_eq!(snapshot.completed, 4 * BATCH as u64);
     assert_eq!(*index.lanes.lock().unwrap(), [BATCH / 2; 4]);
+}
+
+/// Two indices, `BATCH` lanes a dispatch, and no deadline in reach: a
+/// query leaves by a size flush, by the end of its frame, or at the close.
+fn frame_service(pts: &[PointN<3>]) -> Service {
+    let service = Service::start(ServiceConfig {
+        batch_queries: BATCH,
+        max_wait: Duration::from_secs(3600),
+        workers: 2,
+        ..ServiceConfig::default()
+    });
+    for _ in 0..2 {
+        service.register_index(Arc::new(kd(pts)));
+    }
+    service
+}
+
+#[test]
+fn a_frame_leaves_when_it_ends_and_a_lone_submit_still_waits() {
+    let pts = points();
+    let service = frame_service(&pts);
+    // Index 0 takes 40 positions, a size flush and 8 over; index 1 takes
+    // 20 queries at 10 positions, two ops each.
+    let mut frame = Vec::new();
+    for i in 0..40 {
+        frame.push(query(0, pts[i], QueryKind::Nn));
+        if i % 2 == 0 {
+            frame.push(query(1, pts[100 + i / 4], kind_of(i / 2)));
+        }
+    }
+    let tickets: Vec<Ticket> = (service.submit_all(frame.clone(), TraceContext::LOCAL))
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("open");
+    assert!(
+        tickets.iter().all(resolved),
+        "the frame waited for the close"
+    );
+    let m = service.metrics();
+    assert_eq!((m.batches, m.completed), (3, frame.len() as u64));
+    assert_eq!(service.queue_depth(), 0);
+
+    // A lone query still waits for its index to fill, or the close.
+    let lone = (service.submit(query(0, pts[200], QueryKind::Nn))).expect("open");
+    assert!(lone.wait_timeout(Duration::from_millis(20)).is_none());
+    let (m, trace) = service.shutdown_with_trace();
+    assert!(resolved(&lone), "the close drains it");
+    assert_eq!(m.submitted, frame.len() as u64 + 1);
+    assert_eq!(m.submitted, m.completed + m.failed);
+    assert_eq!(m.rejected, 0);
+
+    let mut sizes: Vec<u32> = (trace.events.iter())
+        .filter_map(|e| match e.kind {
+            EventKind::Batch { size, .. } => Some(size),
+            _ => None,
+        })
+        .collect();
+    sizes.sort_unstable();
+    assert_eq!(sizes, [1, 8, 20, BATCH as u32]);
+    // Each query's Submit and Enqueue are recorded before its Complete.
+    let mut seqs: BTreeMap<u64, Vec<(u64, &str)>> = BTreeMap::new();
+    for e in &trace.events {
+        let kind = match e.kind {
+            EventKind::Submit => "submit",
+            EventKind::Enqueue => "enqueue",
+            EventKind::Complete => "complete",
+            _ => continue,
+        };
+        seqs.entry(e.query).or_default().push((e.seq, kind));
+    }
+    assert_eq!(seqs.len(), frame.len() + 1);
+    for (query, mut events) in seqs {
+        events.sort_unstable();
+        let order: Vec<&str> = events.iter().map(|(_, kind)| *kind).collect();
+        assert_eq!(order, ["submit", "enqueue", "complete"], "query {query}");
+    }
+}
+
+#[test]
+fn a_frame_refuses_its_invalid_query_and_answers_the_rest() {
+    let pts = points();
+    let service = frame_service(&pts);
+    let mut frame: Vec<Query> = (pts[..10].iter())
+        .map(|p| query(0, *p, QueryKind::Nn))
+        .collect();
+    frame[4].pos[1] = f32::NAN;
+    let results = service.submit_all(frame.clone(), TraceContext::LOCAL);
+    assert_eq!(results.len(), frame.len());
+    for (i, r) in results.iter().enumerate() {
+        match r {
+            Err(ServiceError::BadQuery(_)) if i == 4 => {}
+            Ok(ticket) if i != 4 => assert!(resolved(ticket), "slot {i} waited"),
+            other => panic!("slot {i}: {other:?}"),
+        }
+    }
+    let m = service.shutdown();
+    assert_eq!((m.submitted, m.rejected), (9, 1));
+    assert_eq!(m.submitted + m.rejected, frame.len() as u64);
+    assert_eq!(m.submitted, m.completed + m.failed);
+}
+
+#[test]
+fn a_frame_racing_the_close_resolves_every_accepted_ticket() {
+    const N: usize = 16;
+    let pts = points();
+    let service = frame_service(&pts);
+    let (first_tx, first) = mpsc::channel();
+    let frames = std::thread::scope(|scope| {
+        let submitter = scope.spawn(|| {
+            let mut frames = Vec::new();
+            for round in 0.. {
+                let frame: Vec<Query> = (0..N)
+                    .map(|i| query(i % 2, pts[(round * N + i) % pts.len()], kind_of(i)))
+                    .collect();
+                let results = service.submit_all(frame, TraceContext::LOCAL);
+                let refused = results.iter().any(Result::is_err);
+                frames.push(results);
+                if round == 0 {
+                    first_tx.send(()).unwrap();
+                }
+                if refused {
+                    return frames;
+                }
+            }
+            unreachable!("the loop returns")
+        });
+        first.recv_timeout(HANG).expect("the first frame came back");
+        service.close();
+        submitter.join().unwrap()
+    });
+    let (mut accepted, mut refused) = (0, 0);
+    for results in &frames {
+        let ok = results.iter().filter(|r| r.is_ok()).count();
+        assert!(ok == 0 || ok == N, "a frame is filed whole or not at all");
+        for r in results {
+            match r {
+                Ok(ticket) => assert!(resolved(ticket)),
+                Err(e) => assert_eq!(*e, ServiceError::ShuttingDown),
+            }
+        }
+        (accepted, refused) = (accepted + ok, refused + N - ok);
+    }
+    assert_eq!(accepted + refused, N * frames.len());
+    assert_eq!(refused, N, "the last frame met the closed front");
+    let m = service.shutdown();
+    assert_eq!((m.submitted, m.rejected), (accepted as u64, refused as u64));
+    assert_eq!(m.submitted, m.completed + m.failed);
 }
