@@ -1,8 +1,8 @@
 //! Batch accumulation: the time-or-size flush policy.
 //!
 //! Pure data structure, no threads — the service keeps one behind its
-//! front lock, where submitters push and the deadline keeper flushes what
-//! is due; tests drive it directly. Queries coalesce per [`BatchKey`]
+//! front lock, where submitters push and a worker about to take a dispatch
+//! flushes what is due; tests drive it directly. Queries coalesce per [`BatchKey`]
 //! (same index, same op). A bucket flushes when its oldest entry has
 //! waited past the deadline (so a trickle of queries still makes latency),
 //! or on size, by one rule: an index's buckets leave together, so the size

@@ -334,7 +334,7 @@ struct Core<const D: usize> {
     merge_lock: Mutex<()>,
     ctl: Mutex<MergeCtl>,
     cv: Condvar,
-    /// Batch counter driving the shard caches' TTL clock.
+    /// Metered-batch counter driving the shard caches' TTL clock.
     batches: AtomicU64,
     merges: AtomicU64,
     mutations: AtomicU64,
@@ -695,10 +695,9 @@ impl<const D: usize> TreeIndex for MutableIndex<D> {
     }
 
     fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
-        let batch = self.core.batches.fetch_add(1, Ordering::Relaxed);
         let state = self.pin();
         let shards = state.swept(&self.core);
-        sweep(shards, &state.dead, lanes, policy, true, batch)
+        sweep(shards, &state.dead, lanes, policy, true, &self.core.batches)
     }
 
     fn mutate(&self, muts: &[Mutation]) -> Result<MutationAck, MutateError> {

@@ -9,9 +9,10 @@
 //! * clients submit NN / kNN / point-correlation queries against
 //!   registered tree indices; `submit` files each into its (index,
 //!   kernel-parameters) bucket, and a bucket flushes as a warp-multiple
-//!   batch under a time-or-size policy ([`batcher`]) into a bounded
-//!   dispatch queue (backpressure);
-//! * a worker pool Morton-sorts each batch and runs the host walk on it —
+//!   batch under a time-or-size policy ([`batcher`]) into the front's
+//!   bounded ready queue (backpressure);
+//! * a worker pool takes the batches from that queue, Morton-sorts each
+//!   and runs the host walk on it —
 //!   or, on a batch the C2070 model meters, the profiler's lockstep or
 //!   autoropes — results return in submission order through tickets;
 //! * a metrics registry tracks queue wait, batch sizes, backend choices,

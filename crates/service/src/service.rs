@@ -1,46 +1,47 @@
-//! The query service: submitters bucket → deadline keeper → worker pool.
+//! The query service: submitters bucket → workers take from the front.
 //!
 //! ```text
-//!  clients ──submit──▶ [front: one lock around the buckets]
+//!  clients ──submit──▶ [front, one lock: buckets │ ready dispatches]
 //!                          │ size flush: the submit that filled the index's
 //!                          │   lanes
 //!                          │ frame flush: the end of a `submit_all`
-//!                          │ deadline flush: the keeper thread
+//!                          │ deadline flush: a worker, before it pops
 //!                          ▼
-//!                       [bounded channel] ──▶ workers (N threads)
-//!                                              │  lanes → sort → host walk
-//!                                              │  (metered: §4.4 profile)
-//!                                              ▼
-//!                                  answers ready → tickets resolve
+//!                       workers (N threads) pop the oldest ready dispatch
+//!                          │  lanes → sort → host walk
+//!                          │  (metered: §4.4 profile)
+//!                          ▼
+//!                       answers ready → tickets resolve
 //! ```
 //!
 //! `submit` files its query into its `(index, op)` bucket under the front
-//! lock and returns; the call that fills an index takes it out under the
-//! lock and sends it after releasing it. What fills is the index: its
-//! buckets leave together, on the push that brings their distinct
+//! lock; the call that fills an index takes it out, as a dispatch, into
+//! the front's ready queue under the same lock. What fills is the index:
+//! its buckets leave together, on the push that brings their distinct
 //! positions (the dispatch's lanes) up to the target (`batcher.rs`). A
 //! client's batch (`submit_all`, a `BatchSubmit` frame) is filed as one
 //! unit, under one lock, and takes every index it touched out when it
 //! ends: it is a batch already, and the deadline exists to gather single
-//! submits into one. The dispatch channel is bounded,
-//! and that send is the backpressure: a full dispatch queue blocks the
-//! submitter whose push flushed, holding no lock. The keeper thread sleeps
-//! until the oldest bucket's deadline and flushes what is due. Shutdown
-//! closes the front, flushes every bucket and drops the dispatch sender;
-//! the workers drain the dispatch queue, and every in-flight ticket
-//! resolves before `shutdown` returns.
+//! submits into one. The front is the only queue. A worker moves the
+//! buckets that are due into it, pops the oldest dispatch and runs it
+//! outside the lock; with nothing to run it sleeps no later than the
+//! earliest bucket deadline. Backpressure: a submit whose flush leaves more
+//! than `dispatch_capacity` dispatches queued waits for room, the front
+//! lock released meanwhile. Shutdown closes the front and flushes every
+//! bucket into the queue; the workers drain it and exit, and every
+//! in-flight ticket resolves before `shutdown` returns.
 
 use crate::batcher::{BatchEntry, Batcher, ReadyBatch};
 use crate::epoch::{EpochEvent, EpochStats, MutateError, Mutation, MutationAck};
-use crate::index::{BatchOutcome, FusedLane, FusedOutcome, ShardVisit, TreeIndex};
+use crate::index::{BatchOutcome, FusedLane, ShardVisit, TreeIndex};
 use crate::metrics::{BatchRecord, KindDropped, Metrics, MetricsSnapshot};
 use crate::policy::ExecPolicy;
 use crate::query::{BatchKey, IndexId, Query, QueryResult};
 use crate::slowlog::{QueryRecord, SlowLog};
 use crate::trace::{EventKind, TraceContext, TraceRecorder, TraceSnapshot, NO_ID};
-use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
+use std::collections::VecDeque;
 use std::hash::{BuildHasher, Hasher};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -112,12 +113,13 @@ impl std::error::Error for ServiceError {}
 pub struct ServiceConfig {
     /// Batch size target (rounded up to a warp multiple by the batcher).
     pub batch_queries: usize,
-    /// Max time a query waits in a partial bucket before it flushes.
+    /// Max time a query waits in a partial bucket before a free worker flushes it.
     pub max_wait: Duration,
     /// Worker threads executing batches.
     pub workers: usize,
-    /// Dispatch queue capacity (ready batches waiting for a worker); a
-    /// full queue blocks the `submit` whose push flushed a batch.
+    /// Dispatch queue capacity (ready batches waiting for a worker): a
+    /// `submit` whose push flushed a batch waits while more than this many
+    /// are queued.
     pub dispatch_capacity: usize,
     /// Per-batch execution policy (sort, meter, profile, backend override).
     pub policy: ExecPolicy,
@@ -276,10 +278,12 @@ impl Ticket {
         }
         // Fire outside the lock: the callback may take arbitrary locks of
         // its own (the net writer channel, a batch aggregator) and must
-        // never deadlock against `wait`.
+        // never deadlock against `wait`. A panicking callback is the
+        // caller's fault, not the resolving worker's: the result is
+        // already `Done`, and the worker goes on to the next query.
         drop(slot);
         if let Some((callback, r)) = fire {
-            callback(r);
+            let _ = std::panic::catch_unwind(AssertUnwindSafe(|| callback(r)));
         }
     }
 
@@ -349,9 +353,9 @@ impl Ticket {
 }
 
 /// In-flight depth gauge: incremented when a submission is accepted,
-/// decremented when its tag drops (after ticket resolution on every path —
-/// worker success, worker failure, and dispatch-queue teardown alike), so
-/// the admission model's queue depth can never leak.
+/// decremented when its tag drops (just before ticket resolution, on
+/// success and failure alike), so the admission model's queue depth can
+/// never leak.
 struct DepthGuard(Arc<AtomicI64>);
 
 impl DepthGuard {
@@ -384,9 +388,9 @@ struct Tag {
     _depth: DepthGuard,
 }
 
-/// What travels the dispatch channel: one index's per-op batches as they
-/// flushed. The worker that executes the dispatch builds its lanes
-/// ([`lanes_of`]), so nothing holding the front lock does.
+/// What waits in the front's ready queue: one index's per-op batches as
+/// they flushed. The worker that pops the dispatch builds its lanes
+/// ([`lanes_of`]) after releasing the front lock.
 struct Dispatch<T> {
     id: u64,
     index: IndexId,
@@ -445,7 +449,11 @@ fn lanes_of<T>(batches: Vec<ReadyBatch<T>>) -> (Vec<FusedLane>, Vec<Part<T>>) {
 /// takes the rest of its index's buckets along (`flush_index`) and goes as
 /// one dispatch. A group of one bucket keeps that bucket's id; a larger one
 /// draws a new id.
-fn coalesce<T>(burst: Vec<ReadyBatch<T>>, batcher: &mut Batcher<T>, out: &mut Vec<Dispatch<T>>) {
+fn coalesce<T>(
+    burst: Vec<ReadyBatch<T>>,
+    batcher: &mut Batcher<T>,
+    out: &mut VecDeque<Dispatch<T>>,
+) {
     let mut groups: Vec<Vec<ReadyBatch<T>>> = Vec::new();
     for b in burst {
         match groups.iter_mut().find(|g| g[0].key.index == b.key.index) {
@@ -464,60 +472,43 @@ fn coalesce<T>(burst: Vec<ReadyBatch<T>>, batcher: &mut Batcher<T>, out: &mut Ve
     }));
 }
 
-/// What stands between `submit` and the workers: the buckets and the
-/// dispatch sender under one lock. Submitters file queries in; a submit
-/// that fills a bucket, the end of a frame, the deadline keeper and
-/// `close` take batches out.
+/// The one queue between `submit` and the workers: the buckets and the
+/// dispatches ready for a worker, under one lock. Submitters file queries
+/// in; a submit that fills an index, the end of a frame, a worker finding
+/// buckets due and `close` move batches into the ready queue; workers pop
+/// it.
 struct Front {
     state: Mutex<FrontState>,
-    /// Wakes the keeper: a push created the first bucket (there is a
-    /// deadline to sleep towards), or the front closed.
-    wake: Condvar,
+    /// Idle workers wait here: woken one per dispatch made ready, and all
+    /// at once by the push that creates the first bucket (each re-arms
+    /// towards its deadline) and by the close.
+    work: Condvar,
+    /// Flushing submitters wait here for the ready queue to drop to
+    /// `capacity`, or for the close.
+    room: Condvar,
+    /// `ServiceConfig::dispatch_capacity`.
+    capacity: usize,
 }
 
 struct FrontState {
     batcher: Batcher<Tag>,
-    /// The dispatch sender; `None` once closed. Whoever takes batches out
-    /// clones it under the lock and sends after releasing it, so the
-    /// workers see the channel disconnect only when the last such send is
-    /// through.
-    tx: Option<Sender<Dispatch<Tag>>>,
+    /// Dispatches waiting for a worker, oldest first.
+    ready: VecDeque<Dispatch<Tag>>,
+    /// Whether the front takes queries; `false` once closed.
+    open: bool,
 }
-
-/// What a flush put on its way out under the front lock: the dispatches,
-/// and a sender to put them on the channel with once the lock is released.
-type Flushed = (Sender<Dispatch<Tag>>, Vec<Dispatch<Tag>>);
 
 impl Front {
     fn lock(&self) -> MutexGuard<'_, FrontState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
-}
 
-impl FrontState {
-    /// `dispatches`, just taken out, on their way out; `None` when there
-    /// are none.
-    fn release(&self, dispatches: Vec<Dispatch<Tag>>) -> Option<Flushed> {
-        if dispatches.is_empty() {
-            return None;
-        }
-        Some((
-            self.tx.clone().expect("only an open front flushes"),
-            dispatches,
-        ))
-    }
-}
-
-/// Send a burst's dispatches, blocking on a full dispatch queue — the
-/// service's backpressure, so no lock may be held here. A dispatch the
-/// queue refuses (workers gone early — only happens on a worker panic)
-/// still ends in [`end_dispatch`], as a failure, or `wait` would hang and
-/// the registry would not balance.
-fn send_all(shared: &Shared, (tx, dispatches): Flushed) {
-    for d in dispatches {
-        if let Err(SendError(d)) = tx.send(d) {
-            let closed = ServiceError::Internal("dispatch queue closed".into());
-            end_dispatch(shared, d, |_, _| Err(closed));
+    /// Backpressure: wait while more than `capacity` dispatches are
+    /// queued, holding no lock meanwhile, or until the close.
+    fn wait_for_room(&self) {
+        let mut state = self.lock();
+        while state.open && state.ready.len() > self.capacity {
+            state = self.room.wait(state).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -730,13 +721,12 @@ fn finish(shared: &Shared, end: End<'_>, tag: Option<(Tag, Result<QueryResult, S
 pub struct Service {
     shared: Arc<Shared>,
     front: Arc<Front>,
-    keeper: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     admission_budget: Option<Duration>,
 }
 
 impl Service {
-    /// Start the deadline keeper and the worker pool.
+    /// Start the worker pool.
     pub fn start(config: ServiceConfig) -> Service {
         let shared = Arc::new(Shared {
             indices: RwLock::new(Vec::new()),
@@ -746,38 +736,29 @@ impl Service {
             policy: config.policy.clone(),
             depth: Arc::new(AtomicI64::new(0)),
         });
-        let (dispatch_tx, dispatch_rx) = bounded::<Dispatch<Tag>>(config.dispatch_capacity.max(1));
         let front = Arc::new(Front {
             state: Mutex::new(FrontState {
                 batcher: Batcher::new(config.batch_queries, config.max_wait),
-                tx: Some(dispatch_tx),
+                ready: VecDeque::new(),
+                open: true,
             }),
-            wake: Condvar::new(),
+            work: Condvar::new(),
+            room: Condvar::new(),
+            capacity: config.dispatch_capacity.max(1),
         });
-        let keeper = {
-            let (front, shared) = (Arc::clone(&front), Arc::clone(&shared));
-            std::thread::Builder::new()
-                .name("gts-service-batcher".into())
-                .spawn(move || keeper_loop(&front, &shared))
-                .expect("spawn deadline keeper")
-        };
-
         let workers = (0..config.workers.max(1))
             .map(|i| {
-                let rx = dispatch_rx.clone();
-                let shared = Arc::clone(&shared);
+                let (front, shared) = (Arc::clone(&front), Arc::clone(&shared));
                 std::thread::Builder::new()
                     .name(format!("gts-service-worker-{i}"))
-                    .spawn(move || worker_loop(rx, shared))
+                    .spawn(move || worker_loop(&front, &shared))
                     .expect("spawn worker")
             })
             .collect();
-        drop(dispatch_rx);
 
         Service {
             shared,
             front,
-            keeper: Some(keeper),
             workers,
             admission_budget: config.admission_budget,
         }
@@ -850,7 +831,7 @@ impl Service {
     /// acknowledgement: ids assigned to inserts, the epoch the batch
     /// landed on, and the pending delta depth.
     pub fn mutate(&self, index: IndexId, muts: &[Mutation]) -> Result<MutationAck, ServiceError> {
-        if self.front.lock().tx.is_none() {
+        if !self.front.lock().open {
             return Err(ServiceError::ShuttingDown);
         }
         let idx =
@@ -888,8 +869,8 @@ impl Service {
 
     /// Submit a query; returns a [`Ticket`] that resolves to the result.
     /// The query is in its batch when this returns. The call whose query
-    /// fills a batch also dispatches it, and blocks while the dispatch
-    /// queue is full (backpressure).
+    /// fills a batch also queues it for a worker, and blocks while more
+    /// than `dispatch_capacity` dispatches are queued (backpressure).
     pub fn submit(&self, query: Query) -> Result<Ticket, ServiceError> {
         self.submit_traced(query, TraceContext::LOCAL)
     }
@@ -991,11 +972,12 @@ impl Service {
         })
     }
 
-    /// File admitted queries into their buckets under one front lock, and
-    /// send what that took out once the lock is released. A push that
-    /// fills its index flushes it, as always; a `frame` also takes out the
-    /// rest of every index it touched when it ends. On a closed front
-    /// every query is refused with [`ServiceError::ShuttingDown`].
+    /// File admitted queries into their buckets under one front lock. A
+    /// push that fills its index flushes it into the ready queue, as
+    /// always; a `frame` also flushes the rest of every index it touched
+    /// when it ends. A call that flushed then waits for room
+    /// ([`Front::wait_for_room`]). On a closed front every query is
+    /// refused with [`ServiceError::ShuttingDown`].
     fn file<A>(&self, admitted: A, frame: bool) -> Result<(), ServiceError>
     where
         A: AsRef<[Admitted]> + IntoIterator<Item = Admitted>,
@@ -1017,7 +999,7 @@ impl Service {
             ]
         }));
         let mut front = self.front.lock();
-        if front.tx.is_none() {
+        if !front.open {
             // The close raced the submission: no query ran.
             drop(front);
             for Admitted { key, entry } in admitted {
@@ -1032,10 +1014,10 @@ impl Service {
             }
             return Err(ServiceError::ShuttingDown);
         }
-        let state = &mut *front;
-        let first = state.batcher.pending() == 0;
+        let FrontState { batcher, ready, .. } = &mut *front;
+        let (first, queued) = (batcher.pending() == 0, ready.len());
         let accepted = admitted.as_ref().len() as u64;
-        let (mut touched, mut out) = (Vec::new(), Vec::new());
+        let mut touched = Vec::new();
         for Admitted { key, entry } in admitted {
             if frame && !touched.contains(&key.index) {
                 touched.push(key.index);
@@ -1044,24 +1026,29 @@ impl Service {
             // racing submitters may create buckets a hair out of deadline
             // order, which costs the younger deadline that hair.
             let submitted = entry.tag.origin.submitted;
-            if let Some(full) = state.batcher.push(key, entry, submitted) {
-                coalesce(vec![full], &mut state.batcher, &mut out);
+            if let Some(full) = batcher.push(key, entry, submitted) {
+                coalesce(vec![full], batcher, ready);
             }
         }
         let rest = (touched.into_iter())
-            .flat_map(|index| state.batcher.flush_index(index))
+            .flat_map(|index| batcher.flush_index(index))
             .collect();
-        coalesce(rest, &mut state.batcher, &mut out);
+        coalesce(rest, batcher, ready);
         // A frame leaves nothing of its own behind, so only a lone query
-        // can leave the first bucket the keeper must sleep towards.
-        let wake = first && state.batcher.pending() > 0;
-        let flushed = state.release(out);
+        // can leave the first bucket, whose deadline every idle worker
+        // must re-arm towards.
+        let first_bucket = first && batcher.pending() > 0;
+        let flushed = ready.len() - queued;
+        let full = flushed > 0 && ready.len() > self.front.capacity;
         drop(front);
-        if wake {
-            self.front.wake.notify_one();
+        if first_bucket {
+            self.front.work.notify_all();
         }
+        (0..flushed).for_each(|_| self.front.work.notify_one());
         shared.metrics.on_submit(accepted);
-        flushed.into_iter().for_each(|f| send_all(shared, f));
+        if full {
+            self.front.wait_for_room();
+        }
         Ok(())
     }
 
@@ -1127,18 +1114,19 @@ impl Service {
     /// to join the threads and collect final metrics). Submitters racing
     /// with the close either get their query accepted (it was in a bucket
     /// before the close took the lock) or a clean `ShuttingDown` error —
-    /// never a lost ticket. Blocks while the dispatch queue is too full to
-    /// take the residual buckets.
+    /// never a lost ticket. Never waits on a full queue: it marks the
+    /// front closed, flushes every bucket into the ready queue and wakes
+    /// every worker and every submitter waiting for room.
     pub fn close(&self) {
         let mut front = self.front.lock();
-        let flushed = front.tx.take().map(|tx| {
-            let (residue, mut out) = (front.batcher.flush_all(), Vec::new());
-            coalesce(residue, &mut front.batcher, &mut out);
-            (tx, out)
-        });
+        if front.open {
+            front.open = false;
+            let FrontState { batcher, ready, .. } = &mut *front;
+            coalesce(batcher.flush_all(), batcher, ready);
+        }
         drop(front);
-        self.front.wake.notify_one();
-        flushed.into_iter().for_each(|f| send_all(&self.shared, f));
+        self.front.work.notify_all();
+        self.front.room.notify_all();
         // Drain every mutable index's merge machinery: pending deltas
         // flush into a final merge and later mutations are rejected
         // deterministically — never silently dropped. Queries in flight
@@ -1169,15 +1157,9 @@ impl Service {
     }
 
     fn drain(&mut self) {
-        // Closing cascades: the residual buckets go to the dispatch
-        // channel, the keeper sees the front closed and exits, and once
-        // the last clone of the dispatch sender is dropped (a submitter
-        // still blocked on a full queue holds one) the workers disconnect
-        // after the queue empties.
+        // The residual buckets go into the ready queue, and each worker
+        // exits once the front is closed and the queue empty.
         self.close();
-        if let Some(k) = self.keeper.take() {
-            let _ = k.join();
-        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -1211,69 +1193,70 @@ impl Drop for Service {
     }
 }
 
-/// The deadline keeper: sleep until the oldest bucket's `max_wait` runs
-/// out, flush what is due, exit when the front closes. Size flushes are
-/// the submitters' own.
-fn keeper_loop(front: &Front, shared: &Shared) {
+/// A worker: under the front lock, move the buckets that are due into the
+/// ready queue, pop the oldest dispatch and run it outside the lock; with
+/// nothing to run, sleep no later than the earliest bucket deadline; exit
+/// once the front is closed and the queue empty. Size and frame flushes
+/// are the submitters' own.
+fn worker_loop(front: &Front, shared: &Shared) {
     let mut state = front.lock();
-    while state.tx.is_some() {
+    loop {
         let now = Instant::now();
-        state = match state.batcher.next_deadline() {
-            // Idle until a push creates a bucket (or the close).
-            None => front.wake.wait(state).unwrap_or_else(|e| e.into_inner()),
-            // A bucket created later cannot be due sooner, so nothing
-            // needs to cut this sleep short but the close.
-            Some(due) if due > now => {
-                let wait = front.wake.wait_timeout(state, due - now);
-                wait.unwrap_or_else(|e| e.into_inner()).0
+        let FrontState {
+            batcher,
+            ready,
+            open,
+        } = &mut *state;
+        coalesce(batcher.flush_due(now), batcher, ready);
+        if let Some(dispatch) = ready.pop_front() {
+            // Every submitter waiting for room has it now.
+            if ready.len() == front.capacity {
+                front.room.notify_all();
             }
-            Some(_) => {
-                let (burst, mut out) = (state.batcher.flush_due(now), Vec::new());
-                coalesce(burst, &mut state.batcher, &mut out);
-                let flushed = state.release(out);
-                drop(state);
-                flushed.into_iter().for_each(|f| send_all(shared, f));
-                front.lock()
-            }
-        };
+            drop(state);
+            end_dispatch(shared, dispatch);
+            state = front.lock();
+        } else if !*open {
+            return;
+        } else {
+            // A bucket created later cannot be due sooner; the push that
+            // creates the first one, and the close, cut an untimed sleep
+            // short.
+            state = match batcher.next_deadline() {
+                None => front.work.wait(state).unwrap_or_else(|e| e.into_inner()),
+                Some(due) => {
+                    let wait = front.work.wait_timeout(state, due - now);
+                    wait.unwrap_or_else(|e| e.into_inner()).0
+                }
+            };
+        }
     }
 }
 
-fn worker_loop(rx: Receiver<Dispatch<Tag>>, shared: Arc<Shared>) {
-    while let Ok(dispatch) = rx.recv() {
-        let index_id = dispatch.index;
-        end_dispatch(&shared, dispatch, |index, lanes| {
-            // Registration is checked at submit; this covers torn-down
-            // state only.
-            let index = index.ok_or(ServiceError::UnknownIndex(index_id))?;
-            let misfit = || ServiceError::Internal("answers do not fit the lanes".into());
-            std::panic::catch_unwind(AssertUnwindSafe(|| index.run(lanes, &shared.policy)))
-                .map_err(|_| ServiceError::Internal("kernel panicked".into()))
-                // The scatter reads an answer for every op of every lane: an
-                // outcome of another shape fails the dispatch the way a panic
-                // does, and spares the worker.
-                .and_then(|o| o.fits(lanes).then_some(o).ok_or_else(misfit))
-        });
-    }
-}
-
-/// Where every dispatch ends: build its lanes, `run` the index over them
+/// Where every dispatch ends: build its lanes, run the index over them
 /// once, write an answered dispatch's one [`BatchRecord`]
 /// ([`record_batch`]), then end each query in [`finish`] with its lane's
 /// answer or the dispatch's error.
-fn end_dispatch(
-    shared: &Shared,
-    Dispatch { id, index, batches }: Dispatch<Tag>,
-    run: impl FnOnce(Option<&dyn TreeIndex>, &[FusedLane]) -> Result<FusedOutcome, ServiceError>,
-) {
+fn end_dispatch(shared: &Shared, Dispatch { id, index, batches }: Dispatch<Tag>) {
     let dispatched = Instant::now();
     let (lanes, parts) = lanes_of(batches);
-    let index = shared.indices().get(index).cloned();
-    let outcome = run(index.as_deref(), &lanes);
+    let found = shared.indices().get(index).cloned();
+    let misfit = || ServiceError::Internal("answers do not fit the lanes".into());
+    // Registration is checked at submit; a missing index is torn-down
+    // state only.
+    let outcome = (found.as_ref().ok_or(ServiceError::UnknownIndex(index)))
+        .and_then(|index| {
+            std::panic::catch_unwind(AssertUnwindSafe(|| index.run(&lanes, &shared.policy)))
+                .map_err(|_| ServiceError::Internal("kernel panicked".into()))
+        })
+        // The scatter reads an answer for every op of every lane: an
+        // outcome of another shape fails the dispatch the way a panic
+        // does, and spares the worker.
+        .and_then(|o| o.fits(&lanes).then_some(o).ok_or_else(misfit));
     // The answers are ready: a query's exec and latency end here, before
     // the scatter to the tickets.
     let done = Instant::now();
-    let index_name = index.as_ref().map_or("unknown", |i| i.name());
+    let index_name = found.as_ref().map_or("unknown", |i| i.name());
     let out = outcome.as_ref().ok().map(|o| &o.outcome);
     if let Some(outcome) = out {
         let entries = || parts.iter().flat_map(|p| &p.entries);
@@ -1295,7 +1278,7 @@ fn end_dispatch(
         id,
         dispatched,
         out,
-        epoch: out.and(index.as_ref()).and_then(|i| i.epoch_stats()),
+        epoch: out.and(found.as_ref()).and_then(|i| i.epoch_stats()),
         threshold_us: (shared.metrics).slow_threshold_us(shared.slow_log.percentile()),
     };
     let reason = outcome.as_ref().err().map(reject_reason);
@@ -1550,60 +1533,50 @@ mod tests {
     }
 
     #[test]
-    fn a_dispatch_the_closed_queue_refuses_ends_its_queries_as_failures() {
-        let shared = Shared {
-            indices: RwLock::new(Vec::new()),
-            metrics: Metrics::default(),
-            trace: TraceRecorder::new(64),
-            slow_log: SlowLog::new(8, 99.0),
-            policy: ExecPolicy::default(),
-            depth: Arc::new(AtomicI64::new(0)),
+    fn a_panicking_completion_callback_spares_the_worker() {
+        use crate::{KdIndex, Query, QueryKind};
+        let pts = gts_points::gen::uniform::<3>(64, 41);
+        let index = KdIndex::build("callback", &pts, 8, gts_trees::SplitPolicy::MedianCycle);
+        // One worker, and batches that leave on size alone: query A waits
+        // in its bucket until the 32nd position joins it, so its callback
+        // is registered before anything resolves it.
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            batch_queries: 32,
+            max_wait: Duration::from_secs(3600),
+            ..ServiceConfig::default()
+        });
+        let id = service.register_index(Arc::new(index));
+        let submit = |p: &gts_trees::PointN<3>| {
+            let query = Query {
+                index: id,
+                pos: p.0.to_vec(),
+                kind: QueryKind::Nn,
+            };
+            service.submit(query).expect("accepted")
         };
-        let (tx, rx) = bounded(1);
-        drop(rx);
-        let ticket = Ticket::new();
-        let origin = Origin {
-            query: shared.trace.next_query_id(),
-            ctx: TraceContext::LOCAL,
-            submitted: Instant::now(),
-        };
-        let tag = Tag {
-            origin,
-            ticket: ticket.clone(),
-            _depth: DepthGuard::acquire(&shared.depth),
-        };
-        shared.metrics.on_submit(1);
-        let key = BatchKey {
-            index: 0,
-            op: crate::OpKey::Nn,
-        };
-        let entries = vec![BatchEntry {
-            pos: vec![0.5; 3],
-            tag,
-        }];
-        let batches = vec![ReadyBatch {
-            id: 7,
-            key,
-            entries,
-        }];
-        let dispatch = Dispatch {
-            id: 7,
-            index: 0,
-            batches,
-        };
-        send_all(&shared, (tx, vec![dispatch]));
-        assert!(
-            matches!(ticket.try_get(), Some(Err(ServiceError::Internal(_)))),
-            "{ticket:?}"
-        );
-        let snapshot = stitched_snapshot(&shared);
-        assert_eq!((snapshot.submitted, snapshot.failed), (1, 1));
-        assert_eq!(shared.depth(), 0);
-        let rejects: Vec<u64> = (shared.trace.snapshot().events.iter())
-            .filter(|e| matches!(e.kind, EventKind::Reject { .. }))
-            .map(|e| e.batch)
-            .collect();
-        assert_eq!(rejects, [7], "one Reject, naming the dispatch");
+        let a = submit(&pts[0]);
+        a.on_complete(|_| panic!("a completion callback panicked"));
+        let rest: Vec<Ticket> = pts[1..32].iter().map(submit).collect();
+        let later: Vec<Ticket> = pts[32..].iter().map(submit).collect();
+        let hang = Duration::from_secs(60);
+        for (name, ticket) in [("A", &a)]
+            .into_iter()
+            .chain(rest.iter().map(|t| ("A's batch", t)))
+        {
+            let r = ticket
+                .wait_timeout(hang)
+                .unwrap_or_else(|| panic!("{name} hung"));
+            assert!(matches!(r, Ok(QueryResult::Nn { .. })), "{name}: {r:?}");
+        }
+        for b in &later {
+            let r = b.wait_timeout(hang).expect("B hung");
+            assert!(matches!(r, Ok(QueryResult::Nn { .. })), "B: {r:?}");
+        }
+        let snapshot = service.shutdown();
+        assert_eq!(snapshot.submitted, pts.len() as u64);
+        assert_eq!(snapshot.submitted, snapshot.completed + snapshot.failed);
+        assert_eq!(snapshot.failed, 0);
     }
 
     #[test]

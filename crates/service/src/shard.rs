@@ -55,12 +55,13 @@
 //! Each shard also carries a [`ProfileCache`] memoizing the §4.4
 //! lockstep/autoropes decision per (distinct ops, sub-batch size bucket,
 //! Morton octant fingerprint) key, with a TTL counted in its owner's
-//! batches, so steady workloads profile once per shard per workload shift
-//! instead of once per sub-batch. Only metered batches profile, and every
-//! sub-batch of one consults the cache under one rule ([`Sweep::run_sub`]),
-//! whichever index owns the shard; a shard the epoch layer carries across
-//! a merge keeps its warm cache. Cache traffic surfaces as
-//! `profile_cache_{hits,misses,evictions}` on the [`BatchOutcome`].
+//! metered batches, so steady workloads profile once per shard per
+//! workload shift instead of once per sub-batch. Only metered batches
+//! profile, and every sub-batch of one consults the cache under one rule
+//! ([`Sweep::run_sub`]), whichever index owns the shard; a shard the epoch
+//! layer carries across a merge keeps its warm cache. Cache traffic
+//! surfaces as `profile_cache_{hits,misses,evictions}` on the
+//! [`BatchOutcome`].
 //!
 //! The merge rule of each op, and why a fold of per-shard states equals
 //! one walk over every point, is `gts_apps::fused`'s.
@@ -83,7 +84,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Lifetime, in batches, of a cached per-shard §4.4 decision.
+/// Lifetime, in metered batches, of a cached per-shard §4.4 decision.
 pub const DEFAULT_PROFILE_TTL: u64 = 64;
 
 /// Entries each shard's profile cache holds before evicting oldest-first.
@@ -95,7 +96,7 @@ pub struct ShardedIndex<const D: usize> {
     shards: Vec<Arc<Shard<D>>>,
     n_points: usize,
     prune: bool,
-    /// Batch counter driving the caches' TTL clock.
+    /// Metered-batch counter driving the caches' TTL clock.
     batches: AtomicU64,
 }
 
@@ -417,20 +418,21 @@ impl StatAgg {
 /// docs), its pool sized by [`ExecPolicy::shard_parallelism`]. `dead[s]`
 /// holds the tree positions of shard `s`'s points the lanes must not see
 /// (a shard past the end of `dead` has none); `prune` turns the AABB rule
-/// off for measuring what it saves; `epoch` is the owner's batch counter,
-/// the TTL clock of the shards' profile caches.
+/// off for measuring what it saves; `clock` is the owner's count of
+/// metered batches, the TTL clock of the shards' profile caches, which
+/// only metered batches read: a metered batch ticks it once.
 pub(crate) fn sweep<const D: usize>(
     shards: &[Arc<Shard<D>>],
     dead: &[Tombstones],
     lanes: &[FusedLane],
     policy: &ExecPolicy,
     prune: bool,
-    epoch: u64,
+    clock: &AtomicU64,
 ) -> FusedOutcome {
     // A wave holds at most one slot per lane, so workers beyond the lane
     // count could only idle (a batch smaller than the pool).
     let threads = policy.shard_threads(shards.len()).min(lanes.len());
-    Sweep::new(shards, dead, lanes, policy, prune, epoch).run(threads)
+    Sweep::new(shards, dead, lanes, policy, prune, clock).run(threads)
 }
 
 /// The per-batch inputs every sub-batch and every wave shares.
@@ -446,6 +448,8 @@ struct Sweep<'a, const D: usize> {
     visit: Vec<Vec<(f32, u32)>>,
     policy: &'a ExecPolicy,
     prune: bool,
+    /// This batch's reading of the profile caches' clock, which only a
+    /// metered batch ticks (an unmetered one reads no cache).
     epoch: u64,
     /// Batch-run start: sub-batch spans are timed against it (wall times,
     /// outside the determinism contract like every other wall
@@ -460,7 +464,7 @@ impl<'a, const D: usize> Sweep<'a, D> {
         lanes: &'a [FusedLane],
         policy: &'a ExecPolicy,
         prune: bool,
-        epoch: u64,
+        clock: &AtomicU64,
     ) -> Self {
         let started = Instant::now();
         let qpts: Vec<PointN<D>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
@@ -479,16 +483,17 @@ impl<'a, const D: usize> Sweep<'a, D> {
                 order
             })
             .collect();
+        let metered = policy.meters(lanes.iter().map(|l| &l.pos[..]));
         Sweep {
             shards,
             dead,
             lanes,
-            metered: policy.meters(lanes.iter().map(|l| &l.pos[..])),
+            metered,
             qpts,
             visit,
             policy,
             prune,
-            epoch,
+            epoch: clock.fetch_add(u64::from(metered), Ordering::Relaxed),
             started,
         }
     }
@@ -739,9 +744,7 @@ impl<const D: usize> TreeIndex for ShardedIndex<D> {
     }
 
     fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
-        // One tick per batch: the TTL clock every shard cache shares.
-        let batch = self.batches.fetch_add(1, Ordering::Relaxed);
-        sweep(&self.shards, &[], lanes, policy, self.prune, batch)
+        sweep(&self.shards, &[], lanes, policy, self.prune, &self.batches)
     }
 }
 
@@ -871,8 +874,9 @@ mod tests {
             }
             format!("{out:?}")
         };
-        let capped = record(sweep(shards, &[], &lanes, &policy, true, 0));
-        let uncapped = record(Sweep::new(shards, &[], &lanes, &policy, true, 0).run(8));
+        let clock = || AtomicU64::new(0);
+        let capped = record(sweep(shards, &[], &lanes, &policy, true, &clock()));
+        let uncapped = record(Sweep::new(shards, &[], &lanes, &policy, true, &clock()).run(8));
         assert!(capped.contains("metered: true"), "{capped}");
         assert_eq!(capped, uncapped);
         assert!(capped.contains("round: 1"), "the lane left its home shard");
@@ -960,6 +964,42 @@ mod tests {
         assert_eq!(
             uncached.profile_cache_hits + uncached.profile_cache_misses,
             0
+        );
+    }
+
+    #[test]
+    fn the_profile_cache_ttl_counts_metered_batches_only() {
+        let pts = uniform::<3>(2048, 31);
+        let idx = ShardedIndexBuilder::new("ttl", 4).build(&pts);
+        // 128 queries over 4 shards: some shard takes at least 2 lanes.
+        let metered: Vec<Vec<f32>> = pts.iter().take(128).map(|p| p.0.to_vec()).collect();
+        let mut policy = ExecPolicy::default();
+        while !policy.meters(metered.iter().map(|p| &p[..])) {
+            policy.profile_seed += 1;
+        }
+        let first = idx.run_batch(OpKey::Knn(4), &metered, &policy);
+        assert!(first.profile_cache_misses > 0, "profiled sub-batches miss");
+        // More than a TTL's worth of batches the model does not meter.
+        let mut unmetered = 0;
+        for p in &pts[128..] {
+            let lane = [p.0.to_vec()];
+            if unmetered > DEFAULT_PROFILE_TTL {
+                break;
+            }
+            if !policy.meters(lane.iter().map(|p| &p[..])) {
+                idx.run_batch(OpKey::Knn(4), &lane, &policy);
+                unmetered += 1;
+            }
+        }
+        assert!(
+            unmetered > DEFAULT_PROFILE_TTL,
+            "{unmetered} unmetered batches"
+        );
+        let again = idx.run_batch(OpKey::Knn(4), &metered, &policy);
+        assert_eq!(again.results, first.results);
+        assert!(
+            again.profile_cache_hits > 0,
+            "an unmetered batch aged the cache"
         );
     }
 

@@ -1,10 +1,12 @@
 //! The front end between `submit` and the workers: who flushes a bucket,
-//! who blocks on a full dispatch queue, and what they hold meanwhile.
+//! who waits for room in the ready queue, and what they hold meanwhile.
 //!
-//! * the deadline keeper re-arms after every idle stretch and after a size
-//!   flush emptied the front — a lost wake-up is a hang, not a late batch;
-//! * a submitter blocked on the dispatch queue holds no lock: other
-//!   submitters, `metrics()` and `close()` all get through;
+//! * idle workers re-arm towards the first bucket's deadline after every
+//!   idle stretch and after a size flush emptied the front, one worker or
+//!   several — a lost wake-up is a hang, not a late batch;
+//! * a submitter waiting for room holds no lock: other submitters,
+//!   `metrics()` and `close()` all get through, and `close()` returns
+//!   without waiting for room;
 //! * with one submitter and size-only flushing, batch composition is
 //!   decided by `submit` itself — by the push that brings an index's
 //!   distinct positions, or a bucket's queries, up to the target — and
@@ -75,7 +77,7 @@ impl TreeIndex for Gated {
 /// One worker behind a one-slot dispatch queue, size-only flushing, a
 /// gated index and a plain one. Of the gated index's batches the first
 /// parks on the worker, the second fills the queue, and the submit that
-/// completes the third blocks in its dispatch send.
+/// completes the third waits for room.
 fn gated_service(pts: &[PointN<3>]) -> (Service, usize, usize, mpsc::Sender<()>) {
     let service = Service::start(ServiceConfig {
         workers: 1,
@@ -107,8 +109,8 @@ fn fill_until_blocked(
 }
 
 /// Wait until the filler's last query is in its batch (`submitted` counts
-/// it after the push and before the dispatch send), give it a moment to
-/// reach the send, and check it has not come back.
+/// it after the push and before the wait for room), give it a moment to
+/// reach the wait, and check it has not come back.
 fn await_blocked(
     service: &Service,
     extra: u64,
@@ -126,40 +128,45 @@ fn await_blocked(
 }
 
 #[test]
-fn keeper_rearms_after_idling_and_after_a_size_flush() {
-    let pts = points();
-    let max_wait = Duration::from_millis(5);
-    let service = Service::start(ServiceConfig {
-        batch_queries: BATCH,
-        max_wait,
-        workers: 1,
-        ..ServiceConfig::default()
-    });
-    let id = service.register_index(Arc::new(kd(&pts)));
-    let lone_query_flushes_on_its_deadline = |cycle: usize, idle: Duration| {
-        std::thread::sleep(idle);
-        let start = Instant::now();
-        let ticket = service
-            .submit(query(id, pts[cycle], QueryKind::Nn))
-            .expect("open");
-        assert!(resolved(&ticket), "cycle {cycle}: the keeper slept on");
-        assert!(start.elapsed() >= max_wait, "cycle {cycle}: flushed early");
-    };
-    for cycle in 0..30 {
-        lone_query_flushes_on_its_deadline(cycle, 3 * max_wait);
+fn deadline_rearms_after_idling_and_after_a_size_flush() {
+    // One idle worker, and several: every one re-arms towards the first
+    // bucket's deadline, and none flushes it early.
+    for workers in [1, 3] {
+        let pts = points();
+        let max_wait = Duration::from_millis(5);
+        let service = Service::start(ServiceConfig {
+            batch_queries: BATCH,
+            max_wait,
+            workers,
+            ..ServiceConfig::default()
+        });
+        let id = service.register_index(Arc::new(kd(&pts)));
+        let lone_query_flushes_on_its_deadline = |cycle: usize, idle: Duration| {
+            std::thread::sleep(idle);
+            let start = Instant::now();
+            let ticket = service
+                .submit(query(id, pts[cycle], QueryKind::Nn))
+                .expect("open");
+            let at = format!("{workers} workers, cycle {cycle}");
+            assert!(resolved(&ticket), "{at}: the workers slept on");
+            assert!(start.elapsed() >= max_wait, "{at}: flushed early");
+        };
+        for cycle in 0..30 {
+            lone_query_flushes_on_its_deadline(cycle, 3 * max_wait);
+        }
+        // A size flush leaves the workers asleep towards a deadline that
+        // no longer exists; the next first bucket must still get its own,
+        // whether it arrives before they have noticed or after.
+        for cycle in 30..40 {
+            let full: Vec<Ticket> = (pts[..BATCH].iter())
+                .map(|p| service.submit(query(id, *p, QueryKind::Nn)).expect("open"))
+                .collect();
+            assert!(full.iter().all(resolved));
+            lone_query_flushes_on_its_deadline(cycle, (cycle % 2) as u32 * 3 * max_wait);
+        }
+        let snapshot = service.shutdown();
+        assert_eq!(snapshot.completed, 40 + 10 * BATCH as u64);
     }
-    // A size flush leaves the keeper asleep towards a deadline that no
-    // longer exists; the next first bucket must still get its own,
-    // whether it arrives before the keeper has noticed or after.
-    for cycle in 30..40 {
-        let full: Vec<Ticket> = (pts[..BATCH].iter())
-            .map(|p| service.submit(query(id, *p, QueryKind::Nn)).expect("open"))
-            .collect();
-        assert!(full.iter().all(resolved));
-        lone_query_flushes_on_its_deadline(cycle, (cycle % 2) as u32 * 3 * max_wait);
-    }
-    let snapshot = service.shutdown();
-    assert_eq!(snapshot.completed, 40 + 10 * BATCH as u64);
 }
 
 #[test]
@@ -223,11 +230,11 @@ fn close_beside_a_blocked_submitter_returns_and_loses_nothing() {
             service.close();
             closed_tx.send(()).unwrap();
         });
-        // The close blocks on the same full queue, and like the filler it
-        // holds no lock there: submits are refused at once. The ones that
-        // beat the close to the lock were accepted and must resolve (a `k`
-        // of its own each, so that none of them completes a batch and
-        // blocks too). On a thread of its own: this one opens the gate.
+        // The close does not wait for room in the full queue: it flushes
+        // the residue behind it and returns with the gate still shut, and
+        // submits are refused at once. The ones that beat the close to the
+        // lock were accepted and must resolve (a `k` of its own each, so
+        // that none of them completes a batch and waits for room too).
         scope.spawn(|| {
             let (mut accepted, mut refused) = (Vec::new(), 0);
             let deadline = Instant::now() + HANG;
@@ -243,12 +250,13 @@ fn close_beside_a_blocked_submitter_returns_and_loses_nothing() {
             probed_tx.send((accepted, refused)).unwrap();
         });
         let (accepted, mut refused) = (probed.recv_timeout(HANG))
-            .expect("a submit waited on the blocked close or the blocked submitter");
+            .expect("a submit waited on the close or the blocked submitter");
         assert_eq!(refused, 3, "the close never took effect");
         tickets.extend(accepted);
+        (closed.recv_timeout(HANG)).expect("close() waited for the gate");
+        assert_eq!(service.metrics().completed, 0, "the gate is shut");
 
         drop(open);
-        closed.recv_timeout(HANG).expect("close() never returned");
         match done.recv_timeout(HANG).expect("the filler came back") {
             Ok(ticket) => tickets.push(ticket),
             Err(ServiceError::ShuttingDown) => refused += 1,
