@@ -47,10 +47,6 @@ pub fn render_service(s: &MetricsSnapshot) -> String {
         s.stack_bytes_peak, s.stack_transactions
     ));
     out.push_str(&format!(
-        " profile cache     {:>12}   {} hits / {} misses / {} evictions\n",
-        "", s.profile_cache_hits, s.profile_cache_misses, s.profile_cache_evictions
-    ));
-    out.push_str(&format!(
         " fusion            {:>12}   fused batches / {} lanes / {} node visits saved\n",
         s.fused_batches, s.fused_lanes, s.fusion_saved_visits
     ));
@@ -247,8 +243,6 @@ mod tests {
             work_expansion: 1.25,
             mask_occupancy: 0.75,
             shards_pruned: 2,
-            profile_cache_hits: 3,
-            profile_cache_misses: 1,
             ..BatchOutcome::default()
         };
         let (wait, exec) = (Duration::from_millis(1), Duration::from_millis(2));
@@ -266,7 +260,7 @@ mod tests {
         assert!(text.contains("p99.9"), "{text}");
         assert!(text.contains("mask occupancy"), "{text}");
         assert!(text.contains("2 (query, shard) fan-outs pruned"), "{text}");
-        assert!(text.contains("3 hits / 1 misses / 0 evictions"), "{text}");
+        assert!(!text.contains("profile cache"), "{text}");
         assert!(
             text.contains("fused batches / 0 lanes / 0 node visits saved"),
             "{text}"

@@ -30,4 +30,4 @@ pub mod server;
 
 pub use client::{Client, CLIENT_TRACE_CAPACITY};
 pub use frame::{Decoder, ErrorCode, Frame, WireError, MAX_FRAME, PROTOCOL_VERSION};
-pub use server::{NetServer, NetServerConfig};
+pub use server::NetServer;

@@ -34,22 +34,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Server tuning knobs.
-#[derive(Debug, Clone)]
-pub struct NetServerConfig {
-    /// How long a draining connection waits for in-flight completions
-    /// before giving up and closing anyway (a safety valve, not a normal
-    /// path — service shutdown resolves every ticket).
-    pub drain_timeout: Duration,
-}
-
-impl Default for NetServerConfig {
-    fn default() -> Self {
-        NetServerConfig {
-            drain_timeout: Duration::from_secs(30),
-        }
-    }
-}
+/// How long a draining connection waits for in-flight completions before
+/// giving up and closing anyway (a safety valve, not a normal path —
+/// service shutdown resolves every ticket).
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Count of a connection's accepted-but-unanswered frames, with a condvar
 /// for the drain wait.
@@ -276,7 +264,7 @@ fn accept_loop(listener: TcpListener, service: Arc<Service>, stop: Arc<AtomicBoo
         let h = std::thread::Builder::new()
             .name(format!("gts-net-conn-{id}"))
             .spawn(move || {
-                serve_connection(stream, id, &service, &NetServerConfig::default());
+                serve_connection(stream, id, &service);
             })
             .expect("spawn connection thread");
         handles.push(h);
@@ -305,7 +293,7 @@ fn frame_name(f: &Frame) -> &'static str {
     }
 }
 
-fn serve_connection(stream: TcpStream, conn: u64, service: &Arc<Service>, cfg: &NetServerConfig) {
+fn serve_connection(stream: TcpStream, conn: u64, service: &Arc<Service>) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -318,7 +306,7 @@ fn serve_connection(stream: TcpStream, conn: u64, service: &Arc<Service>, cfg: &
             .expect("spawn writer thread")
     };
 
-    reader_loop(stream, conn, service, cfg, &tx);
+    reader_loop(stream, conn, service, &tx);
 
     // Dropping the sender ends the writer after it flushes the queue.
     drop(tx);
@@ -349,13 +337,7 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Frame>, service: &Arc<Service>) {
     let _ = w.flush();
 }
 
-fn reader_loop(
-    stream: TcpStream,
-    conn: u64,
-    service: &Arc<Service>,
-    cfg: &NetServerConfig,
-    tx: &Sender<Frame>,
-) {
+fn reader_loop(stream: TcpStream, conn: u64, service: &Arc<Service>, tx: &Sender<Frame>) {
     let inflight = Inflight::new();
     let mut r = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
@@ -461,7 +443,7 @@ fn reader_loop(
             }
             Frame::Shutdown => {
                 // Drain: every accepted frame gets its answer first.
-                inflight.drain(cfg.drain_timeout);
+                inflight.drain(DRAIN_TIMEOUT);
                 let _ = tx.send(Frame::Shutdown);
                 break;
             }

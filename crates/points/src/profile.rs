@@ -13,9 +13,6 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Outcome of sortedness profiling.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,208 +60,6 @@ pub fn profile_sortedness(
         use_lockstep: mean >= threshold,
         threshold,
     }
-}
-
-/// Outcome of one [`ProfileCache`] consultation, for per-batch accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheOutcome {
-    /// The lookup was served from the cache (the profiler did not run).
-    pub hit: bool,
-    /// Entries dropped during this consultation (TTL expiry observed on
-    /// lookup, or a capacity/stale sweep on insert).
-    pub evictions: u64,
-}
-
-/// Seeded FNV-1a hash of a profile-cache key's parts. Callers mix in the
-/// facts that make two sub-batches interchangeable for profiling purposes
-/// (operation, size bucket, spatial fingerprint); the seed keeps distinct
-/// services from sharing decisions by accident.
-pub fn profile_key(seed: u64, parts: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for &part in parts {
-        for b in part.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// A bounded, TTL-limited memo of [`SortednessReport`]s keyed by
-/// [`profile_key`] hashes.
-///
-/// The §4.4 profiler samples neighbor traversals on every batch; for a
-/// sharded index that cost repeats per sub-batch per round. Workloads are
-/// sticky — consecutive batches against one shard usually carry the same
-/// operation, land in the same size bucket, and touch the same region —
-/// so the decision can be reused until the workload shifts (different key)
-/// or the entry ages out (`ttl` batches, guarding against the *same* key
-/// slowly drifting in similarity).
-///
-/// Time is an externally supplied `epoch` (the owner's batch counter), not
-/// wall clock, so cache behavior is deterministic for a deterministic
-/// batch sequence. All methods take `&self`; the map sits behind a mutex
-/// and the cumulative counters are atomics, so shards can share one cache
-/// across worker threads.
-#[derive(Debug)]
-pub struct ProfileCache {
-    ttl: u64,
-    capacity: usize,
-    entries: Mutex<HashMap<u64, CacheEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    report: SortednessReport,
-    inserted: u64,
-}
-
-/// Cumulative [`ProfileCache`] counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProfileCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to the profiler.
-    pub misses: u64,
-    /// Entries dropped (TTL expiry or capacity pressure).
-    pub evictions: u64,
-    /// Live entries right now.
-    pub entries: usize,
-}
-
-impl ProfileCache {
-    /// A cache whose entries live for `ttl` epochs and which holds at most
-    /// `capacity` entries (oldest evicted first on overflow).
-    ///
-    /// # Panics
-    /// Panics if `ttl == 0` or `capacity == 0` — a cache that can never
-    /// serve a hit is a configuration error, not a runtime state.
-    pub fn new(ttl: u64, capacity: usize) -> Self {
-        assert!(ttl > 0, "profile cache TTL must be at least one epoch");
-        assert!(capacity > 0, "profile cache needs capacity for one entry");
-        ProfileCache {
-            ttl,
-            capacity,
-            entries: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Entry lifetime in epochs.
-    pub fn ttl(&self) -> u64 {
-        self.ttl
-    }
-
-    /// Fetch the report cached under `key`, if it is still fresh at
-    /// `epoch`. A stale entry is evicted and reported as a miss.
-    pub fn lookup(&self, key: u64, epoch: u64) -> (Option<SortednessReport>, CacheOutcome) {
-        let mut entries = self.entries.lock().expect("profile cache poisoned");
-        match entries.get(&key) {
-            Some(e) if epoch.saturating_sub(e.inserted) < self.ttl => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                (
-                    Some(e.report.clone()),
-                    CacheOutcome {
-                        hit: true,
-                        evictions: 0,
-                    },
-                )
-            }
-            Some(_) => {
-                entries.remove(&key);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                (
-                    None,
-                    CacheOutcome {
-                        hit: false,
-                        evictions: 1,
-                    },
-                )
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                (None, CacheOutcome::default())
-            }
-        }
-    }
-
-    /// Store `report` under `key` as of `epoch`, evicting stale entries
-    /// and, under capacity pressure, the oldest entry. Returns how many
-    /// entries were evicted.
-    pub fn insert(&self, key: u64, report: SortednessReport, epoch: u64) -> u64 {
-        let mut entries = self.entries.lock().expect("profile cache poisoned");
-        let before = entries.len();
-        entries.retain(|_, e| epoch.saturating_sub(e.inserted) < self.ttl);
-        let mut evicted = (before - entries.len()) as u64;
-        entries.insert(
-            key,
-            CacheEntry {
-                report,
-                inserted: epoch,
-            },
-        );
-        while entries.len() > self.capacity {
-            // Oldest insertion goes first; ties break on the smaller key so
-            // eviction order is deterministic.
-            let victim = entries
-                .iter()
-                .map(|(&k, e)| (e.inserted, k))
-                .min()
-                .map(|(_, k)| k)
-                .expect("nonempty map has a minimum");
-            entries.remove(&victim);
-            evicted += 1;
-        }
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        evicted
-    }
-
-    /// Cumulative counters plus the live entry count.
-    pub fn stats(&self) -> ProfileCacheStats {
-        let entries = self.entries.lock().expect("profile cache poisoned").len();
-        ProfileCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
-        }
-    }
-}
-
-/// [`profile_sortedness`] with a [`ProfileCache`] in front: a fresh entry
-/// under `key` short-circuits the sampling entirely; a miss runs the
-/// profiler and memoizes its report verbatim, so a cached decision is
-/// always exactly what a fresh profiler run at insertion time produced.
-#[allow(clippy::too_many_arguments)]
-pub fn profile_sortedness_cached(
-    cache: &ProfileCache,
-    key: u64,
-    epoch: u64,
-    n_points: usize,
-    pairs: usize,
-    threshold: f64,
-    seed: u64,
-    visits: impl Fn(usize) -> Vec<u32>,
-) -> (SortednessReport, CacheOutcome) {
-    let (cached, outcome) = cache.lookup(key, epoch);
-    if let Some(report) = cached {
-        return (report, outcome);
-    }
-    let report = profile_sortedness(n_points, pairs, threshold, seed, visits);
-    let evictions = outcome.evictions + cache.insert(key, report.clone(), epoch);
-    (
-        report,
-        CacheOutcome {
-            hit: false,
-            evictions,
-        },
-    )
 }
 
 /// Jaccard similarity of two visit lists, treated as sets.
@@ -336,68 +131,5 @@ mod tests {
     #[should_panic(expected = "at least two points")]
     fn profiling_one_point_rejected() {
         let _ = profile_sortedness(1, 4, 0.5, 0, |_| vec![]);
-    }
-
-    #[test]
-    fn profile_key_separates_parts_and_seeds() {
-        let a = profile_key(1, &[1, 2, 3]);
-        assert_eq!(a, profile_key(1, &[1, 2, 3]), "deterministic");
-        assert_ne!(a, profile_key(2, &[1, 2, 3]), "seed matters");
-        assert_ne!(a, profile_key(1, &[3, 2, 1]), "order matters");
-        assert_ne!(a, profile_key(1, &[1, 2]), "length matters");
-    }
-
-    #[test]
-    fn cache_miss_then_hit_returns_the_memoized_report() {
-        let cache = ProfileCache::new(8, 16);
-        let f = |i: usize| vec![i as u32 / 4];
-        let (fresh, out) = profile_sortedness_cached(&cache, 42, 0, 64, 8, 0.5, 9, f);
-        assert!(!out.hit);
-        assert_eq!(fresh, profile_sortedness(64, 8, 0.5, 9, f));
-        // Same key within TTL: the profiler must not run again (a visits
-        // closure that panics proves it).
-        let (hit, out) = profile_sortedness_cached(&cache, 42, 3, 64, 8, 0.5, 9, |_| {
-            panic!("profiler ran on a cache hit")
-        });
-        assert!(out.hit);
-        assert_eq!(hit, fresh);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
-        assert_eq!(stats.entries, 1);
-    }
-
-    #[test]
-    fn cache_ttl_expiry_evicts_and_reprofiles() {
-        let cache = ProfileCache::new(4, 16);
-        let f = |i: usize| vec![i as u32];
-        let (_, _) = profile_sortedness_cached(&cache, 7, 0, 32, 4, 0.5, 1, f);
-        // Epoch 4 is the first epoch outside `inserted + ttl`.
-        let (report, out) = profile_sortedness_cached(&cache, 7, 4, 32, 4, 0.5, 1, f);
-        assert!(!out.hit);
-        assert_eq!(out.evictions, 1, "stale entry dropped on lookup");
-        assert_eq!(report, profile_sortedness(32, 4, 0.5, 1, f));
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn cache_capacity_evicts_oldest_first() {
-        let cache = ProfileCache::new(100, 2);
-        let r = profile_sortedness(8, 2, 0.5, 0, |_| vec![1]);
-        assert_eq!(cache.insert(1, r.clone(), 0), 0);
-        assert_eq!(cache.insert(2, r.clone(), 1), 0);
-        assert_eq!(cache.insert(3, r.clone(), 2), 1, "key 1 evicted");
-        let (found, _) = cache.lookup(1, 2);
-        assert!(found.is_none());
-        let (found, _) = cache.lookup(2, 2);
-        assert!(found.is_some());
-        let (found, _) = cache.lookup(3, 2);
-        assert!(found.is_some());
-        assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "TTL")]
-    fn zero_ttl_cache_rejected() {
-        let _ = ProfileCache::new(0, 4);
     }
 }

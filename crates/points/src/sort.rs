@@ -43,16 +43,6 @@ pub fn morton_key<const D: usize>(p: &PointN<D>, bbox: &Aabb<D>) -> u128 {
     key
 }
 
-/// The first `levels` levels of the Morton key of `p` within `bbox` — `D`
-/// bits per level, coarsest split first. Level 1 identifies which of the
-/// box's `2^D` octants holds `p`; the sharded profile cache uses it to
-/// fingerprint where a sub-batch lands inside a shard without depending on
-/// the full-precision key.
-pub fn morton_prefix<const D: usize>(p: &PointN<D>, bbox: &Aabb<D>, levels: u32) -> u64 {
-    let levels = levels.min(MORTON_BITS);
-    (morton_key(p, bbox) >> ((MORTON_BITS - levels) * D as u32)) as u64
-}
-
 /// Return the permutation that sorts `pts` in Morton order. Apply it with
 /// [`apply_perm`].
 pub fn morton_order<const D: usize>(pts: &[PointN<D>]) -> Vec<u32> {
@@ -155,23 +145,6 @@ mod tests {
         let labels: Vec<bool> = sorted.iter().map(|p| p[0] > 50.0).collect();
         let transitions = labels.windows(2).filter(|w| w[0] != w[1]).count();
         assert_eq!(transitions, 1, "clusters interleaved: {labels:?}");
-    }
-
-    #[test]
-    fn morton_prefix_names_octants() {
-        let bbox = Aabb {
-            lo: PointN([0.0, 0.0]),
-            hi: PointN([1.0, 1.0]),
-        };
-        // Level 1 of a 2-D key is the quadrant id in Z order:
-        // (lo,lo)=0b00, (lo,hi)=0b01, (hi,lo)=0b10, (hi,hi)=0b11.
-        assert_eq!(morton_prefix(&PointN([0.1, 0.1]), &bbox, 1), 0b00);
-        assert_eq!(morton_prefix(&PointN([0.1, 0.9]), &bbox, 1), 0b01);
-        assert_eq!(morton_prefix(&PointN([0.9, 0.1]), &bbox, 1), 0b10);
-        assert_eq!(morton_prefix(&PointN([0.9, 0.9]), &bbox, 1), 0b11);
-        // Deeper prefixes refine, never contradict, the coarse one.
-        let p = PointN([0.9, 0.1]);
-        assert_eq!(morton_prefix(&p, &bbox, 2) >> 2, 0b10);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   points back out of the tree ([`Shard::points`]; no copy is kept
 //!   beside it), and a touched shard that grew past twice the ideal Morton
 //!   partition size re-splits through [`Shard::partition`]. Untouched
-//!   shards carry across by pointer, warm profile cache included. The new
-//!   shard vector swaps in atomically and the epoch advances.
+//!   shards carry across by pointer. The new shard vector swaps in
+//!   atomically and the epoch advances.
 //!
 //! **Delta-window answer rule.** Answers are exact at every instant, not
 //! just at epoch boundaries, and every batch — pending deltas or not — is
@@ -334,8 +334,6 @@ struct Core<const D: usize> {
     merge_lock: Mutex<()>,
     ctl: Mutex<MergeCtl>,
     cv: Condvar,
-    /// Metered-batch counter driving the shard caches' TTL clock.
-    batches: AtomicU64,
     merges: AtomicU64,
     mutations: AtomicU64,
     observer: Mutex<Option<EpochObserverFn>>,
@@ -470,7 +468,6 @@ impl<const D: usize> MutableIndex<D> {
                 shutdown: false,
             }),
             cv: Condvar::new(),
-            batches: AtomicU64::new(0),
             merges: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
             observer: Mutex::new(None),
@@ -697,7 +694,7 @@ impl<const D: usize> TreeIndex for MutableIndex<D> {
     fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
         let state = self.pin();
         let shards = state.swept(&self.core);
-        sweep(shards, &state.dead, lanes, policy, true, &self.core.batches)
+        sweep(shards, &state.dead, lanes, policy, true)
     }
 
     fn mutate(&self, muts: &[Mutation]) -> Result<MutationAck, MutateError> {

@@ -13,9 +13,7 @@ use crate::policy::{Backend, ExecPolicy};
 use crate::query::{OpKey, QueryResult};
 use gts_apps::fused::{fused_ops_point, FusedOpsPoint, FusedOpsRule};
 use gts_apps::kd::KdBox;
-use gts_points::profile::{
-    profile_sortedness, profile_sortedness_cached, CacheOutcome, ProfileCache,
-};
+use gts_points::profile::profile_sortedness;
 use gts_points::sort::morton_order;
 use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig, Meter, Unmetered, WarpSim};
 use gts_runtime::{cpu, AllLive, Dead, GpuReport, Live, PointRule, Tombstones};
@@ -67,13 +65,6 @@ pub struct BatchOutcome {
     pub mask_occupancy: f64,
     /// Per-shard sub-batch statistics (empty for flat indices).
     pub shard_visits: Vec<ShardVisit>,
-    /// Sub-batches whose §4.4 decision came from a [`ProfileCache`]
-    /// (always 0 for flat indices, which consult none).
-    pub profile_cache_hits: u64,
-    /// Cache consultations that fell through to a fresh profiler run.
-    pub profile_cache_misses: u64,
-    /// Cache entries dropped (TTL expiry or capacity) during this batch.
-    pub profile_cache_evictions: u64,
     /// Peak rope-stack / call-frame bytes any warp used (metered batches
     /// only, and 0 for the stackless backends — their headline number).
     /// Merges across sub-batches by `max`.
@@ -106,9 +97,6 @@ impl BatchOutcome {
         self.node_visits += sub.node_visits;
         self.warps += sub.warps;
         self.shards_pruned += sub.shards_pruned;
-        self.profile_cache_hits += sub.profile_cache_hits;
-        self.profile_cache_misses += sub.profile_cache_misses;
-        self.profile_cache_evictions += sub.profile_cache_evictions;
         self.stack_transactions += sub.stack_transactions;
         self.fusion_saved_visits += sub.fusion_saved_visits;
         // A footprint is a peak, not traffic.
@@ -275,20 +263,6 @@ impl FusedOutcome {
     }
 }
 
-/// A profile-cache consultation context: where to memoize this batch's
-/// §4.4 decision, under which key, at which epoch. Owned by the caller
-/// (the shard sweep keeps one cache per shard and a batch counter for the
-/// epoch); [`KdIndex::run_lanes`] only consults it.
-pub(crate) struct ProfileCtx<'a> {
-    /// The memo table (shared across worker threads).
-    pub(crate) cache: &'a ProfileCache,
-    /// [`gts_points::profile::profile_key`] hash identifying sub-batches
-    /// whose profiling decision is interchangeable.
-    pub(crate) key: u64,
-    /// The owner's batch counter, advancing the cache's TTL clock.
-    pub(crate) epoch: u64,
-}
-
 /// A queryable index the service can dispatch batches to.
 ///
 /// `Send + Sync` is part of the contract: implementations are shared
@@ -402,10 +376,6 @@ impl<const D: usize> KdIndex<D> {
     /// by whoever owns the whole batch and handed to every sub-batch: a
     /// batch runs under the model whole or not at all.
     ///
-    /// With a [`ProfileCtx`], when the batch profiles, the §4.4 decision is
-    /// looked up in (and memoized into) the caller's cache instead of
-    /// sampled fresh; answers are identical either way.
-    ///
     /// `dead` holds the tree positions of points the lanes must not see
     /// (the epoch layer's pending deletes; a static index passes
     /// [`Tombstones::NONE`]): the rule runs as [`Live`] of it. The empty
@@ -416,13 +386,12 @@ impl<const D: usize> KdIndex<D> {
         lanes: &[&FusedLane],
         metered: bool,
         policy: &ExecPolicy,
-        profile: Option<&ProfileCtx<'_>>,
         dead: &Tombstones,
     ) -> (Vec<FusedOpsPoint<D>>, BatchOutcome) {
         if dead.is_empty() {
-            self.run_live(lanes, metered, policy, profile, AllLive)
+            self.run_live(lanes, metered, policy, AllLive)
         } else {
-            self.run_live(lanes, metered, policy, profile, dead)
+            self.run_live(lanes, metered, policy, dead)
         }
     }
 
@@ -432,7 +401,6 @@ impl<const D: usize> KdIndex<D> {
         lanes: &[&FusedLane],
         metered: bool,
         policy: &ExecPolicy,
-        profile: Option<&ProfileCtx<'_>>,
         dead: T,
     ) -> (Vec<FusedOpsPoint<D>>, BatchOutcome) {
         let pts: Vec<PointN<D>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
@@ -441,7 +409,7 @@ impl<const D: usize> KdIndex<D> {
         let kernel = KdBox::with_rule(&self.tree, Live { rule, dead });
         let make = |i: usize, p: PointN<D>| lane_state(lanes[i], p, n);
         let (states, mut outcome, live_visits) =
-            execute(self, &kernel, &pts, metered, policy, profile, make);
+            execute(self, &kernel, &pts, metered, policy, make);
         // Each constituent's own walk: the root, then two children per
         // descent the fused walk tallied for it.
         let per_op_visits: u64 = (lanes.iter().zip(&states))
@@ -552,7 +520,7 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
     fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
         let refs: Vec<&FusedLane> = lanes.iter().collect();
         let metered = policy.meters(lanes.iter().map(|l| &l.pos[..]));
-        let (states, mut outcome) = self.run_lanes(&refs, metered, policy, None, Tombstones::NONE);
+        let (states, mut outcome) = self.run_lanes(&refs, metered, policy, Tombstones::NONE);
         mark_fused(&mut outcome, lanes);
         // The walks offer tree positions; callers know build order.
         let perm = &self.tree.perm;
@@ -563,8 +531,8 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
     }
 }
 
-/// Shared execution path: sort → choose (a metered batch profiles,
-/// optionally through the caller's cache) → run → un-sort.
+/// Shared execution path: sort → choose (a metered batch profiles) →
+/// run → un-sort.
 ///
 /// `kernel` rides the rope-stack executors, the CPU baseline, the profiler
 /// and the skip-link walk; its rule rides the Wald walk over `index`'s
@@ -591,7 +559,6 @@ fn execute<const D: usize, R, M>(
     pts: &[PointN<D>],
     metered: bool,
     policy: &ExecPolicy,
-    profile: Option<&ProfileCtx<'_>>,
     make: M,
 ) -> (Vec<R::State>, BatchOutcome, u64)
 where
@@ -611,39 +578,21 @@ where
 
     // On the host clock the host walk is the cheapest executor. The model
     // keeps §4.4 step 2: sample neighboring traversals; lockstep only when
-    // they overlap enough to amortize the per-warp rope stack. A
-    // `ProfileCtx` memoizes that under the caller's key.
+    // they overlap enough to amortize the per-warp rope stack.
     let mut mean_similarity = None;
-    let mut cache_outcome: Option<CacheOutcome> = None;
     let backend = match policy.force {
         Some(b) => b,
         None if !metered => Backend::Cpu,
         None if n < 2 => Backend::Autoropes,
         None => {
             let trace = |i: usize| cpu::trace_one(kernel, &mut work[i].clone());
-            let report = match profile {
-                Some(ctx) => {
-                    let (report, outcome) = profile_sortedness_cached(
-                        ctx.cache,
-                        ctx.key,
-                        ctx.epoch,
-                        n,
-                        policy.profile_pairs,
-                        policy.threshold,
-                        policy.profile_seed,
-                        trace,
-                    );
-                    cache_outcome = Some(outcome);
-                    report
-                }
-                None => profile_sortedness(
-                    n,
-                    policy.profile_pairs,
-                    policy.threshold,
-                    policy.profile_seed,
-                    trace,
-                ),
-            };
+            let report = profile_sortedness(
+                n,
+                policy.profile_pairs,
+                policy.threshold,
+                policy.profile_seed,
+                trace,
+            );
             mean_similarity = Some(report.mean_similarity);
             if report.use_lockstep {
                 Backend::Lockstep
@@ -661,9 +610,6 @@ where
         // What a run without warps reports; a GPU run overwrites both.
         work_expansion: 1.0,
         mask_occupancy: 1.0,
-        profile_cache_hits: cache_outcome.map_or(0, |o| u64::from(o.hit)),
-        profile_cache_misses: cache_outcome.map_or(0, |o| u64::from(!o.hit)),
-        profile_cache_evictions: cache_outcome.map_or(0, |o| o.evictions),
         ..BatchOutcome::default()
     };
     let mut live_visits = None;
@@ -1259,22 +1205,15 @@ mod tests {
             for (shape, lanes) in sets {
                 let label = format!("{} {shape}", index.name());
                 let positions: Vec<Vec<f32>> = lanes.iter().map(|l| l.pos.clone()).collect();
-                // The metered run first: it warms the shard caches the
-                // unmetered one must not read.
                 let on = index.run(&lanes, &metering(ExecPolicy::default(), &positions));
                 let off = index.run(&lanes, &unmetering(ExecPolicy::default(), &positions));
                 let cpu = index.run(&lanes, &ExecPolicy::forced(Backend::Cpu));
                 assert_eq!(off.lanes, on.lanes, "{label}: answers");
                 assert_eq!(off.lanes, cpu.lanes, "{label}: answers");
                 let (off, on) = (off.outcome, on.outcome);
-                // Unmetered: the host walk, no sample taken, no cache read.
+                // Unmetered: the host walk, no sample taken.
                 assert_eq!(off.backend, Backend::Cpu, "{label}");
                 assert_eq!(off.mean_similarity, None, "{label}");
-                assert_eq!(
-                    (off.profile_cache_hits, off.profile_cache_misses),
-                    (0, 0),
-                    "{label}"
-                );
                 assert!(!off.metered && off.model_ms == 0.0, "{label}");
                 // Metered: the paper's choice, under the model.
                 assert!(on.metered && on.model_ms > 0.0, "{label}");

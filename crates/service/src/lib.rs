@@ -78,7 +78,7 @@ pub use metrics::{
 pub use policy::{Backend, ExecPolicy};
 pub use query::{BatchKey, IndexId, OpKey, Query, QueryKind, QueryResult};
 pub use service::{CompletionFn, Service, ServiceConfig, ServiceError, Ticket};
-pub use shard::{ShardedIndex, ShardedIndexBuilder, DEFAULT_PROFILE_TTL};
+pub use shard::{ShardedIndex, ShardedIndexBuilder};
 pub use slowlog::{QueryRecord, SlowLog, SlowLogDump, SlowLogStats, SLOW_LOG_WARMUP};
 pub use trace::{
     fused_ops_name, merge_snapshots, EventKind, TraceContext, TraceEvent, TraceRecorder,

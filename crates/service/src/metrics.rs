@@ -639,12 +639,13 @@ series! {
         stack_transactions: u64 = in batch, counter "gts_stack_transactions_total";
         /// `(query, shard)` pairs sharded indices skipped via AABB bounds.
         shards_pruned: u64 = in batch, counter "gts_shards_pruned_total";
-        /// Sub-batches whose §4.4 decision came from a shard profile cache.
-        profile_cache_hits: u64 = in batch, counter "gts_profile_cache_hits_total";
-        /// Profile-cache consultations that re-ran the profiler.
-        profile_cache_misses: u64 = in batch, counter "gts_profile_cache_misses_total";
-        /// Profile-cache entries dropped (TTL or capacity).
-        profile_cache_evictions: u64 = in batch, counter "gts_profile_cache_evictions_total";
+        /// Always 0, and no series: shards no longer cache §4.4 decisions
+        /// (every metered sub-batch profiles itself). Kept only because
+        /// the benchmark ledger still reads it; ROADMAP item 2(e) drops it.
+        profile_cache_hits: u64 = (0);
+        /// Always 0, and no series; kept for the ledger as
+        /// `profile_cache_hits` is, and dropped with it.
+        profile_cache_misses: u64 = (0);
         /// Fused multi-op batches dispatched (same-index queries of different
         /// ops answered by one tree walk under the union prune bound).
         fused_batches: u64 = own Sum, counter "gts_fused_batches_total";
@@ -862,11 +863,7 @@ mod tests {
     #[test]
     fn per_index_series_separate_mixed_workloads() {
         let m = Metrics::default();
-        let a = BatchOutcome {
-            profile_cache_hits: 3,
-            profile_cache_misses: 1,
-            ..batch(4, Backend::Lockstep, 10, 1.0, 1.0, 0)
-        };
+        let a = batch(4, Backend::Lockstep, 10, 1.0, 1.0, 0);
         let a = BatchRecord {
             index: "alpha",
             ..record(&a, 1)
@@ -882,15 +879,15 @@ mod tests {
         m.on_complete("alpha", Duration::from_millis(2), 1, 0);
         m.on_complete("beta", Duration::from_millis(8), 2, 0);
         let s = m.snapshot();
-        assert_eq!(s.profile_cache_hits, 6);
-        assert_eq!(s.profile_cache_misses, 2);
+        // The ledger's two zero rows, which name no series.
+        assert_eq!((s.profile_cache_hits, s.profile_cache_misses), (0, 0));
         let names: Vec<&str> = s.per_index.iter().map(|i| i.index.as_str()).collect();
         assert_eq!(names, ["alpha", "beta"], "sorted by name");
         assert_eq!(s.per_index[0].batches, 2);
         assert_eq!(s.per_index[1].batches, 1);
         assert_eq!(s.per_index[0].completed, 1);
         let text = s.to_prometheus();
-        assert!(text.contains("gts_profile_cache_hits_total 6"));
+        assert!(!text.contains("gts_profile_cache"));
         assert!(text.contains(r#"gts_index_batches_total{index="alpha"} 2"#));
         assert!(text.contains(r#"gts_index_batches_total{index="beta"} 1"#));
         assert!(text.contains(r#"gts_index_latency_ms_count{index="alpha"} 1"#));
@@ -933,7 +930,7 @@ mod tests {
     /// A hand-built outcome with a distinct prime in every integer counter.
     fn scripted_outcome(
         backend: Backend,
-        p: [u64; 10],
+        p: [u64; 7],
         floats: [f64; 3],
         fused: bool,
     ) -> BatchOutcome {
@@ -949,14 +946,11 @@ mod tests {
             shards_pruned: p[2],
             mask_occupancy: floats[2],
             shard_visits: Vec::new(),
-            profile_cache_hits: p[3],
-            profile_cache_misses: p[4],
-            profile_cache_evictions: p[5],
-            stack_bytes_peak: p[6],
-            stack_transactions: p[7],
+            stack_bytes_peak: p[3],
+            stack_transactions: p[4],
             fused_ops: if fused { 3 } else { 0 },
-            fused_lanes: if fused { p[8] } else { 0 },
-            fusion_saved_visits: if fused { p[9] } else { 0 },
+            fused_lanes: if fused { p[5] } else { 0 },
+            fusion_saved_visits: if fused { p[6] } else { 0 },
         }
     }
 
@@ -1004,7 +998,7 @@ mod tests {
             (
                 scripted_outcome(
                     Backend::Lockstep,
-                    [5, 101, 103, 107, 109, 113, 127, 131, 0, 0],
+                    [5, 101, 103, 127, 131, 0, 0],
                     [0.25, 1.25, 0.75],
                     false,
                 ),
@@ -1015,7 +1009,7 @@ mod tests {
             (
                 scripted_outcome(
                     Backend::Autoropes,
-                    [3, 137, 139, 149, 151, 157, 163, 167, 173, 179],
+                    [3, 137, 139, 163, 167, 173, 179],
                     [1.5, 1.0, 1.0],
                     true,
                 ),
@@ -1027,7 +1021,7 @@ mod tests {
                 scripted_outcome(
                     Backend::StacklessKd,
                     // Unmetered: no modeled series, and no histogram sample.
-                    [2, 181, 191, 193, 197, 199, 0, 0, 0, 0],
+                    [2, 181, 191, 0, 0, 0, 0],
                     [0.0, 2.5, 0.5],
                     false,
                 ),

@@ -91,12 +91,6 @@ pub struct ExecPolicy {
     /// waves inline on the worker; `0` (the default) resolves to
     /// `min(shards, available_parallelism)`. Flat indices ignore it.
     pub shard_parallelism: usize,
-    /// Let a metered batch's sub-batches on a sharded index — static and
-    /// mutable alike — reuse cached §4.4 sortedness decisions (per-shard
-    /// [`gts_points::profile::ProfileCache`]) instead of re-sampling each.
-    /// Disabling reproduces the profile-every-sub-batch baseline; a
-    /// metered flat batch always profiles, an unmetered one never does.
-    pub profile_cache: bool,
 }
 
 impl Default for ExecPolicy {
@@ -109,7 +103,6 @@ impl Default for ExecPolicy {
             sort: true,
             sim_threads: 1,
             shard_parallelism: 0,
-            profile_cache: true,
         }
     }
 }

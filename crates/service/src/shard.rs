@@ -12,11 +12,11 @@
 //!
 //! [`Shard`] is the one shard type, held as `Arc<Shard>` by this index and
 //! by the epoch layer's snapshots ([`crate::epoch`]) alike: a kd-tree, the
-//! table mapping its build points to the ids callers know, its box and its
-//! profile cache. [`Shard::partition`] is the one Morton partition (both
-//! builders and the epoch layer's re-split call it), and the tree is the
-//! shard's only point store — [`Shard::points`] reads `(id, point)` pairs
-//! back out of it, as Wald's left-balanced tree keeps no parallel array.
+//! table mapping its build points to the ids callers know, and its box.
+//! [`Shard::partition`] is the one Morton partition (both builders and the
+//! epoch layer's re-split call it), and the tree is the shard's only point
+//! store — [`Shard::points`] reads `(id, point)` pairs back out of it, as
+//! Wald's left-balanced tree keeps no parallel array.
 //!
 //! A batch is a slice of lanes — a position plus every op asked there
 //! ([`FusedLane`]) — and every sub-batch walks the fused rule over them
@@ -52,43 +52,29 @@
 //! identical results — a property the differential tests check query by
 //! query.
 //!
-//! Each shard also carries a [`ProfileCache`] memoizing the §4.4
-//! lockstep/autoropes decision per (distinct ops, sub-batch size bucket,
-//! Morton octant fingerprint) key, with a TTL counted in its owner's
-//! metered batches, so steady workloads profile once per shard per
-//! workload shift instead of once per sub-batch. Only metered batches
-//! profile, and every sub-batch of one consults the cache under one rule
-//! ([`Sweep::run_sub`]), whichever index owns the shard; a shard the epoch
-//! layer carries across a merge keeps its warm cache. Cache traffic
-//! surfaces as `profile_cache_{hits,misses,evictions}` on the
-//! [`BatchOutcome`].
+//! Only metered batches profile, and every sub-batch of one with two or
+//! more lanes runs the §4.4 profiler on itself, as a metered flat batch
+//! does: a sub-batch's record is a function of its lanes and its shard's
+//! points alone, whichever index owns the shard and whatever ran before.
 //!
 //! The merge rule of each op, and why a fold of per-shard states equals
 //! one walk over every point, is `gts_apps::fused`'s.
 
 use crate::index::{
-    distinct_ops, lane_answers, lane_state, mark_fused, to_point, BatchOutcome, FusedLane,
-    FusedOutcome, KdIndex, ProfileCtx, ShardVisit, TreeIndex,
+    lane_answers, lane_state, mark_fused, to_point, BatchOutcome, FusedLane, FusedOutcome, KdIndex,
+    ShardVisit, TreeIndex,
 };
 use crate::policy::{Backend, ExecPolicy};
 use gts_apps::fused::{merge, reaches, FusedOpsPoint};
-use gts_points::profile::{profile_key, ProfileCache, ProfileCacheStats};
-use gts_points::sort::{morton_key, morton_prefix};
+use gts_points::sort::morton_key;
 use gts_runtime::Tombstones;
 use gts_trees::{Aabb, PointN, SplitPolicy};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 #[cfg(test)]
-use std::sync::atomic::AtomicBool;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
-
-/// Lifetime, in metered batches, of a cached per-shard §4.4 decision.
-pub const DEFAULT_PROFILE_TTL: u64 = 64;
-
-/// Entries each shard's profile cache holds before evicting oldest-first.
-const PROFILE_CACHE_CAPACITY: usize = 128;
 
 /// A [`TreeIndex`] made of N Morton-partitioned [`KdIndex`] shards.
 pub struct ShardedIndex<const D: usize> {
@@ -96,8 +82,6 @@ pub struct ShardedIndex<const D: usize> {
     shards: Vec<Arc<Shard<D>>>,
     n_points: usize,
     prune: bool,
-    /// Metered-batch counter driving the caches' TTL clock.
-    batches: AtomicU64,
 }
 
 /// One shard, whichever index holds it: a kd-tree over the shard's points
@@ -107,8 +91,6 @@ pub(crate) struct Shard<const D: usize> {
     /// `ids[i]` = the id callers know the shard's i-th build point by.
     pub(crate) ids: Vec<u32>,
     pub(crate) bbox: Aabb<D>,
-    /// Memoized §4.4 decisions for this shard's sub-batches.
-    profile: ProfileCache,
     /// Armed by a test: the next sub-batch on this shard panics.
     #[cfg(test)]
     failpoint: AtomicBool,
@@ -116,8 +98,7 @@ pub(crate) struct Shard<const D: usize> {
 
 impl<const D: usize> Shard<D> {
     /// Cut `items` (`(id, point)` pairs), in Morton order when `k > 1`, into
-    /// `k` equal index ranges and build one shard per range, each with a
-    /// cold cache.
+    /// `k` equal index ranges and build one shard per range.
     /// A range comes out empty only when `items` has fewer than `k`
     /// entries; `KdTree::build` panics on zero points, so empty ranges are
     /// skipped outright.
@@ -146,7 +127,6 @@ impl<const D: usize> Shard<D> {
                     index: KdIndex::build(format!("shard-{s}"), &pts, leaf_size, split),
                     bbox: Aabb::of_points(&pts),
                     ids,
-                    profile: ProfileCache::new(DEFAULT_PROFILE_TTL, PROFILE_CACHE_CAPACITY),
                     #[cfg(test)]
                     failpoint: AtomicBool::new(false),
                 }
@@ -220,7 +200,6 @@ impl ShardedIndexBuilder {
             shards: shards.into_iter().map(Arc::new).collect(),
             n_points: points.len(),
             prune: self.prune,
-            batches: AtomicU64::new(0),
         }
     }
 }
@@ -250,19 +229,6 @@ impl<const D: usize> ShardedIndex<D> {
     /// Points owned by shard `s`.
     pub fn shard_len(&self, s: usize) -> usize {
         self.shards[s].ids.len()
-    }
-
-    /// Cumulative profile-cache counters summed across shards.
-    pub fn profile_cache_stats(&self) -> ProfileCacheStats {
-        let mut total = ProfileCacheStats::default();
-        for shard in &self.shards {
-            let s = shard.profile.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-            total.entries += s.entries;
-        }
-        total
     }
 }
 
@@ -418,21 +384,18 @@ impl StatAgg {
 /// docs), its pool sized by [`ExecPolicy::shard_parallelism`]. `dead[s]`
 /// holds the tree positions of shard `s`'s points the lanes must not see
 /// (a shard past the end of `dead` has none); `prune` turns the AABB rule
-/// off for measuring what it saves; `clock` is the owner's count of
-/// metered batches, the TTL clock of the shards' profile caches, which
-/// only metered batches read: a metered batch ticks it once.
+/// off for measuring what it saves.
 pub(crate) fn sweep<const D: usize>(
     shards: &[Arc<Shard<D>>],
     dead: &[Tombstones],
     lanes: &[FusedLane],
     policy: &ExecPolicy,
     prune: bool,
-    clock: &AtomicU64,
 ) -> FusedOutcome {
     // A wave holds at most one slot per lane, so workers beyond the lane
     // count could only idle (a batch smaller than the pool).
     let threads = policy.shard_threads(shards.len()).min(lanes.len());
-    Sweep::new(shards, dead, lanes, policy, prune, clock).run(threads)
+    Sweep::new(shards, dead, lanes, policy, prune).run(threads)
 }
 
 /// The per-batch inputs every sub-batch and every wave shares.
@@ -448,9 +411,6 @@ struct Sweep<'a, const D: usize> {
     visit: Vec<Vec<(f32, u32)>>,
     policy: &'a ExecPolicy,
     prune: bool,
-    /// This batch's reading of the profile caches' clock, which only a
-    /// metered batch ticks (an unmetered one reads no cache).
-    epoch: u64,
     /// Batch-run start: sub-batch spans are timed against it (wall times,
     /// outside the determinism contract like every other wall
     /// measurement).
@@ -464,7 +424,6 @@ impl<'a, const D: usize> Sweep<'a, D> {
         lanes: &'a [FusedLane],
         policy: &'a ExecPolicy,
         prune: bool,
-        clock: &AtomicU64,
     ) -> Self {
         let started = Instant::now();
         let qpts: Vec<PointN<D>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
@@ -493,17 +452,11 @@ impl<'a, const D: usize> Sweep<'a, D> {
             visit,
             policy,
             prune,
-            epoch: clock.fetch_add(u64::from(metered), Ordering::Relaxed),
             started,
         }
     }
 
-    /// Run the sub-batch of lanes `qs` against shard `shard_i`, consulting
-    /// the shard's profile cache when the sub-batch profiles and may cache.
-    /// The cache key fingerprints what makes decisions interchangeable:
-    /// how many distinct ops the sub-batch mixes (under the fused rule's
-    /// tag, 3), the sub-batch's log2 size bucket, and which Morton octants
-    /// of the shard's box the lanes land in.
+    /// Run the sub-batch of lanes `qs` against shard `shard_i`.
     fn run_sub(&self, shard_i: usize, round: u32, qs: &[usize]) -> SubRun<D> {
         let shard = &self.shards[shard_i];
         #[cfg(test)]
@@ -511,27 +464,9 @@ impl<'a, const D: usize> Sweep<'a, D> {
             panic!("failpoint: shard {shard_i}");
         }
         let sub: Vec<&FusedLane> = qs.iter().map(|&q| &self.lanes[q]).collect();
-        let cached = self.metered
-            && self.policy.profile_cache
-            && self.policy.force.is_none()
-            && sub.len() >= 2;
         let offset_us = self.started.elapsed().as_micros() as u64;
-        let ctx = cached.then(|| {
-            let ops = u64::from(distinct_ops(sub.iter().copied()));
-            let mut octants = 0u64;
-            for &q in qs {
-                octants |= 1 << (morton_prefix(&self.qpts[q], &shard.bbox, 1) & 63);
-            }
-            let bucket = u64::from(sub.len().ilog2());
-            ProfileCtx {
-                cache: &shard.profile,
-                key: profile_key(self.policy.profile_seed, &[3, ops, bucket, octants]),
-                epoch: self.epoch,
-            }
-        });
         let dead = self.dead.get(shard_i).unwrap_or(Tombstones::NONE);
-        let (states, outcome) =
-            (shard.index).run_lanes(&sub, self.metered, self.policy, ctx.as_ref(), dead);
+        let (states, outcome) = (shard.index).run_lanes(&sub, self.metered, self.policy, dead);
         let visit = ShardVisit {
             shard: shard_i as u32,
             round,
@@ -744,7 +679,7 @@ impl<const D: usize> TreeIndex for ShardedIndex<D> {
     }
 
     fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
-        sweep(&self.shards, &[], lanes, policy, self.prune, &self.batches)
+        sweep(&self.shards, &[], lanes, policy, self.prune)
     }
 }
 
@@ -874,9 +809,8 @@ mod tests {
             }
             format!("{out:?}")
         };
-        let clock = || AtomicU64::new(0);
-        let capped = record(sweep(shards, &[], &lanes, &policy, true, &clock()));
-        let uncapped = record(Sweep::new(shards, &[], &lanes, &policy, true, &clock()).run(8));
+        let capped = record(sweep(shards, &[], &lanes, &policy, true));
+        let uncapped = record(Sweep::new(shards, &[], &lanes, &policy, true).run(8));
         assert!(capped.contains("metered: true"), "{capped}");
         assert_eq!(capped, uncapped);
         assert!(capped.contains("round: 1"), "the lane left its home shard");
@@ -925,85 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_cache_hits_accumulate_across_batches() {
-        let pts = uniform::<3>(2048, 31);
-        let idx = ShardedIndexBuilder::new("cached", 4).build(&pts);
-        let queries: Vec<Vec<f32>> = pts.iter().take(128).map(|p| p.0.to_vec()).collect();
-        let mut policy = ExecPolicy {
-            shard_parallelism: 2,
-            ..ExecPolicy::default()
-        };
-        // Only a metered batch profiles: a seed that meters this one.
-        while !policy.meters(queries.iter().map(|p| &p[..])) {
-            policy.profile_seed += 1;
-        }
-        let first = idx.run_batch(OpKey::Knn(4), &queries, &policy);
-        assert_eq!(first.profile_cache_hits, 0, "cold cache cannot hit");
-        assert!(first.profile_cache_misses > 0, "profiled sub-batches miss");
-        let second = idx.run_batch(OpKey::Knn(4), &queries, &policy);
-        assert_eq!(second.results, first.results);
-        assert!(
-            second.profile_cache_hits > 0,
-            "repeat workload must hit the cache"
-        );
-        assert_eq!(second.profile_cache_misses, 0, "same keys as batch one");
-        let stats = idx.profile_cache_stats();
-        assert_eq!(stats.hits, second.profile_cache_hits);
-        assert_eq!(stats.misses, first.profile_cache_misses);
-        // A disabled cache (policy-side) re-profiles but returns the same
-        // results and counts nothing.
-        let uncached = idx.run_batch(
-            OpKey::Knn(4),
-            &queries,
-            &ExecPolicy {
-                profile_cache: false,
-                ..policy.clone()
-            },
-        );
-        assert_eq!(uncached.results, first.results);
-        assert_eq!(
-            uncached.profile_cache_hits + uncached.profile_cache_misses,
-            0
-        );
-    }
-
-    #[test]
-    fn the_profile_cache_ttl_counts_metered_batches_only() {
-        let pts = uniform::<3>(2048, 31);
-        let idx = ShardedIndexBuilder::new("ttl", 4).build(&pts);
-        // 128 queries over 4 shards: some shard takes at least 2 lanes.
-        let metered: Vec<Vec<f32>> = pts.iter().take(128).map(|p| p.0.to_vec()).collect();
-        let mut policy = ExecPolicy::default();
-        while !policy.meters(metered.iter().map(|p| &p[..])) {
-            policy.profile_seed += 1;
-        }
-        let first = idx.run_batch(OpKey::Knn(4), &metered, &policy);
-        assert!(first.profile_cache_misses > 0, "profiled sub-batches miss");
-        // More than a TTL's worth of batches the model does not meter.
-        let mut unmetered = 0;
-        for p in &pts[128..] {
-            let lane = [p.0.to_vec()];
-            if unmetered > DEFAULT_PROFILE_TTL {
-                break;
-            }
-            if !policy.meters(lane.iter().map(|p| &p[..])) {
-                idx.run_batch(OpKey::Knn(4), &lane, &policy);
-                unmetered += 1;
-            }
-        }
-        assert!(
-            unmetered > DEFAULT_PROFILE_TTL,
-            "{unmetered} unmetered batches"
-        );
-        let again = idx.run_batch(OpKey::Knn(4), &metered, &policy);
-        assert_eq!(again.results, first.results);
-        assert!(
-            again.profile_cache_hits > 0,
-            "an unmetered batch aged the cache"
-        );
-    }
-
-    #[test]
     fn sub_batch_records_merge_by_the_one_rule() {
         // Two sub-batches of unequal size, a distinct prime in every
         // counter: a dropped or swapped clause of the merge moves a sum.
@@ -1016,9 +871,6 @@ mod tests {
             work_expansion: 1.5,
             shards_pruned: 5,
             mask_occupancy: 0.25,
-            profile_cache_hits: 7,
-            profile_cache_misses: 11,
-            profile_cache_evictions: 13,
             stack_bytes_peak: 47,
             stack_transactions: 17,
             fusion_saved_visits: 19,
@@ -1033,9 +885,6 @@ mod tests {
             work_expansion: 3.0,
             shards_pruned: 31,
             mask_occupancy: 0.5,
-            profile_cache_hits: 37,
-            profile_cache_misses: 41,
-            profile_cache_evictions: 43,
             stack_bytes_peak: 13,
             stack_transactions: 53,
             fusion_saved_visits: 59,
@@ -1064,9 +913,6 @@ mod tests {
         assert_eq!(out.node_visits, 25);
         assert_eq!(out.warps, 32);
         assert_eq!(out.shards_pruned, 36);
-        assert_eq!(out.profile_cache_hits, 44);
-        assert_eq!(out.profile_cache_misses, 52);
-        assert_eq!(out.profile_cache_evictions, 56);
         assert_eq!(out.stack_transactions, 70);
         assert_eq!(out.fusion_saved_visits, 78);
         assert_eq!(out.stack_bytes_peak, 47, "a peak merges by max");

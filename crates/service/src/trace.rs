@@ -318,7 +318,6 @@ pub struct TraceRecorder {
     wall_epoch_us: u64,
     capacity: usize,
     next_query: AtomicU64,
-    next_batch: AtomicU64,
     inner: Mutex<Ring>,
 }
 
@@ -342,7 +341,6 @@ impl TraceRecorder {
                 .unwrap_or(0),
             capacity,
             next_query: AtomicU64::new(0),
-            next_batch: AtomicU64::new(0),
             inner: Mutex::new(Ring {
                 buf: Vec::new(),
                 head: 0,
@@ -368,11 +366,6 @@ impl TraceRecorder {
     /// Allocate the next query id.
     pub fn next_query_id(&self) -> u64 {
         self.next_query.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Allocate the next batch id.
-    pub fn next_batch_id(&self) -> u64 {
-        self.next_batch.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Microseconds from the recorder epoch to now.
@@ -1026,7 +1019,7 @@ mod tests {
     fn chrome_json_is_valid_and_nonnegative() {
         let rec = TraceRecorder::new(64);
         let q = rec.next_query_id();
-        let b = rec.next_batch_id();
+        let b = 0;
         rec.instant(5, q, NO_ID, EventKind::Submit);
         rec.instant(6, q, NO_ID, EventKind::Enqueue);
         rec.span(
@@ -1360,8 +1353,6 @@ mod tests {
         let rec = TraceRecorder::new(4);
         assert_eq!(rec.next_query_id(), 0);
         assert_eq!(rec.next_query_id(), 1);
-        assert_eq!(rec.next_batch_id(), 0);
-        assert_eq!(rec.next_batch_id(), 1);
         assert!(rec.us_of(Instant::now()) < 10_000_000, "epoch sane");
     }
 }

@@ -282,7 +282,6 @@ fn modeled_totals_are_a_function_of_the_seed_and_batching_beats_single_launches(
             }
         })
         .collect();
-    // A fresh index per run: a sharded index carries its profile caches.
     let build = |shards: usize| -> Arc<dyn TreeIndex> {
         if shards == 1 {
             Arc::new(KdIndex::build("t", &pts, 8, SplitPolicy::MedianCycle))
@@ -296,18 +295,18 @@ fn modeled_totals_are_a_function_of_the_seed_and_batching_beats_single_launches(
             ))
         }
     };
-    let serve = |workers: usize, shards: usize, profile_seed: u64| -> MetricsSnapshot {
+    let serve = |workers: usize, index: &Arc<dyn TreeIndex>, seed: u64| -> MetricsSnapshot {
         let service = Service::start(ServiceConfig {
             batch_queries: 64,
             max_wait: Duration::from_secs(3600),
             workers,
             policy: ExecPolicy {
-                profile_seed,
+                profile_seed: seed,
                 ..ExecPolicy::default()
             },
             ..ServiceConfig::default()
         });
-        service.register_index(build(shards));
+        service.register_index(Arc::clone(index));
         let tickets: Vec<Ticket> = (stream.iter())
             .map(|q| service.submit(q.clone()).unwrap())
             .collect();
@@ -315,21 +314,19 @@ fn modeled_totals_are_a_function_of_the_seed_and_batching_beats_single_launches(
         assert!(tickets.iter().all(|t| matches!(t.try_get(), Some(Ok(_)))));
         snapshot
     };
-    // One worker on the sharded index: two would race on its profile
-    // caches, and the backend choice — so the modeled totals — would
-    // depend on who won.
-    for (workers, shards) in [(2, 1), (1, 4)] {
+    for (workers, shards) in [(2, 1), (2, 4)] {
+        let index = build(shards);
         // The first seed, from the default upward, whose metered subset
         // holds one of this stream's batches.
         let mut seed = ExecPolicy::default().profile_seed;
         let a = loop {
-            let a = serve(workers, shards, seed);
+            let a = serve(workers, &index, seed);
             if a.metered_batches > 0 {
                 break a;
             }
             seed += 1;
         };
-        let b = serve(workers, shards, seed);
+        let b = serve(workers, &index, seed);
         let ctx = format!("{workers} worker(s), {shards} shard(s), seed {seed:#x}");
         assert!(a.metered_batches < a.batches, "{ctx}: a subset, not all");
         assert_eq!(a.metered_batches, b.metered_batches, "{ctx}: metered");
@@ -346,7 +343,6 @@ fn modeled_totals_are_a_function_of_the_seed_and_batching_beats_single_launches(
 
         // Every single launch metered, then scaled to the share of the
         // stream the batched total covers.
-        let index = build(shards);
         let single_ms: f64 = (stream.iter())
             .map(|q| {
                 let op = q.kind.op_key().expect("valid kinds");

@@ -7,22 +7,14 @@
 //! record either (`a_batchs_whole_record_is_the_same_for_every_thread_count`),
 //! and what a batch executes is what its lanes execute alone
 //! (`a_batch_executes_what_its_lanes_execute_alone`).
-//!
-//! Plus property tests pinning the profile-cache contract: a miss returns
-//! exactly what a fresh profiler run returns, and a hit replays the
-//! memoized decision verbatim under a fixed seed.
 
 use gts_integration::{metering, mixed_lanes};
 use gts_points::gen::uniform;
-use gts_points::profile::{
-    profile_key, profile_sortedness, profile_sortedness_cached, ProfileCache,
-};
 use gts_service::{
     Backend, ExecPolicy, FusedLane, FusedOutcome, KdIndex, MutableIndexBuilder, Mutation, OpKey,
     QueryResult, ShardedIndex, TreeIndex,
 };
 use gts_trees::{PointN, SplitPolicy};
-use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -58,7 +50,6 @@ fn sequential() -> ExecPolicy {
     ExecPolicy {
         force: Some(Backend::Cpu),
         shard_parallelism: 1,
-        profile_cache: false,
         ..ExecPolicy::default()
     }
 }
@@ -67,7 +58,6 @@ fn parallel(threads: usize) -> ExecPolicy {
     ExecPolicy {
         force: Some(Backend::Cpu),
         shard_parallelism: threads,
-        profile_cache: false,
         ..ExecPolicy::default()
     }
 }
@@ -177,9 +167,8 @@ fn single_op_lanes(op: OpKey, positions: &[Vec<f32>]) -> Vec<FusedLane> {
 /// `shards_pruned`, the modeled series, and each `ShardVisit`'s `(shard,
 /// round, queries, node_visits, pruned)`. Lockstep is forced because its
 /// counts depend on how lanes are grouped into sub-batches, which is what
-/// a second schedule would change; the unforced policy (cache off: a hit
-/// on the second run would be a difference of its own) adds the §4.4
-/// profile per sub-batch.
+/// a second schedule would change; the unforced policy, metered, adds the
+/// §4.4 profile per sub-batch.
 #[test]
 fn a_batchs_whole_record_is_the_same_for_every_thread_count() {
     let pts = uniform::<3>(N_POINTS, 0x1dea);
@@ -216,10 +205,7 @@ fn a_batchs_whole_record_is_the_same_for_every_thread_count() {
         let at: Vec<Vec<f32>> = lanes.iter().map(|l| l.pos.clone()).collect();
         let policies = [
             metering(ExecPolicy::forced(Backend::Lockstep), &at),
-            ExecPolicy {
-                profile_cache: false,
-                ..ExecPolicy::default()
-            },
+            metering(ExecPolicy::default(), &at),
         ];
         for (name, idx) in indices {
             for policy in &policies {
@@ -285,10 +271,10 @@ fn a_batch_executes_what_its_lanes_execute_alone() {
 
 #[test]
 fn parallel_matches_sequential_under_default_profiling_policy() {
-    // No forced backend on a metered batch: the §4.4 profiler (and the
-    // profile cache, warmed by the first run) picks executors per
-    // sub-batch. All executors are exact, so results must still match
-    // bit-for-bit across dispatchers.
+    // No forced backend on a metered batch: the §4.4 profiler picks
+    // executors per sub-batch, each sub-batch profiling itself. All
+    // executors are exact, so results must still match bit-for-bit across
+    // dispatchers; an unmetered batch takes the host walk unprofiled.
     let pts = uniform::<3>(N_POINTS, 0xbead);
     let qs = queries(&pts, 0xdead);
     let idx = ShardedIndex::build("sharded", &pts, 8, 8, SplitPolicy::MedianCycle);
@@ -303,73 +289,21 @@ fn parallel_matches_sequential_under_default_profiling_policy() {
         shard_parallelism: 4,
         ..seq.clone()
     };
+    let mut unmetered = par.clone();
+    while unmetered.meters(qs[..512].iter().map(|p| &p[..])) {
+        unmetered.profile_seed += 1;
+    }
     for op in [OpKey::Nn, OpKey::Knn(8)] {
         let s = idx.run_batch(op, &qs[..512], &seq);
         let p = idx.run_batch(op, &qs[..512], &par);
         assert_eq!(s.results, p.results, "{op:?} diverged under default policy");
-    }
-    let stats = idx.profile_cache_stats();
-    assert!(
-        stats.hits + stats.misses > 0,
-        "default policy never consulted the profile cache"
-    );
-}
-
-/// Deterministic fake traversal: each point visits a seeded window of
-/// node ids, so neighboring points overlap partially and the profiler's
-/// similarity is a nontrivial function of (seed, i).
-fn visits_for(seed: u64) -> impl Fn(usize) -> Vec<u32> + Copy {
-    move |i: usize| {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (i as u64 >> 2));
-        let base: u32 = rng.gen_range(0..64);
-        (base..base + 8).collect()
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// A cache miss must return exactly what an uncached profiler run
-    /// returns — memoization never changes the decision, only skips the
-    /// sampling.
-    #[test]
-    fn cache_miss_equals_fresh_profiler_run(
-        n in 2usize..64,
-        pairs in 1usize..16,
-        seed in 0u64..1_000_000_000,
-    ) {
-        let visits = visits_for(seed);
-        let fresh = profile_sortedness(n, pairs, 0.5, seed, visits);
-        let cache = ProfileCache::new(8, 16);
-        let key = profile_key(seed, &[n as u64, pairs as u64]);
-        let (missed, outcome) =
-            profile_sortedness_cached(&cache, key, 0, n, pairs, 0.5, seed, visits);
-        prop_assert!(!outcome.hit);
-        prop_assert_eq!(&missed, &fresh);
-        // And the memoized entry replays that exact report on a hit.
-        let (hit, outcome) =
-            profile_sortedness_cached(&cache, key, 1, n, pairs, 0.5, seed, visits);
-        prop_assert!(outcome.hit);
-        prop_assert_eq!(&hit, &fresh);
-    }
-
-    /// Under a fixed seed the whole cached pipeline is deterministic:
-    /// same inputs, same key, same decision — across separate caches.
-    #[test]
-    fn cached_decisions_are_deterministic_under_fixed_seed(
-        n in 2usize..64,
-        pairs in 1usize..16,
-        seed in 0u64..1_000_000_000,
-        epoch in 0u64..1000,
-    ) {
-        let visits = visits_for(seed);
-        let key_a = profile_key(seed, &[n as u64, pairs as u64]);
-        let key_b = profile_key(seed, &[n as u64, pairs as u64]);
-        prop_assert_eq!(key_a, key_b);
-        let run = || {
-            let cache = ProfileCache::new(8, 16);
-            profile_sortedness_cached(&cache, key_a, epoch, n, pairs, 0.5, seed, visits).0
-        };
-        prop_assert_eq!(run(), run());
+        assert!(
+            s.metered && s.mean_similarity.is_some(),
+            "{op:?}: unprofiled"
+        );
+        assert_eq!(s.mean_similarity, p.mean_similarity, "{op:?}");
+        let off = idx.run_batch(op, &qs[..512], &unmetered);
+        assert_eq!(off.results, s.results, "{op:?}");
+        assert_eq!((off.metered, off.mean_similarity), (false, None), "{op:?}");
     }
 }
