@@ -1,34 +1,35 @@
-//! Batch accumulation: the time-or-size flush policy.
+//! Batch accumulation: the time-or-size flush policy, and the lanes.
 //!
 //! Pure data structure, no threads — the service keeps one behind its
 //! front lock, where submitters push and a worker about to take a dispatch
-//! flushes what is due; tests drive it directly. Queries coalesce per [`BatchKey`]
-//! (same index, same op). A bucket flushes when its oldest entry has
-//! waited past the deadline (so a trickle of queries still makes latency),
-//! or on size, by one rule: an index's buckets leave together, so the size
-//! that counts is what their dispatch runs — the index's *distinct*
-//! pending positions, across all of its op buckets. The push that brings
-//! them up to the target (rounded up to a warp multiple) flushes. A bucket
-//! that reaches the target in entries still flushes too, so queries piling
-//! up at one position cannot grow a bucket past it.
+//! flushes what is due; tests drive it directly. Each index has one
+//! bucket, and the bucket is the dispatch it will become ([`ReadyBatch`]):
+//! the lanes' positions, each query's lane and op in arrival order, and a
+//! count of queries per op key. A lane is a distinct position by its bits
+//! (`0.0` and `-0.0` are two lanes): a query's position is hashed once, by
+//! the bucket's keyed hasher, and a hit is settled by comparing bits, so
+//! two positions sharing a 64-bit hash cost the later its dedup, never an
+//! answer.
 //!
-//! Any bucket leaving resets its index's count, and the caller takes the
-//! index's other buckets with [`Batcher::flush_index`] under the same
-//! borrow. A position counts by an unkeyed hash of its bits, the same bits
-//! the service's lanes compare (`0.0` and `-0.0` are two lanes), so the
-//! count is a function of the pushes alone; a collision can only delay a
-//! flush by a lane.
+//! A bucket flushes when its oldest entry has waited past the deadline (so
+//! a trickle of queries still makes latency), or on size: the push that
+//! brings its lanes up to the target (rounded up to a warp multiple)
+//! flushes it, and so does the push that brings one op key's queries up
+//! to the target, so queries piling up at one position cannot grow a
+//! bucket past it. The cap is per op key, not on all entries: a stream
+//! asking three ops at each position would otherwise leave at a third of
+//! its lanes.
 
-use crate::query::BatchKey;
-use std::collections::HashSet;
-use std::hash::{DefaultHasher, Hasher};
+use crate::query::{BatchKey, IndexId, OpKey};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasher, Hasher};
 use std::time::{Duration, Instant};
 
 /// Simulated-GPU warp width; full batches are a multiple of this.
 pub const WARP: usize = 32;
 
-/// One query waiting in a bucket. `T` is the service's completion handle
-/// (a ticket plus timing); tests use plain markers.
+/// One query on its way into a bucket. `T` is the service's completion
+/// handle (a ticket plus timing); tests use plain markers.
 #[derive(Debug)]
 pub struct BatchEntry<T> {
     /// Erased query position.
@@ -37,58 +38,101 @@ pub struct BatchEntry<T> {
     pub tag: T,
 }
 
-/// A flushed batch, ready for dispatch.
+/// A flushed bucket: one index's dispatch, ready for a worker.
 #[derive(Debug)]
 pub struct ReadyBatch<T> {
-    /// Batch id, unique and ascending per [`Batcher`] (the trace
-    /// recorder's span key).
+    /// Batch id, dense and ascending in flush order per [`Batcher`] (the
+    /// trace recorder's span key).
     pub id: u64,
-    /// Coalescing key all entries share.
-    pub key: BatchKey,
-    /// The entries, in arrival order.
-    pub entries: Vec<BatchEntry<T>>,
+    /// The index every query names.
+    pub index: IndexId,
+    /// One position per lane, distinct by bits, in order of first arrival.
+    pub positions: Vec<Vec<f32>>,
+    /// Each query's `(tag, lane, op)` in arrival order: its payload, the
+    /// lane serving it (an index into `positions`) and what it asks there.
+    pub entries: Vec<(T, u32, OpKey)>,
+    /// Each distinct op key asked, with its count of queries, in order of
+    /// first arrival.
+    pub ops: Vec<(OpKey, usize)>,
 }
 
 struct Bucket<T> {
-    key: BatchKey,
-    entries: Vec<BatchEntry<T>>,
+    batch: ReadyBatch<T>,
+    /// A keyed hash of a lane's position bits → the lane.
+    lane_of: HashMap<u64, u32>,
     oldest: Instant,
 }
 
-/// Accumulates queries into per-key buckets under a time-or-size policy.
+impl<T> Bucket<T> {
+    /// An empty bucket, sized to `target` lanes and entries so that
+    /// filing under the front lock neither rehashes nor regrows (entries
+    /// still grow when several ops share positions).
+    fn open(index: IndexId, target: usize, now: Instant) -> Self {
+        let batch = ReadyBatch {
+            id: 0,
+            index,
+            positions: Vec::with_capacity(target),
+            entries: Vec::with_capacity(target),
+            ops: Vec::new(),
+        };
+        Bucket {
+            batch,
+            lane_of: HashMap::with_capacity(target),
+            oldest: now,
+        }
+    }
+
+    /// File a query asking `op`; whether its lanes, or `op`'s queries,
+    /// have reached `target`.
+    fn file(&mut self, op: OpKey, BatchEntry { pos, tag }: BatchEntry<T>, target: usize) -> bool {
+        let b = &mut self.batch;
+        let mut h = self.lane_of.hasher().build_hasher();
+        pos.iter().for_each(|v| h.write_u32(v.to_bits()));
+        let same_bits = |a: &[f32], b: &[f32]| {
+            (a.iter().map(|v| v.to_bits())).eq(b.iter().map(|v| v.to_bits()))
+        };
+        let lane = match self.lane_of.entry(h.finish()) {
+            Entry::Occupied(at) if same_bits(&b.positions[*at.get() as usize], &pos) => *at.get(),
+            slot => {
+                if let Entry::Vacant(slot) = slot {
+                    slot.insert(b.positions.len() as u32);
+                }
+                b.positions.push(pos);
+                b.positions.len() as u32 - 1
+            }
+        };
+        b.entries.push((tag, lane, op));
+        let at = (b.ops.iter().position(|(key, _)| *key == op)).unwrap_or_else(|| {
+            b.ops.push((op, 0));
+            b.ops.len() - 1
+        });
+        b.ops[at].1 += 1;
+        b.positions.len() >= target || b.ops[at].1 >= target
+    }
+}
+
+/// Accumulates queries into one bucket per index under a time-or-size
+/// policy.
 pub struct Batcher<T> {
     target: usize,
     max_wait: Duration,
-    // Vec, not HashMap: bucket scan is tiny (distinct live keys), and
-    // iteration order stays deterministic for flush ordering.
+    // Vec, not HashMap: one bucket per index with queries waiting makes a
+    // tiny scan, and flush order stays the buckets' opening order.
     buckets: Vec<Bucket<T>>,
     next_id: u64,
-    /// Each index's pending position hashes, by index id (cleared, not
-    /// dropped, so a warm set never reallocates).
-    lanes: Vec<HashSet<u64>>,
 }
 
 impl<T> Batcher<T> {
-    /// A batcher flushing an index at `target` distinct positions and a
-    /// bucket at `target` entries (rounded up to a warp multiple, minimum
-    /// one warp), and a partial bucket after `max_wait` anyway.
+    /// A batcher flushing a bucket at `target` lanes or `target` queries
+    /// of one op key (rounded up to a warp multiple, minimum one warp),
+    /// and a partial bucket after `max_wait` anyway.
     pub fn new(target: usize, max_wait: Duration) -> Self {
         Batcher {
             target: target.max(1).div_ceil(WARP) * WARP,
             max_wait,
             buckets: Vec::new(),
             next_id: 0,
-            lanes: Vec::new(),
         }
-    }
-
-    /// Take the next batch id (ascending in flush order). The service's
-    /// coalescer also draws ids here, so a dispatch of several buckets
-    /// shares one id space with single buckets.
-    pub fn take_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
     }
 
     /// The effective size target (warp-rounded).
@@ -98,52 +142,31 @@ impl<T> Batcher<T> {
 
     /// Queries currently waiting across all buckets.
     pub fn pending(&self) -> usize {
-        self.buckets.iter().map(|b| b.entries.len()).sum()
+        self.buckets.iter().map(|b| b.batch.entries.len()).sum()
     }
 
-    /// Add a query. Returns the key's batch if this push filled its
-    /// index's lanes, or the bucket, to the size target.
+    /// Add a query. Returns its index's batch if this push filled the
+    /// bucket's lanes, or its op key's queries, to the size target.
     pub fn push(
         &mut self,
         key: BatchKey,
         entry: BatchEntry<T>,
         now: Instant,
     ) -> Option<ReadyBatch<T>> {
-        if self.lanes.len() <= key.index {
-            self.lanes.resize_with(key.index + 1, HashSet::new);
-        }
-        let mut h = DefaultHasher::new();
-        entry.pos.iter().for_each(|v| h.write_u32(v.to_bits()));
-        let lanes = &mut self.lanes[key.index];
-        lanes.insert(h.finish());
-        let lanes_full = lanes.len() >= self.target;
-        let at = (self.buckets.iter().position(|b| b.key == key)).unwrap_or_else(|| {
-            self.buckets.push(Bucket {
-                key,
-                entries: Vec::new(),
-                oldest: now,
+        let at =
+            (self.buckets.iter().position(|b| b.batch.index == key.index)).unwrap_or_else(|| {
+                (self.buckets).push(Bucket::open(key.index, self.target, now));
+                self.buckets.len() - 1
             });
-            self.buckets.len() - 1
-        });
-        self.buckets[at].entries.push(entry);
-        if !lanes_full && self.buckets[at].entries.len() < self.target {
-            return None;
-        }
-        let b = self.buckets.swap_remove(at);
-        Some(self.ready(b))
+        (self.buckets[at].file(key.op, entry, self.target)).then(|| self.take(at))
     }
 
-    /// A bucket on its way out: its batch id, and its index's count
-    /// starts over.
-    fn ready(&mut self, b: Bucket<T>) -> ReadyBatch<T> {
-        if let Some(set) = self.lanes.get_mut(b.key.index) {
-            set.clear();
-        }
-        ReadyBatch {
-            id: self.take_id(),
-            key: b.key,
-            entries: b.entries,
-        }
+    /// Take bucket `at` out as a batch with the next id.
+    fn take(&mut self, at: usize) -> ReadyBatch<T> {
+        let mut batch = self.buckets.remove(at).batch;
+        batch.id = self.next_id;
+        self.next_id += 1;
+        batch
     }
 
     /// Flush the buckets `leaves` selects, in bucket order.
@@ -152,8 +175,7 @@ impl<T> Batcher<T> {
         let mut i = 0;
         while i < self.buckets.len() {
             if leaves(&self.buckets[i]) {
-                let b = self.buckets.remove(i);
-                out.push(self.ready(b));
+                out.push(self.take(i));
             } else {
                 i += 1;
             }
@@ -174,10 +196,10 @@ impl<T> Batcher<T> {
         self.buckets.iter().map(|b| b.oldest + self.max_wait).min()
     }
 
-    /// Flush every bucket of `index` regardless of size or age — the rest
-    /// of an index one of whose buckets just flushed.
-    pub fn flush_index(&mut self, index: usize) -> Vec<ReadyBatch<T>> {
-        self.flush_where(|b| b.key.index == index)
+    /// Flush `index`'s bucket regardless of size or age, if it has one.
+    pub fn flush_index(&mut self, index: IndexId) -> Option<ReadyBatch<T>> {
+        let at = self.buckets.iter().position(|b| b.batch.index == index)?;
+        Some(self.take(at))
     }
 
     /// Flush everything regardless of size or age (shutdown drain).
@@ -189,7 +211,6 @@ impl<T> Batcher<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::OpKey;
 
     fn key(index: usize) -> BatchKey {
         BatchKey {
@@ -238,7 +259,7 @@ mod tests {
         assert_eq!(ready.entries.len(), 32);
         assert_eq!(b.pending(), 0);
         // Arrival order is preserved.
-        assert!(ready.entries.iter().map(|e| e.tag).eq(0..32));
+        assert!(ready.entries.iter().map(|e| e.0).eq(0..32));
     }
 
     #[test]
@@ -329,12 +350,9 @@ mod tests {
         assert_eq!(b.pending(), 93, "31 lanes, 93 entries");
         let full = (b.push(op_key(0, OpKey::Nn), at(31.0, 31), now))
             .expect("the 32nd distinct position flushes");
-        assert_eq!((full.key.op, full.entries.len()), (OpKey::Nn, 32));
-        let rest = b.flush_index(0);
-        assert_eq!(
-            rest.iter().map(|r| r.entries.len()).collect::<Vec<_>>(),
-            [31, 31]
-        );
+        assert_eq!((full.positions.len(), full.entries.len()), (32, 94));
+        assert_eq!(full.ops, [(OPS[0], 32), (OPS[1], 31), (OPS[2], 31)]);
+        assert!(b.flush_index(0).is_none(), "the index left whole");
         assert_eq!(b.pending(), 0);
     }
 
@@ -372,7 +390,7 @@ mod tests {
         }
         assert!(b.push(key(0), at(0.0, 31), t0).is_none(), "still 31 lanes");
         assert!(b.push(key(0), at(31.0, 32), t0).is_some(), "32nd lane");
-        b.flush_index(0);
+        assert!(b.flush_index(0).is_none(), "the index left whole");
         // Deadline path: index 1 falls due and starts over.
         let t1 = t0 + Duration::from_millis(5);
         assert_eq!(b.flush_due(t1).len(), 1);

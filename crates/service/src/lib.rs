@@ -7,10 +7,11 @@
 //! crate turns that offline heuristic into an online scheduling policy:
 //!
 //! * clients submit NN / kNN / point-correlation queries against
-//!   registered tree indices; `submit` files each into its (index,
-//!   kernel-parameters) bucket, and a bucket flushes as a warp-multiple
-//!   batch under a time-or-size policy ([`batcher`]) into the front's
-//!   bounded ready queue (backpressure);
+//!   registered tree indices; `submit` files each into its index's one
+//!   bucket — a lane per distinct position, every op asked there — and a
+//!   bucket flushes as a warp-multiple batch of lanes under a time-or-size
+//!   policy ([`batcher`]) into the front's bounded ready queue
+//!   (backpressure);
 //! * a worker pool takes the batches from that queue, Morton-sorts each
 //!   and runs the host walk on it —
 //!   or, on a batch the C2070 model meters, the profiler's lockstep or

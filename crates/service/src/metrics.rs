@@ -43,7 +43,7 @@ pub struct BatchRecord<'a> {
     pub size: usize,
     /// Distinct positions the walk carried (one lane each).
     pub lanes: usize,
-    /// Per-op batches coalesced into the dispatch.
+    /// Distinct op keys the dispatch's queries asked.
     pub parts: usize,
     /// Op families the lanes asked ([`crate::OpKey::family`] bits).
     pub ops: u8,
@@ -60,7 +60,7 @@ pub struct BatchRecord<'a> {
 impl<'a> BatchRecord<'a> {
     /// Record for a per-query `outcome` against index `index`, with the
     /// batch's measured `queue_wait` and wall-clock `exec` time: one lane
-    /// per result, one part, no dispatch id, no op mask.
+    /// per result, one op key, no dispatch id, no op mask.
     pub fn from_outcome(
         outcome: &'a BatchOutcome,
         queue_wait: Duration,

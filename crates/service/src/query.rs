@@ -65,9 +65,9 @@ pub enum QueryResult {
     },
 }
 
-/// Coalescing key: queries batch together only when the same kernel can
-/// serve all of them — same index, same operation, same operation
-/// parameter (`k`, or the radius's exact bit pattern).
+/// What the batcher files a query under: its index, whose one bucket it
+/// joins, and its op with the op's parameter (`k`, or the radius's exact
+/// bit pattern), which its lane asks and the bucket counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BatchKey {
     /// Target index.
@@ -102,7 +102,7 @@ impl OpKey {
 }
 
 impl QueryKind {
-    /// The coalescing key for this operation. `None` when the parameters
+    /// The op key for this operation. `None` when the parameters
     /// are unusable (`k == 0`, or a radius that is not a finite positive
     /// number).
     pub fn op_key(&self) -> Option<OpKey> {
@@ -112,8 +112,8 @@ impl QueryKind {
             QueryKind::Pc { radius } => (radius.is_finite() && radius >= 0.0).then_some({
                 // Key on the *numeric value*, not the raw bit pattern:
                 // `-0.0 == 0.0` yet their bit patterns differ, so a
-                // recomputed-but-equal radius must not land in a separate
-                // batch. For every other admissible radius (finite, > 0)
+                // recomputed-but-equal radius must not be a second op on
+                // its lane. For every other admissible radius (finite, > 0)
                 // value equality and bit equality coincide.
                 let bits = if radius == 0.0 {
                     0.0f32.to_bits()
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn pc_keys_coalesce_numerically_equal_radii() {
         // `-0.0` and `+0.0` compare equal but differ in bit pattern; the
-        // key must normalize them so equal radii share one batch.
+        // key must normalize them so equal radii share one op key.
         let pos = QueryKind::Pc { radius: 0.0 }.op_key();
         let neg = QueryKind::Pc { radius: -0.0 }.op_key();
         assert_eq!(pos, neg);

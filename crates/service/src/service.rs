@@ -14,22 +14,22 @@
 //!                       answers ready → tickets resolve
 //! ```
 //!
-//! `submit` files its query into its `(index, op)` bucket under the front
-//! lock; the call that fills an index takes it out, as a dispatch, into
-//! the front's ready queue under the same lock. What fills is the index:
-//! its buckets leave together, on the push that brings their distinct
-//! positions (the dispatch's lanes) up to the target (`batcher.rs`). A
+//! `submit` files its query into its index's one bucket under the front
+//! lock; the bucket is the dispatch it will become — its lanes are the
+//! index's distinct pending positions, and the call that fills it takes it
+//! out into the front's ready queue under the same lock (`batcher.rs`). A
 //! client's batch (`submit_all`, a `BatchSubmit` frame) is filed as one
 //! unit, under one lock, and takes every index it touched out when it
 //! ends: it is a batch already, and the deadline exists to gather single
 //! submits into one. The front is the only queue. A worker moves the
-//! buckets that are due into it, pops the oldest dispatch and runs it
-//! outside the lock; with nothing to run it sleeps no later than the
-//! earliest bucket deadline. Backpressure: a submit whose flush leaves more
-//! than `dispatch_capacity` dispatches queued waits for room, the front
-//! lock released meanwhile. Shutdown closes the front and flushes every
-//! bucket into the queue; the workers drain it and exit, and every
-//! in-flight ticket resolves before `shutdown` returns.
+//! buckets that are due into it, pops the oldest dispatch, asks each
+//! query's op on its lane and runs the index outside the lock; with
+//! nothing to run it sleeps no later than the earliest bucket deadline.
+//! Backpressure: a submit whose flush leaves more than `dispatch_capacity`
+//! dispatches queued waits for room, the front lock released meanwhile.
+//! Shutdown closes the front and flushes every bucket into the queue; the
+//! workers drain it and exit, and every in-flight ticket resolves before
+//! `shutdown` returns.
 
 use crate::batcher::{BatchEntry, Batcher, ReadyBatch};
 use crate::epoch::{EpochEvent, EpochStats, MutateError, Mutation, MutationAck};
@@ -40,9 +40,7 @@ use crate::query::{BatchKey, IndexId, Query, QueryResult};
 use crate::slowlog::{QueryRecord, SlowLog};
 use crate::trace::{EventKind, TraceContext, TraceRecorder, TraceSnapshot, NO_ID};
 use std::borrow::Cow;
-use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
-use std::hash::{BuildHasher, Hasher};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
@@ -388,90 +386,6 @@ struct Tag {
     _depth: DepthGuard,
 }
 
-/// What waits in the front's ready queue: one index's per-op batches as
-/// they flushed. The worker that pops the dispatch builds its lanes
-/// ([`lanes_of`]) after releasing the front lock.
-struct Dispatch<T> {
-    id: u64,
-    index: IndexId,
-    batches: Vec<ReadyBatch<T>>,
-}
-
-/// One per-op batch's queries inside a dispatch: the ready batch's key,
-/// and each entry's payload with the index of the lane serving it.
-struct Part<T> {
-    key: BatchKey,
-    entries: Vec<(T, u32)>,
-}
-
-/// The lanes one index runs for a dispatch, plus the per-op parts whose
-/// tickets the worker scatters the lane answers back to. One lane per
-/// distinct query position (exact f32 bit patterns) accumulates every op
-/// requested there, so N queries at one position traverse once.
-fn lanes_of<T>(batches: Vec<ReadyBatch<T>>) -> (Vec<FusedLane>, Vec<Part<T>>) {
-    let queries: usize = batches.iter().map(|b| b.entries.len()).sum();
-    let same_bits =
-        |a: &[f32], b: &[f32]| (a.iter().map(|v| v.to_bits())).eq(b.iter().map(|v| v.to_bits()));
-    // Position → lane without a key per entry: the map holds a keyed hash
-    // of the position's bits, and the lane's own `pos` settles a hit (two
-    // positions sharing all 64 bits cost the later its dedup, no answer).
-    let mut lane_of: HashMap<u64, usize> = HashMap::with_capacity(queries);
-    let mut lanes: Vec<FusedLane> = Vec::with_capacity(queries);
-    let mut parts = Vec::with_capacity(batches.len());
-    for b in batches {
-        let mut entries = Vec::with_capacity(b.entries.len());
-        for e in b.entries {
-            let mut h = lane_of.hasher().build_hasher();
-            e.pos.iter().for_each(|v| h.write_u32(v.to_bits()));
-            let lane = match lane_of.entry(h.finish()) {
-                Entry::Occupied(at) if same_bits(&lanes[*at.get()].pos, &e.pos) => *at.get(),
-                slot => {
-                    if let Entry::Vacant(slot) = slot {
-                        slot.insert(lanes.len());
-                    }
-                    lanes.push(FusedLane::empty(e.pos));
-                    lanes.len() - 1
-                }
-            };
-            lanes[lane].ask(b.key.op);
-            entries.push((e.tag, lane as u32));
-        }
-        parts.push(Part {
-            key: b.key,
-            entries,
-        });
-    }
-    (lanes, parts)
-}
-
-/// Group a burst's ready batches by index into dispatches, appended to
-/// `out`. The batcher fills by lanes, so an index leaves whole: each group
-/// takes the rest of its index's buckets along (`flush_index`) and goes as
-/// one dispatch. A group of one bucket keeps that bucket's id; a larger one
-/// draws a new id.
-fn coalesce<T>(
-    burst: Vec<ReadyBatch<T>>,
-    batcher: &mut Batcher<T>,
-    out: &mut VecDeque<Dispatch<T>>,
-) {
-    let mut groups: Vec<Vec<ReadyBatch<T>>> = Vec::new();
-    for b in burst {
-        match groups.iter_mut().find(|g| g[0].key.index == b.key.index) {
-            Some(g) => g.push(b),
-            None => groups.push(vec![b]),
-        }
-    }
-    out.extend(groups.into_iter().map(|mut batches| {
-        let index = batches[0].key.index;
-        batches.extend(batcher.flush_index(index));
-        let id = match &batches[..] {
-            [only] => only.id,
-            _ => batcher.take_id(),
-        };
-        Dispatch { id, index, batches }
-    }));
-}
-
 /// The one queue between `submit` and the workers: the buckets and the
 /// dispatches ready for a worker, under one lock. Submitters file queries
 /// in; a submit that fills an index, the end of a frame, a worker finding
@@ -493,7 +407,7 @@ struct Front {
 struct FrontState {
     batcher: Batcher<Tag>,
     /// Dispatches waiting for a worker, oldest first.
-    ready: VecDeque<Dispatch<Tag>>,
+    ready: VecDeque<ReadyBatch<Tag>>,
     /// Whether the front takes queries; `false` once closed.
     open: bool,
 }
@@ -972,10 +886,10 @@ impl Service {
         })
     }
 
-    /// File admitted queries into their buckets under one front lock. A
-    /// push that fills its index flushes it into the ready queue, as
-    /// always; a `frame` also flushes the rest of every index it touched
-    /// when it ends. A call that flushed then waits for room
+    /// File admitted queries into their indices' buckets under one front
+    /// lock. A push that fills its bucket flushes it into the ready queue,
+    /// as always; a `frame` also flushes every index it touched when it
+    /// ends. A call that flushed then waits for room
     /// ([`Front::wait_for_room`]). On a closed front every query is
     /// refused with [`ServiceError::ShuttingDown`].
     fn file<A>(&self, admitted: A, frame: bool) -> Result<(), ServiceError>
@@ -1026,14 +940,9 @@ impl Service {
             // racing submitters may create buckets a hair out of deadline
             // order, which costs the younger deadline that hair.
             let submitted = entry.tag.origin.submitted;
-            if let Some(full) = batcher.push(key, entry, submitted) {
-                coalesce(vec![full], batcher, ready);
-            }
+            ready.extend(batcher.push(key, entry, submitted));
         }
-        let rest = (touched.into_iter())
-            .flat_map(|index| batcher.flush_index(index))
-            .collect();
-        coalesce(rest, batcher, ready);
+        ready.extend((touched.iter()).filter_map(|&index| batcher.flush_index(index)));
         // A frame leaves nothing of its own behind, so only a lone query
         // can leave the first bucket, whose deadline every idle worker
         // must re-arm towards.
@@ -1122,7 +1031,7 @@ impl Service {
         if front.open {
             front.open = false;
             let FrontState { batcher, ready, .. } = &mut *front;
-            coalesce(batcher.flush_all(), batcher, ready);
+            ready.extend(batcher.flush_all());
         }
         drop(front);
         self.front.work.notify_all();
@@ -1207,14 +1116,14 @@ fn worker_loop(front: &Front, shared: &Shared) {
             ready,
             open,
         } = &mut *state;
-        coalesce(batcher.flush_due(now), batcher, ready);
-        if let Some(dispatch) = ready.pop_front() {
+        ready.extend(batcher.flush_due(now));
+        if let Some(batch) = ready.pop_front() {
             // Every submitter waiting for room has it now.
             if ready.len() == front.capacity {
                 front.room.notify_all();
             }
             drop(state);
-            end_dispatch(shared, dispatch);
+            end_dispatch(shared, batch);
             state = front.lock();
         } else if !*open {
             return;
@@ -1233,13 +1142,21 @@ fn worker_loop(front: &Front, shared: &Shared) {
     }
 }
 
-/// Where every dispatch ends: build its lanes, run the index over them
-/// once, write an answered dispatch's one [`BatchRecord`]
-/// ([`record_batch`]), then end each query in [`finish`] with its lane's
-/// answer or the dispatch's error.
-fn end_dispatch(shared: &Shared, Dispatch { id, index, batches }: Dispatch<Tag>) {
+/// Where every dispatch ends: ask each query's op on its lane, run the
+/// index over the lanes once, write an answered dispatch's one
+/// [`BatchRecord`] ([`record_batch`]), then end each query in [`finish`]
+/// with its lane's answer or the dispatch's error.
+fn end_dispatch(shared: &Shared, batch: ReadyBatch<Tag>) {
     let dispatched = Instant::now();
-    let (lanes, parts) = lanes_of(batches);
+    let ReadyBatch {
+        id,
+        index,
+        positions,
+        entries,
+        ops,
+    } = batch;
+    let mut lanes: Vec<FusedLane> = positions.into_iter().map(FusedLane::empty).collect();
+    (entries.iter()).for_each(|&(_, lane, op)| lanes[lane as usize].ask(op));
     let found = shared.indices().get(index).cloned();
     let misfit = || ServiceError::Internal("answers do not fit the lanes".into());
     // Registration is checked at submit; a missing index is torn-down
@@ -1259,15 +1176,14 @@ fn end_dispatch(shared: &Shared, Dispatch { id, index, batches }: Dispatch<Tag>)
     let index_name = found.as_ref().map_or("unknown", |i| i.name());
     let out = outcome.as_ref().ok().map(|o| &o.outcome);
     if let Some(outcome) = out {
-        let entries = || parts.iter().flat_map(|p| &p.entries);
-        let waits = entries().map(|(tag, _)| dispatched - tag.origin.submitted);
+        let waits = (entries.iter()).map(|(tag, ..)| dispatched - tag.origin.submitted);
         let rec = BatchRecord {
             index: index_name,
             id,
-            size: entries().count(),
+            size: entries.len(),
             lanes: lanes.len(),
-            parts: parts.len(),
-            ops: parts.iter().fold(0, |ops, p| ops | p.key.op.family().1),
+            parts: ops.len(),
+            ops: ops.iter().fold(0, |mask, (op, _)| mask | op.family().1),
             queue_wait: waits.max().unwrap_or_default(),
             exec: done - dispatched,
             outcome,
@@ -1282,26 +1198,23 @@ fn end_dispatch(shared: &Shared, Dispatch { id, index, batches }: Dispatch<Tag>)
         threshold_us: (shared.metrics).slow_threshold_us(shared.slow_log.percentile()),
     };
     let reason = outcome.as_ref().err().map(reject_reason);
-    for part in parts {
-        let (key, (op, _)) = (part.key.op, part.key.op.family());
-        for (tag, lane) in part.entries {
-            let lane = lane as usize;
-            let result = match &outcome {
-                Ok(o) => Ok((o.lanes[lane].answer(&lanes[lane], key))
-                    .expect("the outcome's shape was checked")
-                    .clone()),
-                Err(err) => Err(err.clone()),
-            };
-            let end = End {
-                origin: tag.origin,
-                index: index_name,
-                op,
-                ride: Some(&ride),
-                reason,
-                ended: done,
-            };
-            finish(shared, end, Some((tag, result)));
-        }
+    for (tag, lane, op) in entries {
+        let lane = lane as usize;
+        let result = match &outcome {
+            Ok(o) => Ok((o.lanes[lane].answer(&lanes[lane], op))
+                .expect("the outcome's shape was checked")
+                .clone()),
+            Err(err) => Err(err.clone()),
+        };
+        let end = End {
+            origin: tag.origin,
+            index: index_name,
+            op: op.family().0,
+            ride: Some(&ride),
+            reason,
+            ended: done,
+        };
+        finish(shared, end, Some((tag, result)));
     }
 }
 

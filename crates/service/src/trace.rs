@@ -53,7 +53,7 @@ pub enum EventKind {
         size: u32,
         /// Distinct positions the walk carried (one lane each).
         lanes: u32,
-        /// Per-op batches coalesced into the dispatch.
+        /// Distinct op keys the dispatch's queries asked.
         parts: u16,
         /// Op-family bitmask (1 = nn, 2 = knn, 4 = pc), rendered as
         /// `"nn+knn+pc"` in the Chrome args.

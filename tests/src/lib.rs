@@ -19,7 +19,7 @@
 //! replays it.
 
 use gts_apps::oracle;
-use gts_net::{Client, ErrorCode, NetServer};
+use gts_net::{Client, ErrorCode, NetServer, WireError};
 use gts_service::{
     Backend, ExecPolicy, FusedLane, FusedOutcome, KdIndex, MetricsSnapshot, MutableIndex,
     MutableIndexBuilder, Mutation, OpKey, Query, QueryKind, QueryResult, Service, ServiceConfig,
@@ -445,6 +445,46 @@ pub fn together<const D: usize, const E: usize>(
     rig.end()
 }
 
+/// Hostile mutation batches on the served `path`, each refused whole with
+/// its typed error ([`Rig::refuses`]): a NaN insert, a wrong-dimension
+/// insert, one bad insert among good inserts and a delete, and, on a
+/// static index, any mutation at all. Each index kind then plays `script`
+/// exactly, its own mutations included.
+pub fn bad_mutations_are_refused(script: &Script<3>, path: Path) {
+    let insert = |pos: &[f32]| Mutation::Insert { pos: pos.to_vec() };
+    let (nan, flat) = (insert(&[f32::NAN, 0.5, 0.5]), insert(&[0.5, 0.5]));
+    let good = [
+        insert(&[0.25; 3]),
+        Mutation::Delete { id: 0 },
+        insert(&[0.75; 3]),
+    ];
+    let non_finite = ServiceError::BadQuery("non-finite insert position");
+    let dim = ServiceError::DimMismatch {
+        expected: 3,
+        got: 2,
+    };
+    let among_good = |bad: &Mutation| [&good[..2], std::slice::from_ref(bad), &good[2..]].concat();
+    let hostile = [
+        (vec![nan.clone()], &non_finite),
+        (vec![flat.clone()], &dim),
+        (among_good(&nan), &non_finite),
+        (among_good(&flat), &dim),
+    ];
+    let immutable = ServiceError::BadQuery("index does not accept mutations");
+    let any = [
+        (good[..1].to_vec(), &immutable),
+        (good[1..2].to_vec(), &immutable),
+    ];
+    for kind in [Kind::Mutable, Kind::Flat, Kind::Sharded] {
+        let mut rig = Rig::new(script, &Config::new(kind, path));
+        let statics = any.iter().filter(|_| kind != Kind::Mutable);
+        for (muts, want) in hostile.iter().chain(statics) {
+            rig.refuses(muts, want);
+        }
+        rig.play(script);
+    }
+}
+
 fn counts(m: &MetricsSnapshot) -> [u64; 4] {
     [m.submitted, m.completed, m.failed, m.rejected]
 }
@@ -789,6 +829,33 @@ impl<const D: usize> Rig<D> {
             }
         }
         self.model.extend(inserts.iter().map(|p| Some(point(p))));
+    }
+
+    /// Send `muts` on the served path, which must refuse the batch whole
+    /// with `want` (over the socket, as the wire lowers it) and apply none
+    /// of it: the live points and the epoch counters stay as they were,
+    /// with no delta pending.
+    pub fn refuses(&mut self, muts: &[Mutation], want: &ServiceError) {
+        let ctx = format!("{}, {muts:?}", self.ctx());
+        let state = |rig: &Self| {
+            let live = rig.mutable.as_ref().map(|m| m.live());
+            (rig.index.n_points(), rig.index.epoch_stats(), live)
+        };
+        let before = state(self);
+        match (&self.service, &mut self.client) {
+            (_, Some(client)) => {
+                let got = client.mutate(self.id, muts).expect("transport").err();
+                assert_eq!(got, Some(WireError::from_service(want)), "{ctx}");
+            }
+            (Some(service), None) => {
+                let got = service.mutate(self.id, muts).err();
+                assert_eq!(got.as_ref(), Some(want), "{ctx}");
+            }
+            (None, None) => panic!("{ctx}: not a served rig"),
+        }
+        assert_eq!(state(self), before, "{ctx}: applied");
+        let pending = self.index.epoch_stats().map_or(0, |s| s.pending);
+        assert_eq!(pending, 0, "{ctx}: a delta pending");
     }
 
     /// A mutable index with nothing pending holds the model's points, and

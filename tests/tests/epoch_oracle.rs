@@ -313,3 +313,12 @@ proptest! {
         run(&script, &direct(4));
     }
 }
+
+/// `Service::mutate` refuses a NaN or wrong-dimension insert, alone or
+/// among good mutations, and any mutation of a static index, with its
+/// typed error and nothing applied; each index then answers its script.
+#[test]
+fn a_bad_mutation_is_refused_whole_and_the_index_answers_on() {
+    let script = churn(Script::new(0xbad0, uniform::<3>(512, 0xbad0)));
+    gts_integration::bad_mutations_are_refused(&script, Path::Service);
+}

@@ -94,3 +94,13 @@ fn a_client_that_vanishes_mid_batch_submit_leaves_the_service_whole() {
         rig.play(&script);
     }
 }
+
+/// The wire's `Mutate` frame refuses a NaN or wrong-dimension insert,
+/// alone or among good mutations, and any mutation of a static index, with
+/// the matching `ErrorCode` and nothing applied; each index then answers
+/// its script over the same connection.
+#[test]
+fn a_bad_mutate_frame_is_refused_whole_and_the_index_answers_on() {
+    let script = mixed(Script::new(0xbad1, uniform::<3>(512, 0xbad1))).mutate(24, 16);
+    gts_integration::bad_mutations_are_refused(&mixed(script), Path::Loopback);
+}

@@ -591,6 +591,10 @@ fn one_batch_span_per_dispatch_names_its_lanes_ops_and_decision() {
             assert!(spans.values().all(|&n| n == 1), "{label}: {spans:?}");
             assert_eq!(spans.len(), asked.len(), "{label}");
             assert_eq!(spans.len() as u64, snapshot.batches, "{label}");
+            // A dispatch is one flushed bucket with one id: ids are dense.
+            let mut ids: Vec<u64> = spans.into_keys().collect();
+            ids.sort_unstable();
+            assert!(ids.into_iter().eq(0..snapshot.batches), "{label}");
 
             // The Chrome export carries the whole decision on the span.
             let json = trace.to_chrome_json();
