@@ -20,10 +20,9 @@
 //!
 //! Beyond the paper's exhibits, [`serve`] exposes the `gts-service`
 //! batched query engine as a line-oriented interactive server or — with
-//! `--listen` — a binary-frame socket server (`gts-harness serve`), and
-//! [`netgen`] drives such a server over TCP with a seeded synthetic client
-//! mix (`gts-harness loadgen --connect`). The service's wall-clock
-//! benchmark is not here: it is the ledger (`ledger/README.md`).
+//! `--listen` — a binary-frame socket server (`gts-harness serve`;
+//! `examples/net_service.rs --connect` is its client). The service's
+//! wall-clock benchmark is not here: it is the ledger (`ledger/README.md`).
 //!
 //! Caveats and calibration notes live in EXPERIMENTS.md: GPU times are
 //! model-derived (DESIGN.md §5.2); orderings, ratios and crossovers are
@@ -36,7 +35,6 @@ pub mod ablations;
 pub mod config;
 pub mod counters_view;
 pub mod figures;
-pub mod netgen;
 pub mod profiler_table;
 pub mod row;
 pub mod runner;

@@ -12,10 +12,6 @@
 //!   --csv DIR        write Figure 10/11 panels as CSV files into DIR
 //!
 //! gts-harness ablations   (fixed inputs; modeled ms of the §5 design choices)
-//! gts-harness loadgen --connect HOST:PORT [--connections N] [--frame-queries N]
-//!                     [--queries N] [--points N] [--seed N] [--out PATH]
-//!                     [--single-sample N] [--differential N] [--expect-overload]
-//!                     [--trace-out PATH]
 //! gts-harness serve   [--points N] [--seed N] [--shards N] [--shard-threads N]
 //!                     [--metrics-file PATH] [--trace-file PATH] [--listen ADDR]
 //!                     [--port-file PATH] [--admission-budget-us N]
@@ -30,7 +26,7 @@ use gts_harness::{
 
 fn usage() -> ! {
     eprintln!(
-        "usage: gts-harness <table1|table2|fig10|fig11|profiler|counters|ablations|all|loadgen|serve> \
+        "usage: gts-harness <table1|table2|fig10|fig11|profiler|counters|ablations|all|serve> \
          [--scale F] [--seed N] [--only NAME] [--threads a,b,c] [--k N] [--json PATH]"
     );
     std::process::exit(2)
@@ -40,10 +36,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else { usage() };
     let command = command.as_str();
-    if command == "loadgen" {
-        gts_harness::netgen::main_loadgen(&args[1..]);
-        return;
-    }
     if command == "serve" {
         gts_harness::serve::main_serve(&args[1..]);
         return;

@@ -3,8 +3,8 @@
 //! Reads one request per line from stdin, answers on stdout — the minimal
 //! interactive shape of a query server. With `--listen ADDR` it also
 //! binds the binary-frame TCP front-end ([`gts_net::NetServer`]) on that
-//! address, serving `gts-harness loadgen --connect` and [`gts_net::Client`]
-//! peers concurrently with the stdin loop.
+//! address, serving [`gts_net::Client`] peers (`examples/net_service.rs
+//! --connect` is one) concurrently with the stdin loop.
 //!
 //! ```text
 //! nn  <index> <x> <y> [...]      nearest neighbor
@@ -287,7 +287,7 @@ pub fn main_serve(args: &[String]) {
         });
         let bound = server.local_addr();
         eprintln!(
-            "listening on {bound} (binary frame protocol; `gts-harness loadgen --connect {bound}`)"
+            "listening on {bound} (binary frame protocol; `cargo run --release --example net_service -- --connect {bound}`)"
         );
         if let Some(path) = &port_file {
             publish(path, &bound.to_string()).expect("publish port file");

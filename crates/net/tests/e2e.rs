@@ -167,22 +167,29 @@ fn validation_failures_come_back_as_structured_wire_errors() {
         .unwrap_err();
     assert_eq!(err.code, ErrorCode::DimMismatch);
 
-    // A batch with one bad slot still answers every slot.
-    let mut queries = vec![nn(pts[0].0), nn(pts[1].0)];
-    queries.insert(
-        1,
-        Query {
-            index: 0,
-            pos: vec![f32::NAN; 3],
-            kind: QueryKind::Nn,
-        },
-    );
+    // A batch with bad slots — NaN, +inf, the wrong dimension — still
+    // answers every slot, each bad one with its own code.
+    let at = |pos: Vec<f32>| Query {
+        index: 0,
+        pos,
+        kind: QueryKind::Nn,
+    };
+    let queries = vec![
+        nn(pts[0].0),
+        at(vec![f32::NAN; 3]),
+        nn(pts[1].0),
+        at(vec![0.5, f32::INFINITY, 0.5]),
+        at(vec![0.5; 2]),
+        nn(pts[2].0),
+    ];
     let base = client.send_batch(&queries).unwrap();
     let results = client.recv_batch(base).unwrap();
-    assert_eq!(results.len(), 3);
-    assert!(results[0].is_ok());
-    assert_eq!(results[1].as_ref().unwrap_err().code, ErrorCode::BadQuery);
-    assert!(results[2].is_ok());
+    let codes: Vec<Option<ErrorCode>> = results
+        .iter()
+        .map(|r| r.as_ref().err().map(|e| e.code))
+        .collect();
+    let (bad, dim) = (Some(ErrorCode::BadQuery), Some(ErrorCode::DimMismatch));
+    assert_eq!(codes, [None, bad, None, bad, dim, None]);
 
     client.shutdown().unwrap();
     server.shutdown();
@@ -272,6 +279,21 @@ fn overload_rejections_carry_the_predicted_wait() {
     let predicted = err.predicted_wait().expect("overload carries the model");
     assert!(predicted > Duration::ZERO);
     assert!(err.budget_us <= 1, "1ns budget rounds to 0–1µs");
+
+    // A frame is admitted query by query against the same model: every
+    // slot is refused with the wait attached, and the connection answers
+    // on.
+    let frame: Vec<Query> = (4..12).map(|i| nn(pts[i].0)).collect();
+    let base = client.send_batch(&frame).unwrap();
+    let slots = client.recv_batch(base).unwrap();
+    assert_eq!(slots.len(), frame.len());
+    for slot in slots {
+        let err = slot.expect_err("an overloaded frame admits nothing");
+        assert_eq!(err.code, ErrorCode::Overloaded);
+        assert!(err.predicted_us > 0, "{err:?}");
+    }
+    let err = client.query(nn(pts[12].0)).unwrap().unwrap_err();
+    assert_eq!(err.code, ErrorCode::Overloaded);
 
     // The parked query is not lost: closing the service drains it.
     server.service().close();

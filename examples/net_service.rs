@@ -1,26 +1,132 @@
 //! Networked query service walkthrough: bind the binary-frame TCP
 //! front-end on an ephemeral loopback port, then drive it with
 //! `gts_net::Client` — a synchronous round-trip, a pipelined batch, and
-//! an admission-control rejection.
+//! a structured error frame.
 //!
 //! ```text
 //! cargo run --release --example net_service
+//! cargo run --release --example net_service -- --connect HOST:PORT [--trace-out FILE]
 //! ```
 //!
-//! The same protocol serves `gts-harness serve --listen` and
-//! `gts-harness loadgen --connect`; this example is the programmatic
-//! client shape (DESIGN.md §12).
+//! With `--connect` it is instead the client of a running
+//! `gts-harness serve --listen` (CI's serve smoke runs it this way):
+//! 8 192 NN / kNN / PC queries in 1 000-query `BatchSubmit` frames over
+//! serve's index 0 (3-d) and index 1 (2-d), then a one-query-per-frame
+//! sample the frames must beat by 5×, the slow log fetched over the wire,
+//! the client trace shifted onto the server clock (`--trace-out`), and a
+//! clean shutdown. Any error slot, transport error or missed floor exits
+//! non-zero. The protocol is DESIGN.md §12.
 
 use gpu_tree_traversals::net::{Client, NetServer};
 use gpu_tree_traversals::service::{
-    KdIndex, Query, QueryKind, QueryResult, Service, ServiceConfig, TreeIndex,
+    merge_snapshots, KdIndex, Query, QueryKind, QueryResult, Service, ServiceConfig, TraceSnapshot,
+    TreeIndex,
 };
 use gpu_tree_traversals::trees::SplitPolicy;
-use gts_points::gen::uniform;
+use gts_points::gen::{geocity_like, uniform};
+use std::error::Error;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-fn main() {
+/// Queries the client sends in `BatchSubmit` frames, and per frame.
+const QUERIES: usize = 8_192;
+const FRAME: usize = 1_000;
+/// Queries sent one per frame, the baseline the frames must beat.
+const SINGLES: usize = 256;
+
+fn main() -> Result<(), Box<dyn Error>> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        [] => {
+            walkthrough();
+            Ok(())
+        }
+        ["--connect", addr] => connect(addr, None),
+        ["--connect", addr, "--trace-out", path] => connect(addr, Some(path)),
+        _ => {
+            eprintln!("usage: net_service [--connect HOST:PORT [--trace-out FILE]]");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// Drive a running `serve --listen` at `addr`.
+fn connect(addr: &str, trace_out: Option<&str>) -> Result<(), Box<dyn Error>> {
+    // serve's datasets at its default --points and --seed: each query
+    // sits on its own data point of its index.
+    let pts3 = uniform::<3>(4_096, 20130901);
+    let pts2 = geocity_like(4_096, 20130902);
+    let queries: Vec<Query> = (0..QUERIES)
+        .map(|i| {
+            let (index, pos, radius) = match i % 2 {
+                0 => (0, pts3[i / 2].0.to_vec(), 0.07),
+                _ => (1, pts2[i / 2].0.to_vec(), 0.5),
+            };
+            let kind = match i % 3 {
+                0 => QueryKind::Nn,
+                1 => QueryKind::Knn { k: 8 },
+                _ => QueryKind::Pc { radius },
+            };
+            Query { index, pos, kind }
+        })
+        .collect();
+    let mut frames = Client::connect(addr)?;
+    let t0 = Instant::now();
+    for (f, frame) in queries.chunks(FRAME).enumerate() {
+        let base = frames.send_batch(frame)?;
+        let results = frames.recv_batch(base)?;
+        if results.len() != frame.len() {
+            return Err(format!("frame {f}: {} of {} slots", results.len(), frame.len()).into());
+        }
+        for (i, r) in results.into_iter().enumerate() {
+            r.map_err(|e| format!("query {}: {e}", f * FRAME + i))?;
+        }
+    }
+    let batch_qps = QUERIES as f64 / t0.elapsed().as_secs_f64();
+
+    // The sample runs on a second connection, as a one-query client would.
+    let mut singles = Client::connect(addr)?;
+    let t0 = Instant::now();
+    for q in &queries[..SINGLES] {
+        singles.query(q.clone())??;
+    }
+    let single_qps = SINGLES as f64 / t0.elapsed().as_secs_f64();
+    println!("batch : {QUERIES} queries in {FRAME}-query frames at {batch_qps:.0} q/s");
+    println!("single: {SINGLES} queries one per frame at {single_qps:.0} q/s");
+
+    let slow_log = singles.slow_log()??;
+    println!("slow  : {} bytes of slow log over the wire", slow_log.len());
+
+    if let Some(path) = trace_out {
+        // Both connections' recorders, each shifted onto the server clock.
+        let mut trace = TraceSnapshot {
+            events: Vec::new(),
+            dropped: 0,
+            dropped_by_kind: Vec::new(),
+        };
+        for client in [&frames, &singles] {
+            let wall = client
+                .server_wall_us()
+                .ok_or("the server's Hello carried no clock")?;
+            let shift = wall as i64 - client.trace().wall_epoch_us() as i64;
+            trace = merge_snapshots(trace, client.trace().snapshot(), shift);
+        }
+        std::fs::write(path, trace.to_chrome_json())?;
+        println!("trace : {} client events → {path}", trace.events.len());
+    }
+    frames.shutdown()?;
+    singles.shutdown()?;
+
+    let payoff = batch_qps / single_qps;
+    if payoff < 5.0 {
+        return Err(format!("frames beat one query per frame by only {payoff:.1}x").into());
+    }
+    println!("done  : frames {payoff:.1}x one query per frame");
+    Ok(())
+}
+
+/// The self-contained walkthrough: a server and its client in one process.
+fn walkthrough() {
     let pts = uniform::<3>(4_096, 20130901);
     let service = Arc::new(Service::start(ServiceConfig {
         max_wait: Duration::from_millis(1),
