@@ -21,7 +21,14 @@
 //!   beside it), and a touched shard that grew past twice the ideal Morton
 //!   partition size re-splits through [`Shard::partition`]. Untouched
 //!   shards carry across by pointer. The new shard vector swaps in
-//!   atomically and the epoch advances.
+//!   atomically and the epoch advances. The thread merges only once a
+//!   mutation batch brings the pending deltas to 1/[`MERGE_SHARE`] of the
+//!   live points (at least one delta): a merge rebuilds every touched
+//!   shard and reroutes every live id, so merging after each small batch
+//!   spends a core on rebuilds, while the delta window answers exactly at
+//!   any depth and its per-query cost is bounded by the share. Deltas
+//!   below the share stay pending until a later batch crosses it,
+//!   [`MutableIndex::merge_now`], or [`MutableIndex::quiesce`].
 //!
 //! **Delta-window answer rule.** Answers are exact at every instant, not
 //! just at epoch boundaries, and every batch — pending deltas or not — is
@@ -297,6 +304,16 @@ struct Owner {
     at: Option<u32>,
 }
 
+/// The background merge runs once the pending deltas (insert and delete
+/// entries) reach 1/`MERGE_SHARE` of the live points.
+pub const MERGE_SHARE: u64 = 16;
+
+/// Whether `pending` deltas over `live` points are due a background
+/// merge: at least one delta, and at least 1/[`MERGE_SHARE`] of `live`.
+fn merge_due(pending: u64, live: usize) -> bool {
+    pending > 0 && pending * MERGE_SHARE >= live as u64
+}
+
 /// Route every point of `shards` to its tree position.
 fn route_tree<const D: usize>(owner: &mut HashMap<u32, Owner>, shards: &[Arc<Shard<D>>]) {
     for (slot, shard) in (0..).zip(shards) {
@@ -324,14 +341,15 @@ struct Core<const D: usize> {
     target_shards: usize,
     leaf_size: usize,
     split: SplitPolicy,
-    merge_debounce: Duration,
     /// The swappable snapshot pointer. Held only to clone or replace.
     state: Mutex<Arc<EpochState<D>>>,
     /// Serializes writers (mutations and the merge swap). Lock order:
     /// `writer` before `state`; readers take `state` alone.
     writer: Mutex<WriterState>,
-    /// Serializes merges (the background thread vs `merge_now`).
-    merge_lock: Mutex<()>,
+    /// Serializes merges (the background thread vs `merge_now`), and holds
+    /// the routing table the last merge swapped out of `writer`: the next
+    /// merge refills it in place, so no table is allocated beside the two.
+    merge_lock: Mutex<HashMap<u32, Owner>>,
     ctl: Mutex<MergeCtl>,
     cv: Condvar,
     merges: AtomicU64,
@@ -347,7 +365,6 @@ pub struct MutableIndexBuilder {
     leaf_size: usize,
     split: SplitPolicy,
     auto_merge: bool,
-    merge_debounce: Duration,
 }
 
 impl MutableIndexBuilder {
@@ -361,7 +378,6 @@ impl MutableIndexBuilder {
             leaf_size: 8,
             split: SplitPolicy::MedianCycle,
             auto_merge: true,
-            merge_debounce: Duration::ZERO,
         }
     }
 
@@ -377,20 +393,13 @@ impl MutableIndexBuilder {
         self
     }
 
-    /// Spawn the background merge thread (default). With `false`, deltas
-    /// stay pending until [`MutableIndex::merge_now`] or
+    /// Spawn the background merge thread (default), which merges once the
+    /// pending deltas reach 1/[`MERGE_SHARE`] of the live points. With
+    /// `false`, deltas stay pending until [`MutableIndex::merge_now`] or
     /// [`MutableIndex::quiesce`] — the deterministic mode the
     /// differential oracle uses to pin the delta-window behavior.
     pub fn auto_merge(mut self, auto: bool) -> Self {
         self.auto_merge = auto;
-        self
-    }
-
-    /// Delay between a mutation landing and the background merge picking
-    /// it up (default zero). A large debounce keeps deltas pending — the
-    /// shutdown-ordering tests use it to prove `close` flushes them.
-    pub fn merge_debounce(mut self, debounce: Duration) -> Self {
-        self.merge_debounce = debounce;
         self
     }
 
@@ -405,7 +414,6 @@ impl MutableIndexBuilder {
             self.leaf_size,
             self.split,
             self.auto_merge,
-            self.merge_debounce,
         )
     }
 }
@@ -418,7 +426,7 @@ pub struct MutableIndex<const D: usize> {
 }
 
 impl<const D: usize> MutableIndex<D> {
-    /// Build with defaults: background merging on, zero debounce.
+    /// Build with defaults: background merging on.
     pub fn build(
         name: impl Into<String>,
         points: &[PointN<D>],
@@ -439,7 +447,6 @@ impl<const D: usize> MutableIndex<D> {
         leaf_size: usize,
         split: SplitPolicy,
         auto_merge: bool,
-        merge_debounce: Duration,
     ) -> Self {
         let items: Vec<_> = (0..).zip(points.iter().copied()).collect();
         let shards: Vec<Arc<Shard<D>>> = Shard::partition(&items, target_shards, leaf_size, split)
@@ -454,7 +461,6 @@ impl<const D: usize> MutableIndex<D> {
             target_shards,
             leaf_size,
             split,
-            merge_debounce,
             writer: Mutex::new(WriterState {
                 next_id: points.len() as u32,
                 owner,
@@ -462,7 +468,7 @@ impl<const D: usize> MutableIndex<D> {
                 seq: 0,
             }),
             state: Mutex::new(EpochState::publish(0, 0, shards, deltas, points.len())),
-            merge_lock: Mutex::new(()),
+            merge_lock: Mutex::new(HashMap::new()),
             ctl: Mutex::new(MergeCtl {
                 wake: false,
                 shutdown: false,
@@ -608,7 +614,7 @@ impl<const D: usize> MutableIndex<D> {
         *core.state.lock().unwrap_or_else(|e| e.into_inner()) = next;
         drop(w);
         core.mutations.fetch_add(accepted, Ordering::Relaxed);
-        if pending > 0 {
+        if merge_due(pending, n_live) {
             let mut ctl = core.ctl.lock().unwrap_or_else(|e| e.into_inner());
             ctl.wake = true;
             core.cv.notify_all();
@@ -753,27 +759,12 @@ fn merge_loop<const D: usize>(core: Arc<Core<D>>) {
             }
             ctl.wake = false;
         }
-        if core.merge_debounce > Duration::ZERO {
-            let deadline = Instant::now() + core.merge_debounce;
-            let mut ctl = core.ctl.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if ctl.shutdown {
-                    drop(ctl);
-                    while do_merge(&core) {}
-                    return;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (g, _) = core
-                    .cv
-                    .wait_timeout(ctl, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                ctl = g;
-            }
+        // A batch that crossed the share while a merge ran woke the thread
+        // for deltas that merge may have folded already.
+        let state = core.state.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        if merge_due(state.pending(), state.n_live) {
+            do_merge(&core);
         }
-        do_merge(&core);
     }
 }
 
@@ -783,7 +774,7 @@ fn merge_loop<const D: usize>(core: Arc<Core<D>>) {
 /// was merged. Serialized by `merge_lock`; the rebuild runs outside the
 /// writer/state locks so readers and writers stay live throughout.
 fn do_merge<const D: usize>(core: &Core<D>) -> bool {
-    let _guard = core.merge_lock.lock().unwrap_or_else(|e| e.into_inner());
+    let mut owner = core.merge_lock.lock().unwrap_or_else(|e| e.into_inner());
     let snap = core.state.lock().unwrap_or_else(|e| e.into_inner()).clone();
     let cut = snap.seq;
     let flushed: u64 = snap.pending();
@@ -857,15 +848,22 @@ fn do_merge<const D: usize>(core: &Core<D>) -> bool {
         }
     }
 
-    // Swap: re-home the deltas that arrived during the rebuild onto the
-    // new shard list — a delete whose target got merged under it becomes a
-    // tombstone in the target's new shard — and rebuild the writer's
-    // routing table in place. Holding the writer lock keeps the state
-    // still; readers only wait for the swap itself.
+    // The new shards' routing table, filled before the writer lock so a
+    // writer waits on the swap for the deltas since the cut, not for every
+    // live id. Its headroom of one share takes those deltas' inserts
+    // without a rehash under the lock.
+    owner.clear();
+    owner.reserve(tree_after + tree_after.div_ceil(MERGE_SHARE as usize));
+    route_tree(&mut owner, &new_shards);
+
+    // Swap: swap the table in and re-home the deltas that arrived during
+    // the rebuild onto the new shard list — a delete whose target got
+    // merged under it becomes a tombstone in the target's new shard.
+    // Holding the writer lock keeps the state still; readers only wait for
+    // the swap itself.
     let mut w = core.writer.lock().unwrap_or_else(|e| e.into_inner());
     let cur = core.state.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    w.owner.clear();
-    route_tree(&mut w.owner, &new_shards);
+    std::mem::swap(&mut w.owner, &mut owner);
     let mut new_deltas = vec![ShardDelta::<D>::default(); new_shards.len().max(1)];
     for ins in (cur.deltas.iter().flat_map(|d| &d.inserts)).filter(|ins| ins.seq > cut) {
         let slot = home_of(&new_shards, &ins.pt);
@@ -1240,8 +1238,9 @@ mod tests {
             pos: vec![0.2, 0.2, 0.2],
         }])
         .unwrap();
-        // The background thread merges shortly; don't race it — just
-        // require quiesce to leave nothing pending and the epoch moved.
+        // One delta on 128 points is below the share and wakes no merge;
+        // quiesce must still leave nothing pending and the epoch moved.
+        assert_eq!(idx.merges(), 0);
         idx.quiesce();
         assert_eq!(idx.pending(), 0);
         assert!(idx.epoch() >= 1);
@@ -1253,6 +1252,75 @@ mod tests {
         // Queries still served after quiesce.
         let out = idx.run_batch(OpKey::Nn, &[vec![0.2, 0.2, 0.2]], &cpu());
         assert_eq!(out.results.len(), 1);
+    }
+
+    #[test]
+    fn merge_trigger_is_a_sixteenth_of_the_live_points() {
+        // Nothing pending is never due, at any size.
+        assert!(!merge_due(0, 0) && !merge_due(0, 1000));
+        // An empty index's first insert: one delta over one live point.
+        assert!(merge_due(1, 1));
+        // Under 16 live points, every delta is due.
+        assert!((0..16).all(|live| merge_due(1, live)));
+        assert!(!merge_due(1, 17));
+        // Exactly one share, and one short of it.
+        assert!(merge_due(16, 256) && !merge_due(15, 256));
+        assert!(merge_due(2048, 32_768) && !merge_due(2047, 32_768));
+    }
+
+    /// Wait up to 10 s for `idx` to hold fewer than `share` deltas.
+    fn drains_below(idx: &MutableIndex<3>, share: u64) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while idx.pending() >= share {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        true
+    }
+
+    #[test]
+    fn merge_trigger_first_insert_into_an_empty_index_merges() {
+        let idx: MutableIndex<3> = MutableIndexBuilder::new("m", 2).build(&[]);
+        idx.mutate(&[Mutation::Insert {
+            pos: vec![0.5, 0.5, 0.5],
+        }])
+        .unwrap();
+        assert!(drains_below(&idx, 1), "the first insert stayed pending");
+        assert_eq!((idx.merges(), idx.n_shards()), (1, 1));
+    }
+
+    #[test]
+    fn merge_trigger_holds_deltas_below_the_share_and_merges_on_crossing() {
+        // 17 inserts on 256 points: 17 · 16 < 273 live, one short.
+        let pts = uniform::<3>(256, 17);
+        let idx = MutableIndexBuilder::new("m", 4).build(&pts);
+        let insert = |p: &PointN<3>| Mutation::Insert { pos: p.0.to_vec() };
+        let extra = uniform::<3>(18, 18);
+        for p in &extra[..17] {
+            idx.mutate(&[insert(p)]).unwrap();
+        }
+        // Give a wrongly woken thread time to land a merge.
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!((idx.merges(), idx.pending()), (0, 17));
+        // The 18th reaches the share: 18 · 16 >= 274 live.
+        let ack = idx.mutate(&[insert(&extra[17])]).unwrap();
+        assert_eq!(ack.pending, 18);
+        assert!(drains_below(&idx, 18), "the crossing batch woke no merge");
+        assert!(idx.merges() >= 1 && idx.epoch() >= 1);
+        assert_eq!(idx.n_points(), 274);
+    }
+
+    #[test]
+    fn merge_trigger_leaves_merge_now_merging_below_the_share() {
+        let pts = uniform::<3>(256, 19);
+        let idx = MutableIndexBuilder::new("m", 2).build(&pts);
+        idx.mutate(&[Mutation::Delete { id: 3 }]).unwrap();
+        assert_eq!((idx.merges(), idx.pending()), (0, 1));
+        assert!(idx.merge_now());
+        assert_eq!((idx.merges(), idx.pending(), idx.epoch()), (1, 0, 1));
+        assert_eq!(idx.n_points(), 255);
     }
 
     #[test]

@@ -864,21 +864,30 @@ impl TraceStream {
     /// Append `events` (ascending `seq`, all ≥ the current cursor) and
     /// account `missed` ring evictions. Publishes the tmp file into place
     /// on the first append so the target path is loadable from then on.
+    /// A drain that missed events first writes a `trace.gap` instant with
+    /// `args.missed` at its first event's `ts`, so a file cut short by a
+    /// killed process still says where it lost events.
     pub fn append(&mut self, events: &[TraceEvent], missed: u64) -> std::io::Result<()> {
         use std::io::{Seek as _, SeekFrom, Write as _};
         self.missed += missed;
-        if events.is_empty() {
+        // The ring evicts only what a later event pushed out, so a drain
+        // that missed events always carries at least one.
+        let Some(first) = events.first() else {
             return Ok(());
+        };
+        let mut chunk = String::with_capacity(events.len() * 160 + 96);
+        if missed > 0 {
+            chunk.push_str(&format!(
+                ",\n{{\"name\":\"trace.gap\",\"cat\":\"gts\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":0,\"s\":\"g\",\"args\":{{\"missed\":{missed}}}}}",
+                first.ts_us
+            ));
         }
-        let mut chunk = String::with_capacity(events.len() * 160);
-        for (i, ev) in events.iter().enumerate() {
-            // Comma before every event except the first one in the file.
-            if self.events_written + i as u64 > 0 {
-                chunk.push(',');
-            }
-            chunk.push('\n');
+        for ev in events {
+            chunk.push_str(",\n");
             write_chrome_event(ev, &mut chunk);
         }
+        // The file's first entry takes no comma.
+        let chunk = &chunk[usize::from(self.events_written == 0)..];
         // Rewind over the `\n]\n` tail, splice the events, restore the
         // tail — the file is valid JSON before and after every append.
         self.file.seek(SeekFrom::End(-(STREAM_TAIL.len() as i64)))?;
@@ -1215,6 +1224,56 @@ mod tests {
         let txt = std::fs::read_to_string(&path).unwrap();
         let v: serde::Value = serde_json::from_str(&txt).unwrap();
         assert!(matches!(v, serde::Value::Array(_)));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A drain that lagged the ring says so in the file itself, with no
+    /// `finish`: a `trace.gap` instant just before that drain's first
+    /// event, at its `ts`, with the drain's `missed` count.
+    #[test]
+    fn trace_stream_marks_a_lagging_drain_with_a_gap() {
+        let dir = std::env::temp_dir().join(format!("gts-trace-gap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("gap.json");
+        let rec = TraceRecorder::new(4);
+        let mut stream = TraceStream::create(&path).unwrap();
+        let mut drain = || {
+            let (evs, missed) = rec.events_since(stream.cursor());
+            stream.append(&evs, missed).unwrap();
+        };
+        // Three events drained in full, then ten through the 4-slot ring:
+        // the second drain misses six.
+        for q in 0..3u64 {
+            submit_at(&rec, q, 100 + q);
+        }
+        drain();
+        for q in 3..13u64 {
+            submit_at(&rec, q, 100 + q);
+        }
+        drain();
+        // The file as a killed process leaves it.
+        let txt = std::fs::read_to_string(&path).unwrap();
+        let serde::Value::Array(entries) = serde_json::from_str(&txt).unwrap() else {
+            panic!("trace is not an array");
+        };
+        let text = |e: &serde::Value, k| match e.get(k) {
+            Some(serde::Value::String(s)) => s.clone(),
+            other => panic!("{k}: {other:?}"),
+        };
+        let num = |e: Option<&serde::Value>| match e {
+            Some(serde::Value::Number(n)) => n.as_u64(),
+            _ => None,
+        };
+        let names: Vec<String> = entries.iter().map(|e| text(e, "name")).collect();
+        let gaps: Vec<usize> = (0..names.len())
+            .filter(|&i| names[i] == "trace.gap")
+            .collect();
+        assert_eq!((entries.len(), gaps), (3 + 1 + 4, vec![3]), "{names:?}");
+        let (gap, after) = (&entries[3], &entries[4]);
+        assert_eq!(text(gap, "ph"), "i");
+        assert_eq!(num(gap.get("ts")), Some(109));
+        assert_eq!(num(gap.get("ts")), num(after.get("ts")));
+        assert_eq!(num(gap.get("args").and_then(|a| a.get("missed"))), Some(6));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -204,11 +204,10 @@ fn reader(service: &Service, mut gen: Script<3>) -> [u64; 2] {
 /// the flushed insert is the zero-distance kNN answer at its position.
 #[test]
 fn close_flushes_pending_deltas_before_returning() {
-    // A huge debounce keeps the background thread from merging on its
-    // own: any merge observed below was forced by the close path.
-    let idx = MutableIndexBuilder::new("live", 2)
-        .merge_debounce(Duration::from_secs(3600))
-        .build(&uniform::<3>(256, 0xd0d0));
+    // Two deltas on 256 points sit below the merge share, so the
+    // background thread never wakes on its own: any merge observed below
+    // was forced by the close path.
+    let idx = MutableIndexBuilder::new("live", 2).build(&uniform::<3>(256, 0xd0d0));
     let idx = Arc::new(idx);
     let service = Service::start(ServiceConfig::default());
     let id = service.register_index(Arc::clone(&idx) as Arc<dyn TreeIndex>);
@@ -221,7 +220,7 @@ fn close_flushes_pending_deltas_before_returning() {
     assert_eq!(
         (ack.pending, idx.merges()),
         (2, 0),
-        "debounce must hold the deltas pending"
+        "the share must hold the deltas pending"
     );
     service.close();
     assert_eq!(idx.pending(), 0, "close dropped pending deltas");
