@@ -44,6 +44,15 @@ impl Tombstones {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
+
+    /// Mark position `idx` dead, growing the set to hold it.
+    pub fn insert(&mut self, idx: u32) {
+        let at = idx as usize / 64;
+        if at >= self.0.len() {
+            self.0.resize(at + 1, 0);
+        }
+        self.0[at] |= 1 << (idx % 64);
+    }
 }
 
 /// The dead positions a [`Live`] rule consults: a [`Tombstones`] set, or
@@ -74,15 +83,11 @@ impl Dead for AllLive {
 
 impl FromIterator<u32> for Tombstones {
     fn from_iter<I: IntoIterator<Item = u32>>(dead: I) -> Self {
-        let mut words = Vec::new();
+        let mut set = Tombstones::default();
         for idx in dead {
-            let at = idx as usize / 64;
-            if at >= words.len() {
-                words.resize(at + 1, 0);
-            }
-            words[at] |= 1 << (idx % 64);
+            set.insert(idx);
         }
-        Tombstones(words)
+        set
     }
 }
 
@@ -275,6 +280,26 @@ mod tests {
         assert_eq!(lane.solo_descents, 6);
         assert_eq!(lane.b.solo_descents, 4, "a nested pair tallies its own two");
         assert_eq!(lane, fresh, "the tally is no part of the answer");
+    }
+
+    #[test]
+    fn tombstones_insert_grows_sets_once_and_builds_the_collected_set() {
+        let mut dead = Tombstones::default();
+        dead.insert(5);
+        assert!(!dead.is_empty() && dead.contains(5));
+        assert_eq!(dead.0.len(), 1);
+        // Past the current words: the set grows to the word holding it.
+        dead.insert(64 * 3 + 1);
+        assert_eq!(dead.0.len(), 4);
+        assert!(dead.contains(193) && !dead.contains(192) && !dead.contains(64));
+        // Idempotent: a second insert changes nothing.
+        let once = dead.clone();
+        dead.insert(5);
+        dead.insert(193);
+        assert_eq!(dead, once);
+        // Collecting is inserting one by one, in any order.
+        let collected: Tombstones = [193, 5, 193].into_iter().collect();
+        assert_eq!(collected, dead);
     }
 
     #[test]

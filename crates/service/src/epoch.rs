@@ -5,50 +5,47 @@
 //! registration. [`MutableIndex`] closes that gap with an epoch scheme:
 //!
 //! * **Writers** ([`MutableIndex::mutate`]) submit [`Mutation::Insert`] /
-//!   [`Mutation::Delete`] deltas. Each delta lands in the buffer of its
-//!   *home shard* (the shard whose bounding box is nearest the inserted
-//!   point, or the shard owning the deleted id) of a freshly published
-//!   immutable [`EpochState`] — the state pointer swaps atomically under
-//!   a short lock, so a mutation batch is visible to readers the moment
-//!   `mutate` returns.
+//!   [`Mutation::Delete`] deltas onto a freshly published immutable
+//!   [`EpochState`]: the pending window is per-shard tombstones plus two
+//!   logs, the pending inserts and the deleted ids, that only grow until
+//!   the next merge. The state pointer swaps atomically under a short
+//!   lock, so a batch is visible to readers the moment `mutate` returns.
 //! * **Readers** ([`TreeIndex::run`]) pin the current epoch by
 //!   cloning the state's `Arc`. Queries in flight keep traversing the
 //!   shard set they pinned; no reader ever observes a torn shard set.
-//! * A **background merge thread** folds pending deltas into the shards —
-//!   the same [`Shard`]s a [`crate::ShardedIndex`] holds: only *touched*
-//!   shards (those with a non-empty delta buffer) rebuild, reading their
-//!   points back out of the tree ([`Shard::points`]; no copy is kept
-//!   beside it), and a touched shard that grew past twice the ideal Morton
-//!   partition size re-splits through [`Shard::partition`]. Untouched
-//!   shards carry across by pointer. The new shard vector swaps in
-//!   atomically and the epoch advances. The thread merges only once a
-//!   mutation batch brings the pending deltas to 1/[`MERGE_SHARE`] of the
-//!   live points (at least one delta): a merge rebuilds every touched
-//!   shard and reroutes every live id, so merging after each small batch
-//!   spends a core on rebuilds, while the delta window answers exactly at
-//!   any depth and its per-query cost is bounded by the share. Deltas
-//!   below the share stay pending until a later batch crosses it,
-//!   [`MutableIndex::merge_now`], or [`MutableIndex::quiesce`].
+//! * A **background merge thread** folds the logs into the shards — the
+//!   same [`Shard`]s a [`crate::ShardedIndex`] holds. Each live pending
+//!   insert goes to its *home shard*, the one whose box is nearest it.
+//!   Only shards with a tombstone or a live insert homed to them rebuild,
+//!   reading their points back out of the tree ([`Shard::points`]), and
+//!   one grown past twice the ideal Morton partition size re-splits
+//!   ([`Shard::partition`]); the rest carry across by pointer. At the swap
+//!   the merge replays what arrived during its rebuild — each log past its
+//!   length in the merge's snapshot — onto the new shards, and the epoch
+//!   advances. The thread merges only once a mutation batch brings the
+//!   pending deltas to 1/[`MERGE_SHARE`] of the live points (at least one
+//!   delta): a merge rebuilds every touched shard and reroutes every live
+//!   id, while the delta window answers exactly at any depth at a
+//!   per-query cost bounded by the share. Deltas below the share stay
+//!   pending until a later batch crosses it, [`MutableIndex::merge_now`],
+//!   or [`MutableIndex::quiesce`].
 //!
-//! **Delta-window answer rule.** Answers are exact at every instant, not
-//! just at epoch boundaries, and every batch — pending deltas or not — is
-//! one ordinary [`sweep`]. Each published [`EpochState`] expresses its
-//! pending deltas as two things the sweep already walks:
+//! **Delta-window answer rule.** Answers are exact at every instant, and
+//! every batch — pending deltas or not — is one ordinary [`sweep`] of
+//! what the state holds:
 //!
 //! * *Delete* of a tree point — a bit in its shard's [`Tombstones`], set
 //!   at the point's tree position. Every sub-batch on that shard runs its
 //!   rule as [`gts_runtime::Live`] of it, which drops a dead point's
 //!   offer; each bound is built from offered points only, so pruning stays
 //!   exact, and kNN with `k` above the live count returns the live points.
-//! * *Insert* — the live pending inserts are one more [`Shard`], built
-//!   once per published state, by the first batch that reads it (a
-//!   writer's one-mutation call builds no tree), and swept after the
-//!   merged ones. Its box
-//!   prunes it like any other shard, and NN's nearest-distinct-position
-//!   rule holds in it as in every shard: a zero-distance insert is not an
-//!   NN answer; kNN and PC admit it.
-//! * *Delete* of a pending insert — drops the insert from the insert
-//!   shard; once merged the pair cancels to the identity multiset.
+//! * *Insert* — the live pending inserts are one more [`Shard`], built by
+//!   the first batch that reads a published state (a writer builds no
+//!   tree) and swept after the merged ones. Its box prunes it like any
+//!   other, and NN's nearest-distinct-position rule holds in it: a
+//!   zero-distance insert is not an NN answer; kNN and PC admit it.
+//! * *Delete* of a pending insert — drops the insert from that shard; the
+//!   pair cancels to the identity multiset and touches no merged shard.
 //!
 //! Ids are stable: an insert is assigned a fresh id that never changes
 //! or gets reused, so a result id always names the same point — the
@@ -61,7 +58,7 @@ use gts_runtime::Tombstones;
 use gts_trees::{PointN, SplitPolicy};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -184,60 +181,22 @@ pub enum EpochEvent {
 /// [`TreeIndex::attach_epoch_observer`].
 pub type EpochObserverFn = Arc<dyn Fn(&EpochEvent) + Send + Sync>;
 
-/// `(sequence, id, point)` of one pending insert.
-#[derive(Clone)]
-struct DeltaInsert<const D: usize> {
-    seq: u64,
-    id: u32,
-    pt: PointN<D>,
-}
-
-/// One pending delete. `at` is the deleted point's position in its merged
-/// shard's tree — its tombstone — or `None` when the id names a pending
-/// insert (the pair cancels at merge time).
-#[derive(Clone, Copy)]
-struct DeltaDelete {
-    seq: u64,
-    id: u32,
-    at: Option<u32>,
-}
-
-/// Per-shard delta buffer.
-#[derive(Clone)]
-struct ShardDelta<const D: usize> {
-    inserts: Vec<DeltaInsert<D>>,
-    deletes: Vec<DeltaDelete>,
-}
-
-impl<const D: usize> Default for ShardDelta<D> {
-    fn default() -> Self {
-        ShardDelta {
-            inserts: Vec::new(),
-            deletes: Vec::new(),
-        }
-    }
-}
-
-impl<const D: usize> ShardDelta<D> {
-    fn len(&self) -> usize {
-        self.inserts.len() + self.deletes.len()
-    }
-}
-
-/// One immutable epoch snapshot: the merged shard set plus the pending
-/// delta buffers layered on top, and those deltas as the sweep reads
-/// them. Readers pin it by cloning the `Arc`.
+/// One immutable epoch snapshot: the merged shard set and the pending
+/// window on top of it, in the two forms the sweep and the merge read —
+/// per-shard tombstones, and two logs that only grow until the next merge.
+/// Readers pin it by cloning the `Arc`.
 struct EpochState<const D: usize> {
     /// Merged epoch; advances only when a merge swaps new shards in.
     epoch: u64,
-    /// Mutation sequence high-water mark covered by `deltas`.
-    seq: u64,
     /// The merged shards. Shard ids are the stable global ids.
     shards: Vec<Arc<Shard<D>>>,
     /// Per merged shard, the tree positions its pending deletes tombstone.
     dead: Vec<Tombstones>,
-    /// Parallel to the merged shards (one slot even when there are none).
-    deltas: Vec<ShardDelta<D>>,
+    /// Pending inserts in arrival order, the since-deleted ones included.
+    inserts: Vec<(u32, PointN<D>)>,
+    /// Ids of pending deletes in arrival order, of tree points and pending
+    /// inserts alike (ids are never reused).
+    deleted: Vec<u32>,
     /// Live multiset size (tree − pending deletes + pending inserts).
     n_live: usize,
     /// What every batch sweeps: `shards`, then — while inserts are pending
@@ -248,61 +207,43 @@ struct EpochState<const D: usize> {
 }
 
 impl<const D: usize> EpochState<D> {
-    /// The state with `deltas` pending on top of the merged `shards`, each
-    /// pending tree delete tombstoned.
-    fn publish(
-        epoch: u64,
-        seq: u64,
-        shards: Vec<Arc<Shard<D>>>,
-        deltas: Vec<ShardDelta<D>>,
-        n_live: usize,
-    ) -> Arc<Self> {
-        let dead = (deltas.iter().take(shards.len()))
-            .map(|d| d.deletes.iter().filter_map(|del| del.at).collect())
-            .collect();
-        Arc::new(EpochState {
-            epoch,
-            seq,
-            shards,
-            dead,
-            deltas,
-            n_live,
-            swept: OnceLock::new(),
-        })
-    }
-
     /// The merged shards and the shard of the live pending inserts, built
     /// on first use.
     fn swept(&self, core: &Core<D>) -> &[Arc<Shard<D>>] {
         self.swept.get_or_init(|| {
-            let deleted: HashSet<u32> = (self.deltas.iter().flat_map(|d| &d.deletes))
-                .filter(|del| del.at.is_none())
-                .map(|del| del.id)
-                .collect();
-            let inserts: Vec<(u32, PointN<D>)> = (self.deltas.iter().flat_map(|d| &d.inserts))
-                .filter(|ins| !deleted.contains(&ins.id))
-                .map(|ins| (ins.id, ins.pt))
-                .collect();
-            let pending = Shard::partition(&inserts, 1, core.leaf_size, core.split);
+            let pending = Shard::partition(&self.live_inserts(), 1, core.leaf_size, core.split);
             (self.shards.iter().cloned())
                 .chain(pending.into_iter().map(Arc::new))
                 .collect()
         })
     }
 
+    /// The pending inserts not deleted since, in arrival order. Ids are
+    /// handed out in log order and a merge folds a whole prefix of the log,
+    /// so every pending insert's id is at or above the first one's, and
+    /// every merged id below it.
+    fn live_inserts(&self) -> Vec<(u32, PointN<D>)> {
+        let Some(&(first, _)) = self.inserts.first() else {
+            return Vec::new();
+        };
+        let deleted: HashSet<u32> = (self.deleted.iter().copied())
+            .filter(|&id| id >= first)
+            .collect();
+        (self.inserts.iter())
+            .filter(|(id, _)| !deleted.contains(id))
+            .copied()
+            .collect()
+    }
+
     fn pending(&self) -> u64 {
-        self.deltas.iter().map(|d| d.len() as u64).sum()
+        (self.inserts.len() + self.deleted.len()) as u64
     }
 }
 
-/// Where a live id currently resides — the writer-side routing table:
-/// merged into shard `slot` at tree position `at`, or (`at` is `None`)
-/// pending in delta slot `slot`.
-#[derive(Clone, Copy)]
-struct Owner {
-    slot: u32,
-    at: Option<u32>,
-}
+/// The writer-side routing table of the live ids: `Some((shard, at))` for
+/// a point merged into `shard` at tree position `at`, `None` for a pending
+/// insert.
+type Routes = HashMap<u32, Option<(u32, u32)>>;
 
 /// The background merge runs once the pending deltas (insert and delete
 /// entries) reach 1/`MERGE_SHARE` of the live points.
@@ -314,21 +255,24 @@ fn merge_due(pending: u64, live: usize) -> bool {
     pending > 0 && pending * MERGE_SHARE >= live as u64
 }
 
+/// Lock `m`, whether or not a panic poisoned it: every section under
+/// these locks leaves its data whole.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Route every point of `shards` to its tree position.
-fn route_tree<const D: usize>(owner: &mut HashMap<u32, Owner>, shards: &[Arc<Shard<D>>]) {
-    for (slot, shard) in (0..).zip(shards) {
-        owner.extend(
-            (shard.points().zip(0..)).map(|((id, _), at)| (id, Owner { slot, at: Some(at) })),
-        );
+fn route_tree<const D: usize>(routes: &mut Routes, shards: &[Arc<Shard<D>>]) {
+    for (s, shard) in (0..).zip(shards) {
+        routes.extend((shard.points().zip(0..)).map(|((id, _), at)| (id, Some((s, at)))));
     }
 }
 
 struct WriterState {
     next_id: u32,
     /// Live ids only: inserts add, deletes remove, merges rebuild.
-    owner: HashMap<u32, Owner>,
+    routes: Routes,
     closed: bool,
-    seq: u64,
 }
 
 struct MergeCtl {
@@ -349,12 +293,16 @@ struct Core<const D: usize> {
     /// Serializes merges (the background thread vs `merge_now`), and holds
     /// the routing table the last merge swapped out of `writer`: the next
     /// merge refills it in place, so no table is allocated beside the two.
-    merge_lock: Mutex<HashMap<u32, Owner>>,
+    merge_lock: Mutex<Routes>,
     ctl: Mutex<MergeCtl>,
     cv: Condvar,
     merges: AtomicU64,
     mutations: AtomicU64,
     observer: Mutex<Option<EpochObserverFn>>,
+    /// Set by a test: the next merge runs it once, after its rebuild and
+    /// before it takes the writer lock.
+    #[cfg(test)]
+    merge_hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
 /// Builder for a [`MutableIndex`]; the defaults mirror
@@ -453,9 +401,17 @@ impl<const D: usize> MutableIndex<D> {
             .into_iter()
             .map(Arc::new)
             .collect();
-        let mut owner = HashMap::with_capacity(points.len());
-        route_tree(&mut owner, &shards);
-        let deltas = vec![ShardDelta::default(); shards.len().max(1)];
+        let mut routes = HashMap::with_capacity(points.len());
+        route_tree(&mut routes, &shards);
+        let state = EpochState {
+            epoch: 0,
+            dead: vec![Tombstones::default(); shards.len()],
+            shards,
+            inserts: Vec::new(),
+            deleted: Vec::new(),
+            n_live: points.len(),
+            swept: OnceLock::new(),
+        };
         let core = Arc::new(Core {
             name,
             target_shards,
@@ -463,11 +419,10 @@ impl<const D: usize> MutableIndex<D> {
             split,
             writer: Mutex::new(WriterState {
                 next_id: points.len() as u32,
-                owner,
+                routes,
                 closed: false,
-                seq: 0,
             }),
-            state: Mutex::new(EpochState::publish(0, 0, shards, deltas, points.len())),
+            state: Mutex::new(Arc::new(state)),
             merge_lock: Mutex::new(HashMap::new()),
             ctl: Mutex::new(MergeCtl {
                 wake: false,
@@ -477,6 +432,8 @@ impl<const D: usize> MutableIndex<D> {
             merges: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
             observer: Mutex::new(None),
+            #[cfg(test)]
+            merge_hook: Mutex::new(None),
         });
         let merge_thread = auto_merge.then(|| {
             let core = Arc::clone(&core);
@@ -492,11 +449,7 @@ impl<const D: usize> MutableIndex<D> {
     }
 
     fn pin(&self) -> Arc<EpochState<D>> {
-        self.core
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        lock(&self.core.state).clone()
     }
 
     /// Current merged epoch.
@@ -570,52 +523,53 @@ impl<const D: usize> MutableIndex<D> {
             }
         }
         let core = &self.core;
-        let mut w = core.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let mut w = lock(&core.writer);
         if w.closed {
             return Err(MutateError::Closed);
         }
-        let cur = core.state.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        let mut deltas = cur.deltas.clone();
-        let mut n_live = cur.n_live;
-        let (mut accepted, mut rejected) = (0u64, 0u64);
+        let cur = lock(&core.state).clone();
+        let mut dead = cur.dead.clone();
+        let mut inserts = cur.inserts.clone();
+        let mut deleted = cur.deleted.clone();
         let mut assigned = Vec::new();
         for m in muts {
             match m {
                 Mutation::Insert { pos } => {
-                    let pt: PointN<D> = PointN(std::array::from_fn(|i| pos[i]));
                     let id = w.next_id;
                     w.next_id += 1;
-                    let slot = home_of(&cur.shards, &pt);
-                    w.seq += 1;
-                    deltas[slot as usize]
-                        .inserts
-                        .push(DeltaInsert { seq: w.seq, id, pt });
-                    w.owner.insert(id, Owner { slot, at: None });
-                    n_live += 1;
-                    accepted += 1;
+                    inserts.push((id, PointN(std::array::from_fn(|i| pos[i]))));
+                    w.routes.insert(id, None);
                     assigned.push(id);
                 }
-                Mutation::Delete { id } => match w.owner.remove(id) {
-                    None => rejected += 1,
-                    Some(Owner { slot, at }) => {
-                        w.seq += 1;
-                        let seq = w.seq;
-                        let del = DeltaDelete { seq, id: *id, at };
-                        deltas[slot as usize].deletes.push(del);
-                        n_live -= 1;
-                        accepted += 1;
+                Mutation::Delete { id } => {
+                    if let Some(route) = w.routes.remove(id) {
+                        if let Some((s, at)) = route {
+                            dead[s as usize].insert(at);
+                        }
+                        deleted.push(*id);
                     }
-                },
+                }
             }
         }
-        let shards = cur.shards.clone();
-        let next = EpochState::publish(cur.epoch, w.seq, shards, deltas, n_live);
+        let removed = deleted.len() - cur.deleted.len();
+        let n_live = cur.n_live + assigned.len() - removed;
+        let accepted = (assigned.len() + removed) as u64;
+        let rejected = muts.len() as u64 - accepted;
+        let next = Arc::new(EpochState {
+            epoch: cur.epoch,
+            shards: cur.shards.clone(),
+            dead,
+            inserts,
+            deleted,
+            n_live,
+            swept: OnceLock::new(),
+        });
         let pending = next.pending();
-        *core.state.lock().unwrap_or_else(|e| e.into_inner()) = next;
+        *lock(&core.state) = next;
         drop(w);
         core.mutations.fetch_add(accepted, Ordering::Relaxed);
         if merge_due(pending, n_live) {
-            let mut ctl = core.ctl.lock().unwrap_or_else(|e| e.into_inner());
+            let mut ctl = lock(&core.ctl);
             ctl.wake = true;
             core.cv.notify_all();
         }
@@ -642,25 +596,19 @@ impl<const D: usize> MutableIndex<D> {
     /// what [`crate::Service::close`] calls so no delta is ever silently
     /// dropped at shutdown.
     pub fn quiesce(&self) {
+        lock(&self.core.writer).closed = true;
         {
-            let mut w = self.core.writer.lock().unwrap_or_else(|e| e.into_inner());
-            w.closed = true;
-        }
-        {
-            let mut ctl = self.core.ctl.lock().unwrap_or_else(|e| e.into_inner());
+            let mut ctl = lock(&self.core.ctl);
             ctl.shutdown = true;
             self.core.cv.notify_all();
         }
-        if let Some(h) = self
-            .merge_thread
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
+        // A merge thread that panicked joins with its panic ignored: a
+        // merge that dies before its swap leaves the published state whole.
+        if let Some(h) = lock(&self.merge_thread).take() {
             let _ = h.join();
         }
-        // No-thread mode (auto_merge(false)), and belt-and-braces for the
-        // threaded one: drain whatever is still pending.
+        // No-thread mode (auto_merge(false)), a dead thread, and
+        // belt-and-braces for a live one: drain whatever is still pending.
         while do_merge(&self.core) {}
     }
 
@@ -716,16 +664,12 @@ impl<const D: usize> TreeIndex for MutableIndex<D> {
     }
 
     fn attach_epoch_observer(&self, observer: EpochObserverFn) {
-        *self.core.observer.lock().unwrap_or_else(|e| e.into_inner()) = Some(observer);
+        *lock(&self.core.observer) = Some(observer);
     }
 }
 
 fn notify<const D: usize>(core: &Core<D>, event: &EpochEvent) {
-    let obs = core
-        .observer
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
+    let obs = lock(&core.observer).clone();
     if let Some(obs) = obs {
         obs(event);
     }
@@ -748,7 +692,7 @@ fn home_of<const D: usize>(shards: &[Arc<Shard<D>>], p: &PointN<D>) -> u32 {
 fn merge_loop<const D: usize>(core: Arc<Core<D>>) {
     loop {
         {
-            let mut ctl = core.ctl.lock().unwrap_or_else(|e| e.into_inner());
+            let mut ctl = lock(&core.ctl);
             while !ctl.wake && !ctl.shutdown {
                 ctl = core.cv.wait(ctl).unwrap_or_else(|e| e.into_inner());
             }
@@ -761,129 +705,109 @@ fn merge_loop<const D: usize>(core: Arc<Core<D>>) {
         }
         // A batch that crossed the share while a merge ran woke the thread
         // for deltas that merge may have folded already.
-        let state = core.state.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        let state = lock(&core.state).clone();
         if merge_due(state.pending(), state.n_live) {
             do_merge(&core);
         }
     }
 }
 
-/// Fold every delta at or below the snapshot's sequence high-water mark
-/// into fresh shards, re-splitting any touched shard that outgrew the
-/// Morton partition, and swap the new state in. Returns whether anything
-/// was merged. Serialized by `merge_lock`; the rebuild runs outside the
-/// writer/state locks so readers and writers stay live throughout.
+/// Fold the snapshot's pending window into fresh shards, re-splitting any
+/// touched shard that outgrew the Morton partition, and swap the new state
+/// in. Returns whether anything was merged. Serialized by `merge_lock`; the
+/// rebuild runs outside the writer/state locks so readers and writers stay
+/// live throughout.
 fn do_merge<const D: usize>(core: &Core<D>) -> bool {
-    let mut owner = core.merge_lock.lock().unwrap_or_else(|e| e.into_inner());
-    let snap = core.state.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    let cut = snap.seq;
+    let mut routes = lock(&core.merge_lock);
+    let snap = lock(&core.state).clone();
     let flushed: u64 = snap.pending();
     if flushed == 0 {
         return false;
     }
     let t0 = Instant::now();
 
-    // Ids deleted at or below the cut: globally unique, so one set covers
-    // both tree points and pending inserts.
-    let deleted: HashSet<u32> = snap
-        .deltas
-        .iter()
-        .flat_map(|d| d.deletes.iter())
-        .filter(|d| d.seq <= cut)
-        .map(|d| d.id)
-        .collect();
-
-    // Per slot: carry untouched shards, collect touched ones' merged
-    // point sets.
-    enum Slot<const D: usize> {
-        Carry(Arc<Shard<D>>),
-        Rebuild(Vec<(u32, PointN<D>)>),
-    }
-    let mut slots: Vec<Slot<D>> = Vec::with_capacity(snap.deltas.len());
-    let mut tree_after = 0usize;
-    for (s, delta) in snap.deltas.iter().enumerate() {
-        let touched = delta.inserts.iter().any(|i| i.seq <= cut)
-            // A pending-insert delete still dirties the slot: the insert
-            // it cancels is merged (filtered) here.
-            || delta.deletes.iter().any(|d| d.seq <= cut);
-        let base = snap.shards.get(s);
-        if !touched {
-            if let Some(shard) = base {
-                tree_after += shard.ids.len();
-                slots.push(Slot::Carry(Arc::clone(shard)));
-            }
-            continue;
-        }
-        let mut merged: Vec<(u32, PointN<D>)> = Vec::new();
-        if let Some(shard) = base {
-            merged.extend(shard.points().filter(|(id, _)| !deleted.contains(id)));
-        }
-        for ins in &delta.inserts {
-            if ins.seq <= cut && !deleted.contains(&ins.id) {
-                merged.push((ins.id, ins.pt));
-            }
-        }
-        tree_after += merged.len();
-        slots.push(Slot::Rebuild(merged));
+    // Per slot: the live pending inserts homed to it. The slots are the
+    // merged shards, or one when there are none.
+    let mut homed = vec![Vec::new(); snap.shards.len().max(1)];
+    for (id, pt) in snap.live_inserts() {
+        homed[home_of(&snap.shards, &pt) as usize].push((id, pt));
     }
 
-    // Re-split policy: a rebuilt slot holding more than twice the ideal
-    // Morton partition size splits into equal Morton ranges of at most
-    // the ideal size each; empty slots disappear.
-    let ideal = tree_after.div_ceil(core.target_shards).max(1);
+    // Carry a shard with no tombstone and no insert homed to it; rebuild
+    // the others from their live points and inserts. A rebuilt slot holding
+    // more than twice the ideal Morton partition size of the live points
+    // (all of which the new shards hold) splits into equal Morton ranges of
+    // at most the ideal size each; empty slots disappear.
+    let ideal = snap.n_live.div_ceil(core.target_shards).max(1);
     let mut new_shards: Vec<Arc<Shard<D>>> = Vec::new();
     let mut rebuilt = 0u32;
-    for slot in slots {
-        match slot {
-            Slot::Carry(shard) => new_shards.push(shard),
-            Slot::Rebuild(merged) => {
-                let k = match merged.len() {
-                    n if n > 2 * ideal => n.div_ceil(ideal),
-                    _ => 1,
-                };
-                let pieces = Shard::partition(&merged, k, core.leaf_size, core.split);
-                rebuilt += pieces.len() as u32;
-                new_shards.extend(pieces.into_iter().map(Arc::new));
-            }
+    for (s, inserts) in homed.into_iter().enumerate() {
+        let base = snap.shards.get(s);
+        let dead = snap.dead.get(s).unwrap_or(Tombstones::NONE);
+        if inserts.is_empty() && dead.is_empty() {
+            new_shards.extend(base.cloned());
+            continue;
         }
+        let mut merged: Vec<(u32, PointN<D>)> = (base.into_iter())
+            .flat_map(|shard| shard.points().zip(0..))
+            .filter_map(|(p, at)| (!dead.contains(at)).then_some(p))
+            .collect();
+        merged.extend(inserts);
+        let k = match merged.len() {
+            n if n > 2 * ideal => n.div_ceil(ideal),
+            _ => 1,
+        };
+        let pieces = Shard::partition(&merged, k, core.leaf_size, core.split);
+        rebuilt += pieces.len() as u32;
+        new_shards.extend(pieces.into_iter().map(Arc::new));
     }
 
     // The new shards' routing table, filled before the writer lock so a
-    // writer waits on the swap for the deltas since the cut, not for every
-    // live id. Its headroom of one share takes those deltas' inserts
+    // writer waits on the swap for the deltas since the snapshot, not for
+    // every live id. Its headroom of one share takes those deltas' inserts
     // without a rehash under the lock.
-    owner.clear();
-    owner.reserve(tree_after + tree_after.div_ceil(MERGE_SHARE as usize));
-    route_tree(&mut owner, &new_shards);
+    routes.clear();
+    routes.reserve(snap.n_live + snap.n_live.div_ceil(MERGE_SHARE as usize));
+    route_tree(&mut routes, &new_shards);
+    debug_assert_eq!(routes.len(), snap.n_live);
 
-    // Swap: swap the table in and re-home the deltas that arrived during
-    // the rebuild onto the new shard list — a delete whose target got
-    // merged under it becomes a tombstone in the target's new shard.
-    // Holding the writer lock keeps the state still; readers only wait for
-    // the swap itself.
-    let mut w = core.writer.lock().unwrap_or_else(|e| e.into_inner());
-    let cur = core.state.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    std::mem::swap(&mut w.owner, &mut owner);
-    let mut new_deltas = vec![ShardDelta::<D>::default(); new_shards.len().max(1)];
-    for ins in (cur.deltas.iter().flat_map(|d| &d.inserts)).filter(|ins| ins.seq > cut) {
-        let slot = home_of(&new_shards, &ins.pt);
-        w.owner.insert(ins.id, Owner { slot, at: None });
-        new_deltas[slot as usize].inserts.push(ins.clone());
+    #[cfg(test)]
+    if let Some(hook) = lock(&core.merge_hook).take() {
+        hook();
     }
-    for del in (cur.deltas.iter().flat_map(|d| &d.deletes)).filter(|del| del.seq > cut) {
-        let Some(Owner { slot, at }) = w.owner.remove(&del.id) else {
-            debug_assert!(false, "pending delete lost its target");
-            continue;
-        };
-        new_deltas[slot as usize]
-            .deletes
-            .push(DeltaDelete { at, ..*del });
+
+    // Swap the table in and replay what arrived during the rebuild — each
+    // log past its length in the snapshot — onto the new shards: a delete
+    // whose target got merged under it becomes a tombstone in the target's
+    // new shard. Holding the writer lock keeps the state still; readers
+    // only wait for the swap itself.
+    let mut w = lock(&core.writer);
+    let cur = lock(&core.state).clone();
+    std::mem::swap(&mut w.routes, &mut routes);
+    let inserts = cur.inserts[snap.inserts.len()..].to_vec();
+    let deleted = cur.deleted[snap.deleted.len()..].to_vec();
+    w.routes.extend(inserts.iter().map(|&(id, _)| (id, None)));
+    let mut dead = vec![Tombstones::default(); new_shards.len()];
+    for id in &deleted {
+        match w.routes.remove(id) {
+            Some(Some((s, at))) => dead[s as usize].insert(at),
+            Some(None) => {}
+            None => debug_assert!(false, "pending delete lost its target"),
+        }
     }
-    let n_live = w.owner.len();
+    let n_live = w.routes.len();
     let epoch = snap.epoch + 1;
-    let pending_after: u64 = new_deltas.iter().map(|d| d.len() as u64).sum();
-    let next = EpochState::publish(epoch, cur.seq, new_shards, new_deltas, n_live);
-    *core.state.lock().unwrap_or_else(|e| e.into_inner()) = next;
+    let next = Arc::new(EpochState {
+        epoch,
+        shards: new_shards,
+        dead,
+        inserts,
+        deleted,
+        n_live,
+        swept: OnceLock::new(),
+    });
+    let pending_after = next.pending();
+    *lock(&core.state) = next;
     drop(w);
     core.merges.fetch_add(1, Ordering::Relaxed);
     notify(
@@ -906,6 +830,7 @@ mod tests {
     use crate::query::{OpKey, QueryResult};
     use gts_apps::oracle;
     use gts_points::gen::uniform;
+    use std::collections::BTreeSet;
 
     fn cpu() -> ExecPolicy {
         ExecPolicy::forced(Backend::Cpu)
@@ -938,28 +863,35 @@ mod tests {
             assert!(out.shard_visits.iter().all(|v| v.round < walked));
         }
         for (i, q) in queries.iter().enumerate() {
-            let QueryResult::Nn { dist2, .. } = nn.results[i] else {
-                panic!()
-            };
-            let want = oracle::nn_dist2_nonself(&live, q);
-            if want.is_finite() {
-                assert!((dist2 - want).abs() <= 1e-5 * want.max(1e-6), "nn {i}");
-            } else {
-                assert!(!dist2.is_finite(), "nn {i} expected empty");
-            }
-            let QueryResult::Knn { dist2, .. } = &knn.results[i] else {
-                panic!()
-            };
-            let want = oracle::knn_dists(&live, q, 4);
-            assert_eq!(dist2.len(), want.len(), "knn {i} len");
-            for (got, want) in dist2.iter().zip(&want) {
-                assert!((got - want).abs() <= 1e-5 * want.max(1e-6), "knn {i}");
-            }
-            let QueryResult::Pc { count } = pc.results[i] else {
-                panic!()
-            };
-            assert_eq!(count, oracle::pc_count(&live, q, 0.3), "pc {i}");
+            check_answers(
+                &live,
+                q,
+                [&nn.results[i], &knn.results[i], &pc.results[i]],
+                i,
+            );
         }
+    }
+
+    /// One position's NN, kNN (`k` = 4) and PC (radius 0.3) answers against
+    /// the flat oracle over `live`.
+    fn check_answers(live: &[PointN<3>], q: &PointN<3>, answers: [&QueryResult; 3], i: usize) {
+        let [QueryResult::Nn { dist2, .. }, QueryResult::Knn { dist2: knn, .. }, QueryResult::Pc { count }] =
+            answers
+        else {
+            panic!("{answers:?}")
+        };
+        let want = oracle::nn_dist2_nonself(live, q);
+        if want.is_finite() {
+            assert!((dist2 - want).abs() <= 1e-5 * want.max(1e-6), "nn {i}");
+        } else {
+            assert!(!dist2.is_finite(), "nn {i} expected empty");
+        }
+        let want = oracle::knn_dists(live, q, 4);
+        assert_eq!(knn.len(), want.len(), "knn {i} len");
+        for (got, want) in knn.iter().zip(&want) {
+            assert!((got - want).abs() <= 1e-5 * want.max(1e-6), "knn {i}");
+        }
+        assert_eq!(*count, oracle::pc_count(live, q, 0.3), "pc {i}");
     }
 
     #[test]
@@ -1349,5 +1281,226 @@ mod tests {
             pos: vec![f32::NAN, 0.0, 0.0],
         }]);
         assert!(matches!(err, Err(MutateError::BadPosition)));
+    }
+
+    impl<const D: usize> MutableIndex<D> {
+        /// Run `hook` once, inside the next merge, between its rebuild and
+        /// the writer lock.
+        fn during_next_merge(&self, hook: impl FnOnce() + Send + 'static) {
+            *lock(&self.core.merge_hook) = Some(Box::new(hook));
+        }
+    }
+
+    /// The index's merge events, in order.
+    fn merge_log(idx: &MutableIndex<3>) -> Arc<Mutex<Vec<EpochEvent>>> {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&log);
+        idx.attach_epoch_observer(Arc::new(move |e: &EpochEvent| {
+            if matches!(e, EpochEvent::Merge { .. }) {
+                sink.lock().unwrap().push(e.clone());
+            }
+        }));
+        log
+    }
+
+    fn live_ids(idx: &MutableIndex<3>) -> BTreeSet<u32> {
+        idx.live().iter().map(|&(id, _)| id).collect()
+    }
+
+    #[test]
+    fn merge_replays_the_deltas_that_land_during_its_rebuild() {
+        let pts = uniform::<3>(400, 61);
+        let idx = Arc::new(
+            MutableIndexBuilder::new("m", 4)
+                .auto_merge(false)
+                .build(&pts),
+        );
+        let merges = merge_log(&idx);
+        let shards = idx.shard_ids();
+        assert_eq!(shards.len(), 4);
+        let insert = |pos: &[f32]| Mutation::Insert { pos: pos.to_vec() };
+        // At the snapshot: shard 0 has a tombstone and an insert homed to it
+        // (at one of its own points: its box is at distance 0 and ties go
+        // to the lowest shard), so it rebuilds; shard 2 is carried across.
+        let at_shard_0 = pts[shards[0][1] as usize];
+        let doomed = Mutation::Delete { id: shards[0][0] };
+        let ack = idx.mutate(&[doomed, insert(&at_shard_0.0)]).unwrap();
+        let pending_insert = ack.assigned[0];
+        let (carried, rebuilt) = (shards[2][0], shards[0][2]);
+        let during = Arc::clone(&idx);
+        idx.during_next_merge(move || {
+            let a = during
+                .mutate(&[insert(&[0.25, -0.5, 0.75])])
+                .unwrap()
+                .assigned[0];
+            // Ids are handed out in order: the insert below is `a + 1`.
+            let ack = during
+                .mutate(&[
+                    Mutation::Delete { id: carried },
+                    Mutation::Delete { id: rebuilt },
+                    Mutation::Delete { id: pending_insert },
+                    insert(&[0.6, 0.1, -0.3]),
+                    Mutation::Delete { id: a + 1 },
+                ])
+                .unwrap();
+            assert_eq!(
+                (ack.accepted, ack.rejected, ack.assigned),
+                (5, 0, vec![a + 1])
+            );
+        });
+        assert!(idx.merge_now());
+        // Two inserts and four deletes arrived during the rebuild.
+        assert_eq!((idx.epoch(), idx.pending()), (1, 6));
+        let EpochEvent::Merge {
+            rebuilt: shards_rebuilt,
+            flushed,
+            pending_after,
+            ..
+        } = merges.lock().unwrap()[0]
+        else {
+            panic!()
+        };
+        assert_eq!((shards_rebuilt, flushed, pending_after), (1, 2, 6));
+        assert_eq!(idx.shard_ids()[2], shards[2], "shard 2 carried across");
+        let gone = [shards[0][0], carried, rebuilt];
+        let want: BTreeSet<u32> = (0..400u32)
+            .filter(|id| !gone.contains(id))
+            .chain([pending_insert + 1])
+            .collect();
+        assert_eq!(live_ids(&idx), want);
+        let queries: Vec<PointN<3>> = (gone.iter().map(|&id| pts[id as usize]))
+            .chain([
+                at_shard_0,
+                PointN([0.25, -0.5, 0.75]),
+                PointN([0.6, 0.1, -0.3]),
+            ])
+            .chain(uniform::<3>(16, 62))
+            .collect();
+        check_against_oracle(&idx, &queries);
+
+        assert!(idx.merge_now());
+        assert_eq!((idx.epoch(), idx.pending()), (2, 0));
+        let EpochEvent::Merge { pending_after, .. } = merges.lock().unwrap()[1] else {
+            panic!()
+        };
+        assert_eq!(pending_after, 0);
+        assert_eq!(live_ids(&idx), want);
+        check_against_oracle(&idx, &queries);
+    }
+
+    #[test]
+    fn merge_of_a_cancelled_pair_rebuilds_nothing() {
+        let pts = uniform::<3>(200, 63);
+        let idx = MutableIndexBuilder::new("m", 4)
+            .auto_merge(false)
+            .build(&pts);
+        let merges = merge_log(&idx);
+        let before = idx.shard_ids();
+        let ack = idx
+            .mutate(&[Mutation::Insert {
+                pos: vec![0.5, 0.5, 0.5],
+            }])
+            .unwrap();
+        idx.mutate(&[Mutation::Delete {
+            id: ack.assigned[0],
+        }])
+        .unwrap();
+        assert_eq!(idx.pending(), 2);
+        assert!(idx.merge_now());
+        assert_eq!((idx.epoch(), idx.pending()), (1, 0));
+        let EpochEvent::Merge {
+            rebuilt, flushed, ..
+        } = merges.lock().unwrap()[0]
+        else {
+            panic!()
+        };
+        assert_eq!((rebuilt, flushed), (0, 2));
+        assert_eq!(idx.shard_ids(), before);
+        assert_eq!(live_ids(&idx), (0..200).collect());
+    }
+
+    #[test]
+    fn merge_thread_panic_loses_no_delta_and_close_drains() {
+        use crate::{Query, QueryKind, Service, ServiceConfig, ServiceError};
+        use std::sync::atomic::AtomicBool;
+        let pts = uniform::<3>(256, 65);
+        let idx = Arc::new(MutableIndexBuilder::new("m", 4).build(&pts));
+        let fired = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&fired);
+        idx.during_next_merge(move || {
+            flag.store(true, Ordering::SeqCst);
+            panic!("injected merge-thread panic");
+        });
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let id = service.register_index(idx.clone());
+        let mut model: BTreeSet<u32> = (0..256).collect();
+        let mut queries = 0u64;
+        let mut serve_exactly = |model: &BTreeSet<u32>| {
+            let live = live_points(&idx);
+            assert_eq!(&live_ids(&idx), model);
+            for (i, q) in uniform::<3>(8, 66).iter().enumerate() {
+                let ask = |kind| {
+                    let pos = q.0.to_vec();
+                    service
+                        .query(Query {
+                            index: id,
+                            pos,
+                            kind,
+                        })
+                        .unwrap()
+                };
+                let answers = [
+                    ask(QueryKind::Nn),
+                    ask(QueryKind::Knn { k: 4 }),
+                    ask(QueryKind::Pc { radius: 0.3 }),
+                ];
+                check_answers(&live, q, [&answers[0], &answers[1], &answers[2]], i);
+            }
+            queries += 24;
+        };
+        // Each round is 20 inserts and 20 deletes: past the 1/16 share of
+        // the live points, so every round asks for a background merge.
+        let extra = uniform::<3>(80, 67);
+        for (round, chunk) in extra.chunks(20).enumerate() {
+            let doomed: Vec<u32> = model.iter().copied().step_by(5).take(20).collect();
+            let muts: Vec<Mutation> = (chunk.iter())
+                .map(|p| Mutation::Insert { pos: p.0.to_vec() })
+                .chain(doomed.iter().map(|&id| Mutation::Delete { id }))
+                .collect();
+            let ack = service.mutate(id, &muts).expect("acknowledged");
+            assert_eq!((ack.accepted, ack.rejected), (40, 0));
+            assert_eq!(ack.pending, 40 * (round as u64 + 1), "nothing merged");
+            model.extend(ack.assigned);
+            doomed.iter().for_each(|id| assert!(model.remove(id)));
+            if round == 0 {
+                // The woken thread ran the hook and died with it.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !fired.load(Ordering::SeqCst) || !merge_thread_gone(&idx) {
+                    assert!(Instant::now() < deadline, "the merge thread never panicked");
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            }
+            serve_exactly(&model);
+        }
+        assert_eq!(idx.merges(), 0);
+        service.close();
+        assert_eq!((idx.pending(), idx.merges()), (0, 1));
+        assert_eq!(live_ids(&idx), model);
+        check_against_oracle(&idx, &uniform::<3>(8, 66));
+        idx.quiesce();
+        assert_eq!(idx.pending(), 0);
+        let refused = service.mutate(id, &[Mutation::Delete { id: 1 }]);
+        assert!(matches!(refused, Err(ServiceError::ShuttingDown)));
+        let m = service.shutdown();
+        assert_eq!((m.submitted, m.failed, m.rejected), (queries, 0, 0));
+        assert_eq!(m.submitted, m.completed + m.failed + m.rejected);
+    }
+
+    fn merge_thread_gone(idx: &MutableIndex<3>) -> bool {
+        let thread = lock(&idx.merge_thread);
+        thread.as_ref().is_some_and(|h| h.is_finished())
     }
 }
