@@ -225,6 +225,7 @@ mod tests {
     use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig};
     use gts_runtime::{cpu, ChildBuf, Live, Tombstones, TraversalKernel, VisitOutcome};
     use gts_trees::layout::NodeBytes;
+    use gts_trees::linearize::skip_links;
     use gts_trees::{LbKdTree, NodeId, SplitPolicy};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -371,7 +372,7 @@ mod tests {
         lockstep::run(&kernel, &mut l, &cfg);
         check(&l, "lockstep");
         let mut s = make();
-        stackless::run_skip(&kernel, &mut s, &tree.skip, &cfg);
+        stackless::run_skip(&kernel, &mut s, &skip_links(&tree.right), &cfg);
         check(&s, "skip");
         let mut w = make();
         let wald_lanes = {
@@ -468,7 +469,7 @@ mod tests {
         answer: fn(&R::State) -> Answer,
         ids: &dyn Fn(u32) -> u32,
     ) -> Vec<(&'static str, Vec<Answer>)> {
-        let lb = LbKdTree::build(&tree.points);
+        let (lb, skip) = (LbKdTree::build(&tree.points), skip_links(&tree.right));
         let kernel = KdBox::with_rule(tree, rule);
         let cfg = GpuConfig::default();
         let run = |walk: &dyn Fn(&mut [R::State])| -> Vec<Answer> {
@@ -487,7 +488,7 @@ mod tests {
             ("lockstep", run(&|p| drop(lockstep::run(&kernel, p, &cfg)))),
             (
                 "skip",
-                run(&|p| drop(stackless::run_skip(&kernel, p, &tree.skip, &cfg))),
+                run(&|p| drop(stackless::run_skip(&kernel, p, &skip, &cfg))),
             ),
             (
                 "wald",

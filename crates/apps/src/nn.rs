@@ -321,7 +321,8 @@ mod tests {
         let cfg = GpuConfig::default();
 
         let mut sk = pts.iter().map(|&p| NnPoint::new(p)).collect::<Vec<_>>();
-        let r = stackless::run_skip(&aabb, &mut sk, &tree.skip, &cfg);
+        let skip = gts_trees::linearize::skip_links(&tree.right);
+        let r = stackless::run_skip(&aabb, &mut sk, &skip, &cfg);
         check(&pts, &sk);
         assert_eq!(r.launch.counters.stack_bytes_peak, 0);
 

@@ -189,7 +189,7 @@ mod tests {
             &gpu,
             &gpu,
             &[1, 2, 32],
-            Some(&tree.skip),
+            Some(&gts_trees::linearize::skip_links(&tree.right)),
         );
         let l = cell
             .lockstep

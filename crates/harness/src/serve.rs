@@ -121,7 +121,6 @@ pub fn main_serve(args: &[String]) {
     let mut metrics_file: Option<String> = None;
     let mut trace_file: Option<String> = None;
     let mut slow_log_file: Option<String> = None;
-    let mut slow_log_percentile = 99.0f64;
     let mut slow_log_capacity = 256usize;
     let mut listen: Option<String> = None;
     let mut port_file: Option<String> = None;
@@ -132,7 +131,7 @@ pub fn main_serve(args: &[String]) {
         eprintln!(
             "usage: gts-harness serve [--points N] [--seed N] [--shards N] \
              [--shard-threads N] [--metrics-file PATH] [--trace-file PATH] \
-             [--slow-log PATH] [--slow-log-percentile P] [--slow-log-capacity N] \
+             [--slow-log PATH] [--slow-log-capacity N] \
              [--listen ADDR] [--port-file PATH] [--admission-budget-us N] \
              [--backend auto|lockstep|autoropes|stackless-kd|stackless-bvh|cpu] \
              [--mutable]"
@@ -175,10 +174,6 @@ pub fn main_serve(args: &[String]) {
                 slow_log_file = Some(need(i).to_string());
                 i += 2;
             }
-            "--slow-log-percentile" => {
-                slow_log_percentile = need(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
             "--slow-log-capacity" => {
                 slow_log_capacity = need(i).parse().unwrap_or_else(|_| usage());
                 i += 2;
@@ -216,7 +211,6 @@ pub fn main_serve(args: &[String]) {
         max_wait: Duration::from_millis(1),
         admission_budget: admission_budget_us.map(Duration::from_micros),
         slow_log_capacity,
-        slow_log_percentile,
         policy: ExecPolicy {
             shard_parallelism: shard_threads,
             force: backend,
@@ -317,7 +311,7 @@ pub fn main_serve(args: &[String]) {
                         let _ = publish(path, &service.metrics().to_prometheus());
                     }
                     if let Some(path) = slow_log_file {
-                        let _ = publish(path, &service.slow_log_json());
+                        let _ = publish(path, &service.slow_log().to_json());
                     }
                     // Re-check the flag at a human cadence: fresh enough
                     // for a scraper, cheap enough to never matter.
@@ -335,7 +329,7 @@ pub fn main_serve(args: &[String]) {
             let stop = &stop;
             scope.spawn(move || {
                 loop {
-                    let (events, missed) = service.trace_events_since(stream.cursor());
+                    let (events, missed) = service.tracer().events_since(stream.cursor());
                     if stream.append(&events, missed).is_err() {
                         // Disk gone bad: stop draining, keep serving.
                         break;
@@ -448,7 +442,7 @@ pub fn main_serve(args: &[String]) {
     // every commit up to the drain.
     if let Some(path) = &slow_log_file {
         let stats = service.slow_log().stats();
-        publish(path, &service.slow_log_json()).expect("publish slow log");
+        publish(path, &service.slow_log().to_json()).expect("publish slow log");
         eprintln!(
             "wrote {path} ({} committed, {} evicted, threshold {}µs)",
             stats.committed, stats.evicted, stats.threshold_us
@@ -463,7 +457,7 @@ pub fn main_serve(args: &[String]) {
         match trace_sink
             .take()
             .expect("sink survives the scope")
-            .finish_with_snapshot(&trace)
+            .finish(&trace)
         {
             Ok(stats) => eprintln!(
                 "wrote {path} ({} events streamed, {} missed, {} dropped in-ring; \
@@ -473,7 +467,7 @@ pub fn main_serve(args: &[String]) {
             Err(e) => eprintln!("error: trace stream {path}: {e}"),
         }
     }
-    eprint!("{}", crate::counters_view::render_service(&snapshot));
+    eprintln!("{}", snapshot.to_json());
     eprintln!(
         "served {} queries in {} batches",
         snapshot.completed, snapshot.batches

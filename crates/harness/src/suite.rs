@@ -8,6 +8,7 @@ use gts_apps::pc::{PcKernel, PcPoint};
 use gts_apps::vp::{VpKernel, VpPoint};
 use gts_points::gen::{self, Dataset};
 use gts_points::sort::{apply_perm, morton_order, shuffle};
+use gts_trees::linearize::skip_links;
 use gts_trees::{Aabb, KdTree, PointN, SplitPolicy, VpTree};
 
 use crate::config::HarnessConfig;
@@ -120,7 +121,7 @@ fn dm_cells<const D: usize>(
                     &cfg.gpu,
                     &cfg.gpu,
                     &cfg.threads,
-                    Some(&tree.skip),
+                    Some(&skip_links(&tree.right)),
                 )
             }
             "k-Nearest Neighbor" => {
@@ -136,7 +137,7 @@ fn dm_cells<const D: usize>(
                     &cfg.gpu,
                     &cfg.gpu,
                     &cfg.threads,
-                    Some(&tree.skip),
+                    Some(&skip_links(&tree.right)),
                 )
             }
             "Nearest Neighbor" => {
@@ -154,7 +155,7 @@ fn dm_cells<const D: usize>(
                     &cfg.gpu,
                     &cfg.gpu,
                     &cfg.threads,
-                    Some(&tree.skip),
+                    Some(&skip_links(&tree.right)),
                 )
             }
             "Vantage Point" => {

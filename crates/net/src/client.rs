@@ -24,20 +24,22 @@
 //! server's batch and shard spans. Phase spans (`connect`, `encode`,
 //! `send`, `await`, `decode`) are recorded regardless of peer version.
 
-use crate::frame::{
-    decode_body, write_frame, DecodeError, Frame, WireError, MAX_FRAME, PROTOCOL_VERSION,
-};
+use crate::frame::{decode_body, read_body, write_frame, Frame, WireError, PROTOCOL_VERSION};
 use gts_service::trace::NO_ID;
 use gts_service::{
     EventKind, IndexId, Mutation, MutationAck, Query, QueryResult, TraceContext, TraceRecorder,
 };
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Read as _};
+use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Default capacity of the client-side trace ring.
+/// Capacity of the client-side trace ring.
 pub const CLIENT_TRACE_CAPACITY: usize = 4096;
+
+/// The connection id a client's trace events carry: the `tid` its track
+/// renders under.
+const CLIENT_CONN: u64 = 0;
 
 fn proto_err(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -88,8 +90,6 @@ pub struct Client {
     trace_id: u64,
     /// Next per-frame span id (flow ids derive from it).
     next_span: u64,
-    /// Connection id used as the client-track `tid` in rendered traces.
-    conn: u64,
     /// Server trace-recorder anchor (µs since Unix epoch) from its v2
     /// `Hello`; the offset that maps client timestamps onto the server
     /// timeline when merging traces.
@@ -101,18 +101,7 @@ pub struct Client {
 impl Client {
     /// Connect, exchange `Hello`, and negotiate the protocol version.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Client::connect_with(addr, CLIENT_TRACE_CAPACITY, 0)
-    }
-
-    /// [`Client::connect`] with an explicit client-trace ring capacity and
-    /// connection id (the `tid` its spans render under — lets multiple
-    /// connections share one merged trace without overlapping tracks).
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        trace_capacity: usize,
-        conn: u64,
-    ) -> io::Result<Client> {
-        let trace = TraceRecorder::new(trace_capacity);
+        let trace = TraceRecorder::new(CLIENT_TRACE_CAPACITY);
         let trace_id = mint_trace_id(trace.wall_epoch_us());
         let t0 = trace.now_us();
         let stream = TcpStream::connect(addr)?;
@@ -128,7 +117,6 @@ impl Client {
             trace,
             trace_id,
             next_span: 1,
-            conn,
             server_wall_us: None,
             span_of: HashMap::new(),
         };
@@ -205,7 +193,7 @@ impl Client {
             self.trace_id,
             EventKind::ClientSpan {
                 name,
-                conn: self.conn,
+                conn: CLIENT_CONN,
             },
         );
     }
@@ -222,7 +210,7 @@ impl Client {
                 self.trace_id,
                 EventKind::FlowOut {
                     flow: ctx.request_flow(),
-                    conn: self.conn,
+                    conn: CLIENT_CONN,
                     client: true,
                 },
             );
@@ -244,7 +232,7 @@ impl Client {
                 self.trace_id,
                 EventKind::FlowIn {
                     flow: ctx.response_flow(),
-                    conn: self.conn,
+                    conn: CLIENT_CONN,
                     client: true,
                 },
             );
@@ -261,26 +249,9 @@ impl Client {
     /// so `await` and `decode` render as distinct client spans.
     fn read(&mut self) -> io::Result<Frame> {
         let t_await = self.trace.now_us();
-        let mut len = [0u8; 4];
-        match self.reader.read_exact(&mut len) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ))
-            }
-            Err(e) => return Err(e),
-        }
-        let declared = u32::from_le_bytes(len);
-        if declared > MAX_FRAME {
-            return Err(DecodeError::Oversized { declared }.into());
-        }
-        if declared == 0 {
-            return Err(DecodeError::Empty.into());
-        }
-        let mut body = vec![0u8; declared as usize];
-        self.reader.read_exact(&mut body)?;
+        let body = read_body(&mut self.reader)?.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
+        })?;
         self.span(t_await, "await", NO_ID);
         let t_decode = self.trace.now_us();
         let frame = decode_body(&body)?;

@@ -35,9 +35,9 @@
 //! *types* (not trailers) stay fatal.
 //!
 //! Declared lengths above [`MAX_FRAME`] are rejected *before* any
-//! allocation sized by the attacker-controlled length — both the
-//! incremental [`Decoder`] and the blocking [`read_frame`] check the
-//! header first.
+//! allocation sized by the attacker-controlled length: [`read_frame`],
+//! the one reader the server and the client share, checks the header
+//! before it reads the body.
 
 use gts_service::{IndexId, Mutation, Query, QueryKind, QueryResult, ServiceError, TraceContext};
 use std::io::{Read, Write};
@@ -769,61 +769,6 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, DecodeError> {
     Ok(frame)
 }
 
-/// Incremental decoder: feed bytes as they arrive (in any fragmentation),
-/// pull complete frames out. The internal buffer only ever grows by the
-/// bytes actually fed — a hostile length prefix cannot make it allocate.
-#[derive(Default)]
-pub struct Decoder {
-    buf: Vec<u8>,
-    at: usize,
-}
-
-impl Decoder {
-    /// An empty decoder.
-    pub fn new() -> Decoder {
-        Decoder::default()
-    }
-
-    /// Append newly received bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        // Compact lazily: only when the consumed prefix dominates.
-        if self.at > 4096 && self.at * 2 > self.buf.len() {
-            self.buf.drain(..self.at);
-            self.at = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Decode the next complete frame, `Ok(None)` if more bytes are
-    /// needed. After an `Err` the stream is unrecoverable (framing is
-    /// lost) — the connection should be closed.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, DecodeError> {
-        let avail = &self.buf[self.at..];
-        if avail.len() < 4 {
-            return Ok(None);
-        }
-        let declared = u32::from_le_bytes(avail[..4].try_into().unwrap());
-        if declared > MAX_FRAME {
-            return Err(DecodeError::Oversized { declared });
-        }
-        if declared == 0 {
-            return Err(DecodeError::Empty);
-        }
-        let total = 4 + declared as usize;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let frame = decode_body(&avail[4..total])?;
-        self.at += total;
-        Ok(Some(frame))
-    }
-
-    /// Bytes buffered but not yet consumed by a decoded frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.at
-    }
-}
-
 // ------------------------------------------------------------- blocking io
 
 /// Write one frame to a blocking stream.
@@ -833,13 +778,24 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<usize> 
     Ok(bytes.len())
 }
 
-/// Read one frame from a blocking stream. `Ok(None)` on clean EOF at a
-/// frame boundary; oversized declared lengths error out before the body
-/// is read (or any body-sized buffer allocated).
+/// Read one frame from a blocking stream, however the reads fragment it.
+/// `Ok(None)` on clean EOF at a frame boundary; a stream that ends inside
+/// a frame, its length prefix included, is an `UnexpectedEof` error.
+/// Oversized declared lengths error out before the body is read (or any
+/// body-sized buffer allocated).
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<(Frame, usize)>> {
+    let Some(body) = read_body(r)? else {
+        return Ok(None);
+    };
+    Ok(Some((decode_body(&body)?, 4 + body.len())))
+}
+
+/// [`read_frame`] up to the body: the header checks and the body's bytes,
+/// left for [`decode_body`].
+pub(crate) fn read_body(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
+    match r.read_exact(&mut len[..1]) {
+        Ok(()) => r.read_exact(&mut len[1..])?,
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
@@ -852,6 +808,5 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<(Frame, usize)>> 
     }
     let mut body = vec![0u8; declared as usize];
     r.read_exact(&mut body)?;
-    let frame = decode_body(&body)?;
-    Ok(Some((frame, 4 + declared as usize)))
+    Ok(Some(body))
 }

@@ -9,9 +9,10 @@
 //!
 //! Layout:
 //!
-//! * [`frame`] — the wire protocol: frame types, encode/decode, and an
-//!   incremental [`frame::Decoder`] that tolerates arbitrary read
-//!   fragmentation and rejects oversized frames *before* allocating.
+//! * [`frame`] — the wire protocol: frame types, encode/decode, and the
+//!   blocking [`frame::read_frame`] both ends read with, which tolerates
+//!   arbitrary read fragmentation and rejects oversized frames *before*
+//!   allocating.
 //! * [`server`] — [`NetServer`]: one reader + one writer thread per
 //!   connection; query completions are delivered through the service's
 //!   [`gts_service::Ticket::on_complete`] waker edge and multiplexed onto
@@ -29,5 +30,5 @@ pub mod frame;
 pub mod server;
 
 pub use client::{Client, CLIENT_TRACE_CAPACITY};
-pub use frame::{Decoder, ErrorCode, Frame, WireError, MAX_FRAME, PROTOCOL_VERSION};
+pub use frame::{ErrorCode, Frame, WireError, MAX_FRAME, PROTOCOL_VERSION};
 pub use server::NetServer;

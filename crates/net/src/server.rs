@@ -418,7 +418,7 @@ fn reader_loop(stream: TcpStream, conn: u64, service: &Arc<Service>, tx: &Sender
                 // the dump is a bounded ring snapshot, not a query.
                 let _ = tx.send(Frame::SlowLog {
                     req,
-                    json: service.slow_log_json(),
+                    json: service.slow_log().to_json(),
                 });
             }
             Frame::Mutate { req, index, muts } => {

@@ -1,18 +1,45 @@
 //! Frame-codec correctness: property-based round-trips plus adversarial
-//! decodes (truncation, hostile lengths, unknown types, split reads).
+//! decodes (truncation, hostile lengths, unknown types, one-byte reads),
+//! all through `read_frame`, the reader the server and the client share.
 
 use gts_net::frame::{decode_body, read_frame, DecodeError};
-use gts_net::{Decoder, ErrorCode, Frame, WireError, MAX_FRAME, PROTOCOL_VERSION};
+use gts_net::{ErrorCode, Frame, WireError, MAX_FRAME, PROTOCOL_VERSION};
 use gts_service::{Mutation, Query, QueryKind, QueryResult, TraceContext};
 use proptest::prelude::*;
+use std::io::{ErrorKind, Read};
 
 fn roundtrip(frame: &Frame) -> Frame {
     let bytes = frame.encode();
-    let mut dec = Decoder::new();
-    dec.feed(&bytes);
-    let got = dec.next_frame().expect("decodes").expect("complete");
-    assert_eq!(dec.pending(), 0, "no leftover bytes");
+    let (got, used) = read_frame(&mut &bytes[..])
+        .expect("decodes")
+        .expect("complete");
+    assert_eq!(used, bytes.len(), "no leftover bytes");
     got
+}
+
+/// The decode error `read_frame` reports for a stream holding `bytes`.
+fn read_err(bytes: &[u8]) -> DecodeError {
+    let err = read_frame(&mut &bytes[..]).expect_err("the stream is refused");
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    let inner = err.get_ref().and_then(|e| e.downcast_ref::<DecodeError>());
+    inner.expect("a decode error").clone()
+}
+
+/// A reader that hands out one byte per `read`: the finest fragmentation
+/// a socket can produce.
+struct OneByte<'a>(&'a [u8]);
+
+impl Read for OneByte<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match (self.0.split_first(), buf.first_mut()) {
+            (Some((&b, rest)), Some(slot)) => {
+                *slot = b;
+                self.0 = rest;
+                Ok(1)
+            }
+            _ => Ok(0),
+        }
+    }
 }
 
 fn sample_query(kind_tag: u8, param: u32, index: u32, pos: Vec<f32>) -> Query {
@@ -104,37 +131,6 @@ proptest! {
         let frame = Frame::BatchResult { base_req: n as u64 * 17, results };
         prop_assert_eq!(roundtrip(&frame), frame);
     }
-
-    #[test]
-    fn split_reads_reassemble(cut in 1usize..50) {
-        // Feed a multi-frame byte stream in two arbitrary pieces — the
-        // decoder must produce the same frames regardless of the split.
-        let frames = [
-            Frame::Hello { version: PROTOCOL_VERSION, wall_us: Some(1_700_000_000_000_000) },
-            Frame::Submit {
-                req: 42,
-                query: sample_query(1, 5, 0, vec![1.0, 2.0, 3.0]),
-                ctx: Some(TraceContext { trace_id: 0xDEAD_BEEF, span_id: 3 }),
-            },
-            Frame::Shutdown,
-        ];
-        let mut bytes = Vec::new();
-        for f in &frames {
-            bytes.extend_from_slice(&f.encode());
-        }
-        let cut = cut % bytes.len();
-        let mut dec = Decoder::new();
-        dec.feed(&bytes[..cut]);
-        let mut got = Vec::new();
-        while let Some(f) = dec.next_frame().unwrap() {
-            got.push(f);
-        }
-        dec.feed(&bytes[cut..]);
-        while let Some(f) = dec.next_frame().unwrap() {
-            got.push(f);
-        }
-        prop_assert_eq!(got, frames.to_vec());
-    }
 }
 
 #[test]
@@ -186,66 +182,86 @@ fn a_k_past_the_wire_slot_saturates_instead_of_wrapping() {
 }
 
 #[test]
-fn truncated_frame_waits_for_more_bytes() {
-    let bytes = Frame::Submit {
-        req: 9,
-        query: sample_query(0, 0, 1, vec![1.0, 2.0]),
-        ctx: None,
+fn one_byte_reads_reassemble_every_frame() {
+    let frames = [
+        Frame::Hello {
+            version: PROTOCOL_VERSION,
+            wall_us: Some(1_700_000_000_000_000),
+        },
+        Frame::Submit {
+            req: 42,
+            query: sample_query(1, 5, 0, vec![1.0, 2.0, 3.0]),
+            ctx: Some(TraceContext {
+                trace_id: 0xDEAD_BEEF,
+                span_id: 3,
+            }),
+        },
+        Frame::Shutdown,
+    ];
+    let mut bytes = Vec::new();
+    let mut ends = Vec::new();
+    for f in &frames {
+        bytes.extend_from_slice(&f.encode());
+        ends.push(bytes.len());
     }
-    .encode();
-    let mut dec = Decoder::new();
-    // Every strict prefix is "incomplete", never an error.
-    for end in 0..bytes.len() {
-        let mut d = Decoder::new();
-        d.feed(&bytes[..end]);
-        assert_eq!(d.next_frame(), Ok(None), "prefix of {end} bytes");
+    let mut r = OneByte(&bytes);
+    let (mut got, mut consumed) = (Vec::new(), 0);
+    while let Some((frame, used)) = read_frame(&mut r).unwrap() {
+        got.push(frame);
+        consumed += used;
     }
-    // Byte-at-a-time feed decodes exactly once at the end.
-    for (i, b) in bytes.iter().enumerate() {
-        dec.feed(std::slice::from_ref(b));
-        let step = dec.next_frame().unwrap();
-        assert_eq!(step.is_some(), i == bytes.len() - 1);
+    assert_eq!(consumed, bytes.len());
+    assert_eq!(got, frames.to_vec());
+
+    // A stream cut anywhere inside a frame, its length prefix included,
+    // yields the whole frames before the cut and then `UnexpectedEof`.
+    for cut in (1..bytes.len()).filter(|c| !ends.contains(c)) {
+        let mut r = OneByte(&bytes[..cut]);
+        let mut whole = 0;
+        let err = loop {
+            match read_frame(&mut r) {
+                Ok(Some(_)) => whole += 1,
+                Ok(None) => panic!("a stream cut at byte {cut} ended cleanly"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "cut at byte {cut}");
+        assert_eq!(
+            whole,
+            ends.iter().filter(|&&e| e < cut).count(),
+            "cut at byte {cut}"
+        );
     }
 }
 
 #[test]
 fn oversized_declared_length_is_rejected_from_the_header_alone() {
-    // 8 bytes claiming a 100 MiB frame: the decoder must reject on the
-    // header, without ever seeing (or allocating for) the body.
+    // 8 bytes claiming a 100 MiB frame: the reader must reject on the
+    // header, without ever reading (or allocating for) the body.
     let declared = 100 * 1024 * 1024u32;
     let mut bytes = declared.to_le_bytes().to_vec();
     bytes.extend_from_slice(&[2, 0, 0, 0]);
-    let mut dec = Decoder::new();
-    dec.feed(&bytes);
-    assert_eq!(dec.next_frame(), Err(DecodeError::Oversized { declared }));
-
-    // Same through the blocking reader: errors after the 4-byte header.
+    assert_eq!(read_err(&bytes), DecodeError::Oversized { declared });
     let mut r = std::io::Cursor::new(bytes);
-    let err = read_frame(&mut r).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(read_frame(&mut r).is_err());
     assert_eq!(r.position(), 4, "body was never read");
 
     // Boundary: MAX_FRAME itself is allowed (only > rejects), so a
     // maximal declared length fails on missing bytes, not on size.
-    let mut dec = Decoder::new();
-    dec.feed(&MAX_FRAME.to_le_bytes());
-    assert_eq!(dec.next_frame(), Ok(None));
+    let err = read_frame(&mut &MAX_FRAME.to_le_bytes()[..]).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
 }
 
 #[test]
 fn unknown_frame_type_is_an_error() {
     let mut bytes = 1u32.to_le_bytes().to_vec();
     bytes.push(99);
-    let mut dec = Decoder::new();
-    dec.feed(&bytes);
-    assert_eq!(dec.next_frame(), Err(DecodeError::UnknownType(99)));
+    assert_eq!(read_err(&bytes), DecodeError::UnknownType(99));
 }
 
 #[test]
 fn zero_length_frame_is_an_error() {
-    let mut dec = Decoder::new();
-    dec.feed(&0u32.to_le_bytes());
-    assert_eq!(dec.next_frame(), Err(DecodeError::Empty));
+    assert_eq!(read_err(&0u32.to_le_bytes()), DecodeError::Empty);
 }
 
 #[test]
@@ -285,12 +301,7 @@ fn trailing_bytes_after_a_valid_payload_are_rejected() {
     bytes.push(0xaa);
     let len = (bytes.len() - 4) as u32;
     bytes[..4].copy_from_slice(&len.to_le_bytes());
-    let mut dec = Decoder::new();
-    dec.feed(&bytes);
-    assert_eq!(
-        dec.next_frame(),
-        Err(DecodeError::BadPayload("trailing bytes"))
-    );
+    assert_eq!(read_err(&bytes), DecodeError::BadPayload("trailing bytes"));
 }
 
 #[test]
@@ -443,12 +454,7 @@ fn half_written_context_trailer_is_rejected() {
     bytes.extend_from_slice(&9u64.to_le_bytes());
     let len = (bytes.len() - 4) as u32;
     bytes[..4].copy_from_slice(&len.to_le_bytes());
-    let mut dec = Decoder::new();
-    dec.feed(&bytes);
-    assert_eq!(
-        dec.next_frame(),
-        Err(DecodeError::BadPayload("truncated field"))
-    );
+    assert_eq!(read_err(&bytes), DecodeError::BadPayload("truncated field"));
 }
 
 #[test]
@@ -479,10 +485,5 @@ fn truncated_mutate_ack_is_rejected() {
     let mut cut = bytes[..bytes.len() - 4].to_vec();
     let len = (cut.len() - 4) as u32;
     cut[..4].copy_from_slice(&len.to_le_bytes());
-    let mut dec = Decoder::new();
-    dec.feed(&cut);
-    assert_eq!(
-        dec.next_frame(),
-        Err(DecodeError::BadPayload("truncated field"))
-    );
+    assert_eq!(read_err(&cut), DecodeError::BadPayload("truncated field"));
 }

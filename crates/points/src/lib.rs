@@ -20,7 +20,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod gen;
-pub mod load;
 pub mod profile;
 pub mod project;
 pub mod sort;

@@ -61,47 +61,6 @@ pub fn tree_order<T, K: Ord>(pts: &[T], locate: impl Fn(&T) -> K) -> Vec<u32> {
     order
 }
 
-/// Hilbert-curve key of a 2-d point within `bbox`: the classic `xy2d`
-/// walk over a `2^HILBERT_ORDER × 2^HILBERT_ORDER` grid. The Hilbert curve
-/// has strictly better locality than the Z-order curve (no long diagonal
-/// jumps), at the cost of being dimension-specific; [`morton_key`] covers
-/// arbitrary `D`.
-pub fn hilbert_key_2d(p: &PointN<2>, bbox: &Aabb<2>) -> u64 {
-    const ORDER: u32 = 16;
-    let n: u64 = 1 << ORDER;
-    let quant = |a: usize| -> u64 {
-        let ext = bbox.extent(a).max(f32::MIN_POSITIVE);
-        let t = ((p[a] - bbox.lo[a]) / ext).clamp(0.0, 1.0);
-        ((t * (n - 1) as f32) as u64).min(n - 1)
-    };
-    let (mut x, mut y) = (quant(0), quant(1));
-    let mut d: u64 = 0;
-    let mut s = n / 2;
-    while s > 0 {
-        let rx = u64::from((x & s) > 0);
-        let ry = u64::from((y & s) > 0);
-        d += s * s * ((3 * rx) ^ ry);
-        // Rotate the quadrant (canonical xy2d rotation over the full grid).
-        if ry == 0 {
-            if rx == 1 {
-                x = (n - 1) - x;
-                y = (n - 1) - y;
-            }
-            std::mem::swap(&mut x, &mut y);
-        }
-        s /= 2;
-    }
-    d
-}
-
-/// Return the permutation that sorts 2-d points along the Hilbert curve.
-pub fn hilbert_order_2d(pts: &[PointN<2>]) -> Vec<u32> {
-    let bbox = Aabb::of_points(pts);
-    let mut order: Vec<u32> = (0..pts.len() as u32).collect();
-    order.sort_by_cached_key(|&i| hilbert_key_2d(&pts[i as usize], &bbox));
-    order
-}
-
 /// Apply a permutation: `out[k] = xs[perm[k]]`.
 pub fn apply_perm<T: Clone>(xs: &[T], perm: &[u32]) -> Vec<T> {
     assert_eq!(xs.len(), perm.len(), "permutation length mismatch");
@@ -173,82 +132,7 @@ mod tests {
         let _ = apply_perm(&[1, 2, 3], &[0, 1]);
     }
 
-    #[test]
-    fn hilbert_matches_canonical_4x4_reference() {
-        // xy2d reference values for the order-2 (4×4) curve.
-        let expect = [
-            [0u64, 1, 14, 15],
-            [3, 2, 13, 12],
-            [4, 7, 8, 11],
-            [5, 6, 9, 10],
-        ];
-        // Quantization maps cell centers of a 4×4 grid onto the 2^16 grid;
-        // scale the keys back down: each 4×4 cell covers (2^14)² sub-cells.
-        let bbox = Aabb {
-            lo: PointN([0.0, 0.0]),
-            hi: PointN([1.0, 1.0]),
-        };
-        let cell = 1u64 << (2 * 14);
-        for (yi, row) in expect.iter().enumerate() {
-            for (xi, &want) in row.iter().enumerate() {
-                let p = PointN([(xi as f32 + 0.5) / 4.0, (yi as f32 + 0.5) / 4.0]);
-                let got = hilbert_key_2d(&p, &bbox) / cell;
-                assert_eq!(got, want, "cell ({xi},{yi})");
-            }
-        }
-    }
-
-    #[test]
-    fn hilbert_keys_of_adjacent_cells_are_close() {
-        // Walk a fine grid row: consecutive cells' Hilbert keys never jump
-        // by more than a small constant on average (the locality property
-        // Z-order lacks at quadrant boundaries).
-        let bbox = Aabb {
-            lo: PointN([0.0, 0.0]),
-            hi: PointN([1.0, 1.0]),
-        };
-        let steps = 256;
-        let mut total_jump: u64 = 0;
-        let mut prev = hilbert_key_2d(&PointN([0.0, 0.5]), &bbox);
-        for i in 1..steps {
-            let x = i as f32 / steps as f32;
-            let k = hilbert_key_2d(&PointN([x, 0.5]), &bbox);
-            total_jump += k.abs_diff(prev);
-            prev = k;
-        }
-        // A straight row crosses the full curve range; the average jump
-        // stays bounded by ~range/steps × small constant.
-        let range: u64 = 1 << 32;
-        assert!(
-            total_jump / (steps - 1) < range / 16,
-            "avg jump {}",
-            total_jump / (steps - 1)
-        );
-    }
-
-    #[test]
-    fn hilbert_order_groups_clusters_contiguously() {
-        let mut pts = Vec::new();
-        for i in 0..10 {
-            pts.push(PointN([0.01 * i as f32, 0.0]));
-            pts.push(PointN([100.0 + 0.01 * i as f32, 100.0]));
-        }
-        let sorted = apply_perm(&pts, &hilbert_order_2d(&pts));
-        let labels: Vec<bool> = sorted.iter().map(|p| p[0] > 50.0).collect();
-        let transitions = labels.windows(2).filter(|w| w[0] != w[1]).count();
-        assert_eq!(transitions, 1, "clusters interleaved: {labels:?}");
-    }
-
     proptest! {
-        #[test]
-        fn prop_hilbert_order_is_permutation(n in 1usize..200, seed in 0u64..100) {
-            let pts = crate::gen::uniform::<2>(n, seed);
-            let order = hilbert_order_2d(&pts);
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(sorted, (0..n as u32).collect::<Vec<_>>());
-        }
-
         #[test]
         fn prop_morton_order_is_permutation(n in 1usize..200, seed in 0u64..100) {
             let pts = crate::gen::uniform::<3>(n, seed);

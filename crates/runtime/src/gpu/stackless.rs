@@ -9,8 +9,8 @@
 //!
 //! * [`run_skip`] — the ropes-free *skip-link* walk over any left-biased
 //!   preorder tree (kd, BVH, …): descend to `n + 1`, escape to `skip[n]`
-//!   (the Apetrei-style escape link computed at build time by
-//!   [`gts_trees::linearize::skip_links`]). One live node id per lane.
+//!   (the Apetrei-style escape link, a function of the tree's right-child
+//!   links: [`gts_trees::linearize::skip_links`]). One live node id per lane.
 //!   Because the walk hard-codes the canonical left-first order it demands
 //!   the same annotation lockstep does: a guided kernel must declare
 //!   `CALL_SETS_EQUIVALENT` (§4.3), and per-node variant arguments cannot
@@ -43,9 +43,10 @@ use super::{drive, drive_points, scan_leaves_per_lane, GpuConfig, Scene};
 
 /// Run the ropes-free skip-link traversal of `points` over `kernel`.
 ///
-/// `skip` is the tree's escape-link table (`tree.skip`, computed at build
-/// time); the tree must be in left-biased preorder with the left child at
-/// `n + 1` — the invariant every builder in `gts-trees` maintains.
+/// `skip` is the tree's escape-link table
+/// ([`gts_trees::linearize::skip_links`] of its right-child links); the
+/// tree must be in left-biased preorder with the left child at `n + 1` —
+/// the invariant every builder in `gts-trees` maintains.
 ///
 /// # Panics
 /// Panics if the kernel is guided without the §4.3 equivalence annotation

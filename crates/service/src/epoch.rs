@@ -28,7 +28,9 @@
 //!   id, while the delta window answers exactly at any depth at a
 //!   per-query cost bounded by the share. Deltas below the share stay
 //!   pending until a later batch crosses it, [`MutableIndex::merge_now`],
-//!   or [`MutableIndex::quiesce`].
+//!   or [`MutableIndex::quiesce`]. A merge that panics dies before its
+//!   swap, so the published state stays whole, and the thread retries at
+//!   its next wake.
 //!
 //! **Delta-window answer rule.** Answers are exact at every instant, and
 //! every batch — pending deltas or not — is one ordinary [`sweep`] of
@@ -57,6 +59,7 @@ use crate::shard::{sweep, Shard};
 use gts_runtime::Tombstones;
 use gts_trees::{PointN, SplitPolicy};
 use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
@@ -147,34 +150,24 @@ pub struct EpochStats {
     pub shards: u64,
 }
 
-/// Epoch lifecycle notifications a runtime (the service) can subscribe to
-/// via [`TreeIndex::attach_epoch_observer`] — how mutation and merge
-/// activity reaches the metrics registry and the trace ring without the
-/// index depending on either.
+/// A merge that landed and advanced the epoch, background or forced — what
+/// a runtime (the service) subscribed through
+/// [`TreeIndex::attach_epoch_observer`] hears, so merge activity reaches
+/// the metrics registry and the trace ring without the index depending on
+/// either. A mutation batch needs no event: its caller holds the
+/// [`MutationAck`].
 #[derive(Debug, Clone)]
-pub enum EpochEvent {
-    /// A mutation batch was applied and published.
-    Mutation {
-        /// Mutations applied.
-        accepted: u64,
-        /// Deletes skipped (id not live).
-        rejected: u64,
-        /// Delta depth after the batch.
-        pending: u64,
-    },
-    /// A background (or forced) merge landed and the epoch advanced.
-    Merge {
-        /// The epoch the merge advanced *to*.
-        epoch: u64,
-        /// Shards rebuilt (including re-split chunks).
-        rebuilt: u32,
-        /// Delta entries folded into the new shards.
-        flushed: u64,
-        /// Delta entries that arrived during the merge and stay pending.
-        pending_after: u64,
-        /// Wall time of the merge.
-        dur: Duration,
-    },
+pub struct EpochEvent {
+    /// The epoch the merge advanced *to*.
+    pub epoch: u64,
+    /// Shards rebuilt (including re-split chunks).
+    pub rebuilt: u32,
+    /// Delta entries folded into the new shards.
+    pub flushed: u64,
+    /// Delta entries that arrived during the merge and stay pending.
+    pub pending_after: u64,
+    /// Wall time of the merge.
+    pub dur: Duration,
 }
 
 /// Observer callback for [`EpochEvent`]s; see
@@ -573,14 +566,6 @@ impl<const D: usize> MutableIndex<D> {
             ctl.wake = true;
             core.cv.notify_all();
         }
-        notify(
-            core,
-            &EpochEvent::Mutation {
-                accepted,
-                rejected,
-                pending,
-            },
-        );
         Ok(MutationAck {
             accepted,
             rejected,
@@ -668,13 +653,6 @@ impl<const D: usize> TreeIndex for MutableIndex<D> {
     }
 }
 
-fn notify<const D: usize>(core: &Core<D>, event: &EpochEvent) {
-    let obs = lock(&core.observer).clone();
-    if let Some(obs) = obs {
-        obs(event);
-    }
-}
-
 /// Home slot of a point: the shard whose box is nearest (ties to the
 /// lowest index), slot 0 when the tree is empty.
 fn home_of<const D: usize>(shards: &[Arc<Shard<D>>], p: &PointN<D>) -> u32 {
@@ -704,10 +682,12 @@ fn merge_loop<const D: usize>(core: Arc<Core<D>>) {
             ctl.wake = false;
         }
         // A batch that crossed the share while a merge ran woke the thread
-        // for deltas that merge may have folded already.
+        // for deltas that merge may have folded already. A merge that
+        // panics dies before its swap and leaves the published state
+        // whole; the thread lives on, and the next wake retries.
         let state = lock(&core.state).clone();
         if merge_due(state.pending(), state.n_live) {
-            do_merge(&core);
+            let _ = catch_unwind(AssertUnwindSafe(|| do_merge(&core)));
         }
     }
 }
@@ -810,16 +790,16 @@ fn do_merge<const D: usize>(core: &Core<D>) -> bool {
     *lock(&core.state) = next;
     drop(w);
     core.merges.fetch_add(1, Ordering::Relaxed);
-    notify(
-        core,
-        &EpochEvent::Merge {
+    let observer = lock(&core.observer).clone();
+    if let Some(observer) = observer {
+        observer(&EpochEvent {
             epoch,
             rebuilt,
             flushed,
             pending_after,
             dur: t0.elapsed(),
-        },
-    );
+        });
+    }
     true
 }
 
@@ -1296,9 +1276,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&log);
         idx.attach_epoch_observer(Arc::new(move |e: &EpochEvent| {
-            if matches!(e, EpochEvent::Merge { .. }) {
-                sink.lock().unwrap().push(e.clone());
-            }
+            sink.lock().unwrap().push(e.clone());
         }));
         log
     }
@@ -1351,15 +1329,12 @@ mod tests {
         assert!(idx.merge_now());
         // Two inserts and four deletes arrived during the rebuild.
         assert_eq!((idx.epoch(), idx.pending()), (1, 6));
-        let EpochEvent::Merge {
+        let EpochEvent {
             rebuilt: shards_rebuilt,
             flushed,
             pending_after,
             ..
-        } = merges.lock().unwrap()[0]
-        else {
-            panic!()
-        };
+        } = merges.lock().unwrap()[0];
         assert_eq!((shards_rebuilt, flushed, pending_after), (1, 2, 6));
         assert_eq!(idx.shard_ids()[2], shards[2], "shard 2 carried across");
         let gone = [shards[0][0], carried, rebuilt];
@@ -1380,9 +1355,7 @@ mod tests {
 
         assert!(idx.merge_now());
         assert_eq!((idx.epoch(), idx.pending()), (2, 0));
-        let EpochEvent::Merge { pending_after, .. } = merges.lock().unwrap()[1] else {
-            panic!()
-        };
+        let EpochEvent { pending_after, .. } = merges.lock().unwrap()[1];
         assert_eq!(pending_after, 0);
         assert_eq!(live_ids(&idx), want);
         check_against_oracle(&idx, &queries);
@@ -1408,19 +1381,16 @@ mod tests {
         assert_eq!(idx.pending(), 2);
         assert!(idx.merge_now());
         assert_eq!((idx.epoch(), idx.pending()), (1, 0));
-        let EpochEvent::Merge {
+        let EpochEvent {
             rebuilt, flushed, ..
-        } = merges.lock().unwrap()[0]
-        else {
-            panic!()
-        };
+        } = merges.lock().unwrap()[0];
         assert_eq!((rebuilt, flushed), (0, 2));
         assert_eq!(idx.shard_ids(), before);
         assert_eq!(live_ids(&idx), (0..200).collect());
     }
 
     #[test]
-    fn merge_thread_panic_loses_no_delta_and_close_drains() {
+    fn merge_thread_survives_a_panic_and_merges_the_next_share() {
         use crate::{Query, QueryKind, Service, ServiceConfig, ServiceError};
         use std::sync::atomic::AtomicBool;
         let pts = uniform::<3>(256, 65);
@@ -1462,7 +1432,8 @@ mod tests {
             queries += 24;
         };
         // Each round is 20 inserts and 20 deletes: past the 1/16 share of
-        // the live points, so every round asks for a background merge.
+        // the live points, so every round asks for a background merge. The
+        // first one panics before its swap; every later one lands.
         let extra = uniform::<3>(80, 67);
         for (round, chunk) in extra.chunks(20).enumerate() {
             let doomed: Vec<u32> = model.iter().copied().step_by(5).take(20).collect();
@@ -1472,22 +1443,30 @@ mod tests {
                 .collect();
             let ack = service.mutate(id, &muts).expect("acknowledged");
             assert_eq!((ack.accepted, ack.rejected), (40, 0));
-            assert_eq!(ack.pending, 40 * (round as u64 + 1), "nothing merged");
+            // The panicked merge swapped nothing in and lost nothing.
+            let carried = if round == 1 { 40 } else { 0 };
+            assert_eq!(ack.pending, 40 + carried, "round {round}");
             model.extend(ack.assigned);
             doomed.iter().for_each(|id| assert!(model.remove(id)));
+            let deadline = Instant::now() + Duration::from_secs(10);
             if round == 0 {
-                // The woken thread ran the hook and died with it.
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while !fired.load(Ordering::SeqCst) || !merge_thread_gone(&idx) {
-                    assert!(Instant::now() < deadline, "the merge thread never panicked");
+                while !fired.load(Ordering::SeqCst) {
+                    assert!(Instant::now() < deadline, "the merge hook never ran");
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            } else {
+                // The thread lived through the panic and merges the share.
+                while idx.merges() < round as u64 || merge_due(idx.pending(), model.len()) {
+                    assert!(Instant::now() < deadline, "round {round} was never merged");
                     std::thread::sleep(Duration::from_millis(5));
                 }
             }
             serve_exactly(&model);
         }
-        assert_eq!(idx.merges(), 0);
+        assert_eq!(idx.merges(), 3);
+        assert!(!merge_thread_gone(&idx), "the merge thread is alive");
         service.close();
-        assert_eq!((idx.pending(), idx.merges()), (0, 1));
+        assert_eq!((idx.pending(), idx.merges()), (0, 3));
         assert_eq!(live_ids(&idx), model);
         check_against_oracle(&idx, &uniform::<3>(8, 66));
         idx.quiesce();

@@ -17,7 +17,8 @@ use gts_points::profile::profile_sortedness;
 use gts_points::sort::morton_order;
 use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig, Meter, Unmetered, WarpSim};
 use gts_runtime::{cpu, AllLive, Dead, GpuReport, Live, PointRule, Tombstones};
-use gts_trees::{KdTree, LbKdTree, PointN, SplitPolicy};
+use gts_trees::linearize::skip_links;
+use gts_trees::{KdTree, LbKdTree, NodeId, PointN, SplitPolicy};
 use serde::Serialize;
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -317,8 +318,8 @@ pub trait TreeIndex: Send + Sync {
     fn epoch_stats(&self) -> Option<EpochStats> {
         None
     }
-    /// Subscribe the runtime to epoch lifecycle events (mutations and
-    /// merges). No-op for static indices.
+    /// Subscribe the runtime to the index's merges. No-op for static
+    /// indices.
     fn attach_epoch_observer(&self, _observer: EpochObserverFn) {}
 }
 
@@ -332,6 +333,9 @@ pub struct KdIndex<const D: usize> {
     /// ids land in the same tree positions as the rope-stack kernels' —
     /// the tree's `perm` maps both. Built on first use ([`KdIndex::lb_tree`]).
     lb: OnceLock<LbKdTree<D>>,
+    /// The tree's escape links, for the skip walk
+    /// ([`Backend::StacklessBvh`]). Built on first use.
+    skip: OnceLock<Vec<NodeId>>,
 }
 
 impl<const D: usize> KdIndex<D> {
@@ -349,6 +353,7 @@ impl<const D: usize> KdIndex<D> {
             name: name.into(),
             tree: KdTree::build(points, leaf_size, policy),
             lb: OnceLock::new(),
+            skip: OnceLock::new(),
         }
     }
 
@@ -677,7 +682,8 @@ fn launch<Mt: Meter, const D: usize, R: PointRule<D>>(
             stackless::run_wald_on::<Mt, D, R>(index.lb_tree(), kernel.rule(), work, cfg)
         }
         Backend::StacklessBvh => {
-            stackless::run_skip_on::<Mt, _>(kernel, work, &index.tree.skip, cfg)
+            let skip = (index.skip).get_or_init(|| skip_links(&index.tree.right));
+            stackless::run_skip_on::<Mt, _>(kernel, work, skip, cfg)
         }
         Backend::Cpu => unreachable!("the CPU walk is not a launch"),
     }
@@ -1245,6 +1251,7 @@ mod tests {
             flat.run_batch(OpKey::Knn(4), &queries, &policy);
         }
         assert!(flat.lb.get().is_none(), "a default batch builds no mirror");
+        assert!(flat.skip.get().is_none(), "nor the skip walk's links");
         let auto = flat.run_batch(
             OpKey::Knn(4),
             &queries,
@@ -1258,6 +1265,13 @@ mod tests {
         assert!(flat.lb.get().is_some(), "the forced Wald walk built it");
         assert_eq!(wald.backend, Backend::StacklessKd);
         assert_eq!(wald.results, auto.results);
+        let skip = flat.run_batch(
+            OpKey::Knn(4),
+            &queries,
+            &ExecPolicy::forced(Backend::StacklessBvh),
+        );
+        assert!(flat.skip.get().is_some(), "the forced skip walk built them");
+        assert_eq!(skip.results, auto.results);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::index::{BatchOutcome, FusedLane, ShardVisit, TreeIndex};
 use crate::metrics::{BatchRecord, KindDropped, Metrics, MetricsSnapshot};
 use crate::policy::ExecPolicy;
 use crate::query::{BatchKey, IndexId, Query, QueryResult};
-use crate::slowlog::{QueryRecord, SlowLog};
+use crate::slowlog::{QueryRecord, SlowLog, SLOW_LOG_PERCENTILE};
 use crate::trace::{EventKind, TraceContext, TraceRecorder, TraceSnapshot, NO_ID};
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -131,12 +131,10 @@ pub struct ServiceConfig {
     /// on backpressure. `None` (the default) admits everything.
     pub admission_budget: Option<Duration>,
     /// Slow-query flight-recorder ring capacity (committed records
-    /// retained; 0 disables tail sampling).
+    /// retained; 0 disables tail sampling). A query slower than the
+    /// rolling [`SLOW_LOG_PERCENTILE`] of the live latency
+    /// histogram is committed with full forensics.
     pub slow_log_capacity: usize,
-    /// Latency percentile whose rolling value arms the slow-log commit
-    /// threshold (queries slower than this percentile of the live
-    /// histogram are committed with full forensics).
-    pub slow_log_percentile: f64,
 }
 
 impl Default for ServiceConfig {
@@ -152,7 +150,6 @@ impl Default for ServiceConfig {
             trace_capacity: 8192,
             admission_budget: None,
             slow_log_capacity: 256,
-            slow_log_percentile: 99.0,
         }
     }
 }
@@ -646,7 +643,7 @@ impl Service {
             indices: RwLock::new(Vec::new()),
             metrics: Metrics::default(),
             trace: TraceRecorder::new(config.trace_capacity),
-            slow_log: SlowLog::new(config.slow_log_capacity, config.slow_log_percentile),
+            slow_log: SlowLog::new(config.slow_log_capacity),
             policy: config.policy.clone(),
             depth: Arc::new(AtomicI64::new(0)),
         });
@@ -680,54 +677,31 @@ impl Service {
 
     /// Register an index; queries name it by the returned id.
     pub fn register_index(&self, index: Arc<dyn TreeIndex>) -> IndexId {
-        // Route the index's epoch lifecycle (mutations, merges) into the
-        // service's metrics and trace. `Weak` breaks the cycle Shared →
-        // indices → observer → Shared.
+        // Route the index's merges into the service's metrics and trace
+        // (`Service::mutate` records the mutation batches). `Weak` breaks
+        // the cycle Shared → indices → observer → Shared.
         let weak = Arc::downgrade(&self.shared);
-        index.attach_epoch_observer(Arc::new(move |event: &EpochEvent| {
+        index.attach_epoch_observer(Arc::new(move |merge: &EpochEvent| {
             let Some(shared) = weak.upgrade() else { return };
-            match *event {
-                EpochEvent::Mutation {
-                    accepted, pending, ..
-                } => {
-                    shared.metrics.on_mutation(accepted, pending);
-                    let trace = &shared.trace;
-                    trace.instant(
-                        trace.now_us(),
-                        NO_ID,
-                        NO_ID,
-                        EventKind::Mutate {
-                            accepted: accepted.min(u32::MAX as u64) as u32,
-                            pending: pending.min(u32::MAX as u64) as u32,
-                        },
-                    );
-                }
-                EpochEvent::Merge {
-                    epoch,
-                    rebuilt,
-                    flushed,
-                    pending_after,
-                    dur,
-                } => {
-                    shared
-                        .metrics
-                        .on_epoch_merge(epoch, dur, flushed, pending_after);
-                    let trace = &shared.trace;
-                    let now = trace.now_us();
-                    let dur_us = dur.as_micros() as u64;
-                    trace.span(
-                        now.saturating_sub(dur_us),
-                        dur_us,
-                        NO_ID,
-                        NO_ID,
-                        EventKind::EpochMerge {
-                            epoch,
-                            rebuilt,
-                            flushed: flushed.min(u32::MAX as u64) as u32,
-                        },
-                    );
-                }
-            }
+            (shared.metrics).on_epoch_merge(
+                merge.epoch,
+                merge.dur,
+                merge.flushed,
+                merge.pending_after,
+            );
+            let trace = &shared.trace;
+            let dur_us = merge.dur.as_micros() as u64;
+            trace.span(
+                trace.now_us().saturating_sub(dur_us),
+                dur_us,
+                NO_ID,
+                NO_ID,
+                EventKind::EpochMerge {
+                    epoch: merge.epoch,
+                    rebuilt: merge.rebuilt,
+                    flushed: merge.flushed.min(u32::MAX as u64) as u32,
+                },
+            );
         }));
         let mut indices = self
             .shared
@@ -763,14 +737,26 @@ impl Service {
                 }
             }
         }
-        idx.mutate(muts).map_err(|e| match e {
+        let ack = idx.mutate(muts).map_err(|e| match e {
             MutateError::Immutable => ServiceError::BadQuery("index does not accept mutations"),
             MutateError::Closed => ServiceError::ShuttingDown,
             MutateError::DimMismatch { expected, got } => {
                 ServiceError::DimMismatch { expected, got }
             }
             MutateError::BadPosition => ServiceError::BadQuery("non-finite insert position"),
-        })
+        })?;
+        self.shared.metrics.on_mutation(ack.accepted, ack.pending);
+        let trace = &self.shared.trace;
+        trace.instant(
+            trace.now_us(),
+            NO_ID,
+            NO_ID,
+            EventKind::Mutate {
+                accepted: ack.accepted.min(u32::MAX as u64) as u32,
+                pending: ack.pending.min(u32::MAX as u64) as u32,
+            },
+        );
+        Ok(ack)
     }
 
     /// Epoch counters of a registered index: `Ok(Some(_))` for a mutable
@@ -976,13 +962,6 @@ impl Service {
         &self.shared.slow_log
     }
 
-    /// The flight recorder's current contents as pretty JSON — what
-    /// `serve --slow-log FILE` writes and the `SlowLogQuery` net frame
-    /// returns.
-    pub fn slow_log_json(&self) -> String {
-        self.shared.slow_log.to_json()
-    }
-
     /// The live metrics registry — front-ends (the TCP server) record
     /// their own counters (connections, frames, protocol errors) here so
     /// one snapshot covers the full path.
@@ -1007,13 +986,6 @@ impl Service {
     /// for the Perfetto export).
     pub fn trace(&self) -> TraceSnapshot {
         self.shared.trace.snapshot()
-    }
-
-    /// Retained trace events with sequence number ≥ `cursor`, plus the
-    /// count of matching events already evicted by ring wraparound — the
-    /// incremental feed a streaming trace sink drains.
-    pub fn trace_events_since(&self, cursor: u64) -> (Vec<crate::trace::TraceEvent>, u64) {
-        self.shared.trace.events_since(cursor)
     }
 
     /// Stop accepting new queries without consuming the service — the
@@ -1195,7 +1167,7 @@ fn end_dispatch(shared: &Shared, batch: ReadyBatch<Tag>) {
         dispatched,
         out,
         epoch: out.and(found.as_ref()).and_then(|i| i.epoch_stats()),
-        threshold_us: (shared.metrics).slow_threshold_us(shared.slow_log.percentile()),
+        threshold_us: (shared.metrics).slow_threshold_us(SLOW_LOG_PERCENTILE),
     };
     let reason = outcome.as_ref().err().map(reject_reason);
     for (tag, lane, op) in entries {

@@ -225,11 +225,6 @@ impl<const D: usize> ShardedIndex<D> {
     pub fn n_shards(&self) -> usize {
         self.shards.len()
     }
-
-    /// Points owned by shard `s`.
-    pub fn shard_len(&self, s: usize) -> usize {
-        self.shards[s].ids.len()
-    }
 }
 
 #[cfg(test)]
@@ -714,7 +709,7 @@ mod tests {
         let pts = uniform::<3>(5, 11);
         let idx = ShardedIndex::build("s", &pts, 16, 8, SplitPolicy::MedianCycle);
         assert_eq!(idx.n_shards(), 5, "one singleton shard per point");
-        assert!((0..idx.n_shards()).all(|s| idx.shard_len(s) == 1));
+        assert!(idx.shards.iter().all(|s| s.ids.len() == 1));
         let out = idx.run_batch(OpKey::Knn(8), &[vec![0.0, 0.0, 0.0]], &cpu());
         let QueryResult::Knn { dist2, .. } = &out.results[0] else {
             panic!()

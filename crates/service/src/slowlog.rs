@@ -7,7 +7,7 @@
 //! keeping**:
 //!
 //! * its latency exceeds a rolling threshold derived from the live
-//!   latency histogram (`ServiceConfig::slow_log_percentile`, e.g. p99),
+//!   latency histogram ([`SLOW_LOG_PERCENTILE`], p99),
 //! * or it raised the running-maximum latency by a notable margin (the
 //!   global tail is always interesting, and the first completion always
 //!   commits, so the log is never empty after one resolve),
@@ -36,6 +36,9 @@ use serde::Serialize;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Mutex;
+
+/// The latency percentile whose rolling value is the commit threshold.
+pub const SLOW_LOG_PERCENTILE: f64 = 99.0;
 
 /// Histogram samples required before the percentile commit rule arms.
 pub const SLOW_LOG_WARMUP: u64 = 64;
@@ -150,7 +153,6 @@ struct SlowInner {
 /// (every call is a cheap no-op).
 pub struct SlowLog {
     capacity: usize,
-    percentile: f64,
     inner: Mutex<SlowInner>,
 }
 
@@ -158,18 +160,15 @@ impl std::fmt::Debug for SlowLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SlowLog")
             .field("capacity", &self.capacity)
-            .field("percentile", &self.percentile)
             .finish()
     }
 }
 
 impl SlowLog {
-    /// A log retaining the newest `capacity` records, committing above
-    /// the rolling `percentile` of the live latency histogram.
-    pub fn new(capacity: usize, percentile: f64) -> Self {
+    /// A log retaining the newest `capacity` records.
+    pub fn new(capacity: usize) -> Self {
         SlowLog {
             capacity,
-            percentile,
             inner: Mutex::new(SlowInner {
                 ring: VecDeque::new(),
                 committed: 0,
@@ -185,11 +184,6 @@ impl SlowLog {
     /// Maximum records retained.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Commit percentile.
-    pub fn percentile(&self) -> f64 {
-        self.percentile
     }
 
     /// The tail-sampling decision for one completed query. Updates the
@@ -269,7 +263,7 @@ impl SlowLog {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         SlowLogDump {
             capacity: self.capacity as u64,
-            percentile: self.percentile,
+            percentile: SLOW_LOG_PERCENTILE,
             committed: inner.committed,
             evicted: inner.evicted,
             threshold_us: inner.threshold_us,
@@ -324,7 +318,7 @@ mod tests {
 
     #[test]
     fn decide_commits_notable_maxima_and_budgeted_breaches() {
-        let log = SlowLog::new(8, 99.0);
+        let log = SlowLog::new(8);
         // The first completion always commits, whatever the threshold.
         assert_eq!(log.decide(100, 0), (true, "max", 0));
         assert_eq!(log.decide(50, 0), (false, "slow", 0));
@@ -357,7 +351,7 @@ mod tests {
         // A monotonic latency ramp defeats a lagging rolling percentile
         // (every arrival is above the p99 of its past). The budget and the
         // max margin must keep commits a small fraction of completions.
-        let log = SlowLog::new(8, 99.0);
+        let log = SlowLog::new(8);
         let n = 4096u64;
         let mut commits = 0u64;
         for i in 1..=n {
@@ -373,7 +367,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_counts_evictions() {
-        let log = SlowLog::new(3, 99.0);
+        let log = SlowLog::new(3);
         for q in 0..5 {
             log.commit(record(q, 1000 + q, "slow"));
         }
@@ -393,7 +387,7 @@ mod tests {
 
     #[test]
     fn capacity_zero_disables_everything() {
-        let log = SlowLog::new(0, 99.0);
+        let log = SlowLog::new(0);
         assert_eq!(log.decide(1_000_000, 0), (false, "slow", 0));
         log.commit(record(1, 1, "slow"));
         assert_eq!(log.stats(), SlowLogStats::default());
@@ -401,7 +395,7 @@ mod tests {
 
     #[test]
     fn dump_round_trips_as_json() {
-        let log = SlowLog::new(4, 99.0);
+        let log = SlowLog::new(4);
         log.commit(record(3, 5000, "slow"));
         log.decide(5000, 400);
         let json = log.to_json();

@@ -903,23 +903,11 @@ impl TraceStream {
         Ok(())
     }
 
-    /// Drain everything the recorder still holds past the cursor, publish,
-    /// and close.
-    pub fn finish(mut self, recorder: &TraceRecorder) -> std::io::Result<TraceStreamStats> {
-        let (events, missed) = recorder.events_since(self.cursor);
-        self.append(&events, missed)?;
-        self.dropped = recorder.dropped();
-        self.seal()
-    }
-
-    /// [`TraceStream::finish`] from a final [`TraceSnapshot`] instead of a
-    /// live recorder — the shutdown path, where the service (and with it
-    /// the recorder) has already been consumed and the snapshot is all
+    /// Append everything the final [`TraceSnapshot`] holds past the cursor,
+    /// publish, and close — the shutdown path, where the service (and with
+    /// it the recorder) has already been consumed and the snapshot is all
     /// that remains.
-    pub fn finish_with_snapshot(
-        mut self,
-        snap: &TraceSnapshot,
-    ) -> std::io::Result<TraceStreamStats> {
+    pub fn finish(mut self, snap: &TraceSnapshot) -> std::io::Result<TraceStreamStats> {
         let missed = snap
             .events
             .first()
@@ -1195,7 +1183,7 @@ mod tests {
                 assert!(matches!(v, serde::Value::Array(_)));
             }
         }
-        let stats = stream.finish(&rec).unwrap();
+        let stats = stream.finish(&rec.snapshot()).unwrap();
         assert_eq!(stats.events_written, 50);
         assert_eq!(stats.missed, 0, "drains kept pace with the ring");
         let txt = std::fs::read_to_string(&path).unwrap();
@@ -1218,7 +1206,7 @@ mod tests {
         for q in 0..20u64 {
             submit_at(&rec, q, q);
         }
-        let stats = stream.finish(&rec).unwrap();
+        let stats = stream.finish(&rec.snapshot()).unwrap();
         assert_eq!(stats.events_written, 4);
         assert_eq!(stats.missed, 16);
         let txt = std::fs::read_to_string(&path).unwrap();

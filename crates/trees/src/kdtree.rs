@@ -44,12 +44,9 @@ pub struct KdTree<const D: usize> {
     pub split_dim: Vec<u8>,
     /// Split coordinate (meaningful for interior nodes only).
     pub split_val: Vec<f32>,
-    /// Right child, or [`NO_NODE`] for leaves.
+    /// Right child, or [`NO_NODE`] for leaves. The stackless walk's escape
+    /// links are a function of it ([`crate::linearize::skip_links`]).
     pub right: Vec<NodeId>,
-    /// Apetrei-style escape link: the next preorder node outside `n`'s
-    /// subtree, or [`NO_NODE`] past the last. Enables the ropes-free
-    /// stackless walk (`next = descend ? n + 1 : skip[n]`).
-    pub skip: Vec<NodeId>,
     /// First point of the leaf bucket (leaves only).
     pub first: Vec<u32>,
     /// Bucket length; 0 for interior nodes.
@@ -86,7 +83,6 @@ impl<const D: usize> KdTree<D> {
             split_dim: Vec::new(),
             split_val: Vec::new(),
             right: Vec::new(),
-            skip: Vec::new(),
             first: Vec::new(),
             count: Vec::new(),
             points: pts.to_vec(),
@@ -102,7 +98,6 @@ impl<const D: usize> KdTree<D> {
         // leaf-order permutation.
         tree.points = idx.iter().map(|&i| pts[i as usize]).collect();
         tree.perm = idx;
-        tree.skip = crate::linearize::skip_links(&tree.right);
         tree
     }
 
@@ -334,7 +329,8 @@ impl<const D: usize> KdTree<D> {
         if !visited.iter().all(|&v| v) {
             return Err("unreachable nodes exist".into());
         }
-        crate::linearize::check_skip_links(&self.right, &self.skip)
+        let right = &self.right;
+        crate::linearize::check_skip_links(right, &crate::linearize::skip_links(right))
     }
 }
 

@@ -15,6 +15,7 @@ use gts_points::gen;
 use gts_points::sort::{apply_perm, morton_order};
 use gts_runtime::gpu::{autoropes, lockstep, recursive, stackless, GpuConfig, Unmetered};
 use gts_runtime::{GpuReport, Live, PointRule, Tombstones, TraversalKernel};
+use gts_trees::linearize::skip_links;
 use gts_trees::{Aabb, KdTree, LbKdTree, PointN, SplitPolicy, VpTree};
 
 const N: usize = 700;
@@ -191,6 +192,7 @@ fn both_meters_agree<K, R>(
     R: PointRule<3>,
 {
     let cfg = GpuConfig::new(2);
+    let skip = skip_links(&tree.right);
     type Launch<'a, P> = Box<dyn Fn(&mut [P], bool) -> GpuReport + 'a>;
     let execs: [(&str, Launch<'_, K::Point>); 4] = [
         (
@@ -210,8 +212,8 @@ fn both_meters_agree<K, R>(
         (
             "skip",
             Box::new(|p, metered| match metered {
-                true => stackless::run_skip(boxed, p, &tree.skip, &cfg),
-                false => stackless::run_skip_on::<Unmetered, _>(boxed, p, &tree.skip, &cfg),
+                true => stackless::run_skip(boxed, p, &skip, &cfg),
+                false => stackless::run_skip_on::<Unmetered, _>(boxed, p, &skip, &cfg),
             }),
         ),
         (

@@ -11,6 +11,7 @@ use gts_points::gen::uniform;
 use gts_runtime::gpu::{autoropes, lockstep, recursive, stackless, GpuConfig};
 use gts_runtime::report::work_expansion;
 use gts_runtime::{cpu, Child, Live, Tombstones, TraversalKernel, VisitOutcome};
+use gts_trees::linearize::skip_links;
 use gts_trees::{KdTree, NodeId, SplitPolicy, VpTree};
 use proptest::prelude::*;
 use std::fmt::Debug;
@@ -172,7 +173,7 @@ fn served_kernel_annotations_match_behaviour() {
     let queries = uniform::<3>(48, 0xa23);
     for policy in [SplitPolicy::MidpointWidest, SplitPolicy::MedianCycle] {
         let tree = KdTree::build(&data, 4, policy);
-        let skip = &tree.skip;
+        let skip = &skip_links(&tree.right);
         let nn: Vec<NnPoint<3>> = queries.iter().map(|&q| NnPoint::new(q)).collect();
         assert_annotations_match_behaviour("nn plane", &NnKernel::new(&tree), &nn, skip);
         assert_annotations_match_behaviour("nn box", &NnAabbKernel::new(&tree), &nn, skip);

@@ -26,6 +26,7 @@ use gts_points::gen::uniform;
 use gts_points::sort::{apply_perm, morton_order};
 use gts_runtime::gpu::{autoropes, lockstep, recursive, stackless, GpuConfig};
 use gts_runtime::{GpuReport, PointRule, StackLayout, TraversalKernel};
+use gts_trees::linearize::skip_links;
 use gts_trees::{KdTree, LbKdTree, NodeId, SplitPolicy};
 
 const GOLDEN: &str = include_str!("sim_frozen.golden");
@@ -150,6 +151,7 @@ fn actual() -> String {
     let nn_lb = LbKdTree::build(&nn_tree.points);
     let tree = KdTree::build(&data, 8, SplitPolicy::MedianCycle);
     let lb = LbKdTree::build(&tree.points);
+    let (nn_skip, skip) = (skip_links(&nn_tree.right), skip_links(&tree.right));
 
     let mut out = String::new();
     let nn: Vec<NnPoint<3>> = queries.iter().map(|&p| NnPoint::new(p)).collect();
@@ -159,23 +161,15 @@ fn actual() -> String {
         &NnKernel::new(&nn_tree),
         &NnAabbKernel::new(&nn_tree),
         &nn_lb,
-        &nn_tree.skip,
+        &nn_skip,
         &nn,
     );
     let knn: Vec<KnnPoint<3>> = queries.iter().map(|&p| KnnPoint::new(p, K)).collect();
     let knn_kernel = KnnKernel::new(&tree);
-    rows(
-        &mut out,
-        "knn",
-        &knn_kernel,
-        &knn_kernel,
-        &lb,
-        &tree.skip,
-        &knn,
-    );
+    rows(&mut out, "knn", &knn_kernel, &knn_kernel, &lb, &skip, &knn);
     let pc: Vec<PcPoint<3>> = queries.iter().map(|&p| PcPoint::new(p)).collect();
     let pc_kernel = PcKernel::new(&tree, RADIUS);
-    rows(&mut out, "pc", &pc_kernel, &pc_kernel, &lb, &tree.skip, &pc);
+    rows(&mut out, "pc", &pc_kernel, &pc_kernel, &lb, &skip, &pc);
     let fused: Vec<_> = queries
         .iter()
         .map(|&p| fused_ops_point(p, true, Some(K), &[RADIUS]))
@@ -187,7 +181,7 @@ fn actual() -> String {
         &fused_kernel,
         &fused_kernel,
         &lb,
-        &tree.skip,
+        &skip,
         &fused,
     );
     out
