@@ -31,24 +31,14 @@
 //! and each PC radius slot count one apiece) — what the fusion saved,
 //! without re-walking the tree per op.
 //!
-//! The same state is what a sharded index folds. [`merge`] combines the
-//! states two disjoint point sets left behind, and [`reaches`] is the
-//! admission a set with lower-bound distance `lb` must pass before its
-//! walk can move a state — `offer` and its bound, one level up. Per part:
-//! * **NN** — keep the strictly smaller `best_d2` (each walk already
-//!   skipped zero-distance self matches, so the minimum is exactly the
-//!   answer over the union); a set reaches it iff `lb < best_d2`.
-//! * **kNN** — offer the other heap's list, in order, into this one. A
-//!   point of the union's top k is in the top k of its own set, so the
-//!   fold equals the heap of every offer; arriving set by set, ties keep
-//!   the order of a walk over the sets in turn. A set reaches the heap
-//!   iff it is not full or `lb < bound`.
-//! * **PC** — add the slot counts (the sets are disjoint, so counts are
-//!   exact); a set reaches the slots iff `lb <= max_r2`.
-//!
-//! A set a state does not reach cannot change it: every distance it
-//! offers is `≥ lb`, which each part refuses by the rule above. Inert
-//! parts never reach and fold nothing.
+//! A sharded index walks one state over a lane's shards in turn, offers
+//! renamed to one id space (`gts_runtime::Renamed`): every rule folds its
+//! offers, so that is one walk over the union in that order, kNN ties
+//! included. [`reaches`] admits a set at lower-bound distance `lb` iff its
+//! walk can move the state — NN iff `lb < best_d2`, kNN iff the heap is not
+//! full or `lb < bound`, PC iff `lb <= max_r2`; every distance the set
+//! offers is `≥ lb`, which each part refuses otherwise. Inert parts never
+//! reach.
 
 use gts_runtime::{FusedPoint, PointRule};
 use gts_trees::{KdTree, PointN};
@@ -185,29 +175,6 @@ pub fn fused_ops_point<const D: usize>(
     )
 }
 
-/// Fold `from`, the state a walk over a disjoint point set left behind,
-/// into `into`, a state of the same shape (module docs). `id` renames
-/// `from`'s point ids into `into`'s id space; `u32::MAX` ("none found")
-/// passes through unrenamed.
-pub fn merge<const D: usize>(
-    into: &mut FusedOpsPoint<D>,
-    from: &FusedOpsPoint<D>,
-    id: impl Fn(u32) -> u32,
-) {
-    let id = |i: u32| if i == u32::MAX { i } else { id(i) };
-    if from.a.best_d2 < into.a.best_d2 {
-        into.a.best_d2 = from.a.best_d2;
-        into.a.best_idx = id(from.a.best_idx);
-    }
-    let best = &from.b.a.best;
-    for (&d2, &i) in best.distances().iter().zip(best.ids()) {
-        into.b.a.best.offer(d2, id(i));
-    }
-    for (slot, other) in into.b.b.slots.iter_mut().zip(&from.b.b.slots) {
-        slot.count += other.count;
-    }
-}
-
 /// Can a point set whose lower-bound squared distance is `lb` still change
 /// `state`? The union of its parts' admissions (module docs).
 pub fn reaches<const D: usize>(state: &FusedOpsPoint<D>, lb: f32) -> bool {
@@ -223,7 +190,7 @@ mod tests {
     use crate::pc::{PcKernel, PcPoint, PcRule};
     use gts_points::gen::uniform;
     use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig};
-    use gts_runtime::{cpu, ChildBuf, Live, Tombstones, TraversalKernel, VisitOutcome};
+    use gts_runtime::{cpu, ChildBuf, Live, Renamed, Tombstones, TraversalKernel, VisitOutcome};
     use gts_trees::layout::NodeBytes;
     use gts_trees::linearize::skip_links;
     use gts_trees::{LbKdTree, NodeId, SplitPolicy};
@@ -700,46 +667,98 @@ mod tests {
         rng.gen_range(0u32..24) as f32 * 0.125
     }
 
+    /// Everything a lane's state answers with, as bits: NN's distance and
+    /// id, the heap's size, distances and ids, the PC union bound and every
+    /// slot's radius and count — inert parts included.
+    fn answer_bits(p: &FusedOpsPoint<3>) -> Vec<u32> {
+        let knn = &p.b.a.best;
+        let head = [
+            p.a.best_d2.to_bits(),
+            p.a.best_idx,
+            knn.k() as u32,
+            knn.len() as u32,
+            p.b.b.max_r2.to_bits(),
+        ];
+        (head.into_iter())
+            .chain(knn.distances().iter().map(|d| d.to_bits()))
+            .chain(knn.ids().iter().copied())
+            .chain((p.b.b.slots.iter()).flat_map(|s| [s.radius2.to_bits(), s.count]))
+            .collect()
+    }
+
+    /// Prunes nothing and records every offer, in the order a guided walk
+    /// of the fused rule meets the points (`KdBox`'s child order is the
+    /// query's side of each split, whatever the state holds).
+    struct Offers;
+
+    impl PointRule<3> for Offers {
+        type State = (PointN<3>, Vec<(f32, u32)>);
+        const GUIDED: bool = true;
+        fn pos(s: &Self::State) -> &PointN<3> {
+            &s.0
+        }
+        fn bound(&self, _s: &Self::State) -> f32 {
+            f32::INFINITY
+        }
+        fn offer(&self, s: &mut Self::State, d2: f32, idx: u32) {
+            s.1.push((d2, idx));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// Walks over disjoint point sets, folded in set order with their
-        /// ids renamed, leave the state one walk over every offer leaves —
-        /// the fold a sharded sweep makes.
+        /// One state walked over disjoint point sets in turn, each set's
+        /// tree offering its positions renamed to the sets' shared ids,
+        /// ends where one walk over the union in that order, pruning
+        /// nothing, ends — the continuation a sharded sweep makes. Points
+        /// sit on a coarse grid, so duplicates, zero distances and ties at
+        /// every bound are common.
         #[test]
-        fn merge_folds_shard_states_into_the_state_of_all_offers(
+        fn continued_walk_over_disjoint_sets_equals_one_walk_over_their_union(
             seed in 0u64..1 << 40,
-            shards in 1usize..7,
-            per_shard in 0usize..30,
+            sets in 1usize..6,
+            per_set in 1usize..30,
             k in 1usize..9,
             shape in 0usize..5,
+            leaf_size in 1usize..5,
         ) {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let at = |rng: &mut rand_chacha::ChaCha8Rng| {
+                PointN(std::array::from_fn(|_| rng.gen_range(0u32..5) as f32 * 0.25))
+            };
+            let pos = at(&mut rng);
             let (nn, knn_k, radii) = lane_shape(shape, k);
-            let fresh = || fused_ops_point(PointN([0.5f32; 3]), nn, knn_k, radii);
+            let fresh = || fused_ops_point(pos, nn, knn_k, radii);
             let rule = FusedOpsRule::default();
-            let (mut folded, mut whole) = (fresh(), fresh());
+            let (mut continued, mut union) = (fresh(), fresh());
             let mut base = 0u32;
-            for _ in 0..shards {
-                // Distinct across sets, and in no order the fold could
+            for _ in 0..sets {
+                let n = rng.gen_range(1..=per_set);
+                let pts: Vec<PointN<3>> = (0..n).map(|_| at(&mut rng)).collect();
+                let tree = KdTree::build(&pts, leaf_size, SplitPolicy::MedianCycle);
+                // Distinct across sets, and in no order the walk could
                 // lean on.
-                let rename = |i: u32| (base + i).wrapping_mul(0x9e37_79b1);
-                let mut shard = fresh();
-                let n = rng.gen_range(0..=per_shard) as u32;
-                for local in 0..n {
-                    let d2 = quantized(&mut rng);
-                    rule.offer(&mut shard, d2, local);
-                    rule.offer(&mut whole, d2, rename(local));
+                let ids: Vec<u32> = (tree.perm.iter())
+                    .map(|&b| (base + b).wrapping_mul(0x9e37_79b1))
+                    .collect();
+                let renamed = Renamed { rule, ids: &ids };
+                cpu::traverse_one(&KdBox::with_rule(&tree, renamed), &mut continued);
+                let mut seen = (pos, Vec::new());
+                cpu::traverse_one(&KdBox::with_rule(&tree, Offers), &mut seen);
+                for (d2, at) in seen.1 {
+                    rule.offer(&mut union, d2, ids[at as usize]);
                 }
-                merge(&mut folded, &shard, rename);
-                base += n;
+                base += n as u32;
             }
-            prop_assert_eq!(folded, whole);
+            prop_assert_eq!(answer_bits(&continued), answer_bits(&union));
+            prop_assert_eq!(continued, union);
         }
 
-        /// A state that a set with lower bound `lb` does not reach ignores
-        /// the walk over that set, each of whose offers is at least `lb`.
+        /// A state that a set with lower bound `lb` does not reach is left
+        /// as it was by a continued walk over that set, each of whose
+        /// offers is at least `lb`.
         #[test]
-        fn merge_beyond_an_unreached_bound_changes_nothing(
+        fn continued_walk_beyond_an_unreached_bound_changes_nothing(
             seed in 0u64..1 << 40,
             len in 0usize..30,
             k in 1usize..9,
@@ -747,26 +766,26 @@ mod tests {
         ) {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let (nn, knn_k, radii) = lane_shape(shape, k);
-            let fresh = || fused_ops_point(PointN([0.5f32; 3]), nn, knn_k, radii);
             let rule = FusedOpsRule::default();
-            let mut state = fresh();
+            let mut state = fused_ops_point(PointN([0.5f32; 3]), nn, knn_k, radii);
             for i in 0..len as u32 {
                 rule.offer(&mut state, quantized(&mut rng), i);
             }
             let lb = quantized(&mut rng);
             prop_assume!(!reaches(&state, lb));
-            let mut beyond = fresh();
-            for i in 0..len as u32 {
-                rule.offer(&mut beyond, lb + quantized(&mut rng), i);
-            }
+            let ids: Vec<u32> = (1000..1000 + len as u32).collect();
+            let renamed = Renamed { rule, ids: &ids };
             let before = state.clone();
-            merge(&mut state, &beyond, |i| i + 1000);
+            for i in 0..len as u32 {
+                renamed.offer(&mut state, lb + quantized(&mut rng), i);
+            }
+            prop_assert_eq!(answer_bits(&state), answer_bits(&before));
             prop_assert_eq!(state, before);
         }
     }
 
     #[test]
-    fn merge_admission_is_strict_for_nn_and_knn_only() {
+    fn continued_walk_admission_is_strict_for_nn_and_knn_only() {
         let pos = PointN([0.0f32; 3]);
         let rule = FusedOpsRule::default();
         let mut nn = fused_ops_point(pos, true, None, &[]);

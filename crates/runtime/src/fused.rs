@@ -21,6 +21,7 @@
 //! a [`Tombstones`] set leaves alive. It drops a dead point's offer and is
 //! its inner rule in everything else, so any walk of a rule — a pair
 //! included — walks a tree minus its dead points without being rebuilt.
+//! [`Renamed`] renames each offer through an id table, the same way.
 
 use crate::kernel::PointRule;
 use gts_trees::PointN;
@@ -123,6 +124,39 @@ impl<const D: usize, R: PointRule<D>, T: Dead> PointRule<D> for Live<R, T> {
         if !self.dead.contains(idx) {
             self.rule.offer(state, d2, idx);
         }
+    }
+    fn solo_descents(&self, state: &mut Self::State, lb: f32) -> u32 {
+        self.rule.solo_descents(state, lb)
+    }
+}
+
+/// Rule `R` offered `ids[idx]` where a walk offers position `idx`, and `R`
+/// in everything else (no bound reads an id). Inside a [`Live`], the
+/// tombstones are tested on the position, then the id is renamed.
+#[derive(Debug, Clone, Copy)]
+pub struct Renamed<'a, R> {
+    /// The rule the renamed offers go to.
+    pub rule: R,
+    /// `ids[idx]` = the id of the point at position `idx`.
+    pub ids: &'a [u32],
+}
+
+impl<const D: usize, R: PointRule<D>> PointRule<D> for Renamed<'_, R> {
+    type State = R::State;
+    const GUIDED: bool = R::GUIDED;
+    const VISIT_INSTS: u64 = R::VISIT_INSTS;
+    const LEAF_ELEM_INSTS: u64 = R::LEAF_ELEM_INSTS;
+    const POINT_BYTES: u64 = R::POINT_BYTES;
+
+    fn pos(state: &Self::State) -> &PointN<D> {
+        R::pos(state)
+    }
+    fn bound(&self, state: &Self::State) -> f32 {
+        self.rule.bound(state)
+    }
+    #[inline]
+    fn offer(&self, state: &mut Self::State, d2: f32, idx: u32) {
+        self.rule.offer(state, d2, self.ids[idx as usize]);
     }
     fn solo_descents(&self, state: &mut Self::State, lb: f32) -> u32 {
         self.rule.solo_descents(state, lb)
@@ -352,5 +386,46 @@ mod tests {
         all.offer(&mut lane, 1.0, 64);
         assert_eq!((lane.1, lane.2), (1.0, 64));
         assert_eq!(std::mem::size_of::<Live<Nearest, AllLive>>(), 0);
+    }
+
+    #[test]
+    fn live_rule_of_a_renamed_rule_tests_positions_and_offers_ids() {
+        // Position 1 is dead; the table names positions 0..3.
+        let dead: Tombstones = [1].into_iter().collect();
+        let ids = [40, 41, 42];
+        let rule = Live {
+            rule: Renamed {
+                rule: (Within(4.0), Nearest),
+                ids: &ids,
+            },
+            dead: &dead,
+        };
+        let origin = PointN([0.0f32; 2]);
+        let mut lane = FusedPoint::new((origin, 0.0, 0), (origin, f32::INFINITY, u32::MAX));
+        rule.offer(&mut lane, 0.5, 1);
+        assert_eq!(
+            (lane.a.2, lane.b.2),
+            (0, u32::MAX),
+            "a dead position is dropped before it is renamed"
+        );
+        rule.offer(&mut lane, 2.0, 2);
+        assert_eq!((lane.a.2, lane.b.1, lane.b.2), (1, 2.0, 42), "renamed");
+        rule.offer(&mut lane, 1.0, 0);
+        assert_eq!((lane.a.2, lane.b.1, lane.b.2), (2, 1.0, 40));
+        // The bound and the tally are the pair's.
+        assert_eq!(rule.bound(&lane), 4.0);
+        assert_eq!(rule.solo_descents(&mut lane, 2.0), 1);
+        assert_eq!(lane.solo_descents, 1);
+        fn facts<R: PointRule<2>>() -> (bool, u64, u64, u64) {
+            (
+                R::GUIDED,
+                R::VISIT_INSTS,
+                R::LEAF_ELEM_INSTS,
+                R::POINT_BYTES,
+            )
+        }
+        type Pair = (Within, Nearest);
+        assert_eq!(facts::<Renamed<'_, Pair>>(), facts::<Pair>());
+        assert_eq!(facts::<Renamed<'_, Within>>(), facts::<Within>());
     }
 }

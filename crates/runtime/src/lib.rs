@@ -43,7 +43,7 @@ pub mod kernel;
 pub mod report;
 pub mod stack;
 
-pub use fused::{AllLive, Dead, FusedPoint, Live, Tombstones};
+pub use fused::{AllLive, Dead, FusedPoint, Live, Renamed, Tombstones};
 pub use kernel::{Child, ChildBuf, PointRule, TraversalKernel, VisitOutcome};
 pub use report::{CpuReport, GpuReport, TraversalStats};
 pub use stack::StackLayout;

@@ -16,7 +16,7 @@ use gts_apps::kd::KdBox;
 use gts_points::profile::profile_sortedness;
 use gts_points::sort::morton_order;
 use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig, Meter, Unmetered, WarpSim};
-use gts_runtime::{cpu, AllLive, Dead, GpuReport, Live, PointRule, Tombstones};
+use gts_runtime::{cpu, AllLive, Dead, GpuReport, Live, PointRule, Renamed, Tombstones};
 use gts_trees::linearize::skip_links;
 use gts_trees::{KdTree, LbKdTree, NodeId, PointN, SplitPolicy};
 use serde::Serialize;
@@ -367,36 +367,38 @@ impl<const D: usize> KdIndex<D> {
         self.lb.get_or_init(|| LbKdTree::build(&self.tree.points))
     }
 
-    /// Run `lanes` as one batch (sort → choose the executor → dispatch →
-    /// un-sort; see [`execute`]) and hand back each lane's fused state,
-    /// in submission order, with point ids as tree positions — the one
-    /// shape every caller reads ([`lane_answers`], or a shard sweep's
-    /// fold).
+    /// Walk `lanes` as one batch (sort → choose the executor → dispatch →
+    /// un-sort; see [`execute`]), each lane continuing its state in
+    /// `states` — fresh [`lane_state`]s on a flat batch, what the lane's
+    /// earlier shards left on a shard sweep — and hand the states back in
+    /// submission order, the one shape every caller reads ([`lane_answers`],
+    /// or the sweep's next wave). Each offered tree position is renamed at
+    /// offer to `ids[position]`, the id callers know ([`Renamed`]).
     ///
     /// One rule runs every batch: the fused rule, each lane's ops live and
-    /// the rest inert ([`lane_state`]); a lone op is a fusion with one
-    /// live constituent. What fusion saved comes from the tally that walk
-    /// kept, and is 0 when every lane asks one op. `metered`
-    /// ([`ExecPolicy::meters`] of the whole batch's positions) is decided
-    /// by whoever owns the whole batch and handed to every sub-batch: a
+    /// the rest inert. What fusion saved comes from the tally that walk
+    /// kept (reset here, so it counts this walk alone), and is 0 when every
+    /// lane asks one op. `metered` ([`ExecPolicy::meters`] of the whole
+    /// batch's positions) is decided by whoever owns the whole batch: a
     /// batch runs under the model whole or not at all.
     ///
     /// `dead` holds the tree positions of points the lanes must not see
     /// (the epoch layer's pending deletes; a static index passes
-    /// [`Tombstones::NONE`]): the rule runs as [`Live`] of it. The empty
-    /// set is chosen once here, as `metered` is: it runs as [`AllLive`],
-    /// which tests nothing per offer.
+    /// [`Tombstones::NONE`]): the rule runs as [`Live`] of it, tested before
+    /// the rename; the empty set, chosen once here, as [`AllLive`].
     pub(crate) fn run_lanes(
         &self,
         lanes: &[&FusedLane],
+        states: Vec<FusedOpsPoint<D>>,
+        ids: &[u32],
         metered: bool,
         policy: &ExecPolicy,
         dead: &Tombstones,
     ) -> (Vec<FusedOpsPoint<D>>, BatchOutcome) {
         if dead.is_empty() {
-            self.run_live(lanes, metered, policy, AllLive)
+            self.run_live(lanes, states, ids, metered, policy, AllLive)
         } else {
-            self.run_live(lanes, metered, policy, dead)
+            self.run_live(lanes, states, ids, metered, policy, dead)
         }
     }
 
@@ -404,17 +406,19 @@ impl<const D: usize> KdIndex<D> {
     fn run_live<T: Dead>(
         &self,
         lanes: &[&FusedLane],
+        mut states: Vec<FusedOpsPoint<D>>,
+        ids: &[u32],
         metered: bool,
         policy: &ExecPolicy,
         dead: T,
     ) -> (Vec<FusedOpsPoint<D>>, BatchOutcome) {
-        let pts: Vec<PointN<D>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
-        let n = self.tree.points.len();
-        let rule = FusedOpsRule::default();
+        states.iter_mut().for_each(|state| state.solo_descents = 0);
+        #[cfg(test)]
+        let started = states.clone();
+        let fused = FusedOpsRule::default();
+        let rule = Renamed { rule: fused, ids };
         let kernel = KdBox::with_rule(&self.tree, Live { rule, dead });
-        let make = |i: usize, p: PointN<D>| lane_state(lanes[i], p, n);
-        let (states, mut outcome, live_visits) =
-            execute(self, &kernel, &pts, metered, policy, make);
+        let (states, mut outcome, live_visits) = execute(self, &kernel, states, metered, policy);
         // Each constituent's own walk: the root, then two children per
         // descent the fused walk tallied for it.
         let per_op_visits: u64 = (lanes.iter().zip(&states))
@@ -432,16 +436,16 @@ impl<const D: usize> KdIndex<D> {
             outcome.fusion_saved_visits = per_op_visits.saturating_sub(live_visits);
         }
         // Every (sub-)batch any unit test of the crate runs is held to the
-        // CPU replay the tally replaced.
+        // CPU replay the tally replaced, from the states it started with.
         #[cfg(test)]
-        tests::check_counted_against_replay(self, lanes, &pts, dead, &outcome, per_op_visits);
+        tests::check_counted_against_replay(self, lanes, &started, dead, &outcome, per_op_visits);
         (states, outcome)
     }
 }
 
-/// A lane's fused state at `pos` over `points` points: each op it asks
-/// live, the rest inert. The fused rule walks it, and a shard sweep folds
-/// sub-batch states into it.
+/// A lane's fresh fused state at `pos` over `points` points: each op it
+/// asks live, the rest inert. Every walk of the lane continues it — a flat
+/// batch's one walk, or a shard sweep's sub-walks in turn.
 pub(crate) fn lane_state<const D: usize>(
     lane: &FusedLane,
     pos: PointN<D>,
@@ -457,18 +461,15 @@ pub(crate) fn lane_state<const D: usize>(
 }
 
 /// `lane`'s answers, read once per batch off the state its walks left:
-/// NN if asked, each `k` as a prefix of the one heap, each radius's count.
-/// `id` maps the state's point ids to the ids callers know; `u32::MAX`
-/// (no neighbour found) passes through.
+/// NN if asked, each `k` as a prefix of the one heap, each radius's count,
+/// under the ids callers know (renamed at offer).
 pub(crate) fn lane_answers<const D: usize>(
     lane: &FusedLane,
     state: &FusedOpsPoint<D>,
-    id: impl Fn(u32) -> u32,
 ) -> FusedLaneResult {
-    let id = |i: u32| if i == u32::MAX { i } else { id(i) };
-    let nn = lane.nn.then(|| QueryResult::Nn {
+    let nn = lane.nn.then_some(QueryResult::Nn {
         dist2: state.a.best_d2,
-        id: id(state.a.best_idx),
+        id: state.a.best_idx,
     });
     let best = &state.b.a.best;
     let knn = (lane.knn_ks.iter())
@@ -476,7 +477,7 @@ pub(crate) fn lane_answers<const D: usize>(
             let take = k.min(best.len());
             QueryResult::Knn {
                 dist2: best.distances()[..take].to_vec(),
-                ids: best.ids()[..take].iter().map(|&i| id(i)).collect(),
+                ids: best.ids()[..take].to_vec(),
             }
         })
         .collect();
@@ -525,12 +526,14 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
     fn run(&self, lanes: &[FusedLane], policy: &ExecPolicy) -> FusedOutcome {
         let refs: Vec<&FusedLane> = lanes.iter().collect();
         let metered = policy.meters(lanes.iter().map(|l| &l.pos[..]));
-        let (states, mut outcome) = self.run_lanes(&refs, metered, policy, Tombstones::NONE);
+        let n = self.tree.points.len();
+        let states = (lanes.iter()).map(|l| lane_state(l, to_point(&l.pos), n));
+        let (perm, none) = (&self.tree.perm, Tombstones::NONE);
+        let (states, mut outcome) =
+            self.run_lanes(&refs, states.collect(), perm, metered, policy, none);
         mark_fused(&mut outcome, lanes);
-        // The walks offer tree positions; callers know build order.
-        let perm = &self.tree.perm;
         let lanes = (lanes.iter().zip(&states))
-            .map(|(lane, state)| lane_answers(lane, state, |i| perm[i as usize]))
+            .map(|(lane, state)| lane_answers(lane, state))
             .collect();
         FusedOutcome { lanes, outcome }
     }
@@ -543,9 +546,9 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
 /// and the skip-link walk; its rule rides the Wald walk over `index`'s
 /// left-balanced mirror.
 ///
-/// `make` receives the lane's *submission-order* index alongside the
-/// point, so each lane builds its own state. The walked states
-/// come back in submission order, beside a [`BatchOutcome`] that carries
+/// `states` are the lanes' states in *submission order*, moved into the
+/// sorted order the executor walks and back. They come back in submission
+/// order, beside a [`BatchOutcome`] that carries
 /// the accounting with an empty `results` vec. The third slot is the
 /// run's *live-lane* node visits: `outcome.node_visits` for every
 /// backend but lockstep, which charges a lane for each pop of its warp
@@ -558,28 +561,24 @@ impl<const D: usize> TreeIndex for KdIndex<D> {
 /// speed, the launch's account never read.
 /// Visits, warps, work expansion and mask occupancy are the executor's own
 /// counts ([`GpuReport`]'s per-point and per-warp vectors) either way.
-fn execute<const D: usize, R, M>(
+fn execute<const D: usize, R: PointRule<D>>(
     index: &KdIndex<D>,
     kernel: &KdBox<'_, D, R>,
-    pts: &[PointN<D>],
+    states: Vec<R::State>,
     metered: bool,
     policy: &ExecPolicy,
-    make: M,
-) -> (Vec<R::State>, BatchOutcome, u64)
-where
-    R: PointRule<D>,
-    M: Fn(usize, PointN<D>) -> R::State,
-{
-    let n = pts.len();
+) -> (Vec<R::State>, BatchOutcome, u64) {
+    let n = states.len();
     // §4.4 step 1: spatial sort, so nearby queries share warps.
-    let perm = if policy.sort && n >= 2 {
-        Some(morton_order(pts))
-    } else {
-        None
-    };
+    let pts: Vec<PointN<D>> = states.iter().map(|s| *R::pos(s)).collect();
+    let perm = (policy.sort && n >= 2).then(|| morton_order(&pts));
     // Submission-order index of the point in `work` slot `i`.
     let orig = |i: usize| perm.as_ref().map_or(i, |p| p[i] as usize);
-    let mut work: Vec<R::State> = (0..n).map(|i| make(orig(i), pts[orig(i)])).collect();
+    // Each state moves out of its submission-order slot and back.
+    let mut slots: Vec<Option<R::State>> = states.into_iter().map(Some).collect();
+    let mut work: Vec<R::State> = (0..n)
+        .map(|i| slots[orig(i)].take().expect("taken once"))
+        .collect();
 
     // On the host clock the host walk is the cheapest executor. The model
     // keeps §4.4 step 2: sample neighboring traversals; lockstep only when
@@ -655,11 +654,10 @@ where
     outcome.node_visits = stats.per_point_nodes.iter().map(|&v| v as u64).sum();
 
     // Undo the sort: callers see submission order.
-    let mut states: Vec<Option<R::State>> = (0..n).map(|_| None).collect();
     for (i, point) in work.into_iter().enumerate() {
-        states[orig(i)] = Some(point);
+        slots[orig(i)] = Some(point);
     }
-    let states = (states.into_iter())
+    let states = (slots.into_iter())
         .map(|s| s.expect("permutation covers all"))
         .collect();
     let live_visits = live_visits.unwrap_or(outcome.node_visits);
@@ -695,7 +693,7 @@ mod tests {
     use crate::{MutableIndexBuilder, ShardedIndex};
     use gts_apps::fused::fused_ops_kernel;
     use gts_apps::knn::{KnnKernel, KnnPoint, KnnRule};
-    use gts_apps::nn::{NnPoint, NnRule};
+    use gts_apps::nn::NnRule;
     use gts_apps::oracle;
     use gts_apps::pc::{PcKernel, PcPoint, PcRule};
     use gts_points::gen::uniform;
@@ -750,34 +748,44 @@ mod tests {
 
     /// The reference the counted statistic replaced: one CPU walk per
     /// (lane, constituent op) — box-pruned NN, kNN at the lane's largest
-    /// `k`, each PC radius — over the points `dead` leaves alive, summed
-    /// over the batch.
+    /// `k`, each PC radius — each from its part of the state the fused
+    /// walk started from (`from`, a lane's earlier shards' bounds on a
+    /// shard sweep), over the points `dead` leaves alive, summed over the
+    /// batch.
     fn solo_replay_visits<const D: usize>(
         tree: &KdTree<D>,
         lanes: &[&FusedLane],
-        pts: &[PointN<D>],
+        from: &[FusedOpsPoint<D>],
         dead: impl Dead,
         forced: Option<usize>,
     ) -> u64 {
         let mut visits = 0;
-        for (lane, &p) in lanes.iter().zip(pts) {
+        for (lane, state) in lanes.iter().zip(from) {
             if lane.nn {
                 let rule = NnRule;
                 let kernel = KdBox::with_rule(tree, Live { rule, dead });
-                visits += walk(&kernel, &mut NnPoint::new(p), 0, forced);
+                visits += walk(&kernel, &mut state.a.clone(), 0, forced);
             }
-            if let Some(k) = lane.knn_ks.iter().copied().max() {
+            if !lane.knn_ks.is_empty() {
                 let rule = KnnRule;
                 let kernel = KdBox::with_rule(tree, Live { rule, dead });
-                visits += walk(&kernel, &mut KnnPoint::new(p, k), 0, forced);
+                visits += walk(&kernel, &mut state.b.a.clone(), 0, forced);
             }
             for &bits in &lane.pc_radii {
                 let rule = PcRule::new(f32::from_bits(bits));
                 let kernel = KdBox::with_rule(tree, Live { rule, dead });
-                visits += walk(&kernel, &mut PcPoint::new(p), 0, forced);
+                visits += walk(&kernel, &mut PcPoint::new(state.a.pos), 0, forced);
             }
         }
         visits
+    }
+
+    /// Fresh states of `lanes` over `flat`'s points, as its `run` makes.
+    fn fresh_states(flat: &KdIndex<3>, lanes: &[&FusedLane]) -> Vec<FusedOpsPoint<3>> {
+        let n = flat.n_points();
+        (lanes.iter())
+            .map(|l| lane_state(l, to_point(&l.pos), n))
+            .collect()
     }
 
     thread_local! {
@@ -786,12 +794,13 @@ mod tests {
     }
 
     /// Called by `run_lanes` on every fused (sub-)batch: the per-op visits
-    /// the walk counted are the replay's under the same tombstones,
-    /// wherever the executor's child order can be replayed.
+    /// the walk counted are the replay's from the states the walk started
+    /// from, under the same tombstones, wherever the executor's child order
+    /// can be replayed.
     pub(super) fn check_counted_against_replay<const D: usize>(
         index: &KdIndex<D>,
         lanes: &[&FusedLane],
-        pts: &[PointN<D>],
+        from: &[FusedOpsPoint<D>],
         dead: impl Dead,
         outcome: &BatchOutcome,
         per_op_visits: u64,
@@ -812,7 +821,7 @@ mod tests {
                 return;
             }
         };
-        let replayed = solo_replay_visits(&index.tree, lanes, pts, dead, forced);
+        let replayed = solo_replay_visits(&index.tree, lanes, from, dead, forced);
         assert_eq!(
             per_op_visits,
             replayed,
@@ -1106,10 +1115,10 @@ mod tests {
         let flat = KdIndex::build("f", &pts, 8, SplitPolicy::MedianCycle);
         let lanes = random_lanes(&pts, 90, false, 60);
         let refs: Vec<&FusedLane> = lanes.iter().collect();
-        let at: Vec<PointN<3>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
+        let fresh = fresh_states(&flat, &refs);
         for (backend, forced) in [(Backend::Cpu, None), (Backend::StacklessBvh, Some(0))] {
             let out = flat.run(&lanes, &ExecPolicy::forced(backend)).outcome;
-            let replayed = solo_replay_visits(flat.tree(), &refs, &at, Tombstones::NONE, forced);
+            let replayed = solo_replay_visits(flat.tree(), &refs, &fresh, Tombstones::NONE, forced);
             assert_eq!(out.fusion_saved_visits, replayed - out.node_visits);
         }
     }
@@ -1127,8 +1136,8 @@ mod tests {
             })
             .collect();
         let refs: Vec<&FusedLane> = lanes.iter().collect();
-        let at: Vec<PointN<3>> = lanes.iter().map(|l| to_point(&l.pos)).collect();
-        let replayed = solo_replay_visits(flat.tree(), &refs, &at, Tombstones::NONE, None);
+        let fresh = fresh_states(&flat, &refs);
+        let replayed = solo_replay_visits(flat.tree(), &refs, &fresh, Tombstones::NONE, None);
         for backend in [Backend::Autoropes, Backend::Cpu] {
             let before = REPLAYED.with(Cell::get);
             let out = flat.run_batch(OpKey::Nn, &queries, &ExecPolicy::forced(backend));

@@ -1,4 +1,4 @@
-//! Sharded tree indices: fan a batch out to N kd-tree shards, merge back.
+//! Sharded tree indices: walk a batch's lanes over N kd-tree shards.
 //!
 //! One tree per device is the paper's implicit assumption (§3, §4); the
 //! service's north star of serving datasets larger than one tree breaks
@@ -12,7 +12,7 @@
 //!
 //! [`Shard`] is the one shard type, held as `Arc<Shard>` by this index and
 //! by the epoch layer's snapshots ([`crate::epoch`]) alike: a kd-tree, the
-//! table mapping its build points to the ids callers know, and its box.
+//! ids callers know its tree positions by, and its box.
 //! [`Shard::partition`] is the one Morton partition (both builders and the
 //! epoch layer's re-split call it), and the tree is the shard's only point
 //! store — [`Shard::points`] reads `(id, point)` pairs back out of it, as
@@ -21,7 +21,7 @@
 //! A batch is a slice of lanes — a position plus every op asked there
 //! ([`FusedLane`]) — and every sub-batch walks the fused rule over them
 //! ([`KdIndex::run_lanes`]). A lane (a "query" below) keeps one accumulator, the
-//! fused state its walks leave ([`FusedOpsPoint`]), and is dispatched to a
+//! fused state its walks continue ([`FusedOpsPoint`]), and is dispatched to a
 //! shard iff the state still [`reaches`] it. One [`sweep`] runs every batch, over
 //! either owner's shards — the epoch layer's pending deletes riding beside
 //! its shards as tombstone sets the sub-batches' rules skip, its pending
@@ -39,10 +39,10 @@
 //! the waves run inline on the caller. A query's shard is always decided
 //! against the answers of that query's earlier shards, so the executed
 //! (query, shard) set — and with it the whole record, answers to
-//! [`ShardVisit`]s — is the same for every thread count. A sub-batch's
-//! states fold into the lanes' accumulators in each query's visit order
-//! ([`merge`], its ids renamed to the ids callers know), and the answers
-//! are read off the accumulators once, when the batch closes.
+//! [`ShardVisit`]s — is the same for every thread count. A sub-batch walks
+//! the accumulators themselves, so a later shard is walked against the
+//! bounds the earlier ones left (the paper's truncation check), and the
+//! answers are read off them once, when the batch closes.
 //!
 //! Every sub-batch returns a [`BatchOutcome`] of its own and the batch's
 //! is their merge ([`BatchOutcome::absorb`]), with skips counted as its
@@ -57,15 +57,15 @@
 //! does: a sub-batch's record is a function of its lanes and its shard's
 //! points alone, whichever index owns the shard and whatever ran before.
 //!
-//! The merge rule of each op, and why a fold of per-shard states equals
-//! one walk over every point, is `gts_apps::fused`'s.
+//! Why a state walked over the shards in turn equals one walk over every
+//! point, and the admission rule of each op, are `gts_apps::fused`'s.
 
 use crate::index::{
     lane_answers, lane_state, mark_fused, to_point, BatchOutcome, FusedLane, FusedOutcome, KdIndex,
     ShardVisit, TreeIndex,
 };
 use crate::policy::{Backend, ExecPolicy};
-use gts_apps::fused::{merge, reaches, FusedOpsPoint};
+use gts_apps::fused::{reaches, FusedOpsPoint};
 use gts_points::sort::morton_key;
 use gts_runtime::Tombstones;
 use gts_trees::{Aabb, PointN, SplitPolicy};
@@ -88,7 +88,7 @@ pub struct ShardedIndex<const D: usize> {
 /// and what [`sweep`] needs beside it.
 pub(crate) struct Shard<const D: usize> {
     index: KdIndex<D>,
-    /// `ids[i]` = the id callers know the shard's i-th build point by.
+    /// `ids[j]` = the id callers know tree position `j` by.
     pub(crate) ids: Vec<u32>,
     pub(crate) bbox: Aabb<D>,
     /// Armed by a test: the next sub-batch on this shard panics.
@@ -123,8 +123,11 @@ impl<const D: usize> Shard<D> {
             .map(|(s, lo, hi)| {
                 let (ids, pts): (Vec<u32>, Vec<PointN<D>>) =
                     order[lo..hi].iter().map(|&i| items[i as usize]).unzip();
+                let index = KdIndex::build(format!("shard-{s}"), &pts, leaf_size, split);
+                let perm = &index.tree().perm;
+                let ids = perm.iter().map(|&b| ids[b as usize]).collect();
                 Shard {
-                    index: KdIndex::build(format!("shard-{s}"), &pts, leaf_size, split),
+                    index,
                     bbox: Aabb::of_points(&pts),
                     ids,
                     #[cfg(test)]
@@ -134,12 +137,9 @@ impl<const D: usize> Shard<D> {
             .collect()
     }
 
-    /// The shard's `(id, point)` pairs, in tree order, read from the tree
-    /// itself: `tree.points[j]` is build point `tree.perm[j]`, whose id is
-    /// `ids[perm[j]]`.
+    /// The shard's `(id, point)` pairs, in tree order, read from the tree.
     pub(crate) fn points(&self) -> impl Iterator<Item = (u32, PointN<D>)> + '_ {
-        let tree = self.index.tree();
-        (tree.perm.iter().zip(&tree.points)).map(|(&b, &p)| (self.ids[b as usize], p))
+        (self.ids.iter().copied()).zip(self.index.tree().points.iter().copied())
     }
 }
 
@@ -235,11 +235,14 @@ impl<const D: usize> ShardedIndex<D> {
     }
 }
 
-/// One wave of concurrent sub-batches: `(shard, lanes)` per slot.
-type Wave = Vec<(usize, Vec<usize>)>;
+/// Lanes' states, moved into a wave's slot and, through its run, back.
+type States<const D: usize> = Vec<FusedOpsPoint<D>>;
+
+/// One wave of concurrent sub-batches: `(shard, lanes, states)` per slot.
+type Wave<const D: usize> = Vec<(usize, Vec<usize>, States<D>)>;
 
 /// Executes one wave and hands back its slots alongside their runs.
-type DispatchFn<'a, const D: usize> = dyn FnMut(u32, Wave) -> (Wave, Vec<SubRun<D>>) + 'a;
+type DispatchFn<'a, const D: usize> = dyn FnMut(u32, Wave<D>) -> (Wave<D>, Vec<SubRun<D>>) + 'a;
 
 /// Shared state of a batch's wave pool.
 struct PoolShared<const D: usize> {
@@ -264,7 +267,7 @@ impl<const D: usize> PoolShared<D> {
 #[derive(Default)]
 struct WaveState<const D: usize> {
     round: u32,
-    wave: Wave,
+    wave: Wave<D>,
     /// First unclaimed wave slot.
     next: usize,
     /// Filled wave slots; the wave is drained when `done == runs.len()`.
@@ -291,11 +294,10 @@ impl<const D: usize> Drop for PoolShutdown<'_, D> {
 }
 
 /// One executed sub-batch: its span (shard, wave number, wall clock), its
-/// lanes' states (point ids as the shard's tree positions) and its
-/// accounting.
+/// lanes' states as the walk left them and its accounting.
 struct SubRun<const D: usize> {
     visit: ShardVisit,
-    states: Vec<FusedOpsPoint<D>>,
+    states: States<D>,
     outcome: BatchOutcome,
 }
 
@@ -332,12 +334,11 @@ impl StatAgg {
     }
 
     /// Close the batch: `lanes` as the caller was handed them, `accs`
-    /// their accumulators after the sweep, point ids already the ones
-    /// callers know.
+    /// their accumulators after the sweep.
     fn finish<const D: usize>(
         self,
         lanes: &[FusedLane],
-        accs: &[FusedOpsPoint<D>],
+        accs: impl IntoIterator<Item = FusedOpsPoint<D>>,
     ) -> FusedOutcome {
         let mut outcome = self.out;
         for visit in &mut outcome.shard_visits {
@@ -365,15 +366,15 @@ impl StatAgg {
         mark_fused(&mut outcome, lanes);
         FusedOutcome {
             lanes: (lanes.iter().zip(accs))
-                .map(|(lane, acc)| lane_answers(lane, acc, |i| i))
+                .map(|(lane, acc)| lane_answers(lane, &acc))
                 .collect(),
             outcome,
         }
     }
 }
 
-/// Answer one batch of lanes from `shards`: fan the lanes out, fold the
-/// per-shard answers back and close the batch's record — the only shard
+/// Answer one batch of lanes from `shards`: walk each lane's state over
+/// the shards it reaches and close the batch's record — the only shard
 /// sweep there is, one per batch, under [`ShardedIndex`] and the epoch
 /// layer's pinned snapshot alike, on the one schedule there is (module
 /// docs), its pool sized by [`ExecPolicy::shard_parallelism`]. `dead[s]`
@@ -451,19 +452,20 @@ impl<'a, const D: usize> Sweep<'a, D> {
         }
     }
 
-    /// Run the sub-batch of lanes `qs` against shard `shard_i`.
-    fn run_sub(&self, shard_i: usize, round: u32, qs: &[usize]) -> SubRun<D> {
-        let shard = &self.shards[shard_i];
+    /// Run the sub-batch of lanes `qs`, from their `states`, on shard `s`.
+    fn run_sub(&self, s: usize, round: u32, qs: &[usize], states: States<D>) -> SubRun<D> {
+        let shard = &self.shards[s];
         #[cfg(test)]
         if shard.failpoint.swap(false, Ordering::SeqCst) {
-            panic!("failpoint: shard {shard_i}");
+            panic!("failpoint: shard {s}");
         }
         let sub: Vec<&FusedLane> = qs.iter().map(|&q| &self.lanes[q]).collect();
         let offset_us = self.started.elapsed().as_micros() as u64;
-        let dead = self.dead.get(shard_i).unwrap_or(Tombstones::NONE);
-        let (states, outcome) = (shard.index).run_lanes(&sub, self.metered, self.policy, dead);
+        let dead = self.dead.get(s).unwrap_or(Tombstones::NONE);
+        let (states, outcome) =
+            (shard.index).run_lanes(&sub, states, &shard.ids, self.metered, self.policy, dead);
         let visit = ShardVisit {
-            shard: shard_i as u32,
+            shard: s as u32,
             round,
             queries: sub.len() as u32,
             node_visits: outcome.node_visits,
@@ -517,14 +519,14 @@ impl<'a, const D: usize> Sweep<'a, D> {
         &self,
         shared: &PoolShared<D>,
         round: u32,
-        wave: Wave,
-    ) -> (Wave, Vec<SubRun<D>>) {
-        match &wave[..] {
+        mut wave: Wave<D>,
+    ) -> (Wave<D>, Vec<SubRun<D>>) {
+        match &mut wave[..] {
             [] => return (wave, Vec::new()),
             // A one-shard wave gains nothing from the pool; run it inline
             // without even waking the workers.
-            [(s, qs)] => {
-                let run = self.run_sub(*s, round, qs);
+            [(s, qs, states)] => {
+                let run = self.run_sub(*s, round, qs, std::mem::take(states));
                 return (wave, vec![run]);
             }
             _ => {}
@@ -556,9 +558,9 @@ impl<'a, const D: usize> Sweep<'a, D> {
     }
 
     /// Worker loop: claim the next unclaimed sub-batch of the current
-    /// wave, execute it, park the result — or the panic that ended it —
-    /// back in its slot (and the lane list back in the wave, for the
-    /// caller's merge). Persistent workers (`wait == true`) block for the
+    /// wave, execute it on the slot's states, park the result — or the
+    /// panic that ended it — back in its slot (and the lane list back in
+    /// the wave, for the caller). Persistent workers (`wait == true`) block for the
     /// next wave until shutdown; the dispatching thread runs the same
     /// loop with `wait == false` to help drain the wave it just
     /// submitted.
@@ -569,11 +571,11 @@ impl<'a, const D: usize> Sweep<'a, D> {
                 let i = state.next;
                 state.next += 1;
                 let round = state.round;
-                let (s, qs) = (state.wave[i].0, std::mem::take(&mut state.wave[i].1));
+                let (s, qs, states) = std::mem::take(&mut state.wave[i]);
                 drop(state);
-                let run = catch_unwind(AssertUnwindSafe(|| self.run_sub(s, round, &qs)));
+                let run = catch_unwind(AssertUnwindSafe(|| self.run_sub(s, round, &qs, states)));
                 state = shared.lock();
-                state.wave[i].1 = qs;
+                state.wave[i] = (s, qs, Vec::new());
                 state.runs[i] = Some(run);
                 state.done += 1;
                 if state.done == state.runs.len() {
@@ -607,10 +609,10 @@ impl<'a, const D: usize> Sweep<'a, D> {
     ///
     /// Per lane, every shard is checked exactly once, against the results
     /// of the lane's earlier dispatched shards and nothing else — so the
-    /// executed (lane, shard) set, the prune count and the merged results
-    /// do not depend on `threads`. Per-shard sub-runs start with fresh
-    /// lane state and fold back through [`merge`], so every answer is
-    /// bit-identical to a flat run of that op.
+    /// executed (lane, shard) set, the prune count and the results do not
+    /// depend on `threads`. A sub-walk continues the lane's accumulator, so
+    /// each answer is that of one walk over its admitted shards in visit
+    /// order, bit-identical to a flat run of that op.
     /// Lanes at different visit depths land in the same wave's sub-batch
     /// for a shard, so waves are fewer and fuller than one round per visit
     /// depth would be — better warp packing and fewer profiler
@@ -619,44 +621,43 @@ impl<'a, const D: usize> Sweep<'a, D> {
         let n_shards = self.shards.len();
         let mut agg = StatAgg::default();
         let points = self.shards.iter().map(|s| s.ids.len()).sum();
-        let mut accs: Vec<FusedOpsPoint<D>> = (self.lanes.iter().zip(&self.qpts))
-            .map(|(lane, &pos)| lane_state(lane, pos, points))
+        // A lane's state is here between waves and in its slot during one.
+        let mut accs: Vec<Option<FusedOpsPoint<D>>> = (self.lanes.iter().zip(&self.qpts))
+            .map(|(lane, &pos)| Some(lane_state(lane, pos, points)))
             .collect();
         // cursor[q] = how far down q's visit order we have decided.
         let mut cursor = vec![0usize; self.lanes.len()];
         self.with_wave_pool(threads, |dispatch| {
             for wave_no in 0..n_shards as u32 {
-                let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+                let mut wave: Wave<D> = (0..n_shards).map(|s| (s, vec![], vec![])).collect();
                 for (q, order) in self.visit.iter().enumerate() {
                     while cursor[q] < n_shards {
                         let (lb, s) = order[cursor[q]];
                         cursor[q] += 1;
-                        if self.keep(reaches(&accs[q], lb), &mut agg, s, wave_no) {
-                            groups[s as usize].push(q);
+                        let acc = accs[q].as_ref().expect("home between waves");
+                        if self.keep(reaches(acc, lb), &mut agg, s, wave_no) {
+                            let (_, qs, states) = &mut wave[s as usize];
+                            qs.push(q);
+                            states.extend(accs[q].take());
                             break;
                         }
                     }
                 }
-                let wave: Wave = (groups.into_iter().enumerate())
-                    .filter(|(_, qs)| !qs.is_empty())
-                    .collect();
+                wave.retain(|(_, qs, _)| !qs.is_empty());
                 if wave.is_empty() {
                     // Nothing admissible anywhere — every cursor is spent.
                     break;
                 }
                 let (wave, runs) = dispatch(wave_no, wave);
-                for ((s, qs), run) in wave.iter().zip(&runs) {
-                    let shard = &self.shards[*s];
-                    let perm = &shard.index.tree().perm;
-                    let id = |i: u32| shard.ids[perm[i as usize] as usize];
-                    for (&q, state) in qs.iter().zip(&run.states) {
-                        merge(&mut accs[q], state, id);
+                for ((_, qs, _), run) in wave.iter().zip(runs) {
+                    agg.add(&run);
+                    for (&q, state) in qs.iter().zip(run.states) {
+                        accs[q] = Some(state);
                     }
-                    agg.add(run);
                 }
             }
         });
-        agg.finish(self.lanes, &accs)
+        agg.finish(self.lanes, accs.into_iter().map(|acc| acc.expect("home")))
     }
 }
 
@@ -682,7 +683,13 @@ impl<const D: usize> TreeIndex for ShardedIndex<D> {
 mod tests {
     use super::*;
     use crate::query::{OpKey, QueryResult};
+    use gts_apps::fused::FusedOpsRule;
+    use gts_apps::kd::KdBox;
     use gts_points::gen::{geocity_like, uniform};
+    use gts_runtime::cpu::traverse_one;
+    use gts_runtime::Renamed;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn cpu() -> ExecPolicy {
         ExecPolicy::forced(Backend::Cpu)
@@ -904,7 +911,7 @@ mod tests {
         agg.add(&run(1, &b, 5));
         let mut lane = FusedLane::empty(vec![0.0; 3]);
         lane.ask(OpKey::Nn);
-        let out = agg.finish::<3>(&[lane], &[]).outcome;
+        let out = agg.finish::<3>(&[lane], []).outcome;
         assert_eq!(out.node_visits, 25);
         assert_eq!(out.warps, 32);
         assert_eq!(out.shards_pruned, 36);
@@ -923,6 +930,65 @@ mod tests {
             .map(|v| (v.shard, v.queries, v.node_visits))
             .collect();
         assert_eq!(visits, [(0, 3, 2), (1, 5, 23)]);
+    }
+
+    #[test]
+    fn a_later_shard_is_walked_from_the_lanes_earlier_bounds() {
+        // The ledger's `sharded_fused` shape: NN, kNN k = 8 and PC at one
+        // position near a data point, on 8 shards over uniform 3-d points.
+        let pts = uniform::<3>(4096, 43);
+        let sharded = ShardedIndex::build("s", &pts, 8, 8, SplitPolicy::MedianCycle);
+        let flat = KdIndex::build("f", &pts, 8, SplitPolicy::MedianCycle);
+        // 4 % of the diagonal of [-1, 1)³.
+        let radius = 0.08 * 3f32.sqrt();
+        let mut rng = ChaCha8Rng::seed_from_u64(44);
+        let lanes: Vec<FusedLane> = (0..256)
+            .map(|_| {
+                let anchor = pts[rng.gen_range(0..pts.len())];
+                let jitter = |c: f32| c + rng.gen_range(-radius / 2.0..radius / 2.0);
+                let mut lane = FusedLane::empty(anchor.0.map(jitter).to_vec());
+                for op in [OpKey::Nn, OpKey::Knn(8), OpKey::Pc(radius.to_bits())] {
+                    lane.ask(op);
+                }
+                lane
+            })
+            .collect();
+        let out = sharded.run(&lanes, &cpu());
+        assert_eq!(out.lanes, flat.run(&lanes, &cpu()).lanes);
+
+        // Each lane swept alone admits what it did in the batch: a lane's
+        // shard is decided against its own earlier shards only. Walk each
+        // admitted shard from the state the lane carries there, and again
+        // from a fresh one.
+        fn kernel(shard: &Shard<3>) -> KdBox<'_, 3, Renamed<'_, FusedOpsRule>> {
+            let rule = FusedOpsRule::default();
+            let ids = &shard.ids;
+            KdBox::with_rule(shard.index.tree(), Renamed { rule, ids })
+        }
+        let policy = cpu();
+        let sweep = Sweep::new(&sharded.shards, &[], &lanes, &policy, true);
+        let (mut pairs, mut continued, mut fresh) = (0u64, 0u64, 0u64);
+        for (q, lane) in lanes.iter().enumerate() {
+            let start = || lane_state(lane, sweep.qpts[q], pts.len());
+            let mut state = start();
+            for &(lb, s) in &sweep.visit[q] {
+                if reaches(&state, lb) {
+                    let shard = &sharded.shards[s as usize];
+                    pairs += 1;
+                    continued += u64::from(traverse_one(&kernel(shard), &mut state));
+                    fresh += u64::from(traverse_one(&kernel(shard), &mut start()));
+                }
+            }
+        }
+        let out = out.outcome;
+        let swept: u64 = out.shard_visits.iter().map(|v| u64::from(v.queries)).sum();
+        assert_eq!(swept, pairs, "the same (lane, shard) pairs");
+        assert_eq!(out.node_visits, continued);
+        assert!(
+            out.node_visits < fresh,
+            "continued {} vs fresh-start {fresh}",
+            out.node_visits
+        );
     }
 
     #[test]
