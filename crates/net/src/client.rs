@@ -1,28 +1,28 @@
 //! Blocking client with sync and pipelined batch APIs.
 //!
-//! [`Client::query`] is the simple path: one `Submit`, wait for its
-//! answer. The throughput path is [`Client::send_batch`] /
-//! [`Client::recv_batch`]: each `send_batch` puts an entire query wave in
-//! one `BatchSubmit` frame and returns immediately, so several frames can
-//! be in flight per connection ("pipelining") — the server's per-key
-//! batcher sees queries from every outstanding frame at once, exactly the
+//! Every query travels in a `BatchSubmit` frame. [`Client::query`] is the
+//! simple path: a one-query frame, then wait for its one slot. The
+//! throughput path is [`Client::send_batch`] / [`Client::recv_batch`]:
+//! each `send_batch` puts an entire query wave in one frame and returns
+//! immediately, so several frames can be in flight per connection
+//! ("pipelining"). The server dispatches each frame when it ends — the
 //! coherent waves the traversal kernels want. Responses arriving out of
 //! order are parked until their `recv_*` is called.
 //!
 //! # Client-side tracing
 //!
 //! Every client owns a [`TraceRecorder`] and mints a per-connection trace
-//! id at connect time plus a fresh span id per submitted frame. When the
-//! negotiated protocol version is ≥ 2 the (trace, span) pair rides the
-//! `Submit`/`BatchSubmit` trailer, the server stamps it onto every event
-//! the query leaves behind, and both sides emit Chrome flow events — the
-//! client a `FlowOut` on the request flow (`2·span`) as the frame departs
-//! and a `FlowIn` on the response flow (`2·span+1`) as the answer lands,
-//! the server the mirror pair. Merging the two trace dumps (shifted by
-//! the wall-clock anchor the server's `Hello` carries) gives one Perfetto
-//! timeline where arrows join the client's `send`/`await` spans to the
-//! server's batch and shard spans. Phase spans (`connect`, `encode`,
-//! `send`, `await`, `decode`) are recorded regardless of peer version.
+//! id at connect time plus a fresh span id per submitted frame. The
+//! (trace, span) pair rides the `BatchSubmit` trailer, the server stamps
+//! it onto every event the query leaves behind, and both sides emit
+//! Chrome flow events — the client a `FlowOut` on the request flow
+//! (`2·span`) as the frame departs and a `FlowIn` on the response flow
+//! (`2·span+1`) as the answer lands, the server the mirror pair. Merging
+//! the two trace dumps (shifted by the wall-clock anchor the server's
+//! `Hello` carries) gives one Perfetto timeline where arrows join the
+//! client's `send`/`await` spans to the server's batch and shard spans.
+//! Phase spans (`connect`, `encode`, `send`, `await`, `decode`) are
+//! recorded for every frame.
 
 use crate::frame::{decode_body, read_body, write_frame, Frame, WireError, PROTOCOL_VERSION};
 use gts_service::trace::NO_ID;
@@ -80,7 +80,6 @@ fn mint_trace_id(wall_us: u64) -> u64 {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    version: u8,
     next_req: u64,
     /// Responses read while waiting for a different correlation id.
     parked: HashMap<u64, Frame>,
@@ -90,16 +89,17 @@ pub struct Client {
     trace_id: u64,
     /// Next per-frame span id (flow ids derive from it).
     next_span: u64,
-    /// Server trace-recorder anchor (µs since Unix epoch) from its v2
+    /// Server trace-recorder anchor (µs since Unix epoch) from its
     /// `Hello`; the offset that maps client timestamps onto the server
     /// timeline when merging traces.
-    server_wall_us: Option<u64>,
+    server_wall_us: u64,
     /// Span ids of in-flight requests, for response flow events.
     span_of: HashMap<u64, u64>,
 }
 
 impl Client {
-    /// Connect, exchange `Hello`, and negotiate the protocol version.
+    /// Connect and exchange `Hello`s; a server of another protocol
+    /// version is an `InvalidData` error.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let trace = TraceRecorder::new(CLIENT_TRACE_CAPACITY);
         let trace_id = mint_trace_id(trace.wall_epoch_us());
@@ -111,43 +111,35 @@ impl Client {
         let mut client = Client {
             reader,
             writer,
-            version: PROTOCOL_VERSION,
             next_req: 1,
             parked: HashMap::new(),
             trace,
             trace_id,
             next_span: 1,
-            server_wall_us: None,
+            server_wall_us: 0,
             span_of: HashMap::new(),
         };
-        // The opening Hello carries no trailer: the peer's version is
-        // still unknown, and a v1 decoder treats trailing bytes as fatal.
         client.send(&Frame::Hello {
             version: PROTOCOL_VERSION,
-            wall_us: None,
+            wall_us: client.trace.wall_epoch_us(),
         })?;
         match client.read()? {
-            Frame::Hello { version, wall_us } => {
-                client.version = version.min(PROTOCOL_VERSION);
-                client.server_wall_us = wall_us;
+            Frame::Hello {
+                version: PROTOCOL_VERSION,
+                wall_us,
+            } => client.server_wall_us = wall_us,
+            Frame::Hello { version, .. } => {
+                return Err(proto_err(format!(
+                    "server speaks protocol version {version}"
+                )))
             }
             Frame::Error { error, .. } => {
                 return Err(proto_err(format!("handshake rejected: {error}")))
             }
-            other => {
-                return Err(proto_err(format!(
-                    "expected Hello, got {:?} frame",
-                    frame_kind(&other)
-                )))
-            }
+            other => return Err(proto_err(format!("expected hello, got {}", other.name()))),
         }
         client.span(t0, "connect", NO_ID);
         Ok(client)
-    }
-
-    /// The negotiated protocol version.
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// The client-side trace recorder (phase spans + flow events).
@@ -155,31 +147,27 @@ impl Client {
         &self.trace
     }
 
-    /// The per-connection trace id this client stamps on v2 frames.
+    /// The per-connection trace id this client stamps on its frames.
     pub fn trace_id(&self) -> u64 {
         self.trace_id
     }
 
     /// The server's trace-recorder wall anchor (µs since the Unix epoch)
-    /// from its `Hello`, when the peer spoke v2. Shifting client event
-    /// timestamps by `server_wall_us - trace().wall_epoch_us()` puts them
-    /// on the server trace's timeline.
-    pub fn server_wall_us(&self) -> Option<u64> {
+    /// from its `Hello`. Shifting client event timestamps by
+    /// `server_wall_us - trace().wall_epoch_us()` puts them on the server
+    /// trace's timeline.
+    pub fn server_wall_us(&self) -> u64 {
         self.server_wall_us
     }
 
-    /// Mint the trace context for the next frame, or `None` when the
-    /// negotiated version predates context propagation.
-    fn mint_ctx(&mut self) -> Option<TraceContext> {
-        if self.version < 2 {
-            return None;
-        }
+    /// Mint the trace context for the next frame.
+    fn mint_ctx(&mut self) -> TraceContext {
         let span_id = self.next_span;
         self.next_span += 1;
-        Some(TraceContext {
+        TraceContext {
             trace_id: self.trace_id,
             span_id,
-        })
+        }
     }
 
     /// Record a client phase span from `t0` to now.
@@ -200,26 +188,24 @@ impl Client {
 
     /// Record the departure flow event and remember the span for the
     /// response-side arrow.
-    fn flow_out(&mut self, ctx: Option<TraceContext>, req: u64, query: u64) {
-        if let Some(ctx) = ctx {
-            self.span_of.insert(req, ctx.span_id);
-            self.trace.instant_traced(
-                self.trace.now_us(),
-                query,
-                NO_ID,
-                self.trace_id,
-                EventKind::FlowOut {
-                    flow: ctx.request_flow(),
-                    conn: CLIENT_CONN,
-                    client: true,
-                },
-            );
-        }
+    fn flow_out(&mut self, ctx: TraceContext, req: u64) {
+        self.span_of.insert(req, ctx.span_id);
+        self.trace.instant_traced(
+            self.trace.now_us(),
+            req,
+            NO_ID,
+            self.trace_id,
+            EventKind::FlowOut {
+                flow: ctx.request_flow(),
+                conn: CLIENT_CONN,
+                client: true,
+            },
+        );
     }
 
-    /// Record the arrival flow event for a response, if its request
-    /// carried a context.
-    fn flow_in(&mut self, req: u64, query: u64) {
+    /// Record the arrival flow event for a response, if it answers a
+    /// `BatchSubmit` (the frame that carries a context).
+    fn flow_in(&mut self, req: u64) {
         if let Some(span_id) = self.span_of.remove(&req) {
             let ctx = TraceContext {
                 trace_id: self.trace_id,
@@ -227,7 +213,7 @@ impl Client {
             };
             self.trace.instant_traced(
                 self.trace.now_us(),
-                query,
+                req,
                 NO_ID,
                 self.trace_id,
                 EventKind::FlowIn {
@@ -268,27 +254,21 @@ impl Client {
         loop {
             let frame = self.read()?;
             let req = match &frame {
-                Frame::Result { req, .. }
-                | Frame::Error { req, .. }
+                Frame::Error { req, .. }
                 | Frame::MutateAck { req, .. }
                 | Frame::SlowLog { req, .. } => *req,
                 Frame::BatchResult { base_req, .. } => *base_req,
                 Frame::Shutdown => {
                     return Err(proto_err("server shut the session down mid-request"))
                 }
-                other => {
-                    return Err(proto_err(format!(
-                        "unexpected {:?} frame",
-                        frame_kind(other)
-                    )))
-                }
+                other => return Err(proto_err(format!("unexpected {} frame", other.name()))),
             };
             if let Frame::Error { req, error } = &frame {
                 if *req == u64::MAX {
                     return Err(proto_err(format!("connection-level error: {error}")));
                 }
             }
-            self.flow_in(req, req);
+            self.flow_in(req);
             if req == want {
                 return Ok(frame);
             }
@@ -296,28 +276,18 @@ impl Client {
         }
     }
 
-    /// Submit one query and block for its answer. Service-side failures
-    /// (validation, overload, shutdown) come back as `Ok(Err(WireError))`;
-    /// transport or protocol faults are the outer `io::Error`, and so is a
-    /// query the wire cannot carry (`InvalidInput`, refused before anything
-    /// is sent, so the session stays usable).
+    /// Submit one query as a one-query `BatchSubmit` and block for its
+    /// answer. Service-side failures (validation, overload, shutdown) come
+    /// back as `Ok(Err(WireError))`; transport or protocol faults are the
+    /// outer `io::Error`, and so is a query the wire cannot carry
+    /// (`InvalidInput`, refused before anything is sent, so the session
+    /// stays usable).
     pub fn query(&mut self, query: Query) -> io::Result<Result<QueryResult, WireError>> {
-        fits_the_wire(query.index, &query.pos)?;
-        let req = self.next_req;
-        self.next_req += 1;
-        let ctx = self.mint_ctx();
-        let t_encode = self.trace.now_us();
-        let frame = Frame::Submit { req, query, ctx };
-        self.span(t_encode, "encode", req);
-        self.flow_out(ctx, req, req);
-        let t_send = self.trace.now_us();
-        self.send(&frame)?;
-        self.span(t_send, "send", req);
-        match self.read_for(req)? {
-            Frame::Result { result, .. } => Ok(Ok(result)),
-            Frame::Error { error, .. } => Ok(Err(error)),
-            _ => unreachable!("read_for returned a non-matching frame"),
-        }
+        let base_req = self.send_batch(std::slice::from_ref(&query))?;
+        let slots = self.recv_batch(base_req)?;
+        let [slot] = <[_; 1]>::try_from(slots)
+            .map_err(|_| proto_err("a one-query frame came back without one slot"))?;
+        Ok(slot)
     }
 
     /// Send one `BatchSubmit` frame and return its correlation id without
@@ -335,10 +305,10 @@ impl Client {
         let frame = Frame::BatchSubmit {
             base_req,
             queries: queries.to_vec(),
-            ctx,
+            ctx: Some(ctx),
         };
         self.span(t_encode, "encode", base_req);
-        self.flow_out(ctx, base_req, base_req);
+        self.flow_out(ctx, base_req);
         let t_send = self.trace.now_us();
         self.send(&frame)?;
         self.span(t_send, "send", base_req);
@@ -355,8 +325,7 @@ impl Client {
         }
     }
 
-    /// Fetch the server's slow-query flight-recorder dump as JSON (v2
-    /// servers only — a v1 peer answers with a protocol error).
+    /// Fetch the server's slow-query flight-recorder dump as JSON.
     pub fn slow_log(&mut self) -> io::Result<Result<String, WireError>> {
         let req = self.next_req;
         self.next_req += 1;
@@ -420,34 +389,17 @@ impl Client {
             match self.read()? {
                 Frame::Shutdown => return Ok(()),
                 // Late responses racing the drain ack are fine.
-                Frame::Result { .. }
-                | Frame::BatchResult { .. }
+                Frame::BatchResult { .. }
                 | Frame::Error { .. }
                 | Frame::MutateAck { .. }
                 | Frame::SlowLog { .. } => {}
                 other => {
                     return Err(proto_err(format!(
-                        "unexpected {:?} frame during shutdown",
-                        frame_kind(&other)
+                        "unexpected {} frame during shutdown",
+                        other.name()
                     )))
                 }
             }
         }
-    }
-}
-
-fn frame_kind(f: &Frame) -> &'static str {
-    match f {
-        Frame::Hello { .. } => "Hello",
-        Frame::Submit { .. } => "Submit",
-        Frame::BatchSubmit { .. } => "BatchSubmit",
-        Frame::Result { .. } => "Result",
-        Frame::BatchResult { .. } => "BatchResult",
-        Frame::Error { .. } => "Error",
-        Frame::Shutdown => "Shutdown",
-        Frame::Mutate { .. } => "Mutate",
-        Frame::MutateAck { .. } => "MutateAck",
-        Frame::SlowLogQuery { .. } => "SlowLogQuery",
-        Frame::SlowLog { .. } => "SlowLog",
     }
 }

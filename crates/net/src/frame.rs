@@ -6,10 +6,8 @@
 //!
 //! | type | frame          | payload                                              |
 //! |-----:|----------------|------------------------------------------------------|
-//! |    1 | `Hello`        | magic `u32`, version `u8` \[, wall µs `u64`\]        |
-//! |    2 | `Submit`       | req `u64`, query \[, trace id `u64`, span id `u64`\] |
+//! |    1 | `Hello`        | magic `u32`, version `u8`, wall µs `u64`             |
 //! |    3 | `BatchSubmit`  | base req `u64`, count `u32`, `count` × query \[, trace id `u64`, span id `u64`\] |
-//! |    4 | `Result`       | req `u64`, result                                    |
 //! |    5 | `BatchResult`  | base req `u64`, count `u32`, `count` × (tag, result\|error) |
 //! |    6 | `Error`        | req `u64`, code `u8`, predicted µs `u64`, budget µs `u64`, msg len `u32`, msg |
 //! |    7 | `Shutdown`     | empty                                                |
@@ -18,21 +16,17 @@
 //! |   10 | `SlowLogQuery` | req `u64`                                            |
 //! |   11 | `SlowLog`      | req `u64`, json len `u32`, json                      |
 //!
-//! Version negotiation: both sides open with `Hello`; the effective
-//! protocol version is the minimum of the two. A `Hello` with the wrong
-//! magic is a decode error (the peer is not speaking this protocol at
-//! all).
+//! Type tags 2 and 4 are retired and decode as unknown types. A query of
+//! its own is a one-query `BatchSubmit`.
 //!
-//! Version 2 adds the bracketed *optional trailing fields*: a wall-clock
-//! anchor on `Hello` (the sender's trace-recorder epoch, used to shift
-//! client trace events onto the server timeline) and a trace context on
-//! `Submit` / `BatchSubmit` (client-minted trace + span ids so server-side
-//! events carry the originating client's identity). Encoders emit them
-//! only when the negotiated version is ≥ 2; decoders accept both shapes,
-//! so v1 peers interoperate untouched — a v1 `Submit` simply decodes with
-//! `ctx: None`. `SlowLogQuery` / `SlowLog` are also v2 frames: a v1 server
-//! answers them with an `Error`, never a decode failure, because unknown
-//! *types* (not trailers) stay fatal.
+//! Handshake: both sides open with `Hello` of [`PROTOCOL_VERSION`] and
+//! their trace-recorder wall-clock anchor (used to shift client trace
+//! events onto the server timeline). The server answers a `Hello` of any
+//! other version, or a wrong magic, with a `Protocol` error frame and
+//! closes. The one optional field is the bracketed trace context on
+//! `BatchSubmit`: client-minted trace + span ids, so server-side events
+//! carry the originating client's identity; without it the frame is
+//! 16 bytes shorter and decodes with `ctx: None`.
 //!
 //! Declared lengths above [`MAX_FRAME`] are rejected *before* any
 //! allocation sized by the attacker-controlled length: [`read_frame`],
@@ -43,10 +37,8 @@ use gts_service::{IndexId, Mutation, Query, QueryKind, QueryResult, ServiceError
 use std::io::{Read, Write};
 use std::time::Duration;
 
-/// Protocol version spoken by this build. Version 2 adds trace-context
-/// trailers on `Submit`/`BatchSubmit`, a wall-clock anchor on `Hello`,
-/// and the `SlowLogQuery`/`SlowLog` frame pair.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// The one protocol version this build speaks; a peer must speak it too.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Magic opening every `Hello` payload (`b"GTS1"` little-endian).
 pub const MAGIC: u32 = u32::from_le_bytes(*b"GTS1");
@@ -58,9 +50,7 @@ pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 /// Frame type tags on the wire.
 const T_HELLO: u8 = 1;
-const T_SUBMIT: u8 = 2;
 const T_BATCH_SUBMIT: u8 = 3;
-const T_RESULT: u8 = 4;
 const T_BATCH_RESULT: u8 = 5;
 const T_ERROR: u8 = 6;
 const T_SHUTDOWN: u8 = 7;
@@ -174,21 +164,12 @@ impl std::error::Error for WireError {}
 pub enum Frame {
     /// Session opener; both directions.
     Hello {
-        /// Highest protocol version the sender speaks.
+        /// The protocol version the sender speaks.
         version: u8,
         /// Sender's trace-recorder wall-clock anchor in µs since the Unix
-        /// epoch (v2 trailer; `None` from v1 peers). Lets the receiver
-        /// shift the sender's trace timestamps onto its own timeline.
-        wall_us: Option<u64>,
-    },
-    /// One query, answered by `Result` or `Error` with the same `req`.
-    Submit {
-        /// Caller-chosen correlation id.
-        req: u64,
-        /// The query.
-        query: Query,
-        /// Client-minted trace context (v2 trailer; `None` from v1 peers).
-        ctx: Option<TraceContext>,
+        /// epoch. Lets the receiver shift the sender's trace timestamps
+        /// onto its own timeline.
+        wall_us: u64,
     },
     /// `queries.len()` queries with implicit ids `base_req..`; answered by
     /// one `BatchResult` with the same `base_req`.
@@ -197,16 +178,9 @@ pub enum Frame {
         base_req: u64,
         /// The queries, in id order.
         queries: Vec<Query>,
-        /// Client-minted trace context for the whole batch (v2 trailer;
-        /// `None` from v1 peers).
+        /// Client-minted trace context for the whole batch (an optional
+        /// trailer; `None` encodes no bytes).
         ctx: Option<TraceContext>,
-    },
-    /// Successful answer to `Submit`.
-    Result {
-        /// Correlation id from the `Submit`.
-        req: u64,
-        /// The answer.
-        result: QueryResult,
     },
     /// Answer to `BatchSubmit`: one slot per query, in submission order.
     BatchResult {
@@ -215,8 +189,8 @@ pub enum Frame {
         /// Per-query outcomes.
         results: Vec<Result<QueryResult, WireError>>,
     },
-    /// Failed answer to `Submit` (or a connection-level fault when
-    /// `req == u64::MAX`).
+    /// Failed answer to `Mutate` or `SlowLogQuery`, or a connection-level
+    /// fault when `req == u64::MAX`.
     Error {
         /// Correlation id, or `u64::MAX` for connection-level errors.
         req: u64,
@@ -251,8 +225,8 @@ pub enum Frame {
         /// Ids assigned to the batch's inserts, in submission order.
         assigned: Vec<u32>,
     },
-    /// Ask the server for its slow-query flight-recorder dump (v2);
-    /// answered by `SlowLog` or `Error` with the same `req`.
+    /// Ask the server for its slow-query flight-recorder dump; answered
+    /// by `SlowLog` or `Error` with the same `req`.
     SlowLogQuery {
         /// Caller-chosen correlation id.
         req: u64,
@@ -390,6 +364,22 @@ fn put_error(out: &mut Vec<u8>, e: &WireError) {
 }
 
 impl Frame {
+    /// The frame's snake-case name: the `frame` tag of the trace's
+    /// `frame_decode` events, and the name error messages use.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Frame::Hello { .. } => "hello",
+            Frame::BatchSubmit { .. } => "batch_submit",
+            Frame::BatchResult { .. } => "batch_result",
+            Frame::Error { .. } => "error",
+            Frame::Shutdown => "shutdown",
+            Frame::Mutate { .. } => "mutate",
+            Frame::MutateAck { .. } => "mutate_ack",
+            Frame::SlowLogQuery { .. } => "slow_log_query",
+            Frame::SlowLog { .. } => "slow_log",
+        }
+    }
+
     /// Serialize the whole frame, length prefix included.
     pub fn encode(&self) -> Vec<u8> {
         let mut body = Vec::with_capacity(64);
@@ -398,15 +388,7 @@ impl Frame {
                 body.push(T_HELLO);
                 put_u32(&mut body, MAGIC);
                 body.push(*version);
-                if let Some(wall) = wall_us {
-                    put_u64(&mut body, *wall);
-                }
-            }
-            Frame::Submit { req, query, ctx } => {
-                body.push(T_SUBMIT);
-                put_u64(&mut body, *req);
-                put_query(&mut body, query);
-                put_ctx(&mut body, ctx);
+                put_u64(&mut body, *wall_us);
             }
             Frame::BatchSubmit {
                 base_req,
@@ -420,11 +402,6 @@ impl Frame {
                     put_query(&mut body, q);
                 }
                 put_ctx(&mut body, ctx);
-            }
-            Frame::Result { req, result } => {
-                body.push(T_RESULT);
-                put_u64(&mut body, *req);
-                put_result(&mut body, result);
             }
             Frame::BatchResult { base_req, results } => {
                 body.push(T_BATCH_RESULT);
@@ -555,23 +532,9 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
-    /// Optional trailing `u64`: `None` at end-of-body (v1 peer), the
-    /// value when exactly one more field is present.
-    fn trailing_u64(&mut self) -> Result<Option<u64>, DecodeError> {
-        if self.remaining() == 0 {
-            Ok(None)
-        } else {
-            Ok(Some(self.u64()?))
-        }
-    }
-
-    /// Optional trailing trace context (v2 trailer on submit frames).
+    /// Optional trailing trace context of a `BatchSubmit`.
     fn trailing_ctx(&mut self) -> Result<Option<TraceContext>, DecodeError> {
-        if self.remaining() == 0 {
+        if self.at == self.buf.len() {
             return Ok(None);
         }
         Ok(Some(TraceContext {
@@ -669,14 +632,9 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, DecodeError> {
             }
             Frame::Hello {
                 version: c.u8()?,
-                wall_us: c.trailing_u64()?,
+                wall_us: c.u64()?,
             }
         }
-        T_SUBMIT => Frame::Submit {
-            req: c.u64()?,
-            query: get_query(&mut c)?,
-            ctx: c.trailing_ctx()?,
-        },
         T_BATCH_SUBMIT => {
             let base_req = c.u64()?;
             let n = checked_count(c.u32()?)?;
@@ -690,10 +648,6 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, DecodeError> {
                 ctx: c.trailing_ctx()?,
             }
         }
-        T_RESULT => Frame::Result {
-            req: c.u64()?,
-            result: get_result(&mut c)?,
-        },
         T_BATCH_RESULT => {
             let base_req = c.u64()?;
             let n = checked_count(c.u32()?)?;

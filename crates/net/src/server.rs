@@ -11,9 +11,9 @@
 //! ([`gts_service::Service::submit_all`]: admitted under one front lock,
 //! and flushed when the frame ends rather than at the batching deadline),
 //! then registers `n` wakers that fill one shared slot table; the last
-//! completion encodes a single `BatchResult` frame. A lone `Submit` waits
-//! for its index to fill or for the deadline, like an in-process
-//! `submit`.
+//! completion encodes a single `BatchResult` frame. A one-query frame is
+//! dispatched when it ends too: no query that arrives over the wire waits
+//! for the batching deadline.
 //!
 //! Draining: a `Shutdown` frame stops reads, waits for the connection's
 //! in-flight count to reach zero (every accepted frame is answered), then
@@ -276,23 +276,6 @@ fn accept_loop(listener: TcpListener, service: Arc<Service>, stop: Arc<AtomicBoo
     }
 }
 
-/// Frame names for trace events.
-fn frame_name(f: &Frame) -> &'static str {
-    match f {
-        Frame::Hello { .. } => "hello",
-        Frame::Submit { .. } => "submit",
-        Frame::BatchSubmit { .. } => "batch_submit",
-        Frame::Result { .. } => "result",
-        Frame::BatchResult { .. } => "batch_result",
-        Frame::Error { .. } => "error",
-        Frame::Shutdown => "shutdown",
-        Frame::Mutate { .. } => "mutate",
-        Frame::MutateAck { .. } => "mutate_ack",
-        Frame::SlowLogQuery { .. } => "slow_log_query",
-        Frame::SlowLog { .. } => "slow_log",
-    }
-}
-
 fn serve_connection(stream: TcpStream, conn: u64, service: &Arc<Service>) {
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -346,29 +329,29 @@ fn reader_loop(stream: TcpStream, conn: u64, service: &Arc<Service>, tx: &Sender
     let metrics = service.metrics_registry();
     let tracer = service.tracer();
 
-    // Handshake: the first frame must be Hello.
+    // Handshake: the first frame must be a Hello of this version.
     match read_frame(&mut r) {
-        Ok(Some((Frame::Hello { version, .. }, bytes))) => {
+        Ok(Some((
+            Frame::Hello {
+                version: PROTOCOL_VERSION,
+                ..
+            },
+            bytes,
+        ))) => {
             metrics.on_net_frame_rx(bytes as u64);
-            let negotiated = version.min(PROTOCOL_VERSION);
-            // The wall anchor trailer is safe only once the peer is known
-            // to speak v2 — a v1 decoder treats trailing bytes as fatal.
-            let wall_us = (negotiated >= 2).then(|| tracer.wall_epoch_us());
             let _ = tx.send(Frame::Hello {
-                version: negotiated,
-                wall_us,
+                version: PROTOCOL_VERSION,
+                wall_us: tracer.wall_epoch_us(),
             });
         }
-        Ok(Some(_)) | Ok(None) => {
+        _ => {
             metrics.on_net_protocol_error();
             let _ = tx.send(Frame::Error {
                 req: u64::MAX,
-                error: WireError::protocol("expected Hello"),
+                error: WireError::protocol(format!(
+                    "expected a Hello of protocol version {PROTOCOL_VERSION}"
+                )),
             });
-            return;
-        }
-        Err(_) => {
-            metrics.on_net_protocol_error();
             return;
         }
     }
@@ -393,17 +376,12 @@ fn reader_loop(stream: TcpStream, conn: u64, service: &Arc<Service>, tx: &Sender
             NO_ID,
             EventKind::FrameDecode {
                 conn,
-                frame: frame_name(&frame),
+                frame: frame.name(),
                 bytes: bytes as u64,
             },
         );
         match frame {
             Frame::Hello { .. } => {} // redundant Hello is harmless
-            Frame::Submit { req, query, ctx } => {
-                let ctx = ctx.unwrap_or(TraceContext::LOCAL);
-                flow_request(service, ctx, conn);
-                submit_one(service, query, req, ctx, conn, tx, &inflight);
-            }
             Frame::BatchSubmit {
                 base_req,
                 queries,
@@ -448,8 +426,7 @@ fn reader_loop(stream: TcpStream, conn: u64, service: &Arc<Service>, tx: &Sender
                 break;
             }
             // Response frames are server → client only.
-            Frame::Result { .. }
-            | Frame::BatchResult { .. }
+            Frame::BatchResult { .. }
             | Frame::Error { .. }
             | Frame::MutateAck { .. }
             | Frame::SlowLog { .. } => {
@@ -465,42 +442,6 @@ fn reader_loop(stream: TcpStream, conn: u64, service: &Arc<Service>, tx: &Sender
     // Connection teardown (EOF or error): in-flight wakers hold their own
     // channel sender clones, so late completions go nowhere harmlessly.
     let _ = stream.shutdown(SockShutdown::Read);
-}
-
-fn submit_one(
-    service: &Arc<Service>,
-    query: Query,
-    req: u64,
-    ctx: TraceContext,
-    conn: u64,
-    tx: &Sender<Frame>,
-    inflight: &Arc<Inflight>,
-) {
-    match service.submit_traced(query, ctx) {
-        Ok(ticket) => {
-            inflight.up();
-            let tx = tx.clone();
-            let inflight = Arc::clone(inflight);
-            let service = Arc::clone(service);
-            ticket.on_complete(move |r| {
-                flow_response(&service, ctx, conn);
-                let _ = tx.send(match r {
-                    Ok(result) => Frame::Result { req, result },
-                    Err(err) => Frame::Error {
-                        req,
-                        error: WireError::from_service(&err),
-                    },
-                });
-                inflight.down();
-            });
-        }
-        Err(err) => {
-            let _ = tx.send(Frame::Error {
-                req,
-                error: WireError::from_service(&err),
-            });
-        }
-    }
 }
 
 fn submit_batch(

@@ -63,31 +63,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn submit_roundtrips(
-        req in 0u64..u64::MAX,
-        kind_tag in 0u8..3,
-        param in 0u32..10_000,
-        index in 0u32..16,
-        dim in 1usize..8,
-        seed in 0u32..1_000_000,
-        trace_id in 0u64..u64::MAX,
-        span_id in 1u64..1_000_000,
-        with_ctx in 0u8..2,
-    ) {
-        let pos: Vec<f32> = (0..dim)
-            .map(|i| ((seed as f32).sin() * 100.0 + i as f32) / 7.0)
-            .collect();
-        let ctx = (with_ctx == 1).then_some(TraceContext { trace_id, span_id });
-        let frame = Frame::Submit { req, query: sample_query(kind_tag, param, index, pos), ctx };
-        prop_assert_eq!(roundtrip(&frame), frame);
-    }
-
-    #[test]
     fn batch_submit_roundtrips(
         base_req in 0u64..1_000_000,
         n in 0usize..40,
         kind_tag in 0u8..3,
         param in 0u32..10_000,
+        trace_id in 1u64..u64::MAX,
+        span_id in 1u64..1_000_000,
+        with_ctx in 0u8..2,
     ) {
         let queries: Vec<Query> = (0..n)
             .map(|i| sample_query(
@@ -97,11 +80,8 @@ proptest! {
                 vec![i as f32 * 0.5, -(i as f32), 3.25],
             ))
             .collect();
-        let frame = Frame::BatchSubmit {
-            base_req,
-            queries,
-            ctx: Some(TraceContext { trace_id: base_req | 1, span_id: base_req + 7 }),
-        };
+        let ctx = (with_ctx == 1).then_some(TraceContext { trace_id, span_id });
+        let frame = Frame::BatchSubmit { base_req, queries, ctx };
         prop_assert_eq!(roundtrip(&frame), frame);
     }
 
@@ -137,18 +117,10 @@ proptest! {
 fn scalar_frames_roundtrip() {
     for frame in [
         Frame::Hello {
-            version: 3,
-            wall_us: None,
-        },
-        Frame::Hello {
             version: PROTOCOL_VERSION,
-            wall_us: Some(1_754_600_000_000_000),
+            wall_us: 1_754_600_000_000_000,
         },
         Frame::Shutdown,
-        Frame::Result {
-            req: 7,
-            result: QueryResult::Nn { dist2: 0.5, id: 12 },
-        },
         Frame::Error {
             req: u64::MAX,
             error: WireError::protocol("nope"),
@@ -165,13 +137,13 @@ fn scalar_frames_roundtrip() {
 
 #[test]
 fn a_k_past_the_wire_slot_saturates_instead_of_wrapping() {
-    let submit = |k: usize| Frame::Submit {
-        req: 1,
-        query: Query {
+    let submit = |k: usize| Frame::BatchSubmit {
+        base_req: 1,
+        queries: vec![Query {
             index: 0,
             pos: vec![0.5; 3],
             kind: QueryKind::Knn { k },
-        },
+        }],
         ctx: None,
     };
     let max = u32::MAX as usize;
@@ -186,11 +158,11 @@ fn one_byte_reads_reassemble_every_frame() {
     let frames = [
         Frame::Hello {
             version: PROTOCOL_VERSION,
-            wall_us: Some(1_700_000_000_000_000),
+            wall_us: 1_700_000_000_000_000,
         },
-        Frame::Submit {
-            req: 42,
-            query: sample_query(1, 5, 0, vec![1.0, 2.0, 3.0]),
+        Frame::BatchSubmit {
+            base_req: 42,
+            queries: vec![sample_query(1, 5, 0, vec![1.0, 2.0, 3.0])],
             ctx: Some(TraceContext {
                 trace_id: 0xDEAD_BEEF,
                 span_id: 3,
@@ -254,9 +226,12 @@ fn oversized_declared_length_is_rejected_from_the_header_alone() {
 
 #[test]
 fn unknown_frame_type_is_an_error() {
-    let mut bytes = 1u32.to_le_bytes().to_vec();
-    bytes.push(99);
-    assert_eq!(read_err(&bytes), DecodeError::UnknownType(99));
+    // 2 and 4 are retired tags.
+    for tag in [2, 4, 99] {
+        let mut bytes = 1u32.to_le_bytes().to_vec();
+        bytes.push(tag);
+        assert_eq!(read_err(&bytes), DecodeError::UnknownType(tag));
+    }
 }
 
 #[test]
@@ -283,9 +258,11 @@ fn hostile_element_counts_inside_the_payload_are_rejected() {
         Err(DecodeError::BadPayload(_))
     ));
 
-    // A Knn result declaring a huge neighbor count.
-    let mut body = vec![4u8]; // T_RESULT
+    // A BatchResult slot holding a Knn result with a huge neighbor count.
+    let mut body = vec![5u8]; // T_BATCH_RESULT
     body.extend_from_slice(&1u64.to_le_bytes());
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.push(0); // Ok slot
     body.push(1); // Knn tag
     body.extend_from_slice(&(MAX_FRAME / 2 + 1).to_le_bytes());
     assert!(matches!(
@@ -409,45 +386,31 @@ fn hostile_mutate_count_is_rejected_before_allocating() {
 }
 
 #[test]
-fn v1_submit_without_trailer_decodes_with_no_context() {
-    // A v1 peer's Submit is byte-identical to a v2 Submit with ctx: None —
-    // the trailer is pure suffix, so its absence must decode cleanly.
-    let bare = Frame::Submit {
-        req: 21,
-        query: sample_query(2, 300, 2, vec![0.5, 0.25]),
-        ctx: None,
+fn batch_submit_context_trailer_is_sixteen_bytes_or_none() {
+    // The trace context is a pure suffix: a frame without it decodes with
+    // `ctx: None`, and with it is exactly trace id + span id longer.
+    let frame = |ctx| Frame::BatchSubmit {
+        base_req: 21,
+        queries: vec![sample_query(2, 300, 2, vec![0.5, 0.25])],
+        ctx,
     };
-    let tagged = Frame::Submit {
-        req: 21,
-        query: sample_query(2, 300, 2, vec![0.5, 0.25]),
-        ctx: Some(TraceContext {
-            trace_id: 77,
-            span_id: 5,
-        }),
-    };
-    assert_eq!(
-        tagged.encode().len(),
-        bare.encode().len() + 16,
-        "context trailer is exactly trace id + span id"
-    );
+    let bare = frame(None);
+    let tagged = frame(Some(TraceContext {
+        trace_id: 77,
+        span_id: 5,
+    }));
+    assert_eq!(tagged.encode().len(), bare.encode().len() + 16);
     assert_eq!(roundtrip(&bare), bare);
     assert_eq!(roundtrip(&tagged), tagged);
-
-    // Same shape on Hello: the v1 form has no wall anchor.
-    let v1_hello = Frame::Hello {
-        version: 1,
-        wall_us: None,
-    };
-    assert_eq!(roundtrip(&v1_hello), v1_hello);
 }
 
 #[test]
 fn half_written_context_trailer_is_rejected() {
     // 8 trailing bytes is neither "no context" (0) nor a context (16):
     // the trace id parses but the span id is truncated.
-    let mut bytes = Frame::Submit {
-        req: 4,
-        query: sample_query(0, 0, 0, vec![1.0]),
+    let mut bytes = Frame::BatchSubmit {
+        base_req: 4,
+        queries: vec![sample_query(0, 0, 0, vec![1.0])],
         ctx: None,
     }
     .encode();

@@ -1,7 +1,7 @@
 //! End-to-end socket-path tests: a real `Service` behind a real
 //! `NetServer`, exercised through `Client` over loopback TCP.
 
-use gts_net::{Client, ErrorCode, NetServer, WireError};
+use gts_net::{Client, ErrorCode, NetServer, WireError, PROTOCOL_VERSION};
 use gts_points::gen::uniform;
 use gts_service::{
     KdIndex, Mutation, Query, QueryKind, QueryResult, Service, ServiceConfig, Ticket, TraceContext,
@@ -25,20 +25,29 @@ fn start_server(cfg: ServiceConfig) -> (NetServer, Vec<gts_trees::PointN<3>>) {
 /// Bounds every wait that a lost flush would turn into a hang.
 const HANG: Duration = Duration::from_secs(30);
 
+/// Run `ask` and return what it returns, failing instead of hanging when
+/// it takes `HANG` or longer: `service` is closed first, so its drain
+/// answers whatever `ask` waits for and the failure ends the test.
+fn within_hang<T: Send>(service: &Service, ask: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| {
+        let (done, answered) = mpsc::channel();
+        scope.spawn(move || done.send(ask()));
+        answered.recv_timeout(HANG).unwrap_or_else(|_| {
+            service.close();
+            panic!("not answered within {HANG:?}")
+        })
+    })
+}
+
 /// Send `frame` and collect its answers, failing instead of hanging when
 /// they take `HANG` or longer.
 fn answered_within_hang(
+    service: &Service,
     client: &mut Client,
     frame: &[Query],
 ) -> Vec<Result<QueryResult, WireError>> {
     let base = client.send_batch(frame).unwrap();
-    std::thread::scope(|scope| {
-        let (done, answered) = mpsc::channel();
-        scope.spawn(move || done.send(client.recv_batch(base).unwrap()));
-        answered
-            .recv_timeout(HANG)
-            .expect("the frame was never answered")
-    })
+    within_hang(service, || client.recv_batch(base).unwrap())
 }
 
 fn nn(pos: [f32; 3]) -> Query {
@@ -57,7 +66,6 @@ fn socket_results_match_in_process_bit_for_bit() {
     });
     let service = Arc::clone(server.service());
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    assert_eq!(client.version(), gts_net::PROTOCOL_VERSION);
 
     let queries: Vec<Query> = (0..64)
         .map(|i| match i % 3 {
@@ -320,7 +328,7 @@ fn mid_stream_service_close_answers_cleanly_instead_of_dropping() {
     // A frame is answered when it ends, deadline an hour away and size
     // target unreachable or not.
     let frame: Vec<Query> = (0..50).map(|i| nn(pts[i % pts.len()].0)).collect();
-    let results = answered_within_hang(&mut client, &frame);
+    let results = answered_within_hang(&service, &mut client, &frame);
     assert!(results.iter().all(Result::is_ok));
 
     // Lone submits are parked in the batcher until the close.
@@ -374,7 +382,7 @@ fn a_batch_frame_is_answered_without_waiting_for_the_deadline() {
                 ..nn(pts[(wave * 100 + i) % pts.len()].0)
             })
             .collect();
-        let results = answered_within_hang(&mut client, &frame);
+        let results = answered_within_hang(&service, &mut client, &frame);
         let in_process = service.submit_all(frame.clone(), TraceContext::LOCAL);
         assert_eq!(results.len(), frame.len());
         for (r, t) in results.into_iter().zip(in_process) {
@@ -382,6 +390,18 @@ fn a_batch_frame_is_answered_without_waiting_for_the_deadline() {
             assert_eq!(Ok(r.expect("answered")), t.wait_timeout(HANG).unwrap());
         }
     }
+    // A lone query is a one-query frame, and is answered as soon.
+    let q = Query {
+        kind: QueryKind::Pc { radius: 0.2 },
+        ..nn(pts[7].0)
+    };
+    let lone = within_hang(&service, || client.query(q.clone()).unwrap());
+    let in_process = service.submit_all(vec![q], TraceContext::LOCAL);
+    let in_process = in_process[0].as_ref().expect("admitted");
+    assert_eq!(
+        Ok(lone.expect("answered")),
+        in_process.wait_timeout(HANG).unwrap()
+    );
     assert_eq!(service.queue_depth(), 0);
     client.shutdown().unwrap();
     server.shutdown();
@@ -431,29 +451,45 @@ fn raw_protocol_violations_get_an_error_frame_not_a_hang() {
     assert_eq!(req, u64::MAX);
     assert_eq!(error.code, ErrorCode::Protocol);
 
-    // An oversized declared length after a valid handshake. The v1 Hello
-    // also pins backward compat: the server's reply to a v1 peer must
-    // negotiate down to 1 and carry no wall-anchor trailer.
+    // A Hello of any version but this one is refused with a protocol
+    // error, each counted once.
+    let service = Arc::clone(server.service());
+    for version in [1, 2] {
+        let before = service.metrics().net_protocol_errors;
+        let mut s = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        write_frame(
+            &mut s,
+            &Frame::Hello {
+                version,
+                wall_us: 1,
+            },
+        )
+        .unwrap();
+        s.flush().unwrap();
+        let (frame, _) = read_frame(&mut s).unwrap().expect("server answers");
+        let Frame::Error { req, error } = frame else {
+            panic!("version {version}: expected Error, got {frame:?}");
+        };
+        assert_eq!((req, error.code), (u64::MAX, ErrorCode::Protocol));
+        assert!(read_frame(&mut s).unwrap().is_none(), "then it closes");
+        assert_eq!(service.metrics().net_protocol_errors, before + 1);
+    }
+
+    // An oversized declared length after a valid handshake.
     let mut s = std::net::TcpStream::connect(server.local_addr()).unwrap();
     write_frame(
         &mut s,
         &Frame::Hello {
-            version: 1,
-            wall_us: None,
+            version: PROTOCOL_VERSION,
+            wall_us: 1,
         },
     )
     .unwrap();
     s.flush().unwrap();
     let (hello, _) = read_frame(&mut s).unwrap().expect("hello ack");
     assert!(
-        matches!(
-            hello,
-            Frame::Hello {
-                version: 1,
-                wall_us: None
-            }
-        ),
-        "v1 peer gets a v1 Hello with no trailer, got {hello:?}"
+        matches!(hello, Frame::Hello { version: PROTOCOL_VERSION, wall_us } if wall_us > 0),
+        "this version's peer gets this version's Hello and the server clock, got {hello:?}"
     );
     s.write_all(&(200 * 1024 * 1024u32).to_le_bytes()).unwrap();
     s.flush().unwrap();
@@ -463,9 +499,8 @@ fn raw_protocol_violations_get_an_error_frame_not_a_hang() {
     };
     assert_eq!(error.code, ErrorCode::Protocol);
 
-    let service = Arc::clone(server.service());
     server.shutdown();
-    assert!(service.metrics().net_protocol_errors >= 2);
+    assert_eq!(service.metrics().net_protocol_errors, 4);
 }
 
 #[test]
@@ -478,10 +513,11 @@ fn merged_two_process_trace_joins_client_and_server_by_flow_events() {
         ..ServiceConfig::default()
     });
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    assert!(client.version() >= 2, "both ends of this build speak v2");
-    let server_wall = client
-        .server_wall_us()
-        .expect("v2 handshake carries the server wall anchor");
+    let server_wall = client.server_wall_us();
+    assert_ne!(
+        server_wall, 0,
+        "the handshake carries the server wall anchor"
+    );
     assert_ne!(client.trace_id(), 0, "client minted a nonzero trace id");
 
     for wave in 0..3 {

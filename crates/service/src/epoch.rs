@@ -810,7 +810,7 @@ mod tests {
     use crate::query::{OpKey, QueryResult};
     use gts_apps::oracle;
     use gts_points::gen::uniform;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, VecDeque};
 
     fn cpu() -> ExecPolicy {
         ExecPolicy::forced(Backend::Cpu)
@@ -1233,6 +1233,57 @@ mod tests {
         assert!(idx.merge_now());
         assert_eq!((idx.merges(), idx.pending(), idx.epoch()), (1, 0, 1));
         assert_eq!(idx.n_points(), 255);
+    }
+
+    /// Steady churn — as many live deletes as inserts, merged every eight
+    /// batches — leaves the index no more to hold after the fiftieth merge
+    /// than after the fifth: both logs empty, both routing tables exactly
+    /// the live ids, and neither table's capacity still growing.
+    #[test]
+    fn churn_keeps_both_routing_tables_bounded() {
+        let pts = uniform::<3>(1024, 23);
+        let idx = MutableIndexBuilder::new("m", 4)
+            .auto_merge(false)
+            .build(&pts);
+        let fresh = uniform::<3>(400 * 32, 24);
+        let mut live: VecDeque<u32> = (0..1024).collect();
+        // A table's capacity with its deletion marks cleared (a clone keeps
+        // the bucket count): what its allocation holds, which `capacity()`
+        // under-reads by the marks a delete leaves.
+        let allocated = |routes: &Routes| {
+            let mut routes = routes.clone();
+            routes.clear();
+            routes.capacity()
+        };
+        let capacities = |idx: &MutableIndex<3>| {
+            let writer = allocated(&lock(&idx.core.writer).routes);
+            (writer, allocated(&lock(&idx.core.merge_lock)))
+        };
+        let mut after_fifth = (0, 0);
+        for (batch, inserts) in (1..).zip(fresh.chunks(32)) {
+            let muts: Vec<Mutation> = (inserts.iter())
+                .map(|p| Mutation::Insert { pos: p.0.to_vec() })
+                .chain(live.drain(..32).map(|id| Mutation::Delete { id }))
+                .collect();
+            let ack = idx.mutate(&muts).unwrap();
+            assert_eq!((ack.accepted, ack.rejected), (64, 0));
+            live.extend(ack.assigned);
+            if batch % 8 != 0 {
+                continue;
+            }
+            assert!(idx.merge_now());
+            let state = idx.pin();
+            assert!(state.inserts.is_empty() && state.deleted.is_empty());
+            assert_eq!(state.n_live, 1024);
+            assert_eq!(lock(&idx.core.writer).routes.len(), state.n_live);
+            assert_eq!(lock(&idx.core.merge_lock).len(), state.n_live);
+            if batch == 5 * 8 {
+                after_fifth = capacities(&idx);
+            }
+        }
+        let (writer, merge) = capacities(&idx);
+        assert!(writer <= after_fifth.0, "{writer} > {}", after_fifth.0);
+        assert!(merge <= after_fifth.1, "{merge} > {}", after_fifth.1);
     }
 
     #[test]

@@ -772,28 +772,17 @@ impl Service {
     /// fills a batch also queues it for a worker, and blocks while more
     /// than `dispatch_capacity` dispatches are queued (backpressure).
     pub fn submit(&self, query: Query) -> Result<Ticket, ServiceError> {
-        self.submit_traced(query, TraceContext::LOCAL)
-    }
-
-    /// [`Service::submit`] carrying a propagated trace context: every
-    /// lifecycle event the query produces is stamped with `ctx.trace_id`,
-    /// so a merged client+server Chrome trace joins across the wire. The
-    /// network front-end routes versioned `Submit` frames here;
-    /// in-process callers use [`Service::submit`]
-    /// (= [`TraceContext::LOCAL`]).
-    pub fn submit_traced(&self, query: Query, ctx: TraceContext) -> Result<Ticket, ServiceError> {
-        if !ctx.is_local() {
-            self.shared.metrics.on_propagated(1);
-        }
-        let admitted = self.admit(query, ctx)?;
+        let admitted = self.admit(query, TraceContext::LOCAL)?;
         let ticket = admitted.entry.tag.ticket.clone();
         self.file([admitted], false)?;
         Ok(ticket)
     }
 
-    /// Submit a client's batch (a `BatchSubmit` frame) as one unit. Each
+    /// Submit a client's batch (a `BatchSubmit` frame) as one unit, every
+    /// lifecycle event of its queries stamped with `ctx.trace_id` so a
+    /// merged client+server Chrome trace joins across the wire. Each
     /// query is validated, admission-checked and given a ticket, or
-    /// refused, as [`Service::submit_traced`] would; the accepted ones go
+    /// refused, as [`Service::submit`] would; the accepted ones go
     /// into their buckets under one front lock, and every index the batch
     /// touched leaves when it ends — the batch is already the client's, so
     /// nothing waits for `max_wait`. One result per query, in order; on a

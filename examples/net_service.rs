@@ -1,7 +1,7 @@
 //! Networked query service walkthrough: bind the binary-frame TCP
 //! front-end on an ephemeral loopback port, then drive it with
-//! `gts_net::Client` — a synchronous round-trip, a pipelined batch, and
-//! a structured error frame.
+//! `gts_net::Client` — a synchronous round-trip (a one-query
+//! `BatchSubmit` frame), a pipelined batch, and a structured error slot.
 //!
 //! ```text
 //! cargo run --release --example net_service
@@ -12,12 +12,13 @@
 //! `gts-harness serve --listen` (CI's serve smoke runs it this way):
 //! 8 192 NN / kNN / PC queries in 1 000-query `BatchSubmit` frames over
 //! serve's index 0 (3-d) and index 1 (2-d), then a one-query-per-frame
-//! sample the frames must beat by 5×, the slow log fetched over the wire,
+//! sample (`Client::query`, each frame dispatched when it arrives) the
+//! 1 000-query frames must beat by 5×, the slow log fetched over the wire,
 //! the client trace shifted onto the server clock (`--trace-out`), and a
 //! clean shutdown. Any error slot, transport error or missed floor exits
 //! non-zero. The protocol is DESIGN.md §12.
 
-use gpu_tree_traversals::net::{Client, NetServer};
+use gpu_tree_traversals::net::{Client, NetServer, PROTOCOL_VERSION};
 use gpu_tree_traversals::service::{
     merge_snapshots, KdIndex, Query, QueryKind, QueryResult, Service, ServiceConfig, TraceSnapshot,
     TreeIndex,
@@ -105,10 +106,7 @@ fn connect(addr: &str, trace_out: Option<&str>) -> Result<(), Box<dyn Error>> {
             dropped_by_kind: Vec::new(),
         };
         for client in [&frames, &singles] {
-            let wall = client
-                .server_wall_us()
-                .ok_or("the server's Hello carried no clock")?;
-            let shift = wall as i64 - client.trace().wall_epoch_us() as i64;
+            let shift = client.server_wall_us() as i64 - client.trace().wall_epoch_us() as i64;
             trace = merge_snapshots(trace, client.trace().snapshot(), shift);
         }
         std::fs::write(path, trace.to_chrome_json())?;
@@ -141,11 +139,11 @@ fn walkthrough() {
 
     let server = NetServer::bind("127.0.0.1:0", Arc::clone(&service)).expect("bind loopback");
     let addr = server.local_addr();
-    println!("serving on {addr} (protocol version negotiated per connection)");
+    println!("serving on {addr} (protocol version {PROTOCOL_VERSION})");
 
     let mut client = Client::connect(addr).expect("connect");
 
-    // One synchronous round-trip: a frame out, a frame back.
+    // One synchronous round-trip: a one-query frame out, its answer back.
     let nn = client
         .query(Query {
             index: id,
@@ -185,7 +183,7 @@ fn walkthrough() {
     assert_eq!(results[0].as_ref().expect("batch slot ok"), &direct);
     println!("check : socket result is bit-identical to in-process");
 
-    // Errors arrive as structured frames, not dropped connections: an
+    // Errors arrive as structured slots, not dropped connections: an
     // unknown index is answered immediately.
     let err = client
         .query(Query {

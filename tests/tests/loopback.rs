@@ -68,7 +68,7 @@ fn a_client_that_vanishes_mid_batch_submit_leaves_the_service_whole() {
         let mut vanishing = TcpStream::connect(rig.addr()).expect("connect");
         let hello = Frame::Hello {
             version: PROTOCOL_VERSION,
-            wall_us: None,
+            wall_us: 0,
         };
         write_frame(&mut vanishing, &hello).unwrap();
         read_frame(&mut vanishing)

@@ -421,13 +421,18 @@ fn one_record_names_each_ending_alike_on_every_sink() {
         trace_id,
         span_id: 7,
     };
+    // Each query in a frame of its own, as a client's lone query arrives.
+    let submit = |index, trace_id| {
+        let mut slots = service.submit_all(vec![at(index)], ctx(trace_id));
+        slots.pop().expect("one slot per query")
+    };
     // Answered first: the first completion always commits.
-    let answered = service.submit_traced(at(good), ctx(0xA1)).expect("valid");
+    let answered = submit(good, 0xA1).expect("valid");
     assert!(matches!(answered.wait_timeout(HANG), Some(Ok(_))));
-    let failed = service.submit_traced(at(boom), ctx(0xB2)).expect("valid");
+    let failed = submit(boom, 0xB2).expect("valid");
     let failure = failed.wait_timeout(HANG).expect("resolves");
     assert!(matches!(failure, Err(ServiceError::Internal(_))));
-    let refused = service.submit_traced(at(99), ctx(0xC3));
+    let refused = submit(99, 0xC3);
     assert!(matches!(refused, Err(ServiceError::UnknownIndex(99))));
 
     let entries = service.slow_log().snapshot();
