@@ -16,8 +16,9 @@
 //!   first j entries of the k_max heap are bit-identical to a solo
 //!   `KBest(j)` run (pinned in `kbest`'s tests).
 //! * **PC** generalizes to [`MultiPcPoint`]: per-lane radius slots (the
-//!   lane may serve several PC radii at once), counted in one pass per
-//!   offered point, admitted under the largest slot radius.
+//!   lane may serve several PC radii at once), each counted over a leaf's
+//!   bucket in one branch-free pass, admitted under the largest slot
+//!   radius.
 //!
 //! A lane opts out of a constituent with *inert* state — `best_d2 = -inf`
 //! for NN, [`KBest::inactive`] for kNN, zero slots for PC — which rejects
@@ -47,6 +48,7 @@ use crate::kbest::KBest;
 use crate::kd::KdBox;
 use crate::knn::{KnnPoint, KnnRule};
 use crate::nn::{NnPoint, NnRule};
+use crate::pc::within;
 
 /// One point-correlation radius served by a fused lane.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,6 +119,13 @@ impl<const D: usize> PointRule<D> for MultiPcRule {
             if d2 <= slot.radius2 {
                 slot.count += 1;
             }
+        }
+    }
+    /// One branch-free count of the bucket per slot; no slot, no pass.
+    #[inline]
+    fn offer_bucket(&self, p: &mut MultiPcPoint<D>, d2: &[f32], _ids: &[u32]) {
+        for slot in &mut p.slots {
+            slot.count += within(d2, slot.radius2);
         }
     }
     /// One op per radius slot: each would descend under its own radius.
@@ -190,7 +199,9 @@ mod tests {
     use crate::pc::{PcKernel, PcPoint, PcRule};
     use gts_points::gen::uniform;
     use gts_runtime::gpu::{autoropes, lockstep, stackless, GpuConfig};
-    use gts_runtime::{cpu, ChildBuf, Live, Renamed, Tombstones, TraversalKernel, VisitOutcome};
+    use gts_runtime::{
+        cpu, ChildBuf, Live, Renamed, Tombstones, TraversalKernel, VisitOutcome, BUCKET,
+    };
     use gts_trees::layout::NodeBytes;
     use gts_trees::linearize::skip_links;
     use gts_trees::{LbKdTree, NodeId, SplitPolicy};
@@ -553,6 +564,72 @@ mod tests {
         });
     }
 
+    /// Figure 1 as written, recording each visit: the reference the host
+    /// walk's loop is held to.
+    fn figure1<K: TraversalKernel<Args = ()>>(
+        kernel: &K,
+        p: &mut K::Point,
+        node: NodeId,
+        visits: &mut Vec<NodeId>,
+    ) {
+        visits.push(node);
+        let mut kids = Vec::new();
+        if let VisitOutcome::Descended { .. } = kernel.visit(p, node, (), None, &mut kids) {
+            for child in kids {
+                figure1(kernel, p, child.node, visits);
+            }
+        }
+    }
+
+    #[test]
+    fn the_served_stack_runs_one_loop_in_the_recursions_order() {
+        let pts = uniform::<3>(500, 78);
+        let case = Pruned::new(&pts, 4);
+        let rule = Renamed {
+            rule: FusedOpsRule::default(),
+            ids: &case.tree.perm,
+        };
+        let kernel = KdBox::with_rule(
+            &case.tree,
+            Live {
+                rule,
+                dead: &case.dead,
+            },
+        );
+        let queries = (uniform::<3>(40, 79).into_iter()).chain(pts[..40].iter().copied());
+        for (i, pos) in queries.enumerate() {
+            let (nn, knn_k, radii) = lane_shape(i % 5, 1 + i % 9);
+            let lane = fused_ops_point(pos, nn, knn_k, radii);
+            let (mut recursed, mut want) = (lane.clone(), Vec::new());
+            figure1(&kernel, &mut recursed, 0, &mut want);
+            let (mut traced, mut counted) = (lane.clone(), lane);
+            let visits = cpu::trace_one(&kernel, &mut traced);
+            assert_eq!(visits, want, "lane {i}: the recursion's visits");
+            assert_eq!(
+                cpu::traverse_one(&kernel, &mut counted) as usize,
+                want.len()
+            );
+            for state in [&traced, &counted] {
+                assert_eq!(state_bits(state), state_bits(&recursed), "lane {i}");
+                assert_eq!(*state, recursed, "lane {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_leaf_past_one_bucket_is_offered_whole_and_in_order() {
+        let pts = uniform::<3>(2 * BUCKET + 22, 80);
+        let tree = KdTree::build(&pts, pts.len(), SplitPolicy::MedianCycle);
+        assert_eq!(tree.n_nodes(), 1, "one leaf holds every point");
+        let pos = PointN([0.5f32; 3]);
+        let mut seen = (pos, Vec::new());
+        cpu::traverse_one(&KdBox::with_rule(&tree, Offers), &mut seen);
+        let want: Vec<(f32, u32)> = (tree.points.iter().zip(0..))
+            .map(|(q, at)| (q.dist2(&pos), at))
+            .collect();
+        assert_eq!(seen.1, want);
+    }
+
     #[test]
     fn no_op_lane_truncates_immediately() {
         let (pts, tree, _) = setup(64, 75);
@@ -562,19 +639,73 @@ mod tests {
         assert_eq!(rep.stats.per_point_nodes[0], 1, "root visit only");
     }
 
+    /// Every field of a state as bits — each pair's solo tally included,
+    /// which its `PartialEq` leaves out.
+    trait StateBits {
+        fn bits(&self, out: &mut Vec<u32>);
+    }
+
+    impl StateBits for NnPoint<3> {
+        fn bits(&self, out: &mut Vec<u32>) {
+            out.extend([self.best_d2.to_bits(), self.best_idx]);
+        }
+    }
+
+    impl StateBits for KnnPoint<3> {
+        fn bits(&self, out: &mut Vec<u32>) {
+            out.extend([self.best.k() as u32, self.best.len() as u32]);
+            out.extend(self.best.distances().iter().map(|d| d.to_bits()));
+            out.extend(self.best.ids());
+        }
+    }
+
+    impl StateBits for PcPoint<3> {
+        fn bits(&self, out: &mut Vec<u32>) {
+            out.push(self.count);
+        }
+    }
+
+    impl StateBits for MultiPcPoint<3> {
+        fn bits(&self, out: &mut Vec<u32>) {
+            out.push(self.max_r2.to_bits());
+            out.extend((self.slots.iter()).flat_map(|s| [s.radius2.to_bits(), s.count]));
+        }
+    }
+
+    impl<A: StateBits, B: StateBits> StateBits for FusedPoint<A, B> {
+        fn bits(&self, out: &mut Vec<u32>) {
+            self.a.bits(out);
+            self.b.bits(out);
+            out.push(self.solo_descents);
+        }
+    }
+
+    fn state_bits(state: &impl StateBits) -> Vec<u32> {
+        let mut out = Vec::new();
+        state.bits(&mut out);
+        out
+    }
+
     /// The [`PointRule`] contract on one offer sequence: `bound` never
     /// grows, and an offer beyond the bound it met changes nothing. The
     /// accounting hook, asked about a box as far as each offer, changes no
     /// answer field and counts between none and all of the `ops` the state
     /// asks — some iff the box is within the bound, so none when inert.
+    ///
+    /// Then the bucket form is the fold: from where that sequence left the
+    /// state (tallies and all), the same offers cut into buckets of the
+    /// `cuts` lengths in turn — empty ones and ones past [`BUCKET`]
+    /// included — leave the state, every bit of it, that offering them one
+    /// by one leaves.
     fn assert_rule_contract<R: PointRule<3>>(
         label: &str,
         rule: &R,
         mut state: R::State,
         ops: usize,
         offers: &[(f32, u32)],
+        cuts: &[usize],
     ) where
-        R::State: PartialEq + std::fmt::Debug,
+        R::State: PartialEq + std::fmt::Debug + StateBits,
     {
         for (step, &(d2, idx)) in offers.iter().enumerate() {
             let before = state.clone();
@@ -603,36 +734,67 @@ mod tests {
                 assert_eq!(state, before, "{label} step {step}: offer {d2} > {bound}");
             }
         }
+        let (d2, ids): (Vec<f32>, Vec<u32>) = offers.iter().copied().unzip();
+        let mut one_by_one = state.clone();
+        for (&d2, &idx) in d2.iter().zip(&ids) {
+            rule.offer(&mut one_by_one, d2, idx);
+        }
+        let (mut bucketed, mut at) = (state, 0);
+        for &len in cuts {
+            let end = (at + len).min(offers.len());
+            rule.offer_bucket(&mut bucketed, &d2[at..end], &ids[at..end]);
+            at = end;
+        }
+        assert_eq!(
+            state_bits(&bucketed),
+            state_bits(&one_by_one),
+            "{label}: bucket bits"
+        );
+        assert_eq!(bucketed, one_by_one, "{label}: bucket answer");
+    }
+
+    /// Bucket lengths that cover `len` offers: empty ones, and some a few
+    /// past [`BUCKET`].
+    fn bucket_cuts(rng: &mut impl Rng, len: usize) -> Vec<usize> {
+        let mut cuts = Vec::new();
+        while cuts.iter().sum::<usize>() < len {
+            cuts.push(rng.gen_range(0..BUCKET + 8));
+        }
+        cuts
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// Fusion legality, tested: the union walk offers a constituent
         /// points its solo walk would have pruned, which is exact only
-        /// because every rule — live, inert, or a pair — honors this.
+        /// because every rule — live, inert, or a pair — honors this; and
+        /// the bucket each leaf is offered as is exact because every rule's
+        /// bucket form is its fold of single offers.
         #[test]
         fn prop_fused_and_solo_rules_keep_the_offer_contract(
             seed in 0u64..10_000,
-            len in 0usize..80,
+            len in 0usize..160,
             k in 1usize..6,
         ) {
             // A coarse grid of distances, so duplicates and zeros are
             // common and offers land on both sides of every bound.
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let mut offer = || (rng.gen_range(0u32..12) as f32 * 0.25, rng.gen_range(0u32..40));
-            let offers: Vec<(f32, u32)> = (0..len).map(|_| offer()).collect();
+            let offers: Vec<(f32, u32)> = (0..len)
+                .map(|_| (rng.gen_range(0u32..12) as f32 * 0.25, rng.gen_range(0u32..40)))
+                .collect();
+            let cuts = bucket_cuts(&mut rng, len);
             let pos = PointN([0.5f32; 3]);
             let radii = [0.5f32, 1.25, 0.0];
             let inert = fused_ops_point(pos, false, None, &[]);
             let multi = MultiPcPoint::new(pos, &radii);
 
-            assert_rule_contract("nn", &NnRule, NnPoint::new(pos), 1, &offers);
-            assert_rule_contract("nn inert", &NnRule, inert.a, 0, &offers);
-            assert_rule_contract("knn", &KnnRule, KnnPoint::new(pos, k), 1, &offers);
-            assert_rule_contract("knn inert", &KnnRule, inert.b.a, 0, &offers);
-            assert_rule_contract("pc", &PcRule::new(1.0), PcPoint::new(pos), 1, &offers);
-            assert_rule_contract("multi-pc", &MultiPcRule, multi, radii.len(), &offers);
-            assert_rule_contract("multi-pc inert", &MultiPcRule, inert.b.b, 0, &offers);
+            assert_rule_contract("nn", &NnRule, NnPoint::new(pos), 1, &offers, &cuts);
+            assert_rule_contract("nn inert", &NnRule, inert.a, 0, &offers, &cuts);
+            assert_rule_contract("knn", &KnnRule, KnnPoint::new(pos, k), 1, &offers, &cuts);
+            assert_rule_contract("knn inert", &KnnRule, inert.b.a, 0, &offers, &cuts);
+            assert_rule_contract("pc", &PcRule::new(1.0), PcPoint::new(pos), 1, &offers, &cuts);
+            assert_rule_contract("multi-pc", &MultiPcRule, multi, radii.len(), &offers, &cuts);
+            assert_rule_contract("multi-pc inert", &MultiPcRule, inert.b.b, 0, &offers, &cuts);
             let fused = FusedOpsRule::default();
             for (nn, knn_k, pc) in [
                 (true, Some(k), &radii[..]),
@@ -644,7 +806,7 @@ mod tests {
                 let label = format!("fused nn={nn} k={knn_k:?} radii={pc:?}");
                 let lane = fused_ops_point(pos, nn, knn_k, pc);
                 let ops = usize::from(nn) + usize::from(knn_k.is_some()) + pc.len();
-                assert_rule_contract(&label, &fused, lane, ops, &offers);
+                assert_rule_contract(&label, &fused, lane, ops, &offers, &cuts);
             }
         }
     }
@@ -669,21 +831,11 @@ mod tests {
 
     /// Everything a lane's state answers with, as bits: NN's distance and
     /// id, the heap's size, distances and ids, the PC union bound and every
-    /// slot's radius and count — inert parts included.
+    /// slot's radius and count — inert parts included, the tallies not.
     fn answer_bits(p: &FusedOpsPoint<3>) -> Vec<u32> {
-        let knn = &p.b.a.best;
-        let head = [
-            p.a.best_d2.to_bits(),
-            p.a.best_idx,
-            knn.k() as u32,
-            knn.len() as u32,
-            p.b.b.max_r2.to_bits(),
-        ];
-        (head.into_iter())
-            .chain(knn.distances().iter().map(|d| d.to_bits()))
-            .chain(knn.ids().iter().copied())
-            .chain((p.b.b.slots.iter()).flat_map(|s| [s.radius2.to_bits(), s.count]))
-            .collect()
+        let mut answer = p.clone();
+        (answer.solo_descents, answer.b.solo_descents) = (0, 0);
+        state_bits(&answer)
     }
 
     /// Prunes nothing and records every offer, in the order a guided walk

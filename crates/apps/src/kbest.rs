@@ -2,14 +2,20 @@
 //! of the kNN benchmark.
 //!
 //! Stored as a sorted insertion list: k is small (the paper's kNN uses a
-//! handful of neighbors), so `O(k)` insertion into a fixed array beats a
-//! heap on both CPU and (modeled) GPU — no dynamic allocation per visit.
+//! handful of neighbors), so `O(k)` insertion beats a heap on both CPU and
+//! (modeled) GPU. The distances and ids are two `Vec`s created with
+//! capacity `k`, and a full set evicts before it inserts, so neither ever
+//! grows — no dynamic allocation per visit. The prune bound, which a walk
+//! reads at every node, is kept beside them and set when an insert leaves
+//! the set full, instead of being read back out of the distances.
 
 /// The k smallest squared distances seen so far, ascending, each with the
 /// index of the point that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KBest {
     k: usize,
+    /// What [`KBest::bound`] reports, kept up to date by `offer`.
+    bound: f32,
     d2: Vec<f32>,
     ids: Vec<u32>,
 }
@@ -23,6 +29,7 @@ impl KBest {
         assert!(k > 0, "kNN with k = 0");
         KBest {
             k,
+            bound: f32::INFINITY,
             d2: Vec::with_capacity(k),
             ids: Vec::with_capacity(k),
         }
@@ -35,6 +42,7 @@ impl KBest {
     pub fn inactive() -> Self {
         KBest {
             k: 0,
+            bound: f32::NEG_INFINITY,
             d2: Vec::new(),
             ids: Vec::new(),
         }
@@ -63,12 +71,9 @@ impl KBest {
     /// Current pruning bound: the k-th best squared distance, or infinity
     /// while the set is not yet full. An [`inactive`](Self::inactive) set
     /// reports `-inf` (always prune).
+    #[inline]
     pub fn bound(&self) -> f32 {
-        if self.full() {
-            self.d2.last().copied().unwrap_or(f32::NEG_INFINITY)
-        } else {
-            f32::INFINITY
-        }
+        self.bound
     }
 
     /// Offer a squared distance from point `id`; keeps the k smallest.
@@ -87,6 +92,9 @@ impl KBest {
         let pos = self.d2.partition_point(|&x| x <= d2);
         self.d2.insert(pos, d2);
         self.ids.insert(pos, id);
+        if self.full() {
+            self.bound = self.d2[self.k - 1];
+        }
         true
     }
 
@@ -127,6 +135,25 @@ mod tests {
         kb.offer(7.0, 1);
         assert_eq!(kb.bound(), 7.0);
         assert!(kb.full());
+    }
+
+    #[test]
+    fn the_kept_bound_is_the_kth_distance_after_every_offer() {
+        for k in 1..5 {
+            let mut kb = KBest::new(k);
+            for (d, i) in [5.0, 1.0, 9.0, 3.0, 3.0, 2.0, 0.0, 7.0]
+                .into_iter()
+                .zip(0..)
+            {
+                kb.offer(d, i);
+                let want = if kb.full() {
+                    kb.distances()[k - 1]
+                } else {
+                    f32::INFINITY
+                };
+                assert_eq!(kb.bound(), want, "k = {k}, offer {i}");
+            }
+        }
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //! A rule says what a dataset point does to a query and how far the query
 //! still needs to look; [`KdBox`] supplies the rest of Figure 1 over a
 //! [`KdTree`]: truncate when the node's bounding box lies beyond the
-//! rule's bound, offer every point of a reached leaf, and otherwise name
-//! the two children. The truncation test is re-derivable from per-node
-//! state (no traversal-variant argument), so the same kernel rides the
-//! rope-stack executors, the CPU baseline *and* the stackless skip-link
-//! walk ([`gts_runtime::gpu::stackless::run_skip`]). Each descent also
-//! reports its box distance to [`PointRule::solo_descents`], which is how
-//! a fused rule counts the walks it replaced while it walks.
+//! rule's bound, offer a reached leaf as one bucket
+//! ([`PointRule::offer_bucket`]: its distances and tree positions, computed
+//! into stack buffers — [`BUCKET`] points at a time, since the leaf size
+//! is the tree's), and otherwise name the two children. The truncation
+//! test is re-derivable from per-node state (no traversal-variant
+//! argument), so the same kernel rides the rope-stack executors, the CPU
+//! baseline *and* the stackless skip-link walk
+//! ([`gts_runtime::gpu::stackless::run_skip`]). Each descent also reports
+//! its box distance to [`PointRule::solo_descents`], which is how a fused
+//! rule counts the walks it replaced while it walks.
 //!
 //! Guided rules search the query's side of the split plane first — two
 //! static call sets (the paper's Figure 5 shape), semantically equivalent
@@ -19,7 +22,7 @@
 //! rules have one call set, left child then right child, always (Figures 4
 //! and 6).
 
-use gts_runtime::{Child, ChildBuf, PointRule, TraversalKernel, VisitOutcome};
+use gts_runtime::{Child, ChildBuf, PointRule, TraversalKernel, VisitOutcome, BUCKET};
 use gts_trees::layout::NodeBytes;
 use gts_trees::{Aabb, KdTree, NodeId};
 
@@ -108,10 +111,16 @@ impl<const D: usize, R: PointRule<D>> TraversalKernel for KdBox<'_, D, R> {
             return VisitOutcome::Truncated;
         }
         if self.tree.is_leaf(node) {
-            let first = self.tree.first[node as usize];
-            for (k, q) in self.tree.leaf_points(node).iter().enumerate() {
-                let d2 = q.dist2(R::pos(p));
-                self.rule.offer(p, d2, first + k as u32);
+            let pos = *R::pos(p);
+            let mut first = self.tree.first[node as usize];
+            for chunk in self.tree.leaf_points(node).chunks(BUCKET) {
+                let (mut d2, mut ids) = ([0.0; BUCKET], [0; BUCKET]);
+                for (k, q) in chunk.iter().enumerate() {
+                    (d2[k], ids[k]) = (q.dist2(&pos), first + k as u32);
+                }
+                let n = chunk.len();
+                self.rule.offer_bucket(p, &d2[..n], &ids[..n]);
+                first += n as u32;
             }
             return VisitOutcome::Leaf;
         }
@@ -132,13 +141,7 @@ impl<const D: usize, R: PointRule<D>> TraversalKernel for KdBox<'_, D, R> {
             node: self.tree.right[node as usize],
             args: (),
         };
-        if set == 0 {
-            kids.push(l);
-            kids.push(r);
-        } else {
-            kids.push(r);
-            kids.push(l);
-        }
+        kids.extend_from_slice(&if set == 0 { [l, r] } else { [r, l] });
         VisitOutcome::Descended { call_set: set }
     }
 

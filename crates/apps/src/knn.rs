@@ -50,6 +50,24 @@ impl<const D: usize> PointRule<D> for KnnRule {
     fn offer(&self, p: &mut KnnPoint<D>, d2: f32, idx: u32) {
         p.best.offer(d2, idx);
     }
+    /// An inert heap returns at once; otherwise the admission test reads
+    /// a bound kept in a local, refreshed only after an admission.
+    #[inline]
+    fn offer_bucket(&self, p: &mut KnnPoint<D>, d2: &[f32], ids: &[u32]) {
+        let best = &mut p.best;
+        if best.k() == 0 {
+            return;
+        }
+        let (mut full, mut bound) = (best.full(), best.bound());
+        for (&d2, &idx) in d2.iter().zip(ids) {
+            // `KBest::offer`'s own refusal, on the locals.
+            if full && d2 >= bound {
+                continue;
+            }
+            best.offer(d2, idx);
+            (full, bound) = (best.full(), best.bound());
+        }
+    }
 }
 
 /// The kNN kernel over a median-split kd-tree. The neighbor count `k`

@@ -66,6 +66,17 @@ impl<const D: usize> PointRule<D> for NnRule {
             p.best_idx = idx;
         }
     }
+    /// The best pair kept in locals for the whole bucket.
+    #[inline]
+    fn offer_bucket(&self, p: &mut NnPoint<D>, d2: &[f32], ids: &[u32]) {
+        let (mut best_d2, mut best_idx) = (p.best_d2, p.best_idx);
+        for (&d2, &idx) in d2.iter().zip(ids) {
+            if d2 > 0.0 && d2 < best_d2 {
+                (best_d2, best_idx) = (d2, idx);
+            }
+        }
+        (p.best_d2, p.best_idx) = (best_d2, best_idx);
+    }
 }
 
 /// The NN kernel over a midpoint-split kd-tree: [`NnRule`] under

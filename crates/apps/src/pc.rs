@@ -62,6 +62,18 @@ impl<const D: usize> PointRule<D> for PcRule {
             p.count += 1;
         }
     }
+    /// One branch-free count for the whole bucket.
+    #[inline]
+    fn offer_bucket(&self, p: &mut PcPoint<D>, d2: &[f32], _ids: &[u32]) {
+        p.count += within(d2, self.radius2);
+    }
+}
+
+/// How many of `d2` are at most `radius2`, counted without a branch per
+/// point.
+#[inline]
+pub(crate) fn within(d2: &[f32], radius2: f32) -> u32 {
+    d2.iter().map(|&d2| u32::from(d2 <= radius2)).sum()
 }
 
 /// The Point Correlation kernel over a median-split kd-tree.

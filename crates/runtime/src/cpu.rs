@@ -1,5 +1,11 @@
-//! CPU executors: the recursive baseline of Figure 1, sequential and
-//! multithreaded.
+//! CPU executors: the baseline of Figure 1, sequential and multithreaded.
+//!
+//! Each point's traversal is Figure 1's recursion run as one loop over
+//! one child stack: pop a node, visit it, and reverse the children the
+//! visit pushed so the first is popped first — the recursion's preorder,
+//! visit for visit. The literal recursion stays as the reference the loop
+//! is tested against: here on synthetic kernels, in `gts-apps` on the rule
+//! stack the service walks.
 //!
 //! The parallel executor is the comparison target of the paper's Table 1
 //! and Figures 10/11: an embarrassingly parallel point loop, statically
@@ -9,88 +15,51 @@
 
 use std::time::Instant;
 
-use crate::kernel::{Child, ChildBuf, TraversalKernel, VisitOutcome};
+use gts_trees::NodeId;
+
+use crate::kernel::{Child, ChildBuf, TraversalKernel};
 use crate::report::{CpuReport, TraversalStats};
 
-/// Run `kernel` recursively for one point; returns the number of nodes
-/// visited. This is the paper's Figure 1 executed literally — the oracle
-/// every transformed executor is tested against.
+/// Run `kernel` for one point; returns the number of nodes visited. This
+/// is the host walk the service answers unmetered batches with.
 pub fn traverse_one<K: TraversalKernel>(kernel: &K, point: &mut K::Point) -> u32 {
-    let mut kids = child_stack(kernel);
-    recurse(
-        kernel,
-        point,
-        Child {
-            node: 0,
-            args: kernel.root_args(),
-        },
-        &mut kids,
-    )
+    let mut visited = 0;
+    walk(kernel, point, |_| visited += 1);
+    visited
 }
 
 /// Like [`traverse_one`], but records the visit sequence. This is what the
 /// §4.4 sortedness profiler samples: run a handful of points, compare
 /// their visit sets (`gts_points::profile::profile_sortedness`).
-pub fn trace_one<K: TraversalKernel>(kernel: &K, point: &mut K::Point) -> Vec<gts_trees::NodeId> {
-    let mut kids = child_stack(kernel);
+pub fn trace_one<K: TraversalKernel>(kernel: &K, point: &mut K::Point) -> Vec<NodeId> {
     let mut visits = Vec::new();
-    trace_recurse(
-        kernel,
-        point,
-        Child {
-            node: 0,
-            args: kernel.root_args(),
-        },
-        &mut kids,
-        &mut visits,
-    );
+    walk(kernel, point, |node| visits.push(node));
     visits
 }
 
-/// The recursion's one child stack, sized for the deepest path: every
-/// frame on it holds at most `MAX_KIDS` children.
-fn child_stack<K: TraversalKernel>(kernel: &K) -> ChildBuf<K::Args> {
-    ChildBuf::with_capacity(K::MAX_KIDS * (kernel.max_depth() + 1))
-}
-
-fn trace_recurse<K: TraversalKernel>(
-    kernel: &K,
-    point: &mut K::Point,
-    at: Child<K::Args>,
-    kids: &mut ChildBuf<K::Args>,
-    visits: &mut Vec<gts_trees::NodeId>,
-) {
-    visits.push(at.node);
-    let base = kids.len();
-    let outcome = kernel.visit(point, at.node, at.args, None, kids);
-    if let VisitOutcome::Descended { .. } = outcome {
-        for i in base..kids.len() {
-            trace_recurse(kernel, point, kids[i], kids, visits);
+/// The one loop both drivers run, calling `on_visit` with each node as it
+/// is popped. The stack is sized for the deepest path — below each node
+/// on it wait at most `MAX_KIDS` of its siblings — so nothing is
+/// allocated after the first push.
+fn walk<K: TraversalKernel>(kernel: &K, point: &mut K::Point, mut on_visit: impl FnMut(NodeId)) {
+    let mut stack: ChildBuf<K::Args> =
+        ChildBuf::with_capacity(K::MAX_KIDS * (kernel.max_depth() + 1));
+    stack.push(Child {
+        node: 0,
+        args: kernel.root_args(),
+    });
+    while let Some(at) = stack.pop() {
+        on_visit(at.node);
+        let base = stack.len();
+        if kernel
+            .visit(point, at.node, at.args, None, &mut stack)
+            .stops()
+        {
+            stack.truncate(base);
+        } else {
+            stack[base..].reverse();
         }
     }
-    kids.truncate(base);
-}
-
-/// `kids` is the whole recursion's child stack: a visit appends its
-/// children above `base`, the loop descends into each (every callee
-/// truncates back to the length it found), and the frame pops its own on
-/// the way out — nothing is allocated per level.
-fn recurse<K: TraversalKernel>(
-    kernel: &K,
-    point: &mut K::Point,
-    at: Child<K::Args>,
-    kids: &mut ChildBuf<K::Args>,
-) -> u32 {
-    let base = kids.len();
-    let outcome = kernel.visit(point, at.node, at.args, None, kids);
-    let mut visited = 1;
-    if let VisitOutcome::Descended { .. } = outcome {
-        for i in base..kids.len() {
-            visited += recurse(kernel, point, kids[i], kids);
-        }
-    }
-    kids.truncate(base);
-    visited
 }
 
 /// Sequential CPU run over all points (1-thread baseline of Table 1).
@@ -280,6 +249,59 @@ mod tests {
         assert_eq!(visits, vec![0, 1, 3, 4, 2]);
         let mut q = 0u64;
         assert_eq!(traverse_one(&k, &mut q) as usize, visits.len());
+    }
+
+    /// Figure 1 as written: visit, then recurse into each child named, in
+    /// order — the reference the loop is held to. Records each visit.
+    fn figure1<K: TraversalKernel>(
+        kernel: &K,
+        p: &mut K::Point,
+        at: Child<K::Args>,
+        visits: &mut Vec<NodeId>,
+    ) {
+        visits.push(at.node);
+        let mut kids = Vec::new();
+        if let VisitOutcome::Descended { .. } = kernel.visit(p, at.node, at.args, None, &mut kids) {
+            for child in kids {
+                figure1(kernel, p, child, visits);
+            }
+        }
+    }
+
+    /// Both drivers run the one loop: `trace_one` records what
+    /// `traverse_one` counts, in the literal recursion's order, and each
+    /// leaves the point where the recursion leaves it.
+    fn assert_one_driver<K: TraversalKernel>(kernel: &K, point: &K::Point)
+    where
+        K::Point: PartialEq + std::fmt::Debug,
+    {
+        let mut want = Vec::new();
+        let mut recursed = point.clone();
+        let root = Child {
+            node: 0,
+            args: kernel.root_args(),
+        };
+        figure1(kernel, &mut recursed, root, &mut want);
+        let (mut traced, mut counted) = (point.clone(), point.clone());
+        let visits = trace_one(kernel, &mut traced);
+        assert_eq!(visits, want, "the visit sequence is the recursion's");
+        assert_eq!(traverse_one(kernel, &mut counted) as usize, visits.len());
+        assert_eq!(traced, recursed);
+        assert_eq!(counted, recursed);
+    }
+
+    #[test]
+    fn one_loop_drives_both_walks_in_the_recursions_preorder() {
+        use crate::test_kernels::{BinKernel, GuidedKernel, GuidedPoint};
+        for depth in 0..6 {
+            for limit in [0, 1, 2, 5, 11, 40, u32::MAX] {
+                assert_one_driver(&CountKernel { depth, limit }, &0);
+                assert_one_driver(&BinKernel::new(depth, limit), &0);
+            }
+            for id in 0..4 {
+                assert_one_driver(&GuidedKernel::new(depth), &GuidedPoint { id, acc: 0 });
+            }
+        }
     }
 
     #[test]

@@ -22,8 +22,13 @@
 //! its inner rule in everything else, so any walk of a rule — a pair
 //! included — walks a tree minus its dead points without being rebuilt.
 //! [`Renamed`] renames each offer through an id table, the same way.
+//!
+//! Every rule here hands on a leaf bucket ([`PointRule::offer_bucket`]) as
+//! it hands on single offers: a pair gives each half the whole bucket,
+//! [`Renamed`] renames it into a stack buffer, and [`Live`] passes a bucket
+//! with nothing dead through unchanged and compacts the rest.
 
-use crate::kernel::PointRule;
+use crate::kernel::{PointRule, BUCKET};
 use gts_trees::PointN;
 
 /// A set of dead point positions, one bit each, in the id space the
@@ -125,6 +130,23 @@ impl<const D: usize, R: PointRule<D>, T: Dead> PointRule<D> for Live<R, T> {
             self.rule.offer(state, d2, idx);
         }
     }
+    /// A bucket with nothing dead goes to `R` as it is — over [`AllLive`]
+    /// the test folds away and so does the copy; otherwise its live
+    /// entries, in order, through a stack buffer.
+    #[inline]
+    fn offer_bucket(&self, state: &mut Self::State, d2: &[f32], ids: &[u32]) {
+        if !ids.iter().any(|&idx| self.dead.contains(idx)) {
+            return self.rule.offer_bucket(state, d2, ids);
+        }
+        for (d2, ids) in d2.chunks(BUCKET).zip(ids.chunks(BUCKET)) {
+            let (mut live_d2, mut live_ids, mut n) = ([0.0; BUCKET], [0; BUCKET], 0);
+            for (&d2, &idx) in d2.iter().zip(ids) {
+                (live_d2[n], live_ids[n]) = (d2, idx);
+                n += usize::from(!self.dead.contains(idx));
+            }
+            self.rule.offer_bucket(state, &live_d2[..n], &live_ids[..n]);
+        }
+    }
     fn solo_descents(&self, state: &mut Self::State, lb: f32) -> u32 {
         self.rule.solo_descents(state, lb)
     }
@@ -157,6 +179,17 @@ impl<const D: usize, R: PointRule<D>> PointRule<D> for Renamed<'_, R> {
     #[inline]
     fn offer(&self, state: &mut Self::State, d2: f32, idx: u32) {
         self.rule.offer(state, d2, self.ids[idx as usize]);
+    }
+    /// The bucket's positions renamed into a stack buffer.
+    #[inline]
+    fn offer_bucket(&self, state: &mut Self::State, d2: &[f32], ids: &[u32]) {
+        for (d2, at) in d2.chunks(BUCKET).zip(ids.chunks(BUCKET)) {
+            let mut named = [0; BUCKET];
+            for (name, &at) in named.iter_mut().zip(at) {
+                *name = self.ids[at as usize];
+            }
+            self.rule.offer_bucket(state, d2, &named[..at.len()]);
+        }
     }
     fn solo_descents(&self, state: &mut Self::State, lb: f32) -> u32 {
         self.rule.solo_descents(state, lb)
@@ -214,6 +247,13 @@ impl<const D: usize, A: PointRule<D>, B: PointRule<D>> PointRule<D> for (A, B) {
         self.0.offer(&mut state.a, d2, idx);
         self.1.offer(&mut state.b, d2, idx);
     }
+    /// Each half takes the whole bucket: their states are disjoint, so
+    /// the order of the two folds is no part of either answer.
+    #[inline]
+    fn offer_bucket(&self, state: &mut Self::State, d2: &[f32], ids: &[u32]) {
+        self.0.offer_bucket(&mut state.a, d2, ids);
+        self.1.offer_bucket(&mut state.b, d2, ids);
+    }
     fn solo_descents(&self, state: &mut Self::State, lb: f32) -> u32 {
         let here = self.0.solo_descents(&mut state.a, lb) + self.1.solo_descents(&mut state.b, lb);
         state.solo_descents += here;
@@ -226,6 +266,7 @@ mod tests {
     use super::*;
 
     /// Counts offers within a fixed radius² (unguided, non-default costs).
+    #[derive(Clone, Copy)]
     struct Within(f32);
     /// Keeps the smallest offer (guided, default costs).
     struct Nearest;
@@ -427,5 +468,87 @@ mod tests {
         type Pair = (Within, Nearest);
         assert_eq!(facts::<Renamed<'_, Pair>>(), facts::<Pair>());
         assert_eq!(facts::<Renamed<'_, Within>>(), facts::<Within>());
+    }
+
+    /// Prunes nothing and records every offer it is given, in order.
+    #[derive(Clone, Copy)]
+    struct Seen;
+
+    impl PointRule<2> for Seen {
+        type State = (PointN<2>, Vec<(u32, u32)>);
+        const GUIDED: bool = false;
+        fn pos(s: &Self::State) -> &PointN<2> {
+            &s.0
+        }
+        fn bound(&self, _s: &Self::State) -> f32 {
+            f32::INFINITY
+        }
+        fn offer(&self, s: &mut Self::State, d2: f32, idx: u32) {
+            s.1.push((d2.to_bits(), idx));
+        }
+    }
+
+    /// `rule`'s bucket form, over `offers` cut at `cuts`, leaves `state`
+    /// where offering them one by one leaves it.
+    fn assert_bucket_is_the_fold<R: PointRule<2>>(
+        label: &str,
+        rule: &R,
+        state: &R::State,
+        offers: &[(f32, u32)],
+        cuts: &[usize],
+    ) where
+        R::State: PartialEq + std::fmt::Debug,
+    {
+        let mut one_by_one = state.clone();
+        for &(d2, idx) in offers {
+            rule.offer(&mut one_by_one, d2, idx);
+        }
+        let (d2, ids): (Vec<f32>, Vec<u32>) = offers.iter().copied().unzip();
+        let (mut bucketed, mut at) = (state.clone(), 0);
+        for &len in cuts {
+            let end = (at + len).min(offers.len());
+            rule.offer_bucket(&mut bucketed, &d2[at..end], &ids[at..end]);
+            at = end;
+        }
+        assert_eq!(bucketed, one_by_one, "{label}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// `Live` over a random tombstone set and `Renamed` over a random id
+        /// table, alone and nested as a walk serves them, hand a bucket on
+        /// as they hand single offers: the dead dropped, the rest renamed,
+        /// order kept — across buckets cut anywhere, empty ones and ones
+        /// longer than [`BUCKET`] included.
+        #[test]
+        fn prop_live_and_renamed_buckets_are_their_folds(
+            seed in 0u64..1 << 40,
+            len in 0usize..200,
+            positions in 1u32..150,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let dead: Tombstones = (0..positions).filter(|_| rng.gen_range(0..4) == 0).collect();
+            let ids: Vec<u32> = (0..positions).map(|_| rng.gen_range(0..u32::MAX)).collect();
+            let offers: Vec<(f32, u32)> = (0..len)
+                .map(|_| (rng.gen_range(0u32..12) as f32 * 0.5, rng.gen_range(0..positions)))
+                .collect();
+            let mut cuts = Vec::new();
+            while cuts.iter().sum::<usize>() < len {
+                cuts.push(rng.gen_range(0..BUCKET + 24));
+            }
+            let origin = PointN([0.0f32; 2]);
+            let seen = (origin, Vec::new());
+            let lane = FusedPoint::new((origin, 0.0, 0), seen.clone());
+            let pair = (Within(4.0), Seen);
+            let renamed = Renamed { rule: pair, ids: &ids };
+            assert_bucket_is_the_fold("renamed", &renamed, &lane, &offers, &cuts);
+            let live = Live { rule: pair, dead: &dead };
+            assert_bucket_is_the_fold("live", &live, &lane, &offers, &cuts);
+            let served = Live { rule: renamed, dead: &dead };
+            assert_bucket_is_the_fold("live of renamed", &served, &lane, &offers, &cuts);
+            let all = Live { rule: Renamed { rule: Seen, ids: &ids }, dead: AllLive };
+            assert_bucket_is_the_fold("all live", &all, &seen, &offers, &cuts);
+        }
     }
 }

@@ -142,7 +142,7 @@ pub trait TraversalKernel: Sync {
     /// condition, apply the update, and — for interior nodes — append the
     /// children to `kids` in traversal order (first visited first). Append
     /// only: `kids` may already hold entries that are not this visit's
-    /// (the CPU recursion keeps every level's children on one buffer).
+    /// (the CPU walk keeps its whole child stack on one buffer).
     ///
     /// When `forced_set` is `Some(s)`, a guided kernel must emit children
     /// in call set `s`'s order regardless of its own preference (the warp
@@ -175,6 +175,13 @@ pub trait TraversalKernel: Sync {
     }
 }
 
+/// The most points one [`PointRule::offer_bucket`] call is handed by the
+/// structures in this workspace, and the size of the stack buffers a rule
+/// that rewrites a bucket ([`crate::Live`], [`crate::Renamed`]) copies it
+/// through. A leaf holds as many points as its tree was built with, so a
+/// walk offers a larger leaf in chunks of this size.
+pub const BUCKET: usize = 64;
+
 /// The *semantic* half of a point-distance traversal: the paper's
 /// `truncate?` and `update` (Figure 1) with the tree taken out. An op is
 /// written once as a rule; the structure that walks it — the box-pruned
@@ -190,6 +197,10 @@ pub trait TraversalKernel: Sync {
 /// grows and an [`offer`](Self::offer) with `d2 > bound` leaves the state
 /// unchanged. An *inert* state (a lane that did not ask for this op)
 /// reports `-inf` and so rejects everything.
+///
+/// A walk that reaches a leaf hands the rule the whole bucket at once
+/// ([`offer_bucket`](Self::offer_bucket)); its meaning is the per-point
+/// fold, so the contract above is stated, and tested, on single offers.
 pub trait PointRule<const D: usize>: Sync {
     /// Per-query state: the position plus the running answer.
     type State: Send + Clone;
@@ -218,6 +229,18 @@ pub trait PointRule<const D: usize>: Sync {
     /// The update: a dataset point at squared distance `d2`, named `idx`
     /// in whatever id space the walking structure reports.
     fn offer(&self, state: &mut Self::State, d2: f32, idx: u32);
+
+    /// The update for a run of points: `d2[i]` named `ids[i]`, in order.
+    /// It must leave the state that [`offer`](Self::offer) on each in turn
+    /// leaves — which is the default. A rule overrides it to keep its
+    /// running answer in locals for the whole run instead of storing to
+    /// the state point by point. `d2` and `ids` have one length.
+    #[inline]
+    fn offer_bucket(&self, state: &mut Self::State, d2: &[f32], ids: &[u32]) {
+        for (&d2, &idx) in d2.iter().zip(ids) {
+            self.offer(state, d2, idx);
+        }
+    }
 
     /// Accounting, not answer: a box-pruned walk calls this each time it
     /// descends below a node whose box lies `lb` (squared) from the query,

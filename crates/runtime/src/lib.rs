@@ -6,7 +6,7 @@
 //!
 //! | Executor | Paper section | What it models |
 //! |---|---|---|
-//! | [`cpu::run_sequential`] | baseline | plain recursive traversal (Figure 1) |
+//! | [`cpu::run_sequential`] | baseline | Figure 1's traversal, run as one loop over a child stack |
 //! | [`cpu::run_parallel`] | §6 CPU rows | multithreaded point loop, real wall time |
 //! | [`gpu::recursive`] | §6 “naïve GPU” | CUDA-recursion baseline: call overhead, frame traffic, call-site serialization |
 //! | [`gpu::autoropes`] | §3 | iterative rope-stack traversal, per-lane stacks, non-lockstep |
@@ -44,7 +44,7 @@ pub mod report;
 pub mod stack;
 
 pub use fused::{AllLive, Dead, FusedPoint, Live, Renamed, Tombstones};
-pub use kernel::{Child, ChildBuf, PointRule, TraversalKernel, VisitOutcome};
+pub use kernel::{Child, ChildBuf, PointRule, TraversalKernel, VisitOutcome, BUCKET};
 pub use report::{CpuReport, GpuReport, TraversalStats};
 pub use stack::StackLayout;
 

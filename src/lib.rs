@@ -12,7 +12,7 @@
 //! * [`trees`] — kd-trees, the Barnes-Hut oct-tree, vantage-point trees,
 //!   left-biased linearization, hot/cold node layouts.
 //! * [`points`] — benchmark inputs, point sorting, the sortedness profiler.
-//! * [`runtime`] — the executors: CPU recursive (sequential/parallel),
+//! * [`runtime`] — the executors: the CPU walk (sequential/parallel),
 //!   naïve GPU recursion, autoropes, lockstep.
 //! * [`apps`] — Barnes-Hut, Point Correlation, kNN, NN, Vantage Point.
 //! * [`ir`] — the traversal compiler: kernel IR, call-set analysis,
@@ -36,7 +36,7 @@
 //! let tree = KdTree::build(&data, 8, SplitPolicy::MedianCycle);
 //! let kernel = gts_apps::pc::PcKernel::new(&tree, 0.5);
 //!
-//! // CPU reference (the paper's Figure 1, run literally).
+//! // CPU reference (the paper's Figure 1, run as one loop).
 //! let mut cpu_pts: Vec<_> = data.iter().map(|&p| gts_apps::pc::PcPoint::new(p)).collect();
 //! gts_runtime::cpu::run_sequential(&kernel, &mut cpu_pts);
 //!

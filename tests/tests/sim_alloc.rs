@@ -6,19 +6,24 @@
 //! by run the same loops. This binary installs a counting global allocator and
 //! pins the budget: a launch may allocate per *warp* (stacks, per-lane
 //! counters, the per-warp counter fold), never per node visit — and the
-//! CPU recursion, which serves the host backend and the profiler's sampled
-//! traces, per *traversal* (its one child stack), never per level. One
+//! CPU walk, which serves the host backend and the profiler's sampled
+//! traces, per *traversal* (its one child stack), never per level. The
+//! CPU walk is also timed on the rule stack the service walks — `Live`
+//! over tombstones, `Renamed`, the fused NN / kNN / PC rule — whose leaf
+//! buckets live on the stack: at most one allocation per traversal. One
 //! test only — the counter is process-wide, so nothing else may run
 //! beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use gts_apps::fused::{fused_ops_point, FusedOpsRule};
+use gts_apps::kd::KdBox;
 use gts_apps::knn::{KnnKernel, KnnPoint};
 use gts_points::gen::uniform;
 use gts_points::sort::{apply_perm, morton_order};
 use gts_runtime::gpu::{autoropes, lockstep, GpuConfig, Unmetered};
-use gts_runtime::{cpu, GpuReport};
+use gts_runtime::{cpu, GpuReport, Live, Renamed, Tombstones};
 use gts_trees::{KdTree, SplitPolicy};
 
 struct Counting;
@@ -81,13 +86,42 @@ fn executors_allocate_per_warp_not_per_node_visit() {
         .map(|p| u64::from(cpu::traverse_one(&kernel, p)))
         .sum();
     let cpu = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / visits as f64;
+
+    // The served stack: every third point dead, positions renamed to
+    // dataset ids, lanes asking NN, kNN and PC alone and together.
+    let dead: Tombstones = (0..data.len() as u32).filter(|at| at % 3 == 0).collect();
+    let rule = Renamed {
+        rule: FusedOpsRule::default(),
+        ids: &tree.perm,
+    };
+    let served = KdBox::with_rule(&tree, Live { rule, dead: &dead });
+    let mut lanes: Vec<_> = (queries.iter().enumerate())
+        .map(|(i, &p)| match i % 4 {
+            0 => fused_ops_point(p, true, None, &[]),
+            1 => fused_ops_point(p, false, Some(8), &[]),
+            2 => fused_ops_point(p, false, None, &[0.05]),
+            _ => fused_ops_point(p, true, Some(8), &[0.05, 0.1]),
+        })
+        .collect();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let served_visits: u64 = (lanes.iter_mut())
+        .map(|p| u64::from(cpu::traverse_one(&served, p)))
+        .sum();
+    let served_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let per_walk = served_allocs as f64 / lanes.len() as f64;
     println!(
         "allocations per node visit: autoropes {ar:.3} ({ar_plain:.3} unmetered), \
-         lockstep {ls:.3} ({ls_plain:.3} unmetered), cpu {cpu:.3}"
+         lockstep {ls:.3} ({ls_plain:.3} unmetered), cpu {cpu:.3}; \
+         served cpu stack {per_walk:.3} per traversal over {served_visits} visits"
     );
     assert!(ar < 0.25, "autoropes: {ar:.3} allocations per node visit");
     assert!(ls < 0.25, "lockstep: {ls:.3} allocations per node visit");
     assert!(ar_plain < 0.25, "unmetered autoropes: {ar_plain:.3}");
     assert!(ls_plain < 0.25, "unmetered lockstep: {ls_plain:.3}");
     assert!(cpu < 0.25, "cpu: {cpu:.3} allocations per node visit");
+    assert!(
+        served_allocs <= lanes.len() as u64,
+        "served stack: {served_allocs} allocations over {} traversals",
+        lanes.len()
+    );
 }
